@@ -16,9 +16,7 @@
 //! `--metrics PATH` to stream structured telemetry (spans, counters, histograms) to
 //! a JSONL file and print an end-of-run summary table. `--workers N` pins the
 //! auto-detected worker-pool size so perf runs reproduce across differently
-//! sized CI hosts. `rollout_throughput` also accepts `--baseline PATH` to gate
-//! its speedup ratios against a committed baseline artifact (exit non-zero on
-//! a >25% regression).
+//! sized CI hosts.
 //! Criterion micro-benchmarks live under `benches/`.
 
 #![warn(missing_docs)]
@@ -60,10 +58,6 @@ pub struct Cli {
     /// `--checkpoint-dir`). Runs without a checkpoint start fresh; corrupt
     /// checkpoints abort rather than being silently clobbered.
     pub resume: bool,
-    /// Baseline artifact to gate against (`--baseline PATH`): benchmarks that
-    /// support it compare their machine-robust ratios (speedups, not absolute
-    /// wall-clock) against this file and exit non-zero on a >25% regression.
-    pub baseline: Option<std::path::PathBuf>,
     /// Worker-pool override (`--workers N`): pins the auto-detected core count
     /// every `workers = 0` consumer resolves to, so perf runs are reproducible
     /// across differently-sized CI hosts. `None` keeps auto-detection.
@@ -85,7 +79,6 @@ impl Cli {
         let mut checkpoint_dir: Option<std::path::PathBuf> = None;
         let mut checkpoint_every = 10usize;
         let mut resume = false;
-        let mut baseline: Option<std::path::PathBuf> = None;
         let mut workers: Option<usize> = None;
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -128,10 +121,6 @@ impl Cli {
                         .expect("number");
                 }
                 "--resume" => resume = true,
-                "--baseline" => {
-                    i += 1;
-                    baseline = Some(args.get(i).expect("--baseline needs a value").into());
-                }
                 "--workers" => {
                     i += 1;
                     workers = Some(
@@ -140,7 +129,7 @@ impl Cli {
                 }
                 other => {
                     eprintln!(
-                        "unknown flag {other}; usage: [--scale tiny|quick|paper] [--samples N] [--seed S] [--out DIR] [--curves] [--metrics PATH] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--baseline PATH] [--workers N]"
+                        "unknown flag {other}; usage: [--scale tiny|quick|paper] [--samples N] [--seed S] [--out DIR] [--curves] [--metrics PATH] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--workers N]"
                     );
                     std::process::exit(2);
                 }
@@ -172,7 +161,6 @@ impl Cli {
             checkpoint_dir,
             checkpoint_every,
             resume,
-            baseline,
             workers,
             recorder,
         }

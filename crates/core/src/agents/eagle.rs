@@ -14,8 +14,8 @@
 use eagle_devsim::{DeviceId, Machine, Placement};
 use eagle_nn::{AttentionMode, Grouper, Lstm, Placer, PlacerOutput, Seq2SeqPlacer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, EpisodeScore, ScoreHandle, StochasticPolicy};
-use eagle_tensor::{Params, Tape, Tensor, Var};
+use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
+use eagle_tensor::{optim::Adam, Grads, Params, Tape, Tensor, Var};
 use rand::Rng;
 
 use crate::scale::AgentScale;
@@ -33,7 +33,8 @@ pub struct EagleAgent {
 }
 
 impl EagleAgent {
-    /// Builds the agent for a graph/machine pair, registering all parameters.
+    /// Builds the agent for a graph/machine pair, registering all parameters
+    /// and warm-starting the grouper.
     pub fn new(
         params: &mut Params,
         graph: &OpGraph,
@@ -41,23 +42,7 @@ impl EagleAgent {
         scale: AgentScale,
         rng: &mut impl Rng,
     ) -> Self {
-        let features = super::features_tensor(graph);
-        let feat_dim = features.cols();
-        let k = scale.num_groups.min(graph.len());
-        let grouper = Grouper::new(params, "eagle/grouper", feat_dim, scale.grouper_hidden, k, rng);
-        let link = Lstm::new(params, "eagle/link", feat_dim, scale.link_hidden, rng);
-        let devices = super::device_table(machine);
-        let placer = Seq2SeqPlacer::new(
-            params,
-            "eagle/placer",
-            scale.link_hidden,
-            scale.placer_hidden,
-            scale.attn_dim,
-            devices.len(),
-            AttentionMode::Before,
-            rng,
-        );
-        let agent = Self { grouper, link, placer, features, devices, num_groups: k };
+        let agent = Self::new_for_inference(params, graph, machine, scale, rng);
         agent.warm_start_grouper(params, graph);
         agent
     }
@@ -106,21 +91,21 @@ impl EagleAgent {
     /// "very few invalid placements during the entire training process" (Sec. IV-D).
     fn warm_start_grouper(&self, params: &mut Params, graph: &OpGraph) {
         let target = Self::warm_start_target(graph, self.num_groups);
-        let mut opt = eagle_tensor::optim::Adam::new(0.01);
+        let mut opt = Adam::new(0.01);
+        let mut grads = Grads::for_params(params);
         for _ in 0..60 {
-            params.zero_grad();
+            grads.zero();
             let mut tape = Tape::new();
             let f = tape.leaf(self.features.clone());
             let logits = self.grouper.logits(&mut tape, params, f);
             let picked = tape.log_softmax_pick(logits, &target);
             let neg = tape.neg(picked);
             let loss = tape.mean_all(neg);
-            tape.backward(loss, params);
+            tape.backward_into(loss, &mut grads);
             // Only the grouper participates in this phase; other grads stay zero,
             // and Adam's zero-moment updates leave them untouched.
-            opt.step(params);
+            opt.step_grads(params, &grads);
         }
-        params.zero_grad();
     }
 
     /// The warm-start grouping: balanced topologically contiguous chunks.
@@ -143,27 +128,9 @@ impl EagleAgent {
         self.num_groups
     }
 
-    /// Full per-episode forward pass; `forced` scores the given device actions
-    /// instead of sampling. Also returns the group-balance auxiliary loss (see
-    /// [`Self::balance_loss`]). Kept as the reference implementation the batched
-    /// path is differential-tested against.
-    fn forward(
-        &self,
-        params: &Params,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> (Tape, PlacerOutput, Var) {
-        let mut tape = Tape::new();
-        let f = tape.leaf(self.features.clone());
-        let logits = self.grouper.logits(&mut tape, params, f);
-        let aux = self.balance_loss(&mut tape, logits);
-        let group_emb = self.grouper.soft_group_embeddings(&mut tape, logits, f);
-        let (linked, _) = self.link.forward(&mut tape, params, group_emb);
-        let out = self.placer.forward(&mut tape, params, linked, forced, rng);
-        (tape, out, aux)
-    }
-
-    /// Batched forward: the grouper, balance loss, and linking RNN are
+    /// The forward pass; `forced` scores the given device actions instead of
+    /// sampling. Also returns the group-balance auxiliary loss (see
+    /// [`Self::balance_loss`]). The grouper, balance loss, and linking RNN are
     /// episode-independent so they run *once*; the placer decodes all episodes
     /// in one pass (it sees the same `linked` Var for every episode, so its
     /// encoder also runs once).
@@ -240,22 +207,6 @@ impl StochasticPolicy for EagleAgent {
             })
             .collect();
         BatchScoreHandle { tape, episodes }
-    }
-
-    // Per-episode overrides keep the original single-episode graph construction
-    // as an independent reference for the batched path (the two are
-    // bit-identical; see the `eagle_rl::policy` contract).
-    fn sample(&self, params: &Params, rng: &mut dyn rand::RngCore) -> (Vec<usize>, f32) {
-        let (tape, out, _) = self.forward(params, None, rng);
-        let logp = tape.value(out.log_prob).item();
-        (out.actions, logp)
-    }
-
-    fn score(&self, params: &Params, actions: &[usize]) -> ScoreHandle {
-        let mut noop = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        use rand::SeedableRng;
-        let (tape, out, aux) = self.forward(params, Some(actions), &mut noop);
-        ScoreHandle { tape, log_prob: out.log_prob, entropy: out.entropy, aux_loss: Some(aux) }
     }
 }
 
@@ -346,24 +297,22 @@ mod tests {
     fn gradients_reach_grouper_through_placer_loss() {
         // The linking construction must carry placer-policy gradients back into the
         // grouper parameters (EAGLE's claim).
-        let (mut params, agent, _, _) = setup();
+        let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let (actions, _) = agent.sample(&params, &mut rng);
         let mut h = agent.score(&params, &actions);
         let loss = h.tape.neg(h.log_prob);
-        h.tape.backward(loss, &mut params);
-        let grouper_grad: f32 = params
-            .ids()
-            .filter(|&id| params.name(id).starts_with("eagle/grouper"))
-            .map(|id| params.grad(id).norm())
-            .sum();
-        assert!(grouper_grad > 0.0, "grouper receives gradient end-to-end");
-        let link_grad: f32 = params
-            .ids()
-            .filter(|&id| params.name(id).starts_with("eagle/link"))
-            .map(|id| params.grad(id).norm())
-            .sum();
-        assert!(link_grad > 0.0, "linking RNN receives gradient");
+        let mut grads = Grads::for_params(&params);
+        h.tape.backward_into(loss, &mut grads);
+        let grad_under = |prefix: &str| -> f32 {
+            params
+                .ids()
+                .filter(|&id| params.name(id).starts_with(prefix))
+                .map(|id| grads.get(id).norm())
+                .sum()
+        };
+        assert!(grad_under("eagle/grouper") > 0.0, "grouper receives gradient end-to-end");
+        assert!(grad_under("eagle/link") > 0.0, "linking RNN receives gradient");
     }
 
     #[test]
@@ -391,5 +340,32 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), g.len());
         assert!(a.iter().all(|&gi| gi < agent.num_groups()));
+    }
+
+    #[test]
+    fn warm_started_parameters_are_pinned_across_commits() {
+        // FNV-1a-64 over every parameter value (little-endian f32 bits, id
+        // order) after `EagleAgent::new` at tiny scale, seed 7 — computed at
+        // the commit *before* the warm start moved from in-store gradients
+        // (`Tape::backward` + `Adam::step`) to `Grads` (`backward_into` +
+        // `step_grads`). Equal hashes prove the port moved no bit.
+        use eagle_devsim::Benchmark;
+        let pinned = [
+            (Benchmark::InceptionV3, 0xa0f0_459d_a964_bdaf_u64),
+            (Benchmark::Gnmt, 0x9bce_9e4c_99aa_abf6),
+        ];
+        for (b, expect) in pinned {
+            let m = Machine::paper_machine();
+            let g = b.graph_for(&m);
+            let mut params = Params::new();
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            let _ = EagleAgent::new(&mut params, &g, &m, AgentScale::tiny(), &mut rng);
+            let bytes: Vec<u8> = params
+                .ids()
+                .flat_map(|id| params.get(id).data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+                .collect();
+            let got = crate::checkpoint::fnv1a64(&bytes);
+            assert_eq!(got, expect, "{}: {got:#018x} != pinned {expect:#018x}", b.name());
+        }
     }
 }

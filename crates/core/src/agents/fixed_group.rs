@@ -13,7 +13,7 @@ use eagle_nn::{
     embedding, normalize_adjacency, AttentionMode, GcnPlacer, Placer, Seq2SeqPlacer, SimplePlacer,
 };
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, EpisodeScore, ScoreHandle, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor};
 use rand::Rng;
 
@@ -183,25 +183,6 @@ impl StochasticPolicy for FixedGroupAgent {
             })
             .collect();
         BatchScoreHandle { tape, episodes }
-    }
-
-    // Per-episode overrides keep the original single-episode path as an
-    // independent reference for the batched one (bit-identical by contract).
-    fn sample(&self, params: &Params, rng: &mut dyn rand::RngCore) -> (Vec<usize>, f32) {
-        let mut tape = Tape::new();
-        let x = tape.leaf(self.emb.clone());
-        let out = self.placer.forward(&mut tape, params, x, None, rng);
-        let logp = tape.value(out.log_prob).item();
-        (out.actions, logp)
-    }
-
-    fn score(&self, params: &Params, actions: &[usize]) -> ScoreHandle {
-        use rand::SeedableRng;
-        let mut noop = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let mut tape = Tape::new();
-        let x = tape.leaf(self.emb.clone());
-        let out = self.placer.forward(&mut tape, params, x, Some(actions), &mut noop);
-        ScoreHandle { tape, log_prob: out.log_prob, entropy: out.entropy, aux_loss: None }
     }
 }
 

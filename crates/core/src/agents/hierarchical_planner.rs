@@ -12,7 +12,7 @@
 use eagle_devsim::{DeviceId, Machine, Placement};
 use eagle_nn::{embedding, AttentionMode, Grouper, Placer, Seq2SeqPlacer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{sample_categorical, BatchScoreHandle, EpisodeScore, ScoreHandle, StochasticPolicy};
+use eagle_rl::{sample_categorical, BatchScoreHandle, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -68,50 +68,12 @@ impl HpAgent {
         self.graph.len() + self.num_groups
     }
 
-    fn forward(
-        &self,
-        params: &Params,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> (Tape, Vec<usize>, Var, Var) {
-        let n = self.graph.len();
-        let mut tape = Tape::new();
-        let f = tape.leaf(self.features.clone());
-        let logits = self.grouper.logits(&mut tape, params, f); // (n, k)
-        let log_probs = tape.log_softmax(logits);
-        let probs = tape.softmax(logits);
-
-        // Sample (or force) the hard grouping, one categorical per op.
-        let group_of: Vec<usize> = match forced {
-            Some(a) => a[..n].to_vec(),
-            None => (0..n).map(|i| sample_categorical(tape.value(probs).row(i), rng)).collect(),
-        };
-        let group_logp = tape.pick_per_row(log_probs, &group_of); // (n, 1)
-        let group_logp_sum = tape.sum_all(group_logp);
-        // Grouper entropy: mean per-op entropy.
-        let plogp = tape.mul_elem(probs, log_probs);
-        let total = tape.sum_all(plogp);
-        let group_entropy = tape.scale(total, -1.0 / n as f32);
-
-        // Hard group embeddings (Hierarchical Planner's aggregation), then place.
-        let emb = embedding::group_features(&self.graph, &group_of, self.num_groups);
-        let emb_var = tape.leaf(emb);
-        let out = self.placer.forward(&mut tape, params, emb_var, forced.map(|a| &a[n..]), rng);
-
-        let log_prob = tape.add(group_logp_sum, out.log_prob);
-        let e2 = tape.add(group_entropy, out.entropy);
-        let entropy = tape.scale(e2, 0.5);
-
-        let mut actions = group_of;
-        actions.extend_from_slice(&out.actions);
-        (tape, actions, log_prob, entropy)
-    }
-
-    /// Batched forward. The grouper heads (logits, log-probs, entropy) are
+    /// The forward pass; `forced` scores the given action vectors instead of
+    /// sampling. The grouper heads (logits, log-probs, entropy) are
     /// episode-independent and run once; group sampling is episode-major so
     /// stream `b` consumes its `n` group draws before its `k` placer draws,
-    /// exactly like a serial rollout on that stream; the per-episode hard group
-    /// embeddings then feed one batched placer pass.
+    /// whatever the batch size; the per-episode hard group embeddings
+    /// (Hierarchical Planner's aggregation) then feed one batched placer pass.
     fn forward_batch(
         &self,
         params: &Params,
@@ -135,8 +97,8 @@ impl HpAgent {
                 }
             })
             .collect();
-        // Per-episode grouping log-probs before the shared entropy nodes, so the
-        // relative node order inside each episode matches the serial tape.
+        // Per-episode grouping log-probs, then the shared grouper entropy
+        // (mean per-op entropy).
         let group_logp_sums: Vec<Var> = groupings
             .iter()
             .map(|g| {
@@ -204,22 +166,6 @@ impl StochasticPolicy for HpAgent {
             .map(|(_, log_prob, entropy)| EpisodeScore { log_prob, entropy, aux_loss: None })
             .collect();
         BatchScoreHandle { tape, episodes }
-    }
-
-    // Per-episode overrides keep the original single-episode path as an
-    // independent reference for the batched one (bit-identical by contract).
-    fn sample(&self, params: &Params, rng: &mut dyn rand::RngCore) -> (Vec<usize>, f32) {
-        let (tape, actions, log_prob, _) = self.forward(params, None, rng);
-        let logp = tape.value(log_prob).item();
-        (actions, logp)
-    }
-
-    fn score(&self, params: &Params, actions: &[usize]) -> ScoreHandle {
-        use rand::SeedableRng;
-        assert_eq!(actions.len(), self.action_len(), "full action vector required");
-        let mut noop = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let (tape, _, log_prob, entropy) = self.forward(params, Some(actions), &mut noop);
-        ScoreHandle { tape, log_prob, entropy, aux_loss: None }
     }
 }
 
@@ -301,17 +247,18 @@ mod tests {
 
     #[test]
     fn gradients_reach_both_subnetworks() {
-        let (mut params, agent, _, _) = setup();
+        let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let (actions, _) = agent.sample(&params, &mut rng);
         let mut h = agent.score(&params, &actions);
         let loss = h.tape.neg(h.log_prob);
-        h.tape.backward(loss, &mut params);
+        let mut grads = eagle_tensor::Grads::for_params(&params);
+        h.tape.backward_into(loss, &mut grads);
         for prefix in ["hp/grouper", "hp/placer"] {
             let grad: f32 = params
                 .ids()
                 .filter(|&id| params.name(id).starts_with(prefix))
-                .map(|id| params.grad(id).norm())
+                .map(|id| grads.get(id).norm())
                 .sum();
             assert!(grad > 0.0, "{prefix} must receive gradient");
         }

@@ -20,11 +20,11 @@
 //! A checkpoint is a JSON header line followed by a JSON payload:
 //!
 //! ```text
-//! {"magic":"eagle-checkpoint","schema_version":1,"checksum":...,"payload_bytes":...}
+//! {"magic":"eagle-checkpoint","schema_version":N,"checksum":...,"payload_bytes":...}
 //! {"samples":120,"minibatches":12,...}
 //! ```
 //!
-//! The header carries a schema version (bumped whenever [`TrainerState`] changes
+//! The header carries a schema version (`N` is [`CHECKPOINT_SCHEMA_VERSION`], bumped whenever [`TrainerState`] changes
 //! shape) and an FNV-1a 64-bit checksum over the payload bytes. [`load_checkpoint`]
 //! verifies magic, version, length, and checksum before decoding, and reports any
 //! mismatch as a typed [`CheckpointError`] — never a panic — so callers can decide
@@ -52,7 +52,10 @@ pub const CHECKPOINT_MAGIC: &str = "eagle-checkpoint";
 /// became a vector of per-graph [`GraphEntryState`]s, plus the graph-source
 /// cursor (`source`), the trainer-level wall-clock (`wall`) and the
 /// retired-environment counter snapshot (`retired_snapshot`).
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
+///
+/// v3: `Params` entries are `name` + `value` only; the per-parameter `grad`
+/// tensor left the store (gradients live in `eagle_tensor::Grads`).
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
 
 /// Conventional checkpoint file name inside a `--checkpoint-dir` directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -448,19 +451,22 @@ mod tests {
         let path = tmp("skew.json");
         save_checkpoint(&sample_state(), &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let skewed = text.replacen(
-            &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
-            &format!("\"schema_version\":{}", CHECKPOINT_SCHEMA_VERSION + 1),
-            1,
-        );
-        assert_ne!(text, skewed, "header rewrite must hit");
-        std::fs::write(&path, skewed).unwrap();
-        match load_checkpoint(&path) {
-            Err(CheckpointError::SchemaVersion { found, expected }) => {
-                assert_eq!(found, CHECKPOINT_SCHEMA_VERSION + 1);
-                assert_eq!(expected, CHECKPOINT_SCHEMA_VERSION);
+        // The predecessor (v2, whose payload carried `grad` tensors) and a
+        // future version are both refused before the payload is looked at.
+        for skew in [2, CHECKPOINT_SCHEMA_VERSION + 1] {
+            let skewed = text.replacen(
+                &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
+                &format!("\"schema_version\":{skew}"),
+                1,
+            );
+            assert_ne!(text, skewed, "header rewrite must hit");
+            std::fs::write(&path, skewed).unwrap();
+            match load_checkpoint(&path) {
+                Err(CheckpointError::SchemaVersion { found, expected: 3 }) => {
+                    assert_eq!(found, skew)
+                }
+                other => panic!("expected SchemaVersion error, got {other:?}"),
             }
-            other => panic!("expected SchemaVersion error, got {other:?}"),
         }
     }
 
@@ -499,6 +505,33 @@ mod tests {
         assert_eq!(lp1, lp2);
         // And identical decoded placements.
         assert_eq!(agent.decode(&params, &a1), agent.decode(&restored, &a2));
+    }
+
+    #[test]
+    fn params_json_is_name_and_value_and_a_legacy_grad_key_is_ignored() {
+        let mut params = Params::new();
+        params.add("w", eagle_tensor::Tensor::row_vector(&[1.5, -2.0]));
+        let path = tmp("params-shape.json");
+        save_params(&params, &path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let serde_json::Value::Object(entry) = &doc["entries"][0] else {
+            panic!("entry is not an object: {json}")
+        };
+        let keys: Vec<&str> = entry.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["name", "value"]);
+
+        // Stores written before gradients moved to `Grads` carry a `grad`
+        // tensor per entry: ignored, not an error.
+        let legacy = json.replacen(
+            "\"value\":",
+            "\"grad\":{\"rows\":1,\"cols\":2,\"data\":[0.0,0.0]},\"value\":",
+            1,
+        );
+        assert_ne!(legacy, json, "legacy rewrite must hit");
+        std::fs::write(&path, legacy).unwrap();
+        let restored = load_params(&path).unwrap();
+        assert_eq!(serde_json::to_string(&restored).unwrap(), json);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Grouper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eagle_tensor::optim::Adam;
+    use eagle_tensor::{optim::Adam, Grads};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -119,8 +119,9 @@ mod tests {
         let emb = grouper.soft_group_embeddings(&mut tape, logits, f);
         let sq = tape.mul_elem(emb, emb);
         let loss = tape.mean_all(sq);
-        tape.backward(loss, &mut params);
-        assert!(params.grad_global_norm() > 0.0);
+        let mut grads = Grads::for_params(&params);
+        tape.backward_into(loss, &mut grads);
+        assert!(grads.global_norm() > 0.0);
     }
 
     #[test]
@@ -131,6 +132,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let grouper = Grouper::new(&mut params, "g", 2, 16, 2, &mut rng);
         let mut opt = Adam::new(0.02);
+        let mut grads = Grads::for_params(&params);
         let mut feats = Vec::new();
         let mut targets = Vec::new();
         for i in 0..20 {
@@ -140,15 +142,15 @@ mod tests {
         }
         let f = Tensor::from_vec(20, 2, feats);
         for _ in 0..200 {
-            params.zero_grad();
+            grads.zero();
             let mut tape = Tape::new();
             let fv = tape.leaf(f.clone());
             let logits = grouper.logits(&mut tape, &params, fv);
             let picked = tape.log_softmax_pick(logits, &targets);
             let neg = tape.neg(picked);
             let loss = tape.mean_all(neg);
-            tape.backward(loss, &mut params);
-            opt.step(&mut params);
+            tape.backward_into(loss, &mut grads);
+            opt.step_grads(&mut params, &grads);
         }
         let mut tape = Tape::new();
         let fv = tape.leaf(f.clone());

@@ -115,7 +115,7 @@ impl FeedForward {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eagle_tensor::{optim::Adam, Tensor};
+    use eagle_tensor::{optim::Adam, Grads, Tensor};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -146,9 +146,10 @@ mod tests {
         let xs = Tensor::from_vec(4, 2, vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
         let ys = Tensor::from_vec(4, 1, vec![0.0, 1.0, 1.0, 0.0]);
         let mut opt = Adam::new(0.02);
+        let mut grads = Grads::for_params(&params);
         let mut last_loss = f32::INFINITY;
         for _ in 0..800 {
-            params.zero_grad();
+            grads.zero();
             let mut tape = Tape::new();
             let x = tape.leaf(xs.clone());
             let target = tape.leaf(ys.clone());
@@ -157,8 +158,8 @@ mod tests {
             let sq = tape.mul_elem(err, err);
             let loss = tape.mean_all(sq);
             last_loss = tape.value(loss).item();
-            tape.backward(loss, &mut params);
-            opt.step(&mut params);
+            tape.backward_into(loss, &mut grads);
+            opt.step_grads(&mut params, &grads);
         }
         assert!(last_loss < 0.05, "XOR not learned, loss = {last_loss}");
     }

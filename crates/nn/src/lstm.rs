@@ -229,7 +229,7 @@ impl BiLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eagle_tensor::optim::Adam;
+    use eagle_tensor::{optim::Adam, Grads};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -281,6 +281,7 @@ mod tests {
         let lstm = Lstm::new(&mut params, "mem", 1, 8, &mut rng);
         let head = crate::linear::Linear::new(&mut params, "head", 8, 1, &mut rng);
         let mut opt = Adam::new(0.02);
+        let mut grads = Grads::for_params(&params);
         let seqs: Vec<(Vec<f32>, f32)> = vec![
             (vec![1.0, 0.3, -0.2, 0.6], 1.0),
             (vec![-1.0, 0.3, -0.2, 0.6], -1.0),
@@ -289,7 +290,7 @@ mod tests {
         ];
         let mut last_loss = f32::INFINITY;
         for _ in 0..300 {
-            params.zero_grad();
+            grads.zero();
             let mut total = 0.0;
             for (seq, target) in &seqs {
                 let mut tape = Tape::new();
@@ -301,10 +302,10 @@ mod tests {
                 let sq = tape.mul_elem(err, err);
                 let loss = tape.sum_all(sq);
                 total += tape.value(loss).item();
-                tape.backward(loss, &mut params);
+                tape.backward_into(loss, &mut grads);
             }
             last_loss = total / seqs.len() as f32;
-            opt.step(&mut params);
+            opt.step_grads(&mut params, &grads);
         }
         assert!(last_loss < 0.05, "memory task not learned: {last_loss}");
     }

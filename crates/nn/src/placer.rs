@@ -2,9 +2,10 @@
 //! choice, Fig. 3a / Fig. 4) and a graph-convolutional alternative (Fig. 3b).
 //!
 //! Both consume a `(k, d_in)` matrix of group embeddings and emit one device per
-//! group. They expose a single `forward` that either *samples* actions or
-//! *teacher-forces* a given action sequence (needed to re-evaluate log-probabilities
-//! of old samples under new parameters for PPO's ratio).
+//! group. Each implements one decode, [`Placer::forward_batch`], which either
+//! *samples* actions or *teacher-forces* given action sequences (needed to
+//! re-evaluate log-probabilities of old samples under new parameters for PPO's
+//! ratio); the per-episode [`Placer::forward`] is that decode at batch size 1.
 
 use eagle_rl::sample_categorical;
 use eagle_tensor::{init, ParamId, Params, Tape, Tensor, Var};
@@ -37,30 +38,20 @@ pub struct PlacerOutput {
     pub entropy: Var,
 }
 
-/// Common interface of the two placer designs.
+/// Common interface of the placer designs.
 ///
-/// [`Placer::forward_batch`] is the primitive the agents' hot paths use: it
-/// decodes a whole minibatch with one `(B·n, h)`-shaped matmul per layer.
-/// [`Placer::forward`] is the original per-episode implementation, kept as the
-/// reference the batched path is differential-tested against (the two are
-/// bit-identical per episode; see the `eagle_rl::policy` bit-identity contract).
+/// [`Placer::forward_batch`] is the one decode every implementor writes: it
+/// decodes a whole minibatch with one `(B·n, h)`-shaped matmul per layer, and
+/// episode `b`'s outputs do not depend on its batch-mates (bit for bit; see
+/// the `eagle_rl::policy` bit-identity contract). [`Placer::forward`] is
+/// provided as the batch-of-one call.
 pub trait Placer {
-    /// Decodes a placement for `x: (k, d_in)` group embeddings. When `forced` is
-    /// given, its actions are scored instead of sampling new ones.
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        x: Var,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> PlacerOutput;
-
     /// Decodes one placement per episode in a single batched pass. `xs` holds
     /// one `(k, d_in)` input per episode — passing the *same* `Var` for every
     /// episode makes shared-input work (e.g. the encoder) run once. When
-    /// `forced` is absent, episode `b` samples from `rngs[b]` only, consuming
-    /// draws in the same order a serial [`Placer::forward`] call would.
+    /// `forced` is given, its actions are scored instead of sampling new ones;
+    /// otherwise episode `b` samples from `rngs[b]` only, one draw per group in
+    /// group order.
     fn forward_batch(
         &self,
         tape: &mut Tape,
@@ -72,6 +63,22 @@ pub trait Placer {
 
     /// Number of devices the placer chooses among.
     fn num_devices(&self) -> usize;
+
+    /// Decodes a placement for one episode's `x: (k, d_in)` group embeddings:
+    /// [`Placer::forward_batch`] at batch size 1.
+    fn forward(
+        &self,
+        tape: &mut Tape,
+        params: &Params,
+        x: Var,
+        forced: Option<&[usize]>,
+        rng: &mut dyn rand::RngCore,
+    ) -> PlacerOutput {
+        let forced = forced.map(|f| [f]);
+        self.forward_batch(tape, params, &[x], forced.as_ref().map(|f| &f[..]), &mut [rng])
+            .pop()
+            .expect("forward_batch returns one output per episode")
+    }
 }
 
 /// Validates the shared `forward_batch` preconditions and returns the batch
@@ -98,26 +105,6 @@ fn check_batch_args(
         None => assert_eq!(rngs.len(), bsz, "one RNG stream per episode"),
     }
     (bsz, k)
-}
-
-/// Scores and entropy for one decode step; shared by both placers.
-fn step_policy(
-    tape: &mut Tape,
-    logits: Var,
-    forced: Option<usize>,
-    rng: &mut dyn rand::RngCore,
-) -> (usize, Var, Var) {
-    let log_probs = tape.log_softmax(logits);
-    let probs = tape.softmax(logits);
-    let action = match forced {
-        Some(a) => a,
-        None => sample_categorical(tape.value(probs).row(0), rng),
-    };
-    let logp = tape.pick_per_row(log_probs, &[action]);
-    let plogp = tape.mul_elem(probs, log_probs);
-    let sum = tape.sum_all(plogp);
-    let ent = tape.neg(sum);
-    (action, logp, ent)
 }
 
 /// The sequence-to-sequence placer (paper Fig. 3a): bi-LSTM encoder over group
@@ -183,31 +170,12 @@ impl Seq2SeqPlacer {
         self.mode
     }
 
-    /// Bahdanau context for the current decoder state.
-    fn context(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        enc_outs: Var,
-        enc_proj: Var,
-        dec_h: Var,
-    ) -> Var {
-        let dec_proj = self.attn_dec.forward(tape, params, dec_h); // (1, a)
-        let pre = tape.add_row_broadcast(enc_proj, dec_proj); // (k, a)
-        let act = tape.tanh(pre);
-        let v = tape.param(params, self.attn_v);
-        let scores = tape.matmul(act, v); // (k, 1)
-        let scores_row = tape.transpose(scores); // (1, k)
-        let alpha = tape.softmax(scores_row); // (1, k)
-        tape.matmul(alpha, enc_outs) // (1, 2h)
-    }
-
     /// Batched Bahdanau context: one `(B, 2h)` context matrix for `B` decoder
     /// states at once. `enc_outs`/`enc_proj` hold one entry per *distinct*
     /// encoder pass and `ep_enc[b]` maps episode `b` to its entry.
     ///
-    /// Row `b` is bit-identical to [`Seq2SeqPlacer::context`] for episode `b`:
-    /// the score matmul batches as extra rows (`(B·k, a) @ (a, 1)`), the
+    /// Row `b` is bit-identical to a one-episode context for episode `b`: the
+    /// score matmul batches as extra rows (`(B·k, a) @ (a, 1)`), the
     /// `(B, k)` score layout is data-identical to the per-episode `(1, k)`
     /// transposes stacked, softmax is per-row, and the context matmul's inner
     /// summation order over `k` is unchanged.
@@ -259,63 +227,6 @@ impl Seq2SeqPlacer {
 impl Placer for Seq2SeqPlacer {
     fn num_devices(&self) -> usize {
         self.n_devices
-    }
-
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        x: Var,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> PlacerOutput {
-        let k = tape.value(x).rows();
-        if let Some(f) = forced {
-            assert_eq!(f.len(), k, "forced actions must cover every group");
-        }
-        let xs = self.input_proj.forward(tape, params, x); // (k, h)
-        let (enc_outs, enc_last) = self.encoder.forward(tape, params, xs); // (k, 2h)
-        let enc_proj = self.attn_enc.forward(tape, params, enc_outs); // (k, a)
-
-        let mut state =
-            crate::lstm::LstmState { h: enc_last.h, c: tape.leaf(Tensor::zeros(1, self.hidden)) };
-        let dev_table = tape.param(params, self.dev_emb);
-        let mut prev_action = self.n_devices; // start token
-        let mut actions = Vec::with_capacity(k);
-        let mut logps = Vec::with_capacity(k);
-        let mut ents = Vec::with_capacity(k);
-
-        for i in 0..k {
-            let x_i = tape.slice_rows(xs, i, 1); // (1, h)
-            let prev_emb = tape.select_rows(dev_table, &[prev_action]); // (1, e)
-            let (h_i, logits) = match self.mode {
-                AttentionMode::Before => {
-                    let ctx = self.context(tape, params, enc_outs, enc_proj, state.h);
-                    let inp = tape.concat_cols(&[x_i, ctx, prev_emb]);
-                    state = self.decoder.step(tape, params, inp, state);
-                    (state.h, self.out.forward(tape, params, state.h))
-                }
-                AttentionMode::After => {
-                    let inp = tape.concat_cols(&[x_i, prev_emb]);
-                    state = self.decoder.step(tape, params, inp, state);
-                    let ctx = self.context(tape, params, enc_outs, enc_proj, state.h);
-                    let combined = tape.concat_cols(&[state.h, ctx]);
-                    (state.h, self.out.forward(tape, params, combined))
-                }
-            };
-            let _ = h_i;
-            let (a, logp, ent) = step_policy(tape, logits, forced.map(|f| f[i]), rng);
-            actions.push(a);
-            prev_action = a;
-            logps.push(logp);
-            ents.push(ent);
-        }
-
-        let step_log_probs = tape.concat_rows(&logps);
-        let log_prob = tape.sum_all(step_log_probs);
-        let ent_stack = tape.concat_rows(&ents);
-        let entropy = tape.mean_all(ent_stack);
-        PlacerOutput { actions, step_log_probs, log_prob, entropy }
     }
 
     fn forward_batch(
@@ -430,8 +341,7 @@ impl Placer for Seq2SeqPlacer {
             step_ents.push(ent);
         }
 
-        // (B, k): column i holds step i, so row b is episode b's step sequence
-        // in the same order the per-episode path stacks them.
+        // (B, k): column i holds step i, so row b is episode b's step sequence.
         let logp_mat = tape.concat_cols(&step_logps);
         let ent_mat = tape.concat_cols(&step_ents);
         actions_ep
@@ -493,42 +403,6 @@ impl Placer for GcnPlacer {
         self.n_devices
     }
 
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        x: Var,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> PlacerOutput {
-        let k = tape.value(x).rows();
-        assert_eq!(self.adj.rows(), k, "adjacency size must match group count");
-        if let Some(f) = forced {
-            assert_eq!(f.len(), k, "forced actions must cover every group");
-        }
-        let a = tape.leaf(self.adj.clone());
-        let xw = self.l1.forward(tape, params, x);
-        let ax = tape.matmul(a, xw);
-        let h1 = tape.relu(ax);
-        let hw = self.l2.forward(tape, params, h1);
-        let logits = tape.matmul(a, hw); // (k, nd)
-
-        let log_probs = tape.log_softmax(logits);
-        let probs = tape.softmax(logits);
-        let actions: Vec<usize> = (0..k)
-            .map(|i| match forced {
-                Some(f) => f[i],
-                None => sample_categorical(tape.value(probs).row(i), rng),
-            })
-            .collect();
-        let step_log_probs = tape.pick_per_row(log_probs, &actions);
-        let log_prob = tape.sum_all(step_log_probs);
-        let plogp = tape.mul_elem(probs, log_probs);
-        let total = tape.sum_all(plogp);
-        let scaled = tape.scale(total, -1.0 / k as f32);
-        PlacerOutput { actions, step_log_probs, log_prob, entropy: scaled }
-    }
-
     fn forward_batch(
         &self,
         tape: &mut Tape,
@@ -540,11 +414,11 @@ impl Placer for GcnPlacer {
         let (bsz, k) = check_batch_args(tape, xs, forced, rngs);
         assert_eq!(self.adj.rows(), k, "adjacency size must match group count");
         let x = if bsz == 1 { xs[0] } else { tape.concat_rows(xs) }; // (B·k, d)
-                                                                     // Block-diagonal adjacency: the off-block entries are exact zeros, and
-                                                                     // adding a `±0.0` product to a (never `-0.0`) matmul accumulator is a
-                                                                     // bitwise no-op, so each block's inner summation lands on exactly the
-                                                                     // per-episode (k, k) product whether the kernel skips zeros (naive) or
-                                                                     // streams them (blocked).
+
+        // Block-diagonal adjacency: the off-block entries are exact zeros, and
+        // adding a `±0.0` product to a (never `-0.0`) matmul accumulator is a
+        // bitwise no-op, so each block's inner summation lands on exactly the
+        // one-episode (k, k) product.
         let a = tape.leaf(block_diag(&self.adj, bsz));
         let xw = self.l1.forward(tape, params, x);
         let ax = tape.matmul(a, xw);
@@ -597,7 +471,7 @@ fn block_diag(adj: &Tensor, bsz: usize) -> Tensor {
 
 /// Episode-major action selection over a `(bsz·k, nd)` probability matrix:
 /// episode `b` owns rows `b·k..(b+1)·k` and draws from `rngs[b]` only, in row
-/// order — the same draw sequence a serial per-episode pass consumes.
+/// order.
 fn sample_flat(
     tape: &Tape,
     probs: Var,
@@ -650,35 +524,6 @@ impl SimplePlacer {
 impl Placer for SimplePlacer {
     fn num_devices(&self) -> usize {
         self.n_devices
-    }
-
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        x: Var,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> PlacerOutput {
-        let k = tape.value(x).rows();
-        if let Some(f) = forced {
-            assert_eq!(f.len(), k, "forced actions must cover every group");
-        }
-        let logits = self.net.forward(tape, params, x);
-        let log_probs = tape.log_softmax(logits);
-        let probs = tape.softmax(logits);
-        let actions: Vec<usize> = (0..k)
-            .map(|i| match forced {
-                Some(f) => f[i],
-                None => sample_categorical(tape.value(probs).row(i), rng),
-            })
-            .collect();
-        let step_log_probs = tape.pick_per_row(log_probs, &actions);
-        let log_prob = tape.sum_all(step_log_probs);
-        let plogp = tape.mul_elem(probs, log_probs);
-        let total = tape.sum_all(plogp);
-        let entropy = tape.scale(total, -1.0 / k as f32);
-        PlacerOutput { actions, step_log_probs, log_prob, entropy }
     }
 
     fn forward_batch(
@@ -742,8 +587,115 @@ pub fn normalize_adjacency(graph: &eagle_opgraph::OpGraph, group_of: &[usize], k
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagle_tensor::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Scores and entropy for one serial decode step.
+    fn step_policy(
+        tape: &mut Tape,
+        logits: Var,
+        forced: Option<usize>,
+        rng: &mut dyn rand::RngCore,
+    ) -> (usize, Var, Var) {
+        let log_probs = tape.log_softmax(logits);
+        let probs = tape.softmax(logits);
+        let action = match forced {
+            Some(a) => a,
+            None => sample_categorical(tape.value(probs).row(0), rng),
+        };
+        let logp = tape.pick_per_row(log_probs, &[action]);
+        let plogp = tape.mul_elem(probs, log_probs);
+        let sum = tape.sum_all(plogp);
+        let ent = tape.neg(sum);
+        (action, logp, ent)
+    }
+
+    /// The hand-written one-episode seq2seq decode: the differential oracle
+    /// [`Seq2SeqPlacer::forward_batch`] is compared against bit for bit. It
+    /// shares the layers but none of the batching logic (input dedup, row
+    /// stacking, per-episode slicing).
+    impl Seq2SeqPlacer {
+        /// Bahdanau context for the current decoder state.
+        fn context(
+            &self,
+            tape: &mut Tape,
+            params: &Params,
+            enc_outs: Var,
+            enc_proj: Var,
+            dec_h: Var,
+        ) -> Var {
+            let dec_proj = self.attn_dec.forward(tape, params, dec_h); // (1, a)
+            let pre = tape.add_row_broadcast(enc_proj, dec_proj); // (k, a)
+            let act = tape.tanh(pre);
+            let v = tape.param(params, self.attn_v);
+            let scores = tape.matmul(act, v); // (k, 1)
+            let scores_row = tape.transpose(scores); // (1, k)
+            let alpha = tape.softmax(scores_row); // (1, k)
+            tape.matmul(alpha, enc_outs) // (1, 2h)
+        }
+
+        fn forward_serial(
+            &self,
+            tape: &mut Tape,
+            params: &Params,
+            x: Var,
+            forced: Option<&[usize]>,
+            rng: &mut dyn rand::RngCore,
+        ) -> PlacerOutput {
+            let k = tape.value(x).rows();
+            if let Some(f) = forced {
+                assert_eq!(f.len(), k, "forced actions must cover every group");
+            }
+            let xs = self.input_proj.forward(tape, params, x); // (k, h)
+            let (enc_outs, enc_last) = self.encoder.forward(tape, params, xs); // (k, 2h)
+            let enc_proj = self.attn_enc.forward(tape, params, enc_outs); // (k, a)
+
+            let mut state =
+                LstmState { h: enc_last.h, c: tape.leaf(Tensor::zeros(1, self.hidden)) };
+            let dev_table = tape.param(params, self.dev_emb);
+            let mut prev_action = self.n_devices; // start token
+            let mut actions = Vec::with_capacity(k);
+            let mut logps = Vec::with_capacity(k);
+            let mut ents = Vec::with_capacity(k);
+
+            for i in 0..k {
+                let x_i = tape.slice_rows(xs, i, 1); // (1, h)
+                let prev_emb = tape.select_rows(dev_table, &[prev_action]); // (1, e)
+                let logits = match self.mode {
+                    AttentionMode::Before => {
+                        let ctx = self.context(tape, params, enc_outs, enc_proj, state.h);
+                        let inp = tape.concat_cols(&[x_i, ctx, prev_emb]);
+                        state = self.decoder.step(tape, params, inp, state);
+                        self.out.forward(tape, params, state.h)
+                    }
+                    AttentionMode::After => {
+                        let inp = tape.concat_cols(&[x_i, prev_emb]);
+                        state = self.decoder.step(tape, params, inp, state);
+                        let ctx = self.context(tape, params, enc_outs, enc_proj, state.h);
+                        let combined = tape.concat_cols(&[state.h, ctx]);
+                        self.out.forward(tape, params, combined)
+                    }
+                };
+                let (a, logp, ent) = step_policy(tape, logits, forced.map(|f| f[i]), rng);
+                actions.push(a);
+                prev_action = a;
+                logps.push(logp);
+                ents.push(ent);
+            }
+
+            let step_log_probs = tape.concat_rows(&logps);
+            let log_prob = tape.sum_all(step_log_probs);
+            let ent_stack = tape.concat_rows(&ents);
+            let entropy = tape.mean_all(ent_stack);
+            PlacerOutput { actions, step_log_probs, log_prob, entropy }
+        }
+    }
+
+    /// A one-episode decode: the oracle above, or the provided batch-of-one
+    /// [`Placer::forward`].
+    type Serial<P> =
+        fn(&P, &mut Tape, &Params, Var, Option<&[usize]>, &mut dyn rand::RngCore) -> PlacerOutput;
 
     fn setup(mode: AttentionMode) -> (Params, Seq2SeqPlacer) {
         let mut params = Params::new();
@@ -752,9 +704,10 @@ mod tests {
         (params, placer)
     }
 
-    fn run(
+    fn run<P: Placer>(
         params: &Params,
-        placer: &impl Placer,
+        placer: &P,
+        serial: Serial<P>,
         x: &Tensor,
         forced: Option<&[usize]>,
         seed: u64,
@@ -762,16 +715,17 @@ mod tests {
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let out = placer.forward(&mut tape, params, xv, forced, &mut rng);
+        let out = serial(placer, &mut tape, params, xv, forced, &mut rng);
         (out.actions.clone(), tape.value(out.log_prob).item(), tape.value(out.entropy).item())
     }
 
-    /// Runs `forward_batch` and asserts every episode matches a serial
-    /// per-episode `forward` replay bit-for-bit (actions, log-prob, entropy,
-    /// per-step log-probs).
-    fn assert_batch_matches_serial(
+    /// Runs `forward_batch` and asserts every episode matches a `serial`
+    /// per-episode replay bit-for-bit (actions, log-prob, entropy, per-step
+    /// log-probs).
+    fn assert_batch_matches_serial<P: Placer>(
         params: &Params,
-        placer: &impl Placer,
+        placer: &P,
+        serial: Serial<P>,
         inputs: &[Tensor],
         seed: u64,
     ) {
@@ -789,7 +743,7 @@ mod tests {
         for (x, out) in inputs.iter().zip(&outs) {
             let mut ref_tape = Tape::new();
             let xv = ref_tape.leaf(x.clone());
-            let ref_out = placer.forward(&mut ref_tape, params, xv, None, &mut serial_rng);
+            let ref_out = serial(placer, &mut ref_tape, params, xv, None, &mut serial_rng);
             assert_eq!(out.actions, ref_out.actions, "sampled actions diverge");
             assert_eq!(
                 tape.value(out.log_prob).item().to_bits(),
@@ -813,9 +767,13 @@ mod tests {
     fn seq2seq_forward_batch_matches_serial_shared_input() {
         for mode in [AttentionMode::Before, AttentionMode::After] {
             let (params, placer) = setup(mode);
+            let oracle = Seq2SeqPlacer::forward_serial;
             // All episodes share one input tensor (the EAGLE agent's shape).
             let x = Tensor::full(6, 7, 0.3);
-            assert_batch_matches_serial(&params, &placer, &[x.clone(), x.clone(), x], 11);
+            let inputs = [x.clone(), x.clone(), x];
+            assert_batch_matches_serial(&params, &placer, oracle, &inputs, 11);
+            // Batch of one — the shape the provided `Placer::forward` runs.
+            assert_batch_matches_serial(&params, &placer, oracle, &inputs[..1], 11);
         }
     }
 
@@ -825,7 +783,7 @@ mod tests {
         // Distinct per-episode inputs (the HP agent's shape).
         let inputs: Vec<Tensor> =
             (0..3).map(|i| Tensor::full(6, 7, 0.1 * (i as f32 + 1.0))).collect();
-        assert_batch_matches_serial(&params, &placer, &inputs, 12);
+        assert_batch_matches_serial(&params, &placer, Seq2SeqPlacer::forward_serial, &inputs, 12);
     }
 
     #[test]
@@ -837,8 +795,9 @@ mod tests {
         let simple = SimplePlacer::new(&mut params, "s", 7, 10, 5, &mut rng);
         let inputs: Vec<Tensor> =
             (0..4).map(|i| Tensor::full(4, 7, 0.2 * (i as f32 + 1.0))).collect();
-        assert_batch_matches_serial(&params, &gcn, &inputs, 21);
-        assert_batch_matches_serial(&params, &simple, &inputs, 22);
+        // Batch of B against B batch-of-one calls: no episode sees its mates.
+        assert_batch_matches_serial(&params, &gcn, GcnPlacer::forward, &inputs, 21);
+        assert_batch_matches_serial(&params, &simple, SimplePlacer::forward, &inputs, 22);
     }
 
     #[test]
@@ -851,7 +810,8 @@ mod tests {
         let xv = tape.leaf(x.clone());
         let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Some(&forced_refs), &mut []);
         for (a, out) in forced.iter().zip(&outs) {
-            let (actions, logp, ent) = run(&params, &placer, &x, Some(a), 7);
+            let (actions, logp, ent) =
+                run(&params, &placer, Seq2SeqPlacer::forward_serial, &x, Some(a), 7);
             assert_eq!(&out.actions, a);
             assert_eq!(actions, *a);
             assert_eq!(tape.value(out.log_prob).item().to_bits(), logp.to_bits());
@@ -867,35 +827,34 @@ mod tests {
         let forced_refs: Vec<&[usize]> = forced.iter().map(|a| a.as_slice()).collect();
 
         // Batched: one shared tape, per-episode backward in episode order.
-        let mut batch_params = params.clone();
+        let mut batch_grads = Grads::for_params(&params);
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
-        let outs =
-            placer.forward_batch(&mut tape, &batch_params, &[xv, xv], Some(&forced_refs), &mut []);
+        let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Some(&forced_refs), &mut []);
         for out in &outs {
             let loss = tape.neg(out.log_prob);
-            tape.backward(loss, &mut batch_params);
+            tape.backward_into(loss, &mut batch_grads);
         }
 
         // Serial reference: separate tape per episode.
-        let mut serial_params = params.clone();
+        let mut serial_grads = Grads::for_params(&params);
         for a in &forced {
             let mut t = Tape::new();
             let xv = t.leaf(x.clone());
-            let out = placer.forward(
+            let out = placer.forward_serial(
                 &mut t,
-                &serial_params,
+                &params,
                 xv,
                 Some(a),
                 &mut ChaCha8Rng::seed_from_u64(0),
             );
             let loss = t.neg(out.log_prob);
-            t.backward(loss, &mut serial_params);
+            t.backward_into(loss, &mut serial_grads);
         }
 
         assert_eq!(
-            batch_params.grad_global_norm().to_bits(),
-            serial_params.grad_global_norm().to_bits(),
+            batch_grads.global_norm().to_bits(),
+            serial_grads.global_norm().to_bits(),
             "accumulated gradients diverge between batched and serial scoring"
         );
     }
@@ -904,7 +863,7 @@ mod tests {
     fn seq2seq_before_samples_valid_actions() {
         let (params, placer) = setup(AttentionMode::Before);
         let x = Tensor::full(6, 7, 0.3);
-        let (actions, logp, ent) = run(&params, &placer, &x, None, 1);
+        let (actions, logp, ent) = run(&params, &placer, Seq2SeqPlacer::forward, &x, None, 1);
         assert_eq!(actions.len(), 6);
         assert!(actions.iter().all(|&a| a < 5));
         assert!(logp < 0.0, "log-prob of a sample is negative");
@@ -915,7 +874,7 @@ mod tests {
     fn seq2seq_after_mode_works_too() {
         let (params, placer) = setup(AttentionMode::After);
         let x = Tensor::full(4, 7, -0.2);
-        let (actions, logp, _) = run(&params, &placer, &x, None, 2);
+        let (actions, logp, _) = run(&params, &placer, Seq2SeqPlacer::forward, &x, None, 2);
         assert_eq!(actions.len(), 4);
         assert!(logp.is_finite());
     }
@@ -923,10 +882,11 @@ mod tests {
     #[test]
     fn teacher_forcing_reproduces_log_prob() {
         let (params, placer) = setup(AttentionMode::Before);
+        let fwd: Serial<Seq2SeqPlacer> = Seq2SeqPlacer::forward;
         let x = Tensor::full(5, 7, 0.1);
-        let (actions, logp_sampled, _) = run(&params, &placer, &x, None, 3);
+        let (actions, logp_sampled, _) = run(&params, &placer, fwd, &x, None, 3);
         // Re-scoring the same actions must give the same joint log-probability.
-        let (actions2, logp_forced, _) = run(&params, &placer, &x, Some(&actions), 99);
+        let (actions2, logp_forced, _) = run(&params, &placer, fwd, &x, Some(&actions), 99);
         assert_eq!(actions, actions2);
         assert!((logp_sampled - logp_forced).abs() < 1e-4);
     }
@@ -934,9 +894,10 @@ mod tests {
     #[test]
     fn different_forced_actions_change_log_prob() {
         let (params, placer) = setup(AttentionMode::Before);
+        let fwd: Serial<Seq2SeqPlacer> = Seq2SeqPlacer::forward;
         let x = Tensor::full(5, 7, 0.1);
-        let (_, lp_a, _) = run(&params, &placer, &x, Some(&[0, 0, 0, 0, 0]), 1);
-        let (_, lp_b, _) = run(&params, &placer, &x, Some(&[4, 4, 4, 4, 4]), 1);
+        let (_, lp_a, _) = run(&params, &placer, fwd, &x, Some(&[0, 0, 0, 0, 0]), 1);
+        let (_, lp_b, _) = run(&params, &placer, fwd, &x, Some(&[4, 4, 4, 4, 4]), 1);
         assert_ne!(lp_a, lp_b);
     }
 
@@ -947,8 +908,8 @@ mod tests {
         let adj = Tensor::eye(4);
         let placer = GcnPlacer::new(&mut params, "g", 7, 10, 5, adj, &mut rng);
         let x = Tensor::full(4, 7, 0.5);
-        let (a1, lp1, ent) = run(&params, &placer, &x, None, 42);
-        let (a2, lp2, _) = run(&params, &placer, &x, None, 42);
+        let (a1, lp1, ent) = run(&params, &placer, GcnPlacer::forward, &x, None, 42);
+        let (a2, lp2, _) = run(&params, &placer, GcnPlacer::forward, &x, None, 42);
         assert_eq!(a1, a2, "same sampling seed, same actions");
         assert_eq!(lp1, lp2);
         assert!(ent > 0.0);
@@ -974,14 +935,15 @@ mod tests {
 
     #[test]
     fn gradients_flow_through_placer() {
-        let (mut params, placer) = setup(AttentionMode::Before);
+        let (params, placer) = setup(AttentionMode::Before);
         let x = Tensor::full(3, 7, 0.2);
         let mut tape = Tape::new();
         let xv = tape.leaf(x);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let out = placer.forward(&mut tape, &params, xv, None, &mut rng);
         let loss = tape.neg(out.log_prob);
-        tape.backward(loss, &mut params);
-        assert!(params.grad_global_norm() > 0.0, "some gradient must reach the params");
+        let mut grads = Grads::for_params(&params);
+        tape.backward_into(loss, &mut grads);
+        assert!(grads.global_norm() > 0.0, "some gradient must reach the params");
     }
 }

@@ -5,37 +5,37 @@
 //! operations are [`StochasticPolicy::sample_batch`] (draw a whole minibatch of
 //! action vectors in one forward pass) and [`StochasticPolicy::score_batch`]
 //! (re-score a minibatch differentiably on one shared tape). The per-episode
-//! [`StochasticPolicy::sample`]/[`StochasticPolicy::score`] methods are thin
-//! default wrappers over batch size 1, kept so external callers migrate
-//! incrementally.
+//! [`StochasticPolicy::sample`]/[`StochasticPolicy::score`] methods are provided
+//! wrappers over batch size 1; no agent overrides them, so there is one
+//! implementation of each behaviour.
 //!
 //! # Bit-identity contract
 //!
-//! Batching must not change any number: `sample_batch` over `B` per-episode RNG
-//! streams returns exactly the actions and log-probabilities that `B` serial
-//! `sample` calls on those streams return, and `score_batch` produces episode
-//! heads whose values (and whose gradients under per-episode `backward` calls in
-//! episode order) are bit-identical to `B` separate `score` tapes. This holds
-//! because every batched layer stacks episodes as extra *rows* and all tensor
-//! ops are row-wise (matmul output row `i` depends only on input row `i` with a
-//! fixed k-summation order; softmax/broadcast/gates are per-row or elementwise),
-//! so each episode's f32 summation order is unchanged.
+//! An episode's outcome must not depend on its batch-mates: `sample_batch` over
+//! `B` per-episode RNG streams returns exactly the actions and log-probabilities
+//! that `B` batch-of-one calls on those streams return, and `score_batch`
+//! produces episode heads whose values (and whose gradients under per-episode
+//! `backward_into` calls in episode order) are bit-identical to `B` separate
+//! batch-of-one tapes. This holds because every batched layer stacks episodes as
+//! extra *rows* and all tensor ops are row-wise (matmul output row `i` depends
+//! only on input row `i` with a fixed k-summation order; softmax/broadcast/gates
+//! are per-row or elementwise), so each episode's f32 summation order is
+//! unchanged.
 //!
-//! The update loops in [`crate::algos`] no longer take the per-episode backward
-//! path the contract above is stated against: they fold all episode losses into
-//! one scalar (`Tape::add_n`) and backpropagate the whole minibatch in a single
-//! traversal, which visits each *shared* forward node once instead of once per
-//! episode. Summed-loss gradients add episode contributions in node order
-//! rather than episode order — a float *reordering*, not a different quantity —
-//! so single-backward gradients match per-episode gradients to tolerance (see
-//! `tests/batched_policy.rs`), while any fixed update path remains run-to-run
-//! deterministic bit for bit.
+//! The update loops in [`crate::algos`] do not backpropagate per episode: they
+//! fold all episode losses into one scalar (`Tape::add_n`) and backpropagate
+//! the whole minibatch in a single traversal, which visits each *shared*
+//! forward node once instead of once per episode. Summed-loss gradients add
+//! episode contributions in node order rather than episode order — a float
+//! *reordering*, not a different quantity — so single-backward gradients match
+//! per-episode gradients to tolerance (see `tests/batched_policy.rs`), while
+//! the update path is run-to-run deterministic bit for bit.
 
 use eagle_tensor::{Params, Tape, Var};
 
 /// A scoring pass: the tape that built it plus the loss-relevant heads.
 pub struct ScoreHandle {
-    /// The tape holding the forward pass (call `backward` on it with a loss).
+    /// The tape holding the forward pass (call `backward_into` on it with a loss).
     pub tape: Tape,
     /// Joint log-probability of the scored actions, `1x1`.
     pub log_prob: Var,
@@ -52,8 +52,7 @@ pub struct ScoreHandle {
 /// All `Var`s live on the shared batch tape. `aux_loss` may reference the same
 /// node across episodes when the auxiliary term is episode-independent (it is
 /// for EAGLE's balance regularizer); each episode's loss then contributes one
-/// scaled gradient of that node — under a summed-loss single backward exactly
-/// as under per-episode `backward` calls — matching `B` separate tapes.
+/// scaled gradient of that node, matching `B` separate tapes.
 #[derive(Debug, Clone, Copy)]
 pub struct EpisodeScore {
     /// Joint log-probability of this episode's actions, `1x1`.
@@ -70,9 +69,6 @@ pub struct EpisodeScore {
 /// Algorithms build each episode's loss on the shared tape, fold the losses
 /// with `Tape::add_n`, and run ONE `Tape::backward_into` for the whole
 /// minibatch: shared forward nodes are traversed once, not once per episode.
-/// (Per-episode `tape.backward(loss_b, params)` calls in episode order remain
-/// supported and reproduce `B` separate tapes bit for bit; the single-backward
-/// path reorders the same float contributions, agreeing to tolerance.)
 pub struct BatchScoreHandle {
     /// The shared tape holding all episodes' forward passes.
     pub tape: Tape,
@@ -92,8 +88,8 @@ pub trait StochasticPolicy {
     /// Samples one action vector per RNG stream in a single batched forward
     /// pass, returning each with its joint log-probability under the sampling
     /// parameters (needed for PPO's importance ratio). Episode `b` consumes
-    /// draws only from `rngs[b]`, in the same order a serial
-    /// [`StochasticPolicy::sample`] call on that stream would.
+    /// draws only from `rngs[b]`, [`StochasticPolicy::rng_draws_per_sample`]
+    /// of them, whatever the batch size.
     fn sample_batch(
         &self,
         params: &Params,

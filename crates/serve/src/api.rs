@@ -24,7 +24,7 @@
 
 use eagle_devsim::Machine;
 use eagle_opgraph::OpGraph;
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::error::EagleError;
@@ -56,7 +56,7 @@ pub enum ErrorCode {
 /// Decoding tolerates a missing `retry_after_ms` (treated as `null`), so
 /// replies from pre-admission-control servers still parse — the field is an
 /// additive, optional extension of schema v1.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ApiError {
     /// Failure class.
     pub code: ErrorCode,
@@ -73,7 +73,7 @@ pub struct ApiError {
 /// Decoding tolerates a missing `deadline_ms` (treated as `null`), so lines
 /// from pre-admission-control clients still parse — the field is an additive,
 /// optional extension of schema v1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlaceRequest {
     /// Wire schema version; must equal [`API_SCHEMA_VERSION`].
     pub schema_version: u64,
@@ -102,59 +102,6 @@ pub struct PlaceRequest {
     /// runs is shed with a typed [`ErrorCode::DeadlineExceeded`] reply instead
     /// of being simulated pointlessly; `null` means no deadline.
     pub deadline_ms: Option<u64>,
-}
-
-/// Looks up a required struct field during hand-written decoding.
-fn field<T: Deserialize>(c: &Content, ty: &str, name: &str) -> Result<T, serde::Error> {
-    let v = c
-        .get_field(name)
-        .ok_or_else(|| serde::Error::msg(format!("missing field `{name}` in {ty}")))?;
-    T::from_content(v)
-}
-
-/// Looks up an optional struct field: absent and `null` both decode to `None`,
-/// keeping additive schema-v1 extensions compatible with older peers.
-fn opt_field<T: Deserialize>(c: &Content, name: &str) -> Result<Option<T>, serde::Error> {
-    match c.get_field(name) {
-        None => Ok(None),
-        Some(v) => Option::<T>::from_content(v),
-    }
-}
-
-// Hand-written (not derived) so the optional `deadline_ms` may be absent: the
-// vendored serde derive requires every field to be present on the wire.
-impl Deserialize for PlaceRequest {
-    fn from_content(c: &Content) -> Result<Self, serde::Error> {
-        if !matches!(c, Content::Map(_)) {
-            return Err(serde::Error::msg("expected object for PlaceRequest"));
-        }
-        Ok(Self {
-            schema_version: field(c, "PlaceRequest", "schema_version")?,
-            id: field(c, "PlaceRequest", "id")?,
-            family: opt_field(c, "family")?,
-            graph: opt_field(c, "graph")?,
-            graph_key: opt_field(c, "graph_key")?,
-            machine: opt_field(c, "machine")?,
-            candidates: field(c, "PlaceRequest", "candidates")?,
-            seed: field(c, "PlaceRequest", "seed")?,
-            deadline_ms: opt_field(c, "deadline_ms")?,
-        })
-    }
-}
-
-// Hand-written for the same reason: `retry_after_ms` may be absent in replies
-// from older servers.
-impl Deserialize for ApiError {
-    fn from_content(c: &Content) -> Result<Self, serde::Error> {
-        if !matches!(c, Content::Map(_)) {
-            return Err(serde::Error::msg("expected object for ApiError"));
-        }
-        Ok(Self {
-            code: field(c, "ApiError", "code")?,
-            message: field(c, "ApiError", "message")?,
-            retry_after_ms: opt_field(c, "retry_after_ms")?,
-        })
-    }
 }
 
 /// Reply to a [`PlaceRequest`]: either a placement or a typed error.

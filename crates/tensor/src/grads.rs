@@ -1,43 +1,18 @@
-//! Standalone gradient buffers, decoupled from the parameter store.
+//! Gradient buffers, detached from the parameter store.
 //!
-//! Historically [`Tape::backward`](crate::tape::Tape::backward) deposited
-//! gradients straight into [`Params`], which forced update loops to interleave
-//! `zero_grad` / clip / step against the same store the forward pass reads
-//! from. [`Grads`] is a parallel set of buffers with the same layout as a
-//! `Params` store; [`Tape::backward_into`](crate::tape::Tape::backward_into)
-//! fills it, and optimizers consume it via
-//! [`Adam::step_grads`](crate::optim::Adam::step_grads) without any aliasing
-//! gymnastics. The buffers are allocated once and reused across minibatches.
+//! [`Grads`] is the only gradient store: a set of buffers with the same layout
+//! as a [`Params`] store. [`Tape::backward_into`](crate::tape::Tape::backward_into)
+//! fills it and [`Adam::step_grads`](crate::optim::Adam::step_grads) consumes
+//! it, so the store the forward pass reads from is never mutated by a backward
+//! pass. The buffers are allocated once and reused across minibatches.
 
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
-
-/// Destination for parameter gradients produced by a backward pass.
-///
-/// Implemented by [`Params`] (the legacy in-store accumulators) and by
-/// [`Grads`] (detached buffers). `deposit` must *add* — a parameter used by
-/// several episodes on one tape receives one deposit per use.
-pub trait GradSink {
-    /// Accumulates `grad` into the slot for `id` (`+=`, not assignment).
-    fn deposit(&mut self, id: ParamId, grad: &Tensor);
-}
-
-impl GradSink for Params {
-    fn deposit(&mut self, id: ParamId, grad: &Tensor) {
-        self.grad_mut(id).add_assign(grad);
-    }
-}
 
 /// Gradient buffers mirroring the layout of one [`Params`] store.
 #[derive(Debug, Clone)]
 pub struct Grads {
     slots: Vec<Tensor>,
-}
-
-impl GradSink for Grads {
-    fn deposit(&mut self, id: ParamId, grad: &Tensor) {
-        self.slots[id.index()].add_assign(grad);
-    }
 }
 
 impl Grads {
@@ -81,15 +56,15 @@ impl Grads {
         &mut self.slots[id.index()]
     }
 
-    /// Global L2 norm over all buffers. Mirrors
-    /// [`Params::grad_global_norm`] float-for-float (per-tensor `f32` sum of
-    /// squares, summed across tensors, then one square root).
+    /// Global L2 norm over all buffers (the quantity gradient clipping
+    /// bounds): per-tensor `f32` sum of squares, summed across tensors, then
+    /// one square root.
     pub fn global_norm(&self) -> f32 {
         self.slots.iter().map(|s| s.data().iter().map(|&g| g * g).sum::<f32>()).sum::<f32>().sqrt()
     }
 
-    /// Clips so the global norm is at most `max_norm`; returns the pre-clip
-    /// norm. Same policy as [`Params::clip_grad_norm`].
+    /// Clips so the global norm is at most `max_norm` (the paper clips at
+    /// 1.0); returns the pre-clip norm.
     pub fn clip_global_norm(&mut self, max_norm: f32) -> f32 {
         let norm = self.global_norm();
         if norm > max_norm && norm > 0.0 {
@@ -119,26 +94,35 @@ mod tests {
         let mut g = Grads::for_params(&p);
         assert_eq!(g.len(), 2);
         assert_eq!(g.get(b).shape(), (2, 2));
-        g.deposit(a, &Tensor::row_vector(&[1.0, 2.0]));
-        g.deposit(a, &Tensor::row_vector(&[1.0, 2.0]));
+        g.get_mut(a).add_assign(&Tensor::row_vector(&[1.0, 2.0]));
+        g.get_mut(a).add_assign(&Tensor::row_vector(&[1.0, 2.0]));
         assert_eq!(g.get(a).data(), &[2.0, 4.0]);
         g.zero();
         assert_eq!(g.get(a).data(), &[0.0, 0.0]);
     }
 
     #[test]
-    fn norm_and_clip_match_params_semantics() {
-        let (mut p, a, _) = store();
+    fn zero_clears() {
+        let (p, a, _) = store();
         let mut g = Grads::for_params(&p);
-        let grad = Tensor::row_vector(&[3.0, 4.0]);
-        g.deposit(a, &grad);
-        p.deposit(a, &grad);
-        assert_eq!(g.global_norm().to_bits(), p.grad_global_norm().to_bits());
-        let pre_g = g.clip_global_norm(1.0);
-        let pre_p = p.clip_grad_norm(1.0);
-        assert_eq!(pre_g.to_bits(), pre_p.to_bits());
-        for (x, y) in g.get(a).data().iter().zip(p.grad(a).data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        g.get_mut(a).data_mut().copy_from_slice(&[3.0, 4.0]);
+        assert_eq!(g.global_norm(), 5.0);
+        g.zero();
+        assert_eq!(g.global_norm(), 0.0);
+    }
+
+    #[test]
+    fn clip_global_norm_scales_down_only() {
+        let (p, a, _) = store();
+        let mut g = Grads::for_params(&p);
+        g.get_mut(a).add_assign(&Tensor::row_vector(&[3.0, 4.0]));
+        assert_eq!(g.global_norm(), 5.0);
+        let pre = g.clip_global_norm(1.0);
+        assert_eq!(pre, 5.0);
+        assert!((g.global_norm() - 1.0).abs() < 1e-6);
+        // Already below threshold: untouched.
+        let pre2 = g.clip_global_norm(10.0);
+        assert!((pre2 - 1.0).abs() < 1e-6);
+        assert!((g.global_norm() - 1.0).abs() < 1e-6);
     }
 }

@@ -1,42 +1,12 @@
-//! First-order optimizers operating on a [`Params`] store.
+//! The optimizer operating on a [`Params`] store.
 //!
 //! The paper trains every agent with Adam (lr = 0.01) and clips gradients by global
-//! norm at 1.0; both are implemented here, plus plain SGD for tests and ablations.
+//! norm at 1.0: [`Adam::step_grads`] here, [`Grads::clip_global_norm`] beside the
+//! buffers it scales.
 
 use crate::grads::Grads;
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
-
-/// Plain stochastic gradient descent: `w -= lr * g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// Applies one update using the gradients currently in `params`.
-    pub fn step(&mut self, params: &mut Params) {
-        let ids: Vec<ParamId> = params.ids().collect();
-        for id in ids {
-            let (value, grad) = params.value_grad_mut(id);
-            value.add_scaled(grad, -self.lr);
-        }
-    }
-
-    /// Applies one update using detached [`Grads`] buffers.
-    pub fn step_grads(&mut self, params: &mut Params, grads: &Grads) {
-        let ids: Vec<ParamId> = params.ids().collect();
-        for id in ids {
-            params.get_mut(id).add_scaled(grads.get(id), -self.lr);
-        }
-    }
-}
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
 ///
@@ -100,24 +70,11 @@ impl Adam {
         }
     }
 
-    /// Applies one Adam update using the gradients currently in `params`,
-    /// in place (no gradient clone — the update reads each element once).
+    /// Applies one Adam update reading gradients from detached [`Grads`]
+    /// buffers (filled by [`Tape::backward_into`](crate::tape::Tape::backward_into)).
     ///
     /// Moment buffers are allocated lazily on the first step; the store's layout
     /// (count and shapes of parameters) must stay fixed across steps.
-    pub fn step(&mut self, params: &mut Params) {
-        let (bc1, bc2) = self.begin_step(params);
-        let ids: Vec<ParamId> = params.ids().collect();
-        for id in ids {
-            let (value, grad) = params.value_grad_mut(id);
-            self.update_one(id.index(), value, grad, bc1, bc2);
-        }
-    }
-
-    /// Applies one Adam update reading gradients from detached [`Grads`]
-    /// buffers (filled by [`Tape::backward_into`](crate::tape::Tape::backward_into)).
-    /// Identical per-element arithmetic to [`Adam::step`], so the two entry
-    /// points are interchangeable bit-for-bit given equal gradients.
     pub fn step_grads(&mut self, params: &mut Params, grads: &Grads) {
         let (bc1, bc2) = self.begin_step(params);
         let ids: Vec<ParamId> = params.ids().collect();
@@ -130,39 +87,40 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Tape;
+    use crate::tape::{Tape, Var};
 
-    /// Minimizes `(w - 3)^2` and checks convergence.
-    fn quadratic_descent(mut step: impl FnMut(&mut Params), params: &mut Params) -> f32 {
-        let id = params.ids().next().unwrap();
-        for _ in 0..400 {
-            params.zero_grad();
-            let mut tape = Tape::new();
-            let w = tape.param(params, id);
-            let shifted = tape.add_scalar(w, -3.0);
-            let sq = tape.mul_elem(shifted, shifted);
-            let loss = tape.sum_all(sq);
-            tape.backward(loss, params);
-            step(params);
-        }
-        params.get(id).item()
+    /// One Adam step on `loss(tape, params)`, through the detached buffers.
+    fn descend(
+        params: &mut Params,
+        opt: &mut Adam,
+        grads: &mut Grads,
+        loss: impl Fn(&mut Tape, &Params) -> Var,
+    ) {
+        grads.zero();
+        let mut tape = Tape::new();
+        let l = loss(&mut tape, params);
+        tape.backward_into(l, grads);
+        opt.step_grads(params, grads);
     }
 
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut params = Params::new();
-        params.add("w", Tensor::scalar(-5.0));
-        let mut opt = Sgd::new(0.1);
-        let w = quadratic_descent(|p| opt.step(p), &mut params);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
+    /// `(w - 3)^2` for the store's first parameter.
+    fn quadratic(tape: &mut Tape, params: &Params) -> Var {
+        let w = tape.param(params, params.ids().next().unwrap());
+        let shifted = tape.add_scalar(w, -3.0);
+        let sq = tape.mul_elem(shifted, shifted);
+        tape.sum_all(sq)
     }
 
     #[test]
     fn adam_minimizes_quadratic() {
         let mut params = Params::new();
-        params.add("w", Tensor::scalar(-5.0));
+        let id = params.add("w", Tensor::scalar(-5.0));
         let mut opt = Adam::new(0.05);
-        let w = quadratic_descent(|p| opt.step(p), &mut params);
+        let mut grads = Grads::for_params(&params);
+        for _ in 0..400 {
+            descend(&mut params, &mut opt, &mut grads, quadratic);
+        }
+        let w = params.get(id).item();
         assert!((w - 3.0).abs() < 0.1, "w = {w}");
         assert_eq!(opt.steps(), 400);
     }
@@ -174,9 +132,9 @@ mod tests {
         // bit-identical trajectories.
         let run = |resume_at: Option<usize>| -> (f32, Adam) {
             let mut params = Params::new();
-            params.add("w", Tensor::scalar(-5.0));
-            let id = params.ids().next().unwrap();
+            let id = params.add("w", Tensor::scalar(-5.0));
             let mut opt = Adam::new(0.05);
+            let mut grads = Grads::for_params(&params);
             let mut snapshot: Option<(Params, Adam)> = None;
             for step in 0..200 {
                 if Some(step) == resume_at {
@@ -184,14 +142,7 @@ mod tests {
                     params = p;
                     opt = o;
                 }
-                params.zero_grad();
-                let mut tape = Tape::new();
-                let w = tape.param(&params, id);
-                let shifted = tape.add_scalar(w, -3.0);
-                let sq = tape.mul_elem(shifted, shifted);
-                let loss = tape.sum_all(sq);
-                tape.backward(loss, &mut params);
-                opt.step(&mut params);
+                descend(&mut params, &mut opt, &mut grads, quadratic);
                 if step == 99 && resume_at.is_some() {
                     // JSON round-trip, not a clone: this is what a checkpoint
                     // does, and it must be bit-exact for every float.
@@ -218,18 +169,17 @@ mod tests {
         let a = params.add("a", Tensor::scalar(10.0));
         let b = params.add("b", Tensor::row_vector(&[-2.0, 4.0]));
         let mut opt = Adam::new(0.1);
+        let mut grads = Grads::for_params(&params);
         for _ in 0..600 {
-            params.zero_grad();
-            let mut tape = Tape::new();
-            let va = tape.param(&params, a);
-            let vb = tape.param(&params, b);
-            let sa = tape.mul_elem(va, va);
-            let sb = tape.mul_elem(vb, vb);
-            let la = tape.sum_all(sa);
-            let lb = tape.sum_all(sb);
-            let loss = tape.add(la, lb);
-            tape.backward(loss, &mut params);
-            opt.step(&mut params);
+            descend(&mut params, &mut opt, &mut grads, |tape, params| {
+                let va = tape.param(params, a);
+                let vb = tape.param(params, b);
+                let sa = tape.mul_elem(va, va);
+                let sb = tape.mul_elem(vb, vb);
+                let la = tape.sum_all(sa);
+                let lb = tape.sum_all(sb);
+                tape.add(la, lb)
+            });
         }
         assert!(params.get(a).item().abs() < 1e-2);
         assert!(params.get(b).norm() < 1e-2);

@@ -1,10 +1,11 @@
 //! Named parameter storage shared by all network modules.
 //!
 //! Modules do not own their weights; they hold [`ParamId`] handles into a [`Params`]
-//! store. A fresh [`Tape`](crate::tape::Tape) is built per forward pass, parameters are
-//! injected with [`Tape::param`](crate::tape::Tape::param), and
-//! [`Tape::backward`](crate::tape::Tape::backward) accumulates gradients back into the
-//! store, where an optimizer consumes them.
+//! store. A fresh [`Tape`](crate::tape::Tape) is built per forward pass and parameters
+//! are injected with [`Tape::param`](crate::tape::Tape::param). The store holds values
+//! only: gradients live in detached [`Grads`](crate::grads::Grads) buffers, filled by
+//! [`Tape::backward_into`](crate::tape::Tape::backward_into) and consumed by
+//! [`Adam::step_grads`](crate::optim::Adam::step_grads).
 
 use crate::tensor::Tensor;
 
@@ -23,10 +24,9 @@ impl ParamId {
 struct ParamEntry {
     name: String,
     value: Tensor,
-    grad: Tensor,
 }
 
-/// A flat store of named parameter tensors and their gradient accumulators.
+/// A flat store of named parameter tensors.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct Params {
     entries: Vec<ParamEntry>,
@@ -38,10 +38,9 @@ impl Params {
         Self::default()
     }
 
-    /// Registers a parameter, returning its handle. Gradient starts at zero.
+    /// Registers a parameter, returning its handle.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        let grad = Tensor::zeros(value.rows(), value.cols());
-        self.entries.push(ParamEntry { name: name.into(), value, grad });
+        self.entries.push(ParamEntry { name: name.into(), value });
         ParamId(self.entries.len() - 1)
     }
 
@@ -75,55 +74,9 @@ impl Params {
         &mut self.entries[id.0].value
     }
 
-    /// Split borrow of one parameter: mutable value plus shared gradient.
-    /// Lets optimizers update in place without cloning the gradient first.
-    pub fn value_grad_mut(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
-        let e = &mut self.entries[id.0];
-        (&mut e.value, &e.grad)
-    }
-
-    /// Accumulated gradient of a parameter.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.entries[id.0].grad
-    }
-
-    /// Mutable gradient accumulator.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.entries[id.0].grad
-    }
-
     /// Iterator over all parameter handles.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> + '_ {
         (0..self.entries.len()).map(ParamId)
-    }
-
-    /// Resets every gradient accumulator to zero.
-    pub fn zero_grad(&mut self) {
-        for e in &mut self.entries {
-            e.grad.data_mut().fill(0.0);
-        }
-    }
-
-    /// Global L2 norm over all gradients (the quantity gradient clipping bounds).
-    pub fn grad_global_norm(&self) -> f32 {
-        self.entries
-            .iter()
-            .map(|e| e.grad.data().iter().map(|&g| g * g).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// Clips gradients so their global norm is at most `max_norm`
-    /// (the paper clips at 1.0). Returns the pre-clip norm.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
-        let norm = self.grad_global_norm();
-        if norm > max_norm && norm > 0.0 {
-            let scale = max_norm / norm;
-            for e in &mut self.entries {
-                e.grad.scale_inplace(scale);
-            }
-        }
-        norm
     }
 
     /// Copies all parameter values from `other`. Stores must have identical layout
@@ -150,30 +103,6 @@ mod tests {
         assert_eq!(p.num_scalars(), 9);
         assert_eq!(p.name(w), "w");
         assert_eq!(p.get(b).shape(), (1, 3));
-    }
-
-    #[test]
-    fn zero_grad_clears() {
-        let mut p = Params::new();
-        let w = p.add("w", Tensor::zeros(1, 2));
-        p.grad_mut(w).data_mut().copy_from_slice(&[3.0, 4.0]);
-        assert_eq!(p.grad_global_norm(), 5.0);
-        p.zero_grad();
-        assert_eq!(p.grad_global_norm(), 0.0);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_down_only() {
-        let mut p = Params::new();
-        let w = p.add("w", Tensor::zeros(1, 2));
-        p.grad_mut(w).data_mut().copy_from_slice(&[3.0, 4.0]);
-        let pre = p.clip_grad_norm(1.0);
-        assert_eq!(pre, 5.0);
-        assert!((p.grad_global_norm() - 1.0).abs() < 1e-6);
-        // Already below threshold: untouched.
-        let pre2 = p.clip_grad_norm(10.0);
-        assert!((pre2 - 1.0).abs() < 1e-6);
-        assert!((p.grad_global_norm() - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! A [`Tape`] records every operation of one forward pass as a node holding its output
 //! value and the identities of its inputs. [`Tape::backward_into`] then walks the nodes
 //! in reverse, applying each op's vector-Jacobian product, and deposits gradients of
-//! registered parameters into a [`GradSink`] — detached [`Grads`] buffers for the RL
-//! update loops, or the legacy in-[`Params`] accumulators via [`Tape::backward`].
+//! registered parameters into detached [`Grads`] buffers.
 //!
 //! The tape is rebuilt for every forward pass ("define-by-run"), which is exactly how
 //! the paper's PyTorch agent operates, and keeps dynamic structures (per-sample
@@ -20,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use crate::grads::{GradSink, Grads};
+use crate::grads::Grads;
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
 
@@ -484,31 +483,12 @@ impl Tape {
     }
 
     /// Runs backpropagation from scalar node `loss`, accumulating parameter
-    /// gradients into `params` (adding to whatever is already there, so multiple
-    /// backward passes before an optimizer step sum their gradients).
-    ///
-    /// Prefer [`Tape::backward_into`] with detached [`Grads`] buffers for new
-    /// code — mutating the store the forward pass reads from forces callers to
-    /// sequence `zero_grad`/clip/step around it. This entry point remains for
-    /// the warm-start path, tests and examples.
-    ///
-    /// # Panics
-    /// Panics if `loss` is not `1x1`.
-    pub fn backward(&self, loss: Var, params: &mut Params) {
-        self.backward_sink(loss, params);
-    }
-
-    /// Runs backpropagation from scalar node `loss`, accumulating parameter
     /// gradients into detached [`Grads`] buffers (adding to whatever is
     /// already there — call [`Grads::zero`] at minibatch start).
     ///
     /// # Panics
     /// Panics if `loss` is not `1x1`.
-    pub fn backward_into(&self, loss: Var, grads: &mut Grads) {
-        self.backward_sink(loss, grads);
-    }
-
-    fn backward_sink(&self, loss: Var, sink: &mut dyn GradSink) {
+    pub fn backward_into(&self, loss: Var, sink: &mut Grads) {
         assert_eq!(self.value(loss).shape(), (1, 1), "loss must be a scalar");
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss.0] = Some(Tensor::scalar(1.0));
@@ -539,18 +519,13 @@ impl Tape {
         }
     }
 
-    fn accumulate(
-        &self,
-        i: usize,
-        gy: &Tensor,
-        grads: &mut [Option<Tensor>],
-        sink: &mut dyn GradSink,
-    ) {
+    fn accumulate(&self, i: usize, gy: &Tensor, grads: &mut [Option<Tensor>], sink: &mut Grads) {
         let y = &self.nodes[i].value;
         let op = self.nodes[i].op;
         match op {
             Op::Leaf => {}
-            Op::Param(id) => sink.deposit(id, gy),
+            // `+=`: several backward passes may share one set of buffers.
+            Op::Param(id) => sink.get_mut(id).add_assign(gy),
             Op::MatMul(a, b) => {
                 if self.ng(a) {
                     let da = gy.matmul(&self.value(b).transpose());

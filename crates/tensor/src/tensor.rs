@@ -6,7 +6,6 @@
 //! and auditable. A row vector is `(1, n)`; a scalar is `(1, 1)`.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Threshold (in multiply-adds, `m * n * k`) above which [`Tensor::matmul`]
 /// shards the computation across threads. Counting flops rather than output
@@ -29,35 +28,6 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// overridable per-run via `eagle_obs::set_available_workers`).
 fn matmul_threads() -> usize {
     eagle_obs::available_workers()
-}
-
-/// Selects the inner kernel [`Tensor::matmul`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulKernel {
-    /// The original triple-loop `ikj` kernel (kept for bench comparisons).
-    Naive,
-    /// Cache-blocked kernel with packed-B micro-panels (the default).
-    Blocked,
-}
-
-/// Process-wide kernel selection (0 = naive, 1 = blocked). Benches flip this
-/// to time the old kernel; everything else runs the default.
-static MATMUL_KERNEL: AtomicU8 = AtomicU8::new(1);
-
-/// Installs the kernel [`Tensor::matmul`] uses for the rest of the process.
-///
-/// Both kernels produce *bit-identical* outputs (see [`matmul_rows_blocked`]'s
-/// ordering argument), so this is purely a performance switch for benches.
-pub fn set_matmul_kernel(kernel: MatmulKernel) {
-    MATMUL_KERNEL.store(kernel as u8, Ordering::Relaxed);
-}
-
-/// The kernel [`Tensor::matmul`] currently dispatches to.
-pub fn matmul_kernel() -> MatmulKernel {
-    match MATMUL_KERNEL.load(Ordering::Relaxed) {
-        0 => MatmulKernel::Naive,
-        _ => MatmulKernel::Blocked,
-    }
 }
 
 /// A dense matrix of `f32` values in row-major order.
@@ -309,39 +279,19 @@ impl Tensor {
         out
     }
 
-    /// Matrix product `self @ other`.
+    /// Matrix product `self @ other` through the cache-blocked kernel with
+    /// packed-B micro-panels ([`matmul_rows_blocked`]).
     ///
-    /// Dispatches to the kernel selected by [`set_matmul_kernel`] (default: the
-    /// cache-blocked kernel with packed-B micro-panels). Large products are
-    /// sharded across threads with `crossbeam::scope`, splitting the *output
-    /// rows* so each thread writes a disjoint region (no synchronization on
-    /// the hot path). Both kernels and every thread count produce bit-identical
-    /// results: each output element is one ascending-`k` f32 accumulation.
+    /// Large products are sharded across threads with `crossbeam::scope`,
+    /// splitting the *output rows* so each thread writes a disjoint region (no
+    /// synchronization on the hot path). Every thread count produces
+    /// bit-identical results: each output element is one ascending-`k` f32
+    /// accumulation.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Self) -> Self {
-        self.matmul_with(other, matmul_kernel())
-    }
-
-    /// Matrix product through the original `ikj` kernel, bypassing the
-    /// process-wide kernel selection. Benches use this as the comparison
-    /// column; the result is bit-identical to [`Tensor::matmul`].
-    pub fn matmul_naive(&self, other: &Self) -> Self {
-        self.matmul_with(other, MatmulKernel::Naive)
-    }
-
-    fn matmul_with(&self, other: &Self, kernel: MatmulKernel) -> Self {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let run = match kernel {
-            MatmulKernel::Naive => matmul_rows,
-            MatmulKernel::Blocked => matmul_rows_blocked,
-        };
+        let (m, k, n) = self.matmul_dims(other);
         let mut out = Self::zeros(m, n);
         let threads = matmul_threads().min(m);
         if threads > 1 && m * n * k >= PAR_MATMUL_THRESHOLD && m >= 2 {
@@ -352,15 +302,34 @@ impl Tensor {
                 for (ci, out_chunk) in out.data.chunks_mut(chunk_rows * n).enumerate() {
                     let row0 = ci * chunk_rows;
                     s.spawn(move |_| {
-                        run(a, b, out_chunk, row0, k, n);
+                        matmul_rows_blocked(a, b, out_chunk, row0, k, n);
                     });
                 }
             })
             .expect("matmul worker panicked");
         } else {
-            run(&self.data, &other.data, &mut out.data, 0, k, n);
+            matmul_rows_blocked(&self.data, &other.data, &mut out.data, 0, k, n);
         }
         out
+    }
+
+    /// Matrix product through the serial triple-loop `ikj` kernel: the bitwise
+    /// reference [`Tensor::matmul`] is tested and benchmarked against.
+    pub fn matmul_naive(&self, other: &Self) -> Self {
+        let (m, k, n) = self.matmul_dims(other);
+        let mut out = Self::zeros(m, n);
+        matmul_rows(&self.data, &other.data, &mut out.data, k, n);
+        out
+    }
+
+    /// `(m, k, n)` of `self @ other`, panicking on an inner-dimension mismatch.
+    fn matmul_dims(&self, other: &Self) -> (usize, usize, usize) {
+        assert_eq!(
+            self.cols, other.rows,
+            "matmul shape mismatch: {}x{} @ {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        (self.rows, self.cols, other.cols)
     }
 
     /// Concatenates tensors horizontally (same number of rows).
@@ -453,15 +422,12 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
-/// Computes rows `[row0, row0 + out.len()/n)` of `A @ B` into `out`.
+/// Reference kernel: computes `A @ B` into the zeroed `out` serially.
 ///
-/// `a` is the full `? x k` left matrix, `b` the full `k x n` right matrix. The `ikj`
-/// order keeps the inner loop streaming over contiguous memory in both `b` and `out`.
-fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
-    let rows = out.len() / n.max(1);
-    for i in 0..rows {
-        let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
+/// `a` is the `m x k` left matrix, `b` the `k x n` right matrix. The `ikj` order
+/// keeps the inner loop streaming over contiguous memory in both `b` and `out`.
+fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    for (a_row, out_row) in a.chunks(k.max(1)).zip(out.chunks_mut(n.max(1))) {
         for (kk, &a_ik) in a_row.iter().enumerate() {
             if a_ik == 0.0 {
                 continue;
@@ -487,8 +453,9 @@ const NR: usize = 8;
 /// `KC x NR` f32 = 16 KiB, comfortably inside L1 alongside the `A` rows.
 const KC: usize = 512;
 
-/// Cache-blocked variant of [`matmul_rows`]: computes the same output rows of
-/// `A @ B` through a GEBP-style loop nest with a "transposed-B" packing step.
+/// Cache-blocked kernel: computes rows `[row0, row0 + out.len()/n)` of `A @ B`
+/// (`a` the full `? x k` left matrix, `b` the full `k x n` right matrix) through
+/// a GEBP-style loop nest with a "transposed-B" packing step.
 ///
 /// For each `(k-block, column-block)` pair, the `KC x NR` slice of `B` is
 /// packed k-major into a contiguous micro-panel (so the microkernel streams it
@@ -662,7 +629,7 @@ mod tests {
             let a = fill(m, k, (m * 1000 + k) as u32);
             let b = fill(k, n, (k * 1000 + n) as u32);
             let naive = a.matmul_naive(&b);
-            let blocked = a.matmul_with(&b, MatmulKernel::Blocked);
+            let blocked = a.matmul(&b);
             for (i, (x, y)) in naive.data().iter().zip(blocked.data()).enumerate() {
                 assert_eq!(
                     x.to_bits(),
@@ -671,19 +638,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn kernel_toggle_switches_default_matmul() {
-        let a = fill(6, 40, 1);
-        let b = fill(40, 19, 2);
-        let expect = a.matmul_naive(&b);
-        set_matmul_kernel(MatmulKernel::Naive);
-        let via_naive = a.matmul(&b);
-        set_matmul_kernel(MatmulKernel::Blocked);
-        let via_blocked = a.matmul(&b);
-        assert_eq!(via_naive, expect);
-        assert_eq!(via_blocked, expect); // kernels are bitwise-interchangeable
     }
 
     #[test]

@@ -217,10 +217,12 @@ fn add_n_of_scalar_losses_sums_in_order() {
 }
 
 #[test]
-fn backward_into_matches_legacy_backward() {
-    // The detached-buffer entry point must produce exactly the gradients the
-    // legacy in-params accumulators receive.
-    let (mut params, ids) = seeded_params(&[(3, 4), (4, 3), (1, 3)], 17);
+fn backward_into_is_bitwise_repeatable_and_additive() {
+    // Two tapes built from the same parameters deposit bit-identical
+    // gradients, and a second deposit into the same buffers doubles them
+    // exactly (`+=`, never assignment) — what lets `Grads` be zeroed once per
+    // minibatch and shared by every backward pass of that minibatch.
+    let (params, ids) = seeded_params(&[(3, 4), (4, 3), (1, 3)], 17);
     let build = |tape: &mut Tape, p: &Params| -> Var {
         let x = tape.param(p, ids[0]);
         let w = tape.param(p, ids[1]);
@@ -235,17 +237,19 @@ fn backward_into_matches_legacy_backward() {
     };
     let mut tape = Tape::new();
     let loss = build(&mut tape, &params);
-    let mut grads = Grads::for_params(&params);
-    tape.backward_into(loss, &mut grads);
+    let mut once = Grads::for_params(&params);
+    tape.backward_into(loss, &mut once);
 
-    params.zero_grad();
-    let mut tape2 = Tape::new();
-    let loss2 = build(&mut tape2, &params);
-    tape2.backward(loss2, &mut params);
+    let mut twice = Grads::for_params(&params);
+    for _ in 0..2 {
+        let mut tape2 = Tape::new();
+        let loss2 = build(&mut tape2, &params);
+        tape2.backward_into(loss2, &mut twice);
+    }
 
     for id in params.ids() {
-        for (j, (a, b)) in grads.get(id).data().iter().zip(params.grad(id).data()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "grad {}[{j}]", params.name(id));
+        for (j, (a, b)) in once.get(id).data().iter().zip(twice.get(id).data()).enumerate() {
+            assert_eq!((a + a).to_bits(), b.to_bits(), "grad {}[{j}]", params.name(id));
         }
     }
 }

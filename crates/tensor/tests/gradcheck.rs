@@ -1,11 +1,11 @@
 //! Finite-difference gradient checks for every differentiable op on the tape.
 //!
 //! Each check builds a scalar loss from one (or a few) ops, computes analytic
-//! gradients via `Tape::backward`, then perturbs every parameter scalar by ±eps and
+//! gradients via `Tape::backward_into`, then perturbs every parameter scalar by ±eps and
 //! compares against the central difference. f32 finite differences are noisy, so the
 //! comparison uses a mixed absolute/relative tolerance.
 
-use eagle_tensor::{init, ParamId, Params, Tape, Tensor, Var};
+use eagle_tensor::{init, Grads, ParamId, Params, Tape, Tensor, Var};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -17,11 +17,11 @@ const TOL: f32 = 2e-2;
 /// differences of `forward`.
 fn gradcheck(params: &mut Params, forward: impl Fn(&mut Tape, &Params) -> Var) {
     // Analytic gradients.
-    params.zero_grad();
+    let mut grads = Grads::for_params(params);
     let mut tape = Tape::new();
     let loss = forward(&mut tape, params);
     assert_eq!(tape.value(loss).shape(), (1, 1), "loss must be scalar");
-    tape.backward(loss, params);
+    tape.backward_into(loss, &mut grads);
 
     let ids: Vec<ParamId> = params.ids().collect();
     for id in ids {
@@ -42,7 +42,7 @@ fn gradcheck(params: &mut Params, forward: impl Fn(&mut Tape, &Params) -> Var) {
             params.get_mut(id).data_mut()[j] = orig;
 
             let numeric = (fp - fm) / (2.0 * EPS);
-            let analytic = params.grad(id).data()[j];
+            let analytic = grads.get(id).data()[j];
             let denom = 1.0f32.max(numeric.abs()).max(analytic.abs());
             assert!(
                 (numeric - analytic).abs() / denom < TOL,
@@ -252,21 +252,23 @@ fn leaf_receives_no_gradient() {
     let c = tape.leaf(Tensor::scalar(5.0));
     let prod = tape.mul_elem(wv, c);
     let loss = tape.sum_all(prod);
-    tape.backward(loss, &mut params);
-    assert_eq!(params.grad(w).item(), 5.0);
+    let mut grads = Grads::for_params(&params);
+    tape.backward_into(loss, &mut grads);
+    assert_eq!(grads.get(w).item(), 5.0);
 }
 
 #[test]
 fn backward_accumulates_across_calls() {
     let mut params = Params::new();
     let w = params.add("w", Tensor::scalar(1.0));
+    let mut grads = Grads::for_params(&params);
     for _ in 0..3 {
         let mut tape = Tape::new();
         let wv = tape.param(&params, w);
         let loss = tape.sum_all(wv);
-        tape.backward(loss, &mut params);
+        tape.backward_into(loss, &mut grads);
     }
-    assert_eq!(params.grad(w).item(), 3.0);
+    assert_eq!(grads.get(w).item(), 3.0);
 }
 
 proptest! {

@@ -1,8 +1,12 @@
-//! The batched policy API's central contract: `sample_batch`, `score_batch`
-//! and `decode_batch` are *bit-identical* to the per-episode methods for every
-//! agent, batch size, and seed — actions, log-probabilities, entropies,
-//! auxiliary losses, decoded placements, and accumulated gradients all match
-//! exactly. On top of the per-call equivalence, a full training run through
+//! The batched policy API's central contract: an episode's outcome does not
+//! depend on its batch-mates. `sample_batch`, `score_batch` and `decode_batch`
+//! over a batch of `B` are *bit-identical* to `B` batch-of-one calls through
+//! the provided per-episode wrappers, for every agent, batch size, and seed —
+//! actions, log-probabilities, entropies, auxiliary losses, decoded
+//! placements, and accumulated gradients all match exactly. (Training
+//! determinism across worker counts and wave-mate-independent serving rely on
+//! exactly this; the seq2seq decode is additionally held to a hand-written
+//! serial oracle in `eagle_nn`'s unit tests.) On top of the per-call equivalence, a full training run through
 //! the batched trainer must stay identical across worker counts and
 //! checkpoint resumes (discrete outcomes exactly, curve floats within the
 //! documented ULP budgets in `tests/common`).
@@ -39,8 +43,8 @@ fn tiny_graph() -> OpGraph {
     .expect("valid GNMT config")
 }
 
-/// Asserts the three batched methods reproduce the per-episode methods
-/// bit-for-bit for one agent at one batch size.
+/// Asserts the three batched methods at batch size `bsz` reproduce `bsz`
+/// batch-of-one calls bit-for-bit for one agent.
 fn assert_batched_matches_serial(
     agent: &impl PlacementAgent,
     params: &Params,
@@ -104,34 +108,34 @@ fn assert_batched_matches_serial(
 
     // --- gradients: per-episode backward on the shared tape, in episode
     // order, must deposit exactly what separate per-episode tapes deposit.
-    let mut batch_params = params.clone();
+    let mut batch_grads = Grads::for_params(params);
     for ep in h.episodes.clone() {
         let neg = h.tape.neg(ep.log_prob);
         let loss = match ep.aux_loss {
             Some(aux) => h.tape.add(neg, aux),
             None => neg,
         };
-        h.tape.backward(loss, &mut batch_params);
+        h.tape.backward_into(loss, &mut batch_grads);
     }
-    let mut serial_params = params.clone();
+    let mut serial_grads = Grads::for_params(params);
     for a in &actions {
-        let mut sh = agent.score(&serial_params, a);
+        let mut sh = agent.score(params, a);
         let neg = sh.tape.neg(sh.log_prob);
         let loss = match sh.aux_loss {
             Some(aux) => sh.tape.add(neg, aux),
             None => neg,
         };
-        sh.tape.backward(loss, &mut serial_params);
+        sh.tape.backward_into(loss, &mut serial_grads);
     }
-    for id in batch_params.ids() {
-        let bg = batch_params.grad(id);
-        let sg = serial_params.grad(id);
+    for id in params.ids() {
+        let bg = batch_grads.get(id);
+        let sg = serial_grads.get(id);
         for (i, (x, y)) in bg.data().iter().zip(sg.data()).enumerate() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
                 "gradient of '{}' entry {i} diverges",
-                batch_params.name(id)
+                params.name(id)
             );
         }
     }
@@ -139,7 +143,7 @@ fn assert_batched_matches_serial(
 
 /// Asserts the single-backward update path (sum per-episode losses with
 /// `add_n`, one `backward_into` traversal of the shared tape) produces the
-/// same gradients as the legacy per-episode backward loop, within the
+/// same gradients as a per-episode backward loop, within the
 /// documented tolerance. The losses mirror the RL update shape:
 /// advantage-weighted log-probs, an entropy bonus, and the aux head where
 /// the agent has one.
@@ -168,17 +172,17 @@ fn assert_single_backward_matches_per_episode(
     }
     let total = h.tape.add_n(&ep_losses);
 
-    // Path A: the legacy per-episode backward loop (one traversal per episode).
-    let mut per_episode = params.clone();
+    // Path A: a per-episode backward loop (one traversal per episode).
+    let mut per_episode = Grads::for_params(params);
     for &loss in &ep_losses {
-        h.tape.backward(loss, &mut per_episode);
+        h.tape.backward_into(loss, &mut per_episode);
     }
     // Path B: one traversal of the summed loss into detached buffers.
     let mut grads = Grads::for_params(params);
     h.tape.backward_into(total, &mut grads);
 
-    for id in per_episode.ids() {
-        let pe = per_episode.grad(id);
+    for id in params.ids() {
+        let pe = per_episode.get(id);
         let sb = grads.get(id);
         let scale = pe.data().iter().chain(sb.data()).fold(0.0f32, |m, v| m.max(v.abs()));
         for (i, (a, b)) in pe.data().iter().zip(sb.data()).enumerate() {
@@ -186,7 +190,7 @@ fn assert_single_backward_matches_per_episode(
                 *a,
                 *b,
                 scale,
-                &format!("gradient of '{}' entry {i}", per_episode.name(id)),
+                &format!("gradient of '{}' entry {i}", params.name(id)),
             );
         }
     }
