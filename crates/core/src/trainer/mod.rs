@@ -24,13 +24,9 @@
 use std::collections::VecDeque;
 
 use eagle_devsim::{
-    simulate, EnvError, EnvSnapshot, EnvStateError, Environment, Machine, MeasureConfig, Placement,
-    RngState,
+    simulate, EnvError, EnvSnapshot, Environment, Machine, MeasureConfig, Placement, RngState,
 };
-use eagle_rl::{
-    top_k_indices, CrossEntropyMin, EmaBaseline, OptimConfig, Ppo, Reinforce, RewardTransform,
-    TrainSample,
-};
+use eagle_rl::{top_k_indices, CrossEntropyMin, EmaBaseline, Ppo, Reinforce, TrainSample};
 use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
 use rand::SeedableRng;
@@ -42,118 +38,13 @@ use eagle_opgraph::OpGraph;
 use crate::agents::PlacementAgent;
 use crate::checkpoint::{save_checkpoint, GraphEntryState, TrainerState, CHECKPOINT_FILE};
 use crate::curve::{Curve, ProbePoint};
-use crate::source::{splitmix64, GraphOrigin, GraphSource, SourceCursor, SourceError};
+use crate::source::{splitmix64, GraphOrigin, GraphSource, SourceCursor};
 
-/// Which training algorithm drives the agent (paper Sec. III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algo {
-    /// Plain REINFORCE with the EMA baseline.
-    Reinforce,
-    /// Clipped-surrogate PPO (the paper's pick for EAGLE).
-    Ppo,
-    /// PPO joined with cross-entropy minimization (Post's algorithm;
-    /// also `EAGLE (PPO+CE)` in Table IV).
-    PpoCe,
-}
+mod config;
+mod error;
 
-impl Algo {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Algo::Reinforce => "REINFORCE",
-            Algo::Ppo => "PPO",
-            Algo::PpoCe => "PPO+CE",
-        }
-    }
-}
-
-/// Trainer configuration (defaults = paper Sec. IV-C).
-#[derive(Debug, Clone)]
-pub struct TrainerConfig {
-    /// Total placements to sample.
-    pub total_samples: usize,
-    /// Samples per policy update (paper: 10).
-    pub minibatch: usize,
-    /// Optimizer settings (paper: Adam lr 0.01, clip 1.0, entropy 0.01).
-    pub optim: OptimConfig,
-    /// PPO clip ratio (paper: 0.3).
-    pub ppo_clip: f32,
-    /// PPO epochs per minibatch (paper: 4).
-    pub ppo_epochs: usize,
-    /// Samples between cross-entropy updates (paper: 50).
-    pub ce_interval: usize,
-    /// Number of elite samples per CE update (paper: 5).
-    pub ce_elites: usize,
-    /// Gradient steps per CE update.
-    pub ce_steps: usize,
-    /// EMA weight for the reward baseline.
-    pub ema_alpha: f64,
-    /// Per-step time charged to invalid (OOM) placements when shaping rewards.
-    pub invalid_penalty_time: f64,
-    /// Reward transform applied to measured per-step times (paper: `-sqrt(t)`).
-    pub reward: RewardTransform,
-    /// Subtract the EMA baseline from rewards (paper: yes). Disable for ablation.
-    /// Multi-graph sources keep one baseline per graph, so step-time scale
-    /// differences between graphs do not leak into advantages.
-    pub use_baseline: bool,
-    /// Normalize advantages to unit scale within each minibatch (standard PPO
-    /// practice; makes learning robust to the absolute reward scale, which spans
-    /// -sqrt(0.07) to -sqrt(100) across the three benchmarks).
-    pub normalize_adv: bool,
-    /// RNG seed (sampling).
-    pub seed: u64,
-    /// The algorithm.
-    pub algo: Algo,
-    /// Worker threads for the simulation side of the rollout engine (0 = one
-    /// per available core, 1 = fully serial). Sampling and decoding run as one
-    /// batched forward pass regardless of this setting; only cache-miss
-    /// placement simulations fan out. The trained policy, curve and best
-    /// placement are identical for every value — only host wall-time changes
-    /// (see DESIGN.md, "Parallel rollout engine" and "Batched policy API").
-    pub workers: usize,
-    /// Rolling window (in samples) of the action/reward history kept for CE
-    /// elite selection. The effective window is
-    /// `max(history_window, ce_interval, ce_elites)`, so CE always sees at
-    /// least one full interval. Bounding the history fixes the unbounded memory
-    /// growth the earlier trainer had on long runs (it retained every sample of
-    /// the run) and bounds checkpoint size.
-    pub history_window: usize,
-    /// Auto-checkpoint period in minibatches; requires `checkpoint_dir` to also
-    /// be set. `None` (the default) disables auto-checkpointing.
-    pub checkpoint_every: Option<usize>,
-    /// Directory checkpoints are written into (as
-    /// [`CHECKPOINT_FILE`](crate::checkpoint::CHECKPOINT_FILE)); created on
-    /// first save. A failed save is logged and counted
-    /// (`trainer.checkpoint_errors`), never fatal to the run.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-}
-
-impl TrainerConfig {
-    /// Paper hyper-parameters with the given sample budget and algorithm.
-    pub fn paper(algo: Algo, total_samples: usize) -> Self {
-        Self {
-            total_samples,
-            minibatch: 10,
-            optim: OptimConfig::default(),
-            ppo_clip: 0.3,
-            ppo_epochs: 4,
-            ce_interval: 50,
-            ce_elites: 5,
-            ce_steps: 4,
-            ema_alpha: 0.1,
-            invalid_penalty_time: 100.0,
-            reward: RewardTransform::NegSqrt,
-            use_baseline: true,
-            normalize_adv: true,
-            seed: 7,
-            algo,
-            workers: 0,
-            history_window: 512,
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        }
-    }
-}
+pub use config::{Algo, TrainerConfig};
+pub use error::{ConfigError, ResumeError, TrainError};
 
 /// Per-graph outcome of a (possibly multi-graph) training run, for the graphs
 /// still resident in the environment pool when the run finished.
@@ -191,179 +82,6 @@ pub struct TrainResult {
     pub graphs: Vec<GraphSummary>,
     /// Run telemetry snapshot (also attached to `curve`).
     pub telemetry: Telemetry,
-}
-
-/// Why a [`TrainerBuilder`] refused to construct a [`Trainer`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConfigError {
-    /// `minibatch` must be at least 1.
-    ZeroMinibatch,
-    /// `total_samples` must be at least 1.
-    ZeroTotalSamples,
-    /// The PPO+CE schedule needs `ce_interval`, `ce_elites` and `ce_steps`
-    /// all at least 1.
-    BadCeSchedule {
-        /// Configured samples between CE updates.
-        interval: usize,
-        /// Configured elites per CE update.
-        elites: usize,
-        /// Configured gradient steps per CE update.
-        steps: usize,
-    },
-    /// PPO needs at least one epoch per minibatch.
-    ZeroPpoEpochs,
-    /// The EMA baseline weight must be in `(0, 1]`.
-    BadEmaAlpha(f64),
-    /// The optimizer learning rate must be finite and positive.
-    BadLearningRate(f32),
-    /// The invalid-placement penalty time must be finite and non-negative.
-    BadInvalidPenalty(f64),
-    /// `checkpoint_every` must be at least 1 when set.
-    ZeroCheckpointEvery,
-    /// `checkpoint_every` is set but `checkpoint_dir` is not.
-    CheckpointEveryWithoutDir,
-    /// The graph source rejected the configuration (empty roster, bad weight,
-    /// invalid generator config, impossible holdout split).
-    Source(SourceError),
-    /// Zero-shot probes requested (`probe_every`) but the holdout split is
-    /// empty.
-    ProbeWithoutHoldout,
-    /// `probe_every` must be at least 1 when set.
-    ZeroProbeEvery,
-    /// `probe_candidates` must be at least 1.
-    ZeroProbeCandidates,
-    /// The environment pool must hold at least one graph.
-    ZeroPoolCapacity,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::ZeroMinibatch => write!(f, "minibatch must be at least 1"),
-            ConfigError::ZeroTotalSamples => write!(f, "total_samples must be at least 1"),
-            ConfigError::BadCeSchedule { interval, elites, steps } => write!(
-                f,
-                "PPO+CE schedule is inconsistent: ce_interval={interval}, ce_elites={elites}, \
-                 ce_steps={steps} (all must be at least 1)"
-            ),
-            ConfigError::ZeroPpoEpochs => write!(f, "ppo_epochs must be at least 1"),
-            ConfigError::BadEmaAlpha(a) => {
-                write!(f, "ema_alpha must be in (0, 1], got {a}")
-            }
-            ConfigError::BadLearningRate(lr) => {
-                write!(f, "optimizer learning rate must be finite and positive, got {lr}")
-            }
-            ConfigError::BadInvalidPenalty(t) => {
-                write!(f, "invalid_penalty_time must be finite and non-negative, got {t}")
-            }
-            ConfigError::ZeroCheckpointEvery => {
-                write!(f, "checkpoint_every must be at least 1 when set")
-            }
-            ConfigError::CheckpointEveryWithoutDir => {
-                write!(f, "checkpoint_every is set but checkpoint_dir is not")
-            }
-            ConfigError::Source(e) => write!(f, "graph source: {e}"),
-            ConfigError::ProbeWithoutHoldout => {
-                write!(f, "probe_every is set but the holdout split is empty")
-            }
-            ConfigError::ZeroProbeEvery => write!(f, "probe_every must be at least 1 when set"),
-            ConfigError::ZeroProbeCandidates => write!(f, "probe_candidates must be at least 1"),
-            ConfigError::ZeroPoolCapacity => write!(f, "pool_capacity must be at least 1"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl From<SourceError> for ConfigError {
-    fn from(e: SourceError) -> Self {
-        ConfigError::Source(e)
-    }
-}
-
-/// Why a [`TrainerState`] could not be applied to the given agent/params.
-#[derive(Debug)]
-pub enum ResumeError {
-    /// The checkpoint was produced by a different agent (curve labels differ).
-    AgentMismatch {
-        /// Agent label recorded in the checkpoint.
-        checkpoint: String,
-        /// Label of the agent passed to [`Trainer::train_from`].
-        agent: String,
-    },
-    /// The checkpointed parameters do not match the agent's parameter layout.
-    ParamMismatch(String),
-    /// The checkpointed trainer RNG state is malformed.
-    Rng(EnvStateError),
-    /// The checkpointed graph-source cursor is malformed.
-    Source(EnvStateError),
-    /// A checkpointed graph origin does not belong to this trainer's source
-    /// (e.g. resuming a generated-distribution checkpoint with a roster).
-    SourceMismatch(String),
-    /// A checkpointed environment state does not fit its rebuilt environment.
-    Env(EnvStateError),
-}
-
-impl std::fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResumeError::AgentMismatch { checkpoint, agent } => write!(
-                f,
-                "checkpoint was trained with agent '{checkpoint}', cannot resume with '{agent}'"
-            ),
-            ResumeError::ParamMismatch(m) => write!(f, "parameter layout mismatch: {m}"),
-            ResumeError::Rng(e) => write!(f, "trainer RNG state: {e}"),
-            ResumeError::Source(e) => write!(f, "graph-source cursor state: {e}"),
-            ResumeError::SourceMismatch(m) => write!(f, "graph source mismatch: {m}"),
-            ResumeError::Env(e) => write!(f, "environment state: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
-/// Why a training run failed to start or resume.
-#[derive(Debug)]
-pub enum TrainError {
-    /// A checkpointed state could not be applied (see [`ResumeError`]).
-    Resume(ResumeError),
-    /// An environment for a drawn graph could not be built.
-    Env(EnvError),
-    /// The agent cannot re-target to new graphs
-    /// ([`PlacementAgent::for_graph`] returned `None`), which multi-graph
-    /// sources and holdout probes require.
-    UnsupportedAgent {
-        /// The agent's display name.
-        agent: String,
-    },
-}
-
-impl std::fmt::Display for TrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrainError::Resume(e) => write!(f, "resume: {e}"),
-            TrainError::Env(e) => write!(f, "environment: {e}"),
-            TrainError::UnsupportedAgent { agent } => write!(
-                f,
-                "agent '{agent}' cannot re-target to new graphs; multi-graph training and \
-                 holdout probes need PlacementAgent::for_graph"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TrainError {}
-
-impl From<ResumeError> for TrainError {
-    fn from(e: ResumeError) -> Self {
-        TrainError::Resume(e)
-    }
-}
-
-impl From<EnvError> for TrainError {
-    fn from(e: EnvError) -> Self {
-        TrainError::Env(e)
-    }
 }
 
 /// One resident graph in the trainer's environment pool: its environment
@@ -411,35 +129,24 @@ struct LoopState<A> {
     restored_opts: Option<(Adam, Adam, Adam)>,
 }
 
-/// Builds [`Trainer`]s; obtained from [`Trainer::builder`]. Every knob is
-/// validated in [`TrainerBuilder::build`].
+/// Builds [`Trainer`]s; obtained from [`Trainer::builder`]. Holds the trainer
+/// under construction; every knob is validated in [`TrainerBuilder::build`],
+/// the only way to get the [`Trainer`] out.
 #[derive(Debug)]
-pub struct TrainerBuilder {
-    source: GraphSource,
-    machine: Machine,
-    cfg: TrainerConfig,
-    measure: MeasureConfig,
-    env_seed: u64,
-    cache_capacity: Option<usize>,
-    recorder: Recorder,
-    holdout: usize,
-    probe_every: Option<usize>,
-    probe_candidates: usize,
-    pool_capacity: usize,
-}
+pub struct TrainerBuilder(Trainer);
 
 impl TrainerBuilder {
     /// Sets the training configuration (default:
     /// `TrainerConfig::paper(Algo::Ppo, 1000)`).
     pub fn config(mut self, cfg: TrainerConfig) -> Self {
-        self.cfg = cfg;
+        self.0.cfg = cfg;
         self
     }
 
     /// Sets the measurement protocol for every pooled environment (default:
     /// [`MeasureConfig::default`]).
     pub fn measure(mut self, measure: MeasureConfig) -> Self {
-        self.measure = measure;
+        self.0.measure = measure;
         self
     }
 
@@ -447,21 +154,21 @@ impl TrainerBuilder {
     /// verbatim — matching `Environment::builder(..).seed(s)` — while
     /// multi-graph sources derive one deterministic seed per graph from it.
     pub fn env_seed(mut self, seed: u64) -> Self {
-        self.env_seed = seed;
+        self.0.env_seed = seed;
         self
     }
 
     /// Sets the per-environment placement-cache capacity (default: the
     /// environment's own default).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
+        self.0.cache_capacity = Some(capacity);
         self
     }
 
     /// Attaches a telemetry recorder shared by the trainer and every pooled
     /// environment (default: disabled).
     pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.0.recorder = recorder;
         self
     }
 
@@ -469,7 +176,7 @@ impl TrainerBuilder {
     /// evaluation (default 0). Held-out graphs are never drawn for training;
     /// see [`GraphSource::holdout_origins`] for the split rules.
     pub fn holdout(mut self, holdout: usize) -> Self {
-        self.holdout = holdout;
+        self.0.holdout = holdout;
         self
     }
 
@@ -478,14 +185,14 @@ impl TrainerBuilder {
     /// their own derived RNG and the pure simulator, so enabling them leaves
     /// the training stream bit-identical (locked by `tests/generalist.rs`).
     pub fn probe_every(mut self, every: usize) -> Self {
-        self.probe_every = Some(every);
+        self.0.probe_every = Some(every);
         self
     }
 
     /// Placements sampled per held-out graph per probe; the probe reports the
     /// best (default 4).
     pub fn probe_candidates(mut self, candidates: usize) -> Self {
-        self.probe_candidates = candidates;
+        self.0.probe_candidates = candidates;
         self
     }
 
@@ -495,13 +202,14 @@ impl TrainerBuilder {
     /// derived seed, fresh cache) if it is drawn again, so the capacity is
     /// part of the reproducibility config.
     pub fn pool_capacity(mut self, capacity: usize) -> Self {
-        self.pool_capacity = capacity;
+        self.0.pool_capacity = capacity;
         self
     }
 
     /// Validates the whole configuration and builds the [`Trainer`].
     pub fn build(self) -> Result<Trainer, ConfigError> {
-        let cfg = &self.cfg;
+        let trainer = self.0;
+        let cfg = &trainer.cfg;
         if cfg.minibatch == 0 {
             return Err(ConfigError::ZeroMinibatch);
         }
@@ -542,31 +250,19 @@ impl TrainerBuilder {
             (Some(_), None) => return Err(ConfigError::CheckpointEveryWithoutDir),
             _ => {}
         }
-        self.source.validate_holdout(self.holdout)?;
-        match self.probe_every {
+        trainer.source.validate_holdout(trainer.holdout)?;
+        match trainer.probe_every {
             Some(0) => return Err(ConfigError::ZeroProbeEvery),
-            Some(_) if self.holdout == 0 => return Err(ConfigError::ProbeWithoutHoldout),
+            Some(_) if trainer.holdout == 0 => return Err(ConfigError::ProbeWithoutHoldout),
             _ => {}
         }
-        if self.probe_candidates == 0 {
+        if trainer.probe_candidates == 0 {
             return Err(ConfigError::ZeroProbeCandidates);
         }
-        if self.pool_capacity == 0 {
+        if trainer.pool_capacity == 0 {
             return Err(ConfigError::ZeroPoolCapacity);
         }
-        Ok(Trainer {
-            source: self.source,
-            machine: self.machine,
-            cfg: self.cfg,
-            measure: self.measure,
-            env_seed: self.env_seed,
-            cache_capacity: self.cache_capacity,
-            recorder: self.recorder,
-            holdout: self.holdout,
-            probe_every: self.probe_every,
-            probe_candidates: self.probe_candidates,
-            pool_capacity: self.pool_capacity,
-        })
+        Ok(trainer)
     }
 }
 
@@ -590,7 +286,7 @@ pub struct Trainer {
 impl Trainer {
     /// Starts building a trainer over `source` and `machine`.
     pub fn builder(source: GraphSource, machine: Machine) -> TrainerBuilder {
-        TrainerBuilder {
+        TrainerBuilder(Trainer {
             source,
             machine,
             cfg: TrainerConfig::paper(Algo::Ppo, 1000),
@@ -602,7 +298,7 @@ impl Trainer {
             probe_every: None,
             probe_candidates: 4,
             pool_capacity: 16,
-        }
+        })
     }
 
     /// The validated training configuration.
@@ -1195,6 +891,7 @@ mod tests {
     use crate::agents::{EagleAgent, FixedGroupAgent, PlacerKind};
     use crate::checkpoint::load_checkpoint;
     use crate::scale::AgentScale;
+    use crate::source::SourceError;
     use eagle_opgraph::builders;
 
     fn tiny_graph() -> OpGraph {

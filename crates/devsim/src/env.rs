@@ -142,8 +142,7 @@ impl EnvironmentBuilder {
 }
 
 /// Counter snapshot of one environment: evaluations, OOMs, simulated
-/// wall-clock and cache behavior in a single value — the one-call replacement
-/// for the deprecated `num_evals`/`cache_stats` pair.
+/// wall-clock and cache behavior in a single value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EnvSnapshot {
     /// Placement evaluations performed (training protocol only).

@@ -3,9 +3,9 @@
 //! (Post's algorithm).
 
 use eagle_obs::Recorder;
-use eagle_tensor::{optim::Adam, Grads, Params};
+use eagle_tensor::{optim::Adam, Grads, Params, Tape, Var};
 
-use crate::policy::StochasticPolicy;
+use crate::policy::{EpisodeScore, StochasticPolicy};
 
 /// One collected sample ready for a policy update.
 #[derive(Debug, Clone)]
@@ -52,156 +52,49 @@ impl Default for OptimConfig {
     }
 }
 
-/// Plain REINFORCE with a baseline: maximizes `E[advantage * log pi(a)]`.
-pub struct Reinforce {
+/// What the three algorithms share: optimizer knobs and Adam state, reusable
+/// gradient buffers, the telemetry recorder — and the one gradient-step loop.
+struct Stepper {
     cfg: OptimConfig,
     opt: Adam,
     /// Reusable gradient buffers, allocated on the first update.
     grads: Option<Grads>,
     recorder: Recorder,
+    /// Name of the update-latency span.
+    span: &'static str,
 }
 
-impl Reinforce {
-    /// Creates the trainer with its own Adam state.
-    pub fn new(cfg: OptimConfig) -> Self {
+impl Stepper {
+    fn new(cfg: OptimConfig, span: &'static str) -> Self {
         let opt = Adam::new(cfg.lr);
-        Self { cfg, opt, grads: None, recorder: Recorder::disabled() }
+        Self { cfg, opt, grads: None, recorder: Recorder::disabled(), span }
     }
 
-    /// Installs a telemetry recorder (update latency, grad-norm, entropy).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The optimizer's full state (step count + Adam moments), for checkpointing.
-    pub fn optimizer(&self) -> &Adam {
-        &self.opt
-    }
-
-    /// Replaces the optimizer state, resuming exactly where a checkpointed
-    /// run's [`Reinforce::optimizer`] snapshot left off.
-    pub fn restore_optimizer(&mut self, opt: Adam) {
-        self.opt = opt;
-    }
-
-    /// One gradient step over a batch of samples.
-    pub fn update(
+    /// Runs `steps` gradient steps over `actions`: one batched scoring pass
+    /// per step (the parameters change between steps).
+    /// `gain` builds episode `i`'s objective on the shared tape; the loop
+    /// negates it, averages over the batch, adds the agent's auxiliary loss and
+    /// folds the episodes with `add_n`, so the whole batch backpropagates in
+    /// ONE tape traversal and shared forward nodes are visited once.
+    fn update(
         &mut self,
         policy: &impl StochasticPolicy,
         params: &mut Params,
-        batch: &[TrainSample],
+        actions: &[Vec<usize>],
+        steps: usize,
+        gain: impl Fn(&mut Tape, EpisodeScore, usize) -> Var,
     ) -> UpdateStats {
-        assert!(!batch.is_empty(), "empty training batch");
-        let _timer = self.recorder.span("rl.reinforce.update_us");
-        let mut ent_total = 0.0f32;
-        let scale = 1.0 / batch.len() as f32;
-        // One batched scoring pass for the whole minibatch. Per-episode losses
-        // are folded into a single scalar with `add_n`, so the whole batch
-        // backpropagates in ONE tape traversal: shared forward nodes (the
-        // grouper/encoder stack every episode reads) are visited once instead
-        // of once per episode.
-        let actions: Vec<Vec<usize>> = batch.iter().map(|s| s.actions.clone()).collect();
-        let mut h = policy.score_batch(params, &actions);
-        let mut ep_losses = Vec::with_capacity(batch.len());
-        for (i, s) in batch.iter().enumerate() {
-            let ep = h.episodes[i];
-            // loss = -(adv * logp + ent_coef * entropy), averaged over the batch.
-            let weighted = h.tape.scale(ep.log_prob, s.advantage);
-            let ent_term = h.tape.scale(ep.entropy, self.cfg.ent_coef);
-            let gain = h.tape.add(weighted, ent_term);
-            let neg = h.tape.neg(gain);
-            let mut loss = h.tape.scale(neg, scale);
-            if let Some(aux) = ep.aux_loss {
-                let aux_scaled = h.tape.scale(aux, scale);
-                loss = h.tape.add(loss, aux_scaled);
-            }
-            ent_total += h.tape.value(ep.entropy).item();
-            ep_losses.push(loss);
-        }
-        let total = h.tape.add_n(&ep_losses);
-        let loss_total = h.tape.value(total).item();
-        let grads = self.grads.get_or_insert_with(|| Grads::for_params(params));
-        grads.zero();
-        h.tape.backward_into(total, grads);
-        let grad_norm = grads.clip_global_norm(self.cfg.grad_clip);
-        self.opt.step_grads(params, grads);
-        let stats = UpdateStats { loss: loss_total, entropy: ent_total * scale, grad_norm };
-        record_update(&self.recorder, &stats);
-        stats
-    }
-}
-
-/// Clipped-surrogate PPO (paper Eq. 3): several epochs of minibatch updates per
-/// batch of samples, with the ratio clipped to `[1 - eps, 1 + eps]`.
-pub struct Ppo {
-    cfg: OptimConfig,
-    /// Clip range `eps` (paper: 0.3).
-    pub clip: f32,
-    /// Gradient steps per collected batch (paper: 4).
-    pub epochs: usize,
-    opt: Adam,
-    /// Reusable gradient buffers, allocated on the first update.
-    grads: Option<Grads>,
-    recorder: Recorder,
-}
-
-impl Ppo {
-    /// Creates the trainer (paper defaults: clip 0.3, 4 epochs).
-    pub fn new(cfg: OptimConfig, clip: f32, epochs: usize) -> Self {
-        let opt = Adam::new(cfg.lr);
-        Self { cfg, clip, epochs, opt, grads: None, recorder: Recorder::disabled() }
-    }
-
-    /// Installs a telemetry recorder (update latency, grad-norm, entropy).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The optimizer's full state (step count + Adam moments), for checkpointing.
-    pub fn optimizer(&self) -> &Adam {
-        &self.opt
-    }
-
-    /// Replaces the optimizer state, resuming exactly where a checkpointed
-    /// run's [`Ppo::optimizer`] snapshot left off.
-    pub fn restore_optimizer(&mut self, opt: Adam) {
-        self.opt = opt;
-    }
-
-    /// Runs `epochs` gradient steps over the batch. The returned stats average
-    /// loss and entropy over all epochs (see [`UpdateStats`]); `grad_norm` is
-    /// the last epoch's.
-    pub fn update(
-        &mut self,
-        policy: &impl StochasticPolicy,
-        params: &mut Params,
-        batch: &[TrainSample],
-    ) -> UpdateStats {
-        assert!(!batch.is_empty(), "empty training batch");
-        assert!(self.epochs > 0, "ppo needs at least one epoch");
-        let _timer = self.recorder.span("rl.ppo.update_us");
+        assert!(!actions.is_empty(), "empty training batch");
+        assert!(steps > 0, "an update needs at least one gradient step");
+        let _timer = self.recorder.span(self.span);
         let mut stats = UpdateStats::default();
-        let scale = 1.0 / batch.len() as f32;
-        let actions: Vec<Vec<usize>> = batch.iter().map(|s| s.actions.clone()).collect();
-        for _ in 0..self.epochs {
+        let scale = 1.0 / actions.len() as f32;
+        for _ in 0..steps {
+            let mut h = policy.score_batch(params, actions);
             let mut ent_total = 0.0f32;
-            // One batched scoring pass per epoch (the parameters change between
-            // epochs); per-episode losses fold into one scalar so each epoch
-            // backpropagates in a single tape traversal.
-            let mut h = policy.score_batch(params, &actions);
-            let mut ep_losses = Vec::with_capacity(batch.len());
-            for (i, s) in batch.iter().enumerate() {
-                let ep = h.episodes[i];
-                let old = h.tape.add_scalar(ep.log_prob, -s.old_log_prob);
-                let ratio = h.tape.exp(old);
-                let unclipped = h.tape.scale(ratio, s.advantage);
-                let clipped_ratio = h.tape.clamp(ratio, 1.0 - self.clip, 1.0 + self.clip);
-                let clipped = h.tape.scale(clipped_ratio, s.advantage);
-                let surr = h.tape.min_elem(unclipped, clipped);
-                let ent_term = h.tape.scale(ep.entropy, self.cfg.ent_coef);
-                let gain = h.tape.add(surr, ent_term);
+            let mut ep_losses = Vec::with_capacity(actions.len());
+            for (i, &ep) in h.episodes.iter().enumerate() {
+                let gain = gain(&mut h.tape, ep, i);
                 let neg = h.tape.neg(gain);
                 let mut loss = h.tape.scale(neg, scale);
                 if let Some(aux) = ep.aux_loss {
@@ -220,97 +113,139 @@ impl Ppo {
             stats.grad_norm = grads.clip_global_norm(self.cfg.grad_clip);
             self.opt.step_grads(params, grads);
         }
-        stats.loss /= self.epochs as f32;
-        stats.entropy /= self.epochs as f32;
-        record_update(&self.recorder, &stats);
+        stats.loss /= steps as f32;
+        stats.entropy /= steps as f32;
+        self.recorder.add("rl.updates", 1);
+        self.recorder.observe("rl.grad_norm", stats.grad_norm as f64);
+        self.recorder.observe("rl.entropy", stats.entropy as f64);
+        self.recorder.gauge("rl.loss", stats.loss as f64);
         stats
+    }
+}
+
+/// The recorder and checkpoint accessors every algorithm exposes over its
+/// [`Stepper`].
+macro_rules! stepper_api {
+    ($($algo:ident),*) => {$(
+        impl $algo {
+            /// Installs a telemetry recorder (update latency, grad-norm, entropy).
+            pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+                self.inner.recorder = recorder;
+                self
+            }
+
+            /// The optimizer's full state (step count + Adam moments), for checkpointing.
+            pub fn optimizer(&self) -> &Adam {
+                &self.inner.opt
+            }
+
+            /// Replaces the optimizer state, resuming exactly where a
+            /// checkpointed run's `optimizer` snapshot left off.
+            pub fn restore_optimizer(&mut self, opt: Adam) {
+                self.inner.opt = opt;
+            }
+        }
+    )*};
+}
+stepper_api!(Reinforce, Ppo, CrossEntropyMin);
+
+fn actions_of(batch: &[TrainSample]) -> Vec<Vec<usize>> {
+    batch.iter().map(|s| s.actions.clone()).collect()
+}
+
+/// Plain REINFORCE with a baseline: maximizes `E[advantage * log pi(a)]`.
+pub struct Reinforce {
+    inner: Stepper,
+}
+
+impl Reinforce {
+    /// Creates the trainer with its own Adam state.
+    pub fn new(cfg: OptimConfig) -> Self {
+        Self { inner: Stepper::new(cfg, "rl.reinforce.update_us") }
+    }
+
+    /// One gradient step over a batch of samples.
+    pub fn update(
+        &mut self,
+        policy: &impl StochasticPolicy,
+        params: &mut Params,
+        batch: &[TrainSample],
+    ) -> UpdateStats {
+        let ent_coef = self.inner.cfg.ent_coef;
+        self.inner.update(policy, params, &actions_of(batch), 1, |tape, ep, i| {
+            // gain = adv * logp + ent_coef * entropy
+            let weighted = tape.scale(ep.log_prob, batch[i].advantage);
+            let ent_term = tape.scale(ep.entropy, ent_coef);
+            tape.add(weighted, ent_term)
+        })
+    }
+}
+
+/// Clipped-surrogate PPO (paper Eq. 3): several epochs of minibatch updates per
+/// batch of samples, with the ratio clipped to `[1 - eps, 1 + eps]`.
+pub struct Ppo {
+    inner: Stepper,
+    /// Clip range `eps` (paper: 0.3).
+    pub clip: f32,
+    /// Gradient steps per collected batch (paper: 4).
+    pub epochs: usize,
+}
+
+impl Ppo {
+    /// Creates the trainer (paper defaults: clip 0.3, 4 epochs).
+    pub fn new(cfg: OptimConfig, clip: f32, epochs: usize) -> Self {
+        Self { inner: Stepper::new(cfg, "rl.ppo.update_us"), clip, epochs }
+    }
+
+    /// Runs `epochs` gradient steps over the batch. The returned stats average
+    /// loss and entropy over all epochs (see [`UpdateStats`]); `grad_norm` is
+    /// the last epoch's.
+    pub fn update(
+        &mut self,
+        policy: &impl StochasticPolicy,
+        params: &mut Params,
+        batch: &[TrainSample],
+    ) -> UpdateStats {
+        let (clip, ent_coef) = (self.clip, self.inner.cfg.ent_coef);
+        self.inner.update(policy, params, &actions_of(batch), self.epochs, |tape, ep, i| {
+            let s = &batch[i];
+            let old = tape.add_scalar(ep.log_prob, -s.old_log_prob);
+            let ratio = tape.exp(old);
+            let unclipped = tape.scale(ratio, s.advantage);
+            let clipped_ratio = tape.clamp(ratio, 1.0 - clip, 1.0 + clip);
+            let clipped = tape.scale(clipped_ratio, s.advantage);
+            let surr = tape.min_elem(unclipped, clipped);
+            let ent_term = tape.scale(ep.entropy, ent_coef);
+            tape.add(surr, ent_term)
+        })
     }
 }
 
 /// Cross-entropy minimization over elite samples (the "CE" half of Post's joint
 /// algorithm): maximize the likelihood of the top-K placements seen so far.
 pub struct CrossEntropyMin {
-    cfg: OptimConfig,
+    inner: Stepper,
     /// Gradient steps per elite update.
     pub steps: usize,
-    opt: Adam,
-    /// Reusable gradient buffers, allocated on the first update.
-    grads: Option<Grads>,
-    recorder: Recorder,
 }
 
 impl CrossEntropyMin {
     /// Creates the trainer.
     pub fn new(cfg: OptimConfig, steps: usize) -> Self {
-        let opt = Adam::new(cfg.lr);
-        Self { cfg, steps, opt, grads: None, recorder: Recorder::disabled() }
-    }
-
-    /// Installs a telemetry recorder (update latency and grad-norm).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The optimizer's full state (step count + Adam moments), for checkpointing.
-    pub fn optimizer(&self) -> &Adam {
-        &self.opt
-    }
-
-    /// Replaces the optimizer state, resuming exactly where a checkpointed
-    /// run's [`CrossEntropyMin::optimizer`] snapshot left off.
-    pub fn restore_optimizer(&mut self, opt: Adam) {
-        self.opt = opt;
+        Self { inner: Stepper::new(cfg, "rl.ce.update_us"), steps }
     }
 
     /// Fits the policy towards the elite action vectors. The returned stats
-    /// average the loss over all `steps` gradient steps (see [`UpdateStats`]);
-    /// `grad_norm` is the last step's.
+    /// average loss and entropy over all `steps` gradient steps (see
+    /// [`UpdateStats`]); `grad_norm` is the last step's.
     pub fn update(
         &mut self,
         policy: &impl StochasticPolicy,
         params: &mut Params,
         elites: &[Vec<usize>],
     ) -> UpdateStats {
-        assert!(!elites.is_empty(), "no elites to fit");
-        assert!(self.steps > 0, "cross-entropy needs at least one step");
-        let _timer = self.recorder.span("rl.ce.update_us");
-        let mut stats = UpdateStats::default();
-        let scale = 1.0 / elites.len() as f32;
-        for _ in 0..self.steps {
-            let mut h = policy.score_batch(params, elites);
-            let mut ep_losses = Vec::with_capacity(elites.len());
-            for i in 0..elites.len() {
-                let ep = h.episodes[i];
-                let neg = h.tape.neg(ep.log_prob);
-                let mut loss = h.tape.scale(neg, scale);
-                if let Some(aux) = ep.aux_loss {
-                    let aux_scaled = h.tape.scale(aux, scale);
-                    loss = h.tape.add(loss, aux_scaled);
-                }
-                ep_losses.push(loss);
-            }
-            let total = h.tape.add_n(&ep_losses);
-            let grads = self.grads.get_or_insert_with(|| Grads::for_params(params));
-            grads.zero();
-            h.tape.backward_into(total, grads);
-            stats.loss += h.tape.value(total).item();
-            stats.grad_norm = grads.clip_global_norm(self.cfg.grad_clip);
-            self.opt.step_grads(params, grads);
-        }
-        stats.loss /= self.steps as f32;
-        record_update(&self.recorder, &stats);
-        stats
+        self.inner.update(policy, params, elites, self.steps, |_, ep, _| ep.log_prob)
     }
-}
-
-/// Records one completed policy update: distribution of gradient norms and
-/// entropies across the run, plus the latest loss.
-fn record_update(rec: &Recorder, stats: &UpdateStats) {
-    rec.add("rl.updates", 1);
-    rec.observe("rl.grad_norm", stats.grad_norm as f64);
-    rec.observe("rl.entropy", stats.entropy as f64);
-    rec.gauge("rl.loss", stats.loss as f64);
 }
 
 /// Selects the indices of the `k` highest-reward samples (ties broken by recency:
@@ -452,6 +387,16 @@ mod tests {
         tr.update(&bandit, &mut params, &[vec![3], vec![3], vec![3]]);
         let probs = bandit.probs(&params);
         assert!(probs[3] > 0.9, "elite arm should dominate: {probs:?}");
+    }
+
+    #[test]
+    fn cross_entropy_reports_policy_entropy() {
+        // Uniform at first (ln 4), sharper every step: the mean over the steps
+        // lies strictly inside (0, ln 4), not at the 0.0 CE used to report.
+        let mut params = Params::new();
+        let bandit = Bandit::new(&mut params, 4);
+        let stats = CrossEntropyMin::new(test_cfg(), 5).update(&bandit, &mut params, &[vec![3]]);
+        assert!(stats.entropy > 0.0 && stats.entropy < (4.0f32).ln(), "{}", stats.entropy);
     }
 
     #[test]

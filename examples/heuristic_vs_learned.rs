@@ -49,6 +49,6 @@ fn main() {
         println!();
     }
     println!(
-        "(the learned feed-forward grouper comparison is `cargo run -p eagle-bench --bin table1`)"
+        "(the learned feed-forward grouper comparison is `cargo run -p eagle-bench --bin experiments -- table1`)"
     );
 }

@@ -24,6 +24,10 @@ fn run_with_workers(workers: usize) -> TrainResult {
 }
 
 fn run_with_workers_and_recorder(workers: usize, recorder: Recorder) -> TrainResult {
+    run_with(workers, recorder, None)
+}
+
+fn run_with(workers: usize, recorder: Recorder, cache_capacity: Option<usize>) -> TrainResult {
     let machine = Machine::paper_machine();
     let graph = Benchmark::InceptionV3.graph_for(&machine);
     let mut params = Params::new();
@@ -31,13 +35,15 @@ fn run_with_workers_and_recorder(workers: usize, recorder: Recorder) -> TrainRes
     let agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
     let mut cfg = TrainerConfig::paper(Algo::Ppo, 40);
     cfg.workers = workers;
-    let trainer = Trainer::builder(GraphSource::fixed(graph.clone()), machine.clone())
+    let mut builder = Trainer::builder(GraphSource::fixed(graph.clone()), machine.clone())
         .config(cfg)
         .measure(MeasureConfig::default())
         .env_seed(42)
-        .recorder(recorder)
-        .build()
-        .expect("inception trainer config is valid");
+        .recorder(recorder);
+    if let Some(capacity) = cache_capacity {
+        builder = builder.cache_capacity(capacity);
+    }
+    let trainer = builder.build().expect("inception trainer config is valid");
     trainer.train(&agent, &mut params).expect("training run succeeds")
 }
 
@@ -94,6 +100,15 @@ fn same_seed_same_curve_for_any_worker_count() {
     assert_eq!(serial.telemetry.evals, parallel.telemetry.evals);
     assert_eq!(serial.telemetry.workers, 1);
     assert_eq!(parallel.telemetry.workers, 4);
+
+    // The placement cache may only save simulated wall-clock: with it off,
+    // every sample is measured at exactly the same value. (What a hit costs
+    // and returns is `env.rs::cache_hits_cost_less_wall_clock_but_same_values`.)
+    let uncached = run_with(4, Recorder::disabled(), Some(0));
+    assert_eq!(uncached.telemetry.cache_hits, 0);
+    let measured = |r: &TrainResult| r.curve.points.iter().map(|p| p.measured).collect::<Vec<_>>();
+    assert_eq!(measured(&uncached), measured(&parallel), "the cache changed a measured value");
+    assert_eq!(uncached.best_placement, parallel.best_placement);
 }
 
 #[test]

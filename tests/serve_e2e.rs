@@ -207,27 +207,54 @@ fn daemon_hot_reloads_policies_without_dropping_requests() {
     let resp = client.place(PlaceRequest::by_key(1, "inception_v3", &key)).expect("place");
     assert_eq!(resp.policy_version.as_deref(), Some(v1.as_str()));
 
-    // Republish from different weights; the checkpoint's content hash changes,
-    // so the store reloads on the next `get` (mtime granularity is irrelevant
-    // to the content-identity check).
-    let state2 = untrained_state(&graph, &machine, AgentScale::tiny(), 2).unwrap();
-    let v2 = publish_state(&root, "inception_v3", "tiny", &state2).unwrap();
-    assert_ne!(v1, v2, "different weights must yield a different content version");
-
-    // In-flight service continues; within a bounded window replies switch to
-    // the new version and never to anything else.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut id = 100u64;
-    loop {
-        let resp = client.place(PlaceRequest::by_key(id, "inception_v3", &key)).expect("place");
-        assert!(resp.error.is_none(), "no request may fail across the swap");
-        let got = resp.policy_version.unwrap();
-        assert!(got == v1 || got == v2, "unexpected version {got}");
-        if got == v2 {
-            break;
+    // Four clients in closed loops; each reports once its first reply is in,
+    // so the swap below lands while all of them are mid-loop. Each keeps going
+    // until it is served the new version (bounded).
+    let addr = server.local_addr();
+    let (started, all_started) = std::sync::mpsc::channel();
+    let (v2, seen) = std::thread::scope(|s| {
+        let clients: Vec<_> = (1..=4u64)
+            .map(|c| {
+                let (key, v1, started) = (&key, &v1, started.clone());
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    let mut versions = Vec::new();
+                    loop {
+                        let id = c * 1_000_000 + versions.len() as u64;
+                        let req = PlaceRequest::by_key(id, "inception_v3", key);
+                        let resp = client.place(req).expect("place");
+                        assert!(resp.error.is_none(), "no request may fail across the swap");
+                        versions.push(resp.policy_version.expect("versioned reply"));
+                        if versions.len() == 1 {
+                            started.send(()).expect("main thread waits for every client");
+                        }
+                        if versions.last() != Some(v1) {
+                            return versions;
+                        }
+                        assert!(Instant::now() < deadline, "client {c} never saw the new policy");
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..4 {
+            all_started.recv_timeout(Duration::from_secs(30)).expect("every client gets a reply");
         }
-        assert!(Instant::now() < deadline, "daemon never picked up the republished policy");
-        id += 1;
+        // Republish from different weights; the checkpoint's content hash
+        // changes, so the store reloads on the next `get` (mtime granularity is
+        // irrelevant to the content-identity check).
+        let state2 = untrained_state(&graph, &machine, AgentScale::tiny(), 2).unwrap();
+        let v2 = publish_state(&root, "inception_v3", "tiny", &state2).unwrap();
+        let seen: Vec<Vec<String>> =
+            clients.into_iter().map(|c| c.join().expect("client thread")).collect();
+        (v2, seen)
+    });
+    assert_ne!(v1, v2, "different weights must yield a different content version");
+    // In-flight service continued on every connection, and replies switched
+    // to the new version and never to anything else.
+    for versions in &seen {
+        assert_eq!(versions.last(), Some(&v2), "{versions:?}");
+        assert!(versions.iter().all(|v| *v == v1 || *v == v2), "unexpected version: {versions:?}");
     }
     assert!(server.recorder().counter_value("serve.policy_reloads") >= 1);
     server.shutdown();
