@@ -19,10 +19,10 @@
 //! Artifact: `BENCH_transfer.json` in `--out`.
 
 use eagle_bench::{fmt_time, Cli};
-use eagle_core::{Algo, EagleAgent, GraphSource, PlacementAgent, Trainer, TrainerConfig};
-use eagle_devsim::{simulate, Benchmark, DeviceId, Machine, MeasureConfig, Placement};
+use eagle_core::infer::best_of;
+use eagle_core::{Algo, EagleAgent, GraphSource, Trainer, TrainerConfig};
+use eagle_devsim::{step_times, Benchmark, DeviceId, Machine, MeasureConfig, Placement};
 use eagle_opgraph::{GraphGenConfig, OpGraph};
-use eagle_rl::{fork_streams, StochasticPolicy};
 use eagle_tensor::Params;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -34,43 +34,43 @@ const CANDIDATES: usize = 8;
 /// Held-out GraphGen graphs (never drawn by training) the smoke gate runs on.
 const HOLDOUT: usize = 2;
 
-/// The generalist's zero-shot best-of-K on `graph`: rebuild the (graph-
-/// independent) agent architecture around the trained parameters, sample K
-/// candidates from per-seed forked streams, keep the best simulated time.
-fn best_of_policy(
+/// The (graph-independent) agent architecture rebuilt around the generalist's
+/// trained parameters for `graph`.
+fn generalist_on(
     params: &Params,
     graph: &OpGraph,
     machine: &Machine,
     scale: eagle_core::AgentScale,
+) -> EagleAgent {
+    EagleAgent::for_params(params, graph, machine, scale)
+        .expect("the generalist's parameters fit every graph at its own scale")
+}
+
+/// The policy's zero-shot best-of-K step time on `graph`: one seeded draw of
+/// K candidates, no gradient steps.
+fn best_of_policy(
+    agent: &EagleAgent,
+    params: &Params,
+    graph: &OpGraph,
+    machine: &Machine,
     seed: u64,
 ) -> Option<f64> {
-    let mut scratch = Params::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let agent = EagleAgent::new_for_inference(&mut scratch, graph, machine, scale, &mut rng);
-    let mut master = ChaCha8Rng::seed_from_u64(seed);
-    let mut streams = fork_streams(&mut master, agent.rng_draws_per_sample(), CANDIDATES);
-    let mut refs: Vec<&mut dyn rand::RngCore> =
-        streams.iter_mut().map(|r| r as &mut dyn rand::RngCore).collect();
-    let actions: Vec<Vec<usize>> =
-        agent.sample_batch(params, &mut refs).into_iter().map(|(a, _)| a).collect();
-    let placements = agent.decode_batch(params, &actions);
-    placements
-        .iter()
-        .filter_map(|p| simulate(graph, machine, p).step_time())
-        .fold(None, |best, t| Some(best.map_or(t, |b: f64| b.min(t))))
+    let best = best_of(agent, params, graph, machine, &[(seed, CANDIDATES)], 1).remove(0);
+    best.map(|(t, _)| t)
 }
 
 /// Best-of-K random placements: each op on a uniformly random device.
 fn best_of_random(graph: &OpGraph, machine: &Machine, seed: u64) -> Option<f64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let devices = machine.devices.len();
-    (0..CANDIDATES)
-        .filter_map(|_| {
+    let placements: Vec<Placement> = (0..CANDIDATES)
+        .map(|_| {
             let devs =
                 (0..graph.len()).map(|_| DeviceId(rng.gen_range(0..devices) as u8)).collect();
-            simulate(graph, machine, &Placement::new(devs)).step_time()
+            Placement::new(devs)
         })
-        .fold(None, |best, t| Some(best.map_or(t, |b: f64| b.min(t))))
+        .collect();
+    step_times(graph, machine, &placements, 1).into_iter().flatten().min_by(f64::total_cmp)
 }
 
 /// JSON-friendly rendering: `null` when every candidate OOMed.
@@ -128,7 +128,8 @@ fn main() {
     for (i, origin) in holdout_origins.iter().enumerate() {
         let graph = source.build(origin);
         let name = source.name(origin);
-        let zs = best_of_policy(&gen_params, &graph, &machine, cli.scale, 7000 + i as u64);
+        let agent = generalist_on(&gen_params, &graph, &machine, cli.scale);
+        let zs = best_of_policy(&agent, &gen_params, &graph, &machine, 7000 + i as u64);
         let rnd = best_of_random(&graph, &machine, 9000 + i as u64);
         // All-OOM scores +inf, so a feasible side always beats an infeasible one.
         let zs_v = zs.unwrap_or(f64::INFINITY);
@@ -155,10 +156,11 @@ fn main() {
         let graph = b.graph_for(&machine);
         let n = cli.samples_for(b);
 
-        let zero_shot = best_of_policy(&gen_params, &graph, &machine, cli.scale, 100 + cli.seed);
+        let agent = generalist_on(&gen_params, &graph, &machine, cli.scale);
+        let zero_shot = best_of_policy(&agent, &gen_params, &graph, &machine, 100 + cli.seed);
 
-        // Fine-tune: same architecture on the benchmark graph, parameters
-        // warm-started from the generalist (ids align by construction order).
+        // Fine-tune: the same agent, parameters warm-started from the
+        // generalist (ids align by construction order).
         let bench_trainer = |env_seed: u64| {
             Trainer::builder(GraphSource::fixed(graph.clone()), machine.clone())
                 .config(TrainerConfig::paper(Algo::Ppo, n))
@@ -168,12 +170,9 @@ fn main() {
                 .build()
                 .expect("valid benchmark trainer config")
         };
-        let mut ft_params = Params::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(cli.seed);
-        let ft_agent = EagleAgent::new(&mut ft_params, &graph, &machine, cli.scale, &mut rng);
-        ft_params = gen_params.clone();
+        let mut ft_params = gen_params.clone();
         let ft = bench_trainer(2000 + cli.seed)
-            .train(&ft_agent, &mut ft_params)
+            .train(&agent, &mut ft_params)
             .expect("fine-tune training failed");
 
         let mut fs_params = Params::new();

@@ -37,6 +37,8 @@ use eagle_devsim::{EnvSnapshot, EnvState, Placement, RngState};
 use eagle_rl::EmaBaseline;
 use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 use crate::curve::Curve;
 use crate::source::{GraphOrigin, SourceState};
@@ -209,6 +211,36 @@ pub struct TrainerState {
     pub start_snapshot: EnvSnapshot,
 }
 
+impl TrainerState {
+    /// The state of a run that has not started: no samples, no resident
+    /// graphs, an empty curve labelled `label` (the agent's name), and the
+    /// sampling RNG and source cursor at the start of `seed`'s streams.
+    /// [`Trainer::train`](crate::Trainer::train) starts from it, and a
+    /// policy store publishes it to serve `params` as they are. The
+    /// optimizers carry no moments yet; their learning rate is the paper's.
+    pub fn fresh(label: &str, params: Params, seed: u64) -> Self {
+        Self {
+            samples: 0,
+            minibatches: 0,
+            num_invalid: 0,
+            since_ce: 0,
+            rng: RngState::capture(&ChaCha8Rng::seed_from_u64(seed)),
+            source: SourceState::initial(seed),
+            wall: 0.0,
+            history_actions: Vec::new(),
+            history_rewards: Vec::new(),
+            curve: Curve::new(label),
+            params,
+            opt_reinforce: Adam::new(0.01),
+            opt_ppo: Adam::new(0.01),
+            opt_ce: Adam::new(0.01),
+            entries: Vec::new(),
+            retired_snapshot: EnvSnapshot::default(),
+            start_snapshot: EnvSnapshot::default(),
+        }
+    }
+}
+
 /// FNV-1a, 64-bit: tiny, dependency-free, and plenty for torn-write detection
 /// (this guards against accidents, not adversaries). Public so downstream
 /// consumers (the serving policy store) can derive stable content versions
@@ -231,14 +263,9 @@ struct Header {
     payload_bytes: u64,
 }
 
-/// Atomically writes `state` as a versioned, checksummed checkpoint at `path`.
-///
-/// The write goes through [`eagle_obs::write_atomic`], so a crash mid-save
-/// leaves the previous checkpoint (if any) intact.
-pub fn save_checkpoint(
-    state: &TrainerState,
-    path: impl AsRef<Path>,
-) -> Result<(), CheckpointError> {
+/// The bytes of a versioned, checksummed checkpoint of `state`: what
+/// [`save_checkpoint`] writes and [`decode_checkpoint`] reads.
+pub fn encode_checkpoint(state: &TrainerState) -> Result<Vec<u8>, CheckpointError> {
     let payload =
         serde_json::to_string(state).map_err(|e| CheckpointError::Decode(e.to_string()))?;
     let header = Header {
@@ -253,20 +280,30 @@ pub fn save_checkpoint(
     bytes.extend_from_slice(header_json.as_bytes());
     bytes.push(b'\n');
     bytes.extend_from_slice(payload.as_bytes());
-    eagle_obs::write_atomic(path, &bytes)?;
+    Ok(bytes)
+}
+
+/// Atomically writes `state` as a versioned, checksummed checkpoint at `path`.
+///
+/// The write goes through [`eagle_obs::write_atomic`], so a crash mid-save
+/// leaves the previous checkpoint (if any) intact.
+pub fn save_checkpoint(
+    state: &TrainerState,
+    path: impl AsRef<Path>,
+) -> Result<(), CheckpointError> {
+    eagle_obs::write_atomic(path, &encode_checkpoint(state)?)?;
     Ok(())
 }
 
-/// Reads and verifies a checkpoint written by [`save_checkpoint`].
+/// Verifies and decodes checkpoint bytes produced by [`encode_checkpoint`].
 ///
 /// Verifies, in order: the header parses and carries the right magic, the
 /// schema version matches, the payload length matches the header's declaration
 /// (catching truncation), and the FNV-1a checksum matches (catching corruption)
 /// — each failure is a distinct [`CheckpointError`] variant, never a panic.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainerState, CheckpointError> {
-    let bytes = std::fs::read(path)?;
-    let text =
-        String::from_utf8(bytes).map_err(|e| CheckpointError::Header(format!("not UTF-8: {e}")))?;
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<TrainerState, CheckpointError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| CheckpointError::Header(format!("not UTF-8: {e}")))?;
     let Some((header_line, payload)) = text.split_once('\n') else {
         return Err(CheckpointError::Header("missing header/payload separator".into()));
     };
@@ -299,6 +336,11 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainerState, Checkpoin
         return Err(CheckpointError::Checksum { expected: header.checksum, actual });
     }
     serde_json::from_str(payload).map_err(|e| CheckpointError::Decode(e.to_string()))
+}
+
+/// Reads the checkpoint file at `path` and [`decode_checkpoint`]s it.
+pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainerState, CheckpointError> {
+    decode_checkpoint(&std::fs::read(path)?)
 }
 
 /// Serializes a parameter store to JSON at `path` (atomic write).
@@ -355,25 +397,15 @@ mod tests {
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let _agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
-        let mut curve = Curve::new("format-test");
-        curve.push(1, 0.5, Some(2.0));
         let mut baseline = EmaBaseline::new(0.1);
         baseline.advantage(-1.0);
-        TrainerState {
+        let mut state = TrainerState {
             samples: 1,
             minibatches: 1,
-            num_invalid: 0,
             since_ce: 1,
-            rng: RngState::capture(&rng),
-            source: SourceState::initial(0),
             wall: 0.5,
             history_actions: vec![vec![0, 1, 2]],
             history_rewards: vec![-1.0],
-            curve,
-            params,
-            opt_reinforce: Adam::new(0.01),
-            opt_ppo: Adam::new(0.01),
-            opt_ce: Adam::new(0.01),
             entries: vec![GraphEntryState {
                 origin: GraphOrigin::fixed(),
                 name: graph.model_name.clone(),
@@ -382,9 +414,10 @@ mod tests {
                 best: Some((2.0, p)),
                 graph_samples: 1,
             }],
-            retired_snapshot: EnvSnapshot::default(),
-            start_snapshot: EnvSnapshot::default(),
-        }
+            ..TrainerState::fresh("format-test", params, 4)
+        };
+        state.curve.push(1, 0.5, Some(2.0));
+        state
     }
 
     #[test]
@@ -415,9 +448,7 @@ mod tests {
 
     #[test]
     fn corrupted_payload_is_rejected_with_checksum_error() {
-        let path = tmp("corrupt.json");
-        save_checkpoint(&sample_state(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = encode_checkpoint(&sample_state()).unwrap();
         // Flip a byte safely inside the payload: swap a digit for another digit
         // so lengths are preserved and only the checksum can catch it.
         let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
@@ -427,8 +458,7 @@ mod tests {
             .map(|i| nl + i)
             .expect("payload contains a digit");
         bytes[target] = if bytes[target] == b'9' { b'8' } else { b'9' };
-        std::fs::write(&path, &bytes).unwrap();
-        match load_checkpoint(&path) {
+        match decode_checkpoint(&bytes) {
             Err(CheckpointError::Checksum { expected, actual }) => assert_ne!(expected, actual),
             other => panic!("expected Checksum error, got {other:?}"),
         }
@@ -436,11 +466,8 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected() {
-        let path = tmp("truncated.json");
-        save_checkpoint(&sample_state(), &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 40]).unwrap();
-        match load_checkpoint(&path) {
+        let bytes = encode_checkpoint(&sample_state()).unwrap();
+        match decode_checkpoint(&bytes[..bytes.len() - 40]) {
             Err(CheckpointError::Truncated { expected, actual }) => assert!(actual < expected),
             other => panic!("expected Truncated error, got {other:?}"),
         }
@@ -448,9 +475,7 @@ mod tests {
 
     #[test]
     fn schema_version_skew_is_rejected() {
-        let path = tmp("skew.json");
-        save_checkpoint(&sample_state(), &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = String::from_utf8(encode_checkpoint(&sample_state()).unwrap()).unwrap();
         // The predecessor (v2, whose payload carried `grad` tensors) and a
         // future version are both refused before the payload is looked at.
         for skew in [2, CHECKPOINT_SCHEMA_VERSION + 1] {
@@ -460,8 +485,7 @@ mod tests {
                 1,
             );
             assert_ne!(text, skewed, "header rewrite must hit");
-            std::fs::write(&path, skewed).unwrap();
-            match load_checkpoint(&path) {
+            match decode_checkpoint(skewed.as_bytes()) {
                 Err(CheckpointError::SchemaVersion { found, expected: 3 }) => {
                     assert_eq!(found, skew)
                 }

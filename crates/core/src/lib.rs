@@ -35,14 +35,16 @@
 mod agents;
 pub mod checkpoint;
 mod curve;
+pub mod infer;
 mod scale;
 mod source;
 mod trainer;
 
 pub use agents::{EagleAgent, FixedGroupAgent, HpAgent, PlacementAgent, PlacerKind};
 pub use checkpoint::{
-    fnv1a64, load_checkpoint, save_checkpoint, CheckpointError, GraphEntryState, TrainerState,
-    CHECKPOINT_FILE, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
+    decode_checkpoint, encode_checkpoint, fnv1a64, load_checkpoint, save_checkpoint,
+    CheckpointError, GraphEntryState, TrainerState, CHECKPOINT_FILE, CHECKPOINT_MAGIC,
+    CHECKPOINT_SCHEMA_VERSION,
 };
 pub use curve::{Curve, CurvePoint, ProbePoint};
 pub use eagle_obs::Telemetry;

@@ -44,8 +44,6 @@ pub enum ConfigError {
     ZeroProbeEvery,
     /// `probe_candidates` must be at least 1.
     ZeroProbeCandidates,
-    /// The environment pool must hold at least one graph.
-    ZeroPoolCapacity,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -80,7 +78,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroProbeEvery => write!(f, "probe_every must be at least 1 when set"),
             ConfigError::ZeroProbeCandidates => write!(f, "probe_candidates must be at least 1"),
-            ConfigError::ZeroPoolCapacity => write!(f, "pool_capacity must be at least 1"),
         }
     }
 }

@@ -24,12 +24,11 @@
 use std::collections::VecDeque;
 
 use eagle_devsim::{
-    simulate, EnvError, EnvSnapshot, Environment, Machine, MeasureConfig, Placement, RngState,
+    EnvError, EnvSnapshot, Environment, Machine, MeasureConfig, Placement, RngState,
 };
 use eagle_rl::{top_k_indices, CrossEntropyMin, EmaBaseline, Ppo, Reinforce, TrainSample};
 use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use eagle_obs::{Recorder, Telemetry};
@@ -38,6 +37,7 @@ use eagle_opgraph::OpGraph;
 use crate::agents::PlacementAgent;
 use crate::checkpoint::{save_checkpoint, GraphEntryState, TrainerState, CHECKPOINT_FILE};
 use crate::curve::{Curve, ProbePoint};
+use crate::infer::{best_of, check_layout};
 use crate::source::{splitmix64, GraphOrigin, GraphSource, SourceCursor};
 
 mod config;
@@ -125,9 +125,16 @@ struct LoopState<A> {
     /// Aggregate environment snapshot at the *logical* start of the run
     /// (survives resumes), used as the telemetry baseline.
     start: EnvSnapshot,
-    /// Optimizer states to restore into the algorithm objects (resume only).
-    restored_opts: Option<(Adam, Adam, Adam)>,
 }
+
+/// The REINFORCE, PPO and CE optimizers of a run, in that order.
+type Optimizers = (Adam, Adam, Adam);
+
+/// Maximum resident per-graph environments. Generated sources draw
+/// unboundedly many distinct graphs; the pool evicts FIFO and deterministically
+/// rebuilds an evicted graph's environment (same derived seed, fresh cache) if
+/// it is drawn again, so the capacity is part of what a run reproduces.
+const POOL_CAPACITY: usize = 16;
 
 /// Builds [`Trainer`]s; obtained from [`Trainer::builder`]. Holds the trainer
 /// under construction; every knob is validated in [`TrainerBuilder::build`],
@@ -196,16 +203,6 @@ impl TrainerBuilder {
         self
     }
 
-    /// Maximum resident per-graph environments (default 16). Generated
-    /// sources draw unboundedly many distinct graphs; the pool evicts FIFO
-    /// and deterministically rebuilds an evicted graph's environment (same
-    /// derived seed, fresh cache) if it is drawn again, so the capacity is
-    /// part of the reproducibility config.
-    pub fn pool_capacity(mut self, capacity: usize) -> Self {
-        self.0.pool_capacity = capacity;
-        self
-    }
-
     /// Validates the whole configuration and builds the [`Trainer`].
     pub fn build(self) -> Result<Trainer, ConfigError> {
         let trainer = self.0;
@@ -259,9 +256,6 @@ impl TrainerBuilder {
         if trainer.probe_candidates == 0 {
             return Err(ConfigError::ZeroProbeCandidates);
         }
-        if trainer.pool_capacity == 0 {
-            return Err(ConfigError::ZeroPoolCapacity);
-        }
         Ok(trainer)
     }
 }
@@ -280,7 +274,6 @@ pub struct Trainer {
     holdout: usize,
     probe_every: Option<usize>,
     probe_candidates: usize,
-    pool_capacity: usize,
 }
 
 impl Trainer {
@@ -297,7 +290,6 @@ impl Trainer {
             holdout: 0,
             probe_every: None,
             probe_candidates: 4,
-            pool_capacity: 16,
         })
     }
 
@@ -348,23 +340,12 @@ impl Trainer {
         agent: &A,
         params: &mut Params,
     ) -> Result<TrainResult, TrainError> {
-        let state = LoopState {
-            rng: ChaCha8Rng::seed_from_u64(self.cfg.seed),
-            cursor: self.source.initial_cursor(),
-            pool: Vec::new(),
-            retired: EnvSnapshot::default(),
-            wall: 0.0,
-            curve: Curve::new(agent.name()),
-            history_actions: VecDeque::new(),
-            history_rewards: VecDeque::new(),
-            since_ce: 0,
-            num_invalid: 0,
-            samples: 0,
-            minibatches: 0,
-            start: EnvSnapshot::default(),
-            restored_opts: None,
-        };
-        self.run_loop(agent, params, state)
+        // `params` stay where they are: the fresh state carries none, and no
+        // optimizer state, so `run_loop` builds the algorithms from `cfg.optim`.
+        let mut fresh = TrainerState::fresh(agent.name(), Params::new(), self.cfg.seed);
+        fresh.source = self.source.initial_cursor().capture();
+        let (state, ..) = self.restore(agent, fresh)?;
+        self.run_loop(agent, params, state, None)
     }
 
     /// Resumes training from a checkpointed [`TrainerState`].
@@ -395,7 +376,21 @@ impl Trainer {
             }
             .into());
         }
-        check_param_layout(params, &state.params)?;
+        check_layout(params, &state.params)
+            .map_err(|e| ResumeError::ParamMismatch(format!("checkpoint {e}")))?;
+        let (state, stored, opts) = self.restore(agent, state)?;
+        *params = stored;
+        self.run_loop(agent, params, state, Some(opts))
+    }
+
+    /// Turns a [`TrainerState`] into the live loop state (checking it fits
+    /// the source, rebuilding every pooled environment), the stored
+    /// parameters and the three stored optimizers.
+    fn restore<A: PlacementAgent>(
+        &self,
+        agent: &A,
+        state: TrainerState,
+    ) -> Result<(LoopState<A>, Params, Optimizers), TrainError> {
         let rng = state.rng.restore().map_err(ResumeError::Rng)?;
         let cursor = SourceCursor::restore(&state.source).map_err(ResumeError::Source)?;
 
@@ -422,8 +417,6 @@ impl Trainer {
                 view,
             });
         }
-        *params = state.params;
-
         let loop_state = LoopState {
             rng,
             cursor,
@@ -438,9 +431,8 @@ impl Trainer {
             samples: state.samples as usize,
             minibatches: state.minibatches,
             start: state.start_snapshot,
-            restored_opts: Some((state.opt_reinforce, state.opt_ppo, state.opt_ce)),
         };
-        self.run_loop(agent, params, loop_state)
+        Ok((loop_state, state.params, (state.opt_reinforce, state.opt_ppo, state.opt_ce)))
     }
 
     /// Builds the environment for one drawn graph. Fixed sources use
@@ -502,7 +494,7 @@ impl Trainer {
             graph_samples: 0,
             view,
         });
-        if st.pool.len() > self.pool_capacity {
+        if st.pool.len() > POOL_CAPACITY {
             let evicted = st.pool.remove(0);
             add_snapshot(&mut st.retired, &evicted.env.snapshot());
             self.recorder.add("trainer.pool_evictions", 1);
@@ -511,12 +503,14 @@ impl Trainer {
     }
 
     /// The shared minibatch loop behind [`Trainer::train`] and
-    /// [`Trainer::train_from`].
+    /// [`Trainer::train_from`], whose `restored_opts` replace the optimizers
+    /// built from `cfg.optim`.
     fn run_loop<A: PlacementAgent>(
         &self,
         agent: &A,
         params: &mut Params,
         mut st: LoopState<A>,
+        restored_opts: Option<Optimizers>,
     ) -> Result<TrainResult, TrainError> {
         let cfg = &self.cfg;
         let host_start = std::time::Instant::now();
@@ -529,7 +523,7 @@ impl Trainer {
             Ppo::new(cfg.optim.clone(), cfg.ppo_clip, cfg.ppo_epochs).with_recorder(rec.clone());
         let mut ce =
             CrossEntropyMin::new(cfg.optim.clone(), cfg.ce_steps).with_recorder(rec.clone());
-        if let Some((r, p, c)) = st.restored_opts.take() {
+        if let Some((r, p, c)) = restored_opts {
             reinforce.restore_optimizer(r);
             ppo.restore_optimizer(p);
             ce.restore_optimizer(c);
@@ -537,20 +531,15 @@ impl Trainer {
 
         // Held-out graphs and their agent views, built once up front: probes
         // must not depend on (or perturb) any training state.
-        let probes: Vec<(String, OpGraph, A)> = match self.probe_every {
-            None => Vec::new(),
-            Some(_) => {
-                let mut out = Vec::new();
-                for origin in self.source.holdout_origins(self.holdout) {
-                    let graph = self.source.build(&origin);
-                    let view = agent.for_graph(&graph).ok_or_else(|| {
-                        TrainError::UnsupportedAgent { agent: agent.name().to_string() }
-                    })?;
-                    out.push((self.source.name(&origin), graph, view));
-                }
-                out
+        let mut probes: Vec<(String, OpGraph, A)> = Vec::new();
+        if self.probe_every.is_some() {
+            for (name, graph) in self.holdout_graphs() {
+                let view = agent.for_graph(&graph).ok_or_else(|| TrainError::UnsupportedAgent {
+                    agent: agent.name().to_string(),
+                })?;
+                probes.push((name, graph, view));
             }
-        };
+        }
 
         // CE elite pool: a rolling window so memory (and checkpoint size) stays
         // bounded on long runs, but never smaller than one CE interval.
@@ -683,7 +672,7 @@ impl Trainer {
 
             if let Some(every) = self.probe_every {
                 if st.minibatches.is_multiple_of(every as u64) {
-                    self.run_probes(&probes, params, &mut st, &rec);
+                    self.run_probes(&probes, params, &mut st);
                 }
             }
 
@@ -796,43 +785,29 @@ impl Trainer {
         })
     }
 
-    /// Zero-shot probe pass over the held-out graphs: sample
-    /// `probe_candidates` placements per graph from a probe-local RNG, decode,
-    /// score with the pure (noise-free) simulator, and record the best into
-    /// the curve. Touches no training state — not the trainer RNG, not the
-    /// environments — so probing on/off leaves training bit-identical.
+    /// Zero-shot probe pass over the held-out graphs: the best of
+    /// `probe_candidates` placements per graph ([`best_of`]: a probe-local
+    /// seed, the pure noise-free simulator), recorded into the curve. Touches
+    /// no training state — not the trainer RNG, not the environments — so
+    /// probing on/off leaves training bit-identical.
     fn run_probes<A: PlacementAgent>(
         &self,
         probes: &[(String, OpGraph, A)],
         params: &Params,
         st: &mut LoopState<A>,
-        rec: &Recorder,
     ) {
-        let span = rec.span("trainer.probe_us");
+        let span = self.recorder.span("trainer.probe_us");
         for (hi, (name, graph, view)) in probes.iter().enumerate() {
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(probe_seed(self.cfg.seed, st.minibatches, hi as u64));
-            let mut streams = eagle_rl::fork_streams(
-                &mut rng,
-                view.rng_draws_per_sample(),
-                self.probe_candidates,
-            );
-            let mut rng_refs: Vec<&mut dyn rand::RngCore> =
-                streams.iter_mut().map(|r| r as &mut dyn rand::RngCore).collect();
-            let actions: Vec<Vec<usize>> =
-                view.sample_batch(params, &mut rng_refs).into_iter().map(|(a, _)| a).collect();
-            let step_time = view
-                .decode_batch(params, &actions)
-                .iter()
-                .filter_map(|p| simulate(graph, &self.machine, p).step_time())
-                .fold(None, |best: Option<f64>, t| Some(best.map_or(t, |b| b.min(t))));
+            let draw =
+                (probe_seed(self.cfg.seed, st.minibatches, hi as u64), self.probe_candidates);
+            let best = best_of(view, params, graph, &self.machine, &[draw], 1).remove(0);
             st.curve.probes.push(ProbePoint {
                 sample: st.samples as u64,
                 graph: name.clone(),
-                step_time,
+                step_time: best.map(|(t, _)| t),
             });
         }
-        rec.add("trainer.probes", 1);
+        self.recorder.add("trainer.probes", 1);
         drop(span);
     }
 }
@@ -854,37 +829,6 @@ fn add_snapshot(total: &mut EnvSnapshot, s: &EnvSnapshot) {
     total.cache.evictions += s.cache.evictions;
 }
 
-/// Rejects a resume whose checkpointed parameters were built by a different
-/// architecture than the live agent's (count, names, or shapes differ).
-fn check_param_layout(current: &Params, saved: &Params) -> Result<(), ResumeError> {
-    if current.len() != saved.len() {
-        return Err(ResumeError::ParamMismatch(format!(
-            "checkpoint has {} tensors, agent built {}",
-            saved.len(),
-            current.len()
-        )));
-    }
-    for id in current.ids() {
-        if current.name(id) != saved.name(id) {
-            return Err(ResumeError::ParamMismatch(format!(
-                "tensor {} is '{}' in the checkpoint but '{}' in the agent",
-                id.index(),
-                saved.name(id),
-                current.name(id)
-            )));
-        }
-        if current.get(id).shape() != saved.get(id).shape() {
-            return Err(ResumeError::ParamMismatch(format!(
-                "tensor '{}' is {:?} in the checkpoint but {:?} in the agent",
-                current.name(id),
-                saved.get(id).shape(),
-                current.get(id).shape()
-            )));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,6 +837,7 @@ mod tests {
     use crate::scale::AgentScale;
     use crate::source::SourceError;
     use eagle_opgraph::builders;
+    use rand::SeedableRng;
 
     fn tiny_graph() -> OpGraph {
         builders::try_gnmt(&builders::GnmtConfig {
@@ -1112,14 +1057,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ProbeWithoutHoldout
         );
-        assert_eq!(
-            Trainer::builder(GraphSource::fixed(g.clone()), m.clone())
-                .config(TrainerConfig::paper(Algo::Ppo, 10))
-                .pool_capacity(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroPoolCapacity
-        );
     }
 
     #[test]
@@ -1189,6 +1126,39 @@ mod tests {
             Err(TrainError::UnsupportedAgent { agent }) => assert_eq!(agent, "fixed"),
             other => panic!("expected UnsupportedAgent, got {other:?}"),
         }
+    }
+
+    /// Cross-commit witness: the probe points of a tiny generalist run, pinned
+    /// to the output of the commit before probes went through
+    /// [`best_of`](crate::infer::best_of).
+    #[test]
+    fn probe_points_match_the_parent_commit() {
+        let machine = Machine::paper_machine();
+        let cfg = eagle_opgraph::GraphGenConfig::with_target(48);
+        let source = GraphSource::generated(cfg, 21).expect("valid generated source");
+        let seed_graph = source.build(&source.holdout_origins(1)[0]);
+        let mut params = Params::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let agent =
+            EagleAgent::new(&mut params, &seed_graph, &machine, AgentScale::tiny(), &mut rng);
+        let trainer = Trainer::builder(source, machine)
+            .config(TrainerConfig::paper(Algo::Ppo, 30))
+            .env_seed(5)
+            .holdout(1)
+            .probe_every(1)
+            .probe_candidates(3)
+            .build()
+            .expect("valid generalist trainer");
+        let result = trainer.train(&agent, &mut params).expect("training runs");
+        let points: Vec<_> =
+            result.curve.probes.iter().map(|p| (p.sample, p.graph.as_str(), p.step_time)).collect();
+        let graph = "gen-ca3c2ce8243ea197";
+        let pinned = [
+            (10, graph, Some(0.10415935515397849)),
+            (20, graph, Some(0.22621883587655914)),
+            (30, graph, Some(0.11778278452086023)),
+        ];
+        assert_eq!(points, pinned);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The causal discrete-event scheduling core shared by [`crate::sim`] and
+//! The causal discrete-event scheduling core shared by [`crate::simulate`] and
 //! [`crate::trace`].
 //!
 //! Both the step-time simulator and the schedule tracer used to carry their own

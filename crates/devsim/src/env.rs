@@ -10,7 +10,7 @@
 //! session setup + parameter staging + the measured steps. Training curves indexed
 //! by this clock reproduce the time axis of the paper's Figs. 5–7.
 
-use eagle_obs::{resolve_workers, Recorder};
+use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::cache::{BaseEval, CacheStats, PlacementCache};
 use crate::device::Machine;
 use crate::placement::Placement;
-use crate::sim::{simulate_recorded, SimOutcome};
+use crate::sim::{fan_out, simulate_recorded, SimOutcome};
 
 /// Default bound on the number of memoized placements per environment.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -64,6 +64,19 @@ impl std::fmt::Display for EnvError {
 
 impl std::error::Error for EnvError {}
 
+/// Refuses a pair nothing can be placed on: an empty graph or a machine
+/// without devices. The first check of [`EnvironmentBuilder::build`], for
+/// callers that need it without an environment.
+pub fn check_placeable(graph: &OpGraph, machine: &Machine) -> Result<(), EnvError> {
+    if graph.is_empty() {
+        return Err(EnvError::EmptyGraph);
+    }
+    if machine.num_devices() == 0 {
+        return Err(EnvError::NoDevices);
+    }
+    Ok(())
+}
+
 /// Staged configuration for an [`Environment`]; built with
 /// [`Environment::builder`], validated by [`EnvironmentBuilder::build`].
 #[derive(Debug, Clone)]
@@ -104,12 +117,7 @@ impl EnvironmentBuilder {
 
     /// Validates the staged configuration and builds the environment.
     pub fn build(self) -> Result<Environment, EnvError> {
-        if self.graph.is_empty() {
-            return Err(EnvError::EmptyGraph);
-        }
-        if self.machine.num_devices() == 0 {
-            return Err(EnvError::NoDevices);
-        }
+        check_placeable(&self.graph, &self.machine)?;
         if self.cfg.warmup_steps >= self.cfg.train_steps {
             return Err(EnvError::NoMeasuredSteps {
                 train_steps: self.cfg.train_steps,
@@ -565,85 +573,60 @@ impl Environment {
     /// draws stay serial in episode order; only the cache-miss simulations —
     /// pure functions of `(graph, machine, placement)` — run concurrently.
     pub fn evaluate_batch(&mut self, placements: &[Placement], workers: usize) -> Vec<Measurement> {
-        let workers = resolve_workers(workers);
-
         // Phase 1 (serial): probe the cache in episode order. Duplicates of an
         // earlier in-batch miss count as hits, exactly as they would when
         // evaluated one-by-one (the first occurrence would have been inserted).
+        // `Dup` and `Miss` carry the position in `misses` of the simulation
+        // that answers them.
         enum Probe {
             Hit(BaseEval),
             Dup(usize),
-            Miss,
+            Miss(usize),
         }
         let mut probes: Vec<Probe> = Vec::with_capacity(placements.len());
         let mut first_occurrence: std::collections::HashMap<&[crate::device::DeviceId], usize> =
             std::collections::HashMap::new();
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (i, p) in placements.iter().enumerate() {
+        let mut misses: Vec<&Placement> = Vec::new();
+        for p in placements {
             let key = p.devices();
             if self.cache.enabled() {
-                if let Some(&j) = first_occurrence.get(key) {
+                if let Some(&m) = first_occurrence.get(key) {
                     self.cache.note_duplicate_hit();
-                    probes.push(Probe::Dup(j));
+                    probes.push(Probe::Dup(m));
                     continue;
                 }
             }
             match self.cache.lookup(p) {
                 Some(base) => probes.push(Probe::Hit(base)),
                 None => {
-                    probes.push(Probe::Miss);
-                    first_occurrence.insert(key, i);
-                    miss_idx.push(i);
+                    probes.push(Probe::Miss(misses.len()));
+                    first_occurrence.insert(key, misses.len());
+                    misses.push(p);
                 }
             }
         }
 
-        // Phase 2 (parallel): simulate the misses. Each worker owns a disjoint
-        // chunk of the miss list; results are scattered back by index, each
-        // with its host-time cost so the serial phase can report simulator
-        // latency in episode order (telemetry stays deterministic).
-        let timed_sim = |env: &Environment, i: usize| -> (usize, BaseEval, f64) {
+        // Phase 2 (parallel): simulate the misses across `workers`, each with
+        // its host-time cost so the serial phase can report simulator latency
+        // in episode order (telemetry stays deterministic).
+        let env = &*self;
+        let simulated = fan_out(&misses, workers, |p| {
             let start = std::time::Instant::now();
-            let base = env.simulate_base(&placements[i]);
-            (i, base, start.elapsed().as_secs_f64() * 1e6)
-        };
-        let mut bases: Vec<Option<(BaseEval, f64)>> = vec![None; placements.len()];
-        if workers > 1 && miss_idx.len() > 1 {
-            let env = &*self;
-            let chunk = miss_idx.len().div_ceil(workers);
-            let simulated: Vec<Vec<(usize, BaseEval, f64)>> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = miss_idx
-                    .chunks(chunk)
-                    .map(|ids| s.spawn(move |_| ids.iter().map(|&i| timed_sim(env, i)).collect()))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("simulation worker panicked")).collect()
-            })
-            .expect("rollout worker panicked");
-            for (i, base, sim_us) in simulated.into_iter().flatten() {
-                bases[i] = Some((base, sim_us));
-            }
-        } else {
-            for &i in &miss_idx {
-                let (_, base, sim_us) = timed_sim(self, i);
-                bases[i] = Some((base, sim_us));
-            }
-        }
+            let base = env.simulate_base(p);
+            (base, start.elapsed().as_secs_f64() * 1e6)
+        });
 
         // Phase 3 (serial): commit in episode order — noise draws, wall-clock,
         // best tracking and cache inserts all happen exactly as they would in
         // a one-by-one evaluation loop.
         placements
             .iter()
-            .zip(&probes)
-            .enumerate()
-            .map(|(i, (p, probe))| match probe {
-                Probe::Hit(base) => self.commit(p, *base, true),
-                Probe::Dup(j) => {
-                    let (base, _) = bases[*j].expect("first occurrence simulated");
-                    self.commit(p, base, true)
-                }
-                Probe::Miss => {
-                    let (base, sim_us) = bases[i].expect("miss simulated");
+            .zip(probes)
+            .map(|(p, probe)| match probe {
+                Probe::Hit(base) => self.commit(p, base, true),
+                Probe::Dup(m) => self.commit(p, simulated[m].0, true),
+                Probe::Miss(m) => {
+                    let (base, sim_us) = simulated[m];
                     self.recorder.observe("devsim.sim_us", sim_us);
                     if self.cache.insert(p, base) {
                         self.recorder.add("devsim.cache.evictions", 1);

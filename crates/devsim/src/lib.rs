@@ -13,7 +13,8 @@
 //! * [`Placement`] — one device per op.
 //! * [`engine`] — the causal discrete-event scheduling core (shared by
 //!   [`simulate`] and [`trace`], so the two views cannot drift).
-//! * [`simulate`] — one training step's makespan (OOM gate + engine).
+//! * [`simulate`] — one training step's makespan (OOM gate + engine);
+//!   [`step_times`] — the same for many placements, across worker threads.
 //! * [`Environment`] — the 15-step measurement protocol with noise and a simulated
 //!   wall-clock (the x-axis of the paper's training-curve figures).
 //! * [`predefined`] — Single-GPU and Human-Expert baseline placements.
@@ -41,8 +42,8 @@ pub use device::{
 pub use eagle_obs::resolve_workers;
 pub use engine::{OpSlot, Schedule, TransferSlot};
 pub use env::{
-    CacheEntryState, EnvError, EnvSnapshot, EnvState, EnvStateError, Environment,
+    check_placeable, CacheEntryState, EnvError, EnvSnapshot, EnvState, EnvStateError, Environment,
     EnvironmentBuilder, MeasureConfig, Measurement, RngState, DEFAULT_CACHE_CAPACITY,
 };
 pub use placement::{Placement, PlacementError};
-pub use sim::{simulate, simulate_recorded, SimOutcome, StepStats};
+pub use sim::{simulate, simulate_recorded, step_times, SimOutcome, StepStats};

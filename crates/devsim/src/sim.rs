@@ -12,7 +12,7 @@
 //! the per-step time — the quantity the paper measures on real hardware and
 //! feeds to the RL agent as (negated, square-rooted) reward.
 
-use eagle_obs::Recorder;
+use eagle_obs::{resolve_workers, Recorder};
 use eagle_opgraph::OpGraph;
 
 use crate::device::{DeviceId, Machine};
@@ -120,6 +120,43 @@ pub fn simulate_recorded(
         comm_time: sched.comm_time,
         num_transfers: sched.transfers.len(),
     })
+}
+
+/// Runs `sim` over `items`, contiguous chunks striped across up to `workers`
+/// threads (0 = one per available core, 1 = serial), results in item order.
+/// The one fan-out over simulations: [`step_times`] and
+/// [`Environment::evaluate_batch`](crate::Environment::evaluate_batch) both
+/// go through it. `sim` must be pure, so the result is the same for every
+/// worker count.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    sim: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = resolve_workers(workers);
+    if workers <= 1 || items.len() <= 1 {
+        return items.iter().map(sim).collect();
+    }
+    let sim = &sim;
+    crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|chunk| s.spawn(move |_| chunk.iter().map(sim).collect::<Vec<R>>()))
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("simulation worker panicked")).collect()
+    })
+    .expect("simulation scope")
+}
+
+/// Predicted step time of every placement (`None` = OOM), simulated across up
+/// to `workers` threads (0 = one per available core).
+pub fn step_times(
+    graph: &OpGraph,
+    machine: &Machine,
+    placements: &[Placement],
+    workers: usize,
+) -> Vec<Option<f64>> {
+    fan_out(placements, workers, |p| simulate(graph, machine, p).step_time())
 }
 
 #[cfg(test)]

@@ -22,18 +22,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use eagle_core::{fnv1a64, EagleAgent, PlacementAgent};
-use eagle_devsim::{simulate, Machine, Placement};
-use eagle_obs::{resolve_workers, Recorder};
+use eagle_core::infer::best_of;
+use eagle_core::{fnv1a64, EagleAgent};
+use eagle_devsim::Machine;
+use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
-use eagle_rl::{fork_streams, StochasticPolicy};
-use eagle_tensor::Params;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::api::{PlaceRequest, PlaceResponse, API_SCHEMA_VERSION};
 use crate::error::EagleError;
 use crate::store::{PolicyEntry, PolicyStore, GENERALIST_FAMILY};
+
+/// Candidate count used when a request sends `candidates: 0`.
+const DEFAULT_CANDIDATES: u32 = 1;
+/// Upper bound on per-request `candidates` (typed error beyond).
+const MAX_CANDIDATES: u32 = 16;
+/// Registered-graph slots kept (FIFO eviction).
+const GRAPH_CAPACITY: usize = 256;
+/// Built serving agents kept, keyed by (family, version, graph, machine).
+const AGENT_CAPACITY: usize = 32;
 
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
@@ -44,16 +50,8 @@ pub struct RouterConfig {
     pub coalesce: Duration,
     /// Maximum requests per wave.
     pub max_wave: usize,
-    /// Candidate count used when a request sends `candidates: 0`.
-    pub default_candidates: u32,
-    /// Upper bound on per-request `candidates` (typed error beyond).
-    pub max_candidates: u32,
     /// Worker threads for candidate simulation (0 = auto).
     pub sim_workers: usize,
-    /// Registered-graph slots kept (FIFO eviction).
-    pub graph_capacity: usize,
-    /// Built serving agents kept, keyed by (family, version, graph, machine).
-    pub agent_capacity: usize,
     /// Upper bound on requests queued awaiting a wave. Admission beyond this
     /// replies with a typed `Overloaded` error (plus a `retry_after_ms` hint)
     /// instead of queueing, so a burst degrades by shedding rather than by
@@ -70,11 +68,7 @@ impl Default for RouterConfig {
         Self {
             coalesce: Duration::from_micros(200),
             max_wave: 64,
-            default_candidates: 1,
-            max_candidates: 16,
             sim_workers: 0,
-            graph_capacity: 256,
-            agent_capacity: 32,
             queue_capacity: 256,
             family_quota: 0,
         }
@@ -111,13 +105,6 @@ struct Queue {
 struct GraphRegistry {
     by_key: HashMap<String, Arc<OpGraph>>,
     order: VecDeque<String>,
-}
-
-/// A serving agent rebuilt around a policy's parameters for one
-/// (graph, machine) pair; cached because construction walks the whole graph.
-struct ServingAgent {
-    agent: EagleAgent,
-    draws: usize,
 }
 
 /// The shared router. Connection threads call [`submit`](Self::submit) /
@@ -219,7 +206,7 @@ impl Router {
         let key = format!("{:016x}", graph_fingerprint(&graph));
         let mut reg = self.graphs.lock().expect("graph registry lock");
         if !reg.by_key.contains_key(&key) {
-            while reg.order.len() >= self.cfg.graph_capacity {
+            while reg.order.len() >= GRAPH_CAPACITY {
                 if let Some(old) = reg.order.pop_front() {
                     reg.by_key.remove(&old);
                 }
@@ -236,12 +223,11 @@ impl Router {
     /// immediately instead of occupying wave capacity.
     pub fn submit(&self, req: PlaceRequest) -> Result<mpsc::Receiver<PlaceResponse>, EagleError> {
         let candidates = match req.candidates {
-            0 => self.cfg.default_candidates,
-            k if k <= self.cfg.max_candidates => k,
+            0 => DEFAULT_CANDIDATES,
+            k if k <= MAX_CANDIDATES => k,
             k => {
                 return Err(EagleError::BadRequest(format!(
-                    "candidates {k} exceeds the server cap {}",
-                    self.cfg.max_candidates
+                    "candidates {k} exceeds the server cap {MAX_CANDIDATES}"
                 )))
             }
         };
@@ -359,8 +345,7 @@ impl Router {
     /// The router loop: runs until [`shutdown`](Self::shutdown). Call from a
     /// dedicated thread.
     pub fn run(&self) {
-        let sim_workers = resolve_workers(self.cfg.sim_workers);
-        let mut agents = AgentCache::new(self.cfg.agent_capacity);
+        let mut agents = AgentCache::default();
         loop {
             let wave = {
                 let mut q = self.queue.lock().expect("router queue lock");
@@ -410,7 +395,7 @@ impl Router {
             }
             self.recorder.add("serve.waves", 1);
             self.recorder.observe("serve.wave_size", wave.len() as f64);
-            self.process_wave(wave, &mut agents, sim_workers);
+            self.process_wave(wave, &mut agents);
             let elapsed_us = started.elapsed().as_micros() as u64;
             let old = self.wave_us.load(Ordering::Relaxed);
             self.wave_us.store((old * 3 + elapsed_us) / 4, Ordering::Relaxed);
@@ -440,25 +425,20 @@ impl Router {
         live
     }
 
-    /// Answers one wave: group by (family, graph, machine), one batched
-    /// sample + decode per group, wave-wide parallel simulation.
-    fn process_wave(&self, wave: Vec<Pending>, agents: &mut AgentCache, sim_workers: usize) {
+    /// Answers one wave: group by (family, graph, machine), one
+    /// [`best_of`] call — one batched sample + decode, parallel simulation —
+    /// per group.
+    fn process_wave(&self, wave: Vec<Pending>, agents: &mut AgentCache) {
         let mut groups: HashMap<(String, u64, u64), Vec<Pending>> = HashMap::new();
         for p in wave {
             groups.entry((p.family.clone(), p.graph_fp, p.machine_fp)).or_default().push(p);
         }
         for ((family, _, _), group) in groups {
-            self.process_group(&family, group, agents, sim_workers);
+            self.process_group(&family, group, agents);
         }
     }
 
-    fn process_group(
-        &self,
-        family: &str,
-        group: Vec<Pending>,
-        agents: &mut AgentCache,
-        sim_workers: usize,
-    ) {
+    fn process_group(&self, family: &str, group: Vec<Pending>, agents: &mut AgentCache) {
         // Unknown family falls back to the generalist policy when the store
         // publishes one — the multi-graph-trained zero-shot path. The original
         // error is kept if the fallback also misses, so a store with no
@@ -478,56 +458,26 @@ impl Router {
             }
             Err(e) => return self.fail_group(group, &e),
         };
-        let serving = match agents.get(
-            &entry,
-            &group[0].graph,
-            group[0].graph_fp,
-            &group[0].machine,
-            group[0].machine_fp,
-        ) {
+        let agent = match agents.get(&entry, &group[0]) {
             Ok(a) => a,
             Err(e) => return self.fail_group(group, &e),
         };
+        let (graph, machine) = (&group[0].graph, &group[0].machine);
 
-        // Per-candidate RNG streams, forked from each request's own seed: the
-        // results depend only on the request, never on its wave-mates.
-        let mut streams: Vec<ChaCha8Rng> = Vec::new();
-        let mut spans = Vec::with_capacity(group.len());
-        for p in &group {
-            let mut master = ChaCha8Rng::seed_from_u64(p.req.seed);
-            let forked = fork_streams(&mut master, serving.draws, p.candidates as usize);
-            spans.push((streams.len(), forked.len()));
-            streams.extend(forked);
-        }
-        let mut stream_refs: Vec<&mut dyn rand::RngCore> =
-            streams.iter_mut().map(|r| r as &mut dyn rand::RngCore).collect();
+        // One draw per request, seeded by the request alone: the answers
+        // depend only on the request, never on its wave-mates.
+        let draws: Vec<(u64, usize)> =
+            group.iter().map(|p| (p.req.seed, p.candidates as usize)).collect();
+        let best = best_of(&*agent, &entry.params, graph, machine, &draws, self.cfg.sim_workers);
+        // The two batched forwards (sample, decode) behind the whole group.
+        self.recorder.add("serve.forwards", 2);
 
-        // The two batched forwards for the whole group.
-        let sampled = serving.agent.sample_batch(&entry.params, &mut stream_refs);
-        self.recorder.add("serve.forwards", 1);
-        let actions: Vec<Vec<usize>> = sampled.into_iter().map(|(a, _)| a).collect();
-        let placements = serving.agent.decode_batch(&entry.params, &actions);
-        self.recorder.add("serve.forwards", 1);
-
-        // Predicted step times for every candidate, simulated across workers.
-        let graph = &group[0].graph;
-        let machine = &group[0].machine;
-        let times = simulate_all(graph, machine, &placements, sim_workers);
-
-        for (p, (start, count)) in group.iter().zip(&spans) {
-            let mut best: Option<(f64, usize)> = None;
-            for (c, t) in times.iter().enumerate().skip(*start).take(*count) {
-                if let Some(t) = *t {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, c));
-                    }
-                }
-            }
+        for (p, best) in group.iter().zip(best) {
             let resp = match best {
-                Some((t, c)) => PlaceResponse {
+                Some((t, placement)) => PlaceResponse {
                     schema_version: API_SCHEMA_VERSION,
                     id: p.req.id,
-                    placement: Some(placements[c].devices().iter().map(|d| d.0).collect()),
+                    placement: Some(placement.devices().iter().map(|d| d.0).collect()),
                     predicted_step_time: Some(t),
                     policy_version: Some(entry.version.clone()),
                     error: None,
@@ -537,7 +487,8 @@ impl Router {
                     PlaceResponse::failure(
                         p.req.id,
                         &EagleError::Infeasible(format!(
-                            "all {count} sampled candidates exceed device memory"
+                            "all {} sampled candidates exceed device memory",
+                            p.candidates
                         )),
                     )
                 }
@@ -564,109 +515,35 @@ impl Router {
     }
 }
 
-/// Simulates every placement, striped across up to `workers` threads.
-fn simulate_all(
-    graph: &OpGraph,
-    machine: &Machine,
-    placements: &[Placement],
-    workers: usize,
-) -> Vec<Option<f64>> {
-    let w = workers.min(placements.len()).max(1);
-    if w == 1 {
-        return placements.iter().map(|p| simulate(graph, machine, p).step_time()).collect();
-    }
-    let chunk = placements.len().div_ceil(w);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = placements
-            .chunks(chunk)
-            .map(|ps| {
-                s.spawn(move |_| {
-                    ps.iter().map(|p| simulate(graph, machine, p).step_time()).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("sim worker")).collect()
-    })
-    .expect("sim scope")
-}
-
-/// FIFO-bounded cache of built serving agents.
+/// FIFO-bounded cache of serving agents, each built around a policy's
+/// parameters for one (graph, machine) pair; cached because construction walks
+/// the whole graph.
+#[derive(Default)]
 struct AgentCache {
-    capacity: usize,
-    map: HashMap<(String, String, u64, u64), Arc<ServingAgent>>,
+    map: HashMap<(String, String, u64, u64), Arc<EagleAgent>>,
     order: VecDeque<(String, String, u64, u64)>,
 }
 
 impl AgentCache {
-    fn new(capacity: usize) -> Self {
-        Self { capacity: capacity.max(1), map: HashMap::new(), order: VecDeque::new() }
-    }
-
-    /// The serving agent for (policy entry, graph, machine), built and
-    /// layout-validated on first use.
-    fn get(
-        &mut self,
-        entry: &PolicyEntry,
-        graph: &OpGraph,
-        graph_fp: u64,
-        machine: &Machine,
-        machine_fp: u64,
-    ) -> Result<Arc<ServingAgent>, EagleError> {
-        let key = (entry.family.clone(), entry.version.clone(), graph_fp, machine_fp);
+    /// The serving agent for (policy entry, the request's graph and machine),
+    /// built and layout-validated on first use.
+    fn get(&mut self, entry: &PolicyEntry, p: &Pending) -> Result<Arc<EagleAgent>, EagleError> {
+        let key = (entry.family.clone(), entry.version.clone(), p.graph_fp, p.machine_fp);
         if let Some(a) = self.map.get(&key) {
             return Ok(a.clone());
         }
-        let serving = Arc::new(build_serving_agent(entry, graph, machine)?);
-        while self.order.len() >= self.capacity {
+        let agent = EagleAgent::for_params(&entry.params, &p.graph, &p.machine, entry.scale)
+            .map_err(|e| EagleError::PolicyMismatch(format!("policy `{}` {e}", entry.family)))?;
+        let agent = Arc::new(agent);
+        while self.order.len() >= AGENT_CAPACITY {
             if let Some(old) = self.order.pop_front() {
                 self.map.remove(&old);
             }
         }
-        self.map.insert(key.clone(), serving.clone());
+        self.map.insert(key.clone(), agent.clone());
         self.order.push_back(key);
-        Ok(serving)
+        Ok(agent)
     }
-}
-
-/// Rebuilds the agent architecture around `entry.params` for one
-/// (graph, machine) pair and verifies the parameter layouts agree — parameter
-/// ids align by construction order, so equal (name, shape) sequences mean the
-/// checkpoint's tensors drop in exactly.
-fn build_serving_agent(
-    entry: &PolicyEntry,
-    graph: &OpGraph,
-    machine: &Machine,
-) -> Result<ServingAgent, EagleError> {
-    let mut scratch = Params::new();
-    // The constructor RNG only writes initial values that entry.params replace;
-    // any seed yields the same layout.
-    let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let agent = EagleAgent::new_for_inference(&mut scratch, graph, machine, entry.scale, &mut rng);
-    if scratch.len() != entry.params.len() {
-        return Err(EagleError::PolicyMismatch(format!(
-            "policy `{}` has {} tensors but this graph/machine needs {}",
-            entry.family,
-            entry.params.len(),
-            scratch.len()
-        )));
-    }
-    for id in scratch.ids() {
-        let (want_name, want) = (scratch.name(id), scratch.get(id));
-        let (have_name, have) = (entry.params.name(id), entry.params.get(id));
-        if want_name != have_name || want.rows() != have.rows() || want.cols() != have.cols() {
-            return Err(EagleError::PolicyMismatch(format!(
-                "policy `{}` tensor {have_name} ({}x{}) does not fit required {want_name} ({}x{}); \
-                 was it trained for a different graph size or device count?",
-                entry.family,
-                have.rows(),
-                have.cols(),
-                want.rows(),
-                want.cols()
-            )));
-        }
-    }
-    let draws = agent.rng_draws_per_sample();
-    Ok(ServingAgent { agent, draws })
 }
 
 #[cfg(test)]

@@ -26,7 +26,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use eagle_core::{fnv1a64, load_checkpoint, AgentScale, EagleAgent, TrainerState, CHECKPOINT_FILE};
+use eagle_core::{
+    decode_checkpoint, encode_checkpoint, fnv1a64, load_checkpoint, AgentScale, EagleAgent,
+    TrainerState, CHECKPOINT_FILE,
+};
 use eagle_devsim::Machine;
 use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
@@ -76,6 +79,11 @@ pub struct PolicyEntry {
     /// the `policy_version` echoed in every [`crate::api::PlaceResponse`], and
     /// also the freshness check [`PolicyStore::get`] compares against.
     pub version: String,
+}
+
+/// The content version of checkpoint file `bytes`.
+fn content_version(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a64(bytes))
 }
 
 /// A lazy, hot-reloading view over a store directory.
@@ -145,14 +153,15 @@ impl PolicyStore {
                 EagleError::Io(e)
             }
         })?;
-        let version = format!("{:016x}", fnv1a64(&bytes));
-        let state = load_checkpoint(&ckpt_path)?;
+        // Version and parameters come from the same read: a publish landing
+        // after it cannot pair new parameters with the old version.
+        let state = decode_checkpoint(&bytes)?;
         Ok(PolicyEntry {
             family: family.to_string(),
             scale,
             scale_name: manifest.scale,
             params: state.params,
-            version,
+            version: content_version(&bytes),
         })
     }
 
@@ -168,9 +177,7 @@ impl PolicyStore {
             // the served version. A (len, mtime) stamp misses the same-size
             // rewrite inside one mtime tick that back-to-back publishes hit.
             match std::fs::read(&ckpt_path) {
-                Ok(bytes) if format!("{:016x}", fnv1a64(&bytes)) == current.version => {
-                    return Ok(current)
-                }
+                Ok(bytes) if content_version(&bytes) == current.version => return Ok(current),
                 // Changed (or temporarily unreadable): attempt a reload, but
                 // never stop serving the version we already have.
                 _ => match self.load_entry(family) {
@@ -210,8 +217,8 @@ pub fn publish_state(
     }
     let dir = root.join(family);
     std::fs::create_dir_all(&dir)?;
-    let ckpt_path = dir.join(CHECKPOINT_FILE);
-    eagle_core::save_checkpoint(state, &ckpt_path)?;
+    let bytes = encode_checkpoint(state)?;
+    eagle_obs::write_atomic(dir.join(CHECKPOINT_FILE), &bytes)?;
     let manifest = PolicyManifest {
         schema_version: MANIFEST_SCHEMA_VERSION,
         family: family.to_string(),
@@ -220,8 +227,7 @@ pub fn publish_state(
     };
     let manifest_json = serde_json::to_string(&manifest)?;
     eagle_obs::write_atomic(dir.join(MANIFEST_FILE), manifest_json.as_bytes())?;
-    let bytes = std::fs::read(&ckpt_path)?;
-    Ok(format!("{:016x}", fnv1a64(&bytes)))
+    Ok(content_version(&bytes))
 }
 
 /// Publishes an existing checkpoint file (e.g. from a training run's
@@ -246,42 +252,13 @@ pub fn untrained_state(
     scale: AgentScale,
     seed: u64,
 ) -> Result<TrainerState, EagleError> {
-    use eagle_devsim::{EnvSnapshot, Environment, MeasureConfig, RngState};
     use rand::SeedableRng;
 
-    let env = Environment::builder(graph.clone(), machine.clone())
-        .measure(MeasureConfig::exact())
-        .seed(seed)
-        .build()?;
+    eagle_devsim::check_placeable(graph, machine)?;
     let mut params = Params::new();
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let _agent = EagleAgent::new(&mut params, graph, machine, scale, &mut rng);
-    Ok(TrainerState {
-        samples: 0,
-        minibatches: 0,
-        num_invalid: 0,
-        since_ce: 0,
-        rng: RngState::capture(&rng),
-        source: eagle_core::SourceState::initial(seed),
-        wall: 0.0,
-        history_actions: Vec::new(),
-        history_rewards: Vec::new(),
-        curve: eagle_core::Curve::new("untrained-seed"),
-        params,
-        opt_reinforce: eagle_tensor::optim::Adam::new(0.01),
-        opt_ppo: eagle_tensor::optim::Adam::new(0.01),
-        opt_ce: eagle_tensor::optim::Adam::new(0.01),
-        entries: vec![eagle_core::GraphEntryState {
-            origin: eagle_core::GraphOrigin::fixed(),
-            name: graph.model_name.clone(),
-            env: env.save_state(),
-            baseline: eagle_rl::EmaBaseline::new(0.1),
-            best: None,
-            graph_samples: 0,
-        }],
-        retired_snapshot: EnvSnapshot::default(),
-        start_snapshot: EnvSnapshot::default(),
-    })
+    EagleAgent::new(&mut params, graph, machine, scale, &mut rng);
+    Ok(TrainerState::fresh("untrained-seed", params, seed))
 }
 
 #[cfg(test)]

@@ -280,7 +280,7 @@ impl Tensor {
     }
 
     /// Matrix product `self @ other` through the cache-blocked kernel with
-    /// packed-B micro-panels ([`matmul_rows_blocked`]).
+    /// packed-B micro-panels (`matmul_rows_blocked`).
     ///
     /// Large products are sharded across threads with `crossbeam::scope`,
     /// splitting the *output rows* so each thread writes a disjoint region (no

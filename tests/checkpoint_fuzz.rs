@@ -2,10 +2,10 @@
 //!
 //! Strategy: build one *valid* checkpoint (its embedded environment runs on a
 //! GraphGen-generated graph, not a benchmark, so the payload shape varies with
-//! the generator too), then attack `load_checkpoint` with mutations of its
+//! the generator too), then attack `decode_checkpoint` with mutations of its
 //! bytes — single bit flips, truncations, checksum-preserving payload edits,
 //! pure garbage, and adversarially nested JSON. The contract under test:
-//! **every** load returns a typed [`CheckpointError`]/`Ok`, and never panics,
+//! **every** decode returns a typed [`CheckpointError`]/`Ok`, and never panics,
 //! aborts, or misdecodes silently.
 //!
 //! `EAGLE_FUZZ_CASES` tunes the per-property case count (default 256, the fast
@@ -15,13 +15,12 @@
 use std::sync::OnceLock;
 
 use eagle::core::{
-    fnv1a64, load_checkpoint, save_checkpoint, AgentScale, CheckpointError, Curve, EagleAgent,
+    decode_checkpoint, encode_checkpoint, fnv1a64, AgentScale, CheckpointError, EagleAgent,
     TrainerState, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
 };
-use eagle::devsim::{EnvSnapshot, Environment, Machine, MeasureConfig};
+use eagle::devsim::{Environment, Machine, MeasureConfig};
 use eagle::opgraph::{GraphGen, GraphGenConfig};
 use eagle::rl::EmaBaseline;
-use eagle::tensor::optim::Adam;
 use eagle::tensor::Params;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -32,7 +31,7 @@ fn fuzz_cases() -> u32 {
     std::env::var("EAGLE_FUZZ_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(256)
 }
 
-/// One valid checkpoint's exact on-disk bytes, built once: a full
+/// One valid checkpoint's exact file bytes, built once: a full
 /// [`TrainerState`] whose environment wraps a 64-op GraphGen graph.
 fn valid_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -53,26 +52,16 @@ fn valid_bytes() -> &'static [u8] {
         env.evaluate(&p);
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let _agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
-        let mut curve = Curve::new("fuzz-corpus");
-        curve.push(1, 0.5, Some(2.0));
+        EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
         let mut baseline = EmaBaseline::new(0.1);
         baseline.advantage(-1.0);
-        let state = TrainerState {
+        let mut state = TrainerState {
             samples: 1,
             minibatches: 1,
-            num_invalid: 0,
             since_ce: 1,
-            rng: eagle::devsim::RngState::capture(&rng),
-            source: eagle::core::SourceState::initial(11),
             wall: 0.25,
             history_actions: vec![vec![0, 1, 2]],
             history_rewards: vec![-1.0],
-            curve,
-            params,
-            opt_reinforce: Adam::new(0.01),
-            opt_ppo: Adam::new(0.01),
-            opt_ce: Adam::new(0.01),
             entries: vec![eagle::core::GraphEntryState {
                 origin: eagle::core::GraphOrigin::fixed(),
                 name: graph.model_name.clone(),
@@ -81,32 +70,11 @@ fn valid_bytes() -> &'static [u8] {
                 best: Some((2.0, p)),
                 graph_samples: 1,
             }],
-            retired_snapshot: EnvSnapshot::default(),
-            start_snapshot: EnvSnapshot::default(),
+            ..TrainerState::fresh("fuzz-corpus", params, 11)
         };
-        let path = fuzz_path("corpus");
-        save_checkpoint(&state, &path).expect("corpus checkpoint saves");
-        std::fs::read(path).expect("corpus checkpoint reads back")
+        state.curve.push(1, 0.5, Some(2.0));
+        encode_checkpoint(&state).expect("corpus checkpoint encodes")
     })
-}
-
-/// Unique temp path per mutation so parallel test threads never collide.
-fn fuzz_path(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join("eagle-checkpoint-fuzz");
-    std::fs::create_dir_all(&dir).expect("fuzz tmp dir");
-    dir.join(format!("{}-{tag}-{}.json", std::process::id(), N.fetch_add(1, Ordering::Relaxed)))
-}
-
-/// Writes `bytes` and runs the decoder. The call returning *at all* is the
-/// core property; the result lets callers additionally pin variants.
-fn load_mutated(tag: &str, bytes: &[u8]) -> Result<TrainerState, CheckpointError> {
-    let path = fuzz_path(tag);
-    std::fs::write(&path, bytes).expect("fuzz file writes");
-    let out = load_checkpoint(&path);
-    let _ = std::fs::remove_file(&path);
-    out
 }
 
 /// Rebuilds a structurally valid file around an arbitrary payload: correct
@@ -125,7 +93,7 @@ fn wrap_payload(payload: &str) -> Vec<u8> {
 
 #[test]
 fn corpus_checkpoint_is_valid() {
-    let restored = load_mutated("sanity", valid_bytes()).expect("unmutated corpus loads");
+    let restored = decode_checkpoint(valid_bytes()).expect("unmutated corpus loads");
     assert_eq!(restored.samples, 1);
 }
 
@@ -143,7 +111,7 @@ proptest! {
         let idx = (pos as usize) % bytes.len();
         bytes[idx] ^= 1 << bit;
         let header_len = base.iter().position(|&b| b == b'\n').unwrap();
-        match load_mutated("bitflip", &bytes) {
+        match decode_checkpoint(&bytes) {
             Ok(_) => {
                 // A flip that still loads must not have touched the payload:
                 // inside the payload the checksum makes every flip fatal.
@@ -170,7 +138,7 @@ proptest! {
         let base = valid_bytes();
         let cut = (pos as usize) % base.len();
         let header_len = base.iter().position(|&b| b == b'\n').unwrap();
-        let e = load_mutated("trunc", &base[..cut]).expect_err("truncated file must not load");
+        let e = decode_checkpoint(&base[..cut]).expect_err("a truncated file must not decode");
         if cut > header_len {
             prop_assert!(
                 matches!(e, CheckpointError::Truncated { expected, actual }
@@ -207,7 +175,7 @@ proptest! {
         mutated.extend_from_slice(&payload[end..]);
         // Keep it UTF-8 (the decoder's first gate) so the JSON parser is hit.
         let payload = String::from_utf8_lossy(&mutated).into_owned();
-        match load_mutated("splice", &wrap_payload(&payload)) {
+        match decode_checkpoint(&wrap_payload(&payload)) {
             Ok(_) => {}
             Err(CheckpointError::Decode(_)) => {}
             Err(e) => {
@@ -221,7 +189,7 @@ proptest! {
     /// Arbitrary garbage files: typed error, never a panic.
     #[test]
     fn garbage_files_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        prop_assert!(load_mutated("garbage", &bytes).is_err());
+        prop_assert!(decode_checkpoint(&bytes).is_err());
     }
 
     /// Garbage that starts with a plausible header prefix, probing the
@@ -233,7 +201,7 @@ proptest! {
         let keep = (cut as usize) % (header_len + 1);
         let mut bytes = base[..keep].to_vec();
         bytes.extend_from_slice(&tail);
-        let _ = load_mutated("hdr", &bytes);
+        let _ = decode_checkpoint(&bytes);
     }
 }
 
@@ -248,8 +216,8 @@ fn deeply_nested_payload_is_a_decode_error_not_a_crash() {
         "{\"a\":".repeat(200_000),
         format!("{}1{}", "[".repeat(4_000), "]".repeat(4_000)),
     ] {
-        let err = load_mutated("nested", &wrap_payload(&payload))
-            .expect_err("nested payload must not decode");
+        let err =
+            decode_checkpoint(&wrap_payload(&payload)).expect_err("nested payload must not decode");
         assert!(matches!(err, CheckpointError::Decode(_)), "expected Decode error, got {err:?}");
     }
 }
@@ -260,14 +228,14 @@ fn wrong_magic_and_version_are_typed() {
     let base = valid_bytes();
     let text = String::from_utf8(base.to_vec()).unwrap();
     let swapped = text.replacen("eagle-checkpoint", "eagle-checkpoinT", 1);
-    assert!(matches!(load_mutated("magic", swapped.as_bytes()), Err(CheckpointError::Header(_))));
+    assert!(matches!(decode_checkpoint(swapped.as_bytes()), Err(CheckpointError::Header(_))));
     let bumped = text.replacen(
         &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
         "\"schema_version\":999",
         1,
     );
     assert!(matches!(
-        load_mutated("version", bumped.as_bytes()),
+        decode_checkpoint(bumped.as_bytes()),
         Err(CheckpointError::SchemaVersion { found: 999, .. })
     ));
 }
