@@ -1,46 +1,48 @@
 //! Matmul kernel microbenchmark: the naive `ikj` kernel versus the
-//! cache-blocked packed-B kernel, serial and through the threaded dispatch,
-//! across a sweep of square and workload-shaped products.
+//! cache-blocked packed-B kernel, in the three layouts a dense layer issues —
+//! the forward `x . w`, and its two gradient products `gy . wᵀ`
+//! (`Tensor::matmul_nt`) and `slot += xᵀ . gy` (`Tensor::matmul_tn_acc`) —
+//! across a sweep of squares and of the shapes the training workloads run.
 //!
-//! Emits `BENCH_matmul.json` with per-shape wall-clock, GFLOP/s, and speedup
-//! ratios, plus a `threshold` section that justifies `PAR_MATMUL_THRESHOLD`:
-//! the crossbeam spawn overhead is estimated from the dispatch-vs-serial delta
-//! on above-threshold shapes, and the crossover is where that overhead equals
-//! the serial kernel's time for the product (below it, sharding cannot win
-//! even with free extra cores). Both kernels are checked bitwise-identical on
-//! every shape before timing — the blocked kernel is a pure reassociation-free
-//! rewrite, so this holds exactly.
-//!
-//! `--workers N` sets the thread count the dispatch columns run with (the
-//! serial columns always pin one worker); on a single-core host the dispatch
-//! column measures pure spawn overhead, which is exactly the quantity the
-//! threshold guards against.
+//! Emits `BENCH_matmul.json` with per-shape wall-clock and ratios. Three
+//! columns carry the dispatch rule documented on `PAR_MATMUL_THRESHOLD`:
+//! `serial_sec` (one worker), `dispatch_sec` (the rule, at `--workers N` or
+//! the host's count) and `split2_sec` (the rows halved over two scoped
+//! threads whatever the rule says: what splitting would cost where the rule
+//! declines to). Every layout is checked bitwise-identical to the naive
+//! kernel on explicitly transposed operands before it is timed — the blocked
+//! kernel is a reassociation-free rewrite, so this holds exactly.
 
 use eagle_bench::Cli;
 use eagle_tensor::{Tensor, PAR_MATMUL_THRESHOLD};
 use serde_json::Value;
 
-/// `(m, k, n)` products to sweep: squares bracketing the parallel threshold
-/// plus the skinny shapes the policy networks actually issue (minibatch-tall
-/// activations against small square weights, and the GCN's op-count-tall
-/// feature matrices).
+/// `(m, k, n)` of the forward product `x (m, k) . w (k, n)`: squares
+/// bracketing the threshold, then what the workloads issue — the quick-scale
+/// decoder gate step at batch 1 and 10, the op-count-tall grouper layers on
+/// GNMT and Inception-V3, and the paper-width gate products `h . w_hh` and
+/// `x . w_ih` of a 10-sample minibatch.
 const SHAPES: &[(usize, usize, usize)] = &[
     (16, 16, 16),
-    (32, 32, 32),
     (64, 64, 64),
-    (96, 96, 96),
     (128, 128, 128),
-    (192, 192, 192),
     (256, 256, 256),
-    (16, 64, 64),
-    (256, 64, 64),
     (1024, 64, 64),
     (64, 1024, 8),
+    (1, 48, 192),
+    (10, 156, 192),
+    (2935, 81, 32),
+    (1182, 81, 64),
+    (10, 512, 2048),
+    (10, 1664, 2048),
 ];
 
 /// Total multiply-adds to spend per timed column, so small shapes get many
 /// repetitions and large ones few, at roughly constant wall-clock per cell.
-const TARGET_MADDS: usize = 1 << 27;
+const TARGET_MADDS: usize = 1 << 25;
+
+/// Timed rounds per column; the fastest is reported.
+const ROUNDS: usize = 7;
 
 /// Deterministic pseudo-random matrix; every 11th entry is exactly zero so
 /// the naive kernel's zero-skip path stays exercised.
@@ -59,16 +61,45 @@ fn fill(rows: usize, cols: usize, salt: u64) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
-/// Mean seconds per call over `iters` timed repetitions (after one warm-up).
-fn bench(iters: usize, mut f: impl FnMut() -> Tensor) -> f64 {
-    let mut out = f();
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        out = f();
+/// Seconds per call of each column: the fastest of [`ROUNDS`] rounds of
+/// `iters` calls (after one warm-up call), the columns taking turns within a
+/// round so a neighbour's burst on a shared host falls on all of them and
+/// costs a round, not one column's figure.
+fn bench<const N: usize>(iters: usize, columns: [&dyn Fn(); N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for f in columns {
+        f();
     }
-    let per_call = start.elapsed().as_secs_f64() / iters as f64;
-    std::hint::black_box(&out);
-    per_call
+    for _ in 0..ROUNDS {
+        for (f, best) in columns.iter().zip(&mut best) {
+            let start = std::time::Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            *best = best.min(start.elapsed().as_secs_f64() / iters as f64);
+        }
+    }
+    best
+}
+
+fn bitwise_eq(x: &Tensor, y: &Tensor) -> bool {
+    x.shape() == y.shape() && x.data().iter().zip(y.data()).all(|(a, b)| a.to_bits() == b.to_bits())
+}
+
+/// `a . b` with the rows of `a` halved over two scoped threads, each running
+/// the serial kernel (and packing all of `b`) on its half; a single row is
+/// not split.
+fn split2(a: &Tensor, b: &Tensor) -> Tensor {
+    if a.rows() < 2 {
+        return a.matmul(b);
+    }
+    let top = a.rows().div_ceil(2);
+    let (lo, hi) = (a.slice_rows(0, top), a.slice_rows(top, a.rows() - top));
+    let (x, y) = std::thread::scope(|s| {
+        let h = s.spawn(|| hi.matmul(b));
+        (lo.matmul(b), h.join().expect("matmul worker panicked"))
+    });
+    Tensor::concat_rows(&[&x, &y])
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -78,54 +109,77 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
 fn main() {
     let cli = Cli::parse();
     let dispatch_workers = cli.workers.unwrap_or_else(eagle_obs::available_workers).max(1);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
-        "matmul kernels: naive ikj vs cache-blocked packed-B, dispatch at {dispatch_workers} worker(s), threshold {PAR_MATMUL_THRESHOLD} madds"
+        "matmul kernels: naive ikj vs cache-blocked packed-B, dispatch at {dispatch_workers} worker(s) on {host_cores} core(s), threshold {PAR_MATMUL_THRESHOLD} madds per worker"
     );
 
     let mut shapes_out: Vec<Value> = Vec::new();
-    // (madds, dispatch_sec - blocked_sec) for above-threshold shapes: the
-    // spawn overhead the threshold exists to amortize.
-    let mut spawn_deltas: Vec<f64> = Vec::new();
     for &(m, k, n) in SHAPES {
-        let a = fill(m, k, 1 + m as u64);
-        let b = fill(k, n, 2 + n as u64);
+        let x = fill(m, k, 1 + m as u64);
+        let w = fill(k, n, 2 + n as u64);
+        let gy = fill(m, n, 3 + k as u64);
         let madds = m * n * k;
-        let iters = (TARGET_MADDS / madds.max(1)).clamp(3, 2000);
+        let iters = (TARGET_MADDS / madds.max(1)).clamp(2, 500);
 
         // Bitwise contract first: one ascending-k accumulation per output
-        // element, whichever kernel streams it.
-        let naive = a.matmul_naive(&b);
-        let blocked = {
-            eagle_obs::set_available_workers(1);
-            a.matmul(&b)
-        };
-        for (i, (x, y)) in naive.data().iter().zip(blocked.data()).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{m}x{k}@{k}x{n}: kernels disagree at element {i}"
-            );
+        // element, whichever kernel streams it and however it is sharded.
+        let (wt, xt) = (w.transpose(), x.transpose());
+        let held = fill(k, n, 4 + m as u64);
+        let mut held_plus_tn = held.clone();
+        held_plus_tn.add_assign(&xt.matmul_naive(&gy));
+        let mut identical = [true; 3];
+        for workers in [1, dispatch_workers] {
+            eagle_obs::set_available_workers(workers);
+            let mut acc = held.clone();
+            x.matmul_tn_acc(&gy, &mut acc);
+            identical[0] &= bitwise_eq(&x.matmul(&w), &x.matmul_naive(&w));
+            identical[1] &= bitwise_eq(&gy.matmul_nt(&w), &gy.matmul_naive(&wt));
+            identical[2] &= bitwise_eq(&x.matmul_tn(&gy), &xt.matmul_naive(&gy))
+                && bitwise_eq(&acc, &held_plus_tn);
         }
+        assert!(identical.iter().all(|&ok| ok), "{m}x{k}@{k}x{n}: kernels disagree {identical:?}");
 
+        // Every column on one worker except `dispatch`, which runs the rule
+        // at the configured count. The gradient products are timed as a VJP
+        // issues them — `gy . wᵀ` into a fresh tensor, `xᵀ . gy` added into
+        // the weight's gradient slot — against the transpose-then-multiply
+        // (and, for the slot, temporary-then-add) they replace.
         eagle_obs::set_available_workers(1);
-        let naive_sec = bench(iters, || a.matmul_naive(&b));
-        let blocked_sec = bench(iters, || a.matmul(&b));
-        eagle_obs::set_available_workers(dispatch_workers);
-        let dispatch_sec = bench(iters, || a.matmul(&b));
-        let parallel_path = dispatch_workers.min(m) > 1 && madds >= PAR_MATMUL_THRESHOLD && m >= 2;
-        if parallel_path {
-            spawn_deltas.push(dispatch_sec - blocked_sec);
-        }
+        let keep = |t: Tensor| drop(std::hint::black_box(t));
+        let slot = std::cell::RefCell::new(held);
+        let [naive_sec, serial_sec, dispatch_sec, split2_sec, nt_sec, nt_transposing_sec, tn_acc_sec, tn_transposing_sec] =
+            bench(
+                iters,
+                [
+                    &|| keep(x.matmul_naive(&w)),
+                    &|| keep(x.matmul(&w)),
+                    &|| {
+                        eagle_obs::set_available_workers(dispatch_workers);
+                        keep(x.matmul(&w));
+                        eagle_obs::set_available_workers(1);
+                    },
+                    &|| keep(split2(&x, &w)),
+                    &|| keep(gy.matmul_nt(&w)),
+                    &|| keep(gy.matmul(&w.transpose())),
+                    &|| x.matmul_tn_acc(&gy, &mut slot.borrow_mut()),
+                    &|| slot.borrow_mut().add_assign(&x.transpose().matmul(&gy)),
+                ],
+            );
+        let split2_sec = (m >= 2).then_some(split2_sec);
 
         let gflops = |sec: f64| 2.0 * madds as f64 / sec / 1e9;
-        let blocked_speedup = naive_sec / blocked_sec;
         println!(
-            "  {m:>5}x{k:<5}@{k:>5}x{n:<5} naive {:>8.2} GF/s  blocked {:>8.2} GF/s ({blocked_speedup:>5.2}x)  dispatch {:>8.2} GF/s{}",
+            "  {m:>5}x{k:<5}@{k:>5}x{n:<5} naive {:>6.2}  serial {:>6.2}  dispatch {:>6.2}  split2 {:>6.2}  nt {:>6.2} (transposing {:>6.2})  tn_acc {:>6.2} (transposing {:>6.2}) GF/s",
             gflops(naive_sec),
-            gflops(blocked_sec),
+            gflops(serial_sec),
             gflops(dispatch_sec),
-            if parallel_path { "  [threaded]" } else { "" },
+            split2_sec.map_or(f64::NAN, gflops),
+            gflops(nt_sec),
+            gflops(nt_transposing_sec),
+            gflops(tn_acc_sec),
+            gflops(tn_transposing_sec),
         );
         shapes_out.push(obj(vec![
             ("m", Value::U64(m as u64)),
@@ -134,71 +188,30 @@ fn main() {
             ("madds", Value::U64(madds as u64)),
             ("iters", Value::U64(iters as u64)),
             ("naive_sec", Value::from(naive_sec)),
-            ("blocked_sec", Value::from(blocked_sec)),
+            ("serial_sec", Value::from(serial_sec)),
             ("dispatch_sec", Value::from(dispatch_sec)),
-            ("gflops_naive", Value::from(gflops(naive_sec))),
-            ("gflops_blocked", Value::from(gflops(blocked_sec))),
-            ("gflops_dispatch", Value::from(gflops(dispatch_sec))),
-            ("blocked_speedup_vs_naive", Value::from(blocked_speedup)),
-            ("parallel_path", Value::Bool(parallel_path)),
-            ("bitwise_identical", Value::Bool(true)),
+            ("split2_sec", split2_sec.map_or(Value::Null, Value::from)),
+            ("nt_sec", Value::from(nt_sec)),
+            ("nt_transposing_sec", Value::from(nt_transposing_sec)),
+            ("tn_acc_sec", Value::from(tn_acc_sec)),
+            ("tn_transposing_sec", Value::from(tn_transposing_sec)),
+            ("gflops_serial", Value::from(gflops(serial_sec))),
+            ("serial_speedup_vs_naive", Value::from(naive_sec / serial_sec)),
+            ("dispatch_vs_serial", Value::from(serial_sec / dispatch_sec)),
+            ("split2_vs_serial", split2_sec.map_or(Value::Null, |s| Value::from(serial_sec / s))),
+            ("bitwise_identical", Value::Bool(identical[0])),
+            ("nt_bitwise_identical", Value::Bool(identical[1])),
+            ("tn_bitwise_identical", Value::Bool(identical[2])),
         ]));
-    }
-
-    // Threshold justification: sharding only pays once the serial kernel's
-    // time for the product exceeds the spawn overhead (and then only with
-    // genuinely spare cores). Estimate the serial rate from the largest
-    // square shape and the spawn cost from the measured dispatch deltas.
-    let spawn_overhead_sec = if spawn_deltas.is_empty() {
-        None
-    } else {
-        Some(spawn_deltas.iter().sum::<f64>() / spawn_deltas.len() as f64)
-    };
-    let serial_rate = shapes_out
-        .iter()
-        .filter(|s| s["m"] == s["n"] && s["n"] == s["k"])
-        .map(|s| s["madds"].as_f64().unwrap() / s["blocked_sec"].as_f64().unwrap())
-        .fold(0.0f64, f64::max);
-    let est_crossover = spawn_overhead_sec.map(|o| o * serial_rate);
-    if let Some(cross) = est_crossover {
-        println!(
-            "  spawn overhead ~{:.1}us -> crossover ~{:.2}M madds (threshold {:.2}M)",
-            1e6 * spawn_overhead_sec.unwrap(),
-            cross / 1e6,
-            PAR_MATMUL_THRESHOLD as f64 / 1e6,
-        );
-    } else {
-        println!(
-            "  no shape took the threaded path at {dispatch_workers} worker(s); threshold {:.2}M madds unexercised",
-            PAR_MATMUL_THRESHOLD as f64 / 1e6,
-        );
     }
 
     let doc = obj(vec![
         ("bench", Value::from("matmul")),
         ("seed", Value::U64(cli.seed)),
+        ("host_cores", Value::U64(host_cores as u64)),
         ("dispatch_workers", Value::U64(dispatch_workers as u64)),
+        ("par_matmul_threshold_madds_per_worker", Value::U64(PAR_MATMUL_THRESHOLD as u64)),
         ("shapes", Value::Array(shapes_out)),
-        (
-            "threshold",
-            obj(vec![
-                ("par_matmul_threshold_madds", Value::U64(PAR_MATMUL_THRESHOLD as u64)),
-                (
-                    "spawn_overhead_sec_estimate",
-                    spawn_overhead_sec.map_or(Value::Null, Value::from),
-                ),
-                ("serial_blocked_madds_per_sec", Value::from(serial_rate)),
-                ("est_crossover_madds", est_crossover.map_or(Value::Null, Value::from)),
-                (
-                    "note",
-                    Value::from(
-                        "crossover = spawn_overhead * serial rate: below it a crossbeam scope \
-                         spend longer spawning than the serial blocked kernel needs for the \
-                         whole product, so sharding cannot win regardless of core count",
-                    ),
-                ),
-            ]),
-        ),
     ]);
     cli.write_artifact("BENCH_matmul.json", &serde_json::to_string(&doc).expect("serialize"));
     cli.finish_metrics("matmul");

@@ -11,6 +11,8 @@
 //! single PPO update trains both halves coherently, instead of the two separately
 //! sampled sub-policies of Hierarchical Planner.
 
+use std::sync::Arc;
+
 use eagle_devsim::{DeviceId, Machine, Placement};
 use eagle_nn::{AttentionMode, Grouper, Lstm, Placer, PlacerOutput, Seq2SeqPlacer};
 use eagle_opgraph::OpGraph;
@@ -27,7 +29,7 @@ pub struct EagleAgent {
     grouper: Grouper,
     link: Lstm,
     placer: Seq2SeqPlacer,
-    features: Tensor,
+    features: Arc<Tensor>,
     devices: Vec<DeviceId>,
     num_groups: usize,
 }
@@ -42,9 +44,7 @@ impl EagleAgent {
         scale: AgentScale,
         rng: &mut impl Rng,
     ) -> Self {
-        let agent = Self::new_for_inference(params, graph, machine, scale, rng);
-        agent.warm_start_grouper(params, graph);
-        agent
+        Self::build(params, graph, machine, scale, rng, true)
     }
 
     /// Builds the agent for *serving* with already-trained parameters.
@@ -61,10 +61,28 @@ impl EagleAgent {
         scale: AgentScale,
         rng: &mut impl Rng,
     ) -> Self {
-        let features = super::features_tensor(graph);
+        Self::build(params, graph, machine, scale, rng, false)
+    }
+
+    fn build(
+        params: &mut Params,
+        graph: &OpGraph,
+        machine: &Machine,
+        scale: AgentScale,
+        rng: &mut impl Rng,
+        warm_start: bool,
+    ) -> Self {
+        let features = Arc::new(super::features_tensor(graph));
         let feat_dim = features.cols();
         let k = scale.num_groups.min(graph.len());
         let grouper = Grouper::new(params, "eagle/grouper", feat_dim, scale.grouper_hidden, k, rng);
+        // Before the link RNN and placer are registered (the warm start draws
+        // nothing from `rng`): its gradient buffers and Adam moments then span
+        // the grouper's tensors, not the millions of placer weights whose
+        // zero-gradient Adam steps would be exact no-ops.
+        if warm_start {
+            Self::warm_start_grouper(&grouper, &features, params, graph);
+        }
         let link = Lstm::new(params, "eagle/link", feat_dim, scale.link_hidden, rng);
         let devices = super::device_table(machine);
         let placer = Seq2SeqPlacer::new(
@@ -89,21 +107,24 @@ impl EagleAgent {
     /// pre-fitting to the topo-order chunking gives PPO a balanced, structured
     /// starting grouping to fine-tune, which is how EAGLE realizes the paper's
     /// "very few invalid placements during the entire training process" (Sec. IV-D).
-    fn warm_start_grouper(&self, params: &mut Params, graph: &OpGraph) {
-        let target = Self::warm_start_target(graph, self.num_groups);
+    fn warm_start_grouper(
+        grouper: &Grouper,
+        features: &Arc<Tensor>,
+        params: &mut Params,
+        graph: &OpGraph,
+    ) {
+        let target = Self::warm_start_target(graph, grouper.num_groups);
         let mut opt = Adam::new(0.01);
         let mut grads = Grads::for_params(params);
         for _ in 0..60 {
             grads.zero();
             let mut tape = Tape::new();
-            let f = tape.leaf(self.features.clone());
-            let logits = self.grouper.logits(&mut tape, params, f);
+            let f = tape.leaf_shared(Arc::clone(features));
+            let logits = grouper.logits(&mut tape, params, f);
             let picked = tape.log_softmax_pick(logits, &target);
             let neg = tape.neg(picked);
             let loss = tape.mean_all(neg);
             tape.backward_into(loss, &mut grads);
-            // Only the grouper participates in this phase; other grads stay zero,
-            // and Adam's zero-moment updates leave them untouched.
             opt.step_grads(params, &grads);
         }
     }
@@ -142,7 +163,7 @@ impl EagleAgent {
     ) -> (Tape, Vec<PlacerOutput>, Var) {
         let bsz = forced.map_or(rngs.len(), <[_]>::len);
         let mut tape = Tape::new();
-        let f = tape.leaf(self.features.clone());
+        let f = tape.leaf_shared(Arc::clone(&self.features));
         let logits = self.grouper.logits(&mut tape, params, f);
         let aux = self.balance_loss(&mut tape, logits);
         let group_emb = self.grouper.soft_group_embeddings(&mut tape, logits, f);
@@ -175,7 +196,7 @@ impl EagleAgent {
     /// The current hard op-to-group assignment (argmax of the grouper).
     pub fn group_assignment(&self, params: &Params) -> Vec<usize> {
         let mut tape = Tape::new();
-        let f = tape.leaf(self.features.clone());
+        let f = tape.leaf_shared(Arc::clone(&self.features));
         let logits = self.grouper.logits(&mut tape, params, f);
         Grouper::hard_assign(tape.value(logits))
     }
@@ -225,7 +246,7 @@ impl PlacementAgent for EagleAgent {
             grouper: self.grouper.clone(),
             link: self.link.clone(),
             placer: self.placer.clone(),
-            features: super::features_tensor(graph),
+            features: Arc::new(super::features_tensor(graph)),
             devices: self.devices.clone(),
             num_groups: self.num_groups,
         })

@@ -55,30 +55,24 @@ impl LstmCell {
         }
     }
 
-    /// One step: `x (n, in_dim)`, state `(n, hidden)` -> next state.
+    /// One step: `x (n, in_dim)`, state `(n, hidden)` -> next state. The gate
+    /// pre-activations are four nodes; gates, nonlinearities and the state
+    /// update are the fused [`Tape::lstm_cell`].
     pub fn step(&self, tape: &mut Tape, params: &Params, x: Var, state: LstmState) -> LstmState {
+        let z = self.pre_activations(tape, params, x, state.h);
+        let (h, c) = tape.lstm_cell(z, state.c);
+        LstmState { h, c }
+    }
+
+    /// `x @ w_ih + h @ w_hh + b`: `(n, 4 * hidden)`, gate order `[i f g o]`.
+    fn pre_activations(&self, tape: &mut Tape, params: &Params, x: Var, h: Var) -> Var {
         let w_ih = tape.param(params, self.w_ih);
         let w_hh = tape.param(params, self.w_hh);
         let b = tape.param(params, self.b);
         let xi = tape.matmul(x, w_ih);
-        let hh = tape.matmul(state.h, w_hh);
+        let hh = tape.matmul(h, w_hh);
         let z0 = tape.add(xi, hh);
-        let z = tape.add_row_broadcast(z0, b);
-        let h = self.hidden;
-        let zi = tape.slice_cols(z, 0, h);
-        let zf = tape.slice_cols(z, h, h);
-        let zg = tape.slice_cols(z, 2 * h, h);
-        let zo = tape.slice_cols(z, 3 * h, h);
-        let i = tape.sigmoid(zi);
-        let f = tape.sigmoid(zf);
-        let g = tape.tanh(zg);
-        let o = tape.sigmoid(zo);
-        let fc = tape.mul_elem(f, state.c);
-        let ig = tape.mul_elem(i, g);
-        let c = tape.add(fc, ig);
-        let tc = tape.tanh(c);
-        let h_out = tape.mul_elem(o, tc);
-        LstmState { h: h_out, c }
+        tape.add_row_broadcast(z0, b)
     }
 }
 
@@ -232,6 +226,98 @@ mod tests {
     use eagle_tensor::{optim::Adam, Grads};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The step with gates, nonlinearities and state update as thirteen tape
+    /// nodes: the differential oracle the fused [`LstmCell::step`] is held
+    /// against bit for bit.
+    impl LstmCell {
+        fn step_composed(
+            &self,
+            tape: &mut Tape,
+            params: &Params,
+            x: Var,
+            state: LstmState,
+        ) -> LstmState {
+            let z = self.pre_activations(tape, params, x, state.h);
+            let h = self.hidden;
+            let zi = tape.slice_cols(z, 0, h);
+            let zf = tape.slice_cols(z, h, h);
+            let zg = tape.slice_cols(z, 2 * h, h);
+            let zo = tape.slice_cols(z, 3 * h, h);
+            let i = tape.sigmoid(zi);
+            let f = tape.sigmoid(zf);
+            let g = tape.tanh(zg);
+            let o = tape.sigmoid(zo);
+            let fc = tape.mul_elem(f, state.c);
+            let ig = tape.mul_elem(i, g);
+            let c = tape.add(fc, ig);
+            let tc = tape.tanh(c);
+            let h_out = tape.mul_elem(o, tc);
+            LstmState { h: h_out, c }
+        }
+    }
+
+    type Step = fn(&LstmCell, &mut Tape, &Params, Var, LstmState) -> LstmState;
+
+    #[test]
+    fn fused_step_matches_composed_chain_bitwise() {
+        // Three chained steps: each cell state feeds the next step and this
+        // step's `tanh`, so its gradient slot takes two deposits whose order
+        // a gradcheck cannot see. Inputs and initial state are parameters, so
+        // their gradients are compared along with the weights'.
+        const STEPS: usize = 3;
+        for n in [1, 10] {
+            let mut params = Params::new();
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            let cell = LstmCell::new(&mut params, "c", 5, 6, &mut rng);
+            let xs: Vec<_> = (0..STEPS)
+                .map(|t| params.add(format!("x{t}"), init::uniform(n, 5, 1.0, &mut rng)))
+                .collect();
+            let h0 = params.add("h0", init::uniform(n, 6, 1.0, &mut rng));
+            let c0 = params.add("c0", init::uniform(n, 6, 1.0, &mut rng));
+            let weights: Vec<Tensor> =
+                (0..=STEPS).map(|_| init::uniform(n, 6, 1.0, &mut rng)).collect();
+
+            let run = |step: Step| {
+                let mut tape = Tape::new();
+                let mut state =
+                    LstmState { h: tape.param(&params, h0), c: tape.param(&params, c0) };
+                let (mut values, mut terms) = (Vec::new(), Vec::new());
+                let weigh = |tape: &mut Tape, v: Var, w: &Tensor| {
+                    let w = tape.leaf(w.clone());
+                    let weighted = tape.mul_elem(v, w);
+                    tape.sum_all(weighted)
+                };
+                for (t, &x) in xs.iter().enumerate() {
+                    let x = tape.param(&params, x);
+                    state = step(&cell, &mut tape, &params, x, state);
+                    values.push(tape.value(state.h).clone());
+                    values.push(tape.value(state.c).clone());
+                    terms.push(weigh(&mut tape, state.h, &weights[t]));
+                }
+                terms.push(weigh(&mut tape, state.c, &weights[STEPS]));
+                let loss = tape.add_n(&terms);
+                let mut grads = Grads::for_params(&params);
+                tape.backward_into(loss, &mut grads);
+                (values, grads, tape.len())
+            };
+            let (fused_values, fused_grads, fused_nodes) = run(LstmCell::step);
+            let (values, grads, nodes) = run(LstmCell::step_composed);
+            assert_eq!(nodes - fused_nodes, STEPS * 11, "13 gate/state nodes became 2");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (i, (a, b)) in fused_values.iter().zip(&values).enumerate() {
+                assert_eq!(bits(a), bits(b), "batch {n}: state value {i}");
+            }
+            for id in params.ids() {
+                assert_eq!(
+                    bits(fused_grads.get(id)),
+                    bits(grads.get(id)),
+                    "batch {n}: gradient of {}",
+                    params.name(id)
+                );
+            }
+        }
+    }
 
     #[test]
     fn cell_shapes_and_bounded_outputs() {

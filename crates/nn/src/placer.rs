@@ -171,44 +171,33 @@ impl Seq2SeqPlacer {
     }
 
     /// Batched Bahdanau context: one `(B, 2h)` context matrix for `B` decoder
-    /// states at once. `enc_outs`/`enc_proj` hold one entry per *distinct*
-    /// encoder pass and `ep_enc[b]` maps episode `b` to its entry.
+    /// states at once. `enc_outs` holds one entry per *distinct* encoder pass,
+    /// `enc_proj` their attention keys stacked as `(u·k, a)`, and `ep_enc[b]`
+    /// maps episode `b` to its entry.
     ///
     /// Row `b` is bit-identical to a one-episode context for episode `b`: the
-    /// score matmul batches as extra rows (`(B·k, a) @ (a, 1)`), the
-    /// `(B, k)` score layout is data-identical to the per-episode `(1, k)`
-    /// transposes stacked, softmax is per-row, and the context matmul's inner
-    /// summation order over `k` is unchanged.
-    #[allow(clippy::too_many_arguments)]
+    /// pre-activation adds episode `b`'s decoder projection to its encoder's
+    /// keys, the score matmul batches as extra rows (`(B·k, a) @ (a, 1)`), the
+    /// `(B, k)` score layout is the `(B·k, 1)` column read row-major, softmax
+    /// is per-row, and the context matmul's inner summation order over `k` is
+    /// unchanged.
     fn context_batch(
         &self,
         tape: &mut Tape,
         params: &Params,
         enc_outs: &[Var],
-        enc_proj: &[Var],
+        enc_proj: Var,
         ep_enc: &[usize],
         dec_h: Var,
-        k: usize,
     ) -> Var {
         let bsz = ep_enc.len();
+        let k = tape.value(enc_outs[0]).rows();
         let dec_proj = self.attn_dec.forward(tape, params, dec_h); // (B, a)
-        let pres: Vec<Var> = (0..bsz)
-            .map(|b| {
-                let row = tape.slice_rows(dec_proj, b, 1);
-                tape.add_row_broadcast(enc_proj[ep_enc[b]], row) // (k, a)
-            })
-            .collect();
-        let pre = tape.concat_rows(&pres); // (B·k, a)
+        let pre = tape.add_block_broadcast(enc_proj, enc_outs.len(), dec_proj, ep_enc); // (B·k, a)
         let act = tape.tanh(pre);
         let v = tape.param(params, self.attn_v);
         let scores = tape.matmul(act, v); // (B·k, 1)
-        let rows: Vec<Var> = (0..bsz)
-            .map(|b| {
-                let s = tape.slice_rows(scores, b * k, k);
-                tape.transpose(s) // (1, k)
-            })
-            .collect();
-        let score_mat = tape.concat_rows(&rows); // (B, k)
+        let score_mat = tape.reshape(scores, bsz, k); // (B, k)
         let alpha = tape.softmax(score_mat); // (B, k)
         if enc_outs.len() == 1 {
             tape.matmul(alpha, enc_outs[0]) // (B, 2h)
@@ -270,13 +259,9 @@ impl Placer for Seq2SeqPlacer {
             self.encoder.forward_batch(tape, params, &xs_h)
         };
         let enc_outs: Vec<Var> = enc_res.iter().map(|(o, _)| *o).collect();
-        let enc_proj: Vec<Var> = if u == 1 {
-            vec![self.attn_enc.forward(tape, params, enc_outs[0])]
-        } else {
-            let stacked = tape.concat_rows(&enc_outs);
-            let proj = self.attn_enc.forward(tape, params, stacked); // (u·k, a)
-            (0..u).map(|j| tape.slice_rows(proj, j * k, k)).collect()
-        };
+        // Attention keys of every distinct input, stacked: (u·k, a).
+        let enc_stacked = if u == 1 { enc_outs[0] } else { tape.concat_rows(&enc_outs) };
+        let enc_proj = self.attn_enc.forward(tape, params, enc_stacked);
 
         // Decoder state: episode b starts from its encoder's last forward state.
         let h0 = if bsz == 1 {
@@ -306,7 +291,7 @@ impl Placer for Seq2SeqPlacer {
             let logits = match self.mode {
                 AttentionMode::Before => {
                     let ctx =
-                        self.context_batch(tape, params, &enc_outs, &enc_proj, &ep_enc, state.h, k);
+                        self.context_batch(tape, params, &enc_outs, enc_proj, &ep_enc, state.h);
                     let inp = tape.concat_cols(&[x_i, ctx, prev_emb]);
                     state = self.decoder.step(tape, params, inp, state);
                     self.out.forward(tape, params, state.h)
@@ -315,7 +300,7 @@ impl Placer for Seq2SeqPlacer {
                     let inp = tape.concat_cols(&[x_i, prev_emb]);
                     state = self.decoder.step(tape, params, inp, state);
                     let ctx =
-                        self.context_batch(tape, params, &enc_outs, &enc_proj, &ep_enc, state.h, k);
+                        self.context_batch(tape, params, &enc_outs, enc_proj, &ep_enc, state.h);
                     let combined = tape.concat_cols(&[state.h, ctx]);
                     self.out.forward(tape, params, combined)
                 }
@@ -635,6 +620,53 @@ mod tests {
             tape.matmul(alpha, enc_outs) // (1, 2h)
         }
 
+        /// [`Seq2SeqPlacer::context_batch`] with the pre-activation and the
+        /// score layout built per episode — `slice_rows` +
+        /// `add_row_broadcast` and `slice_rows` + `transpose` pairs stacked by
+        /// `concat_rows`: the oracle the two fused nodes are held against.
+        /// `keys` holds each encoder pass's attention keys as a node of its own.
+        fn context_batch_composed(
+            &self,
+            tape: &mut Tape,
+            params: &Params,
+            enc_outs: &[Var],
+            keys: &[Var],
+            ep_enc: &[usize],
+            dec_h: Var,
+        ) -> Var {
+            let bsz = ep_enc.len();
+            let k = tape.value(enc_outs[0]).rows();
+            let dec_proj = self.attn_dec.forward(tape, params, dec_h); // (B, a)
+            let pres: Vec<Var> = (0..bsz)
+                .map(|b| {
+                    let row = tape.slice_rows(dec_proj, b, 1);
+                    tape.add_row_broadcast(keys[ep_enc[b]], row) // (k, a)
+                })
+                .collect();
+            let pre = tape.concat_rows(&pres); // (B·k, a)
+            let act = tape.tanh(pre);
+            let v = tape.param(params, self.attn_v);
+            let scores = tape.matmul(act, v); // (B·k, 1)
+            let rows: Vec<Var> = (0..bsz)
+                .map(|b| {
+                    let s = tape.slice_rows(scores, b * k, k);
+                    tape.transpose(s) // (1, k)
+                })
+                .collect();
+            let score_mat = tape.concat_rows(&rows); // (B, k)
+            let alpha = tape.softmax(score_mat);
+            if enc_outs.len() == 1 {
+                return tape.matmul(alpha, enc_outs[0]); // (B, 2h)
+            }
+            let ctxs: Vec<Var> = (0..bsz)
+                .map(|b| {
+                    let a_row = tape.slice_rows(alpha, b, 1);
+                    tape.matmul(a_row, enc_outs[ep_enc[b]]) // (1, 2h)
+                })
+                .collect();
+            tape.concat_rows(&ctxs)
+        }
+
         fn forward_serial(
             &self,
             tape: &mut Tape,
@@ -760,6 +792,77 @@ mod tests {
                 ref_tape.value(ref_out.step_log_probs).data(),
                 "per-step log-probs diverge"
             );
+        }
+    }
+
+    #[test]
+    fn fused_context_matches_per_episode_composition_bitwise() {
+        // Three chained contexts (each decoder state is cut from the previous
+        // context), so the keys' gradient slot takes one deposit per episode
+        // per step; encoder outputs and the first state are parameters, so
+        // their gradients are compared along with the attention weights'.
+        const STEPS: usize = 3;
+        let (k, hidden) = (4, 12);
+        // Batch 1, a batch sharing one encoder pass, and one over two passes.
+        for ep_enc in [vec![0], vec![0; 10], vec![0, 1, 1, 0, 1, 0, 0, 1, 1, 0]] {
+            let (mut params, placer) = setup(AttentionMode::Before);
+            let mut rng = ChaCha8Rng::seed_from_u64(19);
+            let passes = ep_enc.iter().max().unwrap() + 1;
+            let encs: Vec<_> = (0..passes)
+                .map(|j| params.add(format!("enc{j}"), init::uniform(k, 2 * hidden, 1.0, &mut rng)))
+                .collect();
+            let h0 = params.add("h0", init::uniform(ep_enc.len(), hidden, 1.0, &mut rng));
+            let weights: Vec<Tensor> = (0..STEPS)
+                .map(|_| init::uniform(ep_enc.len(), 2 * hidden, 1.0, &mut rng))
+                .collect();
+
+            let run = |fused: bool| {
+                let mut tape = Tape::new();
+                let enc_outs: Vec<Var> = encs.iter().map(|&e| tape.param(&params, e)).collect();
+                let stacked = if passes == 1 { enc_outs[0] } else { tape.concat_rows(&enc_outs) };
+                let enc_proj = placer.attn_enc.forward(&mut tape, &params, stacked);
+                let keys: Vec<Var> = match (fused, passes) {
+                    (true, _) => vec![],
+                    (false, 1) => vec![enc_proj],
+                    (false, _) => {
+                        (0..passes).map(|j| tape.slice_rows(enc_proj, j * k, k)).collect()
+                    }
+                };
+                let mut dec_h = tape.param(&params, h0);
+                let (mut values, mut terms) = (Vec::new(), Vec::new());
+                for w in &weights {
+                    let (t, p) = (&mut tape, &params);
+                    let ctx = if fused {
+                        placer.context_batch(t, p, &enc_outs, enc_proj, &ep_enc, dec_h)
+                    } else {
+                        placer.context_batch_composed(t, p, &enc_outs, &keys, &ep_enc, dec_h)
+                    };
+                    values.push(tape.value(ctx).clone());
+                    let w = tape.leaf(w.clone());
+                    let weighted = tape.mul_elem(ctx, w);
+                    terms.push(tape.sum_all(weighted));
+                    let cut = tape.slice_cols(ctx, 0, hidden);
+                    dec_h = tape.tanh(cut);
+                }
+                let loss = tape.add_n(&terms);
+                let mut grads = Grads::for_params(&params);
+                tape.backward_into(loss, &mut grads);
+                (values, grads)
+            };
+            let (fused_values, fused_grads) = run(true);
+            let (values, grads) = run(false);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (t, (a, b)) in fused_values.iter().zip(&values).enumerate() {
+                assert_eq!(bits(a), bits(b), "{ep_enc:?}: context {t}");
+            }
+            for id in params.ids() {
+                assert_eq!(
+                    bits(fused_grads.get(id)),
+                    bits(grads.get(id)),
+                    "{ep_enc:?}: gradient of {}",
+                    params.name(id)
+                );
+            }
         }
     }
 

@@ -58,15 +58,14 @@ impl Adam {
     /// One parameter's update. The per-element op order is load-bearing:
     /// checkpointed runs replay it and must land on identical bits.
     fn update_one(&mut self, idx: usize, value: &mut Tensor, grad: &Tensor, bc1: f32, bc2: f32) {
-        let m = &mut self.m[idx];
-        let v = &mut self.v[idx];
-        for j in 0..grad.len() {
-            let gj = grad.data()[j];
-            m.data_mut()[j] = self.beta1 * m.data()[j] + (1.0 - self.beta1) * gj;
-            v.data_mut()[j] = self.beta2 * v.data()[j] + (1.0 - self.beta2) * gj * gj;
-            let m_hat = m.data()[j] / bc1;
-            let v_hat = v.data()[j] / bc2;
-            value.data_mut()[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (m, v) = (self.m[idx].data_mut(), self.v[idx].data_mut());
+        assert!(m.len() == grad.len() && value.len() == grad.len(), "layout changed under Adam");
+        for (((x, &gj), m), v) in value.data_mut().iter_mut().zip(grad.data()).zip(m).zip(v) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * gj;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * gj * gj;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *x -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
 

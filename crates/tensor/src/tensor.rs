@@ -7,27 +7,44 @@
 
 use std::fmt;
 
-/// Threshold (in multiply-adds, `m * n * k`) above which [`Tensor::matmul`]
-/// shards the computation across threads. Counting flops rather than output
-/// elements keeps skinny products with a large inner dimension (e.g. `64x1024
-/// @ 1024x8`) on the parallel path and tiny-`k` products off it, where thread
-/// spawn overhead would dominate.
+/// Work (in multiply-adds, `rows * n * k`) one worker's share of a product
+/// must reach before [`Tensor::matmul`] and its transposed-operand siblings
+/// split the output rows across threads. A share also has to be at least
+/// `MR * NR` rows tall: every worker packs all of `B` for itself, `k * n`
+/// copies that only its own rows repay. So the worker count is
+/// `min(available workers, m / (MR * NR), m * n * k / PAR_MATMUL_THRESHOLD)`,
+/// a product is serial unless that is at least 2, and the calling thread
+/// runs one of the shares itself.
 ///
-/// Re-measured for the cache-blocked kernel with the `matmul_bench` bin
-/// (see `results/BENCH_matmul.json`): a `crossbeam::scope` round costs
-/// roughly 100us of spawn overhead while the serial blocked kernel streams
-/// ~11G multiply-adds/sec, so sharding across `T` threads only wins once the
-/// saved work `(1 - 1/T) * t_serial` exceeds the spawn cost — at `T = 4`
-/// that puts the crossover in the 1-2M multiply-add range. `128^3` (~2.1M)
-/// sits just above it; below, the serial blocked kernel wins even with
-/// spare cores.
+/// Both halves are read off `results/BENCH_matmul.json` (`matmul_bench` on a
+/// 2-vCPU host: `serial_sec` is one worker, `dispatch_sec` this rule at two,
+/// `split2_sec` the rows halved over two threads whatever the rule says).
+/// The row half: the 10-row LSTM gate products of a paper-width minibatch
+/// (`10x512 . 512x2048`, `10x1664 . 1664x2048`) are 5 and 16 times this
+/// constant in total work, but split 5 + 5 both threads stream the whole
+/// multi-megabyte weight to fill two register tiles each — `split2` runs at
+/// 0.61x and 0.64x of `serial` — so they stay on one thread (`dispatch` =
+/// `serial`). The work half: a scoped thread costs tens of microseconds to
+/// start and to wake a core for, which a share of `128^3` multiply-adds
+/// (176 us of the serial kernel) can repay and a smaller one cannot, so
+/// `128x128 . 128x128` and everything below it is serial (`split2` 0.04x to
+/// 0.80x there). What the rule does split — `256^3` and the op-count-tall
+/// grouper products `2935x81 . 81x32`, `1182x81 . 81x64`, whose `B` packs
+/// into a few KiB — measured 0.91x to 0.95x of `serial` on that host, whose
+/// second vCPU adds no throughput to sub-millisecond bursts (`split2` loses
+/// on every row, `256^3` included); `train_gnmt` end to end ties with a
+/// build that never splits (CHANGES.md, PR 16). Splitting them is what a
+/// second real core turns into time saved; nothing here is tuned to a host.
 pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 
-/// Worker threads available for sharded matmuls — the workspace-wide cached
-/// host parallelism (shared with the rollout engine's worker resolution, and
+/// Worker threads a `(m, k) . (k, n)` product is split across (see
+/// [`PAR_MATMUL_THRESHOLD`]); the ceiling is the workspace-wide cached host
+/// parallelism (shared with the rollout engine's worker resolution, and
 /// overridable per-run via `eagle_obs::set_available_workers`).
-fn matmul_threads() -> usize {
-    eagle_obs::available_workers()
+fn matmul_workers(m: usize, k: usize, n: usize) -> usize {
+    let by_rows = m / (MR * NR);
+    let by_work = m * n * k / PAR_MATMUL_THRESHOLD;
+    eagle_obs::available_workers().min(by_rows).min(by_work).max(1)
 }
 
 /// A dense matrix of `f32` values in row-major order.
@@ -280,56 +297,81 @@ impl Tensor {
     }
 
     /// Matrix product `self @ other` through the cache-blocked kernel with
-    /// packed-B micro-panels (`matmul_rows_blocked`).
+    /// packed-B micro-panels (`gemm_rows`).
     ///
-    /// Large products are sharded across threads with `crossbeam::scope`,
-    /// splitting the *output rows* so each thread writes a disjoint region (no
-    /// synchronization on the hot path). Every thread count produces
-    /// bit-identical results: each output element is one ascending-`k` f32
-    /// accumulation.
+    /// Tall products are sharded across threads with `crossbeam::scope`
+    /// (how many is [`PAR_MATMUL_THRESHOLD`]'s rule), splitting the *output
+    /// rows* so each thread writes a disjoint region (no synchronization on
+    /// the hot path). Every thread count produces bit-identical results: each
+    /// output element is one ascending-`k` f32 accumulation.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Self) -> Self {
-        let (m, k, n) = self.matmul_dims(other);
-        let mut out = Self::zeros(m, n);
-        let threads = matmul_threads().min(m);
-        if threads > 1 && m * n * k >= PAR_MATMUL_THRESHOLD && m >= 2 {
-            let chunk_rows = m.div_ceil(threads);
-            let a = &self.data;
-            let b = &other.data;
-            crossbeam::thread::scope(|s| {
-                for (ci, out_chunk) in out.data.chunks_mut(chunk_rows * n).enumerate() {
-                    let row0 = ci * chunk_rows;
-                    s.spawn(move |_| {
-                        matmul_rows_blocked(a, b, out_chunk, row0, k, n);
-                    });
-                }
-            })
-            .expect("matmul worker panicked");
-        } else {
-            matmul_rows_blocked(&self.data, &other.data, &mut out.data, 0, k, n);
-        }
-        out
-    }
-
-    /// Matrix product through the serial triple-loop `ikj` kernel: the bitwise
-    /// reference [`Tensor::matmul`] is tested and benchmarked against.
-    pub fn matmul_naive(&self, other: &Self) -> Self {
-        let (m, k, n) = self.matmul_dims(other);
-        let mut out = Self::zeros(m, n);
-        matmul_rows(&self.data, &other.data, &mut out.data, k, n);
-        out
-    }
-
-    /// `(m, k, n)` of `self @ other`, panicking on an inner-dimension mismatch.
-    fn matmul_dims(&self, other: &Self) -> (usize, usize, usize) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        (self.rows, self.cols, other.cols)
+        let mut out = Self::zeros(self.rows, other.cols);
+        gemm(Lhs::rows(self), Rhs { data: &other.data, transposed: false }, &mut out, false);
+        out
+    }
+
+    /// `self @ otherᵀ` without materializing the transpose: `other` is
+    /// `(n, k)` and is read row-wise while packing. Bit-equal to
+    /// `self.matmul(&other.transpose())`.
+    ///
+    /// # Panics
+    /// Panics if `self.cols() != other.cols()`.
+    pub fn matmul_nt(&self, other: &Self) -> Self {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_nt shape mismatch: {}x{} @ ({}x{})ᵀ",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let mut out = Self::zeros(self.rows, other.rows);
+        gemm(Lhs::rows(self), Rhs { data: &other.data, transposed: true }, &mut out, false);
+        out
+    }
+
+    /// `selfᵀ @ other` without materializing the transpose: `self` is
+    /// `(k, m)` and is read column-wise. Bit-equal to
+    /// `self.transpose().matmul(other)`.
+    ///
+    /// # Panics
+    /// Panics if `self.rows() != other.rows()`.
+    pub fn matmul_tn(&self, other: &Self) -> Self {
+        let mut out = Self::zeros(self.cols, other.cols);
+        gemm(Lhs::cols(self, other), Rhs { data: &other.data, transposed: false }, &mut out, false);
+        out
+    }
+
+    /// `into += selfᵀ @ other`, the product summed from `+0.0` first and the
+    /// finished sum then added: bit-equal to
+    /// `into.add_assign(&self.matmul_tn(other))`. When the inner dimension
+    /// fits one k-block the finished register tile is added straight into
+    /// `into` and no product-sized temporary exists.
+    ///
+    /// # Panics
+    /// Panics if `self.rows() != other.rows()` or `into` is not
+    /// `(self.cols(), other.cols())`.
+    pub fn matmul_tn_acc(&self, other: &Self, into: &mut Self) {
+        assert_eq!(into.shape(), (self.cols, other.cols), "matmul_tn_acc output shape mismatch");
+        if self.rows <= KC {
+            gemm(Lhs::cols(self, other), Rhs { data: &other.data, transposed: false }, into, true);
+        } else {
+            into.add_assign(&self.matmul_tn(other));
+        }
+    }
+
+    /// Matrix product through the serial triple-loop `ikj` kernel: the bitwise
+    /// reference [`Tensor::matmul`] is tested and benchmarked against.
+    pub fn matmul_naive(&self, other: &Self) -> Self {
+        assert_eq!(self.cols, other.rows, "matmul_naive shape mismatch");
+        let mut out = Self::zeros(self.rows, other.cols);
+        matmul_rows(&self.data, &other.data, &mut out.data, self.cols, other.cols);
+        out
     }
 
     /// Concatenates tensors horizontally (same number of rows).
@@ -452,18 +494,91 @@ const NR: usize = 8;
 /// Cache-block depth over the inner dimension: one packed panel is
 /// `KC x NR` f32 = 16 KiB, comfortably inside L1 alongside the `A` rows.
 const KC: usize = 512;
+/// Row-block height: a packed panel is swept over `MC` rows of `A` before the
+/// next panel is packed, so the `MC` output cache lines a panel touches are
+/// still cached when the neighbouring panel fills their other half. Without
+/// it a tall product into a wide `out` (`dW = xᵀ . gy` of a `1664 x 2048`
+/// weight: 1664 lines, 8 KiB apart) evicts every line between its two
+/// visits. A product of at most `MC` rows runs exactly as before.
+const MC: usize = 64;
+
+/// Left operand of a product: element `(i, kk)` of the `(m, k)` matrix the
+/// kernel multiplies is `data[i * row_stride + kk * col_stride]`, so a
+/// row-major `A` and a row-major `(k, m)` matrix read as its transpose are
+/// the same loop.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    col_stride: usize,
+    /// Inner dimension `k`.
+    inner: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// `a` as it is stored.
+    fn rows(a: &'a Tensor) -> Self {
+        Self { data: &a.data, row_stride: a.cols, col_stride: 1, inner: a.cols }
+    }
+
+    /// `aᵀ`, for a product with `b`.
+    fn cols(a: &'a Tensor, b: &Tensor) -> Self {
+        assert_eq!(
+            a.rows, b.rows,
+            "matmul_tn shape mismatch: ({}x{})ᵀ @ {}x{}",
+            a.rows, a.cols, b.rows, b.cols
+        );
+        Self { data: &a.data, row_stride: 1, col_stride: a.cols, inner: a.rows }
+    }
+}
+
+/// Right operand of a product: the `(k, n)` matrix `B` row-major, or — when
+/// `transposed` — `Bᵀ` row-major, i.e. `(n, k)`.
+#[derive(Clone, Copy)]
+struct Rhs<'a> {
+    data: &'a [f32],
+    transposed: bool,
+}
+
+/// `out = A @ B` (`out` zeroed by the caller) or, with `accumulate`,
+/// `out += A @ B`; splits the output rows across [`matmul_workers`] threads.
+fn gemm(a: Lhs<'_>, b: Rhs<'_>, out: &mut Tensor, accumulate: bool) {
+    let (m, n, k) = (out.rows, out.cols, a.inner);
+    let workers = matmul_workers(m, k, n);
+    if workers > 1 {
+        let chunk_rows = m.div_ceil(workers);
+        crossbeam::thread::scope(|s| {
+            // The calling thread takes the first share itself: one spawn
+            // fewer, and no core idles waiting on the others.
+            let mut chunks = out.data.chunks_mut(chunk_rows * n).enumerate();
+            let own = chunks.next();
+            for (ci, out_chunk) in chunks {
+                s.spawn(move |_| gemm_rows(a, b, out_chunk, ci * chunk_rows, n, accumulate));
+            }
+            if let Some((_, out_chunk)) = own {
+                gemm_rows(a, b, out_chunk, 0, n, accumulate);
+            }
+        })
+        .expect("matmul worker panicked");
+    } else {
+        gemm_rows(a, b, &mut out.data, 0, n, accumulate);
+    }
+}
 
 /// Cache-blocked kernel: computes rows `[row0, row0 + out.len()/n)` of `A @ B`
-/// (`a` the full `? x k` left matrix, `b` the full `k x n` right matrix) through
-/// a GEBP-style loop nest with a "transposed-B" packing step.
+/// through a GEBP-style loop nest with a "transposed-B" packing step.
 ///
 /// For each `(k-block, column-block)` pair, the `KC x NR` slice of `B` is
 /// packed k-major into a contiguous micro-panel (so the microkernel streams it
-/// linearly regardless of `n`), then an `MR x NR` register tile of output
-/// accumulators is updated for `MR` rows of `A` at a time. The inner loop body
-/// — broadcast `a[r][kk]`, multiply into `NR` independent accumulators — is
-/// the shape LLVM autovectorizes across the tile without reassociating any
-/// single accumulation chain.
+/// linearly regardless of `n` and of how `B` is stored), then an `MR x NR`
+/// register tile of output accumulators is updated for `MR` rows of `A` at a
+/// time. The inner loop body — broadcast `a[r][kk]`, multiply into `NR`
+/// independent accumulators — is the shape LLVM autovectorizes across the tile
+/// without reassociating any single accumulation chain.
+///
+/// Without `accumulate`, `out` must arrive zeroed and the tile round-trips
+/// through it between k-blocks. With it (one k-block only, `k <= KC`) the tile
+/// starts at `+0.0` and the finished sum is added to what `out` holds.
 ///
 /// # Bit-identity with the naive kernel
 ///
@@ -478,58 +593,105 @@ const KC: usize = 512;
 /// to `+0.0`, and `+0.0 + -0.0 = +0.0`), so batched layers built on
 /// zero-padding — e.g. the GCN placer's block-diagonal adjacency — keep their
 /// per-episode bit-identity under either kernel.
-fn matmul_rows_blocked(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], row0: usize, n: usize, accumulate: bool) {
+    let k = a.inner;
     let rows = out.len() / n.max(1);
     if rows == 0 || n == 0 || k == 0 {
         return;
     }
+    assert!(!accumulate || k <= KC, "accumulating write-back needs a single k-block");
     let mut packed = [0.0f32; KC * NR];
     for kb in (0..k).step_by(KC) {
         let kc = KC.min(k - kb);
-        for jb in (0..n).step_by(NR) {
-            let nr = NR.min(n - jb);
-            // Pack B[kb..kb+kc, jb..jb+nr] k-major; pad tail columns with
-            // zeros so full-width tiles can run over the padded lanes.
+        for ib in (0..rows).step_by(MC) {
+            let block_end = rows.min(ib + MC);
+            for jb in (0..n).step_by(NR) {
+                let nr = NR.min(n - jb);
+                pack_panel(b, &mut packed, kb, kc, jb, nr, k, n);
+                let mut i = ib;
+                while i < block_end {
+                    let mr = MR.min(block_end - i);
+                    let mut acc = [[0.0f32; NR]; MR];
+                    if !accumulate {
+                        for (r, acc_row) in acc.iter_mut().enumerate().take(mr) {
+                            let o = &out[(i + r) * n + jb..(i + r) * n + jb + nr];
+                            acc_row[..nr].copy_from_slice(o);
+                        }
+                    }
+                    // Offsets of A[row0 + i + r][kb] for the tile's rows.
+                    let mut base = [0usize; MR];
+                    for (r, at) in base.iter_mut().enumerate().take(mr) {
+                        *at = (row0 + i + r) * a.row_stride + kb * a.col_stride;
+                    }
+                    if mr == MR {
+                        // Full tile: constant trip counts, NR independent lanes.
+                        for kk in 0..kc {
+                            let bp = &packed[kk * NR..(kk + 1) * NR];
+                            for (acc_row, &at) in acc.iter_mut().zip(&base) {
+                                let ar = a.data[at + kk * a.col_stride];
+                                for (c, &bv) in acc_row.iter_mut().zip(bp) {
+                                    *c += ar * bv;
+                                }
+                            }
+                        }
+                    } else {
+                        for kk in 0..kc {
+                            let bp = &packed[kk * NR..(kk + 1) * NR];
+                            for (acc_row, &at) in acc.iter_mut().zip(&base).take(mr) {
+                                let ar = a.data[at + kk * a.col_stride];
+                                for (c, &bv) in acc_row.iter_mut().zip(bp) {
+                                    *c += ar * bv;
+                                }
+                            }
+                        }
+                    }
+                    for (r, acc_row) in acc.iter().enumerate().take(mr) {
+                        let o = &mut out[(i + r) * n + jb..(i + r) * n + jb + nr];
+                        if accumulate {
+                            for (o, &v) in o.iter_mut().zip(&acc_row[..nr]) {
+                                *o += v;
+                            }
+                        } else {
+                            o.copy_from_slice(&acc_row[..nr]);
+                        }
+                    }
+                    i += mr;
+                }
+            }
+        }
+    }
+}
+
+/// Packs `B[kb..kb+kc, jb..jb+nr]` k-major into `packed`, padding the tail
+/// columns with zeros so full-width tiles can run over the padded lanes.
+#[allow(clippy::too_many_arguments)]
+fn pack_panel(
+    b: Rhs<'_>,
+    packed: &mut [f32; KC * NR],
+    kb: usize,
+    kc: usize,
+    jb: usize,
+    nr: usize,
+    k: usize,
+    n: usize,
+) {
+    if b.transposed {
+        for c in 0..nr {
+            let src = &b.data[(jb + c) * k + kb..(jb + c) * k + kb + kc];
+            for (kk, &v) in src.iter().enumerate() {
+                packed[kk * NR + c] = v;
+            }
+        }
+        if nr < NR {
             for kk in 0..kc {
-                let src = &b[(kb + kk) * n + jb..(kb + kk) * n + jb + nr];
-                packed[kk * NR..kk * NR + nr].copy_from_slice(src);
                 packed[kk * NR + nr..(kk + 1) * NR].fill(0.0);
             }
-            let mut i = 0;
-            while i < rows {
-                let mr = MR.min(rows - i);
-                let mut acc = [[0.0f32; NR]; MR];
-                for (r, acc_row) in acc.iter_mut().enumerate().take(mr) {
-                    let o = &out[(i + r) * n + jb..(i + r) * n + jb + nr];
-                    acc_row[..nr].copy_from_slice(o);
-                }
-                if mr == MR {
-                    // Full tile: constant trip counts, NR independent lanes.
-                    for kk in 0..kc {
-                        let bp = &packed[kk * NR..(kk + 1) * NR];
-                        for (r, acc_row) in acc.iter_mut().enumerate() {
-                            let ar = a[(row0 + i + r) * k + kb + kk];
-                            for (c, &bv) in acc_row.iter_mut().zip(bp) {
-                                *c += ar * bv;
-                            }
-                        }
-                    }
-                } else {
-                    for kk in 0..kc {
-                        let bp = &packed[kk * NR..(kk + 1) * NR];
-                        for (r, acc_row) in acc.iter_mut().enumerate().take(mr) {
-                            let ar = a[(row0 + i + r) * k + kb + kk];
-                            for (c, &bv) in acc_row.iter_mut().zip(bp) {
-                                *c += ar * bv;
-                            }
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                    out[(i + r) * n + jb..(i + r) * n + jb + nr].copy_from_slice(&acc_row[..nr]);
-                }
-                i += mr;
-            }
+        }
+    } else {
+        for kk in 0..kc {
+            let src = &b.data[(kb + kk) * n + jb..(kb + kk) * n + jb + nr];
+            packed[kk * NR..kk * NR + nr].copy_from_slice(src);
+            packed[kk * NR + nr..(kk + 1) * NR].fill(0.0);
         }
     }
 }
@@ -572,25 +734,45 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_serial() {
-        // Large enough to cross PAR_MATMUL_THRESHOLD.
-        let m = 97;
-        let k = 53;
-        let n = 71;
-        let a = Tensor::from_vec(m, k, (0..m * k).map(|x| (x % 13) as f32 - 6.0).collect());
-        let b = Tensor::from_vec(k, n, (0..k * n).map(|x| (x % 7) as f32 - 3.0).collect());
-        let big = a.matmul(&b);
-        // Serial reference.
-        let mut reference = Tensor::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for kk in 0..k {
-                    acc += a.get(i, kk) * b.get(kk, j);
+        // Shapes the dispatch rule shards — the tall grouper product, twice
+        // the 128^3 boundary, a share count that leaves the last chunk ragged
+        // — and the 128^3 boundary itself, which it does not.
+        let shapes = [(2935, 81, 32, true), (256, 128, 128, true), (67, 512, 128, true)];
+        let shapes = shapes.into_iter().chain([(128, 128, 128, false)]);
+        for (m, k, n, sharded) in shapes {
+            let a = fill(m, k, (m + k) as u32);
+            let b = fill(k, n, (k + n) as u32);
+            let gy = fill(m, n, (m + n) as u32);
+            let naive = a.matmul_naive(&b);
+            let naive_nt = gy.matmul_naive(&b.transpose());
+            let naive_tn = a.transpose().matmul_naive(&gy);
+            let held = fill(k, n, 7);
+            let mut naive_acc = held.clone();
+            naive_acc.add_assign(&naive_tn);
+            for workers in [2, 3] {
+                eagle_obs::set_available_workers(workers);
+                assert_eq!(matmul_workers(m, k, n) > 1, sharded, "{m}x{k}@{k}x{n}");
+                let mut acc = held.clone();
+                a.matmul_tn_acc(&gy, &mut acc);
+                let products = [
+                    ("nn", a.matmul(&b), &naive),
+                    ("nt", gy.matmul_nt(&b), &naive_nt),
+                    ("tn", a.matmul_tn(&gy), &naive_tn),
+                    ("tn_acc", acc, &naive_acc),
+                ];
+                eagle_obs::set_available_workers(0);
+                for (layout, got, want) in products {
+                    assert_bitwise_eq(&got, want, &format!("{layout} {m}x{k}x{n} at {workers}"));
                 }
-                reference.set(i, j, acc);
             }
         }
-        assert!(big.max_abs_diff(&reference) < 1e-3);
+    }
+
+    fn assert_bitwise_eq(got: &Tensor, want: &Tensor, ctx: &str) {
+        assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
+        for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: elem {i}: {x} vs {y}");
+        }
     }
 
     /// Deterministic pseudo-random fill that exercises signs, zeros and a wide
@@ -622,21 +804,15 @@ mod tests {
             (5, 17, 257), // one past each block boundary
             (8, 300, 33), // k-blocking with ragged n tail
             (7, 5, 300),  // multiple k-blocks, tiny tiles
-            (97, 53, 71), // the parallel-path shape
+            // Ragged in all three, two row blocks; serial all the same — the
+            // sharded path is `matmul_parallel_matches_serial`'s.
+            (97, 53, 71),
             (2, 1, 400),
         ];
         for (m, k, n) in shapes {
             let a = fill(m, k, (m * 1000 + k) as u32);
             let b = fill(k, n, (k * 1000 + n) as u32);
-            let naive = a.matmul_naive(&b);
-            let blocked = a.matmul(&b);
-            for (i, (x, y)) in naive.data().iter().zip(blocked.data()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "({m}x{k})@({k}x{n}) elem {i}: naive {x} vs blocked {y}"
-                );
-            }
+            assert_bitwise_eq(&a.matmul(&b), &a.matmul_naive(&b), &format!("({m}x{k})@({k}x{n})"));
         }
     }
 

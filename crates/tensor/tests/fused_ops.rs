@@ -253,3 +253,126 @@ fn backward_into_is_bitwise_repeatable_and_additive() {
         }
     }
 }
+
+#[test]
+fn range_deposits_match_zero_padded_whole_slot_deposits() {
+    // The slicing and gathering ops deposit their gradient into a sub-range
+    // of the input's slot. Each is held against an op chain whose VJP deposits
+    // a whole, zero-padded tensor — a 0/1 mask product, a 0/1 gather matrix —
+    // with the ranged consumer visited after a whole-slot deposit, before
+    // one, between two, and first of all (its deposit allocates the slot).
+    let (params, ids) = seeded_params(&[(5, 4), (5, 4), (5, 4), (5, 4)], 23);
+    let mask = |rows: std::ops::Range<usize>, cols: std::ops::Range<usize>| {
+        let mut m = Tensor::zeros(5, 4);
+        for r in rows {
+            m.row_mut(r)[cols.clone()].fill(1.0);
+        }
+        m
+    };
+    let picks = [2usize, 0, 3, 3, 1];
+    let gathered = [4usize, 1, 4, 0, 4];
+    // `(ranged, zero_padded)`: the same function of `a` and a weight `w`.
+    type Consumer = Box<dyn Fn(&mut Tape, Var, Var) -> Var>;
+    let pairs: Vec<(&str, Consumer, Consumer)> = vec![
+        (
+            "slice_rows",
+            Box::new(|t, a, w| {
+                let (sa, sw) = (t.slice_rows(a, 1, 3), t.slice_rows(w, 1, 3));
+                t.mul_elem(sa, sw)
+            }),
+            Box::new(move |t, a, w| {
+                let m = t.leaf(mask(1..4, 0..4));
+                let ma = t.mul_elem(a, m);
+                t.mul_elem(ma, w)
+            }),
+        ),
+        (
+            "slice_cols",
+            Box::new(|t, a, w| {
+                let (sa, sw) = (t.slice_cols(a, 1, 2), t.slice_cols(w, 1, 2));
+                t.mul_elem(sa, sw)
+            }),
+            Box::new(move |t, a, w| {
+                let m = t.leaf(mask(0..5, 1..3));
+                let ma = t.mul_elem(a, m);
+                t.mul_elem(ma, w)
+            }),
+        ),
+        (
+            "select_rows",
+            Box::new(move |t, a, w| {
+                let sa = t.select_rows(a, &gathered);
+                t.mul_elem(sa, w)
+            }),
+            Box::new(move |t, a, w| {
+                let mut g = Tensor::zeros(5, 5);
+                for (r, &idx) in gathered.iter().enumerate() {
+                    g.set(r, idx, 1.0);
+                }
+                let g = t.leaf(g);
+                let sa = t.matmul(g, a);
+                t.mul_elem(sa, w)
+            }),
+        ),
+        (
+            "pick_per_row",
+            Box::new(move |t, a, w| {
+                let (pa, pw) = (t.pick_per_row(a, &picks), t.pick_per_row(w, &picks));
+                t.mul_elem(pa, pw)
+            }),
+            Box::new(move |t, a, w| {
+                let mut onehot = Tensor::zeros(5, 4);
+                for (r, &c) in picks.iter().enumerate() {
+                    onehot.set(r, c, 1.0);
+                }
+                let m = t.leaf(onehot);
+                let ma = t.mul_elem(a, m);
+                t.mul_elem(ma, w)
+            }),
+        ),
+    ];
+    for (name, ranged, padded) in &pairs {
+        // Node order of the ranged consumer among two whole-slot ones; the
+        // backward visits them in reverse.
+        for position in 0..3 {
+            let build = |consumer: &Consumer, tape: &mut Tape, p: &Params| -> Var {
+                let a = tape.param(p, ids[0]);
+                let mut terms = Vec::new();
+                let mut whole = 1;
+                for slot in 0..3 {
+                    let w = tape.param(p, ids[slot + 1]);
+                    let y = if slot == position {
+                        consumer(tape, a, w)
+                    } else {
+                        whole += 1;
+                        let s = tape.scale(a, 0.3 * whole as f32);
+                        tape.mul_elem(s, w)
+                    };
+                    terms.push(tape.sum_all(y));
+                }
+                tape.add_n(&terms)
+            };
+            assert_bitwise_equivalent(
+                &params,
+                |tape, p| build(ranged, tape, p),
+                |tape, p| build(padded, tape, p),
+                &format!("{name} at position {position}"),
+            );
+        }
+        // Alone: the ranged deposit is the slot's first and only one.
+        assert_bitwise_equivalent(
+            &params,
+            |tape, p| {
+                let (a, w) = (tape.param(p, ids[0]), tape.param(p, ids[1]));
+                let y = ranged(tape, a, w);
+                tape.sum_all(y)
+            },
+            |tape, p| {
+                let (a, w) = (tape.param(p, ids[0]), tape.param(p, ids[1]));
+                let y = padded(tape, a, w);
+                tape.sum_all(y)
+            },
+            &format!("{name} alone"),
+        );
+    }
+}

@@ -244,6 +244,43 @@ fn gradcheck_scale_add_scalar() {
 }
 
 #[test]
+fn gradcheck_lstm_cell_two_steps() {
+    // z (2, 12) and c_prev (2, 3); the second step takes the first's `c`, so
+    // `c`'s gradient has both of its sources (the next step and `h`).
+    let (mut params, ids) = seeded_params(&[(2, 12), (2, 3), (3, 12)], 14);
+    gradcheck(&mut params, |tape, p| {
+        let z1 = tape.param(p, ids[0]);
+        let c0 = tape.param(p, ids[1]);
+        let w = tape.param(p, ids[2]);
+        let (h1, c1) = tape.lstm_cell(z1, c0);
+        let z2 = tape.matmul(h1, w);
+        let (h2, c2) = tape.lstm_cell(z2, c1);
+        let out = tape.concat_cols(&[h1, h2, c2]);
+        let sq = tape.mul_elem(out, out);
+        tape.sum_all(sq)
+    });
+}
+
+#[test]
+fn gradcheck_add_block_broadcast_and_reshape() {
+    // Two key blocks of three rows, three query rows mapped to blocks
+    // [1, 0, 1]; the (9, 1) scores then read as (3, 3) and soft-maxed per row.
+    let (mut params, ids) = seeded_params(&[(6, 4), (3, 4), (4, 1)], 15);
+    gradcheck(&mut params, |tape, p| {
+        let keys = tape.param(p, ids[0]);
+        let queries = tape.param(p, ids[1]);
+        let v = tape.param(p, ids[2]);
+        let pre = tape.add_block_broadcast(keys, 2, queries, &[1, 0, 1]); // (9, 4)
+        let act = tape.tanh(pre);
+        let scores = tape.matmul(act, v); // (9, 1)
+        let mat = tape.reshape(scores, 3, 3);
+        let alpha = tape.softmax(mat);
+        let sq = tape.mul_elem(alpha, alpha);
+        tape.sum_all(sq)
+    });
+}
+
+#[test]
 fn leaf_receives_no_gradient() {
     let mut params = Params::new();
     let w = params.add("w", Tensor::scalar(2.0));
