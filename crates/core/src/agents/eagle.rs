@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use eagle_devsim::{DeviceId, Machine, Placement};
+use eagle_devsim::{search::topo_chunks, DeviceId, Machine, Placement};
 use eagle_nn::{AttentionMode, Grouper, Lstm, Placer, PlacerOutput, Seq2SeqPlacer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
@@ -113,7 +113,12 @@ impl EagleAgent {
         params: &mut Params,
         graph: &OpGraph,
     ) {
-        let target = Self::warm_start_target(graph, grouper.num_groups);
+        // The target is balanced topologically contiguous chunks: consecutive
+        // groups are graph-adjacent, matching the sequence structure the linking
+        // RNN and seq2seq placer consume; RL fine-tuning then reshapes the grouping
+        // end-to-end. (A METIS-based warm start was evaluated and performed
+        // comparably; the topological chunking is cheaper and seed-free.)
+        let target = topo_chunks(graph, grouper.num_groups);
         let mut opt = Adam::new(0.01);
         let mut grads = Grads::for_params(params);
         for _ in 0..60 {
@@ -127,21 +132,6 @@ impl EagleAgent {
             tape.backward_into(loss, &mut grads);
             opt.step_grads(params, &grads);
         }
-    }
-
-    /// The warm-start grouping: balanced topologically contiguous chunks.
-    /// Consecutive groups are graph-adjacent, matching the sequence structure the
-    /// linking RNN and seq2seq placer consume; RL fine-tuning then reshapes the
-    /// grouping end-to-end. (A METIS-based warm start was evaluated and performed
-    /// comparably; the topological chunking is cheaper and seed-free.)
-    fn warm_start_target(graph: &OpGraph, k: usize) -> Vec<usize> {
-        let n = graph.len();
-        let order = graph.topo_order();
-        let mut target = vec![0usize; n];
-        for (pos, id) in order.iter().enumerate() {
-            target[id.index()] = pos * k / n.max(1);
-        }
-        target
     }
 
     /// Number of groups (= length of the action vector).
@@ -276,14 +266,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn setup() -> (Params, EagleAgent, OpGraph, Machine) {
-        let g = builders::try_gnmt(&builders::GnmtConfig {
-            batch: 2,
-            hidden: 4,
-            layers: 2,
-            seq_len: 3,
-            vocab: 20,
-        })
-        .expect("valid GNMT config");
+        let g = builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config");
         let m = Machine::paper_machine();
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(1);

@@ -212,14 +212,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn graph() -> OpGraph {
-        builders::try_gnmt(&builders::GnmtConfig {
-            batch: 2,
-            hidden: 4,
-            layers: 2,
-            seq_len: 3,
-            vocab: 20,
-        })
-        .expect("valid GNMT config")
+        builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config")
     }
 
     fn build(kind: PlacerKind) -> (Params, FixedGroupAgent, OpGraph, Machine) {

@@ -196,14 +196,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn setup() -> (Params, HpAgent, OpGraph, Machine) {
-        let g = builders::try_gnmt(&builders::GnmtConfig {
-            batch: 2,
-            hidden: 4,
-            layers: 2,
-            seq_len: 3,
-            vocab: 20,
-        })
-        .expect("valid GNMT config");
+        let g = builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config");
         let m = Machine::paper_machine();
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(1);

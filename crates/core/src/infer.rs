@@ -138,8 +138,7 @@ mod tests {
     use eagle_tensor::Tensor;
 
     fn tiny_graph() -> OpGraph {
-        builders::try_gnmt(&GnmtConfig { batch: 2, hidden: 4, layers: 2, seq_len: 3, vocab: 20 })
-            .expect("valid tiny gnmt")
+        builders::try_gnmt(&GnmtConfig::tiny()).expect("valid tiny gnmt")
     }
 
     /// The paper machine with every device shrunk to `share` of the graph's

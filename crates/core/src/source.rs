@@ -350,8 +350,7 @@ mod tests {
     use eagle_opgraph::builders::{self, GnmtConfig};
 
     fn tiny_graph() -> OpGraph {
-        builders::try_gnmt(&GnmtConfig { batch: 2, hidden: 4, layers: 2, seq_len: 3, vocab: 20 })
-            .expect("tiny gnmt")
+        builders::try_gnmt(&GnmtConfig::tiny()).expect("tiny gnmt")
     }
 
     #[test]

@@ -840,14 +840,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn tiny_graph() -> OpGraph {
-        builders::try_gnmt(&builders::GnmtConfig {
-            batch: 2,
-            hidden: 4,
-            layers: 2,
-            seq_len: 3,
-            vocab: 20,
-        })
-        .expect("valid tiny gnmt")
+        builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid tiny gnmt")
     }
 
     fn tiny_trainer(cfg: TrainerConfig) -> (OpGraph, Machine, Trainer) {

@@ -23,23 +23,6 @@ pub enum Benchmark {
     BertBase,
 }
 
-/// Paper-reported per-step times (Table IV), used for EXPERIMENTS.md comparisons.
-#[derive(Debug, Clone, Copy)]
-pub struct PaperNumbers {
-    /// Single-GPU baseline (`None` = OOM).
-    pub single_gpu: Option<f64>,
-    /// Human-expert baseline (`None` = OOM / unavailable).
-    pub human_expert: Option<f64>,
-    /// Hierarchical Planner.
-    pub hierarchical_planner: f64,
-    /// Post.
-    pub post: f64,
-    /// EAGLE trained with PPO.
-    pub eagle_ppo: f64,
-    /// EAGLE trained with PPO + cross-entropy.
-    pub eagle_ppo_ce: f64,
-}
-
 impl Benchmark {
     /// All benchmarks, in the paper's order.
     pub const ALL: [Benchmark; 3] = [Benchmark::InceptionV3, Benchmark::Gnmt, Benchmark::BertBase];
@@ -50,36 +33,6 @@ impl Benchmark {
             Benchmark::InceptionV3 => "inception_v3",
             Benchmark::Gnmt => "gnmt",
             Benchmark::BertBase => "bert_base",
-        }
-    }
-
-    /// Paper Table IV numbers for this model.
-    pub fn paper_numbers(self) -> PaperNumbers {
-        match self {
-            Benchmark::InceptionV3 => PaperNumbers {
-                single_gpu: Some(0.071),
-                human_expert: Some(0.071),
-                hierarchical_planner: 0.067,
-                post: 0.067,
-                eagle_ppo: 0.067,
-                eagle_ppo_ce: 0.067,
-            },
-            Benchmark::Gnmt => PaperNumbers {
-                single_gpu: None,
-                human_expert: Some(1.661),
-                hierarchical_planner: 1.418,
-                post: 2.031,
-                eagle_ppo: 1.379,
-                eagle_ppo_ce: 1.503,
-            },
-            Benchmark::BertBase => PaperNumbers {
-                single_gpu: None,
-                human_expert: None,
-                hierarchical_planner: 5.534,
-                post: 2.812,
-                eagle_ppo: 2.287,
-                eagle_ppo_ce: 2.488,
-            },
         }
     }
 
@@ -204,21 +157,6 @@ mod tests {
                 b.name()
             );
         }
-    }
-
-    #[test]
-    fn paper_numbers_sane() {
-        for b in Benchmark::ALL {
-            let p = b.paper_numbers();
-            assert!(p.eagle_ppo > 0.0);
-            assert!(p.hierarchical_planner > 0.0);
-        }
-        // Shape claims from the abstract.
-        let gnmt = Benchmark::Gnmt.paper_numbers();
-        assert!(gnmt.eagle_ppo < gnmt.hierarchical_planner);
-        assert!(gnmt.eagle_ppo < gnmt.human_expert.unwrap());
-        let bert = Benchmark::BertBase.paper_numbers();
-        assert!(bert.eagle_ppo < bert.post);
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub enum BaseEval {
 }
 
 impl BaseEval {
-    /// True when the placement fits in memory.
-    pub fn is_valid(&self) -> bool {
-        matches!(self, BaseEval::Valid { .. })
-    }
-
     /// The noiseless step time, if valid.
     pub fn step_time(&self) -> Option<f64> {
         match self {

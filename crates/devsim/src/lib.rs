@@ -18,7 +18,7 @@
 //! * [`Environment`] — the 15-step measurement protocol with noise and a simulated
 //!   wall-clock (the x-axis of the paper's training-curve figures).
 //! * [`predefined`] — Single-GPU and Human-Expert baseline placements.
-//! * [`search`] — random / hill-climb / annealing oracles over the landscape.
+//! * [`search`] — random-search / annealing oracles over the landscape.
 //! * [`Benchmark`] — calibrated Inception-V3 / GNMT / BERT instances.
 
 #![warn(missing_docs)]
@@ -34,7 +34,7 @@ pub mod search;
 mod sim;
 pub mod trace;
 
-pub use benchmarks::{calibrate, Benchmark, PaperNumbers};
+pub use benchmarks::{calibrate, Benchmark};
 pub use cache::{BaseEval, CacheStats, PlacementCache};
 pub use device::{
     efficiency, DeviceId, DeviceKind, DeviceSpec, Machine, MachineBuilder, MachineError,

@@ -82,11 +82,6 @@ impl Placement {
         self.devices[id.index()]
     }
 
-    /// Mutable access to the raw assignment.
-    pub fn devices_mut(&mut self) -> &mut [DeviceId] {
-        &mut self.devices
-    }
-
     /// Raw assignment.
     pub fn devices(&self) -> &[DeviceId] {
         &self.devices

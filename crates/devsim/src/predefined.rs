@@ -1,10 +1,9 @@
-//! Pre-defined placements: the paper's Single-GPU and Human-Expert baselines,
-//! plus random placements for exploration baselines and tests.
+//! Pre-defined placements: the paper's Single-GPU and Human-Expert baselines
+//! and the balanced BERT layer split calibration uses.
 
 use eagle_opgraph::{OpGraph, OpKind};
-use rand::Rng;
 
-use crate::device::{DeviceId, Machine};
+use crate::device::Machine;
 use crate::placement::Placement;
 
 /// The Single-GPU baseline: every op on the first GPU, except ops that are
@@ -22,12 +21,6 @@ pub fn single_gpu(graph: &OpGraph, machine: &Machine) -> Placement {
             })
             .collect(),
     )
-}
-
-/// A uniformly random placement over all devices.
-pub fn random_placement(graph: &OpGraph, machine: &Machine, rng: &mut impl Rng) -> Placement {
-    let nd = machine.num_devices() as u8;
-    Placement::new(graph.ids().map(|_| DeviceId(rng.gen_range(0..nd))).collect())
 }
 
 /// The Human-Expert placement for a benchmark graph, keyed off `model_name`:
@@ -135,7 +128,6 @@ mod tests {
     use super::*;
     use crate::sim::{simulate, SimOutcome};
     use eagle_opgraph::builders;
-    use rand::SeedableRng;
 
     #[test]
     fn single_gpu_puts_inputs_on_cpu() {
@@ -213,16 +205,5 @@ mod tests {
             .expect("default Inception config is valid");
         let m = Machine::paper_machine();
         assert!(matches!(simulate(&g, &m, &single_gpu(&g, &m)), SimOutcome::Valid(_)));
-    }
-
-    #[test]
-    fn random_placement_covers_graph() {
-        let g = builders::try_inception_v3(&builders::InceptionConfig::default())
-            .expect("default Inception config is valid");
-        let m = Machine::paper_machine();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let p = random_placement(&g, &m, &mut rng);
-        assert_eq!(p.len(), g.len());
-        assert!(p.validate(&g, &m).is_ok());
     }
 }

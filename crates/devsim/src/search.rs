@@ -1,5 +1,5 @@
-//! Classical search baselines over the placement space: random search, hill
-//! climbing and simulated annealing on grouped placements.
+//! Classical search baselines over the placement space: random search and
+//! simulated annealing on grouped placements.
 //!
 //! These are not paper baselines — the paper compares against RL agents — but they
 //! certify the optimization landscape: the annealing result is a practical lower
@@ -54,34 +54,6 @@ pub fn random_search(
         }
     }
     finish(group_of, best, best_gd, iters)
-}
-
-/// Greedy hill climbing: single-group device flips, accepted only on improvement.
-pub fn hill_climb(
-    graph: &OpGraph,
-    machine: &Machine,
-    group_of: &[usize],
-    init: Vec<DeviceId>,
-    iters: usize,
-    seed: u64,
-) -> SearchResult {
-    let k = init.len();
-    let nd = machine.num_devices() as u8;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut gd = init;
-    let mut best = eval(graph, machine, group_of, &gd);
-    for _ in 0..iters {
-        let gi = rng.gen_range(0..k);
-        let old = gd[gi];
-        gd[gi] = DeviceId(rng.gen_range(0..nd));
-        let t = eval(graph, machine, group_of, &gd);
-        if t < best {
-            best = t;
-        } else {
-            gd[gi] = old;
-        }
-    }
-    finish(group_of, best, Some(gd), iters + 1)
 }
 
 /// Simulated annealing with a geometric temperature schedule proportional to the
@@ -166,18 +138,6 @@ mod tests {
         let r = random_search(&graph, &machine, &groups, 50, 1);
         assert!(r.best_time.is_some(), "50 random grouped placements include a valid one");
         assert_eq!(r.evals, 50);
-    }
-
-    #[test]
-    fn hill_climb_improves_on_start() {
-        let machine = Machine::paper_machine();
-        let graph = Benchmark::InceptionV3.graph_for(&machine);
-        let groups = topo_chunks(&graph, 16);
-        // Start from everything-on-CPU: hill climbing must improve massively.
-        let init = vec![machine.cpu_id(); 16];
-        let start = eval(&graph, &machine, &groups, &init);
-        let r = hill_climb(&graph, &machine, &groups, init, 300, 2);
-        assert!(r.best_time.unwrap() < start / 2.0);
     }
 
     #[test]

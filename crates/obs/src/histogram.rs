@@ -116,16 +116,6 @@ impl Histogram {
         self.max
     }
 
-    /// Non-empty buckets as `(upper_bound, count)` pairs, in increasing order.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| ((1u64 << i) as f64, c))
-            .collect()
-    }
-
     /// A self-contained copy for sinks and assertions.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -136,7 +126,13 @@ impl Histogram {
             p50: self.quantile(0.50),
             p90: self.quantile(0.90),
             p99: self.quantile(0.99),
-            buckets: self.nonzero_buckets(),
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| ((1u64 << i) as f64, c))
+                .collect(),
         }
     }
 }

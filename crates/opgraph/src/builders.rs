@@ -9,10 +9,13 @@
 //! emit ops at the granularity placement papers reason about (one fused `LstmCell`
 //! per timestep, one `Conv2d` per convolution, three ops per attention head), which
 //! preserves the structural properties that drive placement decisions.
+//!
+//! A builder says *which* ops a model has, in which order and under which names;
+//! what each op costs is the op vocabulary of the shared builder (`gb.rs`), which
+//! GraphGen emits through as well.
 
-use crate::graph::{GraphError, OpGraph, OpId, OpKind, OpNode, Phase};
-
-const F32: u64 = 4;
+use crate::gb::{Gb, LstmKernel};
+use crate::graph::{GraphError, OpGraph, OpId, OpKind};
 
 /// Fails with [`GraphError::BadConfig`] when `value` is zero, naming the field.
 fn require_nonzero(value: usize, field: &str) -> Result<(), GraphError> {
@@ -45,6 +48,14 @@ impl Default for GnmtConfig {
 }
 
 impl GnmtConfig {
+    /// The smallest GNMT that still has every structure of the full one (a
+    /// bidirectional layer, one residual layer, a recurrent edge, attention
+    /// over several steps; 133 ops): the fixture the agent, trainer and
+    /// checkpoint suites train on in milliseconds.
+    pub fn tiny() -> Self {
+        Self { batch: 2, hidden: 4, layers: 2, seq_len: 3, vocab: 20 }
+    }
+
     /// Rejects degenerate dimensions ([`try_gnmt`] would otherwise panic on,
     /// e.g., `layers = 0`, which indexes the non-existent bottom decoder layer).
     pub fn validate(&self) -> Result<(), GraphError> {
@@ -121,192 +132,6 @@ impl InceptionConfig {
     }
 }
 
-/// Graph-construction helper that records forward compute ops so the backward pass
-/// can be generated by mirroring. Shared with [`crate::graphgen`], which composes
-/// the same primitives into randomized motifs.
-pub(crate) struct Gb {
-    pub(crate) g: OpGraph,
-    /// Forward compute ops in construction (= topological) order, with the id of the
-    /// `Variable` they read, if any.
-    pub(crate) fwd: Vec<(OpId, Option<OpId>)>,
-    next_coloc: u32,
-}
-
-impl Gb {
-    pub(crate) fn new(name: &str) -> Self {
-        Self { g: OpGraph::new(name), fwd: Vec::new(), next_coloc: 0 }
-    }
-
-    /// A non-compute source node (input pipeline stage, constant).
-    pub(crate) fn source(&mut self, name: &str, kind: OpKind, out_bytes: u64) -> OpId {
-        self.g.add_node(OpNode::new(name, kind, Phase::Forward).with_out_bytes(out_bytes))
-    }
-
-    /// A trainable variable holding `param_bytes` of weights (plus gradient and two
-    /// Adam slots, accounted as 4x in persistent memory).
-    pub(crate) fn var(&mut self, name: &str, param_bytes: u64) -> OpId {
-        let coloc = self.next_coloc;
-        self.next_coloc += 1;
-        self.g.add_node(
-            OpNode::new(name, OpKind::Variable, Phase::Forward)
-                .with_out_bytes(param_bytes)
-                .with_param_bytes(param_bytes * 4)
-                .with_colocation(coloc),
-        )
-    }
-
-    /// A forward compute op. `var` is its weight variable (if parameterized);
-    /// the op is recorded for backward mirroring. Activation memory is the output
-    /// kept live for the backward pass.
-    pub(crate) fn compute(
-        &mut self,
-        name: &str,
-        kind: OpKind,
-        flops: f64,
-        out_bytes: u64,
-        inputs: &[OpId],
-        var: Option<OpId>,
-    ) -> OpId {
-        let id = self.g.add_node(
-            OpNode::new(name, kind, Phase::Forward)
-                .with_flops(flops)
-                .with_out_bytes(out_bytes)
-                .with_act_bytes(out_bytes),
-        );
-        for &i in inputs {
-            self.g.add_edge(i, id);
-        }
-        if let Some(v) = var {
-            self.g.add_edge(v, id);
-        }
-        self.fwd.push((id, var));
-        id
-    }
-
-    /// Generates the backward pass by mirroring every recorded forward compute op,
-    /// plus a `GradAccum` + `ApplyUpdate` pair per variable.
-    ///
-    /// Structure (matching real training graphs):
-    /// * `bwd(op)` (the gradient w.r.t. `op`'s inputs) depends on `bwd(succ)` for
-    ///   every forward successor of `op`, and on `op` itself (saved activations).
-    /// * For parameterized ops, the weight gradient is an *independent branch* off
-    ///   `bwd(op)`, which is what lets a list scheduler overlap weight-gradient work
-    ///   with the serial activation-gradient chain across devices.
-    /// * `ApplyUpdate` is co-located with its `Variable` (TensorFlow colocation).
-    fn mirror_backward(&mut self) {
-        use std::collections::HashMap;
-        let recorded: std::collections::HashSet<OpId> =
-            self.fwd.iter().map(|&(id, _)| id).collect();
-        let mut bwd_of: HashMap<OpId, OpId> = HashMap::new();
-        // Variables shared across timesteps accumulate into ONE gradient buffer;
-        // only the first GradAccum op per variable owns its memory.
-        let mut grad_buffer_owned: std::collections::HashSet<OpId> =
-            std::collections::HashSet::new();
-
-        let fwd = std::mem::take(&mut self.fwd);
-        for &(fid, var) in fwd.iter().rev() {
-            let node = self.g.node(fid).clone();
-            // Gradient w.r.t. inputs: roughly the input tensor size; approximate by
-            // the largest forward predecessor output.
-            let grad_bytes = self
-                .g
-                .preds(fid)
-                .iter()
-                .filter(|&&p| !matches!(self.g.node(p).kind, OpKind::Variable | OpKind::Const))
-                .map(|&p| self.g.node(p).out_bytes)
-                .max()
-                .unwrap_or(node.out_bytes)
-                .max(1);
-            // Gradient w.r.t. the op's *inputs* costs about one forward pass; the
-            // gradient w.r.t. its *weights* is the separate GradAccum branch below.
-            let bid = self.g.add_node(
-                OpNode::new(format!("grad/{}", node.name), node.kind, Phase::Backward)
-                    .with_flops(node.flops)
-                    .with_out_bytes(grad_bytes)
-                    .with_act_bytes(grad_bytes / 2),
-            );
-            // Saved forward activations feed the backward op.
-            self.g.add_edge(fid, bid);
-            // Reverse data dependencies from forward successors that are compute ops.
-            let succs: Vec<OpId> = self
-                .g
-                .succs(fid)
-                .iter()
-                .copied()
-                .filter(|s| recorded.contains(s) && *s != bid)
-                .collect();
-            for s in succs {
-                if let Some(&sb) = bwd_of.get(&s) {
-                    self.g.add_edge(sb, bid);
-                }
-            }
-            bwd_of.insert(fid, bid);
-
-            if let Some(v) = var {
-                let vnode = self.g.node(v).clone();
-                // Invariant: `var()` is the only way builder code creates
-                // variables and it always assigns a colocation id, so this
-                // expect is unreachable for any graph assembled through `Gb`
-                // (pinned by `update_ops_colocated_with_variables`).
-                let coloc = vnode.colocation.expect("variables carry colocation ids");
-                let accum_act = if grad_buffer_owned.insert(v) { vnode.out_bytes } else { 0 };
-                let ga = self.g.add_node(
-                    OpNode::new(
-                        format!("grad/{}/w", node.name),
-                        OpKind::GradAccum,
-                        Phase::Backward,
-                    )
-                    .with_flops(node.flops)
-                    .with_out_bytes(vnode.out_bytes)
-                    .with_act_bytes(accum_act),
-                );
-                self.g.add_edge(bid, ga);
-                self.g.add_edge(fid, ga);
-                let up = self.g.add_node(
-                    OpNode::new(
-                        format!("update/{}", vnode.name),
-                        OpKind::ApplyUpdate,
-                        Phase::Update,
-                    )
-                    .with_flops(vnode.out_bytes as f64 / F32 as f64 * 8.0)
-                    .with_out_bytes(0)
-                    .with_colocation(coloc),
-                );
-                self.g.add_edge(ga, up);
-                self.g.add_edge(v, up);
-            }
-        }
-    }
-
-    pub(crate) fn finish(mut self) -> OpGraph {
-        self.mirror_backward();
-        debug_assert!(self.g.is_acyclic());
-        self.g
-    }
-
-    /// Forward-only finish: no backward mirroring (inference-style graphs).
-    pub(crate) fn finish_forward(self) -> OpGraph {
-        debug_assert!(self.g.is_acyclic());
-        self.g
-    }
-
-    /// Ops the graph will contain once [`Gb::finish`] mirrors the backward
-    /// pass: each recorded forward op gains one gradient op, plus a
-    /// `GradAccum` + `ApplyUpdate` pair per parameterized use.
-    pub(crate) fn projected_len(&self) -> usize {
-        let var_uses = self.fwd.iter().filter(|(_, v)| v.is_some()).count();
-        self.g.len() + self.fwd.len() + 2 * var_uses
-    }
-}
-
-fn conv_flops(batch: usize, out_hw: usize, cin: usize, cout: usize, k: usize) -> f64 {
-    2.0 * (batch * out_hw * out_hw * cin * cout * k * k) as f64
-}
-
-fn tensor_bytes(elems: usize) -> u64 {
-    (elems as u64) * F32
-}
-
 /// Builds the Inception-V3 training graph (Szegedy et al., CVPR'16 architecture:
 /// stem, 3 "A" blocks at 35x35, reduction, 4 "B" blocks at 17x17, reduction,
 /// 2 "C" blocks at 8x8, classifier head), batch size from `cfg` (paper: 1).
@@ -320,25 +145,12 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
     let mut gb = Gb::new("inception_v3");
 
     // Input pipeline: decode + preprocess stay CPU-friendly.
-    let raw = gb.source("input/raw", OpKind::Input, tensor_bytes(b * 299 * 299 * 3));
-    let decode = gb.compute(
-        "input/decode",
-        OpKind::Input,
-        1e6 * b as f64,
-        tensor_bytes(b * 299 * 299 * 3),
-        &[raw],
-        None,
-    );
-    let preprocess = gb.compute(
-        "input/preprocess",
-        OpKind::Elementwise,
-        (b * 299 * 299 * 3) as f64,
-        tensor_bytes(b * 299 * 299 * 3),
-        &[decode],
-        None,
-    );
+    let px = b * 299 * 299 * 3;
+    let raw = gb.input("input/raw", px);
+    let decode = gb.op("input/decode", OpKind::Input, 1e6 * b as f64, px, &[raw]);
+    let preprocess = gb.map("input/preprocess", OpKind::Elementwise, 1, px, &[decode]);
 
-    // A conv unit: Variable -> Conv2d -> BatchNorm -> Activation.
+    // A conv unit: Variable -> Conv2d -> BatchNorm (scale and shift) -> Activation.
     let conv_unit = |gb: &mut Gb,
                      name: &str,
                      input: OpId,
@@ -347,57 +159,25 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
                      cout: usize,
                      k: usize|
      -> OpId {
-        let w = gb.var(&format!("{name}/weights"), tensor_bytes(k * k * cin * cout));
-        let out = tensor_bytes(b * hw * hw * cout);
-        let conv = gb.compute(
-            &format!("{name}/conv2d"),
-            OpKind::Conv2d,
-            conv_flops(b, hw, cin, cout, k),
-            out,
-            &[input],
-            Some(w),
-        );
-        let gamma = gb.var(&format!("{name}/bn/gamma"), tensor_bytes(2 * cout));
-        let bn = gb.compute(
-            &format!("{name}/bn"),
-            OpKind::BatchNorm,
-            (b * hw * hw * cout * 4) as f64,
-            out,
-            &[conv],
-            Some(gamma),
-        );
-        gb.compute(
-            &format!("{name}/relu"),
-            OpKind::Activation,
-            (b * hw * hw * cout) as f64,
-            out,
-            &[bn],
-            None,
-        )
+        let conv = gb.conv(name, input, b * hw * hw, cin, cout, k);
+        gb.bn_relu(name, conv, b * hw * hw * cout, 2 * cout)
+    };
+    // A 3x3 pool over, and a copy-free concat onto, a `hw x hw x c` map.
+    let pool = |gb: &mut Gb, name: &str, input: OpId, hw: usize, c: usize| -> OpId {
+        gb.map(name, OpKind::Pool, 9, b * hw * hw * c, &[input])
+    };
+    let concat = |gb: &mut Gb, name: &str, hw: usize, c: usize, branches: &[OpId]| -> OpId {
+        gb.map(name, OpKind::Concat, 0, b * hw * hw * c, branches)
     };
 
     // Stem.
     let mut x = conv_unit(&mut gb, "stem/conv1", preprocess, 149, 3, 32, 3);
     x = conv_unit(&mut gb, "stem/conv2", x, 147, 32, 32, 3);
     x = conv_unit(&mut gb, "stem/conv3", x, 147, 32, 64, 3);
-    x = gb.compute(
-        "stem/pool1",
-        OpKind::Pool,
-        (b * 73 * 73 * 64 * 9) as f64,
-        tensor_bytes(b * 73 * 73 * 64),
-        &[x],
-        None,
-    );
+    x = pool(&mut gb, "stem/pool1", x, 73, 64);
     x = conv_unit(&mut gb, "stem/conv4", x, 73, 64, 80, 1);
     x = conv_unit(&mut gb, "stem/conv5", x, 71, 80, 192, 3);
-    x = gb.compute(
-        "stem/pool2",
-        OpKind::Pool,
-        (b * 35 * 35 * 192 * 9) as f64,
-        tensor_bytes(b * 35 * 35 * 192),
-        &[x],
-        None,
-    );
+    x = pool(&mut gb, "stem/pool2", x, 35, 192);
 
     // Inception block A (35x35): four parallel branches, concatenated.
     let block_a = |gb: &mut Gb, name: &str, input: OpId, cin: usize, pool_ch: usize| -> OpId {
@@ -408,24 +188,9 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
         let b3a = conv_unit(gb, &format!("{name}/b3x3_1"), input, hw, cin, 64, 1);
         let b3b = conv_unit(gb, &format!("{name}/b3x3_2"), b3a, hw, 64, 96, 3);
         let b3c = conv_unit(gb, &format!("{name}/b3x3_3"), b3b, hw, 96, 96, 3);
-        let pool = gb.compute(
-            &format!("{name}/pool"),
-            OpKind::Pool,
-            (b * hw * hw * cin * 9) as f64,
-            tensor_bytes(b * hw * hw * cin),
-            &[input],
-            None,
-        );
-        let bp = conv_unit(gb, &format!("{name}/bpool"), pool, hw, cin, pool_ch, 1);
-        let cout = 64 + 64 + 96 + pool_ch;
-        gb.compute(
-            &format!("{name}/concat"),
-            OpKind::Concat,
-            0.0,
-            tensor_bytes(b * hw * hw * cout),
-            &[b1, b5b, b3c, bp],
-            None,
-        )
+        let p = pool(gb, &format!("{name}/pool"), input, hw, cin);
+        let bp = conv_unit(gb, &format!("{name}/bpool"), p, hw, cin, pool_ch, 1);
+        concat(gb, &format!("{name}/concat"), hw, 64 + 64 + 96 + pool_ch, &[b1, b5b, b3c, bp])
     };
 
     x = block_a(&mut gb, "mixed0", x, 192, 32);
@@ -438,22 +203,8 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
         let d1 = conv_unit(&mut gb, "mixed3/d1", x, 35, 288, 64, 1);
         let d2 = conv_unit(&mut gb, "mixed3/d2", d1, 35, 64, 96, 3);
         let d3 = conv_unit(&mut gb, "mixed3/d3", d2, 17, 96, 96, 3);
-        let pool = gb.compute(
-            "mixed3/pool",
-            OpKind::Pool,
-            (b * 17 * 17 * 288 * 9) as f64,
-            tensor_bytes(b * 17 * 17 * 288),
-            &[x],
-            None,
-        );
-        x = gb.compute(
-            "mixed3/concat",
-            OpKind::Concat,
-            0.0,
-            tensor_bytes(b * 17 * 17 * 768),
-            &[b3, d3, pool],
-            None,
-        );
+        let p = pool(&mut gb, "mixed3/pool", x, 17, 288);
+        x = concat(&mut gb, "mixed3/concat", 17, 768, &[b3, d3, p]);
     }
 
     // Inception block B (17x17) with factorized 7x1/1x7 convolutions.
@@ -469,23 +220,9 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
         let q3 = conv_unit(gb, &format!("{name}/b7d_3"), q2, hw, c7, c7, 3);
         let q4 = conv_unit(gb, &format!("{name}/b7d_4"), q3, hw, c7, c7, 3);
         let q5 = conv_unit(gb, &format!("{name}/b7d_5"), q4, hw, c7, 192, 3);
-        let pool = gb.compute(
-            &format!("{name}/pool"),
-            OpKind::Pool,
-            (b * hw * hw * cin * 9) as f64,
-            tensor_bytes(b * hw * hw * cin),
-            &[input],
-            None,
-        );
-        let bp = conv_unit(gb, &format!("{name}/bpool"), pool, hw, cin, 192, 1);
-        gb.compute(
-            &format!("{name}/concat"),
-            OpKind::Concat,
-            0.0,
-            tensor_bytes(b * hw * hw * 768),
-            &[b1, p3, q5, bp],
-            None,
-        )
+        let p = pool(gb, &format!("{name}/pool"), input, hw, cin);
+        let bp = conv_unit(gb, &format!("{name}/bpool"), p, hw, cin, 192, 1);
+        concat(gb, &format!("{name}/concat"), hw, 768, &[b1, p3, q5, bp])
     };
 
     x = block_b(&mut gb, "mixed4", x, 128);
@@ -500,22 +237,8 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
         let c1 = conv_unit(&mut gb, "mixed8/c1", x, 17, 768, 192, 1);
         let c2 = conv_unit(&mut gb, "mixed8/c2", c1, 17, 192, 192, 3);
         let c3 = conv_unit(&mut gb, "mixed8/c3", c2, 8, 192, 192, 3);
-        let pool = gb.compute(
-            "mixed8/pool",
-            OpKind::Pool,
-            (b * 8 * 8 * 768 * 9) as f64,
-            tensor_bytes(b * 8 * 8 * 768),
-            &[x],
-            None,
-        );
-        x = gb.compute(
-            "mixed8/concat",
-            OpKind::Concat,
-            0.0,
-            tensor_bytes(b * 8 * 8 * 1280),
-            &[a2, c3, pool],
-            None,
-        );
+        let p = pool(&mut gb, "mixed8/pool", x, 8, 768);
+        x = concat(&mut gb, "mixed8/concat", 8, 1280, &[a2, c3, p]);
     }
 
     // Inception block C (8x8) with split branches.
@@ -529,63 +252,20 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
         let n2 = conv_unit(gb, &format!("{name}/n2"), n1, hw, 448, 384, 3);
         let n3a = conv_unit(gb, &format!("{name}/n3a"), n2, hw, 384, 384, 3);
         let n3b = conv_unit(gb, &format!("{name}/n3b"), n2, hw, 384, 384, 3);
-        let pool = gb.compute(
-            &format!("{name}/pool"),
-            OpKind::Pool,
-            (b * hw * hw * cin * 9) as f64,
-            tensor_bytes(b * hw * hw * cin),
-            &[input],
-            None,
-        );
-        let bp = conv_unit(gb, &format!("{name}/bpool"), pool, hw, cin, 192, 1);
-        gb.compute(
-            &format!("{name}/concat"),
-            OpKind::Concat,
-            0.0,
-            tensor_bytes(b * hw * hw * 2048),
-            &[b1, m2a, m2b, n3a, n3b, bp],
-            None,
-        )
+        let p = pool(gb, &format!("{name}/pool"), input, hw, cin);
+        let bp = conv_unit(gb, &format!("{name}/bpool"), p, hw, cin, 192, 1);
+        concat(gb, &format!("{name}/concat"), hw, 2048, &[b1, m2a, m2b, n3a, n3b, bp])
     };
 
     x = block_c(&mut gb, "mixed9", x, 1280);
     x = block_c(&mut gb, "mixed10", x, 2048);
 
-    // Head: global pool, FC, softmax, loss.
-    let pooled = gb.compute(
-        "head/avgpool",
-        OpKind::Pool,
-        (b * 8 * 8 * 2048) as f64,
-        tensor_bytes(b * 2048),
-        &[x],
-        None,
-    );
-    let drop = gb.compute(
-        "head/dropout",
-        OpKind::Elementwise,
-        (b * 2048) as f64,
-        tensor_bytes(b * 2048),
-        &[pooled],
-        None,
-    );
-    let wfc = gb.var("head/fc/weights", tensor_bytes(2048 * 1000));
-    let logits = gb.compute(
-        "head/fc",
-        OpKind::MatMul,
-        2.0 * (b * 2048 * 1000) as f64,
-        tensor_bytes(b * 1000),
-        &[drop],
-        Some(wfc),
-    );
-    let softmax = gb.compute(
-        "head/softmax",
-        OpKind::Softmax,
-        (b * 1000 * 4) as f64,
-        tensor_bytes(b * 1000),
-        &[logits],
-        None,
-    );
-    gb.compute("head/loss", OpKind::Loss, (b * 1000) as f64, tensor_bytes(1), &[softmax], None);
+    // Head: global 8x8 average pool, FC, softmax, loss.
+    let pooled = gb.map("head/avgpool", OpKind::Pool, 8 * 8, b * 2048, &[x]);
+    let drop = gb.map("head/dropout", OpKind::Elementwise, 1, b * 2048, &[pooled]);
+    let logits = gb.linear("head/fc", "head/fc/weights", drop, (b, 2048, 1000));
+    let softmax = gb.map("head/softmax", OpKind::Softmax, 4, b * 1000, &[logits]);
+    gb.op("head/loss", OpKind::Loss, (b * 1000) as f64, 1, &[softmax]);
 
     Ok(gb.finish())
 }
@@ -601,254 +281,97 @@ pub fn try_gnmt(cfg: &GnmtConfig) -> Result<OpGraph, GraphError> {
     cfg.validate()?;
     let GnmtConfig { batch, hidden, layers, seq_len, vocab } = *cfg;
     let mut gb = Gb::new("gnmt");
-    let state_bytes = tensor_bytes(batch * hidden);
-    // A fused LSTM cell: x_t (h) + h_{t-1} (h) -> 4 gates of h.
-    let cell_flops = 2.0 * (batch * 4 * hidden * (2 * hidden)) as f64;
+    let (state, seq) = (batch * hidden, batch * seq_len * hidden);
+
     // Training keeps c, h and the four gates pre- and post-activation per step,
     // which is what makes batch-256 GNMT overflow a single 16 GiB GPU.
-    let cell_act = state_bytes * 10;
+    let cell = |gb: &mut Gb, name: String, kernel: LstmKernel, input: OpId, prev: Option<OpId>| {
+        gb.lstm_cell(&name, kernel, batch, input, prev, 10)
+    };
+    let residual = |gb: &mut Gb, name: String, cell: OpId, input: OpId| -> OpId {
+        gb.map(&name, OpKind::Elementwise, 1, state, &[cell, input])
+    };
+    // One side's embedding lookup, split into per-step slices.
+    let embed_steps = |gb: &mut Gb, side: &str, ids: OpId| -> Vec<OpId> {
+        let (name, table) = (format!("{side}/embedding"), format!("{side}/embedding/weights"));
+        let weight = (table.as_str(), vocab * hidden);
+        let emb = gb.weighted(&name, OpKind::Embedding, seq as f64, seq, &[ids], weight);
+        (0..seq_len)
+            .map(|t| gb.map(&format!("{side}/split/t{t}"), OpKind::Split, 0, state, &[emb]))
+            .collect()
+    };
 
-    let src = gb.source("input/source_ids", OpKind::Input, tensor_bytes(batch * seq_len));
-    let tgt = gb.source("input/target_ids", OpKind::Input, tensor_bytes(batch * seq_len));
+    let src = gb.input("input/source_ids", batch * seq_len);
+    let tgt = gb.input("input/target_ids", batch * seq_len);
+    let src_steps = embed_steps(&mut gb, "encoder", src);
 
-    let w_emb_src = gb.var("encoder/embedding/weights", tensor_bytes(vocab * hidden));
-    let src_emb = gb.compute(
-        "encoder/embedding",
-        OpKind::Embedding,
-        (batch * seq_len * hidden) as f64,
-        tensor_bytes(batch * seq_len * hidden),
-        &[src],
-        Some(w_emb_src),
-    );
-    let src_steps: Vec<OpId> = (0..seq_len)
+    // Encoder layer 0: bidirectional; the backward direction is built descending
+    // in `t`, each cell reading the one after it.
+    let wf = gb.lstm_kernel("encoder/layer0/fw/kernel", hidden);
+    let wb = gb.lstm_kernel("encoder/layer0/bw/kernel", hidden);
+    let (mut fw, mut bw) = (Vec::with_capacity(seq_len), vec![OpId(0); seq_len]);
+    for (t, &x) in src_steps.iter().enumerate() {
+        let prev = fw.last().copied();
+        fw.push(cell(&mut gb, format!("encoder/layer0/fw/t{t}"), wf, x, prev));
+    }
+    for t in (0..seq_len).rev() {
+        let prev = bw.get(t + 1).copied();
+        bw[t] = cell(&mut gb, format!("encoder/layer0/bw/t{t}"), wb, src_steps[t], prev);
+    }
+    let mut enc: Vec<OpId> = (0..seq_len)
         .map(|t| {
-            gb.compute(
-                &format!("encoder/split/t{t}"),
-                OpKind::Split,
-                0.0,
-                state_bytes,
-                &[src_emb],
-                None,
-            )
+            let name = format!("encoder/layer0/concat/t{t}");
+            gb.map(&name, OpKind::Concat, 0, 2 * state, &[fw[t], bw[t]])
         })
         .collect();
 
-    // Encoder layer 0: bidirectional.
-    let mut enc_outputs: Vec<OpId> = Vec::with_capacity(seq_len);
-    {
-        let wf = gb.var("encoder/layer0/fw/kernel", tensor_bytes(4 * hidden * 2 * hidden));
-        let wb = gb.var("encoder/layer0/bw/kernel", tensor_bytes(4 * hidden * 2 * hidden));
-        let mut fw_prev: Option<OpId> = None;
-        let mut fw_out = Vec::with_capacity(seq_len);
-        for (t, &src) in src_steps.iter().enumerate() {
-            let mut ins = vec![src];
-            if let Some(p) = fw_prev {
-                ins.push(p);
-            }
-            let c = gb.compute(
-                &format!("encoder/layer0/fw/t{t}"),
-                OpKind::LstmCell,
-                cell_flops,
-                state_bytes,
-                &ins,
-                Some(wf),
-            );
-            gb.g.node_mut(c).act_bytes = cell_act;
-            fw_prev = Some(c);
-            fw_out.push(c);
-        }
-        let mut bw_prev: Option<OpId> = None;
-        let mut bw_out = vec![OpId(0); seq_len];
-        for t in (0..seq_len).rev() {
-            let mut ins = vec![src_steps[t]];
-            if let Some(p) = bw_prev {
-                ins.push(p);
-            }
-            let c = gb.compute(
-                &format!("encoder/layer0/bw/t{t}"),
-                OpKind::LstmCell,
-                cell_flops,
-                state_bytes,
-                &ins,
-                Some(wb),
-            );
-            gb.g.node_mut(c).act_bytes = cell_act;
-            bw_prev = Some(c);
-            bw_out[t] = c;
-        }
-        for t in 0..seq_len {
-            let cat = gb.compute(
-                &format!("encoder/layer0/concat/t{t}"),
-                OpKind::Concat,
-                0.0,
-                state_bytes * 2,
-                &[fw_out[t], bw_out[t]],
-                None,
-            );
-            enc_outputs.push(cat);
-        }
-    }
-
-    // Encoder layers 1..layers: uni-directional with residual connections.
+    // Encoder layers 1..layers: uni-directional with residual connections,
+    // layer-major (a whole layer before the next one starts).
     for l in 1..layers {
-        let w = gb.var(&format!("encoder/layer{l}/kernel"), tensor_bytes(4 * hidden * 2 * hidden));
-        let mut prev_cell: Option<OpId> = None;
-        let mut outs = Vec::with_capacity(seq_len);
-        for (t, &inp) in enc_outputs.iter().enumerate() {
-            let mut ins = vec![inp];
-            if let Some(p) = prev_cell {
-                ins.push(p);
-            }
-            let c = gb.compute(
-                &format!("encoder/layer{l}/t{t}"),
-                OpKind::LstmCell,
-                cell_flops,
-                state_bytes,
-                &ins,
-                Some(w),
-            );
-            gb.g.node_mut(c).act_bytes = cell_act;
-            prev_cell = Some(c);
-            let res = gb.compute(
-                &format!("encoder/layer{l}/res/t{t}"),
-                OpKind::Elementwise,
-                (batch * hidden) as f64,
-                state_bytes,
-                &[c, inp],
-                None,
-            );
-            outs.push(res);
+        let w = gb.lstm_kernel(&format!("encoder/layer{l}/kernel"), hidden);
+        let mut prev = None;
+        for (t, x) in enc.iter_mut().enumerate() {
+            let c = cell(&mut gb, format!("encoder/layer{l}/t{t}"), w, *x, prev);
+            prev = Some(c);
+            *x = residual(&mut gb, format!("encoder/layer{l}/res/t{t}"), c, *x);
         }
-        enc_outputs = outs;
     }
     // Encoder memory for attention.
-    let enc_refs: Vec<OpId> = enc_outputs.clone();
-    let memory = gb.compute(
-        "encoder/memory",
-        OpKind::Concat,
-        0.0,
-        tensor_bytes(batch * seq_len * hidden),
-        &enc_refs,
-        None,
-    );
+    let memory = gb.map("encoder/memory", OpKind::Concat, 0, seq, &enc);
 
-    // Decoder.
-    let w_emb_tgt = gb.var("decoder/embedding/weights", tensor_bytes(vocab * hidden));
-    let tgt_emb = gb.compute(
-        "decoder/embedding",
-        OpKind::Embedding,
-        (batch * seq_len * hidden) as f64,
-        tensor_bytes(batch * seq_len * hidden),
-        &[tgt],
-        Some(w_emb_tgt),
-    );
-    let tgt_steps: Vec<OpId> = (0..seq_len)
-        .map(|t| {
-            gb.compute(
-                &format!("decoder/split/t{t}"),
-                OpKind::Split,
-                0.0,
-                state_bytes,
-                &[tgt_emb],
-                None,
-            )
-        })
-        .collect();
+    // Decoder. The attention kernel is one variable read by every step, so it is
+    // created once here and its ops stay on raw `compute`.
+    let tgt_steps = embed_steps(&mut gb, "decoder", tgt);
+    let w_att = gb.var("decoder/attention/kernel", 3 * hidden * hidden);
+    let kernels: Vec<LstmKernel> =
+        (0..layers).map(|l| gb.lstm_kernel(&format!("decoder/layer{l}/kernel"), hidden)).collect();
 
-    let w_att = gb.var("decoder/attention/kernel", tensor_bytes(3 * hidden * hidden));
-    let dec_kernels: Vec<OpId> = (0..layers)
-        .map(|l| gb.var(&format!("decoder/layer{l}/kernel"), tensor_bytes(4 * hidden * 2 * hidden)))
-        .collect();
-
-    let mut dec_prev: Vec<Option<OpId>> = vec![None; layers];
-    let mut proj_inputs = Vec::with_capacity(seq_len);
+    // Step-major, unlike the encoder: step `t` runs the whole stack, bottom cell
+    // to attention to top residual, before step `t + 1` starts.
+    let mut prev: Vec<Option<OpId>> = vec![None; layers];
+    let mut outputs = Vec::with_capacity(seq_len);
+    let (att_flops, att_bytes) = (2.0 * (batch * seq_len * hidden * 2) as f64, gb.bytes(state));
     for (t, &tgt) in tgt_steps.iter().enumerate() {
         // Layer 0 consumes the attention context of the previous step implicitly via
         // its recurrent state; attention itself reads the bottom cell and memory.
-        let mut ins = vec![tgt];
-        if let Some(p) = dec_prev[0] {
-            ins.push(p);
-        }
-        let c0 = gb.compute(
-            &format!("decoder/layer0/t{t}"),
-            OpKind::LstmCell,
-            cell_flops,
-            state_bytes,
-            &ins,
-            Some(dec_kernels[0]),
-        );
-        gb.g.node_mut(c0).act_bytes = cell_act;
-        dec_prev[0] = Some(c0);
-        let att = gb.compute(
-            &format!("decoder/attention/t{t}"),
-            OpKind::Attention,
-            2.0 * (batch * seq_len * hidden * 2) as f64,
-            state_bytes,
-            &[c0, memory],
-            Some(w_att),
-        );
-        let mut below = att;
+        let c0 = cell(&mut gb, format!("decoder/layer0/t{t}"), kernels[0], tgt, prev[0]);
+        prev[0] = Some(c0);
+        let name = format!("decoder/attention/t{t}");
+        let mut below =
+            gb.compute(&name, OpKind::Attention, att_flops, att_bytes, &[c0, memory], Some(w_att));
         for l in 1..layers {
-            let mut ins = vec![below];
-            if let Some(p) = dec_prev[l] {
-                ins.push(p);
-            }
-            let c = gb.compute(
-                &format!("decoder/layer{l}/t{t}"),
-                OpKind::LstmCell,
-                cell_flops,
-                state_bytes,
-                &ins,
-                Some(dec_kernels[l]),
-            );
-            gb.g.node_mut(c).act_bytes = cell_act;
-            dec_prev[l] = Some(c);
-            let res = gb.compute(
-                &format!("decoder/layer{l}/res/t{t}"),
-                OpKind::Elementwise,
-                (batch * hidden) as f64,
-                state_bytes,
-                &[c, below],
-                None,
-            );
-            below = res;
+            let c = cell(&mut gb, format!("decoder/layer{l}/t{t}"), kernels[l], below, prev[l]);
+            prev[l] = Some(c);
+            below = residual(&mut gb, format!("decoder/layer{l}/res/t{t}"), c, below);
         }
-        proj_inputs.push(below);
+        outputs.push(below);
     }
 
-    let dec_concat = gb.compute(
-        "decoder/outputs",
-        OpKind::Concat,
-        0.0,
-        tensor_bytes(batch * seq_len * hidden),
-        &proj_inputs,
-        None,
-    );
-    let w_proj = gb.var("softmax/weights", tensor_bytes(hidden * vocab));
-    let logits = gb.compute(
-        "softmax/projection",
-        OpKind::MatMul,
-        2.0 * (batch * seq_len * hidden * vocab) as f64,
-        tensor_bytes(batch * seq_len * vocab),
-        &[dec_concat],
-        Some(w_proj),
-    );
-    let probs = gb.compute(
-        "softmax/softmax",
-        OpKind::Softmax,
-        (batch * seq_len * vocab * 4) as f64,
-        tensor_bytes(batch * seq_len * vocab),
-        &[logits],
-        None,
-    );
-    gb.compute(
-        "loss/cross_entropy",
-        OpKind::Loss,
-        (batch * seq_len * vocab) as f64,
-        tensor_bytes(1),
-        &[probs, tgt],
-        None,
-    );
+    let dec = gb.map("decoder/outputs", OpKind::Concat, 0, seq, &outputs);
+    let (rows, logit_elems) = (batch * seq_len, batch * seq_len * vocab);
+    let logits = gb.linear("softmax/projection", "softmax/weights", dec, (rows, hidden, vocab));
+    let probs = gb.map("softmax/softmax", OpKind::Softmax, 4, logit_elems, &[logits]);
+    gb.op("loss/cross_entropy", OpKind::Loss, logit_elems as f64, 1, &[probs, tgt]);
 
     Ok(gb.finish())
 }
@@ -865,266 +388,83 @@ pub fn try_bert_base(cfg: &BertConfig) -> Result<OpGraph, GraphError> {
     let BertConfig { batch, seq_len, hidden, layers, heads, ff, vocab } = *cfg;
     let mut gb = Gb::new("bert_base");
     let tokens = batch * seq_len;
-    let hid_bytes = tensor_bytes(tokens * hidden);
+    let hid = tokens * hidden;
     let head_dim = hidden / heads;
 
-    let ids = gb.source("input/input_ids", OpKind::Input, tensor_bytes(tokens));
-    let w_tok = gb.var("embeddings/word/weights", tensor_bytes(vocab * hidden));
-    let w_pos = gb.var("embeddings/position/weights", tensor_bytes(512 * hidden));
-    let w_seg = gb.var("embeddings/segment/weights", tensor_bytes(2 * hidden));
-    let tok_emb = gb.compute(
-        "embeddings/word",
-        OpKind::Embedding,
-        (tokens * hidden) as f64,
-        hid_bytes,
-        &[ids],
-        Some(w_tok),
-    );
-    let pos_emb = gb.compute(
-        "embeddings/position",
-        OpKind::Embedding,
-        (tokens * hidden) as f64,
-        hid_bytes,
-        &[ids],
-        Some(w_pos),
-    );
-    let seg_emb = gb.compute(
-        "embeddings/segment",
-        OpKind::Embedding,
-        (tokens * hidden) as f64,
-        hid_bytes,
-        &[ids],
-        Some(w_seg),
-    );
-    let emb_sum = gb.compute(
-        "embeddings/add",
-        OpKind::Elementwise,
-        (tokens * hidden * 2) as f64,
-        hid_bytes,
-        &[tok_emb, pos_emb, seg_emb],
-        None,
-    );
-    // Layer normalization at TF granularity: moments (Reduce), normalize
-    // (Elementwise), then scale-and-shift with the gamma/beta variable.
-    let layer_norm = |gb: &mut Gb, name: &str, input: OpId| -> OpId {
-        let moments = gb.compute(
-            &format!("{name}/moments"),
-            OpKind::Reduce,
-            (tokens * hidden * 2) as f64,
-            tensor_bytes(tokens * 2),
-            &[input],
-            None,
-        );
-        let normed = gb.compute(
-            &format!("{name}/normalize"),
-            OpKind::Elementwise,
-            (tokens * hidden * 4) as f64,
-            hid_bytes,
-            &[input, moments],
-            None,
-        );
-        let gamma = gb.var(&format!("{name}/gamma"), tensor_bytes(2 * hidden));
-        gb.compute(
-            &format!("{name}/scale_shift"),
-            OpKind::LayerNorm,
-            (tokens * hidden * 2) as f64,
-            hid_bytes,
-            &[normed],
-            Some(gamma),
-        )
+    // A projection of every token whose weight is named after it.
+    let dense = |gb: &mut Gb, name: &str, input: OpId, k: usize, n: usize| -> OpId {
+        gb.linear(name, &format!("{name}/weights"), input, (tokens, k, n))
     };
+    // Layer normalization at TF granularity: moments (Reduce, two per token, each
+    // over `hidden` elements), normalize (Elementwise), then scale-and-shift with
+    // the gamma/beta variable.
+    let layer_norm = |gb: &mut Gb, name: &str, input: OpId| -> OpId {
+        let moments =
+            gb.map(&format!("{name}/moments"), OpKind::Reduce, hidden, tokens * 2, &[input]);
+        let normed =
+            gb.map(&format!("{name}/normalize"), OpKind::Elementwise, 4, hid, &[input, moments]);
+        let (op, gamma) = (format!("{name}/scale_shift"), format!("{name}/gamma"));
+        let weight = (gamma.as_str(), 2 * hidden);
+        gb.weighted(&op, OpKind::LayerNorm, (2 * hid) as f64, hid, &[normed], weight)
+    };
+
+    let ids = gb.input("input/input_ids", tokens);
+    // The three embedding tables are created ahead of their three lookups, so
+    // the lookups stay on raw `compute`.
+    let tables = [("word", vocab), ("position", 512), ("segment", 2)]
+        .map(|(nm, rows)| (nm, gb.var(&format!("embeddings/{nm}/weights"), rows * hidden)));
+    let hid_bytes = gb.bytes(hid);
+    let lookups = tables.map(|(nm, w)| {
+        let name = format!("embeddings/{nm}");
+        gb.compute(&name, OpKind::Embedding, hid as f64, hid_bytes, &[ids], Some(w))
+    });
+    let emb_sum = gb.map("embeddings/add", OpKind::Elementwise, 2, hid, &lookups);
     let mut x = layer_norm(&mut gb, "embeddings/layernorm", emb_sum);
 
     for l in 0..layers {
-        let p = format!("layer{l}");
+        let n = |s: &str| format!("layer{l}/{s}");
         // Q, K, V projections: three parallel matmuls off the same input.
-        let qkv: Vec<OpId> = ["query", "key", "value"]
-            .iter()
-            .map(|nm| {
-                let w =
-                    gb.var(&format!("{p}/attention/{nm}/weights"), tensor_bytes(hidden * hidden));
-                let mm = gb.compute(
-                    &format!("{p}/attention/{nm}"),
-                    OpKind::MatMul,
-                    2.0 * (tokens * hidden * hidden) as f64,
-                    hid_bytes,
-                    &[x],
-                    Some(w),
-                );
-                gb.compute(
-                    &format!("{p}/attention/{nm}/reshape"),
-                    OpKind::Reshape,
-                    0.0,
-                    hid_bytes,
-                    &[mm],
-                    None,
-                )
-            })
-            .collect();
+        let [q, k, v] = ["query", "key", "value"].map(|nm| {
+            let name = n(&format!("attention/{nm}"));
+            let mm = dense(&mut gb, &name, x, hidden, hidden);
+            gb.map(&format!("{name}/reshape"), OpKind::Reshape, 0, hid, &[mm])
+        });
 
         // Per-head attention: scores, softmax, context — independent across heads.
+        let scores_elems = batch * seq_len * seq_len;
+        let head_flops = 2.0 * (scores_elems * head_dim) as f64;
         let head_outs: Vec<OpId> = (0..heads)
             .map(|h| {
-                let scores_bytes = tensor_bytes(batch * seq_len * seq_len);
-                let scores = gb.compute(
-                    &format!("{p}/attention/head{h}/scores"),
-                    OpKind::MatMul,
-                    2.0 * (batch * seq_len * seq_len * head_dim) as f64,
-                    scores_bytes,
-                    &[qkv[0], qkv[1]],
-                    None,
-                );
-                let scaled = gb.compute(
-                    &format!("{p}/attention/head{h}/scale"),
-                    OpKind::Elementwise,
-                    (batch * seq_len * seq_len) as f64,
-                    scores_bytes,
-                    &[scores],
-                    None,
-                );
-                let probs = gb.compute(
-                    &format!("{p}/attention/head{h}/softmax"),
-                    OpKind::Softmax,
-                    (batch * seq_len * seq_len * 4) as f64,
-                    scores_bytes,
-                    &[scaled],
-                    None,
-                );
-                let dropped = gb.compute(
-                    &format!("{p}/attention/head{h}/dropout"),
-                    OpKind::Elementwise,
-                    (batch * seq_len * seq_len) as f64,
-                    scores_bytes,
-                    &[probs],
-                    None,
-                );
-                gb.compute(
-                    &format!("{p}/attention/head{h}/context"),
-                    OpKind::MatMul,
-                    2.0 * (batch * seq_len * seq_len * head_dim) as f64,
-                    tensor_bytes(tokens * head_dim),
-                    &[dropped, qkv[2]],
-                    None,
-                )
+                let n = |s: &str| n(&format!("attention/head{h}/{s}"));
+                let scores = gb.op(&n("scores"), OpKind::MatMul, head_flops, scores_elems, &[q, k]);
+                let scaled = gb.map(&n("scale"), OpKind::Elementwise, 1, scores_elems, &[scores]);
+                let probs = gb.map(&n("softmax"), OpKind::Softmax, 4, scores_elems, &[scaled]);
+                let dropped = gb.map(&n("dropout"), OpKind::Elementwise, 1, scores_elems, &[probs]);
+                gb.op(&n("context"), OpKind::MatMul, head_flops, tokens * head_dim, &[dropped, v])
             })
             .collect();
-        let merged = gb.compute(
-            &format!("{p}/attention/merge"),
-            OpKind::Concat,
-            0.0,
-            hid_bytes,
-            &head_outs,
-            None,
-        );
-        let w_out = gb.var(&format!("{p}/attention/output/weights"), tensor_bytes(hidden * hidden));
-        let att_out = gb.compute(
-            &format!("{p}/attention/output"),
-            OpKind::MatMul,
-            2.0 * (tokens * hidden * hidden) as f64,
-            hid_bytes,
-            &[merged],
-            Some(w_out),
-        );
-        let att_drop = gb.compute(
-            &format!("{p}/attention/output/dropout"),
-            OpKind::Elementwise,
-            (tokens * hidden) as f64,
-            hid_bytes,
-            &[att_out],
-            None,
-        );
-        let res1 = gb.compute(
-            &format!("{p}/attention/residual"),
-            OpKind::Elementwise,
-            (tokens * hidden) as f64,
-            hid_bytes,
-            &[att_drop, x],
-            None,
-        );
-        let ln1 = layer_norm(&mut gb, &format!("{p}/attention/layernorm"), res1);
+        let merged = gb.map(&n("attention/merge"), OpKind::Concat, 0, hid, &head_outs);
+        let att_out = dense(&mut gb, &n("attention/output"), merged, hidden, hidden);
+        let att_drop =
+            gb.map(&n("attention/output/dropout"), OpKind::Elementwise, 1, hid, &[att_out]);
+        let res1 = gb.map(&n("attention/residual"), OpKind::Elementwise, 1, hid, &[att_drop, x]);
+        let ln1 = layer_norm(&mut gb, &n("attention/layernorm"), res1);
 
         // Feed-forward.
-        let w_ff1 = gb.var(&format!("{p}/ffn/intermediate/weights"), tensor_bytes(hidden * ff));
-        let ff1 = gb.compute(
-            &format!("{p}/ffn/intermediate"),
-            OpKind::MatMul,
-            2.0 * (tokens * hidden * ff) as f64,
-            tensor_bytes(tokens * ff),
-            &[ln1],
-            Some(w_ff1),
-        );
-        let gelu = gb.compute(
-            &format!("{p}/ffn/gelu"),
-            OpKind::Activation,
-            (tokens * ff * 8) as f64,
-            tensor_bytes(tokens * ff),
-            &[ff1],
-            None,
-        );
-        let w_ff2 = gb.var(&format!("{p}/ffn/output/weights"), tensor_bytes(ff * hidden));
-        let ff2 = gb.compute(
-            &format!("{p}/ffn/output"),
-            OpKind::MatMul,
-            2.0 * (tokens * ff * hidden) as f64,
-            hid_bytes,
-            &[gelu],
-            Some(w_ff2),
-        );
-        let ff_drop = gb.compute(
-            &format!("{p}/ffn/output/dropout"),
-            OpKind::Elementwise,
-            (tokens * hidden) as f64,
-            hid_bytes,
-            &[ff2],
-            None,
-        );
-        let res2 = gb.compute(
-            &format!("{p}/ffn/residual"),
-            OpKind::Elementwise,
-            (tokens * hidden) as f64,
-            hid_bytes,
-            &[ff_drop, ln1],
-            None,
-        );
-        x = layer_norm(&mut gb, &format!("{p}/ffn/layernorm"), res2);
+        let ff1 = dense(&mut gb, &n("ffn/intermediate"), ln1, hidden, ff);
+        let gelu = gb.map(&n("ffn/gelu"), OpKind::Activation, 8, tokens * ff, &[ff1]);
+        let ff2 = dense(&mut gb, &n("ffn/output"), gelu, ff, hidden);
+        let ff_drop = gb.map(&n("ffn/output/dropout"), OpKind::Elementwise, 1, hid, &[ff2]);
+        let res2 = gb.map(&n("ffn/residual"), OpKind::Elementwise, 1, hid, &[ff_drop, ln1]);
+        x = layer_norm(&mut gb, &n("ffn/layernorm"), res2);
     }
 
     // MLM head: transform + vocab projection.
-    let w_tr = gb.var("mlm/transform/weights", tensor_bytes(hidden * hidden));
-    let tr = gb.compute(
-        "mlm/transform",
-        OpKind::MatMul,
-        2.0 * (tokens * hidden * hidden) as f64,
-        hid_bytes,
-        &[x],
-        Some(w_tr),
-    );
-    let gelu = gb.compute(
-        "mlm/gelu",
-        OpKind::Activation,
-        (tokens * hidden * 8) as f64,
-        hid_bytes,
-        &[tr],
-        None,
-    );
-    let w_lm = gb.var("mlm/output/weights", tensor_bytes(hidden * vocab));
-    let logits = gb.compute(
-        "mlm/logits",
-        OpKind::MatMul,
-        2.0 * (tokens * hidden * vocab) as f64,
-        tensor_bytes(tokens * vocab),
-        &[gelu],
-        Some(w_lm),
-    );
-    let probs = gb.compute(
-        "mlm/softmax",
-        OpKind::Softmax,
-        (tokens * vocab * 4) as f64,
-        tensor_bytes(tokens * vocab),
-        &[logits],
-        None,
-    );
-    gb.compute("loss/mlm", OpKind::Loss, (tokens * vocab) as f64, tensor_bytes(1), &[probs], None);
+    let tr = dense(&mut gb, "mlm/transform", x, hidden, hidden);
+    let gelu = gb.map("mlm/gelu", OpKind::Activation, 8, hid, &[tr]);
+    let logits = gb.linear("mlm/logits", "mlm/output/weights", gelu, (tokens, hidden, vocab));
+    let probs = gb.map("mlm/softmax", OpKind::Softmax, 4, tokens * vocab, &[logits]);
+    gb.op("loss/mlm", OpKind::Loss, (tokens * vocab) as f64, 1, &[probs]);
 
     Ok(gb.finish())
 }
@@ -1132,6 +472,7 @@ pub fn try_bert_base(cfg: &BertConfig) -> Result<OpGraph, GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Phase;
 
     #[test]
     fn inception_structure() {

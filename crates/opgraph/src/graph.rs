@@ -462,14 +462,9 @@ impl OpGraph {
         self.nodes.iter().map(|n| n.param_bytes).sum()
     }
 
-    /// Total transient activation bytes.
-    pub fn total_act_bytes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.act_bytes).sum()
-    }
-
-    /// Total memory footprint (params + activations).
+    /// Total memory footprint (persistent parameters + transient activations).
     pub fn total_bytes(&self) -> u64 {
-        self.total_param_bytes() + self.total_act_bytes()
+        self.nodes.iter().map(|n| n.param_bytes + n.act_bytes).sum()
     }
 
     /// Serializes the graph to JSON.

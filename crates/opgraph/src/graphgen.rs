@@ -1,7 +1,8 @@
 //! GraphGen: config-driven, seed-deterministic synthetic op-graph generation.
 //!
-//! The three hand-built benchmark graphs ([`crate::builders`]) cover ~10k
-//! well-formed ops between them; every policy, oracle, and bench used to see
+//! The three hand-built benchmark graphs ([`crate::builders`]) cover 6,392
+//! well-formed ops between them (1,182 + 2,935 + 2,275, pinned by
+//! `tests/graph_identity.rs`); every policy, oracle, and bench used to see
 //! only those. `GraphGen` generates a *distribution* of realistic training
 //! graphs instead: each sample composes inception-style branch blocks, LSTM
 //! stacks, transformer layers, and MoE-style wide fan-outs into an arbitrary
@@ -25,7 +26,7 @@
 //! the `graph_scale` bench (10k/50k/100k-op stress graphs), and — per ROADMAP —
 //! the multi-graph trainer's training distribution.
 
-use crate::builders::Gb;
+use crate::gb::Gb;
 use crate::graph::{GraphError, OpGraph, OpId, OpKind};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -242,7 +243,6 @@ struct Sampler<'c> {
     laterals: Vec<OpId>,
     batch: usize,
     hidden: usize,
-    pressure: f64,
     weights: MotifWeights,
 }
 
@@ -262,18 +262,9 @@ impl<'c> Sampler<'c> {
             transformer: jitter(cfg.motifs.transformer, &mut rng),
             moe: jitter(cfg.motifs.moe, &mut rng),
         };
-        let gb = Gb::new(&format!("graphgen/seed{seed}"));
-        Self {
-            cfg,
-            rng,
-            gb,
-            frontier: OpId(0),
-            laterals: Vec::new(),
-            batch,
-            hidden,
-            pressure,
-            weights,
-        }
+        let mut gb = Gb::new(&format!("graphgen/seed{seed}"));
+        gb.pressure = Some(pressure);
+        Self { cfg, rng, gb, frontier: OpId(0), laterals: Vec::new(), batch, hidden, weights }
     }
 
     /// Ops the finished graph is projected to contain right now.
@@ -283,15 +274,6 @@ impl<'c> Sampler<'c> {
         } else {
             self.gb.g.len()
         }
-    }
-
-    /// Tensor bytes for `elems` f32 elements under this sample's memory
-    /// pressure, clamped so downstream u64 arithmetic (4x optimizer slots,
-    /// per-device sums) cannot overflow while still reaching the `e^30`-byte
-    /// regime that stresses feature scaling.
-    fn bytes(&self, elems: f64) -> u64 {
-        let e = (elems * self.pressure).clamp(1.0, 1e14);
-        (e as u64) * 4
     }
 
     fn fan_out(&mut self) -> usize {
@@ -317,51 +299,26 @@ impl<'c> Sampler<'c> {
     }
 
     /// Input pipeline + one stem conv, mirroring how every real model starts.
+    /// The conv is strided (FLOPs over the 299x299 input, a 149x149 output), so
+    /// it is a plain `weighted` op rather than a same-size [`Gb::conv`].
     fn stem(&mut self) {
-        let b = self.batch;
-        let px = (b * 299 * 299 * 3) as f64;
-        let input = self.gb.source("input/pipeline", OpKind::Input, self.bytes(px));
-        let w = self.gb.var("stem/conv/weights", self.bytes((3 * self.hidden * 9) as f64));
-        self.frontier = self.gb.compute(
-            "stem/conv2d",
-            OpKind::Conv2d,
-            2.0 * px * (self.hidden * 9) as f64,
-            self.bytes((b * 149 * 149 * self.hidden) as f64),
-            &[input],
-            Some(w),
-        );
+        let (b, h) = (self.batch, self.hidden);
+        let px = b * 299 * 299 * 3;
+        let input = self.gb.input("input/pipeline", px);
+        let (flops, out) = (2.0 * (px * h * 9) as f64, b * 149 * 149 * h);
+        let weight = ("stem/conv/weights", 3 * h * 9);
+        self.frontier =
+            self.gb.weighted("stem/conv2d", OpKind::Conv2d, flops, out, &[input], weight);
     }
 
     /// Classification/LM head: projection, softmax, loss.
     fn head(&mut self) {
         let vocab = self.rng.gen_range(100usize..=30_000);
-        let h = self.hidden;
-        let b = self.batch;
-        let w = self.gb.var("head/logits/weights", self.bytes((h * vocab) as f64));
-        let logits = self.gb.compute(
-            "head/logits/matmul",
-            OpKind::MatMul,
-            2.0 * (b * h * vocab) as f64,
-            self.bytes((b * vocab) as f64),
-            &[self.frontier],
-            Some(w),
-        );
-        let probs = self.gb.compute(
-            "head/softmax",
-            OpKind::Softmax,
-            (3 * b * vocab) as f64,
-            self.bytes((b * vocab) as f64),
-            &[logits],
-            None,
-        );
-        self.frontier = self.gb.compute(
-            "head/loss",
-            OpKind::Loss,
-            (b * vocab) as f64,
-            self.bytes(1.0),
-            &[probs],
-            None,
-        );
+        let (b, h) = (self.batch, self.hidden);
+        let x = self.frontier;
+        let logits = self.gb.linear("head/logits/matmul", "head/logits/weights", x, (b, h, vocab));
+        let probs = self.gb.map("head/softmax", OpKind::Softmax, 3, b * vocab, &[logits]);
+        self.frontier = self.gb.op("head/loss", OpKind::Loss, (b * vocab) as f64, 1, &[probs]);
     }
 
     /// One randomized block: an occasional skip connection from an earlier
@@ -400,61 +357,29 @@ impl<'c> Sampler<'c> {
         let branches = self.fan_out();
         let hw = self.rng.gen_range(7usize..=35);
         let cin = self.hidden;
-        let x = self.frontier;
+        let positions = self.batch * hw * hw;
         let mut outs = Vec::with_capacity(branches);
-        let mut cat_elems = 0f64;
+        let mut cat_elems = 0;
         for b in 0..branches {
             let convs = self.rng.gen_range(1usize..=3);
             let cout = self.rng.gen_range(16usize..=cin.max(17));
-            let mut cur = x;
+            let mut cur = self.frontier;
             let mut c_prev = cin;
             for d in 0..convs {
                 let k = [1usize, 3, 5][self.rng.gen_range(0..3usize)];
                 let name = format!("{scope}/b{b}_{d}x{k}");
-                let w = self
-                    .gb
-                    .var(&format!("{name}/weights"), self.bytes((c_prev * cout * k * k) as f64));
-                let out_elems = (self.batch * hw * hw * cout) as f64;
-                cur = self.gb.compute(
-                    &format!("{name}/conv2d"),
-                    OpKind::Conv2d,
-                    2.0 * (self.batch * hw * hw * c_prev * cout * k * k) as f64,
-                    self.bytes(out_elems),
-                    &[cur],
-                    Some(w),
-                );
+                cur = self.gb.conv(&name, cur, positions, c_prev, cout, k);
                 if self.rng.gen_bool(0.5) {
-                    let g = self.gb.var(&format!("{name}/bn/gamma"), self.bytes(cout as f64));
-                    cur = self.gb.compute(
-                        &format!("{name}/bn"),
-                        OpKind::BatchNorm,
-                        4.0 * out_elems,
-                        self.bytes(out_elems),
-                        &[cur],
-                        Some(g),
-                    );
-                    cur = self.gb.compute(
-                        &format!("{name}/relu"),
-                        OpKind::Activation,
-                        out_elems,
-                        self.bytes(out_elems),
-                        &[cur],
-                        None,
-                    );
+                    cur = self.gb.bn_relu(&name, cur, positions * cout, cout);
                 }
                 c_prev = cout;
             }
-            cat_elems += (self.batch * hw * hw * c_prev) as f64;
+            cat_elems += positions * c_prev;
             outs.push(cur);
         }
-        self.frontier = self.gb.compute(
-            &format!("{scope}/concat"),
-            OpKind::Concat,
-            cat_elems,
-            self.bytes(cat_elems),
-            &outs,
-            None,
-        );
+        // A copying concat: one FLOP per element moved.
+        let name = format!("{scope}/concat");
+        self.frontier = self.gb.map(&name, OpKind::Concat, 1, cat_elems, &outs);
     }
 
     /// Recurrent grid: `depth` stacked layers x 2-8 timesteps of fused
@@ -465,32 +390,15 @@ impl<'c> Sampler<'c> {
         let scope = format!("lstm{idx}");
         let layers = self.depth();
         let steps = self.rng.gen_range(2usize..=8);
-        let h = self.hidden;
-        let cell_flops = 2.0 * (self.batch * 2 * h * 4 * h) as f64;
-        let cell_bytes = self.bytes((self.batch * h) as f64);
         let mut below: Vec<OpId> = vec![self.frontier; steps];
         for l in 0..layers {
-            let kernel =
-                self.gb.var(&format!("{scope}/l{l}/kernel"), self.bytes((2 * h * 4 * h) as f64));
+            let kernel = self.gb.lstm_kernel(&format!("{scope}/l{l}/kernel"), self.hidden);
             let mut prev: Option<OpId> = None;
-            let mut row = Vec::with_capacity(steps);
-            for (t, &b) in below.iter().enumerate() {
-                let mut inputs = vec![b];
-                if let Some(p) = prev {
-                    inputs.push(p);
-                }
-                let cell = self.gb.compute(
-                    &format!("{scope}/l{l}/t{t}/cell"),
-                    OpKind::LstmCell,
-                    cell_flops,
-                    cell_bytes,
-                    &inputs,
-                    Some(kernel),
-                );
-                prev = Some(cell);
-                row.push(cell);
+            for (t, b) in below.iter_mut().enumerate() {
+                let name = format!("{scope}/l{l}/t{t}/cell");
+                *b = self.gb.lstm_cell(&name, kernel, self.batch, *b, prev, 1);
+                prev = Some(*b);
             }
-            below = row;
         }
         self.frontier = *below.last().expect("steps >= 2");
     }
@@ -506,111 +414,36 @@ impl<'c> Sampler<'c> {
         let h = self.hidden;
         let hd = (h / heads).max(1);
         let tokens = self.batch * seq;
-        let tok_elems = (tokens * h) as f64;
+        let tok_elems = tokens * h;
+        let ff = 4 * h;
+        let gb = &mut self.gb;
+        // A one-op layer norm: its gamma, then five FLOPs per element.
+        let layer_norm = |gb: &mut Gb, name: &str, input: OpId| -> OpId {
+            let (gamma, flops) = (format!("{name}/gamma"), (5 * tok_elems) as f64);
+            gb.weighted(name, OpKind::LayerNorm, flops, tok_elems, &[input], (&gamma, h))
+        };
         for l in 0..layers {
-            let lscope = format!("{scope}/l{l}");
+            let n = |s: &str| format!("{scope}/l{l}/{s}");
             let x = self.frontier;
-            let mut head_outs = Vec::with_capacity(heads);
-            for hh in 0..heads {
-                let hscope = format!("{lscope}/h{hh}");
-                let wqkv =
-                    self.gb.var(&format!("{hscope}/qkv/weights"), self.bytes((h * 3 * hd) as f64));
-                let qkv = self.gb.compute(
-                    &format!("{hscope}/qkv/matmul"),
-                    OpKind::MatMul,
-                    2.0 * (tokens * h * 3 * hd) as f64,
-                    self.bytes((tokens * 3 * hd) as f64),
-                    &[x],
-                    Some(wqkv),
-                );
-                let attn = self.gb.compute(
-                    &format!("{hscope}/attn"),
-                    OpKind::Attention,
-                    2.0 * (self.batch * seq * seq * hd) as f64,
-                    self.bytes((tokens * hd) as f64),
-                    &[qkv],
-                    None,
-                );
-                head_outs.push(attn);
-            }
-            let cat = self.gb.compute(
-                &format!("{lscope}/heads/concat"),
-                OpKind::Concat,
-                tok_elems,
-                self.bytes(tok_elems),
-                &head_outs,
-                None,
-            );
-            let wo = self.gb.var(&format!("{lscope}/proj/weights"), self.bytes((h * h) as f64));
-            let proj = self.gb.compute(
-                &format!("{lscope}/proj/matmul"),
-                OpKind::MatMul,
-                2.0 * (tokens * h * h) as f64,
-                self.bytes(tok_elems),
-                &[cat],
-                Some(wo),
-            );
-            let res1 = self.gb.compute(
-                &format!("{lscope}/res1/add"),
-                OpKind::Elementwise,
-                tok_elems,
-                self.bytes(tok_elems),
-                &[x, proj],
-                None,
-            );
-            let g1 = self.gb.var(&format!("{lscope}/ln1/gamma"), self.bytes(h as f64));
-            let ln1 = self.gb.compute(
-                &format!("{lscope}/ln1"),
-                OpKind::LayerNorm,
-                5.0 * tok_elems,
-                self.bytes(tok_elems),
-                &[res1],
-                Some(g1),
-            );
-            let ff = 4 * h;
-            let w1 = self.gb.var(&format!("{lscope}/ffn/w1"), self.bytes((h * ff) as f64));
-            let ffn1 = self.gb.compute(
-                &format!("{lscope}/ffn/matmul1"),
-                OpKind::MatMul,
-                2.0 * (tokens * h * ff) as f64,
-                self.bytes((tokens * ff) as f64),
-                &[ln1],
-                Some(w1),
-            );
-            let gelu = self.gb.compute(
-                &format!("{lscope}/ffn/gelu"),
-                OpKind::Activation,
-                8.0 * (tokens * ff) as f64,
-                self.bytes((tokens * ff) as f64),
-                &[ffn1],
-                None,
-            );
-            let w2 = self.gb.var(&format!("{lscope}/ffn/w2"), self.bytes((ff * h) as f64));
-            let ffn2 = self.gb.compute(
-                &format!("{lscope}/ffn/matmul2"),
-                OpKind::MatMul,
-                2.0 * (tokens * ff * h) as f64,
-                self.bytes(tok_elems),
-                &[gelu],
-                Some(w2),
-            );
-            let res2 = self.gb.compute(
-                &format!("{lscope}/res2/add"),
-                OpKind::Elementwise,
-                tok_elems,
-                self.bytes(tok_elems),
-                &[ln1, ffn2],
-                None,
-            );
-            let g2 = self.gb.var(&format!("{lscope}/ln2/gamma"), self.bytes(h as f64));
-            self.frontier = self.gb.compute(
-                &format!("{lscope}/ln2"),
-                OpKind::LayerNorm,
-                5.0 * tok_elems,
-                self.bytes(tok_elems),
-                &[res2],
-                Some(g2),
-            );
+            let head_outs: Vec<OpId> = (0..heads)
+                .map(|hh| {
+                    let n = |s: &str| n(&format!("h{hh}/{s}"));
+                    let qkv =
+                        gb.linear(&n("qkv/matmul"), &n("qkv/weights"), x, (tokens, h, 3 * hd));
+                    let flops = 2.0 * (tokens * seq * hd) as f64;
+                    gb.op(&n("attn"), OpKind::Attention, flops, tokens * hd, &[qkv])
+                })
+                .collect();
+            // A copying concat: one FLOP per element moved.
+            let cat = gb.map(&n("heads/concat"), OpKind::Concat, 1, tok_elems, &head_outs);
+            let proj = gb.linear(&n("proj/matmul"), &n("proj/weights"), cat, (tokens, h, h));
+            let res1 = gb.map(&n("res1/add"), OpKind::Elementwise, 1, tok_elems, &[x, proj]);
+            let ln1 = layer_norm(gb, &n("ln1"), res1);
+            let ffn1 = gb.linear(&n("ffn/matmul1"), &n("ffn/w1"), ln1, (tokens, h, ff));
+            let gelu = gb.map(&n("ffn/gelu"), OpKind::Activation, 8, tokens * ff, &[ffn1]);
+            let ffn2 = gb.linear(&n("ffn/matmul2"), &n("ffn/w2"), gelu, (tokens, ff, h));
+            let res2 = gb.map(&n("res2/add"), OpKind::Elementwise, 1, tok_elems, &[ln1, ffn2]);
+            self.frontier = layer_norm(gb, &n("ln2"), res2);
         }
     }
 
@@ -618,58 +451,21 @@ impl<'c> Sampler<'c> {
     /// parallel expert MLPs, reduced back into one tensor — the widest
     /// fan-out/fan-in structure in the corpus.
     fn emit_moe(&mut self, idx: usize) {
-        let scope = format!("moe{idx}");
+        let n = |s: &str| format!("moe{idx}/{s}");
         let experts = self.fan_out();
-        let h = self.hidden;
-        let b = self.batch;
+        let (b, h) = (self.batch, self.hidden);
         let x = self.frontier;
-        let tok_elems = (b * h) as f64;
-        let wr = self.gb.var(&format!("{scope}/router/weights"), self.bytes((h * experts) as f64));
-        let router = self.gb.compute(
-            &format!("{scope}/router/matmul"),
-            OpKind::MatMul,
-            2.0 * (b * h * experts) as f64,
-            self.bytes((b * experts) as f64),
-            &[x],
-            Some(wr),
-        );
-        let gates = self.gb.compute(
-            &format!("{scope}/router/softmax"),
-            OpKind::Softmax,
-            (3 * b * experts) as f64,
-            self.bytes((b * experts) as f64),
-            &[router],
-            None,
-        );
+        let gb = &mut self.gb;
+        let router = gb.linear(&n("router/matmul"), &n("router/weights"), x, (b, h, experts));
+        let gates = gb.map(&n("router/softmax"), OpKind::Softmax, 3, b * experts, &[router]);
         let mut combined = vec![gates];
         for e in 0..experts {
-            let we = self.gb.var(&format!("{scope}/e{e}/w"), self.bytes((h * h) as f64));
-            let ff = self.gb.compute(
-                &format!("{scope}/e{e}/matmul"),
-                OpKind::MatMul,
-                2.0 * (b * h * h) as f64,
-                self.bytes(tok_elems),
-                &[x],
-                Some(we),
-            );
-            let act = self.gb.compute(
-                &format!("{scope}/e{e}/gelu"),
-                OpKind::Activation,
-                8.0 * tok_elems,
-                self.bytes(tok_elems),
-                &[ff],
-                None,
-            );
-            combined.push(act);
+            let n = |s: &str| n(&format!("e{e}/{s}"));
+            let ff = gb.linear(&n("matmul"), &n("w"), x, (b, h, h));
+            combined.push(gb.map(&n("gelu"), OpKind::Activation, 8, b * h, &[ff]));
         }
-        self.frontier = self.gb.compute(
-            &format!("{scope}/combine"),
-            OpKind::Reduce,
-            (experts as f64) * tok_elems,
-            self.bytes(tok_elems),
-            &combined,
-            None,
-        );
+        // The reduce reads every expert's output once.
+        self.frontier = gb.map(&n("combine"), OpKind::Reduce, experts, b * h, &combined);
     }
 }
 

@@ -12,6 +12,12 @@
 //!
 //! Graphs include forward, backward and optimizer-update operations with honest
 //! FLOP counts, tensor sizes and memory footprints derived from model dimensions.
+//! [`GraphGen`] samples a seeded distribution of synthetic training graphs from
+//! the same motifs. Both descriptions are written in one op vocabulary — the
+//! typed emitters of the crate-private builder in `gb.rs` (`linear`, `conv`,
+//! `bn_relu`, `lstm_cell`, ...) — so what an op costs is decided once; see
+//! DESIGN.md, "Graph vocabulary". Node creation order is part of a graph's
+//! identity and `tests/graph_identity.rs` pins every generated graph.
 //! [`features::node_features`] turns a graph into the per-op state vectors the RL
 //! agent consumes.
 
@@ -19,6 +25,7 @@
 
 pub mod builders;
 pub mod features;
+mod gb;
 mod graph;
 pub mod graphgen;
 

@@ -15,13 +15,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Tensor {
     Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-a..a)).collect())
 }
 
-/// Kaiming/He uniform initialization: `U(-a, a)` with `a = sqrt(6 / fan_in)`,
-/// appropriate for ReLU layers (the grouper FFN and the GCN placer).
-pub fn kaiming_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Tensor {
-    let a = (6.0 / rows.max(1) as f32).sqrt();
-    Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-a..a)).collect())
-}
-
 /// Uniform initialization `U(-bound, bound)`.
 pub fn uniform(rows: usize, cols: usize, bound: f32, rng: &mut impl Rng) -> Tensor {
     Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-bound..bound)).collect())
@@ -56,14 +49,5 @@ mod tests {
         assert!(t.norm() > 0.0);
         // Mean should be near zero for a symmetric distribution.
         assert!(t.mean().abs() < 0.05);
-    }
-
-    #[test]
-    fn kaiming_bound_uses_fan_in() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let t = kaiming_uniform(6, 1000, &mut rng);
-        let a = 1.0f32; // sqrt(6/6)
-        assert!(t.data().iter().all(|&x| x.abs() < a));
-        assert!(t.max() > 0.5, "should actually use the range");
     }
 }

@@ -12,7 +12,7 @@
 //!   [`Tape::backward_into`], read gradients out of the detached [`Grads`] buffers.
 //! * [`optim`] — Adam; global-norm gradient clipping is [`Grads::clip_global_norm`]
 //!   (the paper uses Adam, lr 0.01, clip 1.0).
-//! * [`init`] — Xavier / Kaiming initializers driven by an explicit RNG.
+//! * [`init`] — Xavier / uniform initializers driven by an explicit RNG.
 //!
 //! ## Example
 //!

@@ -78,16 +78,6 @@ impl Params {
     pub fn ids(&self) -> impl Iterator<Item = ParamId> + '_ {
         (0..self.entries.len()).map(ParamId)
     }
-
-    /// Copies all parameter values from `other`. Stores must have identical layout
-    /// (same registration order and shapes); used for snapshotting `pi_old` in PPO.
-    pub fn copy_values_from(&mut self, other: &Params) {
-        assert_eq!(self.entries.len(), other.entries.len(), "param store layout mismatch");
-        for (dst, src) in self.entries.iter_mut().zip(&other.entries) {
-            assert_eq!(dst.value.shape(), src.value.shape(), "param shape mismatch");
-            dst.value = src.value.clone();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,15 +93,5 @@ mod tests {
         assert_eq!(p.num_scalars(), 9);
         assert_eq!(p.name(w), "w");
         assert_eq!(p.get(b).shape(), (1, 3));
-    }
-
-    #[test]
-    fn copy_values_from_snapshots() {
-        let mut a = Params::new();
-        let w = a.add("w", Tensor::full(1, 2, 1.0));
-        let mut b = Params::new();
-        b.add("w", Tensor::zeros(1, 2));
-        b.copy_values_from(&a);
-        assert_eq!(b.get(ParamId(0)), a.get(w));
     }
 }

@@ -33,14 +33,7 @@ mod common;
 use common::{assert_curves_close, assert_grad_close, assert_opt_f64_close, CURVE_ULPS};
 
 fn tiny_graph() -> OpGraph {
-    builders::try_gnmt(&builders::GnmtConfig {
-        batch: 2,
-        hidden: 4,
-        layers: 2,
-        seq_len: 3,
-        vocab: 20,
-    })
-    .expect("valid GNMT config")
+    builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config")
 }
 
 /// Asserts the three batched methods at batch size `bsz` reproduce `bsz`

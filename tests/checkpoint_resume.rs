@@ -30,14 +30,7 @@ use common::{assert_f32_close, assert_f64_close, assert_opt_f64_close, CURVE_ULP
 const MINIBATCH: usize = 10;
 
 fn tiny_graph() -> (eagle::opgraph::OpGraph, Machine) {
-    let g = builders::try_gnmt(&builders::GnmtConfig {
-        batch: 2,
-        hidden: 4,
-        layers: 2,
-        seq_len: 3,
-        vocab: 20,
-    })
-    .expect("valid GNMT config");
+    let g = builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config");
     (g, Machine::paper_machine())
 }
 
