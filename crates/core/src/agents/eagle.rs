@@ -242,6 +242,10 @@ impl PlacementAgent for EagleAgent {
         })
     }
 
+    fn action_choices(&self, _position: usize) -> usize {
+        self.devices.len()
+    }
+
     fn decode_batch(&self, params: &Params, actions: &[Vec<usize>]) -> Vec<Placement> {
         // The grouper forward depends only on the parameters, not on the
         // episode: run it once for the whole minibatch.
@@ -249,7 +253,7 @@ impl PlacementAgent for EagleAgent {
         actions
             .iter()
             .map(|a| {
-                assert_eq!(a.len(), self.num_groups, "one device per group");
+                super::check_actions(self, a).expect("one device per group");
                 let group_devices: Vec<DeviceId> = a.iter().map(|&d| self.devices[d]).collect();
                 Placement::from_groups(&group_of, &group_devices)
             })

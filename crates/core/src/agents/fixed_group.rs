@@ -79,27 +79,21 @@ impl FixedGroupAgent {
         let devices = super::device_table(machine);
         let nd = devices.len();
         let pname = format!("{name}/placer");
+        let seq2seq = |params: &mut Params, mode, rng: &mut _| {
+            Box::new(Seq2SeqPlacer::new(
+                params,
+                &pname,
+                d_in,
+                scale.placer_hidden,
+                scale.attn_dim,
+                nd,
+                mode,
+                rng,
+            ))
+        };
         let placer: Box<dyn Placer + Send + Sync> = match kind {
-            PlacerKind::Seq2SeqBefore => Box::new(Seq2SeqPlacer::new(
-                params,
-                &pname,
-                d_in,
-                scale.placer_hidden,
-                scale.attn_dim,
-                nd,
-                AttentionMode::Before,
-                rng,
-            )),
-            PlacerKind::Seq2SeqAfter => Box::new(Seq2SeqPlacer::new(
-                params,
-                &pname,
-                d_in,
-                scale.placer_hidden,
-                scale.attn_dim,
-                nd,
-                AttentionMode::After,
-                rng,
-            )),
+            PlacerKind::Seq2SeqBefore => seq2seq(params, AttentionMode::Before, rng),
+            PlacerKind::Seq2SeqAfter => seq2seq(params, AttentionMode::After, rng),
             PlacerKind::Gcn => {
                 let adj = normalize_adjacency(graph, &group_of, num_groups);
                 Box::new(GcnPlacer::new(params, &pname, d_in, scale.simple_hidden, nd, adj, rng))
@@ -191,11 +185,15 @@ impl PlacementAgent for FixedGroupAgent {
         &self.name
     }
 
+    fn action_choices(&self, _position: usize) -> usize {
+        self.devices.len()
+    }
+
     fn decode_batch(&self, _params: &Params, actions: &[Vec<usize>]) -> Vec<Placement> {
         actions
             .iter()
             .map(|a| {
-                assert_eq!(a.len(), self.num_groups, "one device per group");
+                super::check_actions(self, a).expect("one device per group");
                 let group_devices: Vec<DeviceId> = a.iter().map(|&d| self.devices[d]).collect();
                 Placement::from_groups(&self.group_of, &group_devices)
             })

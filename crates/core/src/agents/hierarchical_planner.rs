@@ -10,9 +10,9 @@
 //! faithfully.
 
 use eagle_devsim::{DeviceId, Machine, Placement};
-use eagle_nn::{embedding, AttentionMode, Grouper, Placer, Seq2SeqPlacer};
+use eagle_nn::{embedding, AttentionMode, Categorical, Grouper, Placer, Seq2SeqPlacer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{sample_categorical, BatchScoreHandle, EpisodeScore, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -85,16 +85,12 @@ impl HpAgent {
         let mut tape = Tape::new();
         let f = tape.leaf(self.features.clone());
         let logits = self.grouper.logits(&mut tape, params, f); // (n, k)
-        let log_probs = tape.log_softmax(logits);
-        let probs = tape.softmax(logits);
+        let dist = Categorical::new(&mut tape, logits);
 
         let groupings: Vec<Vec<usize>> = (0..bsz)
             .map(|b| match forced {
                 Some(fa) => fa[b][..n].to_vec(),
-                None => {
-                    let pv = tape.value(probs);
-                    (0..n).map(|i| sample_categorical(pv.row(i), &mut *rngs[b])).collect()
-                }
+                None => (0..n).map(|i| dist.sample(&tape, i, &mut *rngs[b])).collect(),
             })
             .collect();
         // Per-episode grouping log-probs, then the shared grouper entropy
@@ -102,11 +98,11 @@ impl HpAgent {
         let group_logp_sums: Vec<Var> = groupings
             .iter()
             .map(|g| {
-                let picked = tape.pick_per_row(log_probs, g); // (n, 1)
+                let picked = dist.log_prob(&mut tape, g); // (n, 1)
                 tape.sum_all(picked)
             })
             .collect();
-        let plogp = tape.mul_elem(probs, log_probs);
+        let plogp = dist.p_log_p(&mut tape);
         let total = tape.sum_all(plogp);
         let group_entropy = tape.scale(total, -1.0 / n as f32); // shared
 
@@ -174,12 +170,20 @@ impl PlacementAgent for HpAgent {
         "Hierarchical Planner"
     }
 
+    fn action_choices(&self, position: usize) -> usize {
+        if position < self.graph.len() {
+            self.num_groups
+        } else {
+            self.devices.len()
+        }
+    }
+
     fn decode_batch(&self, _params: &Params, actions: &[Vec<usize>]) -> Vec<Placement> {
         let n = self.graph.len();
         actions
             .iter()
             .map(|a| {
-                assert_eq!(a.len(), self.action_len(), "full action vector required");
+                super::check_actions(self, a).expect("full action vector required");
                 let group_devices: Vec<DeviceId> =
                     a[n..].iter().map(|&d| self.devices[d]).collect();
                 Placement::from_groups(&a[..n], &group_devices)

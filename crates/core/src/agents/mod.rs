@@ -28,6 +28,11 @@ pub trait PlacementAgent: StochasticPolicy {
     /// hierarchical agents) is computed once for the whole batch.
     fn decode_batch(&self, params: &Params, actions: &[Vec<usize>]) -> Vec<Placement>;
 
+    /// Number of choices at `position` of the action vector — groups for a
+    /// grouping entry, devices for a placing one: the range a stored action
+    /// must be in before it can be decoded or teacher-forced.
+    fn action_choices(&self, position: usize) -> usize;
+
     /// Decodes a single action vector; thin wrapper over a one-episode
     /// [`PlacementAgent::decode_batch`].
     fn decode(&self, params: &Params, actions: &[usize]) -> Placement {
@@ -53,6 +58,22 @@ pub trait PlacementAgent: StochasticPolicy {
     {
         let _ = graph;
         None
+    }
+}
+
+/// Checks an action vector against `agent`'s action space: one entry per
+/// [`StochasticPolicy::rng_draws_per_sample`], each among its position's
+/// [`PlacementAgent::action_choices`].
+pub(crate) fn check_actions(agent: &impl PlacementAgent, actions: &[usize]) -> Result<(), String> {
+    let want = agent.rng_draws_per_sample();
+    if actions.len() != want {
+        return Err(format!("{} actions where the agent takes {want}", actions.len()));
+    }
+    match actions.iter().enumerate().find(|&(i, &a)| a >= agent.action_choices(i)) {
+        Some((i, a)) => {
+            Err(format!("action {a} at position {i} is not one of {}", agent.action_choices(i)))
+        }
+        None => Ok(()),
     }
 }
 

@@ -112,6 +112,10 @@ pub enum ResumeError {
     SourceMismatch(String),
     /// A checkpointed environment state does not fit its rebuilt environment.
     Env(EnvStateError),
+    /// The checkpointed CE history is not one the run could have recorded:
+    /// action vectors and rewards differ in number, or an action vector does
+    /// not fit the agent's action space.
+    History(String),
 }
 
 impl std::fmt::Display for ResumeError {
@@ -126,6 +130,7 @@ impl std::fmt::Display for ResumeError {
             ResumeError::Source(e) => write!(f, "graph-source cursor state: {e}"),
             ResumeError::SourceMismatch(m) => write!(f, "graph source mismatch: {m}"),
             ResumeError::Env(e) => write!(f, "environment state: {e}"),
+            ResumeError::History(m) => write!(f, "CE history: {m}"),
         }
     }
 }

@@ -34,7 +34,7 @@ use rand_chacha::ChaCha8Rng;
 use eagle_obs::{Recorder, Telemetry};
 use eagle_opgraph::OpGraph;
 
-use crate::agents::PlacementAgent;
+use crate::agents::{check_actions, PlacementAgent};
 use crate::checkpoint::{save_checkpoint, GraphEntryState, TrainerState, CHECKPOINT_FILE};
 use crate::curve::{Curve, ProbePoint};
 use crate::infer::{best_of, check_layout};
@@ -393,6 +393,16 @@ impl Trainer {
     ) -> Result<(LoopState<A>, Params, Optimizers), TrainError> {
         let rng = state.rng.restore().map_err(ResumeError::Rng)?;
         let cursor = SourceCursor::restore(&state.source).map_err(ResumeError::Source)?;
+        // The next CE update indexes the history by reward rank and
+        // teacher-forces what it finds.
+        let (actions, rewards) = (&state.history_actions, &state.history_rewards);
+        if actions.len() != rewards.len() {
+            let m = format!("{} action vectors for {} rewards", actions.len(), rewards.len());
+            return Err(ResumeError::History(m).into());
+        }
+        for (i, a) in actions.iter().enumerate() {
+            check_actions(agent, a).map_err(|e| ResumeError::History(format!("entry {i}: {e}")))?;
+        }
 
         let mut pool = Vec::with_capacity(state.entries.len());
         for entry in &state.entries {

@@ -131,7 +131,7 @@ pub struct Schedule {
 /// Panics if the placement fails [`Placement::validate`] (a programming error:
 /// agents only choose among existing devices).
 pub fn schedule(graph: &OpGraph, machine: &Machine, placement: &Placement) -> Schedule {
-    run_engine(graph, machine, placement, true)
+    run_engine::<true>(graph, machine, placement)
 }
 
 /// Like [`schedule`], but skips recording the per-op [`OpSlot`] vector
@@ -139,38 +139,18 @@ pub fn schedule(graph: &OpGraph, machine: &Machine, placement: &Placement) -> Sc
 /// are identical — this is the entry for stats-only callers on the hot path
 /// ([`crate::simulate`] runs once per RL episode).
 pub fn schedule_stats(graph: &OpGraph, machine: &Machine, placement: &Placement) -> Schedule {
-    run_engine(graph, machine, placement, false)
+    run_engine::<false>(graph, machine, placement)
 }
 
-fn run_engine(
+/// `RECORD` is a const generic so the stats-only path (once per RL episode)
+/// compiles with the op-slot recording deleted rather than branched over.
+fn run_engine<const RECORD: bool>(
     graph: &OpGraph,
     machine: &Machine,
     placement: &Placement,
-    record_ops: bool,
 ) -> Schedule {
     placement.validate(graph, machine).expect("placement matches graph and machine");
-    // Single-device fast path: with every op on one device there are no
-    // transfers, at most one outstanding finish, and each finish is
-    // immediately followed by the dispatch it unblocks — the event queue
-    // degenerates to the ready queue. `run_single_device` replays exactly the
-    // general engine's op order (min `(ready, op index)` per dispatch) and
-    // produces bit-identical times and counters at a fraction of the
-    // bookkeeping; the differential oracle in `tests/property_sim.rs` holds
-    // both paths to the brute-force reference.
-    let devices = placement.devices();
-    let single = devices.first().copied().filter(|&d0| devices.iter().all(|&d| d == d0));
-    // `RECORD` is a const generic so the stats-only path (once per RL episode)
-    // compiles with the op-slot recording deleted rather than branched over.
-    match (single, record_ops) {
-        (Some(d0), true) => {
-            Engine::new(graph, machine, placement, true).run_single_device::<true>(d0)
-        }
-        (Some(d0), false) => {
-            Engine::new(graph, machine, placement, false).run_single_device::<false>(d0)
-        }
-        (None, true) => Engine::new(graph, machine, placement, true).run::<true>(),
-        (None, false) => Engine::new(graph, machine, placement, false).run::<false>(),
-    }
+    Engine::new(graph, machine, placement, RECORD).run::<RECORD>()
 }
 
 /// Mutable state of one engine run. Only [`Engine::run`] drives it; the
@@ -360,70 +340,6 @@ impl<'a> Engine<'a> {
             }
             self.dispatch::<RECORD>(now);
         }
-        assert_eq!(
-            self.scheduled as usize,
-            self.graph.len(),
-            "all ops schedule once (graph is a DAG)"
-        );
-        // Every op contributes exactly one finish event and every booked
-        // transfer exactly one arrival event; with the run complete, the
-        // drained-event count is fully determined.
-        let events_processed = self.scheduled as u64 + self.transfers.len() as u64;
-        Schedule {
-            step_time: self.makespan,
-            ops: self.ops,
-            transfers: self.transfers,
-            device_busy: self.device_busy,
-            comm_time: self.comm_time,
-            transfers_deduped: self.transfers_deduped,
-            events_processed,
-            peak_queue_depth: self.peak_queue_depth,
-        }
-    }
-
-    /// The single-device projection of [`Engine::run`]: no transfers exist, at
-    /// most one finish event is outstanding, and every finish immediately
-    /// unblocks the next dispatch, so the loop collapses to "pop the smallest
-    /// `(ready, op index)`, run it, deliver its successors at the finish
-    /// instant". Times, op order and every counter are bit-identical to the
-    /// general path.
-    fn run_single_device<const RECORD: bool>(mut self, dev: DeviceId) -> Schedule {
-        let d = dev.index();
-        let mut free = 0.0f64;
-        let mut busy = 0.0f64;
-        let mut peak = 0usize;
-        while let Some(Reverse(key)) = self.ready[d].pop() {
-            let (rt, op) = (key_time(key, 32), key as u32);
-            let id = OpId(op);
-            let node = self.graph.node(id);
-            let exec = self.machine.exec_time(node.kind, node.flops, dev);
-            let start = rt.max(free);
-            let finish = start + exec;
-            free = finish;
-            busy += exec;
-            self.makespan = self.makespan.max(finish);
-            self.scheduled += 1;
-            if RECORD {
-                self.ops.push(OpSlot { op, device: dev.0, start, finish });
-            }
-            if exec > 0.0 {
-                // The general path observes one outstanding finish event
-                // whenever a non-zero op runs (zero-exec finishes are consumed
-                // inline there too).
-                peak = 1;
-            }
-            // Every successor is colocated: deliver inline at the finish.
-            for &succ in self.graph.succs(id) {
-                let s = succ.index();
-                self.arrival[s] = self.arrival[s].max(finish);
-                self.in_remaining[s] -= 1;
-                if self.in_remaining[s] == 0 {
-                    self.ready[d].push(Reverse(ready_key(self.arrival[s], succ.0)));
-                }
-            }
-        }
-        self.device_busy[d] = busy;
-        self.peak_queue_depth = peak;
         assert_eq!(
             self.scheduled as usize,
             self.graph.len(),
@@ -677,27 +593,6 @@ mod tests {
         // 3 finishes + 1 arrival.
         assert_eq!(s.events_processed, 4);
         assert!(s.peak_queue_depth >= 1);
-    }
-
-    #[test]
-    fn single_device_fast_path_matches_general_engine() {
-        // A diamond with a zero-exec join, all on one GPU: the specialized
-        // single-device loop must reproduce the general event loop exactly —
-        // times, op order, and every counter.
-        let mut g = OpGraph::new("diamond");
-        let a = g.add_node(node("a", 2e9, 1 << 20));
-        let b = g.add_node(node("b", 1e9, 1 << 20));
-        let c = g.add_node(node("c", 3e9, 1 << 20));
-        let d = g.add_node(OpNode::new("join", OpKind::Reshape, Phase::Forward).with_flops(0.0));
-        g.add_edge(a, b);
-        g.add_edge(a, c);
-        g.add_edge(b, d);
-        g.add_edge(c, d);
-        let m = Machine::paper_machine();
-        let p = Placement::uniform(4, m.gpu_ids()[0]);
-        let fast = schedule(&g, &m, &p);
-        let general = Engine::new(&g, &m, &p, true).run::<true>();
-        assert_eq!(fast, general);
     }
 
     #[test]

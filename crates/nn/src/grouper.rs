@@ -3,10 +3,10 @@
 //! units is the best"), plus the soft group-embedding aggregation that lets placer
 //! gradients flow back into the grouper — the coupling EAGLE's linking RNN rides on.
 
-use eagle_tensor::{Params, Tape, Tensor, Var};
+use eagle_tensor::{FusedAct, Params, Tape, Tensor, Var};
 use rand::Rng;
 
-use crate::linear::{Activation, FeedForward};
+use crate::linear::FeedForward;
 
 /// Feed-forward grouper over per-op feature vectors.
 #[derive(Debug, Clone)]
@@ -31,7 +31,7 @@ impl Grouper {
                 params,
                 name,
                 &[feat_dim, hidden, hidden, num_groups],
-                Activation::Relu,
+                FusedAct::Relu,
                 rng,
             ),
             num_groups,

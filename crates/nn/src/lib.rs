@@ -4,7 +4,9 @@
 //! `eagle-tensor` autodiff engine:
 //!
 //! * [`Linear`] / [`FeedForward`] — affine layers and MLPs (the grouper).
-//! * [`LstmCell`] / [`Lstm`] / [`BiLstm`] — recurrent cells and encoders.
+//! * [`LstmCell`] / [`Lstm`] / [`BiLstm`] — recurrent cells and encoders, all
+//!   stepping through one recurrence (`LstmCell::run`).
+//! * [`Categorical`] — the policy head: every action is drawn and scored here.
 //! * [`Seq2SeqPlacer`] — the paper's placer (Fig. 3a): bi-LSTM encoder,
 //!   attention-equipped LSTM decoder, device-embedding feedback, with the
 //!   attention context applied [`AttentionMode::Before`] or
@@ -17,14 +19,16 @@
 
 #![warn(missing_docs)]
 
+mod categorical;
 pub mod embedding;
 mod grouper;
 mod linear;
 mod lstm;
 mod placer;
 
+pub use categorical::Categorical;
 pub use grouper::Grouper;
-pub use linear::{Activation, FeedForward, Linear};
+pub use linear::{FeedForward, Linear};
 pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
 pub use placer::{
     normalize_adjacency, AttentionMode, GcnPlacer, Placer, PlacerOutput, Seq2SeqPlacer,

@@ -3,26 +3,11 @@
 use eagle_tensor::{init, FusedAct, ParamId, Params, Tape, Var};
 use rand::Rng;
 
-/// Supported activations for [`FeedForward`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Rectified linear unit.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// No activation (affine output).
-    Identity,
-}
-
 /// `y = x W + b` with `W: (in, out)`, `b: (1, out)`.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: ParamId,
     b: ParamId,
-    /// Input feature dimension.
-    pub in_dim: usize,
-    /// Output feature dimension.
-    pub out_dim: usize,
 }
 
 impl Linear {
@@ -36,7 +21,7 @@ impl Linear {
     ) -> Self {
         let w = params.add(format!("{name}/w"), init::xavier_uniform(in_dim, out_dim, rng));
         let b = params.add(format!("{name}/b"), init::zeros(1, out_dim));
-        Self { w, b, in_dim, out_dim }
+        Self { w, b }
     }
 
     /// Applies the layer to `x: (n, in_dim)`, returning `(n, out_dim)`.
@@ -59,7 +44,7 @@ impl Linear {
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     layers: Vec<Linear>,
-    activation: Activation,
+    activation: FusedAct,
 }
 
 impl FeedForward {
@@ -69,7 +54,7 @@ impl FeedForward {
         params: &mut Params,
         name: &str,
         sizes: &[usize],
-        activation: Activation,
+        activation: FusedAct,
         rng: &mut impl Rng,
     ) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
@@ -81,31 +66,13 @@ impl FeedForward {
         Self { layers, activation }
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().expect("non-empty").in_dim
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim
-    }
-
     /// Applies the MLP to `x: (n, in_dim)`. Hidden layers run as fused
     /// affine+activation nodes; the last layer stays affine-only.
     pub fn forward(&self, tape: &mut Tape, params: &Params, x: Var) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i < last {
-                match self.activation {
-                    Activation::Relu => FusedAct::Relu,
-                    Activation::Tanh => FusedAct::Tanh,
-                    Activation::Identity => FusedAct::None,
-                }
-            } else {
-                FusedAct::None
-            };
+            let act = if i < last { self.activation } else { FusedAct::None };
             h = layer.forward_fused(tape, params, h, act);
         }
         h
@@ -140,9 +107,7 @@ mod tests {
     fn mlp_learns_xor() {
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mlp = FeedForward::new(&mut params, "xor", &[2, 8, 1], Activation::Tanh, &mut rng);
-        assert_eq!(mlp.in_dim(), 2);
-        assert_eq!(mlp.out_dim(), 1);
+        let mlp = FeedForward::new(&mut params, "xor", &[2, 8, 1], FusedAct::Tanh, &mut rng);
         let xs = Tensor::from_vec(4, 2, vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
         let ys = Tensor::from_vec(4, 1, vec![0.0, 1.0, 1.0, 0.0]);
         let mut opt = Adam::new(0.02);

@@ -10,8 +10,6 @@ pub struct LstmCell {
     w_ih: ParamId,
     w_hh: ParamId,
     b: ParamId,
-    /// Input dimension.
-    pub in_dim: usize,
     /// Hidden dimension.
     pub hidden: usize,
 }
@@ -44,7 +42,7 @@ impl LstmCell {
             bias.set(0, j, 1.0);
         }
         let b = params.add(format!("{name}/b"), bias);
-        Self { w_ih, w_hh, b, in_dim, hidden }
+        Self { w_ih, w_hh, b, hidden }
     }
 
     /// Initial zero state for a batch of `n` rows.
@@ -74,6 +72,43 @@ impl LstmCell {
         let z0 = tape.add(xi, hh);
         tape.add_row_broadcast(z0, b)
     }
+
+    /// The recurrence, written once: from a zero state, steps `B` equal-length
+    /// sequences `xs` (each `(t, in_dim)`, one row per timestep) in lockstep —
+    /// timestep `i` is one `(B, in_dim)` step — ascending, or descending when
+    /// `rev`. Returns the `(B, hidden)` hidden state after each timestep,
+    /// indexed by timestep, and the state after the last step taken.
+    ///
+    /// Row `b` is bit-identical to running sequence `b` alone: the step math
+    /// (matmul, bias broadcast, gates) is row-wise, so stacking sequences as
+    /// extra rows leaves each sequence's f32 summation order unchanged; and
+    /// with one sequence the stacking records nothing (see
+    /// [`Tape::concat_rows`]).
+    fn run(
+        &self,
+        tape: &mut Tape,
+        params: &Params,
+        xs: &[Var],
+        rev: bool,
+    ) -> (Vec<Var>, LstmState) {
+        assert!(!xs.is_empty(), "at least one sequence");
+        let t = tape.value(xs[0]).rows();
+        for &x in xs {
+            assert_eq!(tape.value(x).rows(), t, "all sequences share one length");
+        }
+        let mut state = self.zero_state(tape, xs.len());
+        let mut outs = vec![state.h; t];
+        let mut rows = Vec::with_capacity(xs.len());
+        for step in 0..t {
+            let i = if rev { t - 1 - step } else { step };
+            rows.clear();
+            rows.extend(xs.iter().map(|&x| tape.slice_rows(x, i, 1)));
+            let x = tape.concat_rows(&rows);
+            state = self.step(tape, params, x, state);
+            outs[i] = state.h;
+        }
+        (outs, state)
+    }
 }
 
 /// A uni-directional LSTM over a sequence laid out as rows of a matrix.
@@ -98,15 +133,8 @@ impl Lstm {
     /// Runs over `xs (t, in_dim)` (each row one timestep) and returns the per-step
     /// hidden states stacked as `(t, hidden)` plus the final state.
     pub fn forward(&self, tape: &mut Tape, params: &Params, xs: Var) -> (Var, LstmState) {
-        let t = tape.value(xs).rows();
-        let mut state = self.cell.zero_state(tape, 1);
-        let mut outs = Vec::with_capacity(t);
-        for i in 0..t {
-            let x = tape.slice_rows(xs, i, 1);
-            state = self.cell.step(tape, params, x, state);
-            outs.push(state.h);
-        }
-        (tape.concat_rows(&outs), state)
+        let (outs, last) = self.cell.run(tape, params, &[xs], false);
+        (tape.concat_rows(&outs), last)
     }
 }
 
@@ -116,8 +144,6 @@ impl Lstm {
 pub struct BiLstm {
     fw: LstmCell,
     bw: LstmCell,
-    /// Hidden size of each direction (output is `2 * hidden`).
-    pub hidden: usize,
 }
 
 impl BiLstm {
@@ -132,87 +158,37 @@ impl BiLstm {
         Self {
             fw: LstmCell::new(params, &format!("{name}/fw"), in_dim, hidden, rng),
             bw: LstmCell::new(params, &format!("{name}/bw"), in_dim, hidden, rng),
-            hidden,
         }
     }
 
-    /// Runs over `xs (t, in_dim)`, returning `(t, 2*hidden)` per-step outputs and
-    /// the final forward-direction state (used to initialize decoders).
-    pub fn forward(&self, tape: &mut Tape, params: &Params, xs: Var) -> (Var, LstmState) {
-        let t = tape.value(xs).rows();
-        let mut fw_state = self.fw.zero_state(tape, 1);
-        let mut fw_outs = Vec::with_capacity(t);
-        for i in 0..t {
-            let x = tape.slice_rows(xs, i, 1);
-            fw_state = self.fw.step(tape, params, x, fw_state);
-            fw_outs.push(fw_state.h);
-        }
-        let mut bw_state = self.bw.zero_state(tape, 1);
-        let mut bw_outs = vec![fw_outs[0]; t];
-        for i in (0..t).rev() {
-            let x = tape.slice_rows(xs, i, 1);
-            bw_state = self.bw.step(tape, params, x, bw_state);
-            bw_outs[i] = bw_state.h;
-        }
-        let rows: Vec<Var> = (0..t).map(|i| tape.concat_cols(&[fw_outs[i], bw_outs[i]])).collect();
-        (tape.concat_rows(&rows), fw_state)
-    }
-
-    /// Runs the encoder over `B` equal-length sequences in lockstep — each
-    /// timestep is one `(B, in_dim)` step through the cells instead of `B`
-    /// separate `(1, in_dim)` steps — returning per-sequence `(t, 2*hidden)`
-    /// outputs and final forward-direction states.
-    ///
-    /// Bit-identical per sequence to [`BiLstm::forward`]: the step math
-    /// (matmul, bias broadcast, gates) is row-wise, so stacking sequences as
-    /// extra rows leaves each sequence's f32 summation order unchanged.
+    /// Runs the encoder over `B` equal-length sequences `xs` (each
+    /// `(t, in_dim)`) — two `LstmCell::run`s, forward then backward —
+    /// returning per sequence the `(t, 2*hidden)` outputs (both directions
+    /// side by side per step) and the final forward-direction state (used to
+    /// initialize decoders).
     pub fn forward_batch(
         &self,
         tape: &mut Tape,
         params: &Params,
         xs: &[Var],
     ) -> Vec<(Var, LstmState)> {
-        let bsz = xs.len();
-        assert!(bsz > 0, "at least one sequence");
-        let t = tape.value(xs[0]).rows();
-        for &x in xs {
-            assert_eq!(tape.value(x).rows(), t, "all sequences share one length");
-        }
-        let step_input = |tape: &mut Tape, i: usize| -> Var {
-            if bsz == 1 {
-                tape.slice_rows(xs[0], i, 1)
-            } else {
-                let rows: Vec<Var> = xs.iter().map(|&x| tape.slice_rows(x, i, 1)).collect();
-                tape.concat_rows(&rows)
-            }
-        };
-        let mut fw_state = self.fw.zero_state(tape, bsz);
-        let mut fw_outs = Vec::with_capacity(t);
-        for i in 0..t {
-            let x = step_input(tape, i);
-            fw_state = self.fw.step(tape, params, x, fw_state);
-            fw_outs.push(fw_state.h);
-        }
-        let mut bw_state = self.bw.zero_state(tape, bsz);
-        let mut bw_outs = vec![fw_outs[0]; t];
-        for i in (0..t).rev() {
-            let x = step_input(tape, i);
-            bw_state = self.bw.step(tape, params, x, bw_state);
-            bw_outs[i] = bw_state.h;
-        }
-        (0..bsz)
+        let (fw_outs, fw_last) = self.fw.run(tape, params, xs, false);
+        let (bw_outs, _) = self.bw.run(tape, params, xs, true);
+        (0..xs.len())
             .map(|b| {
-                let rows: Vec<Var> = (0..t)
-                    .map(|i| {
-                        let f = tape.slice_rows(fw_outs[i], b, 1);
-                        let w = tape.slice_rows(bw_outs[i], b, 1);
+                let rows: Vec<Var> = fw_outs
+                    .iter()
+                    .zip(&bw_outs)
+                    .map(|(&f, &w)| {
+                        let f = tape.slice_rows(f, b, 1);
+                        let w = tape.slice_rows(w, b, 1);
                         tape.concat_cols(&[f, w])
                     })
                     .collect();
                 let outs = tape.concat_rows(&rows);
                 let last = LstmState {
-                    h: tape.slice_rows(fw_state.h, b, 1),
-                    c: tape.slice_rows(fw_state.c, b, 1),
+                    h: tape.slice_rows(fw_last.h, b, 1),
+                    c: tape.slice_rows(fw_last.c, b, 1),
                 };
                 (outs, last)
             })
@@ -254,6 +230,37 @@ mod tests {
             let tc = tape.tanh(c);
             let h_out = tape.mul_elem(o, tc);
             LstmState { h: h_out, c }
+        }
+    }
+
+    /// The hand-written one-sequence encoder — two explicit time loops, no
+    /// stacking: what `Seq2SeqPlacer::forward_serial` encodes with, and so
+    /// the oracle [`BiLstm::forward_batch`] is held against through it.
+    impl BiLstm {
+        pub(crate) fn forward(
+            &self,
+            tape: &mut Tape,
+            params: &Params,
+            xs: Var,
+        ) -> (Var, LstmState) {
+            let t = tape.value(xs).rows();
+            let mut fw_state = self.fw.zero_state(tape, 1);
+            let mut fw_outs = Vec::with_capacity(t);
+            for i in 0..t {
+                let x = tape.slice_rows(xs, i, 1);
+                fw_state = self.fw.step(tape, params, x, fw_state);
+                fw_outs.push(fw_state.h);
+            }
+            let mut bw_state = self.bw.zero_state(tape, 1);
+            let mut bw_outs = vec![fw_outs[0]; t];
+            for i in (0..t).rev() {
+                let x = tape.slice_rows(xs, i, 1);
+                bw_state = self.bw.step(tape, params, x, bw_state);
+                bw_outs[i] = bw_state.h;
+            }
+            let rows: Vec<Var> =
+                (0..t).map(|i| tape.concat_cols(&[fw_outs[i], bw_outs[i]])).collect();
+            (tape.concat_rows(&rows), fw_state)
         }
     }
 

@@ -7,11 +7,11 @@
 //! re-evaluate log-probabilities of old samples under new parameters for PPO's
 //! ratio); the per-episode [`Placer::forward`] is that decode at batch size 1.
 
-use eagle_rl::sample_categorical;
-use eagle_tensor::{init, ParamId, Params, Tape, Tensor, Var};
+use eagle_tensor::{init, FusedAct, ParamId, Params, Tape, Tensor, Var};
 use rand::Rng;
 
-use crate::linear::{Activation, FeedForward, Linear};
+use crate::categorical::Categorical;
+use crate::linear::{FeedForward, Linear};
 use crate::lstm::{BiLstm, LstmCell, LstmState};
 
 /// Where the attention context enters the decoder (paper Fig. 4).
@@ -165,11 +165,6 @@ impl Seq2SeqPlacer {
         }
     }
 
-    /// The attention-application mode.
-    pub fn mode(&self) -> AttentionMode {
-        self.mode
-    }
-
     /// Batched Bahdanau context: one `(B, 2h)` context matrix for `B` decoder
     /// states at once. `enc_outs` holds one entry per *distinct* encoder pass,
     /// `enc_proj` their attention keys stacked as `(u·k, a)`, and `ep_enc[b]`
@@ -243,45 +238,36 @@ impl Placer for Seq2SeqPlacer {
         }
         let u = uniq.len();
 
-        // Input projection + attention keys run once per distinct input, as one
-        // stacked matmul when there are several.
-        let xs_h: Vec<Var> = if u == 1 {
-            vec![self.input_proj.forward(tape, params, uniq[0])]
-        } else {
-            let stacked = tape.concat_rows(&uniq);
-            let proj = self.input_proj.forward(tape, params, stacked); // (u·k, h)
-            (0..u).map(|j| tape.slice_rows(proj, j * k, k)).collect()
-        };
-        let enc_res: Vec<(Var, LstmState)> = if u == 1 {
-            let (outs, last) = self.encoder.forward(tape, params, xs_h[0]);
-            vec![(outs, last)]
-        } else {
-            self.encoder.forward_batch(tape, params, &xs_h)
-        };
+        // Input projection, encoder and attention keys run once per distinct
+        // input, stacked as `(u·k, ·)` rows; with one distinct input the
+        // stacking and un-stacking record nothing (`Tape::concat_rows`).
+        let stacked = tape.concat_rows(&uniq);
+        let proj = self.input_proj.forward(tape, params, stacked); // (u·k, h)
+        let xs_h: Vec<Var> = (0..u).map(|j| tape.slice_rows(proj, j * k, k)).collect();
+        let enc_res = self.encoder.forward_batch(tape, params, &xs_h);
         let enc_outs: Vec<Var> = enc_res.iter().map(|(o, _)| *o).collect();
-        // Attention keys of every distinct input, stacked: (u·k, a).
-        let enc_stacked = if u == 1 { enc_outs[0] } else { tape.concat_rows(&enc_outs) };
-        let enc_proj = self.attn_enc.forward(tape, params, enc_stacked);
+        let enc_stacked = tape.concat_rows(&enc_outs);
+        let enc_proj = self.attn_enc.forward(tape, params, enc_stacked); // (u·k, a)
 
         // Decoder state: episode b starts from its encoder's last forward state.
-        let h0 = if bsz == 1 {
-            enc_res[0].1.h
-        } else {
-            let rows: Vec<Var> = ep_enc.iter().map(|&e| enc_res[e].1.h).collect();
-            tape.concat_rows(&rows)
-        };
+        let h0_rows: Vec<Var> = ep_enc.iter().map(|&e| enc_res[e].1.h).collect();
+        let h0 = tape.concat_rows(&h0_rows);
         let mut state = LstmState { h: h0, c: tape.leaf(Tensor::zeros(bsz, self.hidden)) };
         let dev_table = tape.param(params, self.dev_emb);
         let mut prev: Vec<usize> = vec![self.n_devices; bsz]; // start token
         let mut actions_ep: Vec<Vec<usize>> = vec![Vec::with_capacity(k); bsz];
         let mut step_logps = Vec::with_capacity(k);
         let mut step_ents = Vec::with_capacity(k);
+        let mut same_row = vec![0; bsz];
 
         for i in 0..k {
-            let x_i = if bsz == 1 {
-                tape.slice_rows(xs_h[0], i, 1)
-            } else if u == 1 {
-                tape.select_rows(xs_h[0], &vec![i; bsz]) // (B, h)
+            // A shared input is one gather. Distinct inputs go through the
+            // per-input slices the encoder also reads: a gather over the
+            // stacked `proj` instead would re-associate the sum that reaches
+            // its gradient (DESIGN.md "Batched policy API").
+            let x_i = if u == 1 {
+                same_row.fill(i);
+                tape.select_rows(xs_h[0], &same_row) // (B, h)
             } else {
                 let rows: Vec<Var> =
                     ep_enc.iter().map(|&e| tape.slice_rows(xs_h[e], i, 1)).collect();
@@ -305,17 +291,13 @@ impl Placer for Seq2SeqPlacer {
                     self.out.forward(tape, params, combined)
                 }
             }; // (B, nd)
-            let log_probs = tape.log_softmax(logits);
-            let probs = tape.softmax(logits);
+            let dist = Categorical::new(tape, logits);
             let acts: Vec<usize> = match forced {
                 Some(f) => f.iter().map(|a| a[i]).collect(),
-                None => {
-                    let pv = tape.value(probs);
-                    (0..bsz).map(|b| sample_categorical(pv.row(b), &mut *rngs[b])).collect()
-                }
+                None => (0..bsz).map(|b| dist.sample(tape, b, &mut *rngs[b])).collect(),
             };
-            let logp = tape.pick_per_row(log_probs, &acts); // (B, 1)
-            let plogp = tape.mul_elem(probs, log_probs);
+            let logp = dist.log_prob(tape, &acts); // (B, 1)
+            let plogp = dist.p_log_p(tape);
             let rsum = tape.row_sums(plogp); // (B, 1)
             let ent = tape.neg(rsum);
             for (b, &a) in acts.iter().enumerate() {
@@ -373,7 +355,7 @@ impl GcnPlacer {
                 params,
                 &format!("{name}/gc1"),
                 &[d_in, hidden],
-                Activation::Identity,
+                FusedAct::None,
                 rng,
             ),
             l2: Linear::new(params, &format!("{name}/gc2"), hidden, n_devices, rng),
@@ -398,7 +380,7 @@ impl Placer for GcnPlacer {
     ) -> Vec<PlacerOutput> {
         let (bsz, k) = check_batch_args(tape, xs, forced, rngs);
         assert_eq!(self.adj.rows(), k, "adjacency size must match group count");
-        let x = if bsz == 1 { xs[0] } else { tape.concat_rows(xs) }; // (B·k, d)
+        let x = tape.concat_rows(xs); // (B·k, d)
 
         // Block-diagonal adjacency: the off-block entries are exact zeros, and
         // adding a `±0.0` product to a (never `-0.0`) matmul accumulator is a
@@ -410,35 +392,12 @@ impl Placer for GcnPlacer {
         let h1 = tape.relu(ax);
         let hw = self.l2.forward(tape, params, h1);
         let logits = tape.matmul(a, hw); // (B·k, nd)
-
-        let log_probs = tape.log_softmax(logits);
-        let probs = tape.softmax(logits);
-        let flat_actions = sample_flat(tape, probs, forced, rngs, bsz, k);
-        let picked = tape.pick_per_row(log_probs, &flat_actions); // (B·k, 1)
-        let plogp = tape.mul_elem(probs, log_probs);
-        (0..bsz)
-            .map(|b| {
-                let step_log_probs = tape.slice_rows(picked, b * k, k);
-                let log_prob = tape.sum_all(step_log_probs);
-                let ep_plogp = tape.slice_rows(plogp, b * k, k);
-                let total = tape.sum_all(ep_plogp);
-                let entropy = tape.scale(total, -1.0 / k as f32);
-                PlacerOutput {
-                    actions: flat_actions[b * k..(b + 1) * k].to_vec(),
-                    step_log_probs,
-                    log_prob,
-                    entropy,
-                }
-            })
-            .collect()
+        flat_heads(tape, logits, forced, rngs, bsz, k)
     }
 }
 
 /// Stacks `bsz` copies of `adj` on the diagonal of a `(bsz·k, bsz·k)` matrix.
 fn block_diag(adj: &Tensor, bsz: usize) -> Tensor {
-    if bsz == 1 {
-        return adj.clone();
-    }
     let k = adj.rows();
     let mut big = Tensor::zeros(bsz * k, bsz * k);
     for b in 0..bsz {
@@ -454,30 +413,42 @@ fn block_diag(adj: &Tensor, bsz: usize) -> Tensor {
     big
 }
 
-/// Episode-major action selection over a `(bsz·k, nd)` probability matrix:
-/// episode `b` owns rows `b·k..(b+1)·k` and draws from `rngs[b]` only, in row
-/// order.
-fn sample_flat(
-    tape: &Tape,
-    probs: Var,
+/// The head of the placers that decide every group independently: from
+/// `(bsz·k, nd)` logits, episode `b` owns rows `b·k..(b+1)·k` and draws from
+/// `rngs[b]` only, in row order; its entropy is the mean over its rows.
+fn flat_heads(
+    tape: &mut Tape,
+    logits: Var,
     forced: Option<&[&[usize]]>,
     rngs: &mut [&mut dyn rand::RngCore],
     bsz: usize,
     k: usize,
-) -> Vec<usize> {
+) -> Vec<PlacerOutput> {
+    let dist = Categorical::new(tape, logits);
     let mut flat = Vec::with_capacity(bsz * k);
     for b in 0..bsz {
         match forced {
             Some(f) => flat.extend_from_slice(f[b]),
-            None => {
-                let pv = tape.value(probs);
-                for i in 0..k {
-                    flat.push(sample_categorical(pv.row(b * k + i), &mut *rngs[b]));
-                }
-            }
+            None => flat.extend((0..k).map(|i| dist.sample(tape, b * k + i, &mut *rngs[b]))),
         }
     }
-    flat
+    let picked = dist.log_prob(tape, &flat); // (B·k, 1)
+    let plogp = dist.p_log_p(tape);
+    (0..bsz)
+        .map(|b| {
+            let step_log_probs = tape.slice_rows(picked, b * k, k);
+            let log_prob = tape.sum_all(step_log_probs);
+            let ep_plogp = tape.slice_rows(plogp, b * k, k);
+            let total = tape.sum_all(ep_plogp);
+            let entropy = tape.scale(total, -1.0 / k as f32);
+            PlacerOutput {
+                actions: flat[b * k..(b + 1) * k].to_vec(),
+                step_log_probs,
+                log_prob,
+                entropy,
+            }
+        })
+        .collect()
 }
 
 /// Post's "simple neural network" placer: an MLP mapping each group embedding to an
@@ -500,7 +471,7 @@ impl SimplePlacer {
         rng: &mut impl Rng,
     ) -> Self {
         Self {
-            net: FeedForward::new(params, name, &[d_in, hidden, n_devices], Activation::Relu, rng),
+            net: FeedForward::new(params, name, &[d_in, hidden, n_devices], FusedAct::Relu, rng),
             n_devices,
         }
     }
@@ -520,28 +491,9 @@ impl Placer for SimplePlacer {
         rngs: &mut [&mut dyn rand::RngCore],
     ) -> Vec<PlacerOutput> {
         let (bsz, k) = check_batch_args(tape, xs, forced, rngs);
-        let x = if bsz == 1 { xs[0] } else { tape.concat_rows(xs) }; // (B·k, d)
+        let x = tape.concat_rows(xs); // (B·k, d)
         let logits = self.net.forward(tape, params, x); // (B·k, nd)
-        let log_probs = tape.log_softmax(logits);
-        let probs = tape.softmax(logits);
-        let flat_actions = sample_flat(tape, probs, forced, rngs, bsz, k);
-        let picked = tape.pick_per_row(log_probs, &flat_actions); // (B·k, 1)
-        let plogp = tape.mul_elem(probs, log_probs);
-        (0..bsz)
-            .map(|b| {
-                let step_log_probs = tape.slice_rows(picked, b * k, k);
-                let log_prob = tape.sum_all(step_log_probs);
-                let ep_plogp = tape.slice_rows(plogp, b * k, k);
-                let total = tape.sum_all(ep_plogp);
-                let entropy = tape.scale(total, -1.0 / k as f32);
-                PlacerOutput {
-                    actions: flat_actions[b * k..(b + 1) * k].to_vec(),
-                    step_log_probs,
-                    log_prob,
-                    entropy,
-                }
-            })
-            .collect()
+        flat_heads(tape, logits, forced, rngs, bsz, k)
     }
 }
 
@@ -572,6 +524,7 @@ pub fn normalize_adjacency(graph: &eagle_opgraph::OpGraph, group_of: &[usize], k
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagle_rl::sample_categorical;
     use eagle_tensor::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

@@ -390,8 +390,13 @@ impl Tape {
         self.push(Op::LogSoftmax(a), value, g)
     }
 
-    /// Vertical concatenation.
+    /// Vertical concatenation. A single part is returned as is, so batched
+    /// code stacking "one row block per episode" records at batch size one
+    /// exactly the tape of code written for one episode.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
+        if let [only] = parts {
+            return *only;
+        }
         let tensors: Vec<&Tensor> = parts.iter().map(|&v| self.value(v)).collect();
         let value = Tensor::concat_rows(&tensors);
         let g = parts.iter().any(|&v| self.ng(v));
@@ -408,8 +413,13 @@ impl Tape {
         self.push(Op::ConcatCols(span), value, g)
     }
 
-    /// Copies rows `[start, start+len)`.
+    /// Copies rows `[start, start+len)`. The whole row range is `a` itself —
+    /// the counterpart of [`Tape::concat_rows`]'s single-part rule: un-stacking
+    /// a stack of one records nothing.
     pub fn slice_rows(&mut self, a: Var, start: usize, len: usize) -> Var {
+        if start == 0 && len == self.value(a).rows() {
+            return a;
+        }
         let value = self.value(a).slice_rows(start, len);
         let g = self.ng(a);
         self.push(Op::SliceRows(a, start), value, g)

@@ -376,3 +376,17 @@ fn range_deposits_match_zero_padded_whole_slot_deposits() {
         );
     }
 }
+
+#[test]
+fn stacking_one_part_and_slicing_every_row_record_nothing() {
+    // The two identity rules batched code leans on to record, at batch size
+    // one, the tape of code written for one episode.
+    let mut tape = Tape::new();
+    let a = tape.leaf(Tensor::full(3, 2, 1.0));
+    assert_eq!(tape.concat_rows(&[a]), a);
+    assert_eq!(tape.slice_rows(a, 0, 3), a);
+    assert_eq!(tape.len(), 1);
+    // A proper sub-range is still a copy node.
+    assert_ne!(tape.slice_rows(a, 0, 2), a);
+    assert_eq!(tape.len(), 2);
+}

@@ -14,11 +14,12 @@
 //! environment from scratch exactly like a restarted binary would.
 
 use eagle::core::{
-    load_checkpoint, AgentScale, Algo, CheckpointError, EagleAgent, GraphSource, TrainResult,
-    Trainer, TrainerConfig, CHECKPOINT_FILE,
+    load_checkpoint, AgentScale, Algo, CheckpointError, EagleAgent, GraphSource, ResumeError,
+    TrainError, TrainResult, Trainer, TrainerConfig, TrainerState, CHECKPOINT_FILE,
 };
 use eagle::devsim::{Machine, MeasureConfig};
 use eagle::opgraph::{builders, GraphGenConfig};
+use eagle::rl::top_k_indices;
 use eagle::tensor::Params;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -68,6 +69,26 @@ fn straight_run(algo: Algo, workers: usize, total: usize) -> (TrainResult, Param
     (result, params)
 }
 
+/// First life: trains with checkpointing on and dies (stops) right after the
+/// checkpoint at minibatch `kill_after`; returns what it left on disk.
+fn first_life(
+    algo: Algo,
+    workers: usize,
+    kill_after: usize,
+    dir: &std::path::Path,
+) -> TrainerState {
+    std::fs::remove_dir_all(dir).ok();
+    let mut cfg = config(algo, workers, kill_after * MINIBATCH);
+    cfg.checkpoint_dir = Some(dir.to_path_buf());
+    cfg.checkpoint_every = Some(1);
+    let (g, m, trainer) = tiny_trainer(cfg);
+    let (mut params, agent) = build_agent(&g, &m);
+    trainer.train(&agent, &mut params).expect("first life trains");
+    let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).expect("checkpoint readable");
+    assert_eq!(state.samples as usize, kill_after * MINIBATCH);
+    state
+}
+
 /// Trains `kill_after` minibatches with checkpointing on, then resumes from
 /// the checkpoint in a fresh process image (new env, new agent, new params).
 fn killed_and_resumed(
@@ -77,19 +98,8 @@ fn killed_and_resumed(
     total: usize,
     dir: &std::path::Path,
 ) -> (TrainResult, Params) {
-    std::fs::remove_dir_all(dir).ok();
-    // First life: dies (stops) right after the checkpoint at minibatch `kill_after`.
-    {
-        let mut cfg = config(algo, workers, kill_after * MINIBATCH);
-        cfg.checkpoint_dir = Some(dir.to_path_buf());
-        cfg.checkpoint_every = Some(1);
-        let (g, m, trainer) = tiny_trainer(cfg);
-        let (mut params, agent) = build_agent(&g, &m);
-        trainer.train(&agent, &mut params).expect("first life trains");
-    }
+    let state = first_life(algo, workers, kill_after, dir);
     // Second life: a brand-new process image resumes from disk.
-    let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).expect("checkpoint readable");
-    assert_eq!(state.samples as usize, kill_after * MINIBATCH);
     let (g, m, trainer) = tiny_trainer(config(algo, workers, total));
     let (mut params, agent) = build_agent(&g, &m);
     let result = trainer.train_from(&agent, &mut params, state).expect("resume accepted");
@@ -189,6 +199,50 @@ fn corrupt_checkpoint_fails_typed_and_fresh_file_survives_interrupted_save() {
         .collect();
     assert!(stray.is_empty(), "temp litter: {stray:?}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resumes a PPO+CE run killed after its first minibatch from a checkpoint
+/// whose CE history `corrupt` has edited after decoding — what a writer bug
+/// or a hand-edited payload with a recomputed checksum would hand
+/// `train_from`. The next minibatch's CE update would index and teacher-force
+/// that history.
+fn resume_corrupted(name: &str, corrupt: impl FnOnce(&mut TrainerState)) {
+    let dir = tmp(name);
+    let mut state = first_life(Algo::PpoCe, 1, 1, &dir);
+    std::fs::remove_dir_all(&dir).ok();
+    corrupt(&mut state);
+
+    let (g, m, trainer) = tiny_trainer(config(Algo::PpoCe, 1, 3 * MINIBATCH));
+    let (mut params, agent) = build_agent(&g, &m);
+    let before = params.clone();
+    match trainer.train_from(&agent, &mut params, state) {
+        Err(TrainError::Resume(ResumeError::History(_))) => {}
+        other => panic!("{name}: expected ResumeError::History, got {other:?}"),
+    }
+    for id in before.ids() {
+        assert_eq!(before.get(id).data(), params.get(id).data(), "{name}: params untouched");
+    }
+}
+
+#[test]
+fn resume_rejects_history_with_unequal_lengths() {
+    resume_corrupted("history-extra-reward", |s| s.history_rewards.push(0.0));
+}
+
+#[test]
+fn resume_rejects_history_action_vector_of_the_wrong_length() {
+    resume_corrupted("history-short-vector", |s| {
+        let best = top_k_indices(&s.history_rewards, 1)[0];
+        s.history_actions[best].pop();
+    });
+}
+
+#[test]
+fn resume_rejects_history_action_out_of_range() {
+    resume_corrupted("history-device-99", |s| {
+        let best = top_k_indices(&s.history_rewards, 1)[0];
+        s.history_actions[best][0] = 99;
+    });
 }
 
 proptest! {
