@@ -302,7 +302,7 @@ fn train_resumable(
                         "resuming {} from {} (sample {}/{})",
                         agent.name(),
                         path.display(),
-                        state.samples,
+                        state.progress.samples,
                         trainer.config().total_samples
                     );
                     return trainer.train_from(agent, params, state).unwrap_or_else(|e| {

@@ -7,10 +7,12 @@
 //! * **Parameters** ([`save_params`] / [`load_params`]) and **curves**
 //!   ([`save_curve`] / [`load_curve`]) — plain JSON files for post-hoc analysis.
 //! * **Checkpoints** ([`save_checkpoint`] / [`load_checkpoint`]) — the full
-//!   [`TrainerState`] manifest a run needs to resume *bit-identically*: policy
-//!   parameters, all three optimizers' Adam moments, the trainer RNG position,
-//!   the EMA baseline, the CE elite history, the curve so far, and the complete
-//!   environment state (noise RNG, placement cache, wall-clock, counters).
+//!   [`TrainerState`] a run needs to resume *bit-identically*: the loop's own
+//!   [`Progress`] (counters, trainer RNG, source cursor, CE elite history,
+//!   curve), policy parameters, all three optimizers' Adam moments, and per
+//!   resident graph its environment's [`EnvState`], EMA baseline and best
+//!   placement. Each of these is the struct the run mutates, stored as it
+//!   stands — there is no second, "serialized" definition to keep in step.
 //!
 //! Every write goes through [`eagle_obs::write_atomic`] (tmp + fsync + rename),
 //! so a crash mid-save never corrupts the previous checkpoint.
@@ -21,7 +23,7 @@
 //!
 //! ```text
 //! {"magic":"eagle-checkpoint","schema_version":N,"checksum":...,"payload_bytes":...}
-//! {"samples":120,"minibatches":12,...}
+//! {"progress":{"samples":120,"minibatches":12,...},"params":...}
 //! ```
 //!
 //! The header carries a schema version (`N` is [`CHECKPOINT_SCHEMA_VERSION`], bumped whenever [`TrainerState`] changes
@@ -33,15 +35,13 @@
 use std::io;
 use std::path::Path;
 
-use eagle_devsim::{EnvSnapshot, EnvState, Placement, RngState};
+use eagle_devsim::{CheckpointRng, EnvSnapshot, EnvState, Placement};
 use eagle_rl::EmaBaseline;
 use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::curve::Curve;
-use crate::source::{GraphOrigin, SourceState};
+use crate::source::{GraphOrigin, SourceCursor};
 
 /// First byte sequence of every checkpoint header; identifies the file type.
 pub const CHECKPOINT_MAGIC: &str = "eagle-checkpoint";
@@ -57,7 +57,15 @@ pub const CHECKPOINT_MAGIC: &str = "eagle-checkpoint";
 ///
 /// v3: `Params` entries are `name` + `value` only; the per-parameter `grad`
 /// tensor left the store (gradients live in `eagle_tensor::Grads`).
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
+///
+/// v4: the payload is the live state itself. The loop's fields moved under
+/// `progress` ([`Progress`]); an environment stores its cache as one `cache`
+/// object (`capacity`, `stats`, `entries`) where v3 spelled out three
+/// `cache_*` fields; and every fact is stored once: the environment's own
+/// `best`, the start-of-run counter snapshot (always zeros) and a pool
+/// entry's name and sample count (its source's name for the origin, its
+/// environment's `evals`) are gone.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 4;
 
 /// Conventional checkpoint file name inside a `--checkpoint-dir` directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -143,17 +151,49 @@ impl From<io::Error> for CheckpointError {
 pub struct GraphEntryState {
     /// Source origin the graph is rebuilt from on resume.
     pub origin: GraphOrigin,
-    /// Human-readable graph name.
-    pub name: String,
     /// Complete environment state: noise-RNG position, counters, simulated
-    /// wall-clock, best placement, and the full placement cache in FIFO order.
+    /// wall-clock and the full placement cache, oldest entry first.
     pub env: EnvState,
     /// Per-graph EMA reward baseline.
     pub baseline: EmaBaseline,
     /// Best placement sampled on this graph and its measured per-step time.
     pub best: Option<(f64, Placement)>,
-    /// Training samples spent on this graph.
-    pub graph_samples: u64,
+}
+
+/// Everything the training loop itself advances, minibatch by minibatch. The
+/// loop runs on this struct and a checkpoint stores it as it stands, so a
+/// field added here is checkpointed and resumed without further code
+/// ([`TrainerState::fresh`] says where it starts).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct Progress {
+    /// Samples drawn so far.
+    pub samples: usize,
+    /// Minibatches completed so far.
+    pub minibatches: u64,
+    /// Invalid (OOM) samples seen so far.
+    pub num_invalid: usize,
+    /// Samples accumulated since the last cross-entropy update.
+    pub since_ce: usize,
+    /// Trainer sampling RNG.
+    pub rng: CheckpointRng,
+    /// Graph-source cursor (stream RNG + draw count), so a resumed
+    /// multi-graph run continues the *same* graph sequence.
+    pub source: SourceCursor,
+    /// Trainer-level simulated wall-clock (the curve's x-axis): the sum of
+    /// every measurement's `wall_cost` in episode order, across all graphs.
+    /// For fixed sources this is bit-identical to the single environment's
+    /// own wall-clock (both accumulate the same costs in the same order).
+    pub wall: f64,
+    /// Rolling window of sampled action sequences (CE elite pool), oldest first.
+    pub history_actions: Vec<Vec<usize>>,
+    /// Rewards aligned with `history_actions`.
+    pub history_rewards: Vec<f64>,
+    /// The training curve so far (its label doubles as the agent identity check
+    /// on resume).
+    pub curve: Curve,
+    /// Accumulated counters of environments evicted from the pool, so run
+    /// telemetry describes the whole run even after evictions.
+    pub retired: EnvSnapshot,
 }
 
 /// The complete mutable state of a training run at a minibatch boundary.
@@ -167,29 +207,8 @@ pub struct GraphEntryState {
 /// ones.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct TrainerState {
-    /// Samples drawn so far.
-    pub samples: u64,
-    /// Minibatches completed so far.
-    pub minibatches: u64,
-    /// Invalid (OOM) samples seen so far.
-    pub num_invalid: u64,
-    /// Samples accumulated since the last cross-entropy update.
-    pub since_ce: u64,
-    /// Trainer sampling-RNG position.
-    pub rng: RngState,
-    /// Graph-source cursor position (stream RNG + draw count), so a resumed
-    /// multi-graph run continues the *same* graph sequence.
-    pub source: SourceState,
-    /// Trainer-level simulated wall-clock (the curve's x-axis), summed across
-    /// all graphs in episode order.
-    pub wall: f64,
-    /// Rolling window of sampled action sequences (CE elite pool), oldest first.
-    pub history_actions: Vec<Vec<usize>>,
-    /// Rewards aligned with `history_actions`.
-    pub history_rewards: Vec<f64>,
-    /// The training curve so far (its label doubles as the agent identity check
-    /// on resume).
-    pub curve: Curve,
+    /// The loop's own state.
+    pub progress: Progress,
     /// Policy parameters.
     pub params: Params,
     /// REINFORCE optimizer state (Adam step count + moments).
@@ -201,14 +220,6 @@ pub struct TrainerState {
     /// Resident per-graph pool entries in FIFO (insertion) order — one entry
     /// for single-graph sources.
     pub entries: Vec<GraphEntryState>,
-    /// Accumulated counters of environments evicted from the pool, so run
-    /// telemetry describes the whole run even after evictions.
-    pub retired_snapshot: EnvSnapshot,
-    /// Aggregate environment snapshot taken when the run *started* — the
-    /// baseline the end-of-run telemetry diff is computed against, carried
-    /// across resumes so the final [`eagle_obs::Telemetry`] describes the
-    /// whole logical run.
-    pub start_snapshot: EnvSnapshot,
 }
 
 impl TrainerState {
@@ -220,23 +231,24 @@ impl TrainerState {
     /// optimizers carry no moments yet; their learning rate is the paper's.
     pub fn fresh(label: &str, params: Params, seed: u64) -> Self {
         Self {
-            samples: 0,
-            minibatches: 0,
-            num_invalid: 0,
-            since_ce: 0,
-            rng: RngState::capture(&ChaCha8Rng::seed_from_u64(seed)),
-            source: SourceState::initial(seed),
-            wall: 0.0,
-            history_actions: Vec::new(),
-            history_rewards: Vec::new(),
-            curve: Curve::new(label),
+            progress: Progress {
+                samples: 0,
+                minibatches: 0,
+                num_invalid: 0,
+                since_ce: 0,
+                rng: CheckpointRng::seed_from_u64(seed),
+                source: SourceCursor::new(seed),
+                wall: 0.0,
+                history_actions: Vec::new(),
+                history_rewards: Vec::new(),
+                curve: Curve::new(label),
+                retired: EnvSnapshot::default(),
+            },
             params,
             opt_reinforce: Adam::new(0.01),
             opt_ppo: Adam::new(0.01),
             opt_ce: Adam::new(0.01),
             entries: Vec::new(),
-            retired_snapshot: EnvSnapshot::default(),
-            start_snapshot: EnvSnapshot::default(),
         }
     }
 }
@@ -399,24 +411,26 @@ mod tests {
         let _agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
         let mut baseline = EmaBaseline::new(0.1);
         baseline.advantage(-1.0);
+        let fresh = TrainerState::fresh("format-test", params, 4);
         let mut state = TrainerState {
-            samples: 1,
-            minibatches: 1,
-            since_ce: 1,
-            wall: 0.5,
-            history_actions: vec![vec![0, 1, 2]],
-            history_rewards: vec![-1.0],
+            progress: Progress {
+                samples: 1,
+                minibatches: 1,
+                since_ce: 1,
+                wall: 0.5,
+                history_actions: vec![vec![0, 1, 2]],
+                history_rewards: vec![-1.0],
+                ..fresh.progress
+            },
             entries: vec![GraphEntryState {
                 origin: GraphOrigin::fixed(),
-                name: graph.model_name.clone(),
                 env: env.save_state(),
                 baseline,
                 best: Some((2.0, p)),
-                graph_samples: 1,
             }],
-            ..TrainerState::fresh("format-test", params, 4)
+            ..fresh
         };
-        state.curve.push(1, 0.5, Some(2.0));
+        state.progress.curve.push(1, 0.5, Some(2.0));
         state
     }
 
@@ -426,19 +440,18 @@ mod tests {
         let path = tmp("roundtrip.json");
         save_checkpoint(&state, &path).unwrap();
         let restored = load_checkpoint(&path).unwrap();
-        assert_eq!(restored.samples, state.samples);
-        assert_eq!(restored.rng, state.rng);
-        assert_eq!(restored.source, state.source);
-        assert_eq!(restored.wall.to_bits(), state.wall.to_bits());
-        assert_eq!(restored.history_actions, state.history_actions);
-        assert_eq!(restored.history_rewards, state.history_rewards);
-        assert_eq!(restored.curve.points, state.curve.points);
+        let (was, now) = (&state.progress, &restored.progress);
+        assert_eq!(now.samples, was.samples);
+        assert_eq!(now.rng, was.rng);
+        assert_eq!(now.source, was.source);
+        assert_eq!(now.wall.to_bits(), was.wall.to_bits());
+        assert_eq!(now.history_actions, was.history_actions);
+        assert_eq!(now.history_rewards, was.history_rewards);
+        assert_eq!(now.curve.points, was.curve.points);
         assert_eq!(restored.entries.len(), 1);
         assert_eq!(restored.entries[0].origin, state.entries[0].origin);
-        assert_eq!(restored.entries[0].name, state.entries[0].name);
         assert_eq!(restored.entries[0].env, state.entries[0].env);
         assert_eq!(restored.entries[0].baseline, state.entries[0].baseline);
-        assert_eq!(restored.entries[0].graph_samples, state.entries[0].graph_samples);
         let (t0, p0) = state.entries[0].best.as_ref().unwrap();
         let (t1, p1) = restored.entries[0].best.as_ref().unwrap();
         assert_eq!(t0.to_bits(), t1.to_bits(), "float fields round-trip bit-exactly");
@@ -476,9 +489,9 @@ mod tests {
     #[test]
     fn schema_version_skew_is_rejected() {
         let text = String::from_utf8(encode_checkpoint(&sample_state()).unwrap()).unwrap();
-        // The predecessor (v2, whose payload carried `grad` tensors) and a
-        // future version are both refused before the payload is looked at.
-        for skew in [2, CHECKPOINT_SCHEMA_VERSION + 1] {
+        // The predecessor (v3, the flat layout with its mirrored fields) and
+        // a future version are both refused before the payload is looked at.
+        for skew in [3, CHECKPOINT_SCHEMA_VERSION + 1] {
             let skewed = text.replacen(
                 &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
                 &format!("\"schema_version\":{skew}"),
@@ -486,7 +499,7 @@ mod tests {
             );
             assert_ne!(text, skewed, "header rewrite must hit");
             match decode_checkpoint(skewed.as_bytes()) {
-                Err(CheckpointError::SchemaVersion { found, expected: 3 }) => {
+                Err(CheckpointError::SchemaVersion { found, expected: 4 }) => {
                     assert_eq!(found, skew)
                 }
                 other => panic!("expected SchemaVersion error, got {other:?}"),

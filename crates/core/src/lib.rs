@@ -43,13 +43,13 @@ mod trainer;
 pub use agents::{EagleAgent, FixedGroupAgent, HpAgent, PlacementAgent, PlacerKind};
 pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, fnv1a64, load_checkpoint, save_checkpoint,
-    CheckpointError, GraphEntryState, TrainerState, CHECKPOINT_FILE, CHECKPOINT_MAGIC,
+    CheckpointError, GraphEntryState, Progress, TrainerState, CHECKPOINT_FILE, CHECKPOINT_MAGIC,
     CHECKPOINT_SCHEMA_VERSION,
 };
 pub use curve::{Curve, CurvePoint, ProbePoint};
 pub use eagle_obs::Telemetry;
 pub use scale::AgentScale;
-pub use source::{GraphOrigin, GraphSource, OriginKind, SourceCursor, SourceError, SourceState};
+pub use source::{GraphOrigin, GraphSource, OriginKind, SourceCursor, SourceError};
 pub use trainer::{
     Algo, ConfigError, GraphSummary, ResumeError, TrainError, TrainResult, Trainer, TrainerBuilder,
     TrainerConfig,

@@ -4,9 +4,9 @@
 //! [`GraphSource`] — a fixed single graph (the classic single-benchmark
 //! setup), a roster of named graphs visited round-robin or by weight, or a
 //! seed-deterministic [`GraphGen`] config distribution. The source itself is
-//! immutable; all sampling state lives in an external [`SourceCursor`] so the
-//! trainer can checkpoint and restore the exact stream position
-//! ([`SourceState`]).
+//! immutable; all sampling state lives in an external, serializable
+//! [`SourceCursor`], so the position the trainer draws from is the position
+//! its checkpoint stores.
 //!
 //! Held-out graphs for zero-shot evaluation come from the same source via
 //! [`GraphSource::holdout_origins`] and are disjoint from the training stream
@@ -16,10 +16,9 @@
 
 use std::fmt;
 
-use eagle_devsim::{EnvStateError, RngState};
+use eagle_devsim::CheckpointRng;
 use eagle_opgraph::{GraphError, GraphGen, GraphGenConfig, OpGraph};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Errors from constructing a [`GraphSource`] or validating a holdout split.
@@ -194,7 +193,7 @@ impl GraphSource {
 
     /// Fresh cursor positioned at the start of the training stream.
     pub fn initial_cursor(&self) -> SourceCursor {
-        SourceCursor { rng: ChaCha8Rng::seed_from_u64(self.seed), drawn: 0 }
+        SourceCursor::new(self.seed)
     }
 
     /// Checks that holding out `holdout` graphs is possible for this source.
@@ -307,40 +306,18 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Mutable position in a [`GraphSource`]'s training stream. Checkpointable
-/// via [`SourceCursor::capture`].
-#[derive(Debug, Clone)]
+/// Mutable position in a [`GraphSource`]'s training stream: the stream RNG
+/// and the number of draws made. Part of the checkpoint schema as it stands.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SourceCursor {
-    rng: ChaCha8Rng,
+    rng: CheckpointRng,
     drawn: u64,
 }
 
 impl SourceCursor {
-    /// Serializes the cursor for a checkpoint.
-    pub fn capture(&self) -> SourceState {
-        SourceState { rng: RngState::capture(&self.rng), drawn: self.drawn }
-    }
-
-    /// Restores a cursor from checkpointed state.
-    pub fn restore(state: &SourceState) -> Result<Self, EnvStateError> {
-        Ok(Self { rng: state.rng.restore()?, drawn: state.drawn })
-    }
-}
-
-/// Serialized [`SourceCursor`] — part of the checkpoint schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SourceState {
-    /// Source RNG stream position.
-    pub rng: RngState,
-    /// Total training draws made.
-    pub drawn: u64,
-}
-
-impl SourceState {
-    /// State of a fresh cursor for a source seeded with `seed` — what
-    /// [`GraphSource::initial_cursor`] would capture before any draw.
-    pub fn initial(seed: u64) -> Self {
-        SourceCursor { rng: ChaCha8Rng::seed_from_u64(seed), drawn: 0 }.capture()
+    /// The cursor of a source seeded with `seed`, before any draw.
+    pub(crate) fn new(seed: u64) -> Self {
+        Self { rng: CheckpointRng::seed_from_u64(seed), drawn: 0 }
     }
 }
 
@@ -357,11 +334,11 @@ mod tests {
     fn fixed_draws_consume_no_randomness() {
         let src = GraphSource::fixed(tiny_graph());
         let mut c = src.initial_cursor();
-        let before = c.capture();
+        let before = c.clone();
         let o = src.draw_train(&mut c, 0);
         assert_eq!(o, GraphOrigin::fixed());
-        assert_eq!(c.capture().rng, before.rng);
-        assert_eq!(c.capture().drawn, 1);
+        assert_eq!(c.rng, before.rng);
+        assert_eq!(c.drawn, 1);
         assert!(src.holdout_origins(0).is_empty());
         assert_eq!(src.validate_holdout(1), Err(SourceError::HoldoutUnsupported));
     }
@@ -442,8 +419,9 @@ mod tests {
         for _ in 0..3 {
             src.draw_train(&mut c, 0);
         }
-        let state = c.capture();
-        let mut restored = SourceCursor::restore(&state).unwrap();
+        let json = serde_json::to_string(&c).unwrap();
+        let mut restored: SourceCursor = serde_json::from_str(&json).unwrap();
+        assert_eq!(restored, c);
         let a = src.draw_train(&mut c, 0);
         let b = src.draw_train(&mut restored, 0);
         assert_eq!(a, b);

@@ -101,17 +101,24 @@ pub enum ResumeError {
         /// Label of the agent passed to [`Trainer::train_from`](super::Trainer::train_from).
         agent: String,
     },
-    /// The checkpointed parameters do not match the agent's parameter layout.
+    /// The checkpointed parameters are not ones this agent can continue
+    /// from: a different layout, or a value that is not finite.
     ParamMismatch(String),
-    /// The checkpointed trainer RNG state is malformed.
-    Rng(EnvStateError),
-    /// The checkpointed graph-source cursor is malformed.
-    Source(EnvStateError),
+    /// A checkpointed optimizer does not continue the checkpointed
+    /// parameters: hyperparameters out of Adam's range, or moments that are
+    /// not one finite pair per parameter, of that parameter's shape.
+    Optimizer(String),
     /// A checkpointed graph origin does not belong to this trainer's source
     /// (e.g. resuming a generated-distribution checkpoint with a roster).
     SourceMismatch(String),
     /// A checkpointed environment state does not fit its rebuilt environment.
     Env(EnvStateError),
+    /// What a checkpointed pool entry carries beside its environment is not
+    /// something the run could have recorded for its rebuilt graph: a best
+    /// placement that does not fit the graph and machine (the final
+    /// measurement would simulate it), or a reward baseline beyond the `f32`
+    /// range advantages are computed in.
+    Entry(String),
     /// The checkpointed CE history is not one the run could have recorded:
     /// action vectors and rewards differ in number, or an action vector does
     /// not fit the agent's action space.
@@ -125,11 +132,11 @@ impl std::fmt::Display for ResumeError {
                 f,
                 "checkpoint was trained with agent '{checkpoint}', cannot resume with '{agent}'"
             ),
-            ResumeError::ParamMismatch(m) => write!(f, "parameter layout mismatch: {m}"),
-            ResumeError::Rng(e) => write!(f, "trainer RNG state: {e}"),
-            ResumeError::Source(e) => write!(f, "graph-source cursor state: {e}"),
+            ResumeError::ParamMismatch(m) => write!(f, "parameter mismatch: {m}"),
+            ResumeError::Optimizer(m) => write!(f, "optimizer state: {m}"),
             ResumeError::SourceMismatch(m) => write!(f, "graph source mismatch: {m}"),
             ResumeError::Env(e) => write!(f, "environment state: {e}"),
+            ResumeError::Entry(m) => write!(f, "pool entry: {m}"),
             ResumeError::History(m) => write!(f, "CE history: {m}"),
         }
     }

@@ -21,30 +21,27 @@
 //! same seed, including the multi-graph state (source cursor, per-graph
 //! environments and baselines).
 
-use std::collections::VecDeque;
-
-use eagle_devsim::{
-    EnvError, EnvSnapshot, Environment, Machine, MeasureConfig, Placement, RngState,
-};
-use eagle_rl::{top_k_indices, CrossEntropyMin, EmaBaseline, Ppo, Reinforce, TrainSample};
+use eagle_devsim::{Machine, MeasureConfig, Placement};
+use eagle_rl::{top_k_indices, CrossEntropyMin, Ppo, Reinforce, TrainSample};
 use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
-use rand_chacha::ChaCha8Rng;
 
 use eagle_obs::{Recorder, Telemetry};
 use eagle_opgraph::OpGraph;
 
 use crate::agents::{check_actions, PlacementAgent};
-use crate::checkpoint::{save_checkpoint, GraphEntryState, TrainerState, CHECKPOINT_FILE};
+use crate::checkpoint::{save_checkpoint, Progress, TrainerState, CHECKPOINT_FILE};
 use crate::curve::{Curve, ProbePoint};
 use crate::infer::{best_of, check_layout};
-use crate::source::{splitmix64, GraphOrigin, GraphSource, SourceCursor};
+use crate::source::{splitmix64, GraphOrigin, GraphSource};
 
 mod config;
 mod error;
+mod pool;
 
 pub use config::{Algo, TrainerConfig};
 pub use error::{ConfigError, ResumeError, TrainError};
+use pool::{EnvPool, PoolEntry};
 
 /// Per-graph outcome of a (possibly multi-graph) training run, for the graphs
 /// still resident in the environment pool when the run finished.
@@ -84,57 +81,8 @@ pub struct TrainResult {
     pub telemetry: Telemetry,
 }
 
-/// One resident graph in the trainer's environment pool: its environment
-/// (placement cache, OOM gate, noise RNG, wall-clock), reward baseline, best
-/// placement and the agent's per-graph view.
-struct PoolEntry<A> {
-    origin: GraphOrigin,
-    name: String,
-    env: Environment,
-    baseline: EmaBaseline,
-    best: Option<(f64, Placement)>,
-    graph_samples: u64,
-    /// `None` for fixed sources — the caller's agent is already built for the
-    /// graph, and using it directly keeps single-graph runs bit-identical to
-    /// the classic trainer.
-    view: Option<A>,
-}
-
-/// All mutable loop state, threaded through `run_loop` so fresh starts and
-/// resumes share one code path.
-struct LoopState<A> {
-    rng: ChaCha8Rng,
-    cursor: SourceCursor,
-    pool: Vec<PoolEntry<A>>,
-    /// Accumulated counters of environments evicted from the pool, so run
-    /// telemetry survives eviction.
-    retired: EnvSnapshot,
-    /// Trainer-level simulated wall-clock: the sum of every measurement's
-    /// `wall_cost` in episode order, across all graphs — the monotone x-axis
-    /// of the curve. For fixed sources this is bit-identical to the single
-    /// environment's own wall-clock (both accumulate the same costs in the
-    /// same order).
-    wall: f64,
-    curve: Curve,
-    history_actions: VecDeque<Vec<usize>>,
-    history_rewards: VecDeque<f64>,
-    since_ce: usize,
-    num_invalid: usize,
-    samples: usize,
-    minibatches: u64,
-    /// Aggregate environment snapshot at the *logical* start of the run
-    /// (survives resumes), used as the telemetry baseline.
-    start: EnvSnapshot,
-}
-
 /// The REINFORCE, PPO and CE optimizers of a run, in that order.
 type Optimizers = (Adam, Adam, Adam);
-
-/// Maximum resident per-graph environments. Generated sources draw
-/// unboundedly many distinct graphs; the pool evicts FIFO and deterministically
-/// rebuilds an evicted graph's environment (same derived seed, fresh cache) if
-/// it is drawn again, so the capacity is part of what a run reproduces.
-const POOL_CAPACITY: usize = 16;
 
 /// Builds [`Trainer`]s; obtained from [`Trainer::builder`]. Holds the trainer
 /// under construction; every knob is validated in [`TrainerBuilder::build`],
@@ -343,9 +291,9 @@ impl Trainer {
         // `params` stay where they are: the fresh state carries none, and no
         // optimizer state, so `run_loop` builds the algorithms from `cfg.optim`.
         let mut fresh = TrainerState::fresh(agent.name(), Params::new(), self.cfg.seed);
-        fresh.source = self.source.initial_cursor().capture();
-        let (state, ..) = self.restore(agent, fresh)?;
-        self.run_loop(agent, params, state, None)
+        fresh.progress.source = self.source.initial_cursor();
+        let pool = EnvPool::restore(self, agent, fresh.entries)?;
+        self.run_loop(agent, params, fresh.progress, pool, None)
     }
 
     /// Resumes training from a checkpointed [`TrainerState`].
@@ -353,49 +301,46 @@ impl Trainer {
     /// The caller reconstructs the immutable inputs exactly as the original
     /// run did — same agent architecture and scale, same source, machine,
     /// measurement config and `cfg` — and this function restores every mutable
-    /// piece: parameters, the three optimizers' moments, the trainer RNG
-    /// position, the source cursor, the CE history window, the curve, and
+    /// piece: parameters, the three optimizers' moments, the loop's
+    /// [`Progress`] (trainer RNG, source cursor, CE history window, curve) and
     /// every pooled per-graph environment (noise RNG, placement cache,
     /// wall-clock, counters, baseline, best). The continuation is
     /// bit-identical to the uninterrupted run (locked by
     /// `tests/checkpoint_resume.rs`).
     ///
     /// Fails with a typed [`TrainError`] — never a panic — when the state does
-    /// not fit the given agent, parameter layout, or source; on failure
-    /// `params` is left unmodified.
+    /// not fit the given agent, parameter layout, or source, or is not one a
+    /// run could have saved; on failure `params` is left unmodified.
     pub fn train_from<A: PlacementAgent>(
         &self,
         agent: &A,
         params: &mut Params,
         state: TrainerState,
     ) -> Result<TrainResult, TrainError> {
-        if state.curve.label != agent.name() {
+        let TrainerState { progress, params: stored, opt_reinforce, opt_ppo, opt_ce, entries } =
+            state;
+        if progress.curve.label != agent.name() {
             return Err(ResumeError::AgentMismatch {
-                checkpoint: state.curve.label.clone(),
+                checkpoint: progress.curve.label,
                 agent: agent.name().to_string(),
             }
             .into());
         }
-        check_layout(params, &state.params)
+        check_layout(params, &stored)
             .map_err(|e| ResumeError::ParamMismatch(format!("checkpoint {e}")))?;
-        let (state, stored, opts) = self.restore(agent, state)?;
-        *params = stored;
-        self.run_loop(agent, params, state, Some(opts))
-    }
-
-    /// Turns a [`TrainerState`] into the live loop state (checking it fits
-    /// the source, rebuilding every pooled environment), the stored
-    /// parameters and the three stored optimizers.
-    fn restore<A: PlacementAgent>(
-        &self,
-        agent: &A,
-        state: TrainerState,
-    ) -> Result<(LoopState<A>, Params, Optimizers), TrainError> {
-        let rng = state.rng.restore().map_err(ResumeError::Rng)?;
-        let cursor = SourceCursor::restore(&state.source).map_err(ResumeError::Source)?;
+        // JSON can spell a float no `f32` holds (`1e300`); the first forward
+        // pass would carry the infinity into every logit.
+        if let Some(id) = stored.ids().find(|&id| !stored.get(id).all_finite()) {
+            let m = format!("checkpoint tensor {} holds a non-finite value", stored.name(id));
+            return Err(ResumeError::ParamMismatch(m).into());
+        }
+        for (algo, opt) in [("REINFORCE", &opt_reinforce), ("PPO", &opt_ppo), ("CE", &opt_ce)] {
+            opt.check_layout(&stored)
+                .map_err(|e| ResumeError::Optimizer(format!("{algo}: {e}")))?;
+        }
         // The next CE update indexes the history by reward rank and
         // teacher-forces what it finds.
-        let (actions, rewards) = (&state.history_actions, &state.history_rewards);
+        let (actions, rewards) = (&progress.history_actions, &progress.history_rewards);
         if actions.len() != rewards.len() {
             let m = format!("{} action vectors for {} rewards", actions.len(), rewards.len());
             return Err(ResumeError::History(m).into());
@@ -403,123 +348,21 @@ impl Trainer {
         for (i, a) in actions.iter().enumerate() {
             check_actions(agent, a).map_err(|e| ResumeError::History(format!("entry {i}: {e}")))?;
         }
-
-        let mut pool = Vec::with_capacity(state.entries.len());
-        for entry in &state.entries {
-            if !self.source.owns(&entry.origin) {
-                return Err(ResumeError::SourceMismatch(format!(
-                    "checkpointed graph '{}' ({:?}) cannot be rebuilt by {:?}",
-                    entry.name, entry.origin.kind, self.source
-                ))
-                .into());
-            }
-            let graph = self.source.build(&entry.origin);
-            let view = self.make_view(agent, &graph)?;
-            let mut env = self.build_env(&entry.origin, graph)?;
-            env.restore_state(&entry.env).map_err(ResumeError::Env)?;
-            pool.push(PoolEntry {
-                origin: entry.origin,
-                name: entry.name.clone(),
-                env,
-                baseline: entry.baseline.clone(),
-                best: entry.best.clone(),
-                graph_samples: entry.graph_samples,
-                view,
-            });
-        }
-        let loop_state = LoopState {
-            rng,
-            cursor,
-            pool,
-            retired: state.retired_snapshot,
-            wall: state.wall,
-            curve: state.curve,
-            history_actions: state.history_actions.into(),
-            history_rewards: state.history_rewards.into(),
-            since_ce: state.since_ce as usize,
-            num_invalid: state.num_invalid as usize,
-            samples: state.samples as usize,
-            minibatches: state.minibatches,
-            start: state.start_snapshot,
-        };
-        Ok((loop_state, state.params, (state.opt_reinforce, state.opt_ppo, state.opt_ce)))
-    }
-
-    /// Builds the environment for one drawn graph. Fixed sources use
-    /// `env_seed` verbatim (bit-identical to the classic single-env trainer);
-    /// other sources derive a per-graph seed so each graph has its own
-    /// deterministic noise stream.
-    fn build_env(&self, origin: &GraphOrigin, graph: OpGraph) -> Result<Environment, EnvError> {
-        let seed = if self.source.is_fixed() {
-            self.env_seed
-        } else {
-            splitmix64(self.env_seed ^ splitmix64(origin.key))
-        };
-        let mut builder = Environment::builder(graph, self.machine.clone())
-            .seed(seed)
-            .measure(self.measure.clone())
-            .recorder(self.recorder.clone());
-        if let Some(capacity) = self.cache_capacity {
-            builder = builder.cache_capacity(capacity);
-        }
-        builder.build()
-    }
-
-    /// Per-graph agent view: `None` (use the caller's agent directly) for
-    /// fixed sources, a [`PlacementAgent::for_graph`] re-target otherwise.
-    fn make_view<A: PlacementAgent>(
-        &self,
-        agent: &A,
-        graph: &OpGraph,
-    ) -> Result<Option<A>, TrainError> {
-        if self.source.is_fixed() {
-            return Ok(None);
-        }
-        match agent.for_graph(graph) {
-            Some(view) => Ok(Some(view)),
-            None => Err(TrainError::UnsupportedAgent { agent: agent.name().to_string() }),
-        }
-    }
-
-    /// Returns the pool index for `origin`, creating (and possibly evicting)
-    /// an entry if the graph is not resident.
-    fn ensure_entry<A: PlacementAgent>(
-        &self,
-        agent: &A,
-        st: &mut LoopState<A>,
-        origin: &GraphOrigin,
-    ) -> Result<usize, TrainError> {
-        if let Some(i) = st.pool.iter().position(|e| e.origin == *origin) {
-            return Ok(i);
-        }
-        let graph = self.source.build(origin);
-        let view = self.make_view(agent, &graph)?;
-        let env = self.build_env(origin, graph)?;
-        st.pool.push(PoolEntry {
-            origin: *origin,
-            name: self.source.name(origin),
-            env,
-            baseline: EmaBaseline::new(self.cfg.ema_alpha),
-            best: None,
-            graph_samples: 0,
-            view,
-        });
-        if st.pool.len() > POOL_CAPACITY {
-            let evicted = st.pool.remove(0);
-            add_snapshot(&mut st.retired, &evicted.env.snapshot());
-            self.recorder.add("trainer.pool_evictions", 1);
-        }
-        Ok(st.pool.len() - 1)
+        let pool = EnvPool::restore(self, agent, entries)?;
+        *params = stored;
+        self.run_loop(agent, params, progress, pool, Some((opt_reinforce, opt_ppo, opt_ce)))
     }
 
     /// The shared minibatch loop behind [`Trainer::train`] and
     /// [`Trainer::train_from`], whose `restored_opts` replace the optimizers
-    /// built from `cfg.optim`.
+    /// built from `cfg.optim`. `st` is the state a checkpoint stores as it
+    /// stands; `pool` is what [`EnvPool::restore`] rebuilt around the rest.
     fn run_loop<A: PlacementAgent>(
         &self,
         agent: &A,
         params: &mut Params,
-        mut st: LoopState<A>,
+        mut st: Progress,
+        mut pool: EnvPool<A>,
         restored_opts: Option<Optimizers>,
     ) -> Result<TrainResult, TrainError> {
         let cfg = &self.cfg;
@@ -562,9 +405,9 @@ impl Trainer {
             // Draw this minibatch's graph and make it resident. Fixed sources
             // consume no source randomness here, so single-graph streams are
             // unchanged from the classic trainer.
-            let origin = self.source.draw_train(&mut st.cursor, self.holdout);
-            let idx = self.ensure_entry(agent, &mut st, &origin)?;
-            let PoolEntry { env, view, baseline, best, graph_samples, .. } = &mut st.pool[idx];
+            let origin = self.source.draw_train(&mut st.source, self.holdout);
+            let PoolEntry { env, view, baseline, best, .. } =
+                pool.resident(self, agent, &origin, &mut st.retired)?;
             let acting: &A = view.as_ref().unwrap_or(agent);
 
             // Phase A (seeded): draw the minibatch's action sequences in one
@@ -597,10 +440,6 @@ impl Trainer {
             let evaluate_span = rec.span("trainer.evaluate_us");
             let measurements = env.evaluate_batch(&placements, workers);
             drop(evaluate_span);
-            // Rebuild the per-episode wall-clock by accumulating costs in episode
-            // order — the same float additions the serial loop performs, so curve
-            // x-values are bit-identical.
-            let mut wall = st.wall;
 
             // Phase D (serial): rewards, baseline, curve, policy update — in
             // episode order.
@@ -611,7 +450,6 @@ impl Trainer {
             {
                 st.samples += 1;
                 st.since_ce += 1;
-                *graph_samples += 1;
                 let reward = match meas.step_time {
                     Some(t) => {
                         if best.as_ref().is_none_or(|(b, _)| t < *b) {
@@ -624,18 +462,17 @@ impl Trainer {
                         cfg.reward.apply(cfg.invalid_penalty_time)
                     }
                 };
-                wall += meas.wall_cost;
-                st.curve.push(st.samples as u64, wall, meas.step_time);
+                st.wall += meas.wall_cost;
+                st.curve.push(st.samples as u64, st.wall, meas.step_time);
                 let advantage = if cfg.use_baseline {
                     baseline.advantage(reward) as f32
                 } else {
                     reward as f32
                 };
-                st.history_actions.push_back(actions.clone());
-                st.history_rewards.push_back(reward);
+                st.history_actions.push(actions.clone());
+                st.history_rewards.push(reward);
                 batch.push(TrainSample { actions, old_log_prob, advantage });
             }
-            st.wall = wall;
 
             if cfg.normalize_adv && batch.len() > 1 {
                 let mean = batch.iter().map(|s| s.advantage).sum::<f32>() / batch.len() as f32;
@@ -660,8 +497,7 @@ impl Trainer {
                     ppo.update(acting, params, &batch);
                     if st.since_ce >= cfg.ce_interval {
                         st.since_ce = 0;
-                        let rewards: &[f64] = st.history_rewards.make_contiguous();
-                        let top = top_k_indices(rewards, cfg.ce_elites);
+                        let top = top_k_indices(&st.history_rewards, cfg.ce_elites);
                         let elites: Vec<Vec<usize>> =
                             top.iter().map(|&i| st.history_actions[i].clone()).collect();
                         ce.update(acting, params, &elites);
@@ -674,10 +510,9 @@ impl Trainer {
             // (optionally) checkpoint — trimming first keeps the on-disk state
             // identical to the in-memory state a resume will rebuild, and
             // probing first lets checkpoints carry their probe points.
-            while st.history_actions.len() > window {
-                st.history_actions.pop_front();
-                st.history_rewards.pop_front();
-            }
+            let excess = st.history_actions.len().saturating_sub(window);
+            st.history_actions.drain(..excess);
+            st.history_rewards.drain(..excess);
             st.minibatches += 1;
 
             if let Some(every) = self.probe_every {
@@ -689,34 +524,12 @@ impl Trainer {
             if let (Some(every), Some(dir)) = (cfg.checkpoint_every, &cfg.checkpoint_dir) {
                 if st.minibatches.is_multiple_of(every as u64) {
                     let snapshot = TrainerState {
-                        samples: st.samples as u64,
-                        minibatches: st.minibatches,
-                        num_invalid: st.num_invalid as u64,
-                        since_ce: st.since_ce as u64,
-                        rng: RngState::capture(&st.rng),
-                        source: st.cursor.capture(),
-                        wall: st.wall,
-                        history_actions: st.history_actions.iter().cloned().collect(),
-                        history_rewards: st.history_rewards.iter().copied().collect(),
-                        curve: st.curve.clone(),
+                        progress: st.clone(),
                         params: params.clone(),
                         opt_reinforce: reinforce.optimizer().clone(),
                         opt_ppo: ppo.optimizer().clone(),
                         opt_ce: ce.optimizer().clone(),
-                        entries: st
-                            .pool
-                            .iter()
-                            .map(|e| GraphEntryState {
-                                origin: e.origin,
-                                name: e.name.clone(),
-                                env: e.env.save_state(),
-                                baseline: e.baseline.clone(),
-                                best: e.best.clone(),
-                                graph_samples: e.graph_samples,
-                            })
-                            .collect(),
-                        retired_snapshot: st.retired,
-                        start_snapshot: st.start,
+                        entries: pool.capture(),
                     };
                     let save = std::fs::create_dir_all(dir)
                         .map_err(|e| crate::checkpoint::CheckpointError::Io(e).to_string())
@@ -738,22 +551,14 @@ impl Trainer {
         // Final 1,000-step measurement of the best placement (paper protocol) —
         // single-graph sources only; a multi-graph run reports per-graph bests
         // in `TrainResult::graphs` instead.
-        let (best_placement, final_step_time) = match st.pool.first_mut() {
-            Some(entry) if self.source.is_fixed() => match entry.best.clone() {
-                Some((_, p)) => {
-                    let t = entry.env.evaluate_final(&p);
-                    (Some(p), t)
-                }
-                None => (None, None),
-            },
+        let (best_placement, final_step_time) = match pool.first_mut() {
+            Some(PoolEntry { env, best: Some((_, p)), .. }) if self.source.is_fixed() => {
+                (Some(p.clone()), env.evaluate_final(p))
+            }
             _ => (None, None),
         };
 
-        let mut total = st.retired;
-        for e in &st.pool {
-            add_snapshot(&mut total, &e.env.snapshot());
-        }
-        let run = total.since(&st.start);
+        let run = pool.totals(st.retired);
         let elapsed = host_start.elapsed().as_secs_f64();
         let samples_this_process = st.samples - samples_at_entry;
         let telemetry = Telemetry {
@@ -773,24 +578,13 @@ impl Trainer {
         };
         st.curve.telemetry = Some(telemetry);
 
-        let graphs = st
-            .pool
-            .iter()
-            .map(|e| GraphSummary {
-                name: e.name.clone(),
-                origin: e.origin,
-                samples: e.graph_samples,
-                best_step_time: e.best.as_ref().map(|(t, _)| *t),
-            })
-            .collect();
-
         Ok(TrainResult {
             best_placement,
             final_step_time,
             curve: st.curve,
             num_invalid: st.num_invalid,
             samples: st.samples,
-            graphs,
+            graphs: pool.summaries(self),
             telemetry,
         })
     }
@@ -804,7 +598,7 @@ impl Trainer {
         &self,
         probes: &[(String, OpGraph, A)],
         params: &Params,
-        st: &mut LoopState<A>,
+        st: &mut Progress,
     ) {
         let span = self.recorder.span("trainer.probe_us");
         for (hi, (name, graph, view)) in probes.iter().enumerate() {
@@ -828,17 +622,6 @@ fn probe_seed(seed: u64, minibatch: u64, holdout_index: u64) -> u64 {
     splitmix64(seed ^ splitmix64(minibatch.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ holdout_index))
 }
 
-/// Accumulates one environment's counters into a running total (used for the
-/// retired-environment snapshot and run telemetry).
-fn add_snapshot(total: &mut EnvSnapshot, s: &EnvSnapshot) {
-    total.evals += s.evals;
-    total.invalid_evals += s.invalid_evals;
-    total.wall_clock += s.wall_clock;
-    total.cache.hits += s.cache.hits;
-    total.cache.misses += s.cache.misses;
-    total.cache.evictions += s.cache.evictions;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,6 +631,7 @@ mod tests {
     use crate::source::SourceError;
     use eagle_opgraph::builders;
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn tiny_graph() -> OpGraph {
         builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid tiny gnmt")
@@ -950,9 +734,9 @@ mod tests {
         let result = trainer.train(&agent, &mut params).expect("training runs");
         assert_eq!(result.samples, 80);
         let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).unwrap();
-        assert_eq!(state.history_actions.len(), 50, "window clamps to ce_interval");
-        assert_eq!(state.history_rewards.len(), 50);
-        assert_eq!(state.samples, 80);
+        assert_eq!(state.progress.history_actions.len(), 50, "window clamps to ce_interval");
+        assert_eq!(state.progress.history_rewards.len(), 50);
+        assert_eq!(state.progress.samples, 80);
         assert_eq!(state.entries.len(), 1, "fixed source pools one environment");
         std::fs::remove_dir_all(&dir).ok();
     }

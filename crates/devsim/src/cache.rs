@@ -15,29 +15,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use serde::{Content, Deserialize, Serialize};
+
 use crate::placement::Placement;
 
-/// Cached outcome of the pure (noise-free) simulation of one placement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BaseEval {
-    /// The placement does not fit: some device exceeds its memory capacity.
-    Invalid,
-    /// The placement runs; noiseless per-step time in seconds.
-    Valid {
-        /// Simulated makespan of one training step.
-        step_time: f64,
-    },
-}
-
-impl BaseEval {
-    /// The noiseless step time, if valid.
-    pub fn step_time(&self) -> Option<f64> {
-        match self {
-            BaseEval::Valid { step_time } => Some(*step_time),
-            BaseEval::Invalid => None,
-        }
-    }
-}
+/// Outcome of the pure (noise-free) simulation of one placement: the
+/// noiseless per-step time in seconds, or `None` when the placement does not
+/// fit (some device exceeds its memory capacity).
+pub type BaseEval = Option<f64>;
 
 /// Hit/miss/eviction counters of a [`PlacementCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -72,7 +57,7 @@ impl CacheStats {
 }
 
 /// A bounded FIFO map from device assignments to their simulation outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementCache {
     capacity: usize,
     map: HashMap<Box<[u8]>, BaseEval>,
@@ -93,11 +78,6 @@ impl PlacementCache {
     /// True when the cache stores anything at all.
     pub fn enabled(&self) -> bool {
         self.capacity > 0
-    }
-
-    /// Maximum number of cached placements (0 = disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of cached placements.
@@ -139,40 +119,9 @@ impl PlacementCache {
         self.stats.hits += 1;
     }
 
-    /// The cached entries in FIFO (insertion) order, as raw device-assignment
-    /// bytes plus the memoized outcome — the serializable view a checkpoint
-    /// persists so a resumed run replays the same hits, misses and evictions.
-    pub fn entries_fifo(&self) -> impl Iterator<Item = (&[u8], BaseEval)> + '_ {
-        self.order.iter().map(|key| {
-            let base = *self.map.get(key.as_ref()).expect("order and map stay in sync");
-            (key.as_ref(), base)
-        })
-    }
-
-    /// Rebuilds a cache from a persisted snapshot: `entries` in FIFO order
-    /// (oldest first) and the lifetime counters.
-    ///
-    /// # Panics
-    /// Panics if more entries are supplied than `capacity` holds — a snapshot
-    /// taken by [`PlacementCache::entries_fifo`] can never contain more.
-    pub fn restore(
-        capacity: usize,
-        entries: impl IntoIterator<Item = (Box<[u8]>, BaseEval)>,
-        stats: CacheStats,
-    ) -> Self {
-        let mut map = HashMap::new();
-        let mut order = VecDeque::new();
-        for (key, base) in entries {
-            if map.insert(key.clone(), base).is_none() {
-                order.push_back(key);
-            }
-        }
-        assert!(
-            map.len() <= capacity,
-            "cache snapshot holds {} entries but capacity is {capacity}",
-            map.len()
-        );
-        Self { capacity, map, order, stats }
+    /// The cached device assignments, oldest first.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.order.iter().map(|key| key.as_ref())
     }
 
     /// Stores an outcome, evicting the oldest entry when full. No-op when
@@ -200,6 +149,64 @@ impl PlacementCache {
     }
 }
 
+/// One cached placement as stored: raw device bytes in op order and the
+/// memoized outcome (`null` for a remembered OOM).
+#[derive(Serialize, Deserialize)]
+struct StoredEntry {
+    devices: Vec<u8>,
+    step_time: BaseEval,
+}
+
+/// What a checkpoint persists so a resumed run replays the same hits, misses
+/// and evictions: `{capacity, stats, entries}`, entries oldest first.
+impl Serialize for PlacementCache {
+    fn to_content(&self) -> Content {
+        let entries: Vec<StoredEntry> = self
+            .order
+            .iter()
+            .map(|key| StoredEntry { devices: key.to_vec(), step_time: self.map[key] })
+            .collect();
+        Content::Map(vec![
+            ("capacity".into(), self.capacity.to_content()),
+            ("stats".into(), self.stats.to_content()),
+            ("entries".into(), entries.to_content()),
+        ])
+    }
+}
+
+/// Refuses what no cache could have written: more entries than the capacity
+/// holds, or the same assignment twice.
+impl Deserialize for PlacementCache {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        let mut cache = Self::new(field(c, "capacity", "PlacementCache")?);
+        cache.stats = field(c, "stats", "PlacementCache")?;
+        let entries: Vec<StoredEntry> = field(c, "entries", "PlacementCache")?;
+        if entries.len() > cache.capacity {
+            return Err(serde::Error::msg(format!(
+                "{} cached entries exceed capacity {}",
+                entries.len(),
+                cache.capacity
+            )));
+        }
+        for StoredEntry { devices, step_time } in entries {
+            let key: Box<[u8]> = devices.into();
+            if cache.map.insert(key.clone(), step_time).is_some() {
+                return Err(serde::Error::msg("a placement is cached twice"));
+            }
+            cache.order.push_back(key);
+        }
+        Ok(cache)
+    }
+}
+
+/// Decodes field `name` of the object `c` (the stored form of a `ty`).
+pub(crate) fn field<T: Deserialize>(c: &Content, name: &str, ty: &str) -> Result<T, serde::Error> {
+    let value = c
+        .get_field(name)
+        .ok_or_else(|| serde::Error::msg(format!("missing field `{name}` in {ty}")))?;
+    T::from_content(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,8 +220,8 @@ mod tests {
     fn lookup_counts_and_returns() {
         let mut c = PlacementCache::new(8);
         assert_eq!(c.lookup(&p(&[0, 1])), None);
-        c.insert(&p(&[0, 1]), BaseEval::Valid { step_time: 2.0 });
-        assert_eq!(c.lookup(&p(&[0, 1])), Some(BaseEval::Valid { step_time: 2.0 }));
+        c.insert(&p(&[0, 1]), Some(2.0));
+        assert_eq!(c.lookup(&p(&[0, 1])), Some(Some(2.0)));
         assert_eq!(c.lookup(&p(&[1, 0])), None);
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 2, evictions: 0 });
         assert!((c.stats().hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -223,11 +230,11 @@ mod tests {
     #[test]
     fn fifo_eviction_is_hit_order_independent() {
         let mut c = PlacementCache::new(2);
-        c.insert(&p(&[0]), BaseEval::Invalid);
-        c.insert(&p(&[1]), BaseEval::Valid { step_time: 1.0 });
+        c.insert(&p(&[0]), None);
+        c.insert(&p(&[1]), Some(1.0));
         // A hit on the oldest entry must NOT protect it from eviction.
         assert!(c.lookup(&p(&[0])).is_some());
-        assert!(c.insert(&p(&[2]), BaseEval::Valid { step_time: 2.0 }), "full cache evicts");
+        assert!(c.insert(&p(&[2]), Some(2.0)), "full cache evicts");
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.lookup(&p(&[0])), None, "oldest evicted despite recent hit");
@@ -238,7 +245,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let mut c = PlacementCache::new(0);
-        c.insert(&p(&[0]), BaseEval::Invalid);
+        c.insert(&p(&[0]), None);
         assert!(c.is_empty());
         assert_eq!(c.lookup(&p(&[0])), None);
         assert_eq!(c.stats().misses, 1);
@@ -247,26 +254,42 @@ mod tests {
     #[test]
     fn entries_roundtrip_preserves_fifo_and_stats() {
         let mut c = PlacementCache::new(3);
-        c.insert(&p(&[0]), BaseEval::Invalid);
-        c.insert(&p(&[1]), BaseEval::Valid { step_time: 1.5 });
-        c.insert(&p(&[2]), BaseEval::Valid { step_time: 2.5 });
+        c.insert(&p(&[0]), None);
+        c.insert(&p(&[1]), Some(1.5));
+        c.insert(&p(&[2]), Some(2.5));
         let _ = c.lookup(&p(&[1]));
-        let entries: Vec<(Box<[u8]>, BaseEval)> =
-            c.entries_fifo().map(|(k, b)| (k.to_vec().into_boxed_slice(), b)).collect();
-        let mut r = PlacementCache::restore(3, entries, c.stats());
+        let json = serde_json::to_string(&c).unwrap();
+        let mut r: PlacementCache = serde_json::from_str(&json).unwrap();
         assert_eq!(r.len(), 3);
         assert_eq!(r.stats(), c.stats());
         // FIFO order survives: the next insert must evict [0], not [1] or [2].
-        assert!(r.insert(&p(&[9]), BaseEval::Invalid));
+        assert!(r.insert(&p(&[9]), None));
         assert_eq!(r.lookup(&p(&[0])), None);
-        assert_eq!(r.lookup(&p(&[1])), Some(BaseEval::Valid { step_time: 1.5 }));
+        assert_eq!(r.lookup(&p(&[1])), Some(Some(1.5)));
+    }
+
+    #[test]
+    fn what_no_cache_could_have_written_does_not_decode() {
+        let mut c = PlacementCache::new(2);
+        c.insert(&p(&[0]), None);
+        c.insert(&p(&[1]), Some(1.5));
+        let json = serde_json::to_string(&c).unwrap();
+        let edited = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from} not in {json}");
+            serde_json::from_str::<PlacementCache>(&json.replacen(from, to, 1)).unwrap_err()
+        };
+        let over = edited("\"capacity\":2", "\"capacity\":1").to_string();
+        assert!(over.contains("2 cached entries exceed capacity 1"), "{over}");
+        // `order` and `map` would disagree: the stored form indexes one by the other.
+        let twice = edited("\"devices\":[1]", "\"devices\":[0]").to_string();
+        assert!(twice.contains("cached twice"), "{twice}");
     }
 
     #[test]
     fn reinsert_does_not_duplicate() {
         let mut c = PlacementCache::new(4);
-        c.insert(&p(&[3, 3]), BaseEval::Invalid);
-        c.insert(&p(&[3, 3]), BaseEval::Invalid);
+        c.insert(&p(&[3, 3]), None);
+        c.insert(&p(&[3, 3]), None);
         assert_eq!(c.len(), 1);
     }
 }

@@ -12,10 +12,11 @@
 
 use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::{Rng, RngCore, SeedableRng};
+use rand_chacha::{ChaCha8Rng, ChaCha8State};
+use serde::{Content, Deserialize, Serialize};
 
-use crate::cache::{BaseEval, CacheStats, PlacementCache};
+use crate::cache::{field, BaseEval, CacheStats, PlacementCache};
 use crate::device::Machine;
 use crate::placement::Placement;
 use crate::sim::{fan_out, simulate_recorded, SimOutcome};
@@ -138,13 +139,14 @@ impl EnvironmentBuilder {
             graph: self.graph,
             machine: self.machine,
             cfg: self.cfg,
-            rng: ChaCha8Rng::seed_from_u64(self.seed),
-            evals: 0,
-            invalid: 0,
-            wall_clock: 0.0,
-            best: None,
-            cache: PlacementCache::new(self.cache_capacity),
             recorder: self.recorder,
+            state: EnvState {
+                rng: CheckpointRng::seed_from_u64(self.seed),
+                evals: 0,
+                invalid: 0,
+                wall_clock: 0.0,
+                cache: PlacementCache::new(self.cache_capacity),
+            },
         })
     }
 }
@@ -173,59 +175,93 @@ impl EnvSnapshot {
             cache: self.cache.since(&earlier.cache),
         }
     }
-}
 
-/// Serializable snapshot of a [`ChaCha8Rng`] stream position — the piece of
-/// environment (and trainer) state that makes a resumed run continue the
-/// *same* random sequence instead of restarting it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RngState {
-    key: Vec<u32>,
-    counter: u64,
-    block: Vec<u32>,
-    index: u64,
-}
-
-impl RngState {
-    /// Captures the generator's current position.
-    pub fn capture(rng: &ChaCha8Rng) -> Self {
-        let s = rng.state();
-        Self {
-            key: s.key.to_vec(),
-            counter: s.counter,
-            block: s.block.to_vec(),
-            index: s.index as u64,
-        }
-    }
-
-    /// Rebuilds the generator at the captured position. Fails (typed, no
-    /// panic) when the snapshot was corrupted or hand-edited out of range.
-    pub fn restore(&self) -> Result<ChaCha8Rng, EnvStateError> {
-        let key: [u32; 8] = self.key.as_slice().try_into().map_err(|_| {
-            EnvStateError::BadRng(format!("key has {} words, want 8", self.key.len()))
-        })?;
-        let block: [u32; 16] = self.block.as_slice().try_into().map_err(|_| {
-            EnvStateError::BadRng(format!("block has {} words, want 16", self.block.len()))
-        })?;
-        if self.index > 16 {
-            return Err(EnvStateError::BadRng(format!("word index {} > 16", self.index)));
-        }
-        Ok(ChaCha8Rng::from_state(rand_chacha::ChaCha8State {
-            key,
-            counter: self.counter,
-            block,
-            index: self.index as usize,
-        }))
+    /// Accumulates another environment's counters into this running total.
+    pub fn add(&mut self, other: &EnvSnapshot) {
+        self.evals += other.evals;
+        self.invalid_evals += other.invalid_evals;
+        self.wall_clock += other.wall_clock;
+        self.cache.hits += other.cache.hits;
+        self.cache.misses += other.cache.misses;
+        self.cache.evictions += other.cache.evictions;
     }
 }
 
-/// Why an [`EnvState`] snapshot could not be restored into an environment.
+/// A [`ChaCha8Rng`] that serializes its stream position, so the generator a
+/// loop draws from *is* the one its checkpoint stores: a resumed run
+/// continues the same random sequence instead of restarting it.
+#[derive(Debug, Clone)]
+pub struct CheckpointRng(ChaCha8Rng);
+
+impl CheckpointRng {
+    /// The generator at the start of `seed`'s stream
+    /// ([`SeedableRng::seed_from_u64`] of the wrapped [`ChaCha8Rng`]).
+    pub fn seed_from_u64(seed: u64) -> Self {
+        Self(ChaCha8Rng::seed_from_u64(seed))
+    }
+}
+
+impl RngCore for CheckpointRng {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        self.0.next_u32()
+    }
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.0.fill_bytes(dest)
+    }
+}
+
+impl PartialEq for CheckpointRng {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.state() == other.0.state()
+    }
+}
+
+/// `{key, counter, block, index}`: the eight key words, the counter of the
+/// next block, the sixteen words of the current block and the next unread
+/// word in it.
+impl Serialize for CheckpointRng {
+    fn to_content(&self) -> Content {
+        let s = self.0.state();
+        Content::Map(vec![
+            ("key".into(), s.key[..].to_content()),
+            ("counter".into(), s.counter.to_content()),
+            ("block".into(), s.block[..].to_content()),
+            ("index".into(), s.index.to_content()),
+        ])
+    }
+}
+
+/// Refuses a position no generator can reach: a key or block of the wrong
+/// word count, or a word index past the end of the block.
+impl Deserialize for CheckpointRng {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        fn words<const N: usize>(c: &Content, name: &str) -> Result<[u32; N], serde::Error> {
+            let words: Vec<u32> = field(c, name, "CheckpointRng")?;
+            words.try_into().map_err(|w: Vec<u32>| {
+                serde::Error::msg(format!("RNG {name} has {} words, want {N}", w.len()))
+            })
+        }
+        let index: usize = field(c, "index", "CheckpointRng")?;
+        if index > 16 {
+            return Err(serde::Error::msg(format!("RNG word index {index} > 16")));
+        }
+        Ok(Self(ChaCha8Rng::from_state(ChaCha8State {
+            key: words(c, "key")?,
+            counter: field(c, "counter", "CheckpointRng")?,
+            block: words(c, "block")?,
+            index,
+        })))
+    }
+}
+
+/// Why an [`EnvState`] could not be restored into an environment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EnvStateError {
-    /// The RNG snapshot is malformed (wrong word counts / position).
-    BadRng(String),
-    /// A persisted placement does not fit this environment's graph/machine.
-    BadPlacement(String),
     /// The persisted cache does not fit this environment's graph/machine.
     BadCache(String),
 }
@@ -233,8 +269,6 @@ pub enum EnvStateError {
 impl std::fmt::Display for EnvStateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EnvStateError::BadRng(m) => write!(f, "bad RNG snapshot: {m}"),
-            EnvStateError::BadPlacement(m) => write!(f, "bad placement snapshot: {m}"),
             EnvStateError::BadCache(m) => write!(f, "bad cache snapshot: {m}"),
         }
     }
@@ -242,40 +276,24 @@ impl std::fmt::Display for EnvStateError {
 
 impl std::error::Error for EnvStateError {}
 
-/// One persisted placement-cache entry: raw device bytes and the memoized
-/// noiseless outcome (`None` = remembered OOM).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CacheEntryState {
-    /// Device index per op, in op order.
-    pub devices: Vec<u8>,
-    /// Noiseless per-step time; `None` for a cached OOM verdict.
-    pub step_time: Option<f64>,
-}
-
-/// The complete mutable state of an [`Environment`], serializable for
-/// checkpoint/resume: RNG position, counters, simulated wall-clock, the best
-/// placement seen, and the placement cache (contents in FIFO order plus its
-/// lifetime counters). The immutable configuration — graph, machine,
-/// [`MeasureConfig`], seed, recorder — is *not* included: the caller rebuilds
-/// the environment identically and then applies this state on top.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// The complete mutable state of an [`Environment`] — the struct the
+/// environment mutates *and* the one a checkpoint stores: noise-RNG position,
+/// counters, simulated wall-clock and the placement cache (contents oldest
+/// first plus its lifetime counters). The immutable configuration — graph,
+/// machine, [`MeasureConfig`], recorder — is not part of it: the caller
+/// rebuilds the environment identically and restores this state into it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnvState {
     /// Measurement-noise RNG position.
-    pub rng: RngState,
+    pub rng: CheckpointRng,
     /// Evaluations performed.
     pub evals: u64,
     /// Invalid (OOM) evaluations.
     pub invalid: u64,
     /// Simulated wall-clock charged so far (seconds).
     pub wall_clock: f64,
-    /// Best valid placement and its noisy measured step time.
-    pub best: Option<(f64, Placement)>,
-    /// Placement-cache capacity of the checkpointed run.
-    pub cache_capacity: u64,
-    /// Lifetime cache counters.
-    pub cache_stats: CacheStats,
-    /// Cached placements in FIFO (insertion) order.
-    pub cache_entries: Vec<CacheEntryState>,
+    /// Memoized simulation outcomes.
+    pub cache: PlacementCache,
 }
 
 /// Measurement-protocol knobs.
@@ -332,19 +350,15 @@ pub struct Measurement {
     pub wall_cost: f64,
 }
 
-/// A placement-evaluation environment around one graph and machine.
+/// A placement-evaluation environment around one graph and machine: its
+/// configuration plus the [`EnvState`] every evaluation advances.
 #[derive(Debug, Clone)]
 pub struct Environment {
     graph: OpGraph,
     machine: Machine,
     cfg: MeasureConfig,
-    rng: ChaCha8Rng,
-    evals: u64,
-    invalid: u64,
-    wall_clock: f64,
-    best: Option<(f64, Placement)>,
-    cache: PlacementCache,
     recorder: Recorder,
+    state: EnvState,
 }
 
 impl Environment {
@@ -367,10 +381,10 @@ impl Environment {
     /// cache behavior in one call.
     pub fn snapshot(&self) -> EnvSnapshot {
         EnvSnapshot {
-            evals: self.evals,
-            invalid_evals: self.invalid,
-            wall_clock: self.wall_clock,
-            cache: self.cache.stats(),
+            evals: self.state.evals,
+            invalid_evals: self.state.invalid,
+            wall_clock: self.state.wall_clock,
+            cache: self.state.cache.stats(),
         }
     }
 
@@ -380,79 +394,34 @@ impl Environment {
         &self.recorder
     }
 
-    /// Captures the environment's complete mutable state for checkpointing:
-    /// noise-RNG position, counters, wall-clock, best placement, and the full
-    /// placement cache. See [`EnvState`] for what is (and is not) included.
+    /// The environment's complete mutable state, for checkpointing.
     pub fn save_state(&self) -> EnvState {
-        EnvState {
-            rng: RngState::capture(&self.rng),
-            evals: self.evals,
-            invalid: self.invalid,
-            wall_clock: self.wall_clock,
-            best: self.best.clone(),
-            cache_capacity: self.cache.capacity() as u64,
-            cache_stats: self.cache.stats(),
-            cache_entries: self
-                .cache
-                .entries_fifo()
-                .map(|(devices, base)| CacheEntryState {
-                    devices: devices.to_vec(),
-                    step_time: base.step_time(),
-                })
-                .collect(),
-        }
+        self.state.clone()
     }
 
-    /// Restores a state captured by [`Environment::save_state`] into this
-    /// environment, which must have been built over the same graph and
-    /// machine. Configuration (measure protocol, recorder) is kept from the
-    /// live environment; RNG position, counters, wall-clock, best placement
-    /// and the cache — including its capacity — come from the snapshot, so
-    /// the environment continues bit-identically to the checkpointed run.
-    pub fn restore_state(&mut self, state: &EnvState) -> Result<(), EnvStateError> {
-        let rng = state.rng.restore()?;
-        let n_ops = self.graph.len();
-        let n_dev = self.machine.num_devices();
-        if let Some((_, p)) = &state.best {
-            p.validate(&self.graph, &self.machine)
-                .map_err(|e| EnvStateError::BadPlacement(e.to_string()))?;
+    /// Continues from a state saved by an environment built over the same
+    /// graph and machine, bit-identically to the checkpointed run.
+    /// Configuration (measure protocol, recorder) stays the live
+    /// environment's; everything else — the cache's capacity included — is
+    /// `state`'s. Checked here is what only the graph and machine can tell:
+    /// that every cached assignment covers the graph's ops with devices the
+    /// machine has. A refused state leaves the environment as it was.
+    pub fn restore_state(&mut self, state: EnvState) -> Result<(), EnvStateError> {
+        let (n_ops, n_dev) = (self.graph.len(), self.machine.num_devices());
+        for key in state.cache.keys() {
+            if key.len() != n_ops {
+                return Err(EnvStateError::BadCache(format!(
+                    "cache entry covers {} ops but graph has {n_ops}",
+                    key.len()
+                )));
+            }
+            if let Some(&d) = key.iter().find(|&&d| (d as usize) >= n_dev) {
+                return Err(EnvStateError::BadCache(format!(
+                    "cache entry uses nonexistent device {d}"
+                )));
+            }
         }
-        let entries: Vec<(Box<[u8]>, BaseEval)> = state
-            .cache_entries
-            .iter()
-            .map(|e| {
-                if e.devices.len() != n_ops {
-                    return Err(EnvStateError::BadCache(format!(
-                        "cache entry covers {} ops but graph has {n_ops}",
-                        e.devices.len()
-                    )));
-                }
-                if let Some(&d) = e.devices.iter().find(|&&d| (d as usize) >= n_dev) {
-                    return Err(EnvStateError::BadCache(format!(
-                        "cache entry uses nonexistent device {d}"
-                    )));
-                }
-                let base = match e.step_time {
-                    Some(step_time) => BaseEval::Valid { step_time },
-                    None => BaseEval::Invalid,
-                };
-                Ok((e.devices.clone().into_boxed_slice(), base))
-            })
-            .collect::<Result<_, _>>()?;
-        if entries.len() as u64 > state.cache_capacity {
-            return Err(EnvStateError::BadCache(format!(
-                "{} cached entries exceed capacity {}",
-                entries.len(),
-                state.cache_capacity
-            )));
-        }
-        self.rng = rng;
-        self.evals = state.evals;
-        self.invalid = state.invalid;
-        self.wall_clock = state.wall_clock;
-        self.best = state.best.clone();
-        self.cache =
-            PlacementCache::restore(state.cache_capacity as usize, entries, state.cache_stats);
+        self.state = state;
         Ok(())
     }
 
@@ -468,12 +437,7 @@ impl Environment {
 
     /// Simulated wall-clock spent measuring so far (the x-axis of Figs. 5–7).
     pub fn wall_clock(&self) -> f64 {
-        self.wall_clock
-    }
-
-    /// Best valid placement seen so far, with its (noisy) measured step time.
-    pub fn best(&self) -> Option<&(f64, Placement)> {
-        self.best.as_ref()
+        self.state.wall_clock
     }
 
     fn staging_cost(&self) -> f64 {
@@ -487,8 +451,8 @@ impl Environment {
         let mut acc = 0.0;
         for _ in 0..steps {
             // Box–Muller standard normal from two uniforms.
-            let u1: f64 = self.rng.gen::<f64>().max(1e-12);
-            let u2: f64 = self.rng.gen();
+            let u1: f64 = self.state.rng.gen::<f64>().max(1e-12);
+            let u2: f64 = self.state.rng.gen();
             let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             acc += base * (self.cfg.noise_sigma * normal).exp();
         }
@@ -501,32 +465,28 @@ impl Environment {
     /// (`devsim.engine.*`) flows through the recorder; only order-independent
     /// counters/histograms are emitted, so parallel workers stay deterministic.
     pub fn simulate_base(&self, placement: &Placement) -> BaseEval {
-        match simulate_recorded(&self.graph, &self.machine, placement, &self.recorder) {
-            SimOutcome::Oom { .. } => BaseEval::Invalid,
-            SimOutcome::Valid(stats) => BaseEval::Valid { step_time: stats.step_time },
-        }
+        simulate_recorded(&self.graph, &self.machine, placement, &self.recorder).step_time()
     }
 
     /// The serial accounting step: draws measurement noise, charges the
-    /// simulated wall-clock and updates `best`/`num_evals`. Must run in episode
+    /// simulated wall-clock and counts the evaluation. Must run in episode
     /// order — it is the only consumer of the environment's RNG stream.
     ///
     /// A cached evaluation re-runs only the measured steps on the already
     /// staged session: no session setup, no parameter staging, no warm-up. A
     /// cached OOM costs nothing (the crash is remembered, not reproduced).
-    fn commit(&mut self, placement: &Placement, base: BaseEval, cached: bool) -> Measurement {
-        self.evals += 1;
+    fn commit(&mut self, base: BaseEval, cached: bool) -> Measurement {
+        self.state.evals += 1;
         self.recorder.add("devsim.evals", 1);
         self.recorder.add(if cached { "devsim.cache.hits" } else { "devsim.cache.misses" }, 1);
         let m = match base {
-            BaseEval::Invalid => {
-                self.invalid += 1;
+            None => {
+                self.state.invalid += 1;
                 self.recorder.add("devsim.oom", 1);
                 let wall = if cached { 0.0 } else { self.cfg.oom_cost };
-                self.wall_clock += wall;
                 Measurement { step_time: None, wall_cost: wall }
             }
-            BaseEval::Valid { step_time } => {
+            Some(step_time) => {
                 let measured_steps = self.cfg.train_steps - self.cfg.warmup_steps;
                 let mean = self.noisy_mean(step_time, measured_steps);
                 let wall = if cached {
@@ -536,15 +496,12 @@ impl Environment {
                         + self.cfg.warmup_steps as f64 * step_time * self.cfg.warmup_factor
                         + measured_steps as f64 * step_time
                 };
-                self.wall_clock += wall;
-                if self.best.as_ref().is_none_or(|(b, _)| mean < *b) {
-                    self.best = Some((mean, placement.clone()));
-                }
                 Measurement { step_time: Some(mean), wall_cost: wall }
             }
         };
+        self.state.wall_clock += m.wall_cost;
         self.recorder.observe("devsim.wall_cost_s", m.wall_cost);
-        self.recorder.gauge("devsim.wall_clock_s", self.wall_clock);
+        self.recorder.gauge("devsim.wall_clock_s", self.state.wall_clock);
         m
     }
 
@@ -589,14 +546,14 @@ impl Environment {
         let mut misses: Vec<&Placement> = Vec::new();
         for p in placements {
             let key = p.devices();
-            if self.cache.enabled() {
+            if self.state.cache.enabled() {
                 if let Some(&m) = first_occurrence.get(key) {
-                    self.cache.note_duplicate_hit();
+                    self.state.cache.note_duplicate_hit();
                     probes.push(Probe::Dup(m));
                     continue;
                 }
             }
-            match self.cache.lookup(p) {
+            match self.state.cache.lookup(p) {
                 Some(base) => probes.push(Probe::Hit(base)),
                 None => {
                     probes.push(Probe::Miss(misses.len()));
@@ -616,22 +573,22 @@ impl Environment {
             (base, start.elapsed().as_secs_f64() * 1e6)
         });
 
-        // Phase 3 (serial): commit in episode order — noise draws, wall-clock,
-        // best tracking and cache inserts all happen exactly as they would in
-        // a one-by-one evaluation loop.
+        // Phase 3 (serial): commit in episode order — noise draws, wall-clock
+        // and cache inserts all happen exactly as they would in a one-by-one
+        // evaluation loop.
         placements
             .iter()
             .zip(probes)
             .map(|(p, probe)| match probe {
-                Probe::Hit(base) => self.commit(p, base, true),
-                Probe::Dup(m) => self.commit(p, simulated[m].0, true),
+                Probe::Hit(base) => self.commit(base, true),
+                Probe::Dup(m) => self.commit(simulated[m].0, true),
                 Probe::Miss(m) => {
                     let (base, sim_us) = simulated[m];
                     self.recorder.observe("devsim.sim_us", sim_us);
-                    if self.cache.insert(p, base) {
+                    if self.state.cache.insert(p, base) {
                         self.recorder.add("devsim.cache.evictions", 1);
                     }
-                    self.commit(p, base, false)
+                    self.commit(base, false)
                 }
             })
             .collect()
@@ -648,9 +605,9 @@ impl Environment {
                     // bound the estimate so pathological RNG draws cannot leak out.
                     stats.step_time * 1.01,
                 );
-                self.wall_clock += self.staging_cost() + 1000.0 * stats.step_time;
+                self.state.wall_clock += self.staging_cost() + 1000.0 * stats.step_time;
                 self.recorder.add("devsim.final_evals", 1);
-                self.recorder.gauge("devsim.wall_clock_s", self.wall_clock);
+                self.recorder.gauge("devsim.wall_clock_s", self.state.wall_clock);
                 Some(mean.max(stats.step_time * 0.99))
             }
         }
@@ -728,20 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn best_tracks_minimum_valid() {
-        let m = Machine::paper_machine();
-        let mut env = env(tiny_graph(), &m, MeasureConfig::exact(), 1);
-        let slow = Placement::uniform(2, m.cpu_id());
-        let fast = Placement::uniform(2, m.gpu_ids()[0]);
-        env.evaluate(&slow);
-        let b1 = env.best().unwrap().0;
-        env.evaluate(&fast);
-        let b2 = env.best().unwrap().0;
-        assert!(b2 < b1);
-        assert_eq!(env.best().unwrap().1, fast);
-    }
-
-    #[test]
     fn batch_matches_serial_for_any_worker_count() {
         let m = Machine::paper_machine();
         // A batch with duplicates, an OOM placement and distinct valid ones.
@@ -762,7 +705,6 @@ mod tests {
             assert_eq!(got, expect, "workers={workers}");
             assert_eq!(env.wall_clock(), serial.wall_clock(), "workers={workers}");
             assert_eq!(env.snapshot(), serial.snapshot(), "workers={workers}");
-            assert_eq!(env.best().unwrap().1, serial.best().unwrap().1);
         }
     }
 
@@ -816,13 +758,12 @@ mod tests {
         let json = serde_json::to_string(&first.save_state()).unwrap();
         let state: EnvState = serde_json::from_str(&json).unwrap();
         let mut resumed = mk();
-        resumed.restore_state(&state).unwrap();
+        resumed.restore_state(state).unwrap();
         let got_b: Vec<Measurement> = batch[2..].iter().map(|p| resumed.evaluate(p)).collect();
         let got: Vec<Measurement> = got_a.into_iter().chain(got_b).collect();
         assert_eq!(got, expect, "resumed noise stream and cache must continue exactly");
         assert_eq!(resumed.wall_clock(), straight.wall_clock());
         assert_eq!(resumed.snapshot(), straight.snapshot());
-        assert_eq!(resumed.best(), straight.best());
     }
 
     #[test]
@@ -830,22 +771,26 @@ mod tests {
         let m = Machine::paper_machine();
         let mut e = env(tiny_graph(), &m, MeasureConfig::default(), 1);
         e.evaluate(&Placement::uniform(2, m.gpu_ids()[0]));
-        let good = e.save_state();
+        let good = serde_json::to_string(&e.save_state()).unwrap();
+        let edited = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from} not in {good}");
+            serde_json::from_str::<EnvState>(&good.replacen(from, to, 1))
+        };
 
-        let mut bad_rng = good.clone();
-        bad_rng.rng = RngState { key: vec![0; 7], counter: 0, block: vec![0; 16], index: 0 };
-        assert!(matches!(e.restore_state(&bad_rng), Err(EnvStateError::BadRng(_))));
+        // A key of nine words never decodes.
+        let bad_rng = edited("\"key\":[", "\"key\":[7,").unwrap_err();
+        assert!(bad_rng.to_string().contains("key has 9 words, want 8"), "{bad_rng}");
 
-        let mut bad_cache = good.clone();
-        bad_cache.cache_entries[0].devices = vec![0, 1, 2]; // graph has 2 ops
-        assert!(matches!(e.restore_state(&bad_cache), Err(EnvStateError::BadCache(_))));
-
-        let mut bad_best = good.clone();
-        bad_best.best = Some((1.0, Placement::uniform(9, m.cpu_id())));
-        assert!(matches!(e.restore_state(&bad_best), Err(EnvStateError::BadPlacement(_))));
+        let gpu = m.gpu_ids()[0].0;
+        let bad_cache = edited(
+            &format!("\"devices\":[{gpu},{gpu}]"),
+            &format!("\"devices\":[{gpu},{gpu},{gpu}]"),
+        );
+        let bad_cache = bad_cache.unwrap(); // graph has 2 ops
+        assert!(matches!(e.restore_state(bad_cache), Err(EnvStateError::BadCache(_))));
 
         // A failed restore leaves the environment untouched and usable.
-        assert!(e.restore_state(&good).is_ok());
+        assert!(e.restore_state(serde_json::from_str(&good).unwrap()).is_ok());
     }
 
     #[test]

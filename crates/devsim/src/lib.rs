@@ -42,8 +42,8 @@ pub use device::{
 pub use eagle_obs::resolve_workers;
 pub use engine::{OpSlot, Schedule, TransferSlot};
 pub use env::{
-    check_placeable, CacheEntryState, EnvError, EnvSnapshot, EnvState, EnvStateError, Environment,
-    EnvironmentBuilder, MeasureConfig, Measurement, RngState, DEFAULT_CACHE_CAPACITY,
+    check_placeable, CheckpointRng, EnvError, EnvSnapshot, EnvState, EnvStateError, Environment,
+    EnvironmentBuilder, MeasureConfig, Measurement, DEFAULT_CACHE_CAPACITY,
 };
 pub use placement::{Placement, PlacementError};
 pub use sim::{simulate, simulate_recorded, step_times, SimOutcome, StepStats};

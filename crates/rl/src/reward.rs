@@ -66,10 +66,28 @@ pub fn invalid_reward(penalty_time: f64) -> f64 {
 /// Serializable: the baseline is part of the trainer's resumable state — a
 /// resumed run that re-seeded it would compute different advantages than the
 /// uninterrupted run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct EmaBaseline {
     alpha: f64,
     value: Option<f64>,
+}
+
+/// Holds a decoded baseline to the invariant [`EmaBaseline::new`] asserts: an
+/// `alpha` outside `[0, 1]` is not an average, and drives `value` (and every
+/// advantage computed from it) out of range within a few rewards.
+impl serde::Deserialize for EmaBaseline {
+    fn from_content(c: &serde::Content) -> Result<Self, serde::Error> {
+        #[derive(serde::Deserialize)]
+        struct EmaBaselineFields {
+            alpha: f64,
+            value: Option<f64>,
+        }
+        let EmaBaselineFields { alpha, value } = EmaBaselineFields::from_content(c)?;
+        if !(0.0..=1.0).contains(&alpha) {
+            return Err(serde::Error::msg(format!("baseline alpha {alpha} is not in [0, 1]")));
+        }
+        Ok(Self { alpha, value })
+    }
 }
 
 impl EmaBaseline {
@@ -143,6 +161,24 @@ mod tests {
     #[should_panic(expected = "alpha in [0, 1]")]
     fn bad_alpha_panics() {
         let _ = EmaBaseline::new(1.5);
+    }
+
+    /// What `new` asserts, a decoded baseline is held to: JSON `1e300` for
+    /// `alpha` would turn the first advantage into an infinity.
+    #[test]
+    fn bad_alpha_does_not_decode() {
+        use serde::{Content, Deserialize, Serialize};
+        let mut b = EmaBaseline::new(0.5);
+        b.advantage(-2.0);
+        assert_eq!(EmaBaseline::from_content(&b.to_content()).unwrap(), b);
+        for alpha in [1e300, -1.0] {
+            let stored = Content::Map(vec![
+                ("alpha".into(), Content::F64(alpha)),
+                ("value".into(), Content::Null),
+            ]);
+            let e = EmaBaseline::from_content(&stored).unwrap_err();
+            assert!(e.to_string().contains("is not in [0, 1]"), "{e}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! without parsing prose.
 
 use eagle_core::CheckpointError;
-use eagle_devsim::{EnvError, EnvStateError, MachineError, PlacementError};
+use eagle_devsim::{EnvError, MachineError, PlacementError};
 
 use crate::api::{ApiError, ErrorCode};
 
@@ -18,8 +18,6 @@ use crate::api::{ApiError, ErrorCode};
 pub enum EagleError {
     /// Environment construction rejected the graph/machine/knob configuration.
     Env(EnvError),
-    /// A checkpointed environment state did not restore.
-    EnvState(EnvStateError),
     /// A checkpoint file could not be read, verified, or decoded.
     Checkpoint(CheckpointError),
     /// A machine configuration failed builder validation.
@@ -69,7 +67,6 @@ impl std::fmt::Display for EagleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EagleError::Env(e) => write!(f, "environment error: {e}"),
-            EagleError::EnvState(e) => write!(f, "environment state error: {e}"),
             EagleError::Checkpoint(e) => write!(f, "{e}"),
             EagleError::Machine(e) => write!(f, "machine error: {e}"),
             EagleError::Placement(e) => write!(f, "placement error: {e}"),
@@ -98,7 +95,6 @@ impl std::error::Error for EagleError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EagleError::Env(e) => Some(e),
-            EagleError::EnvState(e) => Some(e),
             EagleError::Checkpoint(e) => Some(e),
             EagleError::Machine(e) => Some(e),
             EagleError::Placement(e) => Some(e),
@@ -112,12 +108,6 @@ impl std::error::Error for EagleError {
 impl From<EnvError> for EagleError {
     fn from(e: EnvError) -> Self {
         EagleError::Env(e)
-    }
-}
-
-impl From<EnvStateError> for EagleError {
-    fn from(e: EnvStateError) -> Self {
-        EagleError::EnvState(e)
     }
 }
 
@@ -167,9 +157,7 @@ impl EagleError {
             EagleError::Infeasible(_) => ErrorCode::Infeasible,
             EagleError::Overloaded { .. } => ErrorCode::Overloaded,
             EagleError::DeadlineExceeded(_) => ErrorCode::DeadlineExceeded,
-            EagleError::EnvState(_) | EagleError::Checkpoint(_) | EagleError::Io(_) => {
-                ErrorCode::Internal
-            }
+            EagleError::Checkpoint(_) | EagleError::Io(_) => ErrorCode::Internal,
         }
     }
 

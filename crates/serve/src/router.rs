@@ -132,6 +132,17 @@ fn graph_fingerprint(graph: &OpGraph) -> u64 {
     fnv1a64(graph.to_json().as_bytes())
 }
 
+/// Refuses a graph no policy can place: empty, or with a cycle.
+fn check_graph(graph: &OpGraph) -> Result<(), EagleError> {
+    if graph.is_empty() {
+        return Err(EagleError::BadRequest("graph has no nodes".into()));
+    }
+    if !graph.is_acyclic() {
+        return Err(EagleError::BadRequest("graph has a cycle".into()));
+    }
+    Ok(())
+}
+
 /// Re-validates a wire-supplied machine through the builder, yielding the same
 /// typed errors local construction would.
 fn validated_machine(machine: Machine) -> Result<Machine, EagleError> {
@@ -197,12 +208,7 @@ impl Router {
     /// Validates and registers `graph`, returning its content-addressed key.
     /// Registering the same graph twice returns the same key.
     pub fn register_graph(&self, graph: OpGraph) -> Result<String, EagleError> {
-        if graph.is_empty() {
-            return Err(EagleError::BadRequest("graph has no nodes".into()));
-        }
-        if !graph.is_acyclic() {
-            return Err(EagleError::BadRequest("graph has a cycle".into()));
-        }
+        check_graph(&graph)?;
         let key = format!("{:016x}", graph_fingerprint(&graph));
         let mut reg = self.graphs.lock().expect("graph registry lock");
         if !reg.by_key.contains_key(&key) {
@@ -241,12 +247,7 @@ impl Router {
                 return Err(EagleError::BadRequest("one of `graph`/`graph_key` required".into()))
             }
             (Some(g), None) => {
-                if g.is_empty() {
-                    return Err(EagleError::BadRequest("graph has no nodes".into()));
-                }
-                if !g.is_acyclic() {
-                    return Err(EagleError::BadRequest("graph has a cycle".into()));
-                }
+                check_graph(g)?;
                 (Arc::new(g.clone()), graph_fingerprint(g))
             }
             (None, Some(key)) => {
@@ -305,28 +306,22 @@ impl Router {
             // the request never occupies a slot, so a burst costs O(capacity)
             // memory and admitted requests keep a bounded wait.
             let mut q = self.queue.lock().expect("router queue lock");
-            let queued = q.pending.len();
-            if queued >= self.cfg.queue_capacity {
-                drop(q);
-                self.recorder.add("serve.overloaded", 1);
-                self.recorder.add("serve.shed", 1);
-                return Err(EagleError::Overloaded {
-                    queued,
-                    capacity: self.cfg.queue_capacity,
-                    retry_after_ms: self.retry_after_hint_ms(queued),
-                });
-            }
+            let depth = q.pending.len();
             let quota = self.effective_family_quota();
             let fam_queued = q.per_family.get(&family).copied().unwrap_or(0);
-            if fam_queued >= quota {
+            let full = if depth >= self.cfg.queue_capacity {
+                Some((depth, self.cfg.queue_capacity))
+            } else if fam_queued >= quota {
+                Some((fam_queued, quota))
+            } else {
+                None
+            };
+            if let Some((queued, capacity)) = full {
                 drop(q);
                 self.recorder.add("serve.overloaded", 1);
                 self.recorder.add("serve.shed", 1);
-                return Err(EagleError::Overloaded {
-                    queued: fam_queued,
-                    capacity: quota,
-                    retry_after_ms: self.retry_after_hint_ms(queued),
-                });
+                let retry_after_ms = self.retry_after_hint_ms(depth);
+                return Err(EagleError::Overloaded { queued, capacity, retry_after_ms });
             }
             q.pending.push_back(pending);
             *q.per_family.entry(family.clone()).or_insert(0) += 1;

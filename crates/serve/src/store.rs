@@ -324,6 +324,53 @@ mod tests {
         assert_eq!(old.params.len(), s1.params.len());
     }
 
+    /// A checkpoint whose integrity checks pass but whose first tensor is one
+    /// value short of its shape: decoded, it would panic the first kernel
+    /// that indexes it — in the router thread. It does not decode, so a
+    /// reload that finds it keeps the previous policy serving.
+    #[test]
+    fn reload_of_a_short_tensor_keeps_the_old_policy_serving() {
+        let root = tmp("short_tensor");
+        let machine = Machine::small_machine();
+        let graph = Benchmark::InceptionV3.graph_for(&machine);
+        let state = untrained_state(&graph, &machine, AgentScale::tiny(), 1).unwrap();
+        let v1 = publish_state(&root, "fam", "tiny", &state).unwrap();
+        let rec = Recorder::new();
+        let store = PolicyStore::open(&root, rec.clone());
+        assert_eq!(store.get("fam").unwrap().version, v1);
+
+        // Drop the first value of the first `data`, then re-wrap the payload
+        // the way `encode_checkpoint` does so only the decoder can object.
+        let ckpt = root.join("fam").join(CHECKPOINT_FILE);
+        let text = std::fs::read_to_string(&ckpt).unwrap();
+        let payload = text.split_once('\n').unwrap().1;
+        let at = payload.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let comma = at + payload[at..].find(',').unwrap();
+        let short = format!("{}{}", &payload[..at], &payload[comma + 1..]);
+        let header = format!(
+            r#"{{"magic":"{}","schema_version":{},"checksum":{},"payload_bytes":{}}}"#,
+            eagle_core::CHECKPOINT_MAGIC,
+            eagle_core::CHECKPOINT_SCHEMA_VERSION,
+            fnv1a64(short.as_bytes()),
+            short.len()
+        );
+        std::fs::write(&ckpt, format!("{header}\n{short}")).unwrap();
+        assert!(matches!(
+            load_checkpoint(&ckpt),
+            Err(eagle_core::CheckpointError::Decode(m)) if m.contains("tensor of shape")
+        ));
+        assert!(matches!(
+            publish_checkpoint(&root, "other", "tiny", &ckpt),
+            Err(EagleError::Checkpoint(_))
+        ));
+
+        let served = store.get("fam").unwrap();
+        assert_eq!(served.version, v1, "the previous policy keeps serving");
+        assert_eq!(served.params.len(), state.params.len());
+        assert_eq!(rec.counter_value("serve.policy_reload_errors"), 1);
+        assert_eq!(rec.counter_value("serve.policy_reloads"), 0);
+    }
+
     /// Regression: a republish that changes content but keeps the byte length
     /// AND lands within the filesystem's mtime granularity must still reload.
     /// The old `(len, mtime)` stamp check served the stale policy forever in
@@ -335,7 +382,7 @@ mod tests {
         let machine = Machine::small_machine();
         let graph = Benchmark::InceptionV3.graph_for(&machine);
         let mut s1 = untrained_state(&graph, &machine, AgentScale::tiny(), 7).unwrap();
-        s1.samples = 1;
+        s1.progress.samples = 1;
         let v1 = publish_state(&root, "fam", "tiny", &s1).unwrap();
         let store = PolicyStore::open(&root, Recorder::new());
         assert_eq!(store.get("fam").unwrap().version, v1);
@@ -348,9 +395,9 @@ mod tests {
         // (The header checksum is a decimal u64 whose digit count can move the
         // total length by a byte, so probe until a republish lands same-size.)
         let mut v2 = None;
-        for samples in 2..=64u64 {
+        for samples in 2..=64 {
             let mut s2 = untrained_state(&graph, &machine, AgentScale::tiny(), 7).unwrap();
-            s2.samples = samples;
+            s2.progress.samples = samples;
             let v = publish_state(&root, "fam", "tiny", &s2).unwrap();
             if std::fs::metadata(&ckpt).unwrap().len() == len {
                 v2 = Some(v);

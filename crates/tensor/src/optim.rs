@@ -39,6 +39,43 @@ impl Adam {
         self.t
     }
 
+    /// Checks this is a state a run over `params` could have saved, so the next
+    /// step can continue from it: hyperparameters an update can divide by
+    /// (`lr` and `eps` finite, `eps > 0` — a zero gradient is `0 / (0 + eps)`
+    /// — and both betas in `[0, 1)`, so the bias corrections are not zero),
+    /// and no moments yet or one finite `m`/`v` pair per parameter, of that
+    /// parameter's shape. Pre-empts the layout assertions of
+    /// [`Adam::step_grads`] for state that was decoded, not computed.
+    pub fn check_layout(&self, params: &Params) -> Result<(), String> {
+        let Self { lr, beta1, beta2, eps, .. } = *self;
+        let beta = |b: f32| (0.0..1.0).contains(&b);
+        if !(lr.is_finite() && eps.is_finite() && eps > 0.0 && beta(beta1) && beta(beta2)) {
+            return Err(format!("lr {lr}, beta1 {beta1}, beta2 {beta2}, eps {eps} are not Adam's"));
+        }
+        if self.m.is_empty() && self.v.is_empty() {
+            return Ok(());
+        }
+        if self.m.len() != params.len() || self.v.len() != params.len() {
+            return Err(format!(
+                "{} first and {} second moments for {} parameters",
+                self.m.len(),
+                self.v.len(),
+                params.len()
+            ));
+        }
+        for (id, (m, v)) in params.ids().zip(self.m.iter().zip(&self.v)) {
+            let (name, shape) = (params.name(id), params.get(id).shape());
+            if m.shape() != shape || v.shape() != shape {
+                let (r, c) = shape;
+                return Err(format!("moments of {name} are not {r}x{c}"));
+            }
+            if !m.all_finite() || !v.all_finite() {
+                return Err(format!("moments of {name} hold a non-finite value"));
+            }
+        }
+        Ok(())
+    }
+
     /// Allocates the moment buffers on first use and bumps the step counter.
     fn begin_step(&mut self, params: &Params) -> (f32, f32) {
         if self.m.is_empty() {
@@ -160,6 +197,33 @@ mod tests {
         assert_eq!(w_straight.to_bits(), w_resumed.to_bits());
         assert_eq!(opt_straight, opt_resumed, "moments and step count must round-trip");
         assert_eq!(opt_resumed.steps(), 200);
+    }
+
+    #[test]
+    fn check_layout_accepts_what_a_run_saves_and_names_what_it_could_not() {
+        let mut params = Params::new();
+        params.add("a", Tensor::scalar(1.0));
+        params.add("b", Tensor::row_vector(&[-2.0, 4.0]));
+        let mut opt = Adam::new(0.1);
+        assert_eq!(opt.check_layout(&params), Ok(()), "no moments before the first step");
+        let mut grads = Grads::for_params(&params);
+        descend(&mut params, &mut opt, &mut grads, quadratic);
+        assert_eq!(opt.check_layout(&params), Ok(()));
+
+        let mut dropped = opt.clone();
+        dropped.m.remove(0);
+        let e = dropped.check_layout(&params).unwrap_err();
+        assert_eq!(e, "1 first and 2 second moments for 2 parameters");
+        let mut reshaped = opt.clone();
+        reshaped.v[1] = Tensor::scalar(0.0);
+        assert_eq!(reshaped.check_layout(&params).unwrap_err(), "moments of b are not 1x2");
+        opt.m[0] = Tensor::scalar(f32::INFINITY);
+        assert_eq!(opt.check_layout(&params).unwrap_err(), "moments of a hold a non-finite value");
+        // JSON `1e300` decodes to an infinite `f32`; a beta of 1 zeroes the
+        // bias correction every update divides by.
+        let e = Adam { lr: f32::INFINITY, ..Adam::new(0.1) }.check_layout(&params).unwrap_err();
+        assert_eq!(e, "lr inf, beta1 0.9, beta2 0.999, eps 0.00000001 are not Adam's");
+        assert!(Adam { beta2: 1.0, ..Adam::new(0.1) }.check_layout(&params).is_err());
     }
 
     #[test]

@@ -48,11 +48,32 @@ fn matmul_workers(m: usize, k: usize, n: usize) -> usize {
 }
 
 /// A dense matrix of `f32` values in row-major order.
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, serde::Serialize)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// Refuses `data` that does not fill `rows x cols`: every kernel indexes by
+/// the shape, so such a tensor would panic the first one that touches it.
+impl serde::Deserialize for Tensor {
+    fn from_content(c: &serde::Content) -> Result<Self, serde::Error> {
+        #[derive(serde::Deserialize)]
+        struct TensorFields {
+            rows: usize,
+            cols: usize,
+            data: Vec<f32>,
+        }
+        let TensorFields { rows, cols, data } = TensorFields::from_content(c)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::Error::msg(format!(
+                "tensor of shape {rows}x{cols} holds {} values",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 impl fmt::Debug for Tensor {
@@ -713,6 +734,19 @@ mod tests {
     #[should_panic(expected = "does not match shape")]
     fn from_vec_wrong_len_panics() {
         let _ = Tensor::from_vec(2, 2, vec![1.0]);
+    }
+
+    #[test]
+    fn data_that_does_not_fill_the_shape_does_not_decode() {
+        let t = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(serde_json::from_str::<Tensor>(&json).unwrap(), t);
+        let short = serde_json::from_str::<Tensor>(r#"{"rows":2,"cols":2,"data":[1.0]}"#);
+        let e = short.unwrap_err().to_string();
+        assert!(e.contains("tensor of shape 2x2 holds 1 values"), "{e}");
+        // A shape whose product overflows is refused the same way, not wrapped.
+        let huge = format!(r#"{{"rows":{},"cols":2,"data":[]}}"#, usize::MAX / 2 + 1);
+        assert!(serde_json::from_str::<Tensor>(&huge).is_err());
     }
 
     #[test]

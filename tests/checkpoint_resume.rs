@@ -17,13 +17,14 @@ use eagle::core::{
     load_checkpoint, AgentScale, Algo, CheckpointError, EagleAgent, GraphSource, ResumeError,
     TrainError, TrainResult, Trainer, TrainerConfig, TrainerState, CHECKPOINT_FILE,
 };
-use eagle::devsim::{Machine, MeasureConfig};
+use eagle::devsim::{DeviceId, Machine, MeasureConfig, Placement};
 use eagle::opgraph::{builders, GraphGenConfig};
 use eagle::rl::top_k_indices;
 use eagle::tensor::Params;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde_json::Value;
 
 mod common;
 use common::{assert_f32_close, assert_f64_close, assert_opt_f64_close, CURVE_ULPS, PARAM_ULPS};
@@ -85,7 +86,7 @@ fn first_life(
     let (mut params, agent) = build_agent(&g, &m);
     trainer.train(&agent, &mut params).expect("first life trains");
     let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).expect("checkpoint readable");
-    assert_eq!(state.samples as usize, kill_after * MINIBATCH);
+    assert_eq!(state.progress.samples, kill_after * MINIBATCH);
     state
 }
 
@@ -202,11 +203,18 @@ fn corrupt_checkpoint_fails_typed_and_fresh_file_survives_interrupted_save() {
 }
 
 /// Resumes a PPO+CE run killed after its first minibatch from a checkpoint
-/// whose CE history `corrupt` has edited after decoding — what a writer bug
-/// or a hand-edited payload with a recomputed checksum would hand
-/// `train_from`. The next minibatch's CE update would index and teacher-force
-/// that history.
-fn resume_corrupted(name: &str, corrupt: impl FnOnce(&mut TrainerState)) {
+/// that `corrupt` has edited after decoding — what a writer bug or a
+/// hand-edited payload with a recomputed checksum would hand `train_from` —
+/// and expects the typed refusal `expected` recognizes, with `params` left as
+/// they were. Every edit below would otherwise reach code that indexes or
+/// asserts on what it restored: the next minibatch's CE update (history), the
+/// final measurement (best placement), the first optimizer step (moments),
+/// the first forward pass (parameters).
+fn resume_corrupted(
+    name: &str,
+    corrupt: impl FnOnce(&mut TrainerState),
+    expected: impl FnOnce(&ResumeError) -> bool,
+) {
     let dir = tmp(name);
     let mut state = first_life(Algo::PpoCe, 1, 1, &dir);
     std::fs::remove_dir_all(&dir).ok();
@@ -216,33 +224,136 @@ fn resume_corrupted(name: &str, corrupt: impl FnOnce(&mut TrainerState)) {
     let (mut params, agent) = build_agent(&g, &m);
     let before = params.clone();
     match trainer.train_from(&agent, &mut params, state) {
-        Err(TrainError::Resume(ResumeError::History(_))) => {}
-        other => panic!("{name}: expected ResumeError::History, got {other:?}"),
+        Err(TrainError::Resume(e)) if expected(&e) => {}
+        other => panic!("{name}: not the typed refusal expected: {other:?}"),
     }
     for id in before.ids() {
         assert_eq!(before.get(id).data(), params.get(id).data(), "{name}: params untouched");
     }
 }
 
+fn is_history(e: &ResumeError) -> bool {
+    matches!(e, ResumeError::History(_))
+}
+
 #[test]
 fn resume_rejects_history_with_unequal_lengths() {
-    resume_corrupted("history-extra-reward", |s| s.history_rewards.push(0.0));
+    resume_corrupted("history-extra-reward", |s| s.progress.history_rewards.push(0.0), is_history);
 }
 
 #[test]
 fn resume_rejects_history_action_vector_of_the_wrong_length() {
-    resume_corrupted("history-short-vector", |s| {
-        let best = top_k_indices(&s.history_rewards, 1)[0];
-        s.history_actions[best].pop();
-    });
+    resume_corrupted(
+        "history-short-vector",
+        |s| {
+            let best = top_k_indices(&s.progress.history_rewards, 1)[0];
+            s.progress.history_actions[best].pop();
+        },
+        is_history,
+    );
 }
 
 #[test]
 fn resume_rejects_history_action_out_of_range() {
-    resume_corrupted("history-device-99", |s| {
-        let best = top_k_indices(&s.history_rewards, 1)[0];
-        s.history_actions[best][0] = 99;
-    });
+    resume_corrupted(
+        "history-device-99",
+        |s| {
+            let best = top_k_indices(&s.progress.history_rewards, 1)[0];
+            s.progress.history_actions[best][0] = 99;
+        },
+        is_history,
+    );
+}
+
+/// The run's last act is to simulate its best placement for the final
+/// measurement; nothing between the decode and that simulation looks at it
+/// (a step time of zero, so no later sample replaces it).
+#[test]
+fn resume_rejects_best_placement_of_the_wrong_length() {
+    resume_corrupted(
+        "best-three-ops",
+        |s| s.entries[0].best = Some((0.0, Placement::uniform(3, DeviceId(0)))),
+        |e| matches!(e, ResumeError::Entry(_)),
+    );
+}
+
+#[test]
+fn resume_rejects_best_placement_on_a_missing_device() {
+    resume_corrupted(
+        "best-device-77",
+        |s| {
+            let ops = s.entries[0].best.as_ref().expect("a valid sample in ten").1.len();
+            s.entries[0].best = Some((0.0, Placement::uniform(ops, DeviceId(77))));
+        },
+        |e| matches!(e, ResumeError::Entry(_)),
+    );
+}
+
+/// Edits the checkpoint as a JSON document and decodes it again: `Adam`'s
+/// moments and a tensor's data are not reachable through the decoded state's
+/// public fields.
+fn edit_json(state: &mut TrainerState, edit: impl FnOnce(&mut Value)) {
+    let mut doc = serde_json::to_value(state);
+    edit(&mut doc);
+    let json = serde_json::to_string(&doc).expect("document encodes");
+    *state = serde_json::from_str(&json).expect("edited state decodes");
+}
+
+/// The value at `path` — object keys and array indices — of a JSON document.
+fn at<'a>(doc: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(doc, |v, step| match v {
+        Value::Object(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == step).expect("key exists").1
+        }
+        Value::Array(items) => &mut items[step.parse::<usize>().expect("an index")],
+        other => panic!("{step} of {other:?}"),
+    })
+}
+
+/// The first optimizer step zips the moments with the parameters.
+#[test]
+fn resume_rejects_an_optimizer_with_a_dropped_moment() {
+    resume_corrupted(
+        "adam-dropped-moment",
+        |s| {
+            edit_json(s, |doc| {
+                let m = at(doc, &["opt_ppo", "m"]).as_array_mut().expect("moments");
+                assert!(m.len() > 1, "PPO has stepped");
+                m.remove(0);
+            })
+        },
+        |e| matches!(e, ResumeError::Optimizer(_)),
+    );
+}
+
+/// The baseline is an `f64`, the advantage computed from it an `f32`: the
+/// first update would scale a log-probability by minus infinity.
+#[test]
+fn resume_rejects_a_baseline_beyond_f32() {
+    resume_corrupted(
+        "baseline-1e300",
+        |s| {
+            edit_json(s, |doc| {
+                *at(doc, &["entries", "0", "baseline", "value"]) = Value::F64(1e300);
+            })
+        },
+        |e| matches!(e, ResumeError::Entry(_)),
+    );
+}
+
+/// JSON spells floats no `f32` holds: `1e300` decodes to infinity, which the
+/// first forward pass would carry into every logit.
+#[test]
+fn resume_rejects_a_non_finite_parameter() {
+    resume_corrupted(
+        "param-1e300",
+        |s| {
+            edit_json(s, |doc| {
+                *at(doc, &["params", "entries", "0", "value", "data", "0"]) = Value::F64(1e300);
+            })
+        },
+        |e| matches!(e, ResumeError::ParamMismatch(_)),
+    );
 }
 
 proptest! {
@@ -302,7 +413,7 @@ fn multi_killed_and_resumed(
         trainer.train(&agent, &mut params).expect("first life trains");
     }
     let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).expect("checkpoint readable");
-    assert_eq!(state.samples as usize, kill_after * MINIBATCH);
+    assert_eq!(state.progress.samples, kill_after * MINIBATCH);
     assert!(!state.entries.is_empty(), "multi-graph checkpoint carries the env pool");
     let (g, m, trainer) = multi_trainer(config(Algo::Ppo, 1, total));
     let (mut params, agent) = build_agent(&g, &m);

@@ -404,7 +404,7 @@ proptest! {
         prop_assert_eq!(uncached.snapshot().cache.hits, 0);
         // And the pure simulation agrees with what the hit returned.
         let base = cached.simulate_base(&p);
-        prop_assert_eq!(base.step_time(), cached.evaluate(&p).step_time);
+        prop_assert_eq!(base, cached.evaluate(&p).step_time);
     }
 
     #[test]
