@@ -115,7 +115,7 @@ pub struct PlaceResponse {
     pub placement: Option<Vec<u8>>,
     /// Predicted per-step time of `placement` from the event engine, seconds.
     pub predicted_step_time: Option<f64>,
-    /// Content version (hex) of the checkpoint that produced the placement.
+    /// Content version (hex) of the parameters that produced the placement.
     pub policy_version: Option<String>,
     /// Set iff the request failed; all result fields are `null` then.
     pub error: Option<ApiError>,

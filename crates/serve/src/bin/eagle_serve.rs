@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `run` serves placement requests forever (newline-delimited JSON, see
-//! `eagle_serve::api`). `publish` installs a training checkpoint into the store
-//! — republishing over a served family hot-reloads it without a restart.
+//! `eagle_serve::api`). `publish` installs a training checkpoint's parameters
+//! into the store — republishing over a served family hot-reloads it without a
+//! restart.
 //! `seed` publishes an untrained (warm-started) policy for one of the paper
 //! benchmarks, so a demo or smoke store works without hours of training.
 
@@ -180,7 +181,7 @@ fn seed(flags: &[(String, String)]) {
     check_known(flags, &["store", "family", "scale", "seed"]);
     let store = require(flags, "store");
     let family = require(flags, "family");
-    let scale_name = get(flags, "scale").unwrap_or("quick");
+    let scale = get(flags, "scale").unwrap_or("quick");
     let seed: u64 = get(flags, "seed").map_or(1, |s| s.parse().expect("--seed takes an integer"));
     let Some(bench) = eagle_devsim::Benchmark::ALL.iter().find(|b| b.name() == family) else {
         eprintln!(
@@ -190,16 +191,16 @@ fn seed(flags: &[(String, String)]) {
         );
         std::process::exit(1);
     };
-    let Some(scale) = eagle_core::AgentScale::from_name(scale_name) else {
-        eprintln!("eagle-serve seed: unknown scale `{scale_name}`");
+    let Some(agent_scale) = eagle_core::AgentScale::from_name(scale) else {
+        eprintln!("eagle-serve seed: unknown scale `{scale}`");
         std::process::exit(1);
     };
     let machine = eagle_devsim::Machine::paper_machine();
     let graph = bench.graph_for(&machine);
-    let result = untrained_state(&graph, &machine, scale, seed)
-        .and_then(|state| publish_state(std::path::Path::new(store), family, scale_name, &state));
+    let result = untrained_state(&graph, &machine, agent_scale, seed)
+        .and_then(|state| publish_state(std::path::Path::new(store), family, scale, &state));
     match result {
-        Ok(version) => println!("seeded {family} ({scale_name}) version {version}"),
+        Ok(version) => println!("seeded {family} ({scale}) version {version}"),
         Err(e) => {
             eprintln!("eagle-serve seed: {e}");
             std::process::exit(1);

@@ -1,15 +1,15 @@
 //! The unified crate-public error hierarchy.
 //!
 //! Every fallible surface a service client or operator touches — environment
-//! construction, checkpoint decoding, machine validation, placement validation,
-//! the wire protocol — folds into one [`EagleError`] enum with `From` impls and
+//! construction, checkpoint decoding, machine validation, the wire protocol —
+//! folds into one [`EagleError`] enum with `From` impls and
 //! stable display strings, replacing the per-crate `Result<_, String>` stragglers
 //! the pre-serving API grew. Wire replies carry the typed [`ErrorCode`] projection
 //! (see [`crate::api::ApiError`]), so clients can branch on the *kind* of failure
 //! without parsing prose.
 
 use eagle_core::CheckpointError;
-use eagle_devsim::{EnvError, MachineError, PlacementError};
+use eagle_devsim::{EnvError, MachineError};
 
 use crate::api::{ApiError, ErrorCode};
 
@@ -22,8 +22,6 @@ pub enum EagleError {
     Checkpoint(CheckpointError),
     /// A machine configuration failed builder validation.
     Machine(MachineError),
-    /// A placement does not fit its graph/machine pair.
-    Placement(PlacementError),
     /// Filesystem or socket error.
     Io(std::io::Error),
     /// JSON (de)serialization error.
@@ -61,6 +59,8 @@ pub enum EagleError {
     },
     /// The request's `deadline_ms` budget expired before its wave ran.
     DeadlineExceeded(String),
+    /// The daemon failed while answering (a panic caught inside a wave).
+    Internal(String),
 }
 
 impl std::fmt::Display for EagleError {
@@ -69,7 +69,6 @@ impl std::fmt::Display for EagleError {
             EagleError::Env(e) => write!(f, "environment error: {e}"),
             EagleError::Checkpoint(e) => write!(f, "{e}"),
             EagleError::Machine(e) => write!(f, "machine error: {e}"),
-            EagleError::Placement(e) => write!(f, "placement error: {e}"),
             EagleError::Io(e) => write!(f, "I/O error: {e}"),
             EagleError::Json(e) => write!(f, "{e}"),
             EagleError::Protocol(m) => write!(f, "protocol error: {m}"),
@@ -87,6 +86,7 @@ impl std::fmt::Display for EagleError {
                  retry in ~{retry_after_ms} ms"
             ),
             EagleError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
+            EagleError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
 }
@@ -97,7 +97,6 @@ impl std::error::Error for EagleError {
             EagleError::Env(e) => Some(e),
             EagleError::Checkpoint(e) => Some(e),
             EagleError::Machine(e) => Some(e),
-            EagleError::Placement(e) => Some(e),
             EagleError::Io(e) => Some(e),
             EagleError::Json(e) => Some(e),
             _ => None,
@@ -123,12 +122,6 @@ impl From<MachineError> for EagleError {
     }
 }
 
-impl From<PlacementError> for EagleError {
-    fn from(e: PlacementError) -> Self {
-        EagleError::Placement(e)
-    }
-}
-
 impl From<std::io::Error> for EagleError {
     fn from(e: std::io::Error) -> Self {
         EagleError::Io(e)
@@ -150,14 +143,15 @@ impl EagleError {
             EagleError::UnknownFamily(_) => ErrorCode::UnknownFamily,
             EagleError::UnknownGraphKey(_) => ErrorCode::UnknownGraphKey,
             EagleError::PolicyMismatch(_) => ErrorCode::PolicyMismatch,
-            EagleError::BadRequest(_)
-            | EagleError::Placement(_)
-            | EagleError::Machine(_)
-            | EagleError::Env(_) => ErrorCode::BadRequest,
+            EagleError::BadRequest(_) | EagleError::Machine(_) | EagleError::Env(_) => {
+                ErrorCode::BadRequest
+            }
             EagleError::Infeasible(_) => ErrorCode::Infeasible,
             EagleError::Overloaded { .. } => ErrorCode::Overloaded,
             EagleError::DeadlineExceeded(_) => ErrorCode::DeadlineExceeded,
-            EagleError::Checkpoint(_) | EagleError::Io(_) => ErrorCode::Internal,
+            EagleError::Checkpoint(_) | EagleError::Io(_) | EagleError::Internal(_) => {
+                ErrorCode::Internal
+            }
         }
     }
 
@@ -169,12 +163,6 @@ impl EagleError {
             _ => None,
         };
         ApiError { code: self.code(), message: self.to_string(), retry_after_ms }
-    }
-}
-
-impl From<EagleError> for ApiError {
-    fn from(e: EagleError) -> Self {
-        e.to_api()
     }
 }
 
@@ -201,8 +189,8 @@ mod tests {
             "machine error: machine has no devices"
         );
         assert_eq!(
-            EagleError::from(PlacementError::LengthMismatch { placement: 2, graph: 3 }).to_string(),
-            "placement error: placement covers 2 ops but graph has 3"
+            EagleError::Internal("wave panicked".into()).to_string(),
+            "internal error: wave panicked"
         );
     }
 
@@ -212,6 +200,7 @@ mod tests {
         assert_eq!(EagleError::Infeasible("x".into()).code(), ErrorCode::Infeasible);
         assert_eq!(EagleError::BadRequest("x".into()).code(), ErrorCode::BadRequest);
         assert_eq!(EagleError::Io(std::io::Error::other("boom")).code(), ErrorCode::Internal);
+        assert_eq!(EagleError::Internal("x".into()).code(), ErrorCode::Internal);
         let over = EagleError::Overloaded { queued: 8, capacity: 8, retry_after_ms: 5 };
         assert_eq!(over.code(), ErrorCode::Overloaded);
         assert_eq!(EagleError::DeadlineExceeded("x".into()).code(), ErrorCode::DeadlineExceeded);

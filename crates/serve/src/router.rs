@@ -390,7 +390,22 @@ impl Router {
             }
             self.recorder.add("serve.waves", 1);
             self.recorder.observe("serve.wave_size", wave.len() as f64);
-            self.process_wave(wave, &mut agents);
+            // A panic inside the wave (a policy that decodes what the graph
+            // cannot take) must not leave its requests, or any later one,
+            // unanswered: fail the wave typed and go on. A request the wave
+            // had already answered ignores the second reply.
+            let waiting: Vec<_> =
+                wave.iter().map(|p| (p.req.id, p.reply.clone(), p.enqueued)).collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.process_wave(wave, &mut agents)
+            }));
+            if outcome.is_err() {
+                self.recorder.add("serve.router_panics", 1);
+                let err = EagleError::Internal("the router panicked answering this wave".into());
+                for (id, reply, enqueued) in waiting {
+                    self.finish(&reply, enqueued, PlaceResponse::failure(id, &err));
+                }
+            }
             let elapsed_us = started.elapsed().as_micros() as u64;
             let old = self.wave_us.load(Ordering::Relaxed);
             self.wave_us.store((old * 3 + elapsed_us) / 4, Ordering::Relaxed);
@@ -411,8 +426,7 @@ impl Router {
                         p.req.deadline_ms.unwrap_or(0),
                         p.enqueued.elapsed().as_millis()
                     ));
-                    let resp = PlaceResponse::failure(p.req.id, &err);
-                    self.finish(&p, resp);
+                    self.finish(&p.reply, p.enqueued, PlaceResponse::failure(p.req.id, &err));
                 }
                 _ => live.push(p),
             }
@@ -488,25 +502,24 @@ impl Router {
                     )
                 }
             };
-            self.finish(p, resp);
+            self.finish(&p.reply, p.enqueued, resp);
         }
     }
 
     fn fail_group(&self, group: Vec<Pending>, err: &EagleError) {
         for p in group {
-            let resp = PlaceResponse::failure(p.req.id, err);
-            self.finish(&p, resp);
+            self.finish(&p.reply, p.enqueued, PlaceResponse::failure(p.req.id, err));
         }
     }
 
-    fn finish(&self, p: &Pending, resp: PlaceResponse) {
+    fn finish(&self, reply: &mpsc::Sender<PlaceResponse>, enqueued: Instant, resp: PlaceResponse) {
         self.recorder.add("serve.requests", 1);
         if resp.error.is_some() {
             self.recorder.add("serve.errors", 1);
         }
-        self.recorder.observe("serve.latency_us", p.enqueued.elapsed().as_secs_f64() * 1e6);
+        self.recorder.observe("serve.latency_us", enqueued.elapsed().as_secs_f64() * 1e6);
         // A gone client (disconnected while queued) is not a router error.
-        let _ = p.reply.send(resp);
+        let _ = reply.send(resp);
     }
 }
 
@@ -703,6 +716,55 @@ mod tests {
         router.shutdown();
         handle.join().unwrap();
         assert_eq!(router.recorder().counter_value("serve.deadline_exceeded"), 1);
+    }
+
+    /// A wave that panics (GNMT queued under Inception's fingerprint: the
+    /// cached agent decodes a placement of the wrong length for the graph it
+    /// is simulated on) answers its requests typed, is counted, and leaves
+    /// the router answering the next request exactly as it did the last.
+    #[test]
+    fn a_panicking_wave_is_answered_typed_and_the_router_goes_on() {
+        let (router, graph, machine, family) = serve_setup("wave_panic");
+        let handle = {
+            let r = router.clone();
+            std::thread::spawn(move || r.run())
+        };
+        let ordinary = |id| {
+            let mut req = PlaceRequest::inline(id, &family, (*graph).clone());
+            req.machine = Some(machine.clone());
+            router.submit(req).unwrap().recv_timeout(Duration::from_secs(10)).expect("reply")
+        };
+        let before = ordinary(1);
+        assert!(before.error.is_none(), "{:?}", before.error);
+
+        let gnmt = Benchmark::Gnmt.graph_for(&machine);
+        let (tx, rx) = mpsc::channel();
+        let poisoned = Pending {
+            req: PlaceRequest::inline(2, &family, gnmt.clone()),
+            family: family.clone(),
+            candidates: 1,
+            graph: Arc::new(gnmt),
+            graph_fp: graph_fingerprint(&graph),
+            machine_fp: machine_fingerprint(&machine),
+            machine: Arc::new(machine.clone()),
+            reply: tx,
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        router.queue.lock().unwrap().pending.push_back(poisoned);
+        router.cv.notify_one();
+        let failed = rx.recv_timeout(Duration::from_secs(10)).expect("a typed reply, not a hang");
+        assert_eq!(failed.id, 2);
+        assert_eq!(failed.error.expect("typed failure").code, crate::api::ErrorCode::Internal);
+        assert_eq!(router.recorder().counter_value("serve.router_panics"), 1);
+        assert_eq!(router.recorder().counter_value("serve.errors"), 1);
+
+        let after = ordinary(1);
+        let line = |r: PlaceResponse| crate::api::encode_response(&crate::api::Response::Place(r));
+        assert_eq!(line(after), line(before), "the router answers on, bit-identically");
+        assert_eq!(router.recorder().counter_value("serve.requests"), 3);
+        router.shutdown();
+        handle.join().unwrap();
     }
 
     #[test]
