@@ -1,27 +1,25 @@
-//! Matmul kernel microbenchmark: the naive `ikj` kernel versus the
-//! cache-blocked packed-B kernel, in the three layouts a dense layer issues —
-//! the forward `x . w`, and its two gradient products `gy . wᵀ`
-//! (`Tensor::matmul_nt`) and `slot += xᵀ . gy` (`Tensor::matmul_tn_acc`) —
-//! across a sweep of squares and of the shapes the training workloads run.
+//! Matmul kernel microbenchmark: the two loops behind `Tensor::matmul`
+//! (row-streaming below `STREAM_MATMUL_ROWS` rows, cache-blocked packed-B
+//! from there up) and the gradient products `gy . wᵀ` (`matmul_nt`) and
+//! `slot += xᵀ . gy` (`matmul_tn_acc`), over squares and the shapes the
+//! training workloads run.
 //!
-//! Emits `BENCH_matmul.json` with per-shape wall-clock and ratios. Three
-//! columns carry the dispatch rule documented on `PAR_MATMUL_THRESHOLD`:
-//! `serial_sec` (one worker), `dispatch_sec` (the rule, at `--workers N` or
-//! the host's count) and `split2_sec` (the rows halved over two scoped
-//! threads whatever the rule says: what splitting would cost where the rule
-//! declines to). Every layout is checked bitwise-identical to the naive
-//! kernel on explicitly transposed operands before it is timed — the blocked
-//! kernel is a reassociation-free rewrite, so this holds exactly.
+//! Emits `BENCH_matmul.json`. `serial_sec` is the forward on one worker
+//! through the loop the shape picks, `packed_sec` the packed loop at any row
+//! count (`matmul_tn` of the transposed `x`): `STREAM_MATMUL_ROWS` is read
+//! off the two. `dispatch_sec` runs `PAR_MATMUL_THRESHOLD`'s rule at
+//! `--workers N` or the host's count, `split2_sec` the rows halved over two
+//! threads whatever the rule says. Each layout's bits are asserted equal to
+//! its definition on explicitly transposed operands (the forward's to the
+//! packed loop's) before it is timed: the binary exits non-zero if not.
 
 use eagle_bench::Cli;
-use eagle_tensor::{Tensor, PAR_MATMUL_THRESHOLD};
+use eagle_tensor::{Tensor, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};
 use serde_json::Value;
 
 /// `(m, k, n)` of the forward product `x (m, k) . w (k, n)`: squares
-/// bracketing the threshold, then what the workloads issue — the quick-scale
-/// decoder gate step at batch 1 and 10, the op-count-tall grouper layers on
-/// GNMT and Inception-V3, and the paper-width gate products `h . w_hh` and
-/// `x . w_ih` of a 10-sample minibatch.
+/// bracketing the threshold, then the op-count-tall grouper layers on GNMT
+/// and Inception-V3. [`SHORT_ROWS`] x [`SHORT_WIDTHS`] follow.
 const SHAPES: &[(usize, usize, usize)] = &[
     (16, 16, 16),
     (64, 64, 64),
@@ -29,13 +27,19 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (256, 256, 256),
     (1024, 64, 64),
     (64, 1024, 8),
-    (1, 48, 192),
-    (10, 156, 192),
     (2935, 81, 32),
     (1182, 81, 64),
-    (10, 512, 2048),
-    (10, 1664, 2048),
 ];
+
+/// Rows of the short products: one (a shared encoder or link step), a
+/// 10-sample minibatch's decoder step, and both sides of it.
+const SHORT_ROWS: [usize; 4] = [1, 4, 10, 16];
+
+/// `(k, n)` of the short products: the paper-width gate products `h . w_hh`
+/// and `x . w_ih`, the quick-scale ones, and the quick-scale grouper layer's
+/// widths (issued op-count tall only).
+const SHORT_WIDTHS: [(usize, usize); 5] =
+    [(512, 2048), (1664, 2048), (48, 192), (156, 192), (81, 32)];
 
 /// Total multiply-adds to spend per timed column, so small shapes get many
 /// repetitions and large ones few, at roughly constant wall-clock per cell.
@@ -44,8 +48,8 @@ const TARGET_MADDS: usize = 1 << 25;
 /// Timed rounds per column; the fastest is reported.
 const ROUNDS: usize = 7;
 
-/// Deterministic pseudo-random matrix; every 11th entry is exactly zero so
-/// the naive kernel's zero-skip path stays exercised.
+/// Deterministic pseudo-random matrix; every 11th entry is exactly zero, as
+/// in zero-padded batches, where a zero term must move no bit.
 fn fill(rows: usize, cols: usize, salt: u64) -> Tensor {
     let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     let data = (0..rows * cols)
@@ -87,7 +91,7 @@ fn bitwise_eq(x: &Tensor, y: &Tensor) -> bool {
 }
 
 /// `a . b` with the rows of `a` halved over two scoped threads, each running
-/// the serial kernel (and packing all of `b`) on its half; a single row is
+/// the serial product (and reading all of `b`) on its half; a single row is
 /// not split.
 fn split2(a: &Tensor, b: &Tensor) -> Tensor {
     if a.rows() < 2 {
@@ -112,11 +116,12 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
-        "matmul kernels: naive ikj vs cache-blocked packed-B, dispatch at {dispatch_workers} worker(s) on {host_cores} core(s), threshold {PAR_MATMUL_THRESHOLD} madds per worker"
+        "matmul kernels: streaming below {STREAM_MATMUL_ROWS} rows vs cache-blocked packed-B, dispatch at {dispatch_workers} worker(s) on {host_cores} core(s), threshold {PAR_MATMUL_THRESHOLD} madds per worker"
     );
 
+    let short = SHORT_WIDTHS.iter().flat_map(|&(k, n)| SHORT_ROWS.map(|m| (m, k, n)));
     let mut shapes_out: Vec<Value> = Vec::new();
-    for &(m, k, n) in SHAPES {
+    for (m, k, n) in SHAPES.iter().copied().chain(short) {
         let x = fill(m, k, 1 + m as u64);
         let w = fill(k, n, 2 + n as u64);
         let gy = fill(m, n, 3 + k as u64);
@@ -128,16 +133,16 @@ fn main() {
         let (wt, xt) = (w.transpose(), x.transpose());
         let held = fill(k, n, 4 + m as u64);
         let mut held_plus_tn = held.clone();
-        held_plus_tn.add_assign(&xt.matmul_naive(&gy));
+        held_plus_tn.add_assign(&xt.matmul(&gy));
         let mut identical = [true; 3];
         for workers in [1, dispatch_workers] {
             eagle_obs::set_available_workers(workers);
             let mut acc = held.clone();
             x.matmul_tn_acc(&gy, &mut acc);
-            identical[0] &= bitwise_eq(&x.matmul(&w), &x.matmul_naive(&w));
-            identical[1] &= bitwise_eq(&gy.matmul_nt(&w), &gy.matmul_naive(&wt));
-            identical[2] &= bitwise_eq(&x.matmul_tn(&gy), &xt.matmul_naive(&gy))
-                && bitwise_eq(&acc, &held_plus_tn);
+            identical[0] &= bitwise_eq(&x.matmul(&w), &xt.matmul_tn(&w));
+            identical[1] &= bitwise_eq(&gy.matmul_nt(&w), &gy.matmul(&wt));
+            identical[2] &=
+                bitwise_eq(&x.matmul_tn(&gy), &xt.matmul(&gy)) && bitwise_eq(&acc, &held_plus_tn);
         }
         assert!(identical.iter().all(|&ok| ok), "{m}x{k}@{k}x{n}: kernels disagree {identical:?}");
 
@@ -149,12 +154,12 @@ fn main() {
         eagle_obs::set_available_workers(1);
         let keep = |t: Tensor| drop(std::hint::black_box(t));
         let slot = std::cell::RefCell::new(held);
-        let [naive_sec, serial_sec, dispatch_sec, split2_sec, nt_sec, nt_transposing_sec, tn_acc_sec, tn_transposing_sec] =
+        let [serial_sec, packed_sec, dispatch_sec, split2_sec, nt_sec, nt_transposing_sec, tn_acc_sec, tn_transposing_sec] =
             bench(
                 iters,
                 [
-                    &|| keep(x.matmul_naive(&w)),
                     &|| keep(x.matmul(&w)),
+                    &|| keep(xt.matmul_tn(&w)),
                     &|| {
                         eagle_obs::set_available_workers(dispatch_workers);
                         keep(x.matmul(&w));
@@ -171,9 +176,9 @@ fn main() {
 
         let gflops = |sec: f64| 2.0 * madds as f64 / sec / 1e9;
         println!(
-            "  {m:>5}x{k:<5}@{k:>5}x{n:<5} naive {:>6.2}  serial {:>6.2}  dispatch {:>6.2}  split2 {:>6.2}  nt {:>6.2} (transposing {:>6.2})  tn_acc {:>6.2} (transposing {:>6.2}) GF/s",
-            gflops(naive_sec),
+            "  {m:>5}x{k:<5}@{k:>5}x{n:<5} serial {:>6.2}  packed {:>6.2}  dispatch {:>6.2}  split2 {:>6.2}  nt {:>6.2} (transposing {:>6.2})  tn_acc {:>6.2} (transposing {:>6.2}) GF/s",
             gflops(serial_sec),
+            gflops(packed_sec),
             gflops(dispatch_sec),
             split2_sec.map_or(f64::NAN, gflops),
             gflops(nt_sec),
@@ -187,8 +192,8 @@ fn main() {
             ("n", Value::U64(n as u64)),
             ("madds", Value::U64(madds as u64)),
             ("iters", Value::U64(iters as u64)),
-            ("naive_sec", Value::from(naive_sec)),
             ("serial_sec", Value::from(serial_sec)),
+            ("packed_sec", Value::from(packed_sec)),
             ("dispatch_sec", Value::from(dispatch_sec)),
             ("split2_sec", split2_sec.map_or(Value::Null, Value::from)),
             ("nt_sec", Value::from(nt_sec)),
@@ -196,7 +201,7 @@ fn main() {
             ("tn_acc_sec", Value::from(tn_acc_sec)),
             ("tn_transposing_sec", Value::from(tn_transposing_sec)),
             ("gflops_serial", Value::from(gflops(serial_sec))),
-            ("serial_speedup_vs_naive", Value::from(naive_sec / serial_sec)),
+            ("serial_vs_packed", Value::from(packed_sec / serial_sec)),
             ("dispatch_vs_serial", Value::from(serial_sec / dispatch_sec)),
             ("split2_vs_serial", split2_sec.map_or(Value::Null, |s| Value::from(serial_sec / s))),
             ("bitwise_identical", Value::Bool(identical[0])),
@@ -211,6 +216,7 @@ fn main() {
         ("host_cores", Value::U64(host_cores as u64)),
         ("dispatch_workers", Value::U64(dispatch_workers as u64)),
         ("par_matmul_threshold_madds_per_worker", Value::U64(PAR_MATMUL_THRESHOLD as u64)),
+        ("stream_matmul_rows", Value::U64(STREAM_MATMUL_ROWS as u64)),
         ("shapes", Value::Array(shapes_out)),
     ]);
     cli.write_artifact("BENCH_matmul.json", &serde_json::to_string(&doc).expect("serialize"));

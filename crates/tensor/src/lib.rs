@@ -48,4 +48,4 @@ mod tensor;
 pub use grads::Grads;
 pub use params::{ParamId, Params};
 pub use tape::{FusedAct, Tape, Var};
-pub use tensor::{softmax_row, Tensor, PAR_MATMUL_THRESHOLD};
+pub use tensor::{softmax_row, Tensor, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};

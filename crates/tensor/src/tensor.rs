@@ -4,8 +4,14 @@
 //! vectors, a weight matrix, a sequence of embeddings), so the engine deliberately
 //! supports only rank 2: it keeps indexing, broadcasting and the autodiff rules simple
 //! and auditable. A row vector is `(1, n)`; a scalar is `(1, 1)`.
+//!
+//! A product runs one of two kernel loops, picked by its row count alone
+//! ([`STREAM_MATMUL_ROWS`]): `matmul_rows` streams `B`, `gemm_rows` packs it
+//! and may shard ([`PAR_MATMUL_THRESHOLD`]). Both give every element the same
+//! ascending-`k` sum, so which one ran never shows in the bits.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Work (in multiply-adds, `rows * n * k`) one worker's share of a product
 /// must reach before [`Tensor::matmul`] and its transposed-operand siblings
@@ -19,23 +25,30 @@ use std::fmt;
 /// Both halves are read off `results/BENCH_matmul.json` (`matmul_bench` on a
 /// 2-vCPU host: `serial_sec` is one worker, `dispatch_sec` this rule at two,
 /// `split2_sec` the rows halved over two threads whatever the rule says).
-/// The row half: the 10-row LSTM gate products of a paper-width minibatch
-/// (`10x512 . 512x2048`, `10x1664 . 1664x2048`) are 5 and 16 times this
-/// constant in total work, but split 5 + 5 both threads stream the whole
-/// multi-megabyte weight to fill two register tiles each — `split2` runs at
-/// 0.61x and 0.64x of `serial` — so they stay on one thread (`dispatch` =
-/// `serial`). The work half: a scoped thread costs tens of microseconds to
-/// start and to wake a core for, which a share of `128^3` multiply-adds
-/// (176 us of the serial kernel) can repay and a smaller one cannot, so
-/// `128x128 . 128x128` and everything below it is serial (`split2` 0.04x to
-/// 0.80x there). What the rule does split — `256^3` and the op-count-tall
-/// grouper products `2935x81 . 81x32`, `1182x81 . 81x64`, whose `B` packs
-/// into a few KiB — measured 0.91x to 0.95x of `serial` on that host, whose
-/// second vCPU adds no throughput to sub-millisecond bursts (`split2` loses
-/// on every row, `256^3` included); `train_gnmt` end to end ties with a
-/// build that never splits (CHANGES.md, PR 16). Splitting them is what a
-/// second real core turns into time saved; nothing here is tuned to a host.
+/// The row half keeps a share from packing a whole weight for a few register
+/// tiles, and keeps every streamed product ([`STREAM_MATMUL_ROWS`]) on one
+/// thread, though halving the 10-row LSTM gate products of a paper-width
+/// minibatch reads 1.48x and 1.77x of `serial` there: sharding a streamed
+/// product is open. The work half: a scoped thread costs tens of
+/// microseconds to start and to wake a core for, which a share of `128^3`
+/// multiply-adds (227 us serial) can repay and a smaller one cannot, so
+/// `128x128 . 128x128` and everything below it is serial (`split2` 0.03x to
+/// 1.04x there). What the rule does split — `256^3` and the op-count-tall
+/// grouper products `2935x81 . 81x32`, `1182x81 . 81x64` — measured 1.40x to
+/// 1.71x of `serial`. Nothing here is tuned to a host.
 pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
+
+/// [`Tensor::matmul`] streams a product with fewer rows than this through
+/// `matmul_rows` rather than pack `B` for `gemm_rows`, whose `KC x NR` panels
+/// copy all of a multi-megabyte weight to feed at most three `MR`-row tiles.
+/// Read off `results/BENCH_matmul.json` (`serial_sec` against `packed_sec`)
+/// as the largest swept row count at which streaming wins at every width a
+/// workload issues short: 10, where it runs `10x1664 . 1664x2048` 2.22x,
+/// `10x512 . 512x2048` 1.68x and `10x156 . 156x192` 1.36x faster (one row:
+/// 5.2x to 8.1x). Built with the bound past 16, the sweep had packing win at
+/// `16x156 . 156x192` (0.94x, 0.98x); at 10 rows it wins only at `81x32`
+/// (0.97x), a width the grouper issues op-count tall. The bits never differ.
+pub const STREAM_MATMUL_ROWS: usize = 11;
 
 /// Worker threads a `(m, k) . (k, n)` product is split across (see
 /// [`PAR_MATMUL_THRESHOLD`]); the ceiling is the workspace-wide cached host
@@ -317,14 +330,15 @@ impl Tensor {
         out
     }
 
-    /// Matrix product `self @ other` through the cache-blocked kernel with
-    /// packed-B micro-panels (`gemm_rows`).
+    /// Matrix product `self @ other`: fewer than [`STREAM_MATMUL_ROWS`] rows
+    /// stream `other` row by row (`matmul_rows`), the rest go through the
+    /// cache-blocked kernel with packed-B micro-panels (`gemm_rows`).
     ///
     /// Tall products are sharded across threads with `crossbeam::scope`
     /// (how many is [`PAR_MATMUL_THRESHOLD`]'s rule), splitting the *output
     /// rows* so each thread writes a disjoint region (no synchronization on
-    /// the hot path). Every thread count produces bit-identical results: each
-    /// output element is one ascending-`k` f32 accumulation.
+    /// the hot path). Every kernel and thread count produces bit-identical
+    /// results: each output element is one ascending-`k` f32 accumulation.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
@@ -335,7 +349,11 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Self::zeros(self.rows, other.cols);
-        gemm(Lhs::rows(self), Rhs { data: &other.data, transposed: false }, &mut out, false);
+        if self.rows < STREAM_MATMUL_ROWS {
+            matmul_rows(&self.data, &other.data, &mut out.data, self.cols, other.cols);
+        } else {
+            gemm(Lhs::rows(self), Rhs { data: &other.data, transposed: false }, &mut out, false);
+        }
         out
     }
 
@@ -384,15 +402,6 @@ impl Tensor {
         } else {
             into.add_assign(&self.matmul_tn(other));
         }
-    }
-
-    /// Matrix product through the serial triple-loop `ikj` kernel: the bitwise
-    /// reference [`Tensor::matmul`] is tested and benchmarked against.
-    pub fn matmul_naive(&self, other: &Self) -> Self {
-        assert_eq!(self.cols, other.rows, "matmul_naive shape mismatch");
-        let mut out = Self::zeros(self.rows, other.cols);
-        matmul_rows(&self.data, &other.data, &mut out.data, self.cols, other.cols);
-        out
     }
 
     /// Concatenates tensors horizontally (same number of rows).
@@ -485,19 +494,46 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
-/// Reference kernel: computes `A @ B` into the zeroed `out` serially.
-///
-/// `a` is the `m x k` left matrix, `b` the `k x n` right matrix. The `ikj` order
-/// keeps the inner loop streaming over contiguous memory in both `b` and `out`.
+/// Row-streaming kernel for short products: computes `A @ B` into the zeroed
+/// `out` serially, `a` the `m x k` left matrix and `b` the `k x n` right one.
 fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    for (a_row, out_row) in a.chunks(k.max(1)).zip(out.chunks_mut(n.max(1))) {
-        for (kk, &a_ik) in a_row.iter().enumerate() {
-            if a_ik == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                *o += a_ik * b_kj;
+    let whole = k - k % KU;
+    stream_rows::<KU>(a, b, out, 0..whole, k, n);
+    stream_rows::<1>(a, b, out, whole..k, k, n);
+}
+
+/// `B` rows per pass of `stream_rows`: an output element is loaded and
+/// stored once per `KU` products instead of once per product.
+const KU: usize = 8;
+
+/// Adds `a[i][kk] * b[kk][j]` into `out[i][j]` for `kk` in `ks` (whole passes
+/// of `U`), ascending. A block of output columns small enough that all `m`
+/// rows of it stay in L1 (a packed panel's `KC * NR` floats) is swept `U`
+/// rows of `B` at a time, then rows of `A`, so each `B` row segment is read
+/// once, contiguously. Every element gets `gemm_rows`' sum, bit for bit, for
+/// every input: no term is skipped.
+fn stream_rows<const U: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    ks: Range<usize>,
+    k: usize,
+    n: usize,
+) {
+    let block = (KC / (out.len() / n.max(1)).max(1)).max(1) * NR;
+    for jb in (0..n).step_by(block) {
+        let len = block.min(n - jb);
+        for kk in ks.clone().step_by(U) {
+            let b_seg: [&[f32]; U] = std::array::from_fn(|u| &b[(kk + u) * n + jb..][..len]);
+            for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                let a_ik = &a_row[kk..kk + U];
+                for (j, o) in out_row[jb..][..len].iter_mut().enumerate() {
+                    let mut v = *o;
+                    for (&x, seg) in a_ik.iter().zip(&b_seg) {
+                        v += x * seg[j];
+                    }
+                    *o = v;
+                }
             }
         }
     }
@@ -509,8 +545,8 @@ const MR: usize = 4;
 /// SSE2 lanes). The `MR x NR` accumulator tile occupies 8 of the baseline
 /// x86-64 target's 16 xmm registers, leaving room for the packed-`B` vectors
 /// and the broadcast `A` element. `NR = 16` (a full cache line) spilled the
-/// tile to the stack on the SSE2 baseline and lost to the naive kernel at
-/// mid sizes — see `results/BENCH_matmul.json`.
+/// tile to the stack on the SSE2 baseline and lost to a plain `ikj` loop at
+/// mid sizes.
 const NR: usize = 8;
 /// Cache-block depth over the inner dimension: one packed panel is
 /// `KC x NR` f32 = 16 KiB, comfortably inside L1 alongside the `A` rows.
@@ -601,19 +637,15 @@ fn gemm(a: Lhs<'_>, b: Rhs<'_>, out: &mut Tensor, accumulate: bool) {
 /// through it between k-blocks. With it (one k-block only, `k <= KC`) the tile
 /// starts at `+0.0` and the finished sum is added to what `out` holds.
 ///
-/// # Bit-identity with the naive kernel
+/// # Bit-identity with the streaming kernel
 ///
-/// Every output element is produced by exactly one f32 accumulator that starts
-/// at `+0.0` and adds `a[i][kk] * b[kk][j]` for `kk` ascending — k-blocks are
-/// visited in order and the accumulator round-trips through `out` between
-/// blocks, which is exact. That is the naive kernel's summation order, so the
-/// results match bit for bit. The one textual difference is that the naive
-/// kernel *skips* `kk` where `a[i][kk] == 0.0`; for the finite values the tape
-/// guarantees, adding those `±0.0` products is a bitwise no-op (the
-/// accumulator can never be `-0.0`: it starts at `+0.0`, cancellation rounds
-/// to `+0.0`, and `+0.0 + -0.0 = +0.0`), so batched layers built on
-/// zero-padding — e.g. the GCN placer's block-diagonal adjacency — keep their
-/// per-episode bit-identity under either kernel.
+/// Every output element is one f32 accumulator that starts at `+0.0` and
+/// adds `a[i][kk] * b[kk][j]` for `kk` ascending (k-blocks in order, the
+/// accumulator round-tripping exactly through `out`): `matmul_rows`' sum, so
+/// the bits match (NaN payloads aside: LLVM may commute an f32 add). A finite
+/// `±0.0` product adds nothing (the accumulator is never `-0.0`), so layers
+/// built on zero-padding — the GCN placer's block-diagonal adjacency — keep
+/// their per-episode bits.
 fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], row0: usize, n: usize, accumulate: bool) {
     let k = a.inner;
     let rows = out.len() / n.max(1);
@@ -777,22 +809,22 @@ mod tests {
             let a = fill(m, k, (m + k) as u32);
             let b = fill(k, n, (k + n) as u32);
             let gy = fill(m, n, (m + n) as u32);
-            let naive = a.matmul_naive(&b);
-            let naive_nt = gy.matmul_naive(&b.transpose());
-            let naive_tn = a.transpose().matmul_naive(&gy);
+            let want_nn = streamed(&a, &b);
+            let want_nt = streamed(&gy, &b.transpose());
+            let want_tn = streamed(&a.transpose(), &gy);
             let held = fill(k, n, 7);
-            let mut naive_acc = held.clone();
-            naive_acc.add_assign(&naive_tn);
+            let mut want_acc = held.clone();
+            want_acc.add_assign(&want_tn);
             for workers in [2, 3] {
                 eagle_obs::set_available_workers(workers);
                 assert_eq!(matmul_workers(m, k, n) > 1, sharded, "{m}x{k}@{k}x{n}");
                 let mut acc = held.clone();
                 a.matmul_tn_acc(&gy, &mut acc);
                 let products = [
-                    ("nn", a.matmul(&b), &naive),
-                    ("nt", gy.matmul_nt(&b), &naive_nt),
-                    ("tn", a.matmul_tn(&gy), &naive_tn),
-                    ("tn_acc", acc, &naive_acc),
+                    ("nn", a.matmul(&b), &want_nn),
+                    ("nt", gy.matmul_nt(&b), &want_nt),
+                    ("tn", a.matmul_tn(&gy), &want_tn),
+                    ("tn_acc", acc, &want_acc),
                 ];
                 eagle_obs::set_available_workers(0);
                 for (layout, got, want) in products {
@@ -800,6 +832,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `a @ b` through the streaming kernel whatever its row count.
+    fn streamed(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.cols);
+        matmul_rows(&a.data, &b.data, &mut out.data, a.cols, b.cols);
+        out
     }
 
     fn assert_bitwise_eq(got: &Tensor, want: &Tensor, ctx: &str) {
@@ -817,7 +856,7 @@ mod tests {
             .map(|_| {
                 state = state.wrapping_mul(1664525).wrapping_add(1013904223);
                 match state % 11 {
-                    0 => 0.0, // exercise the naive kernel's zero-skip path
+                    0 => 0.0, // a zero product must not move the sum's bits
                     r => ((state >> 8) as f32 / (1 << 24) as f32 - 0.5) * r as f32,
                 }
             })
@@ -826,11 +865,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_bitwise_across_edge_shapes() {
+    fn packed_matches_streamed_bitwise_across_edge_shapes() {
         // Shapes chosen to hit every tile-boundary case: below one register
         // tile, exact multiples of MR/NR/KC, and ragged tails in each of m, n
         // and k (including k > KC so multiple k-blocks round-trip through the
-        // output buffer).
+        // output buffer). Each runs through both kernels whatever its row
+        // count, the 1- and 10-row ones past one streamed column block.
         let shapes = [
             (1, 1, 1),
             (3, 2, 5),
@@ -842,11 +882,17 @@ mod tests {
             // sharded path is `matmul_parallel_matches_serial`'s.
             (97, 53, 71),
             (2, 1, 400),
+            (1, 513, 4100),
+            (10, 300, 500),
         ];
         for (m, k, n) in shapes {
             let a = fill(m, k, (m * 1000 + k) as u32);
             let b = fill(k, n, (k * 1000 + n) as u32);
-            assert_bitwise_eq(&a.matmul(&b), &a.matmul_naive(&b), &format!("({m}x{k})@({k}x{n})"));
+            let mut packed = Tensor::zeros(m, n);
+            gemm(Lhs::rows(&a), Rhs { data: &b.data, transposed: false }, &mut packed, false);
+            let ctx = format!("({m}x{k})@({k}x{n})");
+            assert_bitwise_eq(&streamed(&a, &b), &packed, &ctx);
+            assert_bitwise_eq(&a.matmul(&b), &packed, &ctx);
         }
     }
 

@@ -8,14 +8,13 @@
 //! exactly this; the seq2seq decode is additionally held to a hand-written
 //! serial oracle in `eagle_nn`'s unit tests.) On top of the per-call equivalence, a full training run through
 //! the batched trainer must stay identical across worker counts and
-//! checkpoint resumes (discrete outcomes exactly, curve floats within the
-//! documented ULP budgets in `tests/common`).
+//! checkpoint resumes, curve floats included, to the bit.
 //!
 //! The *single-backward* update path (sum per-episode losses with `add_n`,
 //! traverse the shared tape once) is a genuine float reordering relative to
 //! the per-episode backward loop, so its gradients are compared under the
 //! mixed absolute/relative tolerance `assert_grad_close` rather than
-//! bitwise — see `tests/common` for the budget rationale.
+//! bitwise — see `tests/common` for the tolerance policy.
 
 use eagle::core::{
     AgentScale, Algo, EagleAgent, FixedGroupAgent, GraphSource, HpAgent, PlacementAgent,
@@ -30,7 +29,7 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 mod common;
-use common::{assert_curves_close, assert_grad_close, assert_opt_f64_close, CURVE_ULPS};
+use common::{assert_grad_close, assert_same_curve, assert_same_opt_f64};
 
 fn tiny_graph() -> OpGraph {
     builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config")
@@ -302,12 +301,11 @@ fn train_hp(workers: usize) -> eagle::core::TrainResult {
 fn batched_training_curve_identical_across_worker_counts() {
     let serial = train_hp(1);
     let auto = train_hp(0);
-    assert_curves_close(&serial.curve, &auto.curve, "serial vs auto workers");
+    assert_same_curve(&serial.curve, &auto.curve, "serial vs auto workers");
     assert_eq!(serial.best_placement, auto.best_placement);
-    assert_opt_f64_close(
+    assert_same_opt_f64(
         serial.final_step_time,
         auto.final_step_time,
-        CURVE_ULPS,
         "serial vs auto workers: final step time",
     );
     assert_eq!(serial.num_invalid, auto.num_invalid);
@@ -359,12 +357,11 @@ fn batched_training_resumes_bit_identically() {
         .train_from(&resumed_agent, &mut resumed_params, state)
         .expect("resume succeeds");
 
-    assert_curves_close(&full.curve, &resumed.curve, "full vs resumed");
+    assert_same_curve(&full.curve, &resumed.curve, "full vs resumed");
     assert_eq!(full.best_placement, resumed.best_placement);
-    assert_opt_f64_close(
+    assert_same_opt_f64(
         full.final_step_time,
         resumed.final_step_time,
-        CURVE_ULPS,
         "full vs resumed: final step time",
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -1,11 +1,8 @@
 //! Crash-safe resume contract: a run killed at a minibatch boundary and
 //! resumed from its checkpoint produces the same curve, parameters, best
 //! placement and final measurement as the uninterrupted run with the same
-//! seed, for every algorithm and worker count. Discrete outcomes (placements,
-//! sample counts) must match exactly; float curves and parameters are compared
-//! under the documented ULP budgets in `tests/common` (observed distance
-//! today: 0 — the budget only licenses mathematically neutral float
-//! reorderings inside the update path, not different results).
+//! seed, for every algorithm and worker count: discrete outcomes (placements,
+//! sample counts) and every bit of the float curves and parameters.
 //!
 //! The "kill" is simulated by training only the first *k* minibatches with
 //! auto-checkpointing on: the checkpoint written at minibatch *k* is exactly
@@ -27,7 +24,7 @@ use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
 
 mod common;
-use common::{assert_f32_close, assert_f64_close, assert_opt_f64_close, CURVE_ULPS, PARAM_ULPS};
+use common::{assert_same_curve, assert_same_opt_f64};
 
 const MINIBATCH: usize = 10;
 
@@ -107,48 +104,25 @@ fn killed_and_resumed(
     (result, params)
 }
 
-/// Discrete outcomes match exactly; floats match within the documented
-/// ULP budgets ([`CURVE_ULPS`] for curve values, [`PARAM_ULPS`] for trained
-/// parameters).
+/// Discrete outcomes and every float bit match.
 fn assert_run_matches(a: &(TrainResult, Params), b: &(TrainResult, Params), ctx: &str) {
     let ((ra, pa), (rb, pb)) = (a, b);
     assert_eq!(ra.samples, rb.samples, "{ctx}: samples");
     assert_eq!(ra.num_invalid, rb.num_invalid, "{ctx}: num_invalid");
-    assert_eq!(ra.curve.points.len(), rb.curve.points.len(), "{ctx}: curve length");
-    for (i, (x, y)) in ra.curve.points.iter().zip(&rb.curve.points).enumerate() {
-        assert_eq!(x.sample, y.sample, "{ctx}: point {i} sample");
-        assert_f64_close(
-            x.wall_clock,
-            y.wall_clock,
-            CURVE_ULPS,
-            &format!("{ctx}: point {i} wall_clock"),
-        );
-        assert_opt_f64_close(
-            x.measured,
-            y.measured,
-            CURVE_ULPS,
-            &format!("{ctx}: point {i} measured"),
-        );
-        assert_opt_f64_close(
-            x.best_so_far,
-            y.best_so_far,
-            CURVE_ULPS,
-            &format!("{ctx}: point {i} best_so_far"),
-        );
-    }
+    assert_same_curve(&ra.curve, &rb.curve, ctx);
     assert_eq!(ra.best_placement, rb.best_placement, "{ctx}: best placement");
-    assert_opt_f64_close(
-        ra.final_step_time,
-        rb.final_step_time,
-        CURVE_ULPS,
-        &format!("{ctx}: final step time"),
-    );
+    assert_same_opt_f64(ra.final_step_time, rb.final_step_time, &format!("{ctx}: final step time"));
     assert_eq!(pa.len(), pb.len(), "{ctx}: param tensor count");
     for id in pa.ids() {
         let (ta, tb) = (pa.get(id), pb.get(id));
         assert_eq!(ta.shape(), tb.shape(), "{ctx}: shape of {}", pa.name(id));
         for (j, (va, vb)) in ta.data().iter().zip(tb.data()).enumerate() {
-            assert_f32_close(*va, *vb, PARAM_ULPS, &format!("{ctx}: param {}[{j}]", pa.name(id)));
+            assert_eq!(
+                va.to_bits(),
+                vb.to_bits(),
+                "{ctx}: param {}[{j}]: {va} vs {vb}",
+                pa.name(id)
+            );
         }
     }
 }

@@ -1,42 +1,27 @@
-//! Shared tolerance helpers for the integration suites.
+//! Shared assertions for the integration suites.
 //!
-//! # Tolerance policy (ULP budgets)
+//! # Tolerance policy
 //!
 //! The determinism suites compare two *runs of the same update path* (different
 //! worker counts, straight vs checkpoint-resumed, telemetry on vs off). That
-//! path is serial and deterministic, so the observed distance today is exactly
-//! 0 ULPs everywhere. The comparisons still go through these budgeted helpers
-//! rather than `to_bits()` equality because the minibatch update performs a
-//! *summed-loss single backward*: per-episode gradient contributions combine in
-//! tape-node order, a float reduction whose order is an implementation detail
-//! of the tensor core. The budgets below bound how far a mathematically
-//! neutral reordering (a future kernel or traversal change) may drift before
-//! we treat it as a regression:
-//!
-//! * [`CURVE_ULPS`] — `f64` training-curve values (measured step times,
-//!   simulated wall-clock, running best). Budget 8 ULPs ≈ 1.8e-15 relative.
-//! * [`PARAM_ULPS`] — `f32` trained parameters after tens of Adam steps.
-//!   Budget 64 ULPs ≈ 7.6e-6 relative; parameters integrate gradient noise,
-//!   so they get more headroom than curve points.
-//!
-//! Integer-valued outcomes (argmax placements, sample counts, cache counters,
-//! RNG positions) stay under exact `assert_eq!` — no budget excuses a
-//! different decision.
+//! path is serial and deterministic, and both matmul kernels sum every output
+//! element in the one ascending-`k` order whatever the shape or thread count,
+//! so those runs agree to the bit: their floats are compared by `to_bits()`,
+//! like the integer-valued outcomes (argmax placements, sample counts, cache
+//! counters, RNG positions) under exact `assert_eq!`.
 //!
 //! Gradient comparisons between the *single-backward* and *per-episode
-//! backward* paths compare genuinely reordered `f32` reductions; those use the
-//! mixed absolute/relative bound [`assert_grad_close`] ([`GRAD_ATOL`],
-//! [`GRAD_RTOL`]) instead of ULPs, since cancellation in advantage-weighted
-//! sums makes per-element ULP distances unbounded in principle.
+//! backward* paths compare genuinely reordered `f32` reductions (the minibatch
+//! update sums per-episode losses before one backward, so per-episode
+//! contributions combine in tape-node order); those use the mixed
+//! absolute/relative bound [`assert_grad_close`] ([`GRAD_ATOL`],
+//! [`GRAD_RTOL`]), since cancellation in advantage-weighted sums makes
+//! per-element ULP distances unbounded in principle.
 
 #![allow(dead_code)] // each integration test binary uses a subset
 
 use eagle::core::Curve;
 
-/// ULP budget for `f64` curve values (see module docs).
-pub const CURVE_ULPS: u64 = 8;
-/// ULP budget for `f32` trained-parameter values (see module docs).
-pub const PARAM_ULPS: u32 = 64;
 /// Absolute floor for single-backward vs per-episode gradient agreement.
 pub const GRAD_ATOL: f32 = 1e-6;
 /// Relative bound for single-backward vs per-episode gradient agreement:
@@ -45,92 +30,21 @@ pub const GRAD_ATOL: f32 = 1e-6;
 /// scaled by the largest term, below).
 pub const GRAD_RTOL: f32 = 1e-3;
 
-/// Distance in units-in-the-last-place between two `f64`s, treating the pair
-/// as points on the monotone integer number line (sign-folded). NaNs never
-/// compare close; `+0.0` and `-0.0` are 0 apart.
-pub fn ulp_distance_f64(a: f64, b: f64) -> u64 {
-    if a == b {
-        return 0;
-    }
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    let fold = |x: f64| -> i128 {
-        let bits = x.to_bits() as i64;
-        if bits < 0 {
-            (i64::MIN as i128) - (bits as i128)
-        } else {
-            bits as i128
-        }
-    };
-    fold(a).abs_diff(fold(b)) as u64
+/// Asserts two `Option<f64>`s agree in presence and, when present, bits.
+pub fn assert_same_opt_f64(a: Option<f64>, b: Option<f64>, ctx: &str) {
+    assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{ctx}: {a:?} vs {b:?}");
 }
 
-/// `f32` version of [`ulp_distance_f64`].
-pub fn ulp_distance_f32(a: f32, b: f32) -> u32 {
-    if a == b {
-        return 0;
-    }
-    if a.is_nan() || b.is_nan() {
-        return u32::MAX;
-    }
-    let fold = |x: f32| -> i64 {
-        let bits = x.to_bits() as i32;
-        if bits < 0 {
-            (i32::MIN as i64) - (bits as i64)
-        } else {
-            bits as i64
-        }
-    };
-    fold(a).abs_diff(fold(b)) as u32
-}
-
-/// Asserts two `f64`s are within `budget` ULPs.
-pub fn assert_f64_close(a: f64, b: f64, budget: u64, ctx: &str) {
-    let d = ulp_distance_f64(a, b);
-    assert!(d <= budget, "{ctx}: {a} vs {b} differ by {d} ULPs (budget {budget})");
-}
-
-/// Asserts two `f32`s are within `budget` ULPs.
-pub fn assert_f32_close(a: f32, b: f32, budget: u32, ctx: &str) {
-    let d = ulp_distance_f32(a, b);
-    assert!(d <= budget, "{ctx}: {a} vs {b} differ by {d} ULPs (budget {budget})");
-}
-
-/// Asserts two `Option<f64>`s agree in presence and, when present, within
-/// `budget` ULPs.
-pub fn assert_opt_f64_close(a: Option<f64>, b: Option<f64>, budget: u64, ctx: &str) {
-    match (a, b) {
-        (None, None) => {}
-        (Some(x), Some(y)) => assert_f64_close(x, y, budget, ctx),
-        _ => panic!("{ctx}: presence differs ({a:?} vs {b:?})"),
-    }
-}
-
-/// Asserts two training curves agree: identical sample indices (exact) and all
-/// float fields within [`CURVE_ULPS`].
-pub fn assert_curves_close(a: &Curve, b: &Curve, ctx: &str) {
+/// Asserts two training curves are identical: sample indices and every float
+/// field's bits.
+pub fn assert_same_curve(a: &Curve, b: &Curve, ctx: &str) {
     assert_eq!(a.points.len(), b.points.len(), "{ctx}: curve length");
     for (i, (x, y)) in a.points.iter().zip(&b.points).enumerate() {
         assert_eq!(x.sample, y.sample, "{ctx}: point {i} sample index");
-        assert_f64_close(
-            x.wall_clock,
-            y.wall_clock,
-            CURVE_ULPS,
-            &format!("{ctx}: point {i} wall_clock"),
-        );
-        assert_opt_f64_close(
-            x.measured,
-            y.measured,
-            CURVE_ULPS,
-            &format!("{ctx}: point {i} measured"),
-        );
-        assert_opt_f64_close(
-            x.best_so_far,
-            y.best_so_far,
-            CURVE_ULPS,
-            &format!("{ctx}: point {i} best_so_far"),
-        );
+        let (wx, wy) = (x.wall_clock, y.wall_clock);
+        assert_eq!(wx.to_bits(), wy.to_bits(), "{ctx}: point {i} wall_clock: {wx} vs {wy}");
+        assert_same_opt_f64(x.measured, y.measured, &format!("{ctx}: point {i} measured"));
+        assert_same_opt_f64(x.best_so_far, y.best_so_far, &format!("{ctx}: point {i} best_so_far"));
     }
 }
 

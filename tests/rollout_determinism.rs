@@ -2,11 +2,8 @@
 //! for every worker count. Sampling and noise stay serial and seeded; only the
 //! pure per-episode work (decode + simulation) fans out, so the curve, the
 //! trained policy's best placement and every counter must match between a
-//! serial run and a parallel one. Discrete outcomes (placements, counters,
-//! sample counts) match exactly; curve floats are compared under the
-//! documented ULP budgets in `tests/common` (observed distance today: 0 —
-//! the budget only licenses mathematically neutral float reorderings inside
-//! the single-backward update path, not different results).
+//! serial run and a parallel one: discrete outcomes (placements, counters,
+//! sample counts) and curve floats, to the bit.
 
 use eagle::core::{AgentScale, Algo, EagleAgent, GraphSource, TrainResult, Trainer, TrainerConfig};
 use eagle::devsim::{Benchmark, Machine, MeasureConfig};
@@ -17,7 +14,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 mod common;
-use common::{assert_curves_close, assert_opt_f64_close, CURVE_ULPS};
+use common::{assert_same_curve, assert_same_opt_f64};
 
 fn run_with_workers(workers: usize) -> TrainResult {
     run_with_workers_and_recorder(workers, Recorder::disabled())
@@ -79,14 +76,13 @@ fn same_seed_same_curve_for_any_worker_count() {
     let parallel = run_with_workers(4);
 
     // Curve points carry the measured values, the noise realization (through
-    // `measured`) and the simulated wall-clock — sample indices exactly,
-    // floats within the curve ULP budget.
-    assert_curves_close(&serial.curve, &parallel.curve, "serial vs parallel");
+    // `measured`) and the simulated wall-clock — sample indices and float
+    // bits.
+    assert_same_curve(&serial.curve, &parallel.curve, "serial vs parallel");
     assert_eq!(serial.best_placement, parallel.best_placement);
-    assert_opt_f64_close(
+    assert_same_opt_f64(
         serial.final_step_time,
         parallel.final_step_time,
-        CURVE_ULPS,
         "serial vs parallel: final step time",
     );
     assert_eq!(serial.num_invalid, parallel.num_invalid);
@@ -118,12 +114,11 @@ fn telemetry_recording_never_changes_the_curve() {
     let silent = run_with_workers(2);
     let recorder = Recorder::new();
     let recorded = run_with_workers_and_recorder(2, recorder.clone());
-    assert_curves_close(&silent.curve, &recorded.curve, "silent vs recorded");
+    assert_same_curve(&silent.curve, &recorded.curve, "silent vs recorded");
     assert_eq!(silent.best_placement, recorded.best_placement);
-    assert_opt_f64_close(
+    assert_same_opt_f64(
         silent.final_step_time,
         recorded.final_step_time,
-        CURVE_ULPS,
         "silent vs recorded: final step time",
     );
     assert_eq!(silent.telemetry.evals, recorded.telemetry.evals);
@@ -143,7 +138,7 @@ fn telemetry_recording_never_changes_the_curve() {
 fn auto_worker_count_matches_serial_too() {
     let serial = run_with_workers(1);
     let auto = run_with_workers(0);
-    assert_curves_close(&serial.curve, &auto.curve, "serial vs auto");
+    assert_same_curve(&serial.curve, &auto.curve, "serial vs auto");
     assert_eq!(serial.best_placement, auto.best_placement);
     assert!(auto.telemetry.workers >= 1);
 }
@@ -153,7 +148,7 @@ fn multi_graph_training_is_worker_count_independent() {
     let (serial, serial_params) = run_multi_with_workers(1);
     let (parallel, parallel_params) = run_multi_with_workers(4);
 
-    assert_curves_close(&serial.curve, &parallel.curve, "multi-graph serial vs parallel");
+    assert_same_curve(&serial.curve, &parallel.curve, "multi-graph serial vs parallel");
     // Zero-shot probes are part of the contract: identical graphs, identical
     // best-of-K step times, at identical sample indices.
     assert_eq!(serial.curve.probes, parallel.curve.probes, "probe points diverged");
