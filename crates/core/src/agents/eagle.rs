@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use eagle_devsim::{search::topo_chunks, DeviceId, Machine, Placement};
-use eagle_nn::{AttentionMode, Grouper, Lstm, Placer, PlacerOutput, Seq2SeqPlacer};
+use eagle_nn::{AttentionMode, Grouper, Lstm, Placer, PlacerOutput};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{optim::Adam, Grads, Params, Tape, Tensor, Var};
@@ -28,7 +28,7 @@ use super::PlacementAgent;
 pub struct EagleAgent {
     grouper: Grouper,
     link: Lstm,
-    placer: Seq2SeqPlacer,
+    placer: Placer,
     features: Arc<Tensor>,
     devices: Vec<DeviceId>,
     num_groups: usize,
@@ -85,7 +85,7 @@ impl EagleAgent {
         }
         let link = Lstm::new(params, "eagle/link", feat_dim, scale.link_hidden, rng);
         let devices = super::device_table(machine);
-        let placer = Seq2SeqPlacer::new(
+        let placer = Placer::seq2seq(
             params,
             "eagle/placer",
             scale.link_hidden,
@@ -298,7 +298,7 @@ mod tests {
         let (actions, logp) = agent.sample(&params, &mut rng);
         let h = agent.score(&params, &actions);
         let rescored = h.tape.value(h.log_prob).item();
-        assert!((logp - rescored).abs() < 1e-4, "{logp} vs {rescored}");
+        assert_eq!(logp.to_bits(), rescored.to_bits(), "{logp} vs {rescored}");
     }
 
     #[test]

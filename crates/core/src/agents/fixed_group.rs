@@ -9,9 +9,7 @@
 //!   trained with PPO + cross-entropy minimization.
 
 use eagle_devsim::{DeviceId, Machine, Placement};
-use eagle_nn::{
-    embedding, normalize_adjacency, AttentionMode, GcnPlacer, Placer, Seq2SeqPlacer, SimplePlacer,
-};
+use eagle_nn::{embedding, normalize_adjacency, AttentionMode, Placer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor};
@@ -51,7 +49,7 @@ pub struct FixedGroupAgent {
     name: String,
     group_of: Vec<usize>,
     emb: Tensor,
-    placer: Box<dyn Placer + Send + Sync>,
+    placer: Placer,
     devices: Vec<DeviceId>,
     num_groups: usize,
 }
@@ -79,28 +77,18 @@ impl FixedGroupAgent {
         let devices = super::device_table(machine);
         let nd = devices.len();
         let pname = format!("{name}/placer");
+        let (hidden, simple) = (scale.placer_hidden, scale.simple_hidden);
         let seq2seq = |params: &mut Params, mode, rng: &mut _| {
-            Box::new(Seq2SeqPlacer::new(
-                params,
-                &pname,
-                d_in,
-                scale.placer_hidden,
-                scale.attn_dim,
-                nd,
-                mode,
-                rng,
-            ))
+            Placer::seq2seq(params, &pname, d_in, hidden, scale.attn_dim, nd, mode, rng)
         };
-        let placer: Box<dyn Placer + Send + Sync> = match kind {
+        let placer = match kind {
             PlacerKind::Seq2SeqBefore => seq2seq(params, AttentionMode::Before, rng),
             PlacerKind::Seq2SeqAfter => seq2seq(params, AttentionMode::After, rng),
             PlacerKind::Gcn => {
                 let adj = normalize_adjacency(graph, &group_of, num_groups);
-                Box::new(GcnPlacer::new(params, &pname, d_in, scale.simple_hidden, nd, adj, rng))
+                Placer::gcn(params, &pname, d_in, simple, nd, adj, rng)
             }
-            PlacerKind::Simple => {
-                Box::new(SimplePlacer::new(params, &pname, d_in, scale.simple_hidden, nd, rng))
-            }
+            PlacerKind::Simple => Placer::mlp(params, &pname, d_in, simple, nd, rng),
         };
         Self { name, group_of, emb, placer, devices, num_groups }
     }
@@ -234,14 +222,12 @@ mod tests {
         (params, agent, g, m)
     }
 
+    const KINDS: [PlacerKind; 4] =
+        [PlacerKind::Seq2SeqBefore, PlacerKind::Seq2SeqAfter, PlacerKind::Gcn, PlacerKind::Simple];
+
     #[test]
     fn all_placer_kinds_sample_and_decode() {
-        for kind in [
-            PlacerKind::Seq2SeqBefore,
-            PlacerKind::Seq2SeqAfter,
-            PlacerKind::Gcn,
-            PlacerKind::Simple,
-        ] {
+        for kind in KINDS {
             let (params, agent, g, m) = build(kind);
             let mut rng = ChaCha8Rng::seed_from_u64(2);
             let (actions, logp) = agent.sample(&params, &mut rng);
@@ -254,13 +240,13 @@ mod tests {
 
     #[test]
     fn score_consistency_across_kinds() {
-        for kind in [PlacerKind::Seq2SeqBefore, PlacerKind::Gcn, PlacerKind::Simple] {
+        for kind in KINDS {
             let (params, agent, _, _) = build(kind);
             let mut rng = ChaCha8Rng::seed_from_u64(3);
             let (actions, logp) = agent.sample(&params, &mut rng);
             let h = agent.score(&params, &actions);
             let rescored = h.tape.value(h.log_prob).item();
-            assert!((logp - rescored).abs() < 1e-3, "{kind:?}: {logp} vs {rescored}");
+            assert_eq!(logp.to_bits(), rescored.to_bits(), "{kind:?}: {logp} vs {rescored}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! faithfully.
 
 use eagle_devsim::{DeviceId, Machine, Placement};
-use eagle_nn::{embedding, AttentionMode, Categorical, Grouper, Placer, Seq2SeqPlacer};
+use eagle_nn::{embedding, AttentionMode, Categorical, Grouper, Placer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor, Var};
@@ -24,7 +24,7 @@ use super::PlacementAgent;
 /// group index per op followed by one device index per group.
 pub struct HpAgent {
     grouper: Grouper,
-    placer: Seq2SeqPlacer,
+    placer: Placer,
     features: Tensor,
     graph: OpGraph,
     devices: Vec<DeviceId>,
@@ -45,7 +45,7 @@ impl HpAgent {
         let k = scale.num_groups.min(graph.len());
         let grouper = Grouper::new(params, "hp/grouper", feat_dim, scale.grouper_hidden, k, rng);
         let devices = super::device_table(machine);
-        let placer = Seq2SeqPlacer::new(
+        let placer = Placer::seq2seq(
             params,
             "hp/placer",
             embedding::group_feature_dim(k),
@@ -238,8 +238,7 @@ mod tests {
         let (actions, logp) = agent.sample(&params, &mut rng);
         let h = agent.score(&params, &actions);
         let rescored = h.tape.value(h.log_prob).item();
-        // n-op log-probs accumulate more float error than EAGLE's k-group ones.
-        assert!((logp - rescored).abs() < 1e-2, "{logp} vs {rescored}");
+        assert_eq!(logp.to_bits(), rescored.to_bits(), "{logp} vs {rescored}");
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! * [`LstmCell`] / [`Lstm`] / [`BiLstm`] — recurrent cells and encoders, all
 //!   stepping through one recurrence (`LstmCell::run`).
 //! * [`Categorical`] — the policy head: every action is drawn and scored here.
-//! * [`Seq2SeqPlacer`] — the paper's placer (Fig. 3a): bi-LSTM encoder,
-//!   attention-equipped LSTM decoder, device-embedding feedback, with the
-//!   attention context applied [`AttentionMode::Before`] or
-//!   [`AttentionMode::After`] the decoder (Fig. 4).
-//! * [`GcnPlacer`] — the graph-convolutional alternative (Fig. 3b).
+//! * [`Placer`] — one type over the three placer bodies: the paper's
+//!   sequence-to-sequence placer ([`Placer::seq2seq`], Fig. 3a: bi-LSTM
+//!   encoder, attention-equipped LSTM decoder, device-embedding feedback, with
+//!   the attention context applied [`AttentionMode::Before`] or
+//!   [`AttentionMode::After`] the decoder, Fig. 4), the graph-convolutional
+//!   alternative ([`Placer::gcn`], Fig. 3b) and Post's MLP ([`Placer::mlp`]).
 //! * [`Grouper`] — the feed-forward grouper plus differentiable soft group
 //!   embeddings.
 //! * [`embedding`] — hard-grouping group-embedding construction (Hierarchical
@@ -30,7 +31,4 @@ pub use categorical::Categorical;
 pub use grouper::Grouper;
 pub use linear::{FeedForward, Linear};
 pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
-pub use placer::{
-    normalize_adjacency, AttentionMode, GcnPlacer, Placer, PlacerOutput, Seq2SeqPlacer,
-    SimplePlacer,
-};
+pub use placer::{normalize_adjacency, AttentionMode, Placer, PlacerOutput};

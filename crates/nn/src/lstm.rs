@@ -234,8 +234,9 @@ mod tests {
     }
 
     /// The hand-written one-sequence encoder — two explicit time loops, no
-    /// stacking: what `Seq2SeqPlacer::forward_serial` encodes with, and so
-    /// the oracle [`BiLstm::forward_batch`] is held against through it.
+    /// stacking: what the seq2seq oracle `Placer::forward_serial` encodes
+    /// with, and so the oracle [`BiLstm::forward_batch`] is held against
+    /// through it.
     impl BiLstm {
         pub(crate) fn forward(
             &self,

@@ -1,11 +1,12 @@
-//! Placer networks: sequence-to-sequence with Bahdanau attention (the paper's
-//! choice, Fig. 3a / Fig. 4) and a graph-convolutional alternative (Fig. 3b).
+//! The placer network: one [`Placer`] over three bodies — sequence-to-sequence
+//! with Bahdanau attention (the paper's choice, Fig. 3a / Fig. 4), two graph
+//! convolutions over the group graph (Fig. 3b) and Post's MLP.
 //!
-//! Both consume a `(k, d_in)` matrix of group embeddings and emit one device per
-//! group. Each implements one decode, [`Placer::forward_batch`], which either
-//! *samples* actions or *teacher-forces* given action sequences (needed to
-//! re-evaluate log-probabilities of old samples under new parameters for PPO's
-//! ratio); the per-episode [`Placer::forward`] is that decode at batch size 1.
+//! Each consumes a `(k, d_in)` matrix of group embeddings and emits one device
+//! per group. The one decode, [`Placer::forward_batch`], either *samples*
+//! actions or *teacher-forces* given action sequences (needed to re-evaluate
+//! log-probabilities of old samples under new parameters for PPO's ratio); the
+//! per-episode [`Placer::forward`] is that decode at batch size 1.
 
 use eagle_tensor::{init, FusedAct, ParamId, Params, Tape, Tensor, Var};
 use rand::Rng;
@@ -38,80 +39,36 @@ pub struct PlacerOutput {
     pub entropy: Var,
 }
 
-/// Common interface of the placer designs.
+/// A placer: the layers between the group embeddings and a categorical over
+/// devices per group, built by [`Placer::seq2seq`], [`Placer::gcn`] or
+/// [`Placer::mlp`].
 ///
-/// [`Placer::forward_batch`] is the one decode every implementor writes: it
-/// decodes a whole minibatch with one `(B·n, h)`-shaped matmul per layer, and
-/// episode `b`'s outputs do not depend on its batch-mates (bit for bit; see
-/// the `eagle_rl::policy` bit-identity contract). [`Placer::forward`] is
-/// provided as the batch-of-one call.
-pub trait Placer {
-    /// Decodes one placement per episode in a single batched pass. `xs` holds
-    /// one `(k, d_in)` input per episode — passing the *same* `Var` for every
-    /// episode makes shared-input work (e.g. the encoder) run once. When
-    /// `forced` is given, its actions are scored instead of sampling new ones;
-    /// otherwise episode `b` samples from `rngs[b]` only, one draw per group in
-    /// group order.
-    fn forward_batch(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        xs: &[Var],
-        forced: Option<&[&[usize]]>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Vec<PlacerOutput>;
-
-    /// Number of devices the placer chooses among.
-    fn num_devices(&self) -> usize;
-
-    /// Decodes a placement for one episode's `x: (k, d_in)` group embeddings:
-    /// [`Placer::forward_batch`] at batch size 1.
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        x: Var,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> PlacerOutput {
-        let forced = forced.map(|f| [f]);
-        self.forward_batch(tape, params, &[x], forced.as_ref().map(|f| &f[..]), &mut [rng])
-            .pop()
-            .expect("forward_batch returns one output per episode")
-    }
+/// [`Placer::forward_batch`] decodes a whole minibatch with one
+/// `(B·n, h)`-shaped matmul per layer, and episode `b`'s outputs do not depend
+/// on its batch-mates (bit for bit; see the `eagle_rl::policy` bit-identity
+/// contract).
+#[derive(Debug, Clone)]
+pub struct Placer {
+    body: Body,
+    n_devices: usize,
 }
 
-/// Validates the shared `forward_batch` preconditions and returns the batch
-/// size and per-episode sequence length.
-fn check_batch_args(
-    tape: &Tape,
-    xs: &[Var],
-    forced: Option<&[&[usize]]>,
-    rngs: &[&mut dyn rand::RngCore],
-) -> (usize, usize) {
-    let bsz = xs.len();
-    assert!(bsz > 0, "at least one episode");
-    let k = tape.value(xs[0]).rows();
-    for &x in xs {
-        assert_eq!(tape.value(x).rows(), k, "all episodes share the group count");
-    }
-    match forced {
-        Some(f) => {
-            assert_eq!(f.len(), bsz, "one forced action vector per episode");
-            for a in f {
-                assert_eq!(a.len(), k, "forced actions must cover every group");
-            }
-        }
-        None => assert_eq!(rngs.len(), bsz, "one RNG stream per episode"),
-    }
-    (bsz, k)
+#[derive(Debug, Clone)]
+enum Body {
+    /// Draws one group at a time, each conditioned on the previous draw.
+    Seq2Seq(Seq2Seq),
+    /// Two graph convolutions with the `(k, k)` row-normalized adjacency `adj`,
+    /// then `flat_heads`.
+    Gcn { l1: FeedForward, l2: Linear, adj: Tensor },
+    /// A ReLU MLP per group, then `flat_heads`.
+    Mlp(FeedForward),
 }
 
-/// The sequence-to-sequence placer (paper Fig. 3a): bi-LSTM encoder over group
+/// The sequence-to-sequence body (paper Fig. 3a): bi-LSTM encoder over group
 /// embeddings, uni-LSTM decoder emitting one device per group, Bahdanau
 /// content-based attention, previous decision fed back via a device embedding.
 #[derive(Debug, Clone)]
-pub struct Seq2SeqPlacer {
+struct Seq2Seq {
     input_proj: Linear,
     encoder: BiLstm,
     decoder: LstmCell,
@@ -122,14 +79,13 @@ pub struct Seq2SeqPlacer {
     dev_emb: ParamId,
     mode: AttentionMode,
     hidden: usize,
-    n_devices: usize,
 }
 
-impl Seq2SeqPlacer {
-    /// Registers all parameters. `hidden` is the LSTM size (512 in the paper;
-    /// smaller for quick experiments), `attn_dim` the attention space.
+impl Placer {
+    /// The sequence-to-sequence placer. `hidden` is the LSTM size (512 in the
+    /// paper; smaller for quick experiments), `attn_dim` the attention space.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub fn seq2seq(
         params: &mut Params,
         name: &str,
         d_in: usize,
@@ -148,7 +104,7 @@ impl Seq2SeqPlacer {
             AttentionMode::Before => hidden,
             AttentionMode::After => hidden + 2 * hidden,
         };
-        Self {
+        let body = Seq2Seq {
             input_proj: Linear::new(params, &format!("{name}/in_proj"), d_in, hidden, rng),
             encoder: BiLstm::new(params, &format!("{name}/enc"), hidden, hidden, rng),
             decoder: LstmCell::new(params, &format!("{name}/dec"), dec_in, hidden, rng),
@@ -161,10 +117,117 @@ impl Seq2SeqPlacer {
                 .add(format!("{name}/dev_emb"), init::uniform(n_devices + 1, emb_dim, 0.1, rng)),
             mode,
             hidden,
-            n_devices,
-        }
+        };
+        Self { body: Body::Seq2Seq(body), n_devices }
     }
 
+    /// The two-layer GCN placer: graph convolutions over the *group* graph,
+    /// then an independent softmax per group. `adj` must be `(k, k)`,
+    /// row-normalized with self-loops (see [`normalize_adjacency`]).
+    pub fn gcn(
+        params: &mut Params,
+        name: &str,
+        d_in: usize,
+        hidden: usize,
+        n_devices: usize,
+        adj: Tensor,
+        rng: &mut impl Rng,
+    ) -> Self {
+        assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
+        let l1 =
+            FeedForward::new(params, &format!("{name}/gc1"), &[d_in, hidden], FusedAct::None, rng);
+        let l2 = Linear::new(params, &format!("{name}/gc2"), hidden, n_devices, rng);
+        Self { body: Body::Gcn { l1, l2, adj }, n_devices }
+    }
+
+    /// Post's "simple neural network" placer: a `d_in -> hidden -> n_devices`
+    /// ReLU MLP mapping each group embedding to an independent categorical
+    /// over devices. No recurrence, no attention — the paper credits its
+    /// stability (and blames its local optima) on exactly this simplicity.
+    pub fn mlp(
+        params: &mut Params,
+        name: &str,
+        d_in: usize,
+        hidden: usize,
+        n_devices: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let net = FeedForward::new(params, name, &[d_in, hidden, n_devices], FusedAct::Relu, rng);
+        Self { body: Body::Mlp(net), n_devices }
+    }
+
+    /// Number of devices the placer chooses among.
+    pub fn num_devices(&self) -> usize {
+        self.n_devices
+    }
+
+    /// Decodes one placement per episode in a single batched pass. `xs` holds
+    /// one `(k, d_in)` input per episode — passing the *same* `Var` for every
+    /// episode makes shared-input work (e.g. the encoder) run once. When
+    /// `forced` is given, its actions are scored instead of sampling new ones;
+    /// otherwise episode `b` samples from `rngs[b]` only, one draw per group in
+    /// group order.
+    pub fn forward_batch(
+        &self,
+        tape: &mut Tape,
+        params: &Params,
+        xs: &[Var],
+        forced: Option<&[&[usize]]>,
+        rngs: &mut [&mut dyn rand::RngCore],
+    ) -> Vec<PlacerOutput> {
+        let bsz = xs.len();
+        assert!(bsz > 0, "at least one episode");
+        let k = tape.value(xs[0]).rows();
+        for &x in xs {
+            assert_eq!(tape.value(x).rows(), k, "all episodes share the group count");
+        }
+        match forced {
+            Some(f) => {
+                assert_eq!(f.len(), bsz, "one forced action vector per episode");
+                for a in f {
+                    assert_eq!(a.len(), k, "forced actions must cover every group");
+                }
+            }
+            None => assert_eq!(rngs.len(), bsz, "one RNG stream per episode"),
+        }
+        let logits = match &self.body {
+            Body::Seq2Seq(s) => return s.decode(tape, params, xs, forced, rngs, self.n_devices),
+            Body::Gcn { l1, l2, adj } => {
+                assert_eq!(adj.rows(), k, "adjacency size must match group count");
+                let x = tape.concat_rows(xs); // (B·k, d)
+                let a = tape.leaf(adj.clone());
+                let xw = l1.forward(tape, params, x);
+                let ax = propagate(tape, a, xw, bsz);
+                let h1 = tape.relu(ax);
+                let hw = l2.forward(tape, params, h1);
+                propagate(tape, a, hw, bsz)
+            }
+            Body::Mlp(net) => {
+                let x = tape.concat_rows(xs); // (B·k, d)
+                net.forward(tape, params, x)
+            }
+        }; // (B·k, nd)
+        flat_heads(tape, logits, forced, rngs, bsz, k)
+    }
+
+    /// Decodes a placement for one episode's `x: (k, d_in)` group embeddings:
+    /// [`Placer::forward_batch`] at batch size 1.
+    pub fn forward(
+        &self,
+        tape: &mut Tape,
+        params: &Params,
+        x: Var,
+        forced: Option<&[usize]>,
+        rng: &mut dyn rand::RngCore,
+    ) -> PlacerOutput {
+        let forced = forced.map(|f| [f]);
+        self.forward_batch(tape, params, &[x], forced.as_ref().map(|f| &f[..]), &mut [rng])
+            .pop()
+            .expect("forward_batch returns one output per episode")
+    }
+}
+
+impl Seq2Seq {
     /// Batched Bahdanau context: one `(B, 2h)` context matrix for `B` decoder
     /// states at once. `enc_outs` holds one entry per *distinct* encoder pass,
     /// `enc_proj` their attention keys stacked as `(u·k, a)`, and `ep_enc[b]`
@@ -206,22 +269,19 @@ impl Seq2SeqPlacer {
             tape.concat_rows(&ctxs)
         }
     }
-}
 
-impl Placer for Seq2SeqPlacer {
-    fn num_devices(&self) -> usize {
-        self.n_devices
-    }
-
-    fn forward_batch(
+    /// The body of [`Placer::forward_batch`] for arguments it has checked;
+    /// device `n_devices` of the embedding table is the start token.
+    fn decode(
         &self,
         tape: &mut Tape,
         params: &Params,
         xs: &[Var],
         forced: Option<&[&[usize]]>,
         rngs: &mut [&mut dyn rand::RngCore],
+        n_devices: usize,
     ) -> Vec<PlacerOutput> {
-        let (bsz, k) = check_batch_args(tape, xs, forced, rngs);
+        let (bsz, k) = (xs.len(), tape.value(xs[0]).rows());
 
         // Episodes passing the same input Var share one encoder pass: map each
         // episode to a distinct-input slot.
@@ -254,7 +314,7 @@ impl Placer for Seq2SeqPlacer {
         let h0 = tape.concat_rows(&h0_rows);
         let mut state = LstmState { h: h0, c: tape.leaf(Tensor::zeros(bsz, self.hidden)) };
         let dev_table = tape.param(params, self.dev_emb);
-        let mut prev: Vec<usize> = vec![self.n_devices; bsz]; // start token
+        let mut prev: Vec<usize> = vec![n_devices; bsz]; // start token
         let mut actions_ep: Vec<Vec<usize>> = vec![Vec::with_capacity(k); bsz];
         let mut step_logps = Vec::with_capacity(k);
         let mut step_ents = Vec::with_capacity(k);
@@ -326,91 +386,19 @@ impl Placer for Seq2SeqPlacer {
     }
 }
 
-/// The two-layer GCN placer (paper Fig. 3b): graph convolutions over the *group*
-/// graph, then an independent softmax per group. Requires the group adjacency,
-/// provided as a row-normalized matrix with self-loops.
-#[derive(Debug, Clone)]
-pub struct GcnPlacer {
-    l1: FeedForward,
-    l2: Linear,
-    adj: Tensor,
-    n_devices: usize,
-}
-
-impl GcnPlacer {
-    /// Registers the two graph-convolution layers. `adj` must be `(k, k)`,
-    /// row-normalized with self-loops (see [`normalize_adjacency`]).
-    pub fn new(
-        params: &mut Params,
-        name: &str,
-        d_in: usize,
-        hidden: usize,
-        n_devices: usize,
-        adj: Tensor,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
-        Self {
-            l1: FeedForward::new(
-                params,
-                &format!("{name}/gc1"),
-                &[d_in, hidden],
-                FusedAct::None,
-                rng,
-            ),
-            l2: Linear::new(params, &format!("{name}/gc2"), hidden, n_devices, rng),
-            adj,
-            n_devices,
-        }
-    }
-}
-
-impl Placer for GcnPlacer {
-    fn num_devices(&self) -> usize {
-        self.n_devices
-    }
-
-    fn forward_batch(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        xs: &[Var],
-        forced: Option<&[&[usize]]>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Vec<PlacerOutput> {
-        let (bsz, k) = check_batch_args(tape, xs, forced, rngs);
-        assert_eq!(self.adj.rows(), k, "adjacency size must match group count");
-        let x = tape.concat_rows(xs); // (B·k, d)
-
-        // Block-diagonal adjacency: the off-block entries are exact zeros, and
-        // adding a `±0.0` product to a (never `-0.0`) matmul accumulator is a
-        // bitwise no-op, so each block's inner summation lands on exactly the
-        // one-episode (k, k) product.
-        let a = tape.leaf(block_diag(&self.adj, bsz));
-        let xw = self.l1.forward(tape, params, x);
-        let ax = tape.matmul(a, xw);
-        let h1 = tape.relu(ax);
-        let hw = self.l2.forward(tape, params, h1);
-        let logits = tape.matmul(a, hw); // (B·k, nd)
-        flat_heads(tape, logits, forced, rngs, bsz, k)
-    }
-}
-
-/// Stacks `bsz` copies of `adj` on the diagonal of a `(bsz·k, bsz·k)` matrix.
-fn block_diag(adj: &Tensor, bsz: usize) -> Tensor {
-    let k = adj.rows();
-    let mut big = Tensor::zeros(bsz * k, bsz * k);
-    for b in 0..bsz {
-        for r in 0..k {
-            for c in 0..k {
-                let v = adj.get(r, c);
-                if v != 0.0 {
-                    big.set(b * k + r, b * k + c, v);
-                }
-            }
-        }
-    }
-    big
+/// One graph convolution's propagation, `adj · h` per episode: episode `b`'s
+/// rows `b·k..(b+1)·k` of `h` times the `(k, k)` adjacency `adj`, restacked.
+/// Each block is the one-episode product, and at batch size 1 the slice and
+/// the stack record nothing.
+fn propagate(tape: &mut Tape, adj: Var, h: Var, bsz: usize) -> Var {
+    let k = tape.value(adj).rows();
+    let blocks: Vec<Var> = (0..bsz)
+        .map(|b| {
+            let hb = tape.slice_rows(h, b * k, k);
+            tape.matmul(adj, hb)
+        })
+        .collect();
+    tape.concat_rows(&blocks)
 }
 
 /// The head of the placers that decide every group independently: from
@@ -449,52 +437,6 @@ fn flat_heads(
             }
         })
         .collect()
-}
-
-/// Post's "simple neural network" placer: an MLP mapping each group embedding to an
-/// independent categorical over devices. No recurrence, no attention — the paper
-/// credits its stability (and blames its local optima) on exactly this simplicity.
-#[derive(Debug, Clone)]
-pub struct SimplePlacer {
-    net: FeedForward,
-    n_devices: usize,
-}
-
-impl SimplePlacer {
-    /// Registers a `d_in -> hidden -> n_devices` ReLU MLP.
-    pub fn new(
-        params: &mut Params,
-        name: &str,
-        d_in: usize,
-        hidden: usize,
-        n_devices: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Self {
-            net: FeedForward::new(params, name, &[d_in, hidden, n_devices], FusedAct::Relu, rng),
-            n_devices,
-        }
-    }
-}
-
-impl Placer for SimplePlacer {
-    fn num_devices(&self) -> usize {
-        self.n_devices
-    }
-
-    fn forward_batch(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        xs: &[Var],
-        forced: Option<&[&[usize]]>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Vec<PlacerOutput> {
-        let (bsz, k) = check_batch_args(tape, xs, forced, rngs);
-        let x = tape.concat_rows(xs); // (B·k, d)
-        let logits = self.net.forward(tape, params, x); // (B·k, nd)
-        flat_heads(tape, logits, forced, rngs, bsz, k)
-    }
 }
 
 /// Builds the row-normalized group adjacency (with self-loops) the GCN placer
@@ -550,10 +492,10 @@ mod tests {
     }
 
     /// The hand-written one-episode seq2seq decode: the differential oracle
-    /// [`Seq2SeqPlacer::forward_batch`] is compared against bit for bit. It
-    /// shares the layers but none of the batching logic (input dedup, row
-    /// stacking, per-episode slicing).
-    impl Seq2SeqPlacer {
+    /// [`Placer::forward_batch`] is compared against bit for bit. It shares
+    /// the layers but none of the batching logic (input dedup, row stacking,
+    /// per-episode slicing).
+    impl Seq2Seq {
         /// Bahdanau context for the current decoder state.
         fn context(
             &self,
@@ -573,7 +515,7 @@ mod tests {
             tape.matmul(alpha, enc_outs) // (1, 2h)
         }
 
-        /// [`Seq2SeqPlacer::context_batch`] with the pre-activation and the
+        /// [`Seq2Seq::context_batch`] with the pre-activation and the
         /// score layout built per episode — `slice_rows` +
         /// `add_row_broadcast` and `slice_rows` + `transpose` pairs stacked by
         /// `concat_rows`: the oracle the two fused nodes are held against.
@@ -619,6 +561,16 @@ mod tests {
                 .collect();
             tape.concat_rows(&ctxs)
         }
+    }
+
+    impl Placer {
+        /// The seq2seq body; panics on the other two.
+        fn seq(&self) -> &Seq2Seq {
+            match &self.body {
+                Body::Seq2Seq(s) => s,
+                _ => panic!("not a seq2seq placer"),
+            }
+        }
 
         fn forward_serial(
             &self,
@@ -628,17 +580,17 @@ mod tests {
             forced: Option<&[usize]>,
             rng: &mut dyn rand::RngCore,
         ) -> PlacerOutput {
+            let s = self.seq();
             let k = tape.value(x).rows();
             if let Some(f) = forced {
                 assert_eq!(f.len(), k, "forced actions must cover every group");
             }
-            let xs = self.input_proj.forward(tape, params, x); // (k, h)
-            let (enc_outs, enc_last) = self.encoder.forward(tape, params, xs); // (k, 2h)
-            let enc_proj = self.attn_enc.forward(tape, params, enc_outs); // (k, a)
+            let xs = s.input_proj.forward(tape, params, x); // (k, h)
+            let (enc_outs, enc_last) = s.encoder.forward(tape, params, xs); // (k, 2h)
+            let enc_proj = s.attn_enc.forward(tape, params, enc_outs); // (k, a)
 
-            let mut state =
-                LstmState { h: enc_last.h, c: tape.leaf(Tensor::zeros(1, self.hidden)) };
-            let dev_table = tape.param(params, self.dev_emb);
+            let mut state = LstmState { h: enc_last.h, c: tape.leaf(Tensor::zeros(1, s.hidden)) };
+            let dev_table = tape.param(params, s.dev_emb);
             let mut prev_action = self.n_devices; // start token
             let mut actions = Vec::with_capacity(k);
             let mut logps = Vec::with_capacity(k);
@@ -647,19 +599,19 @@ mod tests {
             for i in 0..k {
                 let x_i = tape.slice_rows(xs, i, 1); // (1, h)
                 let prev_emb = tape.select_rows(dev_table, &[prev_action]); // (1, e)
-                let logits = match self.mode {
+                let logits = match s.mode {
                     AttentionMode::Before => {
-                        let ctx = self.context(tape, params, enc_outs, enc_proj, state.h);
+                        let ctx = s.context(tape, params, enc_outs, enc_proj, state.h);
                         let inp = tape.concat_cols(&[x_i, ctx, prev_emb]);
-                        state = self.decoder.step(tape, params, inp, state);
-                        self.out.forward(tape, params, state.h)
+                        state = s.decoder.step(tape, params, inp, state);
+                        s.out.forward(tape, params, state.h)
                     }
                     AttentionMode::After => {
                         let inp = tape.concat_cols(&[x_i, prev_emb]);
-                        state = self.decoder.step(tape, params, inp, state);
-                        let ctx = self.context(tape, params, enc_outs, enc_proj, state.h);
+                        state = s.decoder.step(tape, params, inp, state);
+                        let ctx = s.context(tape, params, enc_outs, enc_proj, state.h);
                         let combined = tape.concat_cols(&[state.h, ctx]);
-                        self.out.forward(tape, params, combined)
+                        s.out.forward(tape, params, combined)
                     }
                 };
                 let (a, logp, ent) = step_policy(tape, logits, forced.map(|f| f[i]), rng);
@@ -677,22 +629,41 @@ mod tests {
         }
     }
 
-    /// A one-episode decode: the oracle above, or the provided batch-of-one
+    /// A one-episode decode: the oracle above, or the batch-of-one
     /// [`Placer::forward`].
-    type Serial<P> =
-        fn(&P, &mut Tape, &Params, Var, Option<&[usize]>, &mut dyn rand::RngCore) -> PlacerOutput;
+    type Serial = fn(
+        &Placer,
+        &mut Tape,
+        &Params,
+        Var,
+        Option<&[usize]>,
+        &mut dyn rand::RngCore,
+    ) -> PlacerOutput;
 
-    fn setup(mode: AttentionMode) -> (Params, Seq2SeqPlacer) {
+    fn setup(mode: AttentionMode) -> (Params, Placer) {
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let placer = Seq2SeqPlacer::new(&mut params, "p", 7, 12, 8, 5, mode, &mut rng);
+        let placer = Placer::seq2seq(&mut params, "p", 7, 12, 8, 5, mode, &mut rng);
         (params, placer)
     }
 
-    fn run<P: Placer>(
+    /// The row-normalized adjacency of a `k`-group chain `0 - 1 - … - k-1`.
+    fn chain_adjacency(k: usize) -> Tensor {
+        use eagle_opgraph::{OpGraph, OpKind, OpNode, Phase};
+        let mut g = OpGraph::new("chain");
+        let ops: Vec<_> = (0..k)
+            .map(|i| g.add_node(OpNode::new(format!("op{i}"), OpKind::MatMul, Phase::Forward)))
+            .collect();
+        for w in ops.windows(2) {
+            g.add_edge(w[0], w[1]);
+        }
+        normalize_adjacency(&g, &(0..k).collect::<Vec<_>>(), k)
+    }
+
+    fn run(
         params: &Params,
-        placer: &P,
-        serial: Serial<P>,
+        placer: &Placer,
+        serial: Serial,
         x: &Tensor,
         forced: Option<&[usize]>,
         seed: u64,
@@ -707,10 +678,10 @@ mod tests {
     /// Runs `forward_batch` and asserts every episode matches a `serial`
     /// per-episode replay bit-for-bit (actions, log-prob, entropy, per-step
     /// log-probs).
-    fn assert_batch_matches_serial<P: Placer>(
+    fn assert_batch_matches_serial(
         params: &Params,
-        placer: &P,
-        serial: Serial<P>,
+        placer: &Placer,
+        serial: Serial,
         inputs: &[Tensor],
         seed: u64,
     ) {
@@ -759,6 +730,7 @@ mod tests {
         // Batch 1, a batch sharing one encoder pass, and one over two passes.
         for ep_enc in [vec![0], vec![0; 10], vec![0, 1, 1, 0, 1, 0, 0, 1, 1, 0]] {
             let (mut params, placer) = setup(AttentionMode::Before);
+            let s = placer.seq();
             let mut rng = ChaCha8Rng::seed_from_u64(19);
             let passes = ep_enc.iter().max().unwrap() + 1;
             let encs: Vec<_> = (0..passes)
@@ -773,7 +745,7 @@ mod tests {
                 let mut tape = Tape::new();
                 let enc_outs: Vec<Var> = encs.iter().map(|&e| tape.param(&params, e)).collect();
                 let stacked = if passes == 1 { enc_outs[0] } else { tape.concat_rows(&enc_outs) };
-                let enc_proj = placer.attn_enc.forward(&mut tape, &params, stacked);
+                let enc_proj = s.attn_enc.forward(&mut tape, &params, stacked);
                 let keys: Vec<Var> = match (fused, passes) {
                     (true, _) => vec![],
                     (false, 1) => vec![enc_proj],
@@ -786,9 +758,9 @@ mod tests {
                 for w in &weights {
                     let (t, p) = (&mut tape, &params);
                     let ctx = if fused {
-                        placer.context_batch(t, p, &enc_outs, enc_proj, &ep_enc, dec_h)
+                        s.context_batch(t, p, &enc_outs, enc_proj, &ep_enc, dec_h)
                     } else {
-                        placer.context_batch_composed(t, p, &enc_outs, &keys, &ep_enc, dec_h)
+                        s.context_batch_composed(t, p, &enc_outs, &keys, &ep_enc, dec_h)
                     };
                     values.push(tape.value(ctx).clone());
                     let w = tape.leaf(w.clone());
@@ -823,7 +795,7 @@ mod tests {
     fn seq2seq_forward_batch_matches_serial_shared_input() {
         for mode in [AttentionMode::Before, AttentionMode::After] {
             let (params, placer) = setup(mode);
-            let oracle = Seq2SeqPlacer::forward_serial;
+            let oracle = Placer::forward_serial;
             // All episodes share one input tensor (the EAGLE agent's shape).
             let x = Tensor::full(6, 7, 0.3);
             let inputs = [x.clone(), x.clone(), x];
@@ -839,21 +811,44 @@ mod tests {
         // Distinct per-episode inputs (the HP agent's shape).
         let inputs: Vec<Tensor> =
             (0..3).map(|i| Tensor::full(6, 7, 0.1 * (i as f32 + 1.0))).collect();
-        assert_batch_matches_serial(&params, &placer, Seq2SeqPlacer::forward_serial, &inputs, 12);
+        assert_batch_matches_serial(&params, &placer, Placer::forward_serial, &inputs, 12);
     }
 
     #[test]
     fn gcn_and_simple_forward_batch_match_serial() {
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let adj = Tensor::eye(4);
-        let gcn = GcnPlacer::new(&mut params, "g", 7, 10, 5, adj, &mut rng);
-        let simple = SimplePlacer::new(&mut params, "s", 7, 10, 5, &mut rng);
-        let inputs: Vec<Tensor> =
-            (0..4).map(|i| Tensor::full(4, 7, 0.2 * (i as f32 + 1.0))).collect();
+        let gcn = Placer::gcn(&mut params, "g", 7, 10, 5, chain_adjacency(4), &mut rng);
+        let simple = Placer::mlp(&mut params, "s", 7, 10, 5, &mut rng);
+        // Distinct rows, so the propagation mixes groups that differ.
+        let inputs: Vec<Tensor> = (0..4).map(|_| init::uniform(4, 7, 1.0, &mut rng)).collect();
         // Batch of B against B batch-of-one calls: no episode sees its mates.
-        assert_batch_matches_serial(&params, &gcn, GcnPlacer::forward, &inputs, 21);
-        assert_batch_matches_serial(&params, &simple, SimplePlacer::forward, &inputs, 22);
+        assert_batch_matches_serial(&params, &gcn, Placer::forward, &inputs, 21);
+        assert_batch_matches_serial(&params, &simple, Placer::forward, &inputs, 22);
+    }
+
+    #[test]
+    fn gcn_reaches_two_hops_and_no_further() {
+        // Two graph convolutions over the chain 0 - 1 - 2 - 3: group 1's
+        // log-probability reads group 3's embedding (two hops away), group 0's
+        // does not (three hops), to the bit.
+        let mut params = Params::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let placer = Placer::gcn(&mut params, "g", 7, 10, 5, chain_adjacency(4), &mut rng);
+        let x = init::uniform(4, 7, 1.0, &mut rng);
+        let mut moved = x.clone();
+        for c in 0..7 {
+            moved.set(3, c, x.get(3, c) + 0.5);
+        }
+        let step_log_probs = |x: &Tensor| {
+            let (mut tape, mut rng) = (Tape::new(), ChaCha8Rng::seed_from_u64(0));
+            let xv = tape.leaf(x.clone());
+            let out = placer.forward(&mut tape, &params, xv, Some(&[0, 1, 2, 3]), &mut rng);
+            tape.value(out.step_log_probs).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let (before, after) = (step_log_probs(&x), step_log_probs(&moved));
+        assert_ne!(before[1], after[1], "group 1 is two hops from group 3");
+        assert_eq!(before[0], after[0], "group 0 is three hops from group 3");
     }
 
     #[test]
@@ -867,7 +862,7 @@ mod tests {
         let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Some(&forced_refs), &mut []);
         for (a, out) in forced.iter().zip(&outs) {
             let (actions, logp, ent) =
-                run(&params, &placer, Seq2SeqPlacer::forward_serial, &x, Some(a), 7);
+                run(&params, &placer, Placer::forward_serial, &x, Some(a), 7);
             assert_eq!(&out.actions, a);
             assert_eq!(actions, *a);
             assert_eq!(tape.value(out.log_prob).item().to_bits(), logp.to_bits());
@@ -919,7 +914,7 @@ mod tests {
     fn seq2seq_before_samples_valid_actions() {
         let (params, placer) = setup(AttentionMode::Before);
         let x = Tensor::full(6, 7, 0.3);
-        let (actions, logp, ent) = run(&params, &placer, Seq2SeqPlacer::forward, &x, None, 1);
+        let (actions, logp, ent) = run(&params, &placer, Placer::forward, &x, None, 1);
         assert_eq!(actions.len(), 6);
         assert!(actions.iter().all(|&a| a < 5));
         assert!(logp < 0.0, "log-prob of a sample is negative");
@@ -930,7 +925,7 @@ mod tests {
     fn seq2seq_after_mode_works_too() {
         let (params, placer) = setup(AttentionMode::After);
         let x = Tensor::full(4, 7, -0.2);
-        let (actions, logp, _) = run(&params, &placer, Seq2SeqPlacer::forward, &x, None, 2);
+        let (actions, logp, _) = run(&params, &placer, Placer::forward, &x, None, 2);
         assert_eq!(actions.len(), 4);
         assert!(logp.is_finite());
     }
@@ -938,19 +933,19 @@ mod tests {
     #[test]
     fn teacher_forcing_reproduces_log_prob() {
         let (params, placer) = setup(AttentionMode::Before);
-        let fwd: Serial<Seq2SeqPlacer> = Seq2SeqPlacer::forward;
+        let fwd: Serial = Placer::forward;
         let x = Tensor::full(5, 7, 0.1);
         let (actions, logp_sampled, _) = run(&params, &placer, fwd, &x, None, 3);
         // Re-scoring the same actions must give the same joint log-probability.
         let (actions2, logp_forced, _) = run(&params, &placer, fwd, &x, Some(&actions), 99);
         assert_eq!(actions, actions2);
-        assert!((logp_sampled - logp_forced).abs() < 1e-4);
+        assert_eq!(logp_sampled.to_bits(), logp_forced.to_bits());
     }
 
     #[test]
     fn different_forced_actions_change_log_prob() {
         let (params, placer) = setup(AttentionMode::Before);
-        let fwd: Serial<Seq2SeqPlacer> = Seq2SeqPlacer::forward;
+        let fwd: Serial = Placer::forward;
         let x = Tensor::full(5, 7, 0.1);
         let (_, lp_a, _) = run(&params, &placer, fwd, &x, Some(&[0, 0, 0, 0, 0]), 1);
         let (_, lp_b, _) = run(&params, &placer, fwd, &x, Some(&[4, 4, 4, 4, 4]), 1);
@@ -961,11 +956,10 @@ mod tests {
     fn gcn_placer_shapes_and_determinism() {
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let adj = Tensor::eye(4);
-        let placer = GcnPlacer::new(&mut params, "g", 7, 10, 5, adj, &mut rng);
+        let placer = Placer::gcn(&mut params, "g", 7, 10, 5, chain_adjacency(4), &mut rng);
         let x = Tensor::full(4, 7, 0.5);
-        let (a1, lp1, ent) = run(&params, &placer, GcnPlacer::forward, &x, None, 42);
-        let (a2, lp2, _) = run(&params, &placer, GcnPlacer::forward, &x, None, 42);
+        let (a1, lp1, ent) = run(&params, &placer, Placer::forward, &x, None, 42);
+        let (a2, lp2, _) = run(&params, &placer, Placer::forward, &x, None, 42);
         assert_eq!(a1, a2, "same sampling seed, same actions");
         assert_eq!(lp1, lp2);
         assert!(ent > 0.0);

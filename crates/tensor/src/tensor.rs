@@ -643,9 +643,7 @@ fn gemm(a: Lhs<'_>, b: Rhs<'_>, out: &mut Tensor, accumulate: bool) {
 /// adds `a[i][kk] * b[kk][j]` for `kk` ascending (k-blocks in order, the
 /// accumulator round-tripping exactly through `out`): `matmul_rows`' sum, so
 /// the bits match (NaN payloads aside: LLVM may commute an f32 add). A finite
-/// `±0.0` product adds nothing (the accumulator is never `-0.0`), so layers
-/// built on zero-padding — the GCN placer's block-diagonal adjacency — keep
-/// their per-episode bits.
+/// `±0.0` product adds nothing (the accumulator is never `-0.0`).
 fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], row0: usize, n: usize, accumulate: bool) {
     let k = a.inner;
     let rows = out.len() / n.max(1);
