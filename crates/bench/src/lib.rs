@@ -5,7 +5,7 @@
 //! of three algorithms on one of three graphs, report the best placement's
 //! final step time — so there is one driver: the `experiments` binary runs the
 //! entries of [`Experiment::all`] named on its command line (or `all`), each
-//! writing `<name>.csv` into `--out DIR`:
+//! writing its artifact into `--out DIR`:
 //!
 //! * `table1`..`table4` — the paper's Tables I–IV (groupers, placers, training
 //!   algorithms, headline comparison); `--curves` adds Fig. 2 (`table1`) and
@@ -13,6 +13,11 @@
 //! * `ablation_{baseline,entropy,groups,reward}` — design-choice sweeps of
 //!   EAGLE(PPO) on GNMT beyond the paper's tables.
 //! * `oracle` — simulated-annealing bounds on the calibrated landscape.
+//! * `transfer` — a generalist trained on GraphGen graphs, zero-shot /
+//!   fine-tuned / from-scratch on the benchmarks (`BENCH_transfer.json`); its
+//!   zero-shot-beats-random gate makes the driver exit 1 when it fails.
+//! * `telemetry_overhead` — the recorder's host-time cost
+//!   (`BENCH_telemetry_overhead.json`).
 //!
 //! Every trained cell is a [`RunSpec`] executed by [`run`]. Shared flags:
 //! `--scale tiny|quick|paper` (default `quick`), `--samples N` overrides the
@@ -21,24 +26,29 @@
 //! `--checkpoint-dir DIR` / `--checkpoint-every N` / `--resume` checkpoint and
 //! resume every trained cell, `--workers N` pins the worker-pool size.
 //!
-//! The other binaries (`matmul_bench`, `graph_scale`, `telemetry_overhead`,
-//! `transfer`, `serve_throughput`) each gate or record one thing nothing else
-//! does; commit-over-commit performance is `BENCHMARK.json` / `perf/`.
+//! The other binaries (`matmul_bench`, `graph_scale`, `serve_throughput`) each
+//! gate or record one thing nothing else does; commit-over-commit performance
+//! is `BENCHMARK.json` / `perf/`.
 
 #![warn(missing_docs)]
 
+use eagle_core::infer::best_of;
 use eagle_core::{
     load_checkpoint, AgentScale, Algo, Curve, EagleAgent, FixedGroupAgent, GraphSource, HpAgent,
     PlacementAgent, PlacerKind, TrainResult, Trainer, TrainerConfig, CHECKPOINT_FILE,
 };
-use eagle_devsim::{predefined, search, Benchmark, Environment, Machine, MeasureConfig, Placement};
+use eagle_devsim::{
+    predefined, search, step_times, Benchmark, DeviceId, Environment, Machine, MeasureConfig,
+    Placement,
+};
 use eagle_obs::Recorder;
-use eagle_opgraph::OpGraph;
+use eagle_opgraph::{GraphGenConfig, OpGraph};
 use eagle_partition::{fluid::FluidCommunities, metis_like::MetisLike, Partitioner};
 use eagle_rl::RewardTransform;
 use eagle_tensor::Params;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use serde_json::Value;
 
 /// Parsed command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -142,6 +152,12 @@ impl Cli {
         }
         if cli.resume && cli.checkpoint_dir.is_none() {
             return Err("--resume requires --checkpoint-dir DIR".into());
+        }
+        if cli.samples_override == Some(0) {
+            return Err("--samples needs a value >= 1".into());
+        }
+        if cli.checkpoint_every == 0 {
+            return Err("--checkpoint-every needs a value >= 1".into());
         }
         if let Some(n) = cli.workers {
             if n == 0 {
@@ -248,8 +264,9 @@ pub struct RunSpec {
     pub agent: AgentKind,
     /// The training algorithm.
     pub algo: Algo,
-    /// Names what `tweak` sweeps (`0.05`, `none`, …; also the row's CSV cell).
-    /// Empty for table cells, which run the agent's standing configuration.
+    /// Names what `tweak` sweeps (`0.05`, `none`, …; also the row's CSV cell),
+    /// or a run on seeds of its own (`from_scratch`). Empty for table cells,
+    /// which run the agent's standing configuration.
     pub label: &'static str,
     /// Seed of the trainer's sampling RNG.
     pub trainer_seed: u64,
@@ -403,17 +420,18 @@ enum Source {
 }
 
 enum Rows {
-    /// One stdout row per benchmark, one CSV line per cell.
+    /// One stdout row per benchmark, one line of `<name>.csv` per cell.
     Cells(Vec<(Benchmark, Vec<Cell>)>),
-    /// A table that is not step times of placements per cell: the function
-    /// prints its own rows and returns the whole CSV.
-    Whole(fn(&Cli) -> String),
+    /// A table that is not step times of placements per cell: `table` prints
+    /// its own rows and returns the whole artifact, written to `file`, and
+    /// whether the gate it checks held (`true` for a table without one).
+    Whole { file: &'static str, table: fn(&Cli) -> (String, bool) },
 }
 
 /// One entry of the experiment table: a named table, figure set or sweep that
-/// [`Experiment::run`] prints and writes to `<name>.csv`.
+/// [`Experiment::run`] prints and writes to its artifact.
 pub struct Experiment {
-    /// Command-line name and CSV file stem.
+    /// Command-line name, and the file stem of a table of cells.
     pub name: &'static str,
     title: &'static str,
     /// CSV column naming what differs between a row's cells.
@@ -434,13 +452,26 @@ fn hp_budget(cfg: &mut TrainerConfig, _: &mut AgentScale) {
     cfg.total_samples = cfg.total_samples.min(cfg.total_samples / 2 + 100);
 }
 
-/// A table cell. Its seeds derive from `--seed` and are the same for every
-/// cell, so the approaches of one table see identical noise.
-fn trained(seed: u64, b: Benchmark, column: &'static str, agent: AgentKind, algo: Algo) -> Cell {
+/// A table cell's run. Its seeds derive from `--seed` and are the same for
+/// every cell, so the approaches of one table see identical noise.
+fn trained(seed: u64, benchmark: Benchmark, agent: AgentKind, algo: Algo) -> RunSpec {
     let tweak: Tweak = if agent == AgentKind::HierarchicalPlanner { hp_budget } else { no_tweak };
     let (trainer_seed, env_seed) = (seed.wrapping_add(13), 1000 + seed);
-    let spec = RunSpec { benchmark: b, agent, algo, label: "", trainer_seed, env_seed, tweak };
-    Cell { column, source: Source::Train(spec) }
+    RunSpec { benchmark, agent, algo, label: "", trainer_seed, env_seed, tweak }
+}
+
+/// `transfer`'s from-scratch column: EAGLE(PPO) on the fine-tune's seeds
+/// (the trainer's default 7, environment `2000 + seed`), not Table IV's.
+fn from_scratch(seed: u64, benchmark: Benchmark) -> RunSpec {
+    RunSpec {
+        benchmark,
+        agent: AgentKind::Eagle,
+        algo: Algo::Ppo,
+        label: "from_scratch",
+        trainer_seed: 7,
+        env_seed: 2000 + seed,
+        tweak: no_tweak,
+    }
 }
 
 /// A sweep: EAGLE(PPO) on GNMT under each labelled tweak, on the sweep's own
@@ -466,7 +497,10 @@ impl Experiment {
         use GrouperKind::{Metis, Networkx};
         use PlacerKind::{Gcn, Seq2SeqAfter, Seq2SeqBefore};
         let (ppo, ppo_ce) = (Algo::Ppo, Algo::PpoCe);
-        let cell = |b, column, agent, algo| trained(seed, b, column, agent, algo);
+        let cell = |b, column, agent, algo| Cell {
+            column,
+            source: Source::Train(trained(seed, b, agent, algo)),
+        };
         let fixed = |column, placement| Cell { column, source: Source::Fixed(placement) };
         let no_curves: fn(Benchmark) -> Option<&'static str> = |_| None;
         let experiment =
@@ -581,7 +615,22 @@ impl Experiment {
                 "oracle",
                 "Landscape oracle: simulated annealing over topo-chunk groups",
                 "",
-                Rows::Whole(oracle),
+                Rows::Whole { file: "oracle.csv", table: oracle },
+                no_curves,
+            ),
+            experiment(
+                "transfer",
+                "Transfer: a generalist over GraphGen(target_ops=48), zero-shot / fine-tuned / \
+                 from scratch",
+                "",
+                Rows::Whole { file: "BENCH_transfer.json", table: transfer },
+                no_curves,
+            ),
+            experiment(
+                "telemetry_overhead",
+                "Telemetry overhead: EAGLE(PPO) on Inception-V3, recorder off vs on",
+                "",
+                Rows::Whole { file: "BENCH_telemetry_overhead.json", table: telemetry_overhead },
                 no_curves,
             ),
         ]
@@ -610,15 +659,20 @@ impl Experiment {
         (all, cli)
     }
 
-    /// Runs the experiment: prints its table and writes `<name>.csv` (plus the
-    /// figure CSVs under `--curves`) into the output directory.
-    pub fn run(&self, cli: &Cli) {
+    /// Runs the experiment: prints its table and writes its artifact (plus the
+    /// figure CSVs under `--curves`) into the output directory. Returns
+    /// whether the table's gate held; the artifact is written either way.
+    pub fn run(&self, cli: &Cli) -> bool {
         println!("{} (scale = {})", self.title, cli.scale_name);
-        let csv = match &self.rows {
-            Rows::Whole(table) => table(cli),
-            Rows::Cells(rows) => self.run_cells(rows, cli),
+        let (file, contents, held) = match &self.rows {
+            Rows::Whole { file, table } => {
+                let (contents, held) = table(cli);
+                (file.to_string(), contents, held)
+            }
+            Rows::Cells(rows) => (format!("{}.csv", self.name), self.run_cells(rows, cli), true),
         };
-        cli.write_artifact(&format!("{}.csv", self.name), &csv);
+        cli.write_artifact(&file, &contents);
+        held
     }
 
     fn run_cells(&self, rows: &[(Benchmark, Vec<Cell>)], cli: &Cli) -> String {
@@ -681,7 +735,7 @@ impl Experiment {
 /// hand-written reference placement. Not a paper baseline — a certification of
 /// how much headroom the calibrated landscape offers. `--samples` sets the
 /// evaluation budget (default 4000).
-fn oracle(cli: &Cli) -> String {
+fn oracle(cli: &Cli) -> (String, bool) {
     let machine = Machine::paper_machine();
     let iters = cli.samples_override.unwrap_or(4000);
     println!("  {iters} evals, k = {}", cli.scale.num_groups);
@@ -700,7 +754,229 @@ fn oracle(cli: &Cli) -> String {
         println!("  {:<13} reference {reference:<7} oracle {oracle}", b.name());
         csv.push_str(&format!("{},{reference},{oracle}\n", b.name()));
     }
-    csv
+    (csv, true)
+}
+
+/// Candidates per best-of-K evaluation in `transfer`, identical for policy and
+/// random baseline so the comparison is budget-fair.
+const CANDIDATES: usize = 8;
+
+/// Held-out GraphGen graphs (never drawn by training) `transfer`'s gate runs on.
+const HOLDOUT: usize = 2;
+
+/// Best-of-K random placements: each op on a uniformly random device.
+fn best_of_random(graph: &OpGraph, machine: &Machine, seed: u64) -> Option<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let devices = machine.devices.len();
+    let placements: Vec<Placement> = (0..CANDIDATES)
+        .map(|_| {
+            let devs =
+                (0..graph.len()).map(|_| DeviceId(rng.gen_range(0..devices) as u8)).collect();
+            Placement::new(devs)
+        })
+        .collect();
+    step_times(graph, machine, &placements, 1).into_iter().flatten().min_by(f64::total_cmp)
+}
+
+/// JSON-friendly rendering: `null` when every candidate OOMed.
+fn json_time(t: Option<f64>) -> String {
+    t.map_or("null".to_string(), |t| format!("{t}"))
+}
+
+/// The `transfer` table: what training on a *distribution* of graphs buys.
+/// Trains one generalist policy on a GraphGen distribution (with a held-out
+/// split and zero-shot probes), then reports the GDP-style three columns on
+/// the benchmarks:
+///
+/// * **zero-shot** — the generalist's best-of-K placement on a graph it never
+///   trained on, no gradient steps;
+/// * **fine-tuned-N** — the generalist's parameters warm-start N samples of
+///   benchmark-specific training;
+/// * **from-scratch-N** — the same N samples from random initialization.
+///
+/// Its gate (CI's generalist smoke): on every held-out GraphGen graph the
+/// generalist's zero-shot best-of-K must beat a best-of-K **random**
+/// placement (per-op uniform device; a candidate whose every placement OOMs
+/// scores +inf).
+fn transfer(cli: &Cli) -> (String, bool) {
+    let machine = Machine::paper_machine();
+    // Sources are pure functions of (config, seed): `make_source()` always
+    // yields the identical distribution and holdout split, so the gate below
+    // never sees a training graph.
+    let make_source = || {
+        GraphSource::generated(GraphGenConfig::with_target(48), cli.seed)
+            .expect("valid generated source")
+    };
+    let source = make_source();
+    let holdout_origins = source.holdout_origins(HOLDOUT);
+    let seed_graph = source.build(&holdout_origins[0]);
+    let gen_samples = cli.samples_for(Benchmark::InceptionV3);
+    println!("  generalist: {gen_samples} samples, {HOLDOUT} graphs held out");
+
+    let mut gen_params = Params::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(cli.seed);
+    let agent = EagleAgent::new(&mut gen_params, &seed_graph, &machine, cli.scale, &mut rng);
+    let trainer = Trainer::builder(make_source(), machine.clone())
+        .config(TrainerConfig::paper(Algo::Ppo, gen_samples))
+        .measure(MeasureConfig::default())
+        .env_seed(1000 + cli.seed)
+        .recorder(cli.recorder.clone())
+        .holdout(HOLDOUT)
+        .probe_every((gen_samples / 10).max(1))
+        .probe_candidates(CANDIDATES)
+        .build()
+        .expect("valid generalist trainer config");
+    let gen_result = trainer.train(&agent, &mut gen_params).expect("generalist training failed");
+    println!(
+        "  trained on {} distinct graphs, {} probes recorded",
+        gen_result.graphs.len(),
+        gen_result.curve.probes.len()
+    );
+    let fits = "the generalist's parameters fit every graph at its own scale";
+
+    let mut gate_rows = Vec::new();
+    let mut gate_ok = true;
+    for (i, origin) in holdout_origins.iter().enumerate() {
+        let graph = source.build(origin);
+        let name = source.name(origin);
+        let agent = EagleAgent::for_params(&gen_params, &graph, &machine, cli.scale).expect(fits);
+        let draw = [(7000 + i as u64, CANDIDATES)];
+        let zs = best_of(&agent, &gen_params, &graph, &machine, &draw, 1).remove(0).map(|b| b.0);
+        let rnd = best_of_random(&graph, &machine, 9000 + i as u64);
+        // All-OOM scores +inf, so a feasible side always beats an infeasible one.
+        let beats = zs.unwrap_or(f64::INFINITY) < rnd.unwrap_or(f64::INFINITY);
+        gate_ok &= beats;
+        println!(
+            "  holdout {name}: zero-shot {} vs random {} -> {}",
+            fmt_time(zs),
+            fmt_time(rnd),
+            if beats { "ok" } else { "FAIL" }
+        );
+        gate_rows.push(format!(
+            r#"    {{"graph": "{name}", "ops": {}, "zero_shot": {}, "random": {}, "beats_random": {beats}}}"#,
+            graph.len(),
+            json_time(zs),
+            json_time(rnd)
+        ));
+    }
+
+    let mut rows = Vec::new();
+    for b in Benchmark::ALL {
+        let graph = b.graph_for(&machine);
+        let n = cli.samples_for(b);
+        let agent = EagleAgent::for_params(&gen_params, &graph, &machine, cli.scale).expect(fits);
+        let draw = [(100 + cli.seed, CANDIDATES)];
+        let zero_shot =
+            best_of(&agent, &gen_params, &graph, &machine, &draw, 1).remove(0).map(|b| b.0);
+        // Fine-tune: the same agent, parameters warm-started from the
+        // generalist (ids align by construction order).
+        let mut ft_params = gen_params.clone();
+        let ft = Trainer::builder(GraphSource::fixed(graph.clone()), machine.clone())
+            .config(TrainerConfig::paper(Algo::Ppo, n))
+            .measure(MeasureConfig::default())
+            .env_seed(2000 + cli.seed)
+            .recorder(cli.recorder.clone())
+            .build()
+            .expect("valid fine-tune trainer config")
+            .train(&agent, &mut ft_params)
+            .expect("fine-tune training failed");
+        let fs = run(&from_scratch(cli.seed, b), cli);
+        println!(
+            "  {b:?}: zero-shot {} | fine-tuned-{n} {} | from-scratch-{n} {}",
+            fmt_time(zero_shot),
+            fmt_time(ft.final_step_time),
+            fmt_time(fs.final_step_time)
+        );
+        rows.push(format!(
+            r#"    {{"benchmark": "{b:?}", "samples": {n}, "zero_shot": {}, "fine_tuned": {}, "from_scratch": {}}}"#,
+            json_time(zero_shot),
+            json_time(ft.final_step_time),
+            json_time(fs.final_step_time)
+        ));
+    }
+    if !gate_ok {
+        eprintln!("generalist gate FAILED: zero-shot lost to random placement on a held-out graph");
+    }
+    let json = format!(
+        "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"candidates\": {CANDIDATES},\n  \
+         \"generalist_samples\": {gen_samples},\n  \"distinct_training_graphs\": {},\n  \
+         \"holdout\": [\n{}\n  ],\n  \"benchmarks\": [\n{}\n  ],\n  \
+         \"gate_zero_shot_beats_random\": {gate_ok}\n}}\n",
+        cli.scale_name,
+        cli.seed,
+        gen_result.graphs.len(),
+        gate_rows.join(",\n"),
+        rows.join(",\n")
+    );
+    (json, gate_ok)
+}
+
+/// The `telemetry_overhead` table: the host-time cost of telemetry, as Table
+/// IV's EAGLE(PPO) run on Inception-V3 with the recorder disabled vs enabled.
+/// The determinism contract is asserted along the way (identical curves either
+/// way); the telemetry design budgets the overhead at <2% (DESIGN.md,
+/// "Telemetry"). `--samples` sets the budget of each run (default 200); the
+/// timed runs never checkpoint. Each timing is the whole [`run`], graph and
+/// agent construction included — the same cost in both modes.
+fn telemetry_overhead(cli: &Cli) -> (String, bool) {
+    let samples = cli.samples_override.unwrap_or(200);
+    println!("  {samples} samples/run");
+    let spec = trained(cli.seed, Benchmark::InceptionV3, AgentKind::Eagle, Algo::Ppo);
+    let timed = |recorder: Recorder| {
+        let cli =
+            Cli { samples_override: Some(samples), recorder, checkpoint_dir: None, ..cli.clone() };
+        let start = std::time::Instant::now();
+        let result = run(&spec, &cli);
+        (result, start.elapsed().as_secs_f64())
+    };
+
+    // Warm-up run to populate allocator/page-cache state, then take the best
+    // of `reps` timed runs per mode so scheduler noise cancels out.
+    timed(Recorder::disabled());
+    let reps = 3;
+    let (mut off_elapsed, mut on_elapsed) = (f64::INFINITY, f64::INFINITY);
+    let (mut off_result, mut on_result) = (None, None);
+    for _ in 0..reps {
+        let (r, t) = timed(Recorder::disabled());
+        off_elapsed = off_elapsed.min(t);
+        off_result = Some(r);
+        let (r, t) = timed(Recorder::new());
+        on_elapsed = on_elapsed.min(t);
+        on_result = Some(r);
+    }
+    let off_result = off_result.expect("ran at least once");
+    let on_result = on_result.expect("ran at least once");
+
+    // Observation-only contract: recording may not change the training run.
+    assert_eq!(
+        off_result.curve.points, on_result.curve.points,
+        "enabling telemetry changed the training curve"
+    );
+    assert_eq!(off_result.final_step_time, on_result.final_step_time);
+
+    let overhead_pct = 100.0 * (on_elapsed - off_elapsed) / off_elapsed;
+    println!("  recorder off: {off_elapsed:>7.2}s  (best of {reps})");
+    println!("  recorder on : {on_elapsed:>7.2}s  (best of {reps})");
+    println!("  overhead    : {overhead_pct:>+7.2}%  (budget <2%)");
+
+    let doc = Value::Object(
+        [
+            ("bench", Value::from("telemetry_overhead")),
+            ("scale", Value::from(cli.scale_name.as_str())),
+            ("seed", Value::U64(cli.seed)),
+            ("samples", Value::U64(samples as u64)),
+            ("reps", Value::U64(reps)),
+            ("off_elapsed_sec", Value::from(off_elapsed)),
+            ("on_elapsed_sec", Value::from(on_elapsed)),
+            ("overhead_pct", Value::from(overhead_pct)),
+            ("curves_identical", Value::Bool(true)),
+            ("final_step_time", off_result.final_step_time.map_or(Value::Null, Value::from)),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_owned(), v))
+        .collect(),
+    );
+    (serde_json::to_string(&doc).expect("serialize"), true)
 }
 
 #[cfg(test)]
@@ -713,20 +989,26 @@ mod tests {
         let all = Experiment::all(7);
         let mut seen = HashMap::new();
         let mut specs = 0;
-        for e in &all {
-            let Rows::Cells(rows) = &e.rows else { continue };
-            for cell in rows.iter().flat_map(|(_, cells)| cells) {
-                let Source::Train(s) = &cell.source else { continue };
-                specs += 1;
-                let run = (s.benchmark, s.agent, s.algo, s.trainer_seed, s.env_seed, s.label);
-                let first = *seen.entry(s.slug()).or_insert(run);
-                assert_eq!(first, run, "{}: slug {} names two different runs", e.name, s.slug());
-            }
+        let cells = all.iter().flat_map(|e| match &e.rows {
+            Rows::Cells(rows) => rows.iter().flat_map(|(_, cells)| cells).collect(),
+            Rows::Whole { .. } => Vec::new(),
+        });
+        let table_specs = cells.filter_map(|cell| match &cell.source {
+            Source::Train(s) => Some(s.clone()),
+            Source::Fixed(_) => None,
+        });
+        for s in table_specs.chain(Benchmark::ALL.map(|b| from_scratch(7, b))) {
+            specs += 1;
+            let run = (s.benchmark, s.agent, s.algo, s.trainer_seed, s.env_seed, s.label);
+            let first = *seen.entry(s.slug()).or_insert(run);
+            assert_eq!(first, run, "slug {} names two different runs", s.slug());
         }
-        assert_eq!(specs, 9 + 9 + 9 + 12 + 2 + 4 + 4 + 3);
+        assert_eq!(specs, 9 + 9 + 9 + 12 + 2 + 4 + 4 + 3 + 3);
         // Table rows keep the slug existing checkpoints were written under;
-        // the four values of a sweep get one each.
+        // the four values of a sweep get one each, and so does `transfer`'s
+        // from-scratch column.
         assert!(seen.contains_key("bert-base-hp-ppo") && seen.contains_key("gnmt-post-ppo-ce"));
         assert!(seen.contains_key("gnmt-eagle-ppo") && seen.contains_key("gnmt-eagle-ppo-0-05"));
+        assert!(seen.contains_key("gnmt-eagle-ppo-from-scratch"));
     }
 }
