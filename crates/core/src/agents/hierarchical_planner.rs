@@ -254,7 +254,7 @@ mod tests {
             let grad: f32 = params
                 .ids()
                 .filter(|&id| params.name(id).starts_with(prefix))
-                .map(|id| grads.get(id).norm())
+                .map(|id| grads.get(id).map_or(0.0, Tensor::norm))
                 .sum();
             assert!(grad > 0.0, "{prefix} must receive gradient");
         }

@@ -545,6 +545,24 @@ mod tests {
     }
 
     #[test]
+    fn params_text_is_pinned_across_commits() {
+        // FNV-1a-64 of the `save_params` bytes of a quick-scale EAGLE agent
+        // (Inception-V3, seed 7), computed at the commit *before* parameter
+        // values became shared `Arc`s. A published policy's version is this
+        // hash of its parameter file, so equal hashes prove neither published
+        // versions nor checkpoints moved.
+        let machine = Machine::paper_machine();
+        let graph = Benchmark::InceptionV3.graph_for(&machine);
+        let mut params = Params::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let _ = EagleAgent::new(&mut params, &graph, &machine, AgentScale::quick(), &mut rng);
+        let path = tmp("params-pinned.json");
+        save_params(&params, &path).unwrap();
+        let got = fnv1a64(&std::fs::read(&path).unwrap());
+        assert_eq!(got, 0x2186_6e12_19f8_d30f, "{got:#018x}");
+    }
+
+    #[test]
     fn params_json_is_name_and_value_and_a_legacy_grad_key_is_ignored() {
         let mut params = Params::new();
         params.add("w", eagle_tensor::Tensor::row_vector(&[1.5, -2.0]));

@@ -150,6 +150,7 @@ mod tests {
             let neg = tape.neg(picked);
             let loss = tape.mean_all(neg);
             tape.backward_into(loss, &mut grads);
+            drop(tape);
             opt.step_grads(&mut params, &grads);
         }
         let mut tape = Tape::new();

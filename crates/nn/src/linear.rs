@@ -124,6 +124,7 @@ mod tests {
             let loss = tape.mean_all(sq);
             last_loss = tape.value(loss).item();
             tape.backward_into(loss, &mut grads);
+            drop(tape);
             opt.step_grads(&mut params, &grads);
         }
         assert!(last_loss < 0.05, "XOR not learned, loss = {last_loss}");

@@ -318,8 +318,8 @@ mod tests {
             }
             for id in params.ids() {
                 assert_eq!(
-                    bits(fused_grads.get(id)),
-                    bits(grads.get(id)),
+                    fused_grads.get(id).map(bits),
+                    grads.get(id).map(bits),
                     "batch {n}: gradient of {}",
                     params.name(id)
                 );

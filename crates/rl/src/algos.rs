@@ -52,13 +52,11 @@ impl Default for OptimConfig {
     }
 }
 
-/// What the three algorithms share: optimizer knobs and Adam state, reusable
-/// gradient buffers, the telemetry recorder — and the one gradient-step loop.
+/// What the three algorithms share: optimizer knobs and Adam state, the
+/// telemetry recorder — and the one gradient-step loop.
 struct Stepper {
     cfg: OptimConfig,
     opt: Adam,
-    /// Reusable gradient buffers, allocated on the first update.
-    grads: Option<Grads>,
     recorder: Recorder,
     /// Name of the update-latency span.
     span: &'static str,
@@ -67,7 +65,7 @@ struct Stepper {
 impl Stepper {
     fn new(cfg: OptimConfig, span: &'static str) -> Self {
         let opt = Adam::new(cfg.lr);
-        Self { cfg, opt, grads: None, recorder: Recorder::disabled(), span }
+        Self { cfg, opt, recorder: Recorder::disabled(), span }
     }
 
     /// Runs `steps` gradient steps over `actions`: one batched scoring pass
@@ -75,7 +73,8 @@ impl Stepper {
     /// `gain` builds episode `i`'s objective on the shared tape; the loop
     /// negates it, averages over the batch, adds the agent's auxiliary loss and
     /// folds the episodes with `add_n`, so the whole batch backpropagates in
-    /// ONE tape traversal and shared forward nodes are visited once.
+    /// ONE tape traversal and shared forward nodes are visited once. The tape
+    /// is dropped before Adam runs, so every parameter is written in place.
     fn update(
         &mut self,
         policy: &impl StochasticPolicy,
@@ -105,13 +104,14 @@ impl Stepper {
                 ep_losses.push(loss);
             }
             let total = h.tape.add_n(&ep_losses);
-            let grads = self.grads.get_or_insert_with(|| Grads::for_params(params));
-            grads.zero();
-            h.tape.backward_into(total, grads);
+            let mut grads = Grads::for_params(params);
+            h.tape.backward_into(total, &mut grads);
             stats.loss += h.tape.value(total).item();
             stats.entropy += ent_total * scale;
+            // The tape holds a reference to every parameter it read.
+            drop(h);
             stats.grad_norm = grads.clip_global_norm(self.cfg.grad_clip);
-            self.opt.step_grads(params, grads);
+            self.opt.step_grads(params, &grads);
         }
         stats.loss /= steps as f32;
         stats.entropy /= steps as f32;

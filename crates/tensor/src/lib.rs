@@ -7,9 +7,11 @@
 //! The design is deliberately small and auditable:
 //!
 //! * [`Tensor`] — dense row-major `f32` matrix with a crossbeam-parallel matmul.
-//! * [`Params`] / [`ParamId`] — named parameter store shared by all modules.
+//! * [`Params`] / [`ParamId`] — named parameter store shared by all modules;
+//!   a tape borrows its values instead of copying them.
 //! * [`Tape`] / [`Var`] — define-by-run autodiff: record a forward pass, call
-//!   [`Tape::backward_into`], read gradients out of the detached [`Grads`] buffers.
+//!   [`Tape::backward_into`], read gradients out of the detached [`Grads`] slots
+//!   (absent until a backward pass reaches the parameter).
 //! * [`optim`] — Adam; global-norm gradient clipping is [`Grads::clip_global_norm`]
 //!   (the paper uses Adam, lr 0.01, clip 1.0).
 //! * [`init`] — Xavier / uniform initializers driven by an explicit RNG.
@@ -31,6 +33,7 @@
 //!     let sq = tape.mul_elem(err, err);        // (w - 2)^2
 //!     let loss = tape.sum_all(sq);
 //!     tape.backward_into(loss, &mut grads);
+//!     drop(tape);                              // it borrows `w`: Adam writes in place
 //!     opt.step_grads(&mut params, &grads);
 //! }
 //! assert!((params.get(w).item() - 2.0).abs() < 0.05);

@@ -93,16 +93,34 @@ impl Adam {
     }
 
     /// One parameter's update. The per-element op order is load-bearing:
-    /// checkpointed runs replay it and must land on identical bits.
-    fn update_one(&mut self, idx: usize, value: &mut Tensor, grad: &Tensor, bc1: f32, bc2: f32) {
+    /// checkpointed runs replay it and must land on identical bits. An absent
+    /// gradient is the same update with `gj = 0.0` — never a skip, which would
+    /// leave the moments undecayed.
+    fn update_one(
+        &mut self,
+        idx: usize,
+        value: &mut Tensor,
+        grad: Option<&Tensor>,
+        bc1: f32,
+        bc2: f32,
+    ) {
         let (m, v) = (self.m[idx].data_mut(), self.v[idx].data_mut());
-        assert!(m.len() == grad.len() && value.len() == grad.len(), "layout changed under Adam");
-        for (((x, &gj), m), v) in value.data_mut().iter_mut().zip(grad.data()).zip(m).zip(v) {
-            *m = self.beta1 * *m + (1.0 - self.beta1) * gj;
-            *v = self.beta2 * *v + (1.0 - self.beta2) * gj * gj;
+        assert!(
+            m.len() == value.len() && grad.is_none_or(|g| g.len() == value.len()),
+            "layout changed under Adam"
+        );
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let elems = value.data_mut().iter_mut().zip(m).zip(v);
+        let step = |((x, m), v): ((&mut f32, &mut f32), &mut f32), gj: f32| {
+            *m = beta1 * *m + (1.0 - beta1) * gj;
+            *v = beta2 * *v + (1.0 - beta2) * gj * gj;
             let m_hat = *m / bc1;
             let v_hat = *v / bc2;
-            *x -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *x -= lr * m_hat / (v_hat.sqrt() + eps);
+        };
+        match grad {
+            Some(g) => elems.zip(g.data()).for_each(|(e, &gj)| step(e, gj)),
+            None => elems.for_each(|e| step(e, 0.0)),
         }
     }
 
@@ -110,7 +128,9 @@ impl Adam {
     /// buffers (filled by [`Tape::backward_into`](crate::tape::Tape::backward_into)).
     ///
     /// Moment buffers are allocated lazily on the first step; the store's layout
-    /// (count and shapes of parameters) must stay fixed across steps.
+    /// (count and shapes of parameters) must stay fixed across steps. Drop
+    /// every tape that read `params` first: [`Params::get_mut`] copies a value
+    /// a tape still holds.
     pub fn step_grads(&mut self, params: &mut Params, grads: &Grads) {
         let (bc1, bc2) = self.begin_step(params);
         let ids: Vec<ParamId> = params.ids().collect();
@@ -136,6 +156,7 @@ mod tests {
         let mut tape = Tape::new();
         let l = loss(&mut tape, params);
         tape.backward_into(l, grads);
+        drop(tape);
         opt.step_grads(params, grads);
     }
 
@@ -224,6 +245,58 @@ mod tests {
         let e = Adam { lr: f32::INFINITY, ..Adam::new(0.1) }.check_layout(&params).unwrap_err();
         assert_eq!(e, "lr inf, beta1 0.9, beta2 0.999, eps 0.00000001 are not Adam's");
         assert!(Adam { beta2: 1.0, ..Adam::new(0.1) }.check_layout(&params).is_err());
+    }
+
+    #[test]
+    fn an_absent_gradient_steps_like_a_zero_filled_one() {
+        // `b` gets nonzero gradients for three steps, then no backward reaches
+        // it. One run leaves its slot absent, the other fills it with zeros:
+        // value, moments, norm and clip must agree bit for bit (an absent slot
+        // reads as 0.0 and is never skipped, so `b`'s moments keep decaying).
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let run = |zero_fill: bool| {
+            let mut params = Params::new();
+            let a = params.add("a", Tensor::row_vector(&[0.5, -1.5]));
+            let b = params.add("b", Tensor::row_vector(&[2.0, -3.0, 0.25]));
+            let mut opt = Adam::new(0.1);
+            let mut grads = Grads::for_params(&params);
+            let (mut norms, mut b_at_three) = (Vec::new(), Vec::new());
+            for step in 0..6 {
+                grads.zero();
+                let mut tape = Tape::new();
+                let va = tape.param(&params, a);
+                let mut used = vec![va];
+                if step < 3 {
+                    used.push(tape.param(&params, b));
+                }
+                let sums: Vec<Var> = used
+                    .into_iter()
+                    .map(|v| {
+                        let sq = tape.mul_elem(v, v);
+                        tape.sum_all(sq)
+                    })
+                    .collect();
+                let loss = tape.add_n(&sums);
+                tape.backward_into(loss, &mut grads);
+                drop(tape);
+                assert_eq!(grads.get(b).is_none(), step >= 3);
+                if zero_fill && step >= 3 {
+                    grads.deposit(b, Tensor::zeros(1, 3));
+                }
+                norms.push(grads.global_norm().to_bits());
+                norms.push(grads.clip_global_norm(0.5).to_bits());
+                assert_eq!(grads.get(b).is_none(), step >= 3 && !zero_fill, "clip allocates none");
+                opt.step_grads(&mut params, &grads);
+                if step == 2 {
+                    b_at_three = bits(params.get(b));
+                }
+            }
+            let state = [&opt.m[0], &opt.m[1], &opt.v[0], &opt.v[1], params.get(a), params.get(b)];
+            (state.map(bits), norms, b_at_three)
+        };
+        let (absent, filled) = (run(false), run(true));
+        assert_eq!(absent, filled);
+        assert_ne!(absent.2, absent.0[5], "momentum moves b after its gradient stops");
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //!
 //! Modules do not own their weights; they hold [`ParamId`] handles into a [`Params`]
 //! store. A fresh [`Tape`](crate::tape::Tape) is built per forward pass and parameters
-//! are injected with [`Tape::param`](crate::tape::Tape::param). The store holds values
-//! only: gradients live in detached [`Grads`](crate::grads::Grads) buffers, filled by
+//! are injected with [`Tape::param`](crate::tape::Tape::param), which records a
+//! reference to the value (each entry is an `Arc<Tensor>`), not a copy;
+//! [`Params::clone`] shares every value the same way until one side writes it.
+//! The store holds values only: gradients live in detached
+//! [`Grads`](crate::grads::Grads) buffers, filled by
 //! [`Tape::backward_into`](crate::tape::Tape::backward_into) and consumed by
 //! [`Adam::step_grads`](crate::optim::Adam::step_grads).
+
+use std::sync::Arc;
 
 use crate::tensor::Tensor;
 
@@ -23,7 +28,7 @@ impl ParamId {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct ParamEntry {
     name: String,
-    value: Tensor,
+    value: Arc<Tensor>,
 }
 
 /// A flat store of named parameter tensors.
@@ -40,7 +45,7 @@ impl Params {
 
     /// Registers a parameter, returning its handle.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        self.entries.push(ParamEntry { name: name.into(), value });
+        self.entries.push(ParamEntry { name: name.into(), value: Arc::new(value) });
         ParamId(self.entries.len() - 1)
     }
 
@@ -69,9 +74,15 @@ impl Params {
         &self.entries[id.0].value
     }
 
-    /// Mutable value of a parameter (used by optimizers).
+    /// The shared value itself, for a tape to hold without copying it.
+    pub(crate) fn shared(&self, id: ParamId) -> &Arc<Tensor> {
+        &self.entries[id.0].value
+    }
+
+    /// Mutable value of a parameter (used by optimizers). Copies the value
+    /// first if a tape or a cloned store still shares it.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.entries[id.0].value
+        Arc::make_mut(&mut self.entries[id.0].value)
     }
 
     /// Iterator over all parameter handles.
@@ -93,5 +104,19 @@ mod tests {
         assert_eq!(p.num_scalars(), 9);
         assert_eq!(p.name(w), "w");
         assert_eq!(p.get(b).shape(), (1, 3));
+    }
+
+    #[test]
+    fn a_clone_shares_until_one_side_writes() {
+        let mut p = Params::new();
+        let w = p.add("w", Tensor::row_vector(&[1.0, 2.0]));
+        let snapshot = p.clone();
+        assert!(std::ptr::eq(p.get(w), snapshot.get(w)), "a clone copies no value");
+        p.get_mut(w).data_mut()[0] = 5.0;
+        assert_eq!(p.get(w).data(), &[5.0, 2.0]);
+        assert_eq!(snapshot.get(w).data(), &[1.0, 2.0], "the write did not reach the clone");
+        let at = p.get(w) as *const Tensor;
+        p.get_mut(w).data_mut()[1] = 6.0;
+        assert!(std::ptr::eq(p.get(w), at), "an unshared value is written in place");
     }
 }

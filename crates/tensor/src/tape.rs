@@ -5,6 +5,11 @@
 //! in reverse, applying each op's vector-Jacobian product, and deposits gradients of
 //! registered parameters into detached [`Grads`] buffers.
 //!
+//! Parameters are borrowed, gradients handed over: [`Tape::param`] records a
+//! reference to the store's value rather than a copy, and a parameter's
+//! finished gradient slot moves into [`Grads`] instead of being added into a
+//! second buffer of the same size.
+//!
 //! The tape is rebuilt for every forward pass ("define-by-run"), which is exactly how
 //! the paper's PyTorch agent operates, and keeps dynamic structures (per-sample
 //! sequence lengths, sampled placements feeding back into the decoder) trivial.
@@ -121,8 +126,9 @@ struct Node {
     needs_grad: bool,
 }
 
-/// A node's forward value: computed on this tape, or a constant the caller
-/// keeps across tapes (see [`Tape::leaf_shared`]).
+/// A node's forward value: computed on this tape, or a value kept across
+/// tapes — a parameter (see [`Tape::param`]) or a constant the caller holds
+/// (see [`Tape::leaf_shared`]).
 enum NodeValue {
     Owned(Tensor),
     Shared(Arc<Tensor>),
@@ -219,13 +225,16 @@ impl Tape {
         self.push_node(Node { op: Op::Leaf, value: NodeValue::Shared(value), needs_grad: false })
     }
 
-    /// Injects a parameter from `params`. Re-injecting the same handle returns the
-    /// same node, so gradient contributions from all uses accumulate correctly.
+    /// Injects a parameter from `params` without copying it: the node shares
+    /// the store's value, so drop the tape before writing `params`. Re-injecting
+    /// the same handle returns the same node, so gradient contributions from all
+    /// uses accumulate correctly.
     pub fn param(&mut self, params: &Params, id: ParamId) -> Var {
         if let Some(&v) = self.param_cache.get(&id) {
             return v;
         }
-        let v = self.push(Op::Param(id), params.get(id).clone(), true);
+        let value = NodeValue::Shared(Arc::clone(params.shared(id)));
+        let v = self.push_node(Node { op: Op::Param(id), value, needs_grad: true });
         self.param_cache.insert(id, v);
         v
     }
@@ -645,8 +654,9 @@ impl Tape {
     }
 
     /// Runs backpropagation from scalar node `loss`, accumulating parameter
-    /// gradients into detached [`Grads`] buffers (adding to whatever is
-    /// already there — call [`Grads::zero`] at minibatch start).
+    /// gradients into detached [`Grads`] buffers (a parameter's finished
+    /// gradient becomes its absent slot, or is added to what is already there
+    /// — call [`Grads::zero`] at minibatch start).
     ///
     /// # Panics
     /// Panics if `loss` is not `1x1`.
@@ -748,8 +758,9 @@ impl Tape {
         let op = self.nodes[i].op;
         match op {
             Op::Leaf => {}
-            // `+=`: several backward passes may share one set of buffers.
-            Op::Param(id) => sink.get_mut(id).add_assign(&gy),
+            // Handed over into an absent slot, added into a present one:
+            // several backward passes may share one set of buffers.
+            Op::Param(id) => sink.deposit(id, gy),
             Op::MatMul(a, b) => {
                 if self.ng(a) {
                     let da = gy.matmul_nt(self.value(b));

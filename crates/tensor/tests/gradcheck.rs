@@ -42,7 +42,7 @@ fn gradcheck(params: &mut Params, forward: impl Fn(&mut Tape, &Params) -> Var) {
             params.get_mut(id).data_mut()[j] = orig;
 
             let numeric = (fp - fm) / (2.0 * EPS);
-            let analytic = grads.get(id).data()[j];
+            let analytic = grads.get(id).map_or(0.0, |g| g.data()[j]);
             let denom = 1.0f32.max(numeric.abs()).max(analytic.abs());
             assert!(
                 (numeric - analytic).abs() / denom < TOL,
@@ -291,7 +291,7 @@ fn leaf_receives_no_gradient() {
     let loss = tape.sum_all(prod);
     let mut grads = Grads::for_params(&params);
     tape.backward_into(loss, &mut grads);
-    assert_eq!(grads.get(w).item(), 5.0);
+    assert_eq!(grads.get(w).map(Tensor::item), Some(5.0));
 }
 
 #[test]
@@ -305,7 +305,47 @@ fn backward_accumulates_across_calls() {
         let loss = tape.sum_all(wv);
         tape.backward_into(loss, &mut grads);
     }
-    assert_eq!(grads.get(w).item(), 3.0);
+    assert_eq!(grads.get(w).map(Tensor::item), Some(3.0));
+}
+
+#[test]
+fn two_backward_passes_into_one_grads_sum_and_land_no_negative_zero() {
+    // The per-episode path: two losses on one shared tape, each backward
+    // into the same `Grads`. The first hands its buffer over, the second
+    // adds, so the slot is the sum of what each deposits alone. `z` sits
+    // behind `neg` with a zero upstream: `-1 * 0.0` is `-0.0`, and the
+    // deposit rules must still land `+0.0` in the handed-over buffer.
+    let (params, ids) = seeded_params(&[(2, 3), (3, 2), (2, 3)], 16);
+    let mut tape = Tape::new();
+    let (x, w, z) =
+        (tape.param(&params, ids[0]), tape.param(&params, ids[1]), tape.param(&params, ids[2]));
+    let h = tape.matmul(x, w);
+    let t = tape.tanh(h);
+    let first = tape.sum_all(t);
+    let sq = tape.mul_elem(h, h);
+    let second = tape.mean_all(sq);
+    let nz = tape.neg(z);
+    let zeros = tape.leaf(Tensor::zeros(2, 3));
+    let masked = tape.mul_elem(nz, zeros);
+    let z_loss = tape.sum_all(masked);
+    let second = tape.add(second, z_loss);
+
+    let alone = |loss: Var| {
+        let mut g = Grads::for_params(&params);
+        tape.backward_into(loss, &mut g);
+        g
+    };
+    let (g1, g2) = (alone(first), alone(second));
+    let mut shared = Grads::for_params(&params);
+    tape.backward_into(first, &mut shared);
+    assert!(shared.get(ids[2]).is_none(), "the first loss does not reach z");
+    tape.backward_into(second, &mut shared);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for &id in &ids[..2] {
+        let sum = g1.get(id).unwrap().add(g2.get(id).unwrap());
+        assert_eq!(shared.get(id).map(bits), Some(bits(&sum)), "{}", params.name(id));
+    }
+    assert_eq!(shared.get(ids[2]).map(bits), Some(vec![0.0f32.to_bits(); 6]), "z lands +0.0");
 }
 
 proptest! {

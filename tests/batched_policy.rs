@@ -23,13 +23,18 @@ use eagle::core::{
 use eagle::devsim::{Machine, MeasureConfig};
 use eagle::opgraph::{builders, OpGraph};
 use eagle::rl::fork_streams;
-use eagle::tensor::{Grads, Params};
+use eagle::tensor::{Grads, ParamId, Params, Tensor};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 mod common;
 use common::{assert_grad_close, assert_same_curve, assert_same_opt_f64};
+
+/// A parameter's gradient; empty when no backward pass reached it.
+fn grad_data(grads: &Grads, id: ParamId) -> &[f32] {
+    grads.get(id).map_or(&[][..], Tensor::data)
+}
 
 fn tiny_graph() -> OpGraph {
     builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config")
@@ -120,9 +125,14 @@ fn assert_batched_matches_serial(
         sh.tape.backward_into(loss, &mut serial_grads);
     }
     for id in params.ids() {
-        let bg = batch_grads.get(id);
-        let sg = serial_grads.get(id);
-        for (i, (x, y)) in bg.data().iter().zip(sg.data()).enumerate() {
+        let (bg, sg) = (grad_data(&batch_grads, id), grad_data(&serial_grads, id));
+        assert_eq!(
+            bg.len(),
+            sg.len(),
+            "gradient of '{}' reached by one side only",
+            params.name(id)
+        );
+        for (i, (x, y)) in bg.iter().zip(sg).enumerate() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
@@ -174,10 +184,15 @@ fn assert_single_backward_matches_per_episode(
     h.tape.backward_into(total, &mut grads);
 
     for id in params.ids() {
-        let pe = per_episode.get(id);
-        let sb = grads.get(id);
-        let scale = pe.data().iter().chain(sb.data()).fold(0.0f32, |m, v| m.max(v.abs()));
-        for (i, (a, b)) in pe.data().iter().zip(sb.data()).enumerate() {
+        let (pe, sb) = (grad_data(&per_episode, id), grad_data(&grads, id));
+        assert_eq!(
+            pe.len(),
+            sb.len(),
+            "gradient of '{}' reached by one side only",
+            params.name(id)
+        );
+        let scale = pe.iter().chain(sb).fold(0.0f32, |m, v| m.max(v.abs()));
+        for (i, (a, b)) in pe.iter().zip(sb).enumerate() {
             assert_grad_close(
                 *a,
                 *b,

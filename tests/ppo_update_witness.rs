@@ -3,7 +3,8 @@
 //! benchmark's training workloads run. The hashes were computed at the commit
 //! *before* the backward pass stopped materializing transposes and zero
 //! tensors; a kernel, VJP or deposit-order change that moves one float of one
-//! gradient moves them.
+//! gradient moves them. Every case also holds each parameter at one address
+//! for the whole run, which fails if a tape outlives its update step.
 //!
 //! The tiny cases below it hold the policy paths the benchmark never runs —
 //! distinct placer inputs and attention after the decoder (Hierarchical
@@ -16,7 +17,7 @@ use eagle::devsim::{Benchmark, Machine};
 use eagle::opgraph::builders;
 use eagle::partition::{metis_like::MetisLike, Partitioner};
 use eagle::rl::{fork_streams, OptimConfig, Ppo, StochasticPolicy, TrainSample};
-use eagle::tensor::Params;
+use eagle::tensor::{Params, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -31,9 +32,18 @@ fn params_hash(params: &Params) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// Where every parameter value lives.
+fn addresses(params: &Params) -> Vec<*const Tensor> {
+    params.ids().map(|id| params.get(id) as *const Tensor).collect()
+}
+
 /// `updates` PPO updates of `agent` on `minibatch`-sample batches drawn from
 /// fixed streams with a fixed advantage pattern (both signs, so the clipped
 /// and unclipped surrogate branches are both taken over the epochs).
+///
+/// Every parameter stays at its address throughout: a tape borrows the
+/// values it reads, and one that outlived its step would make Adam's write
+/// copy the value instead.
 fn run_updates(
     agent: &impl StochasticPolicy,
     mut params: Params,
@@ -43,6 +53,7 @@ fn run_updates(
 ) -> u64 {
     let mut ppo = Ppo::new(OptimConfig::default(), 0.3, epochs);
     let mut master = ChaCha8Rng::seed_from_u64(11);
+    let at = addresses(&params);
     for u in 0..updates {
         let mut streams = fork_streams(&mut master, agent.rng_draws_per_sample(), minibatch);
         let mut refs: Vec<&mut dyn rand::RngCore> =
@@ -57,7 +68,9 @@ fn run_updates(
                 advantage: ((i * 7 + u * 3) % MINIBATCH) as f32 / 3.0 - 1.5,
             })
             .collect();
+        assert_eq!(addresses(&params), at, "a parameter moved across sample_batch");
         ppo.update(agent, &mut params, &batch);
+        assert_eq!(addresses(&params), at, "a parameter was copied by an update");
     }
     params_hash(&params)
 }
