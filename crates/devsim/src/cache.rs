@@ -9,11 +9,25 @@
 //!
 //! Eviction is strict FIFO (insertion order), not LRU, on purpose: hits do not
 //! reorder entries, so the cache state after a sequence of evaluations is
-//! independent of whether they were issued one-by-one or as a batch. That
-//! property is what makes `Environment::evaluate_batch` bit-identical to a
-//! serial evaluation loop for every worker count.
+//! independent of whether they were issued one-by-one or as a batch (but for
+//! the one case `Environment::evaluate_batch` documents). That property is
+//! what makes `Environment::evaluate_batch` bit-identical to a serial
+//! evaluation loop for every worker count.
+//!
+//! Each key — one byte per op — is stored once, in an `Arc<[u8]>` the map and
+//! the FIFO share. A lookup copies the placement into a byte buffer the cache
+//! owns and reuses, so it allocates nothing, and hashes those bytes once with
+//! `KeyHasher`, a multiply-rotate hash that reads eight bytes a step into four
+//! lanes; a minibatch's check for repeats of its own misses uses the same
+//! bytes and hasher. SipHash, the standard map's default, buys resistance to
+//! keys crafted to collide; these keys are policy outputs, never outside
+//! input, and equal hashes are still told apart by comparing the bytes.
+//! Nothing iterates the map — the FIFO alone orders entries — so the hasher
+//! decides no output.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use serde::{Content, Deserialize, Serialize};
 
@@ -23,6 +37,12 @@ use crate::placement::Placement;
 /// noiseless per-step time in seconds, or `None` when the placement does not
 /// fit (some device exceeds its memory capacity).
 pub type BaseEval = Option<f64>;
+
+/// A device assignment's bytes, one per op, shared by the map and the FIFO.
+type Key = Arc<[u8]>;
+
+/// A map keyed by assignment bytes.
+type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
 /// Hit/miss/eviction counters of a [`PlacementCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -56,23 +76,49 @@ impl CacheStats {
     }
 }
 
+/// How one placement of a minibatch is answered (see
+/// [`PlacementCache::probe_batch`]).
+pub(crate) enum Probe {
+    /// From an entry cached before the batch began.
+    Hit(BaseEval),
+    /// By the simulation of the batch's `m`-th miss, which it repeats.
+    Dup(usize),
+    /// By the batch's `m`-th simulation.
+    Miss(usize),
+}
+
 /// A bounded FIFO map from device assignments to their simulation outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PlacementCache {
     capacity: usize,
-    map: HashMap<Box<[u8]>, BaseEval>,
-    order: VecDeque<Box<[u8]>>,
+    map: KeyMap<BaseEval>,
+    order: VecDeque<Key>,
+    /// The probed placement's bytes, reused from lookup to lookup.
+    probe: Vec<u8>,
     stats: CacheStats,
 }
 
-fn key_of(placement: &Placement) -> Box<[u8]> {
-    placement.devices().iter().map(|d| d.0).collect()
+/// Equal capacity, counters, entries and FIFO order; the probe buffer is
+/// scratch and does not count.
+impl PartialEq for PlacementCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.stats == other.stats
+            && self.order == other.order
+            && self.map == other.map
+    }
 }
 
 impl PlacementCache {
     /// Creates a cache holding at most `capacity` placements; 0 disables it.
     pub fn new(capacity: usize) -> Self {
-        Self { capacity, map: HashMap::new(), order: VecDeque::new(), stats: CacheStats::default() }
+        Self {
+            capacity,
+            map: KeyMap::default(),
+            order: VecDeque::new(),
+            probe: Vec::new(),
+            stats: CacheStats::default(),
+        }
     }
 
     /// True when the cache stores anything at all.
@@ -95,28 +141,58 @@ impl PlacementCache {
         self.stats
     }
 
-    /// Looks a placement up, counting the outcome as a hit or a miss.
-    pub fn lookup(&mut self, placement: &Placement) -> Option<BaseEval> {
-        if !self.enabled() {
-            self.stats.misses += 1;
-            return None;
-        }
-        match self.map.get(key_of(placement).as_ref()) {
-            Some(&base) => {
-                self.stats.hits += 1;
-                Some(base)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    /// Copies `placement`'s assignment into the probe buffer.
+    fn load(&mut self, placement: &Placement) {
+        self.probe.clear();
+        self.probe.extend(placement.devices().iter().map(|d| d.0));
     }
 
-    /// Counts a hit that was answered outside the map (in-batch deduplication
-    /// against an episode earlier in the same minibatch).
-    pub(crate) fn note_duplicate_hit(&mut self) {
-        self.stats.hits += 1;
+    /// Looks the loaded bytes up, counting the outcome as a hit or a miss.
+    fn find(&mut self) -> Option<BaseEval> {
+        let found = self.map.get(self.probe.as_slice()).copied();
+        match found {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        found
+    }
+
+    /// Looks a placement up, counting the outcome as a hit or a miss.
+    pub fn lookup(&mut self, placement: &Placement) -> Option<BaseEval> {
+        self.load(placement);
+        self.find()
+    }
+
+    /// Probes a minibatch in episode order, as [`PlacementCache::lookup`]
+    /// would one placement at a time, except that a repeat of an earlier miss
+    /// of the same batch counts as a hit on it (evaluated one by one, the
+    /// first occurrence would have been inserted by then). Returns how each
+    /// placement is answered and the key of each miss, in order, for
+    /// [`PlacementCache::insert_key`] once it is simulated.
+    pub(crate) fn probe_batch(&mut self, placements: &[Placement]) -> (Vec<Probe>, Vec<Key>) {
+        let mut first_occurrence: KeyMap<usize> = KeyMap::default();
+        let mut keys: Vec<Key> = Vec::new();
+        let mut probes = Vec::with_capacity(placements.len());
+        for p in placements {
+            self.load(p);
+            if let Some(&m) = first_occurrence.get(self.probe.as_slice()) {
+                self.stats.hits += 1;
+                probes.push(Probe::Dup(m));
+                continue;
+            }
+            match self.find() {
+                Some(base) => probes.push(Probe::Hit(base)),
+                None => {
+                    let key: Key = self.probe.as_slice().into();
+                    if self.enabled() {
+                        first_occurrence.insert(Arc::clone(&key), keys.len());
+                    }
+                    probes.push(Probe::Miss(keys.len()));
+                    keys.push(key);
+                }
+            }
+        }
+        (probes, keys)
     }
 
     /// The cached device assignments, oldest first.
@@ -128,24 +204,85 @@ impl PlacementCache {
     /// disabled or the key is already present. Returns `true` when an entry
     /// was evicted to make room.
     pub fn insert(&mut self, placement: &Placement, base: BaseEval) -> bool {
-        if !self.enabled() {
-            return false;
-        }
-        let key = key_of(placement);
-        if self.map.contains_key(key.as_ref()) {
+        self.insert_key(placement.devices().iter().map(|d| d.0).collect(), base)
+    }
+
+    /// [`PlacementCache::insert`] of a key already in byte form.
+    pub(crate) fn insert_key(&mut self, key: Key, base: BaseEval) -> bool {
+        if !self.enabled() || self.map.contains_key(&key) {
             return false;
         }
         let mut evicted = false;
         if self.map.len() >= self.capacity {
             if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(oldest.as_ref());
+                self.map.remove(&oldest);
                 self.stats.evictions += 1;
                 evicted = true;
             }
         }
-        self.order.push_back(key.clone());
+        self.order.push_back(Arc::clone(&key));
         self.map.insert(key, base);
         evicted
+    }
+}
+
+/// Multiply-rotate hash of a key's bytes: each 32-byte block feeds one
+/// 8-byte word to each of four lanes, so four multiplies are in flight at
+/// once. The lanes are then folded together, followed by the words past the
+/// last whole block and a zero-padded last partial word (the length, hashed
+/// first, tells such keys apart). Not keyed, which is safe only because keys
+/// are never outside input.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+/// Per-lane starting values (digits of pi), so equal words in different lanes
+/// do not cancel.
+const LANE_SEEDS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// One step: fold `word` into `lane`. Bijective in each argument, so two
+/// inputs that differ in one word never meet in the same lane value.
+#[inline]
+fn mix(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let (blocks, rest) = bytes.as_chunks::<32>();
+        let mut lanes = LANE_SEEDS.map(|seed| seed ^ self.0);
+        for block in blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+                *lane = mix(*lane, u64::from_le_bytes(*word));
+            }
+        }
+        let (words, tail) = rest.as_chunks::<8>();
+        let mut h = lanes.into_iter().fold(self.0, mix);
+        for word in words {
+            h = mix(h, u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let mut last = [0; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            h = mix(h, u64::from_le_bytes(last));
+        }
+        self.0 = h;
+    }
+
+    /// The length prefix `[u8]::hash` writes before the bytes.
+    fn write_usize(&mut self, n: usize) {
+        self.0 = mix(self.0, n as u64);
+    }
+
+    /// Avalanche (MurmurHash3's 64-bit finalizer): the map takes its bucket
+    /// from the low bits and its tag from the top seven.
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
@@ -189,8 +326,8 @@ impl Deserialize for PlacementCache {
             )));
         }
         for StoredEntry { devices, step_time } in entries {
-            let key: Box<[u8]> = devices.into();
-            if cache.map.insert(key.clone(), step_time).is_some() {
+            let key: Key = devices.into();
+            if cache.map.insert(Arc::clone(&key), step_time).is_some() {
                 return Err(serde::Error::msg("a placement is cached twice"));
             }
             cache.order.push_back(key);
@@ -291,5 +428,42 @@ mod tests {
         c.insert(&p(&[3, 3]), None);
         c.insert(&p(&[3, 3]), None);
         assert_eq!(c.len(), 1);
+    }
+
+    fn hash(bytes: &[u8]) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<KeyHasher>::default().hash_one(bytes)
+    }
+
+    #[test]
+    fn every_byte_moves_the_hash() {
+        for len in [1, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 100] {
+            let key: Vec<u8> = (0..len).map(|i| (i * 7 % 5) as u8).collect();
+            for pos in 0..len {
+                let mut other = key.clone();
+                other[pos] ^= 1;
+                assert_ne!(hash(&key), hash(&other), "len {len}: byte {pos} is not hashed");
+            }
+            let mut longer = key.clone();
+            longer.push(0);
+            assert_ne!(hash(&key), hash(&longer), "len {len}: a trailing zero is not hashed");
+        }
+    }
+
+    #[test]
+    fn keys_with_equal_hashes_stay_apart() {
+        // Two 64-byte keys that meet in lane 0: the second block's first word
+        // cancels the difference the first block's first word left there.
+        let (a, mut b) = ([0u8; 64], [0u8; 64]);
+        let start = LANE_SEEDS[0] ^ mix(0, 64);
+        b[0] = 1;
+        b[32..40].copy_from_slice(&(mix(start, 0) ^ mix(start, 1)).to_le_bytes());
+        assert_eq!(hash(&a), hash(&b), "the construction no longer collides");
+        let mut c = PlacementCache::new(4);
+        c.insert(&p(&a), Some(1.0));
+        assert_eq!(c.lookup(&p(&b)), None);
+        c.insert(&p(&b), Some(2.0));
+        assert_eq!((c.lookup(&p(&a)), c.lookup(&p(&b))), (Some(Some(1.0)), Some(Some(2.0))));
+        assert_eq!(c.len(), 2);
     }
 }

@@ -16,7 +16,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaCha8State};
 use serde::{Content, Deserialize, Serialize};
 
-use crate::cache::{field, BaseEval, CacheStats, PlacementCache};
+use crate::cache::{field, BaseEval, CacheStats, PlacementCache, Probe};
 use crate::device::Machine;
 use crate::placement::Placement;
 use crate::sim::{fan_out, simulate_recorded, SimOutcome};
@@ -135,11 +135,16 @@ impl EnvironmentBuilder {
                 return Err(EnvError::BadKnob { name, value });
             }
         }
+        // The graph never changes inside an environment, so neither does
+        // what staging it costs.
+        let staging_cost = self.cfg.session_setup
+            + self.graph.total_param_bytes() as f64 / self.machine.link_bandwidth;
         Ok(Environment {
             graph: self.graph,
             machine: self.machine,
             cfg: self.cfg,
             recorder: self.recorder,
+            staging_cost,
             state: EnvState {
                 rng: CheckpointRng::seed_from_u64(self.seed),
                 evals: 0,
@@ -358,6 +363,9 @@ pub struct Environment {
     machine: Machine,
     cfg: MeasureConfig,
     recorder: Recorder,
+    /// Session set-up plus staging the graph's parameters over the link: what
+    /// an evaluation that is not a cache hit pays before its first step.
+    staging_cost: f64,
     state: EnvState,
 }
 
@@ -440,10 +448,6 @@ impl Environment {
         self.state.wall_clock
     }
 
-    fn staging_cost(&self) -> f64 {
-        self.cfg.session_setup + self.graph.total_param_bytes() as f64 / self.machine.link_bandwidth
-    }
-
     fn noisy_mean(&mut self, base: f64, steps: usize) -> f64 {
         if self.cfg.noise_sigma == 0.0 || steps == 0 {
             return base;
@@ -492,7 +496,7 @@ impl Environment {
                 let wall = if cached {
                     measured_steps as f64 * step_time
                 } else {
-                    self.staging_cost()
+                    self.staging_cost
                         + self.cfg.warmup_steps as f64 * step_time * self.cfg.warmup_factor
                         + measured_steps as f64 * step_time
                 };
@@ -525,43 +529,26 @@ impl Environment {
     /// Evaluates a minibatch, fanning the pure simulations out over `workers`
     /// threads (0 = one per available core, 1 = fully serial).
     ///
-    /// Bit-for-bit identical to calling [`Environment::evaluate`] on each
-    /// placement in order, for every worker count: cache probes and noise
+    /// Bit-for-bit identical for every worker count: cache probes and noise
     /// draws stay serial in episode order; only the cache-miss simulations —
     /// pure functions of `(graph, machine, placement)` — run concurrently.
+    /// It matches calling [`Environment::evaluate`] on each placement in
+    /// order, with one exception: probes see the cache as the batch began, so
+    /// a placement whose entry an earlier miss of the same batch evicts is
+    /// still a hit here. Its measured value is the same; its wall-clock
+    /// charge and the counters differ.
     pub fn evaluate_batch(&mut self, placements: &[Placement], workers: usize) -> Vec<Measurement> {
         // Phase 1 (serial): probe the cache in episode order. Duplicates of an
         // earlier in-batch miss count as hits, exactly as they would when
         // evaluated one-by-one (the first occurrence would have been inserted).
         // `Dup` and `Miss` carry the position in `misses` of the simulation
-        // that answers them.
-        enum Probe {
-            Hit(BaseEval),
-            Dup(usize),
-            Miss(usize),
-        }
-        let mut probes: Vec<Probe> = Vec::with_capacity(placements.len());
-        let mut first_occurrence: std::collections::HashMap<&[crate::device::DeviceId], usize> =
-            std::collections::HashMap::new();
-        let mut misses: Vec<&Placement> = Vec::new();
-        for p in placements {
-            let key = p.devices();
-            if self.state.cache.enabled() {
-                if let Some(&m) = first_occurrence.get(key) {
-                    self.state.cache.note_duplicate_hit();
-                    probes.push(Probe::Dup(m));
-                    continue;
-                }
-            }
-            match self.state.cache.lookup(p) {
-                Some(base) => probes.push(Probe::Hit(base)),
-                None => {
-                    probes.push(Probe::Miss(misses.len()));
-                    first_occurrence.insert(key, misses.len());
-                    misses.push(p);
-                }
-            }
-        }
+        // that answers them; `keys` holds each miss's bytes for its insert.
+        let (probes, keys) = self.state.cache.probe_batch(placements);
+        let misses: Vec<&Placement> = placements
+            .iter()
+            .zip(&probes)
+            .filter_map(|(p, probe)| matches!(probe, Probe::Miss(_)).then_some(p))
+            .collect();
 
         // Phase 2 (parallel): simulate the misses across `workers`, each with
         // its host-time cost so the serial phase can report simulator latency
@@ -576,16 +563,15 @@ impl Environment {
         // Phase 3 (serial): commit in episode order — noise draws, wall-clock
         // and cache inserts all happen exactly as they would in a one-by-one
         // evaluation loop.
-        placements
-            .iter()
-            .zip(probes)
-            .map(|(p, probe)| match probe {
+        probes
+            .into_iter()
+            .map(|probe| match probe {
                 Probe::Hit(base) => self.commit(base, true),
                 Probe::Dup(m) => self.commit(simulated[m].0, true),
                 Probe::Miss(m) => {
                     let (base, sim_us) = simulated[m];
                     self.recorder.observe("devsim.sim_us", sim_us);
-                    if self.state.cache.insert(p, base) {
+                    if self.state.cache.insert_key(keys[m].clone(), base) {
                         self.recorder.add("devsim.cache.evictions", 1);
                     }
                     self.commit(base, false)
@@ -605,7 +591,7 @@ impl Environment {
                     // bound the estimate so pathological RNG draws cannot leak out.
                     stats.step_time * 1.01,
                 );
-                self.state.wall_clock += self.staging_cost() + 1000.0 * stats.step_time;
+                self.state.wall_clock += self.staging_cost + 1000.0 * stats.step_time;
                 self.recorder.add("devsim.final_evals", 1);
                 self.recorder.gauge("devsim.wall_clock_s", self.state.wall_clock);
                 Some(mean.max(stats.step_time * 0.99))
