@@ -6,8 +6,10 @@
 //!
 //! Emits `BENCH_matmul.json`. `serial_sec` is the forward on one worker
 //! through the loop the shape picks, `packed_sec` the packed loop at any row
-//! count (`matmul_tn` of the transposed `x`): `STREAM_MATMUL_ROWS` is read
-//! off the two. `dispatch_sec` runs `PAR_MATMUL_THRESHOLD`'s rule at
+//! count (`matmul_tn` of the transposed `x`, whose inner dimension is never
+//! short here): `STREAM_MATMUL_ROWS` is read off the two. `tn_acc_sec` runs
+//! the loop the rows of `x` pick, so below the bound it times the streamed
+//! weight gradient. `dispatch_sec` runs `PAR_MATMUL_THRESHOLD`'s rule at
 //! `--workers N` or the host's count, `split2_sec` the rows halved over two
 //! threads whatever the rule says. Each layout's bits are asserted equal to
 //! its definition on explicitly transposed operands (the forward's to the

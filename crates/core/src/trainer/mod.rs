@@ -523,6 +523,8 @@ impl Trainer {
 
             if let (Some(every), Some(dir)) = (cfg.checkpoint_every, &cfg.checkpoint_dir) {
                 if st.minibatches.is_multiple_of(every as u64) {
+                    // Snapshot and write: what a checkpoint adds to the loop.
+                    let checkpoint_span = rec.span("trainer.checkpoint_us");
                     let snapshot = TrainerState {
                         progress: st.clone(),
                         params: params.clone(),
@@ -537,6 +539,7 @@ impl Trainer {
                             save_checkpoint(&snapshot, dir.join(CHECKPOINT_FILE))
                                 .map_err(|e| e.to_string())
                         });
+                    drop(checkpoint_span);
                     match save {
                         Ok(()) => rec.add("trainer.checkpoints", 1),
                         Err(e) => {

@@ -5,9 +5,12 @@
 //! supports only rank 2: it keeps indexing, broadcasting and the autodiff rules simple
 //! and auditable. A row vector is `(1, n)`; a scalar is `(1, 1)`.
 //!
-//! A product runs one of two kernel loops, picked by its row count alone
-//! ([`STREAM_MATMUL_ROWS`]): `matmul_rows` streams `B`, `gemm_rows` packs it
-//! and may shard ([`PAR_MATMUL_THRESHOLD`]). Both give every element the same
+//! A product runs one of three kernel loops, picked by its layout and shape
+//! alone ([`STREAM_MATMUL_ROWS`]): a short forward streams `B`
+//! (`matmul_rows`), a short weight gradient `xᵀ . gy` at least one register
+//! tile (`MR * NR` columns) wide streams its output (`stream_tn`), and
+//! everything else goes to `gemm_rows`, which packs `B` and may shard
+//! ([`PAR_MATMUL_THRESHOLD`]). All three give every element the same
 //! ascending-`k` sum, so which one ran never shows in the bits.
 
 use std::fmt;
@@ -26,8 +29,9 @@ use std::ops::Range;
 /// 2-vCPU host: `serial_sec` is one worker, `dispatch_sec` this rule at two,
 /// `split2_sec` the rows halved over two threads whatever the rule says).
 /// The row half keeps a share from packing a whole weight for a few register
-/// tiles, and keeps every streamed product ([`STREAM_MATMUL_ROWS`]) on one
-/// thread, though halving the 10-row LSTM gate products of a paper-width
+/// tiles, and keeps every streamed forward ([`STREAM_MATMUL_ROWS`]) on one
+/// thread (a streamed weight gradient never reaches the rule), though
+/// halving the 10-row LSTM gate products of a paper-width
 /// minibatch reads 1.48x and 1.77x of `serial` there: sharding a streamed
 /// product is open. The work half: a scoped thread costs tens of
 /// microseconds to start and to wake a core for, which a share of `128^3`
@@ -48,6 +52,11 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// 5.2x to 8.1x). Built with the bound past 16, the sweep had packing win at
 /// `16x156 . 156x192` (0.94x, 0.98x); at 10 rows it wins only at `81x32`
 /// (0.97x), a width the grouper issues op-count tall. The bits never differ.
+///
+/// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_acc`] stream under the same
+/// bound (the short side of `xᵀ . gy` is the rows of `x`): `tn_acc_sec` at
+/// `10x1664` is 3.8 ms against the packed loop's 9.3 ms, and streamed it still
+/// won or tied at 16 rows (0.98x to 2.0x), so the forward sets the bound.
 pub const STREAM_MATMUL_ROWS: usize = 11;
 
 /// Worker threads a `(m, k) . (k, n)` product is split across (see
@@ -376,28 +385,38 @@ impl Tensor {
 
     /// `selfᵀ @ other` without materializing the transpose: `self` is
     /// `(k, m)` and is read column-wise. Bit-equal to
-    /// `self.transpose().matmul(other)`.
+    /// `self.transpose().matmul(other)`. Fewer than [`STREAM_MATMUL_ROWS`]
+    /// rows (`k`) stream the output (`stream_tn`) unless it is narrower than
+    /// one `MR * NR` block; the rest pack.
     ///
     /// # Panics
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_tn(&self, other: &Self) -> Self {
         let mut out = Self::zeros(self.cols, other.cols);
-        gemm(Lhs::cols(self, other), Rhs { data: &other.data, transposed: false }, &mut out, false);
+        let a = Lhs::cols(self, other);
+        if self.rows < STREAM_MATMUL_ROWS && other.cols >= MR * NR {
+            stream_tn(a, &other.data, &mut out.data, other.cols, false);
+        } else {
+            gemm(a, Rhs { data: &other.data, transposed: false }, &mut out, false);
+        }
         out
     }
 
     /// `into += selfᵀ @ other`, the product summed from `+0.0` first and the
     /// finished sum then added: bit-equal to
     /// `into.add_assign(&self.matmul_tn(other))`. When the inner dimension
-    /// fits one k-block the finished register tile is added straight into
-    /// `into` and no product-sized temporary exists.
+    /// fits one k-block the finished register tile (streamed or packed, as in
+    /// [`Tensor::matmul_tn`]) is added straight into `into` and no
+    /// product-sized temporary exists.
     ///
     /// # Panics
     /// Panics if `self.rows() != other.rows()` or `into` is not
     /// `(self.cols(), other.cols())`.
     pub fn matmul_tn_acc(&self, other: &Self, into: &mut Self) {
         assert_eq!(into.shape(), (self.cols, other.cols), "matmul_tn_acc output shape mismatch");
-        if self.rows <= KC {
+        if self.rows < STREAM_MATMUL_ROWS && other.cols >= MR * NR {
+            stream_tn(Lhs::cols(self, other), &other.data, &mut into.data, other.cols, true);
+        } else if self.rows <= KC {
             gemm(Lhs::cols(self, other), Rhs { data: &other.data, transposed: false }, into, true);
         } else {
             into.add_assign(&self.matmul_tn(other));
@@ -536,6 +555,54 @@ fn stream_rows<const U: usize>(
                 }
             }
         }
+    }
+}
+
+/// Streaming kernel for short weight gradients: `out = aᵀ @ b` or, with
+/// `accumulate`, `out += aᵀ @ b`, for `a` a [`Lhs::cols`] operand of fewer
+/// than [`STREAM_MATMUL_ROWS`] rows and `b` the row-major `(k, n)` one, `n` at
+/// least `MR * NR`. The output is walked a row at a time, `MR * NR` columns
+/// (the packed kernel's accumulator tile, laid out as one row) held in
+/// registers; `b`, ten rows at most, stays cached across output rows. A
+/// ragged tail runs one more block over the row's last `MR * NR` columns and
+/// writes back only the lanes no earlier block wrote. Each element is summed
+/// from `+0.0` over ascending `kk` and then stored or added: `gemm_rows`' sum
+/// and write-back, bit for bit.
+fn stream_tn(a: Lhs<'_>, b: &[f32], out: &mut [f32], n: usize, accumulate: bool) {
+    let whole = n - n % (MR * NR);
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        for jb in (0..whole).step_by(MR * NR) {
+            deposit(&mut out_row[jb..jb + MR * NR], &stream_tn_block(a, i, b, n, jb), accumulate);
+        }
+        if whole < n {
+            let acc = stream_tn_block(a, i, b, n, n - MR * NR);
+            deposit(&mut out_row[whole..], &acc[MR * NR - (n - whole)..], accumulate);
+        }
+    }
+}
+
+/// `MR * NR` accumulators from `+0.0`: columns `jb..jb + MR * NR` of output
+/// row `i` of `stream_tn`.
+fn stream_tn_block(a: Lhs<'_>, i: usize, b: &[f32], n: usize, jb: usize) -> [f32; MR * NR] {
+    let mut acc = [0.0f32; MR * NR];
+    for kk in 0..a.inner {
+        let x = a.data[i * a.row_stride + kk * a.col_stride];
+        for (c, &bv) in acc.iter_mut().zip(&b[kk * n + jb..][..MR * NR]) {
+            *c += x * bv;
+        }
+    }
+    acc
+}
+
+/// Stores finished sums into `out` or, with `accumulate`, adds them to it:
+/// the write-back of both `stream_tn` and `gemm_rows`.
+fn deposit(out: &mut [f32], acc: &[f32], accumulate: bool) {
+    if accumulate {
+        for (o, &v) in out.iter_mut().zip(acc) {
+            *o += v;
+        }
+    } else {
+        out.copy_from_slice(acc);
     }
 }
 
@@ -697,14 +764,7 @@ fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], row0: usize, n: usize, acc
                         }
                     }
                     for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                        let o = &mut out[(i + r) * n + jb..(i + r) * n + jb + nr];
-                        if accumulate {
-                            for (o, &v) in o.iter_mut().zip(&acc_row[..nr]) {
-                                *o += v;
-                            }
-                        } else {
-                            o.copy_from_slice(&acc_row[..nr]);
-                        }
+                        deposit(&mut out[(i + r) * n + jb..][..nr], &acc_row[..nr], accumulate);
                     }
                     i += mr;
                 }

@@ -1,13 +1,14 @@
 //! The products against their definition, bit for bit.
 //!
-//! `Tensor::matmul` runs one of two kernel loops chosen by shape — a
-//! row-streaming one below `STREAM_MATMUL_ROWS` rows, the packed one at and
-//! above it — and `matmul_nt`, `matmul_tn` and `matmul_tn_acc` exist so a
-//! backward pass never materializes a transposed weight or a weight-sized
-//! temporary. Every one of them is one ascending-`k` accumulation from `+0.0`
-//! per element: the float bits of `transpose()` + `matmul` (+ `add_assign`),
-//! and `matmul` those of the packed kernel, which `matmul_tn` of the
-//! transposed left operand reaches at any row count.
+//! `Tensor::matmul`, `matmul_tn` and `matmul_tn_acc` each run a streaming
+//! loop below `STREAM_MATMUL_ROWS` rows (of `x` in `x . w`, of both operands
+//! in `xᵀ . gy`, whose output must also be at least 32 columns wide) and the
+//! packed one otherwise; `matmul_nt`, `matmul_tn` and `matmul_tn_acc` exist
+//! so a backward pass never materializes a transposed weight or a
+//! weight-sized temporary. Every one of them is one
+//! ascending-`k` accumulation from `+0.0` per element: the float bits of
+//! `transpose()` + `matmul` (+ `add_assign`), and those of the packed kernel,
+//! which [`packed`] reaches at any row count through the public API.
 //!
 //! `EAGLE_ORACLE_CASES` sets the case count per property (64 by default,
 //! the PR-gating slice; the nightly job runs 10000).
@@ -20,12 +21,29 @@ use proptest::prelude::*;
 /// temporary beyond it.
 const KC: usize = 512;
 
-/// Inner dimensions on both sides of every boundary the kernel has.
-const INNER: [usize; 9] = [1, 2, 7, 8, 33, KC - 1, KC, KC + 1, 2 * KC + 3];
+/// Inner dimensions on both sides of every boundary the kernel has: the
+/// ten-row weight gradient of a minibatch, both sides of the streaming bound
+/// of `xᵀ . gy`, and of the k-block.
+const INNER: [usize; 13] = [
+    1,
+    2,
+    7,
+    8,
+    10,
+    STREAM_MATMUL_ROWS - 1,
+    STREAM_MATMUL_ROWS,
+    STREAM_MATMUL_ROWS + 1,
+    33,
+    KC - 1,
+    KC,
+    KC + 1,
+    2 * KC + 3,
+];
 
-/// Outer dimensions: one row, below / at / past the 4x8 register tile, past
-/// the 64-row block, and ragged in each.
-const OUTER: [usize; 9] = [1, 3, 4, 5, 8, 9, 31, 66, 70];
+/// Outer dimensions: one row, below / at / past the 4x8 register tile and the
+/// 32-column block a streamed `xᵀ . gy` holds in registers, past the 64-row
+/// block, and ragged in each.
+const OUTER: [usize; 11] = [1, 3, 4, 5, 8, 9, 31, 32, 33, 66, 70];
 
 /// Rows of a forward product: the one-row and ten-row products the placer
 /// issues, both sides of the streaming bound, and two packed row blocks.
@@ -64,6 +82,14 @@ fn fill(rows: usize, cols: usize, seed: u64, special: bool) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
+/// `x . w` through the packed kernel at any row count: `STREAM_MATMUL_ROWS`
+/// zero rows stacked under `x` take the product past the streaming bound, and
+/// output rows are independent, so the top `x.rows()` are `x`'s.
+fn packed(x: &Tensor, w: &Tensor) -> Tensor {
+    let stacked = Tensor::concat_rows(&[x, &Tensor::zeros(STREAM_MATMUL_ROWS, x.cols())]);
+    stacked.matmul(w).slice_rows(0, x.rows())
+}
+
 /// Every element's bits, every NaN as one value: the kernels agree on where
 /// a NaN lands, not on its payload.
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -81,7 +107,7 @@ proptest! {
         let (x, w) = (fill(m, k, s, special), fill(k, n, s + 1, special));
         let got = x.matmul(&w);
         prop_assert_eq!(got.shape(), (m, n));
-        prop_assert_eq!(bits(&got), bits(&x.transpose().matmul_tn(&w)));
+        prop_assert_eq!(bits(&got), bits(&packed(&x, &w)));
     }
 
     #[test]
@@ -99,7 +125,7 @@ proptest! {
         m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000
     ) {
         let (a, b) = (fill(k, m, s, false), fill(k, n, s + 1, false));
-        let want = a.transpose().matmul(&b);
+        let want = packed(&a.transpose(), &b);
         prop_assert_eq!(a.matmul_tn(&b).shape(), (m, n));
         prop_assert_eq!(bits(&a.matmul_tn(&b)), bits(&want));
     }
@@ -112,7 +138,7 @@ proptest! {
         // A target that already holds values, signed zeros among them.
         let mut into = fill(m, n, s + 2, false);
         let mut want = into.clone();
-        want.add_assign(&a.transpose().matmul(&b));
+        want.add_assign(&packed(&a.transpose(), &b));
         a.matmul_tn_acc(&b, &mut into);
         prop_assert_eq!(bits(&into), bits(&want));
     }

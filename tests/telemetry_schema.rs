@@ -12,7 +12,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
 
-/// Runs a short instrumented training run and returns its recorder.
+/// Runs a short instrumented training run, checkpointing after every
+/// minibatch, and returns its recorder.
 fn instrumented_run() -> Recorder {
     let recorder = Recorder::new();
     let machine = Machine::paper_machine();
@@ -20,14 +21,20 @@ fn instrumented_run() -> Recorder {
     let mut params = Params::new();
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
+    let checkpoint_dir =
+        std::env::temp_dir().join(format!("eagle_telemetry_schema_ckpt_{}", std::process::id()));
+    let mut config = TrainerConfig::paper(Algo::Ppo, 20);
+    config.checkpoint_every = Some(1);
+    config.checkpoint_dir = Some(checkpoint_dir.clone());
     let trainer = Trainer::builder(GraphSource::fixed(graph.clone()), machine.clone())
-        .config(TrainerConfig::paper(Algo::Ppo, 20))
+        .config(config)
         .measure(MeasureConfig::default())
         .env_seed(5)
         .recorder(recorder.clone())
         .build()
         .expect("inception trainer config is valid");
     trainer.train(&agent, &mut params).expect("training run succeeds");
+    std::fs::remove_dir_all(&checkpoint_dir).ok();
     // Re-evaluating a fixed placement twice guarantees the cache-hit counter
     // exists even when the short training run never repeats a placement.
     let mut env = Environment::builder(graph.clone(), machine.clone())
@@ -117,6 +124,8 @@ fn jsonl_schema_v1_is_pinned() {
         "trainer.decode_us",
         "trainer.evaluate_us",
         "trainer.update_us",
+        "trainer.checkpoint_us",
+        "trainer.checkpoints",
         "trainer.minibatches",
         "devsim.evals",
         "devsim.cache.hits",
