@@ -535,6 +535,8 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmarks::Benchmark;
+    use crate::predefined;
     use eagle_opgraph::{OpKind, OpNode, Phase};
 
     fn node(name: &str, flops: f64, out_bytes: u64) -> OpNode {
@@ -620,5 +622,46 @@ mod tests {
         // Dispatch order respects the dependency chain even at a single time.
         let order: Vec<u32> = s.ops.iter().map(|o| o.op).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// The reference placement of each benchmark: Single-GPU Inception-V3,
+    /// the human expert's GNMT, and BERT split layer-wise over the GPUs.
+    fn reference_placement(b: Benchmark, graph: &OpGraph, machine: &Machine) -> Placement {
+        match b {
+            Benchmark::InceptionV3 => predefined::single_gpu(graph, machine),
+            Benchmark::Gnmt => predefined::human_expert(graph, machine).unwrap(),
+            Benchmark::BertBase => predefined::bert_layer_split(graph, machine),
+        }
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        // FNV-1a-64 and length of the export on the three reference
+        // placements, pinned across commits: a change to the schedule, the
+        // op names or the JSON layout moves them.
+        let machine = Machine::paper_machine();
+        let got: Vec<(&str, u64, usize)> = Benchmark::ALL
+            .iter()
+            .map(|&b| {
+                let graph = b.graph_for(&machine);
+                let placement = reference_placement(b, &graph, &machine);
+                let json = crate::trace::trace(&graph, &machine, &placement)
+                    .expect("reference placements fit")
+                    .to_chrome_trace(&machine);
+                (b.name(), fnv1a64(json.as_bytes()), json.len())
+            })
+            .collect();
+        let want = [
+            ("inception_v3", 0xa01c_0d44_5832_ab8f, 138_195),
+            ("gnmt", 0xe0c3_729a_6adf_57ca, 516_847),
+            ("bert_base", 0xcdc4_5e64_76df_46bf, 291_050),
+        ];
+        assert_eq!(got, want, "{got:x?}");
     }
 }
