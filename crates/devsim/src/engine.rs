@@ -1,10 +1,7 @@
-//! The causal discrete-event scheduling core shared by [`crate::simulate`] and
-//! [`crate::trace`].
-//!
-//! Both the step-time simulator and the schedule tracer used to carry their own
-//! copy of the list-scheduling loop, and PR 3 had to patch the same fan-out bug
-//! in both files — the classic duplicated-scheduler drift. This module is the
-//! single implementation both now project from, built as a true discrete-event
+//! The causal discrete-event scheduling core: the one definition of "the step
+//! time of a placement". [`crate::simulate`] projects the reward from
+//! [`schedule_stats`]; [`schedule`] also records every op's slot, which
+//! [`Schedule::to_chrome_trace`] draws. It is built as a true discrete-event
 //! engine:
 //!
 //! * **One time-ordered event queue.** Compute-finish and transfer-arrival
@@ -41,7 +38,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use eagle_opgraph::{OpGraph, OpId};
-use serde::Serialize;
 
 use crate::device::{DeviceId, Machine};
 use crate::placement::Placement;
@@ -69,7 +65,7 @@ fn key_time(key: u128, payload_bits: u32) -> f64 {
 }
 
 /// One op's scheduled execution window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpSlot {
     /// Op index.
     pub op: u32,
@@ -82,7 +78,7 @@ pub struct OpSlot {
 }
 
 /// One booked cross-device transfer on a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferSlot {
     /// The producing op whose output tensor is shipped.
     pub producer: u32,
@@ -121,11 +117,87 @@ pub struct Schedule {
     pub peak_queue_depth: usize,
 }
 
+impl Schedule {
+    /// Exports the schedule in Chrome trace-event format (load in
+    /// `chrome://tracing` or Perfetto) — which device runs what when, and
+    /// where transfers serialize. Op names come from `graph`, the graph this
+    /// schedule was built from; `ops` is empty on a [`schedule_stats`]
+    /// schedule, so only [`schedule`]'s draws ops. Times are emitted in
+    /// microseconds. Devices render as threads `0..num_devices`; each directed
+    /// link with booked transfers renders as its own thread after the devices.
+    pub fn to_chrome_trace(&self, graph: &OpGraph, machine: &Machine) -> String {
+        use serde_json::Value;
+        let obj = |entries: Vec<(&str, Value)>| {
+            Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        };
+        let nd = machine.num_devices() as u64;
+        let link_tid = |src: u8, dst: u8| nd + (src as u64) * nd + dst as u64;
+        let mut events: Vec<Value> = self
+            .ops
+            .iter()
+            .map(|op| {
+                obj(vec![
+                    ("name", Value::from(graph.node(OpId(op.op)).name.as_str())),
+                    ("cat", Value::from("op")),
+                    ("ph", Value::from("X")),
+                    ("ts", Value::from(op.start * 1e6)),
+                    ("dur", Value::from((op.finish - op.start) * 1e6)),
+                    ("pid", Value::U64(0)),
+                    ("tid", Value::U64(op.device as u64)),
+                ])
+            })
+            .collect();
+        events.extend(self.transfers.iter().map(|t| {
+            obj(vec![
+                ("name", Value::from(format!("xfer op{} ({} B)", t.producer, t.bytes))),
+                ("cat", Value::from("transfer")),
+                ("ph", Value::from("X")),
+                ("ts", Value::from(t.start * 1e6)),
+                ("dur", Value::from((t.finish - t.start) * 1e6)),
+                ("pid", Value::U64(0)),
+                ("tid", Value::U64(link_tid(t.src, t.dst))),
+            ])
+        }));
+        // Thread names = device names, then one lane per used link.
+        events.extend(machine.devices.iter().enumerate().map(|(i, d)| {
+            obj(vec![
+                ("name", Value::from("thread_name")),
+                ("ph", Value::from("M")),
+                ("pid", Value::U64(0)),
+                ("tid", Value::U64(i as u64)),
+                ("args", obj(vec![("name", Value::from(d.name.as_str()))])),
+            ])
+        }));
+        let mut named_links: Vec<(u8, u8)> =
+            self.transfers.iter().map(|t| (t.src, t.dst)).collect();
+        named_links.sort_unstable();
+        named_links.dedup();
+        events.extend(named_links.into_iter().map(|(src, dst)| {
+            let name = format!(
+                "{}\u{2192}{}",
+                machine.devices[src as usize].name, machine.devices[dst as usize].name
+            );
+            obj(vec![
+                ("name", Value::from("thread_name")),
+                ("ph", Value::from("M")),
+                ("pid", Value::U64(0)),
+                ("tid", Value::U64(link_tid(src, dst))),
+                ("args", obj(vec![("name", Value::from(name))])),
+            ])
+        }));
+        let doc = obj(vec![
+            ("traceEvents", Value::Array(events)),
+            ("displayTimeUnit", Value::from("ms")),
+        ]);
+        serde_json::to_string(&doc).expect("trace serializes")
+    }
+}
+
 /// Runs the causal discrete-event engine over `graph` on `machine` under
-/// `placement`, producing the full step schedule.
+/// `placement`, producing the full step schedule, every op slot recorded.
 ///
-/// Memory feasibility is *not* checked here — callers ([`crate::simulate`],
-/// [`crate::trace::trace`]) gate on OOM first.
+/// Memory feasibility is *not* checked here — gate on [`crate::simulate`]
+/// returning [`SimOutcome::Valid`](crate::SimOutcome::Valid) first.
 ///
 /// # Panics
 /// Panics if the placement fails [`Placement::validate`] (a programming error:
@@ -537,6 +609,7 @@ mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
     use crate::predefined;
+    use crate::sim::simulate;
     use eagle_opgraph::{OpKind, OpNode, Phase};
 
     fn node(name: &str, flops: f64, out_bytes: u64) -> OpNode {
@@ -641,6 +714,73 @@ mod tests {
     }
 
     #[test]
+    fn schedule_matches_simulate_on_benchmarks() {
+        let machine = Machine::paper_machine();
+        for b in Benchmark::ALL {
+            let graph = b.graph_for(&machine);
+            let placement = reference_placement(b, &graph, &machine);
+            let s = simulate(&graph, &machine, &placement).step_time().expect("valid placement");
+            let sched = schedule(&graph, &machine, &placement);
+            assert_eq!(sched.step_time, s, "{}: shared engine matches exactly", b.name());
+            assert_eq!(sched.ops.len(), graph.len(), "every op scheduled once");
+        }
+    }
+
+    #[test]
+    fn transfers_are_causal_on_benchmarks() {
+        let machine = Machine::paper_machine();
+        let graph = Benchmark::Gnmt.graph_for(&machine);
+        let placement = predefined::human_expert(&graph, &machine).unwrap();
+        let s = schedule(&graph, &machine, &placement);
+        assert!(!s.transfers.is_empty(), "expert GNMT placement crosses devices");
+        let finish_of: std::collections::HashMap<u32, f64> =
+            s.ops.iter().map(|o| (o.op, o.finish)).collect();
+        let mut by_link: std::collections::HashMap<(u8, u8), Vec<&TransferSlot>> =
+            Default::default();
+        for tr in &s.transfers {
+            assert!(
+                tr.start >= finish_of[&tr.producer],
+                "transfer starts before its producer finishes: {tr:?}"
+            );
+            by_link.entry((tr.src, tr.dst)).or_default().push(tr);
+        }
+        // Booking order per link is FIFO: non-decreasing starts, no overlap.
+        for slots in by_link.values() {
+            for w in slots.windows(2) {
+                assert!(w[1].start >= w[0].start);
+                assert!(w[1].start >= w[0].finish);
+            }
+        }
+    }
+
+    #[test]
+    fn chrome_trace_is_json_with_device_names() {
+        let machine = Machine::paper_machine();
+        let graph = Benchmark::InceptionV3.graph_for(&machine);
+        let placement = predefined::single_gpu(&graph, &machine);
+        let json = schedule(&graph, &machine, &placement).to_chrome_trace(&graph, &machine);
+        let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let events = doc["traceEvents"].as_array().unwrap();
+        assert!(events.len() >= graph.len());
+        assert!(json.contains("/gpu:0"));
+    }
+
+    #[test]
+    fn chrome_trace_renders_transfer_lanes() {
+        let machine = Machine::paper_machine();
+        let graph = Benchmark::BertBase.graph_for(&machine);
+        let placement = predefined::bert_layer_split(&graph, &machine);
+        let s = schedule(&graph, &machine, &placement);
+        assert!(!s.transfers.is_empty());
+        let json = s.to_chrome_trace(&graph, &machine);
+        let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let events = doc["traceEvents"].as_array().unwrap();
+        let n_xfer = events.iter().filter(|e| e["cat"].as_str() == Some("transfer")).count();
+        assert_eq!(n_xfer, s.transfers.len());
+        assert!(json.contains('\u{2192}'), "link lanes are named src→dst");
+    }
+
+    #[test]
     fn chrome_trace_bytes_are_pinned() {
         // FNV-1a-64 and length of the export on the three reference
         // placements, pinned across commits: a change to the schedule, the
@@ -651,9 +791,7 @@ mod tests {
             .map(|&b| {
                 let graph = b.graph_for(&machine);
                 let placement = reference_placement(b, &graph, &machine);
-                let json = crate::trace::trace(&graph, &machine, &placement)
-                    .expect("reference placements fit")
-                    .to_chrome_trace(&machine);
+                let json = schedule(&graph, &machine, &placement).to_chrome_trace(&graph, &machine);
                 (b.name(), fnv1a64(json.as_bytes()), json.len())
             })
             .collect();

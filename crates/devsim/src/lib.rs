@@ -11,8 +11,8 @@
 //!
 //! * [`Machine`] / [`DeviceSpec`] — the device model.
 //! * [`Placement`] — one device per op.
-//! * [`engine`] — the causal discrete-event scheduling core (shared by
-//!   [`simulate`] and [`trace`], so the two views cannot drift).
+//! * [`engine`] — the causal discrete-event scheduling core: [`simulate`]'s
+//!   step time, and the recorded [`Schedule`] with its Chrome-trace export.
 //! * [`simulate`] — one training step's makespan (OOM gate + engine);
 //!   [`step_times`] — the same for many placements, across worker threads.
 //! * [`Environment`] — the 15-step measurement protocol with noise and a simulated
@@ -32,7 +32,6 @@ mod placement;
 pub mod predefined;
 pub mod search;
 mod sim;
-pub mod trace;
 
 pub use benchmarks::{calibrate, Benchmark};
 pub use cache::{BaseEval, CacheStats, PlacementCache};

@@ -1,9 +1,9 @@
 //! Discrete-event simulation of one training step under a placement.
 //!
-//! The scheduling itself lives in [`crate::engine`] — a causal discrete-event
-//! engine shared with [`crate::trace`] so the two views can never drift. This
-//! module wraps it with the memory-feasibility (OOM) gate and projects the full
-//! schedule down to the [`StepStats`] summary the RL reward consumes: each
+//! The scheduling itself lives in [`crate::engine`], the one causal
+//! discrete-event engine. This module wraps it with the memory-feasibility
+//! (OOM) gate and projects its stats-only schedule down to the [`StepStats`]
+//! summary the RL reward consumes: each
 //! device executes one op at a time in ready-time order, every cross-device
 //! data dependency pays a transfer serialized on its directed link, and an op's
 //! output tensor is shipped at most **once per destination device** — real
@@ -60,26 +60,6 @@ pub struct StepStats {
     pub num_transfers: usize,
 }
 
-/// Checks the placement's memory feasibility: resident bytes per device must
-/// fit. Shared by [`simulate`] and [`crate::trace::trace`].
-pub(crate) fn check_memory(
-    graph: &OpGraph,
-    machine: &Machine,
-    placement: &Placement,
-) -> Result<(), SimOutcome> {
-    let mem = placement.memory_per_device(graph, machine);
-    for (i, (&used, spec)) in mem.iter().zip(&machine.devices).enumerate() {
-        if used > spec.mem_bytes {
-            return Err(SimOutcome::Oom {
-                device: DeviceId(i as u8),
-                required: used,
-                capacity: spec.mem_bytes,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Simulates one training step of `graph` on `machine` under `placement`.
 ///
 /// # Panics
@@ -103,12 +83,19 @@ pub fn simulate_recorded(
     recorder: &Recorder,
 ) -> SimOutcome {
     // Memory feasibility first: resident bytes per device must fit.
-    if let Err(oom) = check_memory(graph, machine, placement) {
-        return oom;
+    let mem = placement.memory_per_device(graph, machine);
+    for (i, (&used, spec)) in mem.iter().zip(&machine.devices).enumerate() {
+        if used > spec.mem_bytes {
+            return SimOutcome::Oom {
+                device: DeviceId(i as u8),
+                required: used,
+                capacity: spec.mem_bytes,
+            };
+        }
     }
 
     // Stats-only scheduling: skips recording the per-op slot vector, which
-    // `trace` needs but the step-time reward path never reads.
+    // only the Chrome export draws and the step-time reward path never reads.
     let sched = engine::schedule_stats(graph, machine, placement);
     recorder.add("devsim.engine.events", sched.events_processed);
     recorder.add("devsim.engine.transfers_deduped", sched.transfers_deduped);
@@ -399,12 +386,12 @@ mod tests {
         // early→sink, heavy→late, late→sink.
         assert_eq!(s.num_transfers, 3);
 
-        // The trace view exposes the booked intervals: on the contended
+        // The recorded schedule exposes the booked intervals: on the contended
         // gpu0→gpu2 link, `early`'s transfer is booked first even though
         // `late` has the smaller op index.
-        let tr = crate::trace::trace(&g, &m, &p).unwrap();
+        let sched = engine::schedule(&g, &m, &p);
         let link: Vec<_> =
-            tr.transfers.iter().filter(|t| t.src == gpus[0].0 && t.dst == gpus[2].0).collect();
+            sched.transfers.iter().filter(|t| t.src == gpus[0].0 && t.dst == gpus[2].0).collect();
         assert_eq!(link.len(), 2);
         assert_eq!(link[0].producer, early.0, "early books the link first");
         assert_eq!(link[1].producer, late.0);

@@ -1,10 +1,11 @@
 //! Property-based tests of the simulator and placement invariants over random DAGs
 //! and random placements — including the differential-testing oracle that
-//! cross-checks the event engine ([`eagle::devsim::simulate`]) against the
-//! trace scheduler ([`eagle::devsim::trace::trace`]) and an independent
-//! brute-force reference, plus the causal per-link booking properties.
+//! cross-checks the event engine's reward path ([`eagle::devsim::simulate`] over
+//! [`engine::schedule_stats`]) against its recorded schedule
+//! ([`engine::schedule`]) and an independent brute-force reference, plus the
+//! causal per-link booking and one-op-per-device properties.
 
-use eagle::devsim::{DeviceId, Machine, Placement, SimOutcome};
+use eagle::devsim::{engine, DeviceId, Machine, Placement, SimOutcome, StepStats};
 use eagle::opgraph::{GraphGen, GraphGenConfig, OpGraph, OpId, OpKind, OpNode, Phase};
 use proptest::prelude::*;
 
@@ -256,41 +257,46 @@ fn reference_schedule(g: &OpGraph, m: &Machine, p: &Placement) -> (f64, Vec<RefT
     (makespan, transfers)
 }
 
-/// Shared body of the differential oracle: the event engine, its trace
-/// projection, and the brute-force reference must agree exactly — same OOM
-/// verdict, same makespan (bitwise), same booked transfers.
+/// Shared body of the differential oracle. Past the OOM gate, the reward
+/// path, the recorded schedule and the brute-force reference must agree
+/// exactly: recording changes nothing but `ops`, `simulate` is the stats-only
+/// schedule's projection, and the reference books the same makespan (bitwise)
+/// and the same transfers.
 fn differential_check(g: &OpGraph, m: &Machine, p: &Placement) -> Result<(), TestCaseError> {
-    let sim = eagle::devsim::simulate(g, m, p);
-    let tr = eagle::devsim::trace::trace(g, m, p);
-    match sim {
-        SimOutcome::Oom { .. } => prop_assert!(tr.is_none(), "OOM gates must agree"),
-        SimOutcome::Valid(stats) => {
-            let tr = tr.expect("trace exists whenever simulate is valid");
-            // Engine projections agree bit-for-bit.
-            prop_assert_eq!(tr.step_time, stats.step_time);
-            prop_assert_eq!(tr.transfers.len(), stats.num_transfers);
-            prop_assert_eq!(tr.ops.len(), g.len());
-            let comm: f64 = tr.transfers.iter().map(|t| t.finish - t.start).sum();
-            prop_assert!((comm - stats.comm_time).abs() <= 1e-12 * comm.max(1.0));
+    let SimOutcome::Valid(stats) = eagle::devsim::simulate(g, m, p) else { return Ok(()) };
+    let recorded = engine::schedule(g, m, p);
+    prop_assert_eq!(recorded.ops.len(), g.len());
+    let mut unrecorded = recorded.clone();
+    unrecorded.ops.clear();
+    prop_assert_eq!(
+        &engine::schedule_stats(g, m, p),
+        &unrecorded,
+        "recording the op slots changes only `ops`"
+    );
+    let projected = StepStats {
+        step_time: recorded.step_time,
+        device_busy: recorded.device_busy.clone(),
+        comm_time: recorded.comm_time,
+        num_transfers: recorded.transfers.len(),
+    };
+    prop_assert_eq!(&stats, &projected, "simulate projects the schedule");
 
-            // The independent brute-force reference agrees exactly.
-            let (ref_makespan, ref_transfers) = reference_schedule(g, m, p);
-            prop_assert_eq!(ref_makespan, stats.step_time, "engine vs reference makespan");
-            prop_assert_eq!(ref_transfers.len(), tr.transfers.len());
-            let mut a: Vec<(u32, u8, u8, u64, u64)> = tr
-                .transfers
-                .iter()
-                .map(|t| (t.producer, t.src, t.dst, t.start.to_bits(), t.finish.to_bits()))
-                .collect();
-            let mut b: Vec<(u32, u8, u8, u64, u64)> = ref_transfers
-                .iter()
-                .map(|t| (t.producer, t.src, t.dst, t.start.to_bits(), t.finish.to_bits()))
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "engine vs reference booked transfers");
-        }
-    }
+    // The independent brute-force reference agrees exactly.
+    let (ref_makespan, ref_transfers) = reference_schedule(g, m, p);
+    prop_assert_eq!(ref_makespan, stats.step_time, "engine vs reference makespan");
+    prop_assert_eq!(ref_transfers.len(), recorded.transfers.len());
+    let mut a: Vec<(u32, u8, u8, u64, u64)> = recorded
+        .transfers
+        .iter()
+        .map(|t| (t.producer, t.src, t.dst, t.start.to_bits(), t.finish.to_bits()))
+        .collect();
+    let mut b: Vec<(u32, u8, u8, u64, u64)> = ref_transfers
+        .iter()
+        .map(|t| (t.producer, t.src, t.dst, t.start.to_bits(), t.finish.to_bits()))
+        .collect();
+    a.sort_unstable();
+    b.sort_unstable();
+    prop_assert_eq!(a, b, "engine vs reference booked transfers");
     Ok(())
 }
 
@@ -419,26 +425,46 @@ proptest! {
     }
 }
 
-// The differential-testing oracle: the event engine, the trace scheduler, and
+// The differential-testing oracle: the reward path, the recorded schedule, and
 // the brute-force reference must agree exactly — same makespan, same booked
 // transfers — and every schedule must satisfy the causal-ordering contract.
-// 256 cases as required by the oracle's acceptance bar.
+// The classic slices run over `arb_graph`'s ≤40-op DAGs; the GraphGen slice
+// holds the same exact-agreement contract over realistic generated training
+// graphs (48-160 target ops, backward mirroring, wide fan-outs, shared
+// variables). `EAGLE_ORACLE_CASES` tunes every slice: 256 by default
+// (PR-gating), 10000+ in the nightly job.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
 
     #[test]
-    fn sim_trace_and_reference_agree((g, m, p) in arb_case()) {
+    fn engine_matches_reference_on_random_dags((g, m, p) in arb_case()) {
+        differential_check(&g, &m, &p)?;
+    }
+
+    #[test]
+    fn engine_matches_reference_on_graphgen_graphs((g, m, p) in arb_graphgen_case()) {
         differential_check(&g, &m, &p)?;
     }
 
     #[test]
     fn per_link_bookings_are_causal_and_fifo((g, m, p) in arb_case()) {
-        let Some(tr) = eagle::devsim::trace::trace(&g, &m, &p) else { return Ok(()) };
+        if eagle::devsim::simulate(&g, &m, &p).step_time().is_none() {
+            return Ok(());
+        }
+        let sched = engine::schedule(&g, &m, &p);
+        // No device runs two ops at once: in dispatch order, each op starts
+        // no earlier than the previous op on its device finished.
+        let mut dev_free: std::collections::HashMap<u8, f64> = Default::default();
+        for o in &sched.ops {
+            prop_assert!(o.finish >= o.start);
+            let free = dev_free.insert(o.device, o.finish).unwrap_or(0.0);
+            prop_assert!(o.start >= free, "device {} runs two ops at once: {:?}", o.device, o);
+        }
         let finish_of: std::collections::HashMap<u32, f64> =
-            tr.ops.iter().map(|o| (o.op, o.finish)).collect();
+            sched.ops.iter().map(|o| (o.op, o.finish)).collect();
         let mut per_link: std::collections::HashMap<(u8, u8), Vec<(f64, f64)>> =
             Default::default();
-        for t in &tr.transfers {
+        for t in &sched.transfers {
             // Causality: a transfer starts no earlier than its producer
             // finishes, and takes positive time.
             prop_assert!(t.start >= finish_of[&t.producer], "non-causal booking: {:?}", t);
@@ -481,20 +507,6 @@ proptest! {
     }
 }
 
-// The scaled-up GraphGen-backed oracle: the same exact-agreement contract over
-// realistic generated training graphs (48-160 target ops, backward mirroring,
-// wide fan-outs, shared variables) far beyond arb_graph's 40-op cap.
-// `EAGLE_ORACLE_CASES` tunes the sweep: 256 by default (PR-gating), 10000+ in
-// the nightly job.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
-
-    #[test]
-    fn graphgen_sim_trace_and_reference_agree((g, m, p) in arb_graphgen_case()) {
-        differential_check(&g, &m, &p)?;
-    }
-}
-
 // GraphGen's own contract, property-tested across random configs and seeds:
 // determinism (same seed → bit-identical serialized graph) and validity
 // (every invariant of `GraphGen::validate` holds on every sample).
@@ -532,7 +544,7 @@ proptest! {
 }
 
 /// Regression corpus: minimized (graph, machine, placement) shapes that once
-/// disagreed or crashed somewhere in the engine/trace/reference triangle, kept
+/// disagreed or crashed somewhere in the reward/recorded/reference triangle, kept
 /// alive as plain unit checks independent of the random sweeps.
 #[test]
 fn oracle_regression_corpus() {
