@@ -14,9 +14,9 @@
 use std::sync::Arc;
 
 use eagle_devsim::{search::topo_chunks, DeviceId, Machine, Placement};
-use eagle_nn::{AttentionMode, Grouper, Lstm, Placer, PlacerOutput};
+use eagle_nn::{AttentionMode, Grouper, Lstm, Placer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{optim::Adam, Grads, Params, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -141,30 +141,6 @@ impl EagleAgent {
         self.num_groups
     }
 
-    /// The forward pass; `forced` scores the given device actions instead of
-    /// sampling. Also returns the group-balance auxiliary loss (see
-    /// [`Self::balance_loss`]). The grouper, balance loss, and linking RNN are
-    /// episode-independent so they run *once*; the placer decodes all episodes
-    /// in one pass (it sees the same `linked` Var for every episode, so its
-    /// encoder also runs once).
-    fn forward_batch(
-        &self,
-        params: &Params,
-        forced: Option<&[&[usize]]>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> (Tape, Vec<PlacerOutput>, Var) {
-        let bsz = forced.map_or(rngs.len(), <[_]>::len);
-        let mut tape = Tape::new();
-        let f = tape.leaf_shared(Arc::clone(&self.features));
-        let logits = self.grouper.logits(&mut tape, params, f);
-        let aux = self.balance_loss(&mut tape, logits);
-        let group_emb = self.grouper.soft_group_embeddings(&mut tape, logits, f);
-        let (linked, _) = self.link.forward(&mut tape, params, group_emb);
-        let xs = vec![linked; bsz];
-        let outs = self.placer.forward_batch(&mut tape, params, &xs, forced, rngs);
-        (tape, outs, aux)
-    }
-
     /// Group-balance regularizer: `coef * (ln k - H(usage))`, where `usage` is the
     /// mean soft-assignment distribution over groups. Zero when every group carries
     /// equal soft mass; grows as the grouper collapses ops into few groups. Without
@@ -199,27 +175,31 @@ impl StochasticPolicy for EagleAgent {
         self.num_groups
     }
 
-    fn sample_batch(
+    /// The grouper, the group-balance auxiliary loss and the linking RNN are
+    /// episode-independent, so they run *once*; the placer decodes all
+    /// episodes in one pass (it sees the same `linked` Var for every episode,
+    /// so its encoder also runs once).
+    fn forward_batch(
         &self,
         params: &Params,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Vec<(Vec<usize>, f32)> {
-        let (tape, outs, _) = self.forward_batch(params, None, rngs);
-        outs.into_iter().map(|out| (out.actions, tape.value(out.log_prob).item())).collect()
-    }
-
-    fn score_batch(&self, params: &Params, actions: &[Vec<usize>]) -> BatchScoreHandle {
-        let forced: Vec<&[usize]> = actions.iter().map(|a| a.as_slice()).collect();
-        let (tape, outs, aux) = self.forward_batch(params, Some(&forced), &mut []);
-        let episodes = outs
+        draws: Draws<'_, '_>,
+    ) -> (BatchScoreHandle, Vec<Vec<usize>>) {
+        let mut tape = Tape::new();
+        let f = tape.leaf_shared(Arc::clone(&self.features));
+        let logits = self.grouper.logits(&mut tape, params, f);
+        let aux = self.balance_loss(&mut tape, logits);
+        let group_emb = self.grouper.soft_group_embeddings(&mut tape, logits, f);
+        let (linked, _) = self.link.forward(&mut tape, params, group_emb);
+        let xs = vec![linked; draws.episodes()];
+        let outs = self.placer.forward_batch(&mut tape, params, &xs, draws);
+        let (episodes, actions) = outs
             .into_iter()
-            .map(|out| EpisodeScore {
-                log_prob: out.log_prob,
-                entropy: out.entropy,
-                aux_loss: Some(aux),
+            .map(|out| {
+                let (log_prob, entropy) = (out.log_prob, out.entropy);
+                (EpisodeScore { log_prob, entropy, aux_loss: Some(aux) }, out.actions)
             })
-            .collect();
-        BatchScoreHandle { tape, episodes }
+            .unzip();
+        (BatchScoreHandle { tape, episodes }, actions)
     }
 }
 
@@ -284,11 +264,11 @@ mod tests {
     fn sample_decode_roundtrip() {
         let (params, agent, g, m) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (actions, logp) = agent.sample(&params, &mut rng);
+        let (actions, logp) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
         assert_eq!(actions.len(), agent.num_groups());
         assert!(actions.iter().all(|&a| a < m.num_devices()));
         assert!(logp < 0.0);
-        let placement = agent.decode(&params, &actions);
+        let placement = agent.decode_batch(&params, &[actions]).remove(0);
         assert_eq!(placement.len(), g.len());
         assert!(placement.validate(&g, &m).is_ok());
     }
@@ -297,9 +277,9 @@ mod tests {
     fn score_matches_sampled_log_prob() {
         let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (actions, logp) = agent.sample(&params, &mut rng);
-        let h = agent.score(&params, &actions);
-        let rescored = h.tape.value(h.log_prob).item();
+        let (actions, logp) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
+        let h = agent.score_batch(&params, &[actions]);
+        let rescored = h.tape.value(h.episodes[0].log_prob).item();
         assert_eq!(logp.to_bits(), rescored.to_bits(), "{logp} vs {rescored}");
     }
 
@@ -309,9 +289,9 @@ mod tests {
         // grouper parameters (EAGLE's claim).
         let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let (actions, _) = agent.sample(&params, &mut rng);
-        let mut h = agent.score(&params, &actions);
-        let loss = h.tape.neg(h.log_prob);
+        let (actions, _) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
+        let mut h = agent.score_batch(&params, &[actions]);
+        let loss = h.tape.neg(h.episodes[0].log_prob);
         let mut grads = Grads::for_params(&params);
         h.tape.backward_into(loss, &mut grads);
         let grad_under = |prefix: &str| -> f32 {
@@ -336,8 +316,8 @@ mod tests {
         // The view samples and decodes valid placements for the *new* graph
         // using the original parameter store — no re-registration.
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let (actions, _) = view.sample(&params, &mut rng);
-        let placement = view.decode(&params, &actions);
+        let (actions, _) = view.sample_batch(&params, &mut [&mut rng]).remove(0);
+        let placement = view.decode_batch(&params, &[actions]).remove(0);
         assert_eq!(placement.len(), other.len());
         assert!(placement.validate(&other, &m).is_ok());
     }

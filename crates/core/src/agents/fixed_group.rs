@@ -11,7 +11,7 @@
 use eagle_devsim::{DeviceId, Machine, Placement};
 use eagle_nn::{embedding, normalize_adjacency, AttentionMode, Placer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor};
 use rand::Rng;
 
@@ -136,35 +136,25 @@ impl StochasticPolicy for FixedGroupAgent {
         self.num_groups
     }
 
-    fn sample_batch(
+    fn forward_batch(
         &self,
         params: &Params,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Vec<(Vec<usize>, f32)> {
+        draws: Draws<'_, '_>,
+    ) -> (BatchScoreHandle, Vec<Vec<usize>>) {
         let mut tape = Tape::new();
         // One leaf Var shared by every episode: the placer runs its shared
         // stages (e.g. the seq2seq encoder) once for the whole batch.
         let x = tape.leaf(self.emb.clone());
-        let xs = vec![x; rngs.len()];
-        let outs = self.placer.forward_batch(&mut tape, params, &xs, None, rngs);
-        outs.into_iter().map(|out| (out.actions, tape.value(out.log_prob).item())).collect()
-    }
-
-    fn score_batch(&self, params: &Params, actions: &[Vec<usize>]) -> BatchScoreHandle {
-        let forced: Vec<&[usize]> = actions.iter().map(|a| a.as_slice()).collect();
-        let mut tape = Tape::new();
-        let x = tape.leaf(self.emb.clone());
-        let xs = vec![x; actions.len()];
-        let outs = self.placer.forward_batch(&mut tape, params, &xs, Some(&forced), &mut []);
-        let episodes = outs
+        let xs = vec![x; draws.episodes()];
+        let outs = self.placer.forward_batch(&mut tape, params, &xs, draws);
+        let (episodes, actions) = outs
             .into_iter()
-            .map(|out| EpisodeScore {
-                log_prob: out.log_prob,
-                entropy: out.entropy,
-                aux_loss: None,
+            .map(|out| {
+                let (log_prob, entropy) = (out.log_prob, out.entropy);
+                (EpisodeScore { log_prob, entropy, aux_loss: None }, out.actions)
             })
-            .collect();
-        BatchScoreHandle { tape, episodes }
+            .unzip();
+        (BatchScoreHandle { tape, episodes }, actions)
     }
 }
 
@@ -230,10 +220,10 @@ mod tests {
         for kind in KINDS {
             let (params, agent, g, m) = build(kind);
             let mut rng = ChaCha8Rng::seed_from_u64(2);
-            let (actions, logp) = agent.sample(&params, &mut rng);
+            let (actions, logp) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
             assert_eq!(actions.len(), agent.num_groups(), "{kind:?}");
             assert!(logp.is_finite(), "{kind:?}");
-            let p = agent.decode(&params, &actions);
+            let p = agent.decode_batch(&params, &[actions]).remove(0);
             assert!(p.validate(&g, &m).is_ok(), "{kind:?}");
         }
     }
@@ -243,9 +233,9 @@ mod tests {
         for kind in KINDS {
             let (params, agent, _, _) = build(kind);
             let mut rng = ChaCha8Rng::seed_from_u64(3);
-            let (actions, logp) = agent.sample(&params, &mut rng);
-            let h = agent.score(&params, &actions);
-            let rescored = h.tape.value(h.log_prob).item();
+            let (actions, logp) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
+            let h = agent.score_batch(&params, &[actions]);
+            let rescored = h.tape.value(h.episodes[0].log_prob).item();
             assert_eq!(logp.to_bits(), rescored.to_bits(), "{kind:?}: {logp} vs {rescored}");
         }
     }
@@ -262,7 +252,7 @@ mod tests {
             FixedGroupAgent::post(&mut params, &g, &m, group_of, k, AgentScale::tiny(), &mut rng);
         assert_eq!(post.name(), "Post");
         let mut rng2 = ChaCha8Rng::seed_from_u64(8);
-        let (actions, _) = post.sample(&params, &mut rng2);
+        let (actions, _) = post.sample_batch(&params, &mut [&mut rng2]).remove(0);
         assert_eq!(actions.len(), k);
     }
 

@@ -12,7 +12,7 @@
 use eagle_devsim::{DeviceId, Machine, Placement};
 use eagle_nn::{embedding, AttentionMode, Categorical, Grouper, Placer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, EpisodeScore, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -67,31 +67,32 @@ impl HpAgent {
     pub fn action_len(&self) -> usize {
         self.graph.len() + self.num_groups
     }
+}
 
-    /// The forward pass; `forced` scores the given action vectors instead of
-    /// sampling. The grouper heads (logits, log-probs, entropy) are
-    /// episode-independent and run once; group sampling is episode-major so
-    /// stream `b` consumes its `n` group draws before its `k` placer draws,
-    /// whatever the batch size; the per-episode hard group embeddings
-    /// (Hierarchical Planner's aggregation) then feed one batched placer pass.
+impl StochasticPolicy for HpAgent {
+    fn rng_draws_per_sample(&self) -> usize {
+        self.action_len()
+    }
+
+    /// The grouper heads (logits, log-probs, entropy) are episode-independent
+    /// and run once; grouping is episode-major, so stream `b` gives its `n`
+    /// group draws before its `k` placer draws, whatever the batch size; the
+    /// per-episode hard group embeddings (Hierarchical Planner's aggregation)
+    /// then feed one batched placer pass, which takes the same streams or the
+    /// replayed vectors' device tails.
     fn forward_batch(
         &self,
         params: &Params,
-        forced: Option<&[&[usize]]>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> (Tape, Vec<(Vec<usize>, Var, Var)>) {
+        mut draws: Draws<'_, '_>,
+    ) -> (BatchScoreHandle, Vec<Vec<usize>>) {
         let n = self.graph.len();
-        let bsz = forced.map_or(rngs.len(), <[_]>::len);
         let mut tape = Tape::new();
         let f = tape.leaf(self.features.clone());
         let logits = self.grouper.logits(&mut tape, params, f); // (n, k)
         let dist = Categorical::new(&mut tape, logits);
 
-        let groupings: Vec<Vec<usize>> = (0..bsz)
-            .map(|b| match forced {
-                Some(fa) => fa[b][..n].to_vec(),
-                None => (0..n).map(|i| dist.sample(&tape, i, &mut *rngs[b])).collect(),
-            })
+        let groupings: Vec<Vec<usize>> = (0..draws.episodes())
+            .map(|b| (0..n).map(|i| draws.action(b, i, |rng| dist.sample(&tape, i, rng))).collect())
             .collect();
         // Per-episode grouping log-probs, then the shared grouper entropy
         // (mean per-op entropy).
@@ -113,55 +114,29 @@ impl HpAgent {
                 tape.leaf(emb)
             })
             .collect();
-        let placer_forced: Option<Vec<&[usize]>> =
-            forced.map(|fa| fa.iter().map(|a| &a[n..]).collect());
-        let outs =
-            self.placer.forward_batch(&mut tape, params, &xs, placer_forced.as_deref(), rngs);
+        let tails: Vec<&[usize]>;
+        let placer_draws = match draws {
+            Draws::Replay(actions) => {
+                tails = actions.iter().map(|a| &a[n..]).collect();
+                Draws::Replay(&tails)
+            }
+            sample => sample,
+        };
+        let outs = self.placer.forward_batch(&mut tape, params, &xs, placer_draws);
 
-        let eps: Vec<(Vec<usize>, Var, Var)> = groupings
+        let (episodes, actions) = groupings
             .into_iter()
             .zip(group_logp_sums)
             .zip(outs)
-            .map(|((grouping, gsum), out)| {
+            .map(|((mut actions, gsum), out)| {
                 let log_prob = tape.add(gsum, out.log_prob);
                 let e2 = tape.add(group_entropy, out.entropy);
                 let entropy = tape.scale(e2, 0.5);
-                let mut actions = grouping;
                 actions.extend_from_slice(&out.actions);
-                (actions, log_prob, entropy)
+                (EpisodeScore { log_prob, entropy, aux_loss: None }, actions)
             })
-            .collect();
-        (tape, eps)
-    }
-}
-
-impl StochasticPolicy for HpAgent {
-    fn rng_draws_per_sample(&self) -> usize {
-        self.action_len()
-    }
-
-    fn sample_batch(
-        &self,
-        params: &Params,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Vec<(Vec<usize>, f32)> {
-        let (tape, eps) = self.forward_batch(params, None, rngs);
-        eps.into_iter()
-            .map(|(actions, log_prob, _)| (actions, tape.value(log_prob).item()))
-            .collect()
-    }
-
-    fn score_batch(&self, params: &Params, actions: &[Vec<usize>]) -> BatchScoreHandle {
-        for a in actions {
-            assert_eq!(a.len(), self.action_len(), "full action vector required");
-        }
-        let forced: Vec<&[usize]> = actions.iter().map(|a| a.as_slice()).collect();
-        let (tape, eps) = self.forward_batch(params, Some(&forced), &mut []);
-        let episodes = eps
-            .into_iter()
-            .map(|(_, log_prob, entropy)| EpisodeScore { log_prob, entropy, aux_loss: None })
-            .collect();
-        BatchScoreHandle { tape, episodes }
+            .unzip();
+        (BatchScoreHandle { tape, episodes }, actions)
     }
 }
 
@@ -212,11 +187,11 @@ mod tests {
     fn action_vector_covers_ops_and_groups() {
         let (params, agent, g, m) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (actions, _) = agent.sample(&params, &mut rng);
+        let (actions, _) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
         assert_eq!(actions.len(), g.len() + agent.num_groups());
         assert!(actions[..g.len()].iter().all(|&a| a < agent.num_groups()));
         assert!(actions[g.len()..].iter().all(|&a| a < m.num_devices()));
-        let p = agent.decode(&params, &actions);
+        let p = agent.decode_batch(&params, &[actions]).remove(0);
         assert!(p.validate(&g, &m).is_ok());
     }
 
@@ -226,8 +201,8 @@ mod tests {
         // two rollouts with different RNG states should (almost surely) differ.
         let (params, agent, g, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (a1, _) = agent.sample(&params, &mut rng);
-        let (a2, _) = agent.sample(&params, &mut rng);
+        let (a1, _) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
+        let (a2, _) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
         assert_ne!(a1[..g.len()], a2[..g.len()], "grouping should be stochastic");
     }
 
@@ -235,9 +210,9 @@ mod tests {
     fn score_matches_sample_log_prob() {
         let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let (actions, logp) = agent.sample(&params, &mut rng);
-        let h = agent.score(&params, &actions);
-        let rescored = h.tape.value(h.log_prob).item();
+        let (actions, logp) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
+        let h = agent.score_batch(&params, &[actions]);
+        let rescored = h.tape.value(h.episodes[0].log_prob).item();
         assert_eq!(logp.to_bits(), rescored.to_bits(), "{logp} vs {rescored}");
     }
 
@@ -245,9 +220,9 @@ mod tests {
     fn gradients_reach_both_subnetworks() {
         let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (actions, _) = agent.sample(&params, &mut rng);
-        let mut h = agent.score(&params, &actions);
-        let loss = h.tape.neg(h.log_prob);
+        let (actions, _) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
+        let mut h = agent.score_batch(&params, &[actions]);
+        let loss = h.tape.neg(h.episodes[0].log_prob);
         let mut grads = eagle_tensor::Grads::for_params(&params);
         h.tape.backward_into(loss, &mut grads);
         for prefix in ["hp/grouper", "hp/placer"] {

@@ -14,11 +14,10 @@ use eagle_tensor::{Params, Tensor};
 
 /// A policy whose actions decode into a device placement for a concrete graph.
 ///
-/// Like [`StochasticPolicy`], the trait is batched-first: implementors provide
-/// [`PlacementAgent::decode_batch`], which amortizes any parameter-dependent
-/// work (e.g. the grouper forward of hierarchical agents) across the whole
-/// minibatch, and the per-episode [`PlacementAgent::decode`] is a default
-/// wrapper over batch size 1.
+/// Like [`StochasticPolicy`], the trait is batched-first:
+/// [`PlacementAgent::decode_batch`] amortizes any parameter-dependent work
+/// (e.g. the grouper forward of hierarchical agents) across the whole
+/// minibatch, and a batch of one is the per-episode decode.
 pub trait PlacementAgent: StochasticPolicy {
     /// Display name for tables and curves.
     fn name(&self) -> &str;
@@ -32,14 +31,6 @@ pub trait PlacementAgent: StochasticPolicy {
     /// grouping entry, devices for a placing one: the range a stored action
     /// must be in before it can be decoded or teacher-forced.
     fn action_choices(&self, position: usize) -> usize;
-
-    /// Decodes a single action vector; thin wrapper over a one-episode
-    /// [`PlacementAgent::decode_batch`].
-    fn decode(&self, params: &Params, actions: &[usize]) -> Placement {
-        self.decode_batch(params, &[actions.to_vec()])
-            .pop()
-            .expect("decode_batch returns one placement per action vector")
-    }
 
     /// Re-targets this agent to a different op graph, sharing the *same*
     /// parameters (and therefore the same action space and

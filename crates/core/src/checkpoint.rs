@@ -536,12 +536,12 @@ mod tests {
         // Identical sampling behaviour with identical RNG streams.
         let mut r1 = ChaCha8Rng::seed_from_u64(5);
         let mut r2 = ChaCha8Rng::seed_from_u64(5);
-        let (a1, lp1) = agent.sample(&params, &mut r1);
-        let (a2, lp2) = agent.sample(&restored, &mut r2);
+        let (a1, lp1) = agent.sample_batch(&params, &mut [&mut r1]).remove(0);
+        let (a2, lp2) = agent.sample_batch(&restored, &mut [&mut r2]).remove(0);
         assert_eq!(a1, a2);
         assert_eq!(lp1, lp2);
         // And identical decoded placements.
-        assert_eq!(agent.decode(&params, &a1), agent.decode(&restored, &a2));
+        assert_eq!(agent.decode_batch(&params, &[a1]), agent.decode_batch(&restored, &[a2]));
     }
 
     #[test]

@@ -97,20 +97,6 @@ impl Placement {
         mem
     }
 
-    /// Number of graph edges whose endpoints sit on different devices.
-    pub fn cut_edges(&self, graph: &OpGraph) -> usize {
-        graph.edges().filter(|&(u, v)| self.device(u) != self.device(v)).count()
-    }
-
-    /// Total bytes crossing devices per step.
-    pub fn cut_bytes(&self, graph: &OpGraph) -> u64 {
-        graph
-            .edges()
-            .filter(|&(u, v)| self.device(u) != self.device(v))
-            .map(|(u, _)| graph.node(u).out_bytes)
-            .sum()
-    }
-
     /// Checks the placement covers exactly the graph's ops and uses only devices
     /// that exist on the machine.
     pub fn validate(&self, graph: &OpGraph, machine: &Machine) -> Result<(), PlacementError> {
@@ -164,16 +150,6 @@ mod tests {
         assert_eq!(p2.device(OpId(0)), DeviceId(1));
         assert_eq!(p2.device(OpId(3)), DeviceId(2));
         assert!(p2.validate(&chain(4), &m).is_ok());
-    }
-
-    #[test]
-    fn cut_metrics() {
-        let g = chain(4);
-        let p = Placement::new(vec![DeviceId(1), DeviceId(1), DeviceId(2), DeviceId(2)]);
-        assert_eq!(p.cut_edges(&g), 1);
-        assert_eq!(p.cut_bytes(&g), 100);
-        let all_one = Placement::uniform(4, DeviceId(1));
-        assert_eq!(all_one.cut_edges(&g), 0);
     }
 
     #[test]

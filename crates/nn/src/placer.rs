@@ -3,11 +3,12 @@
 //! convolutions over the group graph (Fig. 3b) and Post's MLP.
 //!
 //! Each consumes a `(k, d_in)` matrix of group embeddings and emits one device
-//! per group. The one decode, [`Placer::forward_batch`], either *samples*
-//! actions or *teacher-forces* given action sequences (needed to re-evaluate
-//! log-probabilities of old samples under new parameters for PPO's ratio); the
-//! per-episode [`Placer::forward`] is that decode at batch size 1.
+//! per group. The one decode, [`Placer::forward_batch`], takes each device from
+//! a [`Draws`]: *sampled* from the episode's stream, or *teacher-forced* from a
+//! given action sequence (to re-evaluate log-probabilities of old samples under
+//! new parameters for PPO's ratio). A batch of one is the per-episode decode.
 
+use eagle_rl::Draws;
 use eagle_tensor::{init, FusedAct, ParamId, Params, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -163,17 +164,15 @@ impl Placer {
 
     /// Decodes one placement per episode in a single batched pass. `xs` holds
     /// one `(k, d_in)` input per episode — passing the *same* `Var` for every
-    /// episode makes shared-input work (e.g. the encoder) run once. When
-    /// `forced` is given, its actions are scored instead of sampling new ones;
-    /// otherwise episode `b` samples from `rngs[b]` only, one draw per group in
-    /// group order.
+    /// episode makes shared-input work (e.g. the encoder) run once. Episode
+    /// `b` takes one device per group, in group order, from `draws`: sampled
+    /// from its own stream, or replayed.
     pub fn forward_batch(
         &self,
         tape: &mut Tape,
         params: &Params,
         xs: &[Var],
-        forced: Option<&[&[usize]]>,
-        rngs: &mut [&mut dyn rand::RngCore],
+        draws: Draws<'_, '_>,
     ) -> Vec<PlacerOutput> {
         let bsz = xs.len();
         assert!(bsz > 0, "at least one episode");
@@ -181,17 +180,15 @@ impl Placer {
         for &x in xs {
             assert_eq!(tape.value(x).rows(), k, "all episodes share the group count");
         }
-        match forced {
-            Some(f) => {
-                assert_eq!(f.len(), bsz, "one forced action vector per episode");
-                for a in f {
-                    assert_eq!(a.len(), k, "forced actions must cover every group");
-                }
-            }
-            None => assert_eq!(rngs.len(), bsz, "one RNG stream per episode"),
+        assert_eq!(draws.episodes(), bsz, "one action source per episode");
+        if let Draws::Replay(actions) = &draws {
+            assert!(
+                actions.iter().all(|a| a.len() == k),
+                "replayed actions must cover every group"
+            );
         }
         let logits = match &self.body {
-            Body::Seq2Seq(s) => return s.decode(tape, params, xs, forced, rngs, self.n_devices),
+            Body::Seq2Seq(s) => return s.decode(tape, params, xs, draws, self.n_devices),
             Body::Gcn { l1, l2, adj } => {
                 assert_eq!(adj.rows(), k, "adjacency size must match group count");
                 let x = tape.concat_rows(xs); // (B·k, d)
@@ -207,23 +204,7 @@ impl Placer {
                 net.forward(tape, params, x)
             }
         }; // (B·k, nd)
-        flat_heads(tape, logits, forced, rngs, bsz, k)
-    }
-
-    /// Decodes a placement for one episode's `x: (k, d_in)` group embeddings:
-    /// [`Placer::forward_batch`] at batch size 1.
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        params: &Params,
-        x: Var,
-        forced: Option<&[usize]>,
-        rng: &mut dyn rand::RngCore,
-    ) -> PlacerOutput {
-        let forced = forced.map(|f| [f]);
-        self.forward_batch(tape, params, &[x], forced.as_ref().map(|f| &f[..]), &mut [rng])
-            .pop()
-            .expect("forward_batch returns one output per episode")
+        flat_heads(tape, logits, draws, bsz, k)
     }
 }
 
@@ -277,8 +258,7 @@ impl Seq2Seq {
         tape: &mut Tape,
         params: &Params,
         xs: &[Var],
-        forced: Option<&[&[usize]]>,
-        rngs: &mut [&mut dyn rand::RngCore],
+        mut draws: Draws<'_, '_>,
         n_devices: usize,
     ) -> Vec<PlacerOutput> {
         let (bsz, k) = (xs.len(), tape.value(xs[0]).rows());
@@ -352,10 +332,8 @@ impl Seq2Seq {
                 }
             }; // (B, nd)
             let dist = Categorical::new(tape, logits);
-            let acts: Vec<usize> = match forced {
-                Some(f) => f.iter().map(|a| a[i]).collect(),
-                None => (0..bsz).map(|b| dist.sample(tape, b, &mut *rngs[b])).collect(),
-            };
+            let acts: Vec<usize> =
+                (0..bsz).map(|b| draws.action(b, i, |rng| dist.sample(tape, b, rng))).collect();
             let logp = dist.log_prob(tape, &acts); // (B, 1)
             let plogp = dist.p_log_p(tape);
             let rsum = tape.row_sums(plogp); // (B, 1)
@@ -402,23 +380,19 @@ fn propagate(tape: &mut Tape, adj: Var, h: Var, bsz: usize) -> Var {
 }
 
 /// The head of the placers that decide every group independently: from
-/// `(bsz·k, nd)` logits, episode `b` owns rows `b·k..(b+1)·k` and draws from
-/// `rngs[b]` only, in row order; its entropy is the mean over its rows.
+/// `(bsz·k, nd)` logits, episode `b` owns rows `b·k..(b+1)·k` and takes its
+/// actions from `draws` in row order; its entropy is the mean over its rows.
 fn flat_heads(
     tape: &mut Tape,
     logits: Var,
-    forced: Option<&[&[usize]]>,
-    rngs: &mut [&mut dyn rand::RngCore],
+    mut draws: Draws<'_, '_>,
     bsz: usize,
     k: usize,
 ) -> Vec<PlacerOutput> {
     let dist = Categorical::new(tape, logits);
     let mut flat = Vec::with_capacity(bsz * k);
     for b in 0..bsz {
-        match forced {
-            Some(f) => flat.extend_from_slice(f[b]),
-            None => flat.extend((0..k).map(|i| dist.sample(tape, b * k + i, &mut *rngs[b]))),
-        }
+        flat.extend((0..k).map(|i| draws.action(b, i, |rng| dist.sample(tape, b * k + i, rng))));
     }
     let picked = dist.log_prob(tape, &flat); // (B·k, 1)
     let plogp = dist.p_log_p(tape);
@@ -629,8 +603,24 @@ mod tests {
         }
     }
 
-    /// A one-episode decode: the oracle above, or the batch-of-one
-    /// [`Placer::forward`].
+    /// [`Placer::forward_batch`] over one episode, replaying `forced` or
+    /// sampling from `rng`.
+    fn batch_of_one(
+        placer: &Placer,
+        tape: &mut Tape,
+        params: &Params,
+        x: Var,
+        forced: Option<&[usize]>,
+        rng: &mut dyn rand::RngCore,
+    ) -> PlacerOutput {
+        let mut outs = match forced {
+            Some(a) => placer.forward_batch(tape, params, &[x], Draws::Replay(&[a])),
+            None => placer.forward_batch(tape, params, &[x], Draws::Sample(&mut [rng])),
+        };
+        outs.pop().expect("one output per episode")
+    }
+
+    /// A one-episode decode: the oracle above, or [`batch_of_one`].
     type Serial = fn(
         &Placer,
         &mut Tape,
@@ -692,7 +682,7 @@ mod tests {
         let mut streams = eagle_rl::fork_streams(&mut master, k, inputs.len());
         let mut refs: Vec<&mut dyn rand::RngCore> =
             streams.iter_mut().map(|r| r as &mut dyn rand::RngCore).collect();
-        let outs = placer.forward_batch(&mut tape, params, &xvs, None, &mut refs);
+        let outs = placer.forward_batch(&mut tape, params, &xvs, Draws::Sample(&mut refs));
         assert_eq!(outs.len(), inputs.len());
 
         let mut serial_rng = ChaCha8Rng::seed_from_u64(seed);
@@ -800,7 +790,7 @@ mod tests {
             let x = Tensor::full(6, 7, 0.3);
             let inputs = [x.clone(), x.clone(), x];
             assert_batch_matches_serial(&params, &placer, oracle, &inputs, 11);
-            // Batch of one — the shape the provided `Placer::forward` runs.
+            // Batch of one.
             assert_batch_matches_serial(&params, &placer, oracle, &inputs[..1], 11);
         }
     }
@@ -815,6 +805,42 @@ mod tests {
     }
 
     #[test]
+    fn sampling_and_replay_record_the_same_forward() {
+        // One forward either way: replaying the sampled actions records as
+        // many nodes and the same log-prob and entropy bits, for every body.
+        let mut params = Params::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let placers = [
+            Placer::seq2seq(&mut params, "b", 7, 12, 8, 5, AttentionMode::Before, &mut rng),
+            Placer::seq2seq(&mut params, "a", 7, 12, 8, 5, AttentionMode::After, &mut rng),
+            Placer::gcn(&mut params, "g", 7, 10, 5, chain_adjacency(4), &mut rng),
+            Placer::mlp(&mut params, "m", 7, 10, 5, &mut rng),
+        ];
+        let inputs: Vec<Tensor> = (0..3).map(|_| init::uniform(4, 7, 1.0, &mut rng)).collect();
+        for placer in &placers {
+            let forward = |draws: Draws<'_, '_>| {
+                let mut tape = Tape::new();
+                let xs: Vec<Var> = inputs.iter().map(|x| tape.leaf(x.clone())).collect();
+                let outs = placer.forward_batch(&mut tape, &params, &xs, draws);
+                let bits = |v: Var| tape.value(v).item().to_bits();
+                let heads: Vec<_> =
+                    outs.iter().map(|o| (bits(o.log_prob), bits(o.entropy))).collect();
+                let actions: Vec<Vec<usize>> = outs.into_iter().map(|o| o.actions).collect();
+                (tape.len(), heads, actions)
+            };
+            let mut streams = eagle_rl::fork_streams(&mut rng, 4, inputs.len());
+            let mut refs: Vec<&mut dyn rand::RngCore> =
+                streams.iter_mut().map(|r| r as &mut dyn rand::RngCore).collect();
+            let (len, heads, actions) = forward(Draws::Sample(&mut refs));
+            let replay: Vec<&[usize]> = actions.iter().map(Vec::as_slice).collect();
+            let (replay_len, replay_heads, replayed) = forward(Draws::Replay(&replay));
+            assert_eq!(replayed, actions);
+            assert_eq!(replay_len, len, "replay records a different number of nodes");
+            assert_eq!(replay_heads, heads, "replay heads diverge from the sampled ones");
+        }
+    }
+
+    #[test]
     fn gcn_and_simple_forward_batch_match_serial() {
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
@@ -823,8 +849,8 @@ mod tests {
         // Distinct rows, so the propagation mixes groups that differ.
         let inputs: Vec<Tensor> = (0..4).map(|_| init::uniform(4, 7, 1.0, &mut rng)).collect();
         // Batch of B against B batch-of-one calls: no episode sees its mates.
-        assert_batch_matches_serial(&params, &gcn, Placer::forward, &inputs, 21);
-        assert_batch_matches_serial(&params, &simple, Placer::forward, &inputs, 22);
+        assert_batch_matches_serial(&params, &gcn, batch_of_one, &inputs, 21);
+        assert_batch_matches_serial(&params, &simple, batch_of_one, &inputs, 22);
     }
 
     #[test]
@@ -843,7 +869,7 @@ mod tests {
         let step_log_probs = |x: &Tensor| {
             let (mut tape, mut rng) = (Tape::new(), ChaCha8Rng::seed_from_u64(0));
             let xv = tape.leaf(x.clone());
-            let out = placer.forward(&mut tape, &params, xv, Some(&[0, 1, 2, 3]), &mut rng);
+            let out = batch_of_one(&placer, &mut tape, &params, xv, Some(&[0, 1, 2, 3]), &mut rng);
             tape.value(out.step_log_probs).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         let (before, after) = (step_log_probs(&x), step_log_probs(&moved));
@@ -859,7 +885,7 @@ mod tests {
         let forced_refs: Vec<&[usize]> = forced.iter().map(|a| a.as_slice()).collect();
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
-        let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Some(&forced_refs), &mut []);
+        let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Draws::Replay(&forced_refs));
         for (a, out) in forced.iter().zip(&outs) {
             let (actions, logp, ent) =
                 run(&params, &placer, Placer::forward_serial, &x, Some(a), 7);
@@ -881,7 +907,7 @@ mod tests {
         let mut batch_grads = Grads::for_params(&params);
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
-        let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Some(&forced_refs), &mut []);
+        let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Draws::Replay(&forced_refs));
         for out in &outs {
             let loss = tape.neg(out.log_prob);
             tape.backward_into(loss, &mut batch_grads);
@@ -914,7 +940,7 @@ mod tests {
     fn seq2seq_before_samples_valid_actions() {
         let (params, placer) = setup(AttentionMode::Before);
         let x = Tensor::full(6, 7, 0.3);
-        let (actions, logp, ent) = run(&params, &placer, Placer::forward, &x, None, 1);
+        let (actions, logp, ent) = run(&params, &placer, batch_of_one, &x, None, 1);
         assert_eq!(actions.len(), 6);
         assert!(actions.iter().all(|&a| a < 5));
         assert!(logp < 0.0, "log-prob of a sample is negative");
@@ -925,7 +951,7 @@ mod tests {
     fn seq2seq_after_mode_works_too() {
         let (params, placer) = setup(AttentionMode::After);
         let x = Tensor::full(4, 7, -0.2);
-        let (actions, logp, _) = run(&params, &placer, Placer::forward, &x, None, 2);
+        let (actions, logp, _) = run(&params, &placer, batch_of_one, &x, None, 2);
         assert_eq!(actions.len(), 4);
         assert!(logp.is_finite());
     }
@@ -933,7 +959,7 @@ mod tests {
     #[test]
     fn teacher_forcing_reproduces_log_prob() {
         let (params, placer) = setup(AttentionMode::Before);
-        let fwd: Serial = Placer::forward;
+        let fwd: Serial = batch_of_one;
         let x = Tensor::full(5, 7, 0.1);
         let (actions, logp_sampled, _) = run(&params, &placer, fwd, &x, None, 3);
         // Re-scoring the same actions must give the same joint log-probability.
@@ -945,7 +971,7 @@ mod tests {
     #[test]
     fn different_forced_actions_change_log_prob() {
         let (params, placer) = setup(AttentionMode::Before);
-        let fwd: Serial = Placer::forward;
+        let fwd: Serial = batch_of_one;
         let x = Tensor::full(5, 7, 0.1);
         let (_, lp_a, _) = run(&params, &placer, fwd, &x, Some(&[0, 0, 0, 0, 0]), 1);
         let (_, lp_b, _) = run(&params, &placer, fwd, &x, Some(&[4, 4, 4, 4, 4]), 1);
@@ -958,8 +984,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let placer = Placer::gcn(&mut params, "g", 7, 10, 5, chain_adjacency(4), &mut rng);
         let x = Tensor::full(4, 7, 0.5);
-        let (a1, lp1, ent) = run(&params, &placer, Placer::forward, &x, None, 42);
-        let (a2, lp2, _) = run(&params, &placer, Placer::forward, &x, None, 42);
+        let (a1, lp1, ent) = run(&params, &placer, batch_of_one, &x, None, 42);
+        let (a2, lp2, _) = run(&params, &placer, batch_of_one, &x, None, 42);
         assert_eq!(a1, a2, "same sampling seed, same actions");
         assert_eq!(lp1, lp2);
         assert!(ent > 0.0);
@@ -990,7 +1016,7 @@ mod tests {
         let mut tape = Tape::new();
         let xv = tape.leaf(x);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let out = placer.forward(&mut tape, &params, xv, None, &mut rng);
+        let out = batch_of_one(&placer, &mut tape, &params, xv, None, &mut rng);
         let loss = tape.neg(out.log_prob);
         let mut grads = Grads::for_params(&params);
         tape.backward_into(loss, &mut grads);

@@ -6,6 +6,7 @@
 
 use eagle_nn::{normalize_adjacency, AttentionMode, Placer};
 use eagle_opgraph::{OpGraph, OpKind, OpNode, Phase};
+use eagle_rl::Draws;
 use eagle_tensor::{init, Params, Tape, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -38,7 +39,8 @@ fn check_placer(placer: &Placer, params: &Params, x: &Tensor, nd: usize, seed: u
     let mut tape = Tape::new();
     let xv = tape.leaf(x.clone());
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let out = placer.forward(&mut tape, params, xv, None, &mut rng);
+    let out =
+        placer.forward_batch(&mut tape, params, &[xv], Draws::Sample(&mut [&mut rng])).remove(0);
     assert_eq!(out.actions.len(), k);
     assert!(out.actions.iter().all(|&a| a < nd));
     let logp = tape.value(out.log_prob).item();
@@ -52,8 +54,8 @@ fn check_placer(placer: &Placer, params: &Params, x: &Tensor, nd: usize, seed: u
     // Teacher-forcing the sampled actions reproduces the joint log-prob.
     let mut tape2 = Tape::new();
     let xv2 = tape2.leaf(x.clone());
-    let mut noop = ChaCha8Rng::seed_from_u64(0);
-    let out2 = placer.forward(&mut tape2, params, xv2, Some(&out.actions), &mut noop);
+    let replay = Draws::Replay(&[&out.actions]);
+    let out2 = placer.forward_batch(&mut tape2, params, &[xv2], replay).remove(0);
     assert_eq!(out2.actions, out.actions);
     assert_eq!(tape2.value(out2.log_prob).item().to_bits(), logp.to_bits());
 }

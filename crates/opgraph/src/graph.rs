@@ -160,13 +160,6 @@ impl OpKind {
     pub fn feature_index(self) -> usize {
         ALL_OP_KINDS.iter().position(|&k| k == self).expect("kind present in ALL_OP_KINDS")
     }
-
-    /// True for ops that run efficiently on a CPU (or must run there), such as the
-    /// input pipeline and embedding gathers. The paper observes RL agents learn to
-    /// move exactly these ops to the CPU (Sec. IV-D, Inception analysis).
-    pub fn cpu_friendly(self) -> bool {
-        matches!(self, OpKind::Input | OpKind::Embedding | OpKind::Reshape | OpKind::Const)
-    }
 }
 
 /// Which training phase an op belongs to.
@@ -616,13 +609,5 @@ mod tests {
         let e = GraphError::NodeOutOfRange { op: OpId(7), len: 3 };
         assert!(e.to_string().contains('7') && e.to_string().contains('3'));
         assert!(GraphError::BadConfig("layers = 0".into()).to_string().contains("layers"));
-    }
-
-    #[test]
-    fn cpu_friendly_flags() {
-        assert!(OpKind::Embedding.cpu_friendly());
-        assert!(OpKind::Input.cpu_friendly());
-        assert!(!OpKind::Conv2d.cpu_friendly());
-        assert!(!OpKind::MatMul.cpu_friendly());
     }
 }

@@ -286,7 +286,8 @@ mod tests {
         for _ in 0..150 {
             let batch: Vec<TrainSample> = (0..10)
                 .map(|_| {
-                    let (actions, old_log_prob) = bandit.sample(&params, &mut rng);
+                    let (actions, old_log_prob) =
+                        bandit.sample_batch(&params, &mut [&mut rng]).remove(0);
                     let adv = baseline.advantage(arm_reward(actions[0])) as f32;
                     TrainSample { actions, old_log_prob, advantage: adv }
                 })

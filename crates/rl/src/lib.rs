@@ -8,12 +8,14 @@
 //! Rewards follow the paper's Eq. 4: `R = -sqrt(per-step time)` with an
 //! exponential-moving-average baseline ([`EmaBaseline`]) instead of a critic.
 //!
-//! Agents plug in through the batched-first [`StochasticPolicy`] trait: sample a
-//! minibatch of flat action vectors in one forward pass ([`StochasticPolicy::
-//! sample_batch`]), and re-score a minibatch differentiably on one shared tape
-//! ([`StochasticPolicy::score_batch`]); per-episode `sample`/`score` are default
-//! wrappers over batch size 1. Batching is bit-identical to the per-episode path
-//! (see `policy` module docs).
+//! Agents plug in through the batched-first [`StochasticPolicy`] trait by
+//! implementing one forward, [`StochasticPolicy::forward_batch`], over a
+//! [`Draws`]: sampled from per-episode RNG streams or replayed from given
+//! action vectors. The algorithms call the two provided methods on top of it:
+//! [`StochasticPolicy::sample_batch`] draws a minibatch of flat action vectors,
+//! and [`StochasticPolicy::score_batch`] re-scores one differentiably on one
+//! shared tape. A batch of one is the per-episode case, bit for bit (see
+//! `policy` module docs).
 
 #![warn(missing_docs)]
 
@@ -25,6 +27,6 @@ pub use algos::{
     top_k_indices, CrossEntropyMin, OptimConfig, Ppo, Reinforce, TrainSample, UpdateStats,
 };
 pub use policy::{
-    fork_streams, sample_categorical, BatchScoreHandle, EpisodeScore, ScoreHandle, StochasticPolicy,
+    fork_streams, sample_categorical, BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy,
 };
 pub use reward::{invalid_reward, reward_from_time, EmaBaseline, RewardTransform};

@@ -1,13 +1,16 @@
 //! The policy abstraction the training algorithms operate on.
 //!
 //! An agent (EAGLE, Hierarchical Planner, Post) exposes its stochastic decision as a
-//! flat action vector. The trait surface is *batched-first*: the primitive
-//! operations are [`StochasticPolicy::sample_batch`] (draw a whole minibatch of
-//! action vectors in one forward pass) and [`StochasticPolicy::score_batch`]
-//! (re-score a minibatch differentiably on one shared tape). The per-episode
-//! [`StochasticPolicy::sample`]/[`StochasticPolicy::score`] methods are provided
-//! wrappers over batch size 1; no agent overrides them, so there is one
-//! implementation of each behaviour.
+//! flat action vector. The trait surface is *one forward per policy*:
+//! [`StochasticPolicy::forward_batch`] runs the network over a whole minibatch
+//! on one tape, taking each action from a [`Draws`] — drawn from the episode's
+//! own RNG stream, or replayed from a given action vector. The two batched
+//! methods the algorithms call are provided on top of it:
+//! [`StochasticPolicy::sample_batch`] (draw, and keep each episode's
+//! log-probability under the sampling parameters) and
+//! [`StochasticPolicy::score_batch`] (replay, and keep the tape for the
+//! gradient). Sampling and scoring record the same forward, node for node, so
+//! they cannot drift apart; a batch of one is the per-episode case.
 //!
 //! # Bit-identity contract
 //!
@@ -33,20 +36,6 @@
 
 use eagle_tensor::{Params, Tape, Var};
 
-/// A scoring pass: the tape that built it plus the loss-relevant heads.
-pub struct ScoreHandle {
-    /// The tape holding the forward pass (call `backward_into` on it with a loss).
-    pub tape: Tape,
-    /// Joint log-probability of the scored actions, `1x1`.
-    pub log_prob: Var,
-    /// Mean per-decision entropy of the policy, `1x1`.
-    pub entropy: Var,
-    /// Optional differentiable auxiliary loss the agent wants *added* to every
-    /// policy-update loss (e.g. EAGLE's group-balance regularizer). Must not
-    /// depend on the sampled actions, so PPO's importance ratios stay valid.
-    pub aux_loss: Option<Var>,
-}
-
 /// The loss-relevant heads of one episode inside a [`BatchScoreHandle`].
 ///
 /// All `Var`s live on the shared batch tape. `aux_loss` may reference the same
@@ -59,7 +48,9 @@ pub struct EpisodeScore {
     pub log_prob: Var,
     /// Mean per-decision entropy for this episode, `1x1`.
     pub entropy: Var,
-    /// Optional auxiliary loss (see [`ScoreHandle::aux_loss`]).
+    /// Optional differentiable auxiliary loss the agent wants *added* to every
+    /// policy-update loss (e.g. EAGLE's group-balance regularizer). Must not
+    /// depend on the sampled actions, so PPO's importance ratios stay valid.
     pub aux_loss: Option<Var>,
 }
 
@@ -72,8 +63,41 @@ pub struct EpisodeScore {
 pub struct BatchScoreHandle {
     /// The shared tape holding all episodes' forward passes.
     pub tape: Tape,
-    /// Per-episode heads, in the order of the scored action vectors.
+    /// Per-episode heads, in episode order.
     pub episodes: Vec<EpisodeScore>,
+}
+
+/// Where a policy forward's actions come from, one source per episode.
+pub enum Draws<'a, 'r> {
+    /// Episode `b` draws from `rngs[b]` only.
+    Sample(&'a mut [&'r mut dyn rand::RngCore]),
+    /// Episode `b` replays (teacher-forces) `actions[b]`.
+    Replay(&'a [&'a [usize]]),
+}
+
+impl Draws<'_, '_> {
+    /// Number of episodes.
+    pub fn episodes(&self) -> usize {
+        match self {
+            Draws::Sample(rngs) => rngs.len(),
+            Draws::Replay(actions) => actions.len(),
+        }
+    }
+
+    /// Episode `b`'s action at position `i`: `draw` on stream `b` when
+    /// sampling, `actions[b][i]` when replaying. Every decision site of a
+    /// forward goes through here, so the forward is the same either way.
+    pub fn action(
+        &mut self,
+        b: usize,
+        i: usize,
+        draw: impl FnOnce(&mut dyn rand::RngCore) -> usize,
+    ) -> usize {
+        match self {
+            Draws::Sample(rngs) => draw(&mut *rngs[b]),
+            Draws::Replay(actions) => actions[b][i],
+        }
+    }
 }
 
 /// A stochastic policy over flat action vectors, batched-first.
@@ -85,38 +109,37 @@ pub trait StochasticPolicy {
     /// serial per-episode sampling loop.
     fn rng_draws_per_sample(&self) -> usize;
 
-    /// Samples one action vector per RNG stream in a single batched forward
-    /// pass, returning each with its joint log-probability under the sampling
-    /// parameters (needed for PPO's importance ratio). Episode `b` consumes
-    /// draws only from `rngs[b]`, [`StochasticPolicy::rng_draws_per_sample`]
-    /// of them, whatever the batch size.
+    /// The policy's one forward: every episode of `draws` on one shared tape,
+    /// returning the scoring handle (see [`BatchScoreHandle`] for the gradient
+    /// contract) and each episode's action vector. When sampling, episode `b`
+    /// consumes [`StochasticPolicy::rng_draws_per_sample`] draws of its own
+    /// stream only, whatever the batch size.
+    fn forward_batch(
+        &self,
+        params: &Params,
+        draws: Draws<'_, '_>,
+    ) -> (BatchScoreHandle, Vec<Vec<usize>>);
+
+    /// Samples one action vector per RNG stream, each with its joint
+    /// log-probability under the sampling parameters (PPO's `pi_old`).
     fn sample_batch(
         &self,
         params: &Params,
         rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Vec<(Vec<usize>, f32)>;
-
-    /// Re-scores a minibatch of action vectors under `params` on one shared
-    /// tape (see [`BatchScoreHandle`] for the gradient contract).
-    fn score_batch(&self, params: &Params, actions: &[Vec<usize>]) -> BatchScoreHandle;
-
-    /// Samples a single action vector. Default: [`StochasticPolicy::sample_batch`]
-    /// with batch size 1.
-    fn sample(&self, params: &Params, rng: &mut dyn rand::RngCore) -> (Vec<usize>, f32) {
-        self.sample_batch(params, &mut [rng]).pop().expect("sample_batch returns one entry per rng")
+    ) -> Vec<(Vec<usize>, f32)> {
+        let (h, actions) = self.forward_batch(params, Draws::Sample(rngs));
+        actions
+            .into_iter()
+            .zip(&h.episodes)
+            .map(|(a, ep)| (a, h.tape.value(ep.log_prob).item()))
+            .collect()
     }
 
-    /// Re-scores `actions` under `params` on a fresh tape. Default:
-    /// [`StochasticPolicy::score_batch`] with batch size 1.
-    fn score(&self, params: &Params, actions: &[usize]) -> ScoreHandle {
-        let mut h = self.score_batch(params, &[actions.to_vec()]);
-        let ep = h.episodes.pop().expect("score_batch returns one entry per action vector");
-        ScoreHandle {
-            tape: h.tape,
-            log_prob: ep.log_prob,
-            entropy: ep.entropy,
-            aux_loss: ep.aux_loss,
-        }
+    /// Re-scores a minibatch of action vectors under `params` on one shared
+    /// tape.
+    fn score_batch(&self, params: &Params, actions: &[Vec<usize>]) -> BatchScoreHandle {
+        let replay: Vec<&[usize]> = actions.iter().map(Vec::as_slice).collect();
+        self.forward_batch(params, Draws::Replay(&replay)).0
     }
 }
 
@@ -177,8 +200,8 @@ pub fn fork_streams<R: rand::RngCore + Clone>(
 #[cfg(test)]
 pub(crate) mod test_policy {
     //! A minimal categorical bandit policy used to unit-test the algorithms in
-    //! isolation from the full placement networks. Implements only the batched
-    //! primitives; the per-episode methods come from the trait defaults.
+    //! isolation from the full placement networks. Implements only the one
+    //! forward; `sample_batch` and `score_batch` come from the trait.
 
     use super::*;
     use eagle_tensor::{ParamId, Tensor};
@@ -206,21 +229,11 @@ pub(crate) mod test_policy {
             1
         }
 
-        fn sample_batch(
+        fn forward_batch(
             &self,
             params: &Params,
-            rngs: &mut [&mut dyn rand::RngCore],
-        ) -> Vec<(Vec<usize>, f32)> {
-            let probs = self.probs(params);
-            rngs.iter_mut()
-                .map(|rng| {
-                    let arm = sample_categorical(&probs, &mut **rng);
-                    (vec![arm], probs[arm].ln())
-                })
-                .collect()
-        }
-
-        fn score_batch(&self, params: &Params, actions: &[Vec<usize>]) -> BatchScoreHandle {
+            mut draws: Draws<'_, '_>,
+        ) -> (BatchScoreHandle, Vec<Vec<usize>>) {
             let mut tape = Tape::new();
             let l = tape.param(params, self.logits);
             let ls = tape.log_softmax(l);
@@ -228,15 +241,20 @@ pub(crate) mod test_policy {
             let plogp = tape.mul_elem(p, ls);
             let s = tape.sum_all(plogp);
             let entropy = tape.neg(s);
+            let actions: Vec<Vec<usize>> = (0..draws.episodes())
+                .map(|b| {
+                    vec![draws.action(b, 0, |rng| sample_categorical(tape.value(p).row(0), rng))]
+                })
+                .collect();
             let episodes = actions
                 .iter()
                 .map(|a| {
-                    let picked = tape.pick_per_row(ls, &a[..1]);
+                    let picked = tape.pick_per_row(ls, a);
                     let log_prob = tape.sum_all(picked);
                     EpisodeScore { log_prob, entropy, aux_loss: None }
                 })
                 .collect();
-            BatchScoreHandle { tape, episodes }
+            (BatchScoreHandle { tape, episodes }, actions)
         }
     }
 }
@@ -282,6 +300,29 @@ mod tests {
     }
 
     #[test]
+    fn draws_sample_from_own_stream_or_replay_without_drawing() {
+        let mut a = ChaCha8Rng::seed_from_u64(1);
+        let mut b = ChaCha8Rng::seed_from_u64(2);
+        let (first_b, second_b) = {
+            let mut probe = b.clone();
+            (probe.next_u32() as usize, probe.next_u32() as usize)
+        };
+        let mut rngs: [&mut dyn RngCore; 2] = [&mut a, &mut b];
+        let mut draws = Draws::Sample(&mut rngs);
+        assert_eq!(draws.episodes(), 2);
+        // Episode 1 reads stream 1 only, one draw per call.
+        assert_eq!(draws.action(1, 0, |rng| rng.next_u32() as usize), first_b);
+        assert_eq!(draws.action(1, 1, |rng| rng.next_u32() as usize), second_b);
+        assert_eq!(a.next_u32(), ChaCha8Rng::seed_from_u64(1).next_u32(), "stream 0 untouched");
+
+        let replay: [&[usize]; 2] = [&[4, 5], &[6, 7]];
+        let mut draws = Draws::Replay(&replay);
+        assert_eq!(draws.episodes(), 2);
+        assert_eq!(draws.action(1, 0, |_| unreachable!("replay draws nothing")), 6);
+        assert_eq!(draws.action(0, 1, |_| unreachable!("replay draws nothing")), 5);
+    }
+
+    #[test]
     fn fork_streams_reproduces_serial_draw_order() {
         // Forked streams replay the exact windows of the master stream a
         // serial per-episode loop would consume, and the master ends at the
@@ -301,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn bandit_per_episode_wrappers_match_batch() {
+    fn bandit_batch_matches_batches_of_one() {
         use test_policy::Bandit;
         let mut params = Params::new();
         let bandit = Bandit::new(&mut params, 4);
@@ -310,20 +351,22 @@ mod tests {
         let mut refs: Vec<&mut dyn rand::RngCore> =
             streams.iter_mut().map(|r| r as &mut dyn rand::RngCore).collect();
         let batch = bandit.sample_batch(&params, &mut refs);
-        let serial: Vec<_> = (0..6).map(|_| bandit.sample(&params, &mut master)).collect();
+        let serial: Vec<_> =
+            (0..6).flat_map(|_| bandit.sample_batch(&params, &mut [&mut master])).collect();
         assert_eq!(batch, serial);
 
         let actions: Vec<Vec<usize>> = batch.iter().map(|(a, _)| a.clone()).collect();
         let bh = bandit.score_batch(&params, &actions);
         for (ep, a) in bh.episodes.iter().zip(&actions) {
-            let single = bandit.score(&params, a);
+            let single = bandit.score_batch(&params, std::slice::from_ref(a));
+            let one = single.episodes[0];
             assert_eq!(
                 bh.tape.value(ep.log_prob).item().to_bits(),
-                single.tape.value(single.log_prob).item().to_bits()
+                single.tape.value(one.log_prob).item().to_bits()
             );
             assert_eq!(
                 bh.tape.value(ep.entropy).item().to_bits(),
-                single.tape.value(single.entropy).item().to_bits()
+                single.tape.value(one.entropy).item().to_bits()
             );
         }
     }

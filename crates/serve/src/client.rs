@@ -72,29 +72,4 @@ impl Client {
             Response::RegisterGraph(_) => Err(EagleError::Protocol("expected place_result".into())),
         }
     }
-
-    /// [`place`](Self::place), honoring the server's backpressure contract: an
-    /// `overloaded` reply is retried after sleeping the server's
-    /// `retry_after_ms` hint (1 ms when the hint is absent), up to `retries`
-    /// additional attempts. Every other reply — success or error — returns as
-    /// is; in particular `deadline_exceeded` is *not* retried, because the
-    /// caller's budget is already spent.
-    pub fn place_with_retry(
-        &mut self,
-        req: PlaceRequest,
-        retries: u32,
-    ) -> Result<PlaceResponse, EagleError> {
-        let mut attempts_left = retries;
-        loop {
-            let resp = self.place(req.clone())?;
-            let hint = match &resp.error {
-                Some(err) if err.code == api::ErrorCode::Overloaded && attempts_left > 0 => {
-                    err.retry_after_ms.unwrap_or(1).max(1)
-                }
-                _ => return Ok(resp),
-            };
-            attempts_left -= 1;
-            std::thread::sleep(std::time::Duration::from_millis(hint));
-        }
-    }
 }

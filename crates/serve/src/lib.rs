@@ -24,9 +24,9 @@
 //!   runs. A request naming an unknown family — or no family at all — is
 //!   answered zero-shot by the store's [`GENERALIST_FAMILY`] policy when one
 //!   is published.
-//! * [`Server`] / [`Client`] — the newline-delimited-JSON TCP front end.
-//!   [`Client::place_with_retry`] implements the backpressure contract
-//!   (sleep the hint, retry `overloaded` only).
+//! * [`Server`] / [`Client`] — the newline-delimited-JSON TCP front end. A
+//!   client honors the backpressure contract by sleeping the hint and
+//!   retrying `overloaded` only.
 //!
 //! Telemetry (all through [`eagle_obs::Recorder`]): counters `serve.requests`,
 //! `serve.errors`, `serve.infeasible`, `serve.waves`, `serve.forwards`,

@@ -1,9 +1,11 @@
 //! The batched policy API's central contract: an episode's outcome does not
 //! depend on its batch-mates. `sample_batch`, `score_batch` and `decode_batch`
-//! over a batch of `B` are *bit-identical* to `B` batch-of-one calls through
-//! the provided per-episode wrappers, for every agent, batch size, and seed —
-//! actions, log-probabilities, entropies, auxiliary losses, decoded
-//! placements, and accumulated gradients all match exactly. (Training
+//! over a batch of `B` are *bit-identical* to `B` batch-of-one calls, for every
+//! agent, batch size, and seed — actions, log-probabilities, entropies,
+//! auxiliary losses, decoded placements, and accumulated gradients all match
+//! exactly. And sampling is scoring: the forward that draws a minibatch records
+//! as many tape nodes, and the same heads to the bit, as the forward that
+//! replays its actions. (Training
 //! determinism across worker counts and wave-mate-independent serving rely on
 //! exactly this; the seq2seq decode is additionally held to a hand-written
 //! serial oracle in `eagle_nn`'s unit tests.) On top of the per-call equivalence, a full training run through
@@ -22,7 +24,7 @@ use eagle::core::{
 };
 use eagle::devsim::{Machine, MeasureConfig};
 use eagle::opgraph::{builders, OpGraph};
-use eagle::rl::fork_streams;
+use eagle::rl::{fork_streams, BatchScoreHandle, Draws, EpisodeScore};
 use eagle::tensor::{Grads, ParamId, Params, Tensor};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -30,6 +32,12 @@ use rand_chacha::ChaCha8Rng;
 
 mod common;
 use common::{assert_grad_close, assert_same_curve, assert_same_opt_f64};
+
+/// Cases per property: `EAGLE_ORACLE_CASES`, 6 by default (the PR-gating
+/// slice; the nightly job runs 10000).
+fn cases() -> u32 {
+    std::env::var("EAGLE_ORACLE_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(6)
+}
 
 /// A parameter's gradient; empty when no backward pass reached it.
 fn grad_data(grads: &Grads, id: ParamId) -> &[f32] {
@@ -40,22 +48,30 @@ fn tiny_graph() -> OpGraph {
     builders::try_gnmt(&builders::GnmtConfig::tiny()).expect("valid GNMT config")
 }
 
+/// `bsz` per-episode streams forked off a master seeded with `seed`, and the
+/// master past all of them.
+fn forked(agent: &impl PlacementAgent, seed: u64, bsz: usize) -> (Vec<ChaCha8Rng>, ChaCha8Rng) {
+    let mut master = ChaCha8Rng::seed_from_u64(seed);
+    let streams = fork_streams(&mut master, agent.rng_draws_per_sample(), bsz);
+    (streams, master)
+}
+
 /// Asserts the three batched methods at batch size `bsz` reproduce `bsz`
-/// batch-of-one calls bit-for-bit for one agent.
+/// batch-of-one calls bit-for-bit for one agent, and that the sampling
+/// forward is the scoring forward.
 fn assert_batched_matches_serial(
     agent: &impl PlacementAgent,
     params: &Params,
     bsz: usize,
     seed: u64,
 ) {
-    // --- sample: a serial per-episode loop over one master RNG...
+    // --- sample: a serial loop of batch-of-one calls over one master RNG...
     let mut serial_rng = ChaCha8Rng::seed_from_u64(seed);
     let serial: Vec<(Vec<usize>, f32)> =
-        (0..bsz).map(|_| agent.sample(params, &mut serial_rng)).collect();
+        (0..bsz).flat_map(|_| agent.sample_batch(params, &mut [&mut serial_rng])).collect();
 
     // ...versus one batched call over forked per-episode streams.
-    let mut master = ChaCha8Rng::seed_from_u64(seed);
-    let mut streams = fork_streams(&mut master, agent.rng_draws_per_sample(), bsz);
+    let (mut streams, mut master) = forked(agent, seed, bsz);
     let mut refs: Vec<&mut dyn RngCore> =
         streams.iter_mut().map(|r| r as &mut dyn RngCore).collect();
     let batched = agent.sample_batch(params, &mut refs);
@@ -74,33 +90,28 @@ fn assert_batched_matches_serial(
     let placements = agent.decode_batch(params, &actions);
     assert_eq!(placements.len(), bsz);
     for (a, p) in actions.iter().zip(&placements) {
-        assert_eq!(agent.decode(params, a), *p, "decode_batch diverges from decode");
+        let one = agent.decode_batch(params, std::slice::from_ref(a));
+        assert_eq!(one, std::slice::from_ref(p), "decode_batch diverges from a batch of one");
     }
 
     // --- score: per-episode heads on the shared tape...
     let mut h = agent.score_batch(params, &actions);
     assert_eq!(h.episodes.len(), bsz);
     for (a, ep) in actions.iter().zip(h.episodes.clone()) {
-        let ref_h = agent.score(params, a);
-        assert_eq!(
-            h.tape.value(ep.log_prob).item().to_bits(),
-            ref_h.tape.value(ref_h.log_prob).item().to_bits(),
-            "scored log-prob diverges"
-        );
-        assert_eq!(
-            h.tape.value(ep.entropy).item().to_bits(),
-            ref_h.tape.value(ref_h.entropy).item().to_bits(),
-            "scored entropy diverges"
-        );
-        match (ep.aux_loss, ref_h.aux_loss) {
-            (Some(b), Some(s)) => assert_eq!(
-                h.tape.value(b).item().to_bits(),
-                ref_h.tape.value(s).item().to_bits(),
-                "aux loss diverges"
-            ),
-            (None, None) => {}
-            _ => panic!("aux_loss presence differs between batch and serial"),
-        }
+        let ref_h = agent.score_batch(params, std::slice::from_ref(a));
+        assert_same_heads(&h, ep, &ref_h, ref_h.episodes[0], "scored");
+    }
+
+    // --- sampling is scoring: the forward that draws the actions records the
+    // replaying forward's nodes and heads.
+    let (mut streams, _) = forked(agent, seed, bsz);
+    let mut refs: Vec<&mut dyn RngCore> =
+        streams.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+    let (drawn_h, drawn) = agent.forward_batch(params, Draws::Sample(&mut refs));
+    assert_eq!(drawn, actions, "the sampling forward draws sample_batch's actions");
+    assert_eq!(drawn_h.tape.len(), h.tape.len(), "sampling and replay tapes differ in length");
+    for (&dep, &ep) in drawn_h.episodes.iter().zip(&h.episodes) {
+        assert_same_heads(&drawn_h, dep, &h, ep, "sampled vs replayed");
     }
 
     // --- gradients: per-episode backward on the shared tape, in episode
@@ -116,9 +127,10 @@ fn assert_batched_matches_serial(
     }
     let mut serial_grads = Grads::for_params(params);
     for a in &actions {
-        let mut sh = agent.score(params, a);
-        let neg = sh.tape.neg(sh.log_prob);
-        let loss = match sh.aux_loss {
+        let mut sh = agent.score_batch(params, std::slice::from_ref(a));
+        let ep = sh.episodes[0];
+        let neg = sh.tape.neg(ep.log_prob);
+        let loss = match ep.aux_loss {
             Some(aux) => sh.tape.add(neg, aux),
             None => neg,
         };
@@ -143,6 +155,25 @@ fn assert_batched_matches_serial(
     }
 }
 
+/// Asserts episode heads `a` of `ha` and `b` of `hb` hold the same bits:
+/// log-prob, entropy and auxiliary loss.
+fn assert_same_heads(
+    ha: &BatchScoreHandle,
+    a: EpisodeScore,
+    hb: &BatchScoreHandle,
+    b: EpisodeScore,
+    what: &str,
+) {
+    let bits = |h: &BatchScoreHandle, v| h.tape.value(v).item().to_bits();
+    assert_eq!(bits(ha, a.log_prob), bits(hb, b.log_prob), "{what}: log-prob diverges");
+    assert_eq!(bits(ha, a.entropy), bits(hb, b.entropy), "{what}: entropy diverges");
+    match (a.aux_loss, b.aux_loss) {
+        (Some(x), Some(y)) => assert_eq!(bits(ha, x), bits(hb, y), "{what}: aux loss diverges"),
+        (None, None) => {}
+        _ => panic!("{what}: aux_loss presence differs"),
+    }
+}
+
 /// Asserts the single-backward update path (sum per-episode losses with
 /// `add_n`, one `backward_into` traversal of the shared tape) produces the
 /// same gradients as a per-episode backward loop, within the
@@ -156,7 +187,8 @@ fn assert_single_backward_matches_per_episode(
     seed: u64,
 ) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let actions: Vec<Vec<usize>> = (0..bsz).map(|_| agent.sample(params, &mut rng).0).collect();
+    let actions: Vec<Vec<usize>> =
+        (0..bsz).map(|_| agent.sample_batch(params, &mut [&mut rng]).remove(0).0).collect();
     let mut h = agent.score_batch(params, &actions);
 
     let mut ep_losses = Vec::with_capacity(bsz);
@@ -247,7 +279,7 @@ fn fixed_agent(seed: u64, kind: PlacerKind) -> (Params, FixedGroupAgent) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn eagle_batched_equals_serial(seed in 0u64..1_000, bidx in 0usize..3) {

@@ -75,7 +75,7 @@ fn corpus() -> &'static Corpus {
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
-        let (actions, _) = agent.sample(&params, &mut rng);
+        let (actions, _) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
         let mut baseline = EmaBaseline::new(0.1);
         baseline.advantage(-1.0);
         let fresh = TrainerState::fresh(agent.name(), params.clone(), 11);

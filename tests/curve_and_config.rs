@@ -74,10 +74,11 @@ fn paper_scale_constructs_all_agents() {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::paper(), &mut rng);
     assert_eq!(agent.num_groups(), 256);
-    let (actions, logp) = agent.sample(&params, &mut rng);
+    let (actions, logp) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
     assert_eq!(actions.len(), 256);
     assert!(logp.is_finite());
-    let placement = eagle::core::PlacementAgent::decode(&agent, &params, &actions);
+    let placement =
+        eagle::core::PlacementAgent::decode_batch(&agent, &params, &[actions]).remove(0);
     assert_eq!(placement.len(), graph.len());
 }
 
