@@ -1,7 +1,7 @@
 //! The one experiment driver: `experiments <name>... | all [flags]` runs the
 //! named entries of [`eagle_bench::Experiment::all`] — `table1`..`table4`,
 //! `ablation_{baseline,entropy,groups,reward}`, `oracle`, `transfer`,
-//! `telemetry_overhead` — each printing its table and writing its artifact
+//! `telemetry_overhead`, `matmul`, `graph_scale` — each printing its table and writing its artifact
 //! (see the crate docs for the shared flags). Exits 1 after every named entry
 //! has run if any entry's gate failed.
 

@@ -14,10 +14,15 @@
 //!   EAGLE(PPO) on GNMT beyond the paper's tables.
 //! * `oracle` — simulated-annealing bounds on the calibrated landscape.
 //! * `transfer` — a generalist trained on GraphGen graphs, zero-shot /
-//!   fine-tuned / from-scratch on the benchmarks (`BENCH_transfer.json`); its
-//!   zero-shot-beats-random gate makes the driver exit 1 when it fails.
+//!   fine-tuned / from-scratch on the benchmarks (`BENCH_transfer.json`).
 //! * `telemetry_overhead` — the recorder's host-time cost
 //!   (`BENCH_telemetry_overhead.json`).
+//! * `matmul` — the matmul kernel loops and gradient products over a shape
+//!   sweep (`BENCH_matmul.json`).
+//! * `graph_scale` — generation, validation, features and simulation on
+//!   10k–100k-op GraphGen graphs (`BENCH_graph_scale.json`).
+//!
+//! A failed gate still writes its entry's artifact; then the driver exits 1.
 //!
 //! Every trained cell is a [`RunSpec`] executed by [`run`]. Shared flags:
 //! `--scale tiny|quick|paper` (default `quick`), `--samples N` overrides the
@@ -26,9 +31,8 @@
 //! `--checkpoint-dir DIR` / `--checkpoint-every N` / `--resume` checkpoint and
 //! resume every trained cell, `--workers N` pins the worker-pool size.
 //!
-//! The other binaries (`matmul_bench`, `graph_scale`, `serve_throughput`) each
-//! gate or record one thing nothing else does; commit-over-commit performance
-//! is `BENCHMARK.json` / `perf/`.
+//! The one other binary, `serve_throughput`, drives a running daemon;
+//! commit-over-commit performance is `BENCHMARK.json` / `perf/`.
 
 #![warn(missing_docs)]
 
@@ -49,8 +53,11 @@ use eagle_tensor::Params;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
+use std::cell::RefCell;
 
-/// Parsed command-line options shared by all experiment binaries.
+mod micro;
+
+/// Parsed command-line options of the experiments driver.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Agent scale preset.
@@ -85,26 +92,17 @@ pub struct Cli {
     pub recorder: Recorder,
 }
 
-const USAGE: &str = "[--scale tiny|quick|paper] [--samples N] [--seed S] [--out DIR] [--curves] \
-    [--metrics PATH] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--workers N]";
+const USAGE: &str = "<experiment>... | all [--scale tiny|quick|paper] [--samples N] [--seed S] \
+    [--out DIR] [--curves] [--metrics PATH] [--checkpoint-dir DIR] [--checkpoint-every N] \
+    [--resume] [--workers N]";
 
 /// Prints why the command line was refused plus the usage line, and exits 2.
-fn usage_exit(problem: &str, positional: &str) -> ! {
-    eprintln!("{problem}; usage: {positional}{USAGE}");
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("{problem}; usage: {USAGE}");
     std::process::exit(2);
 }
 
 impl Cli {
-    /// Parses `std::env::args()`. Unknown flags, positional arguments and
-    /// malformed values exit 2 with the usage line.
-    pub fn parse() -> Self {
-        match Self::parse_args(std::env::args().skip(1)) {
-            Ok((cli, names)) if names.is_empty() => cli,
-            Ok((_, names)) => usage_exit(&format!("unexpected argument {}", names[0]), ""),
-            Err(problem) => usage_exit(&problem, ""),
-        }
-    }
-
     /// Splits the arguments into the shared flags and the positional ones.
     fn parse_args(args: impl Iterator<Item = String>) -> Result<(Self, Vec<String>), String> {
         fn value<T: std::str::FromStr>(
@@ -633,6 +631,20 @@ impl Experiment {
                 Rows::Whole { file: "BENCH_telemetry_overhead.json", table: telemetry_overhead },
                 no_curves,
             ),
+            experiment(
+                "matmul",
+                "Matmul kernels: streaming vs packed loops, gradient products, dispatch",
+                "",
+                Rows::Whole { file: "BENCH_matmul.json", table: micro::matmul },
+                no_curves,
+            ),
+            experiment(
+                "graph_scale",
+                "Graph scale: GraphGen generate / validate / features / simulate at 10k-100k ops",
+                "",
+                Rows::Whole { file: "BENCH_graph_scale.json", table: micro::graph_scale },
+                no_curves,
+            ),
         ]
     }
 
@@ -640,20 +652,19 @@ impl Experiment {
     /// in table order, and the shared flags. An unknown name exits 2 with the
     /// known ones and the usage line.
     pub fn from_args() -> (Vec<Experiment>, Cli) {
-        let positional = "<experiment>... | all ";
         let (cli, names) = Cli::parse_args(std::env::args().skip(1))
-            .unwrap_or_else(|problem| usage_exit(&problem, positional));
+            .unwrap_or_else(|problem| usage_exit(&problem));
         let mut all = Self::all(cli.seed);
         let known: Vec<&str> = all.iter().map(|e| e.name).collect();
         let known = format!("(experiments: {}, or all)", known.join(" "));
         if names.is_empty() {
-            usage_exit(&format!("no experiment named {known}"), positional);
+            usage_exit(&format!("no experiment named {known}"));
         }
         let everything = names.iter().any(|n| n == "all");
         if let Some(unknown) =
             names.iter().find(|n| *n != "all" && !all.iter().any(|e| e.name == *n))
         {
-            usage_exit(&format!("unknown experiment '{unknown}' {known}"), positional);
+            usage_exit(&format!("unknown experiment '{unknown}' {known}"));
         }
         all.retain(|e| everything || names.iter().any(|n| n == e.name));
         (all, cli)
@@ -912,71 +923,55 @@ fn transfer(cli: &Cli) -> (String, bool) {
 }
 
 /// The `telemetry_overhead` table: the host-time cost of telemetry, as Table
-/// IV's EAGLE(PPO) run on Inception-V3 with the recorder disabled vs enabled.
-/// The determinism contract is asserted along the way (identical curves either
-/// way); the telemetry design budgets the overhead at <2% (DESIGN.md,
-/// "Telemetry"). `--samples` sets the budget of each run (default 200); the
-/// timed runs never checkpoint. Each timing is the whole [`run`], graph and
-/// agent construction included — the same cost in both modes.
+/// IV's EAGLE(PPO) run on Inception-V3 with the recorder off vs on, two
+/// [`micro::bench`] columns over three rounds. Its gate is the determinism
+/// contract: identical curves either way. The budget is <2% (DESIGN.md,
+/// "Telemetry"). `--samples` sets each run's budget (default 200); the timed
+/// runs never checkpoint. Each timing is the whole [`run`], graph and agent
+/// construction included — the same cost in both modes.
 fn telemetry_overhead(cli: &Cli) -> (String, bool) {
     let samples = cli.samples_override.unwrap_or(200);
     println!("  {samples} samples/run");
     let spec = trained(cli.seed, Benchmark::InceptionV3, AgentKind::Eagle, Algo::Ppo);
-    let timed = |recorder: Recorder| {
+    let (off, on) = (RefCell::new(None), RefCell::new(None));
+    let timed = |recorder: Recorder, result: &RefCell<Option<TrainResult>>| {
         let cli =
             Cli { samples_override: Some(samples), recorder, checkpoint_dir: None, ..cli.clone() };
-        let start = std::time::Instant::now();
-        let result = run(&spec, &cli);
-        (result, start.elapsed().as_secs_f64())
+        *result.borrow_mut() = Some(run(&spec, &cli));
     };
-
-    // Warm-up run to populate allocator/page-cache state, then take the best
-    // of `reps` timed runs per mode so scheduler noise cancels out.
-    timed(Recorder::disabled());
     let reps = 3;
-    let (mut off_elapsed, mut on_elapsed) = (f64::INFINITY, f64::INFINITY);
-    let (mut off_result, mut on_result) = (None, None);
-    for _ in 0..reps {
-        let (r, t) = timed(Recorder::disabled());
-        off_elapsed = off_elapsed.min(t);
-        off_result = Some(r);
-        let (r, t) = timed(Recorder::new());
-        on_elapsed = on_elapsed.min(t);
-        on_result = Some(r);
-    }
-    let off_result = off_result.expect("ran at least once");
-    let on_result = on_result.expect("ran at least once");
+    let [off_elapsed, on_elapsed] = micro::bench(
+        reps,
+        1,
+        [&|| timed(Recorder::disabled(), &off), &|| timed(Recorder::new(), &on)],
+    );
+    let (off, on) = (off.into_inner().expect("ran"), on.into_inner().expect("ran"));
 
     // Observation-only contract: recording may not change the training run.
-    assert_eq!(
-        off_result.curve.points, on_result.curve.points,
-        "enabling telemetry changed the training curve"
-    );
-    assert_eq!(off_result.final_step_time, on_result.final_step_time);
+    let identical =
+        off.curve.points == on.curve.points && off.final_step_time == on.final_step_time;
+    if !identical {
+        eprintln!("telemetry gate FAILED: enabling telemetry changed the training run");
+    }
 
     let overhead_pct = 100.0 * (on_elapsed - off_elapsed) / off_elapsed;
     println!("  recorder off: {off_elapsed:>7.2}s  (best of {reps})");
     println!("  recorder on : {on_elapsed:>7.2}s  (best of {reps})");
     println!("  overhead    : {overhead_pct:>+7.2}%  (budget <2%)");
 
-    let doc = Value::Object(
-        [
-            ("bench", Value::from("telemetry_overhead")),
-            ("scale", Value::from(cli.scale_name.as_str())),
-            ("seed", Value::U64(cli.seed)),
-            ("samples", Value::U64(samples as u64)),
-            ("reps", Value::U64(reps)),
-            ("off_elapsed_sec", Value::from(off_elapsed)),
-            ("on_elapsed_sec", Value::from(on_elapsed)),
-            ("overhead_pct", Value::from(overhead_pct)),
-            ("curves_identical", Value::Bool(true)),
-            ("final_step_time", off_result.final_step_time.map_or(Value::Null, Value::from)),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_owned(), v))
-        .collect(),
-    );
-    (serde_json::to_string(&doc).expect("serialize"), true)
+    let doc = micro::obj(vec![
+        ("bench", Value::from("telemetry_overhead")),
+        ("scale", Value::from(cli.scale_name.as_str())),
+        ("seed", Value::U64(cli.seed)),
+        ("samples", Value::U64(samples as u64)),
+        ("reps", Value::U64(reps as u64)),
+        ("off_elapsed_sec", Value::from(off_elapsed)),
+        ("on_elapsed_sec", Value::from(on_elapsed)),
+        ("overhead_pct", Value::from(overhead_pct)),
+        ("curves_identical", Value::Bool(identical)),
+        ("final_step_time", off.final_step_time.map_or(Value::Null, Value::from)),
+    ]);
+    (serde_json::to_string(&doc).expect("serialize"), identical)
 }
 
 #[cfg(test)]

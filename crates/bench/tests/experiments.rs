@@ -4,8 +4,10 @@
 //! trajectories of all three algorithms (60 samples, so CE fires once) and of
 //! a tweaked-scale sweep must not move. The `transfer` and
 //! `telemetry_overhead` artifacts are pinned to the output of the binaries
-//! those two entries replaced.
+//! those two entries replaced, and `graph_scale`'s graphs and makespans to
+//! the committed `results/BENCH_graph_scale.json`.
 
+use serde_json::Value;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -91,14 +93,18 @@ fn unknown_experiment_exits_2_and_lists_the_names() {
     assert_eq!(run.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&run.stderr);
     let names = "table1 table2 table3 table4 ablation_baseline ablation_entropy ablation_groups \
-        ablation_reward oracle transfer telemetry_overhead";
-    assert!(stderr.contains(names), "usage must list the eleven names: {stderr}");
+        ablation_reward oracle transfer telemetry_overhead matmul graph_scale";
+    assert!(stderr.contains(names), "usage must list the thirteen names: {stderr}");
     assert!(!out.exists(), "a refused command line writes nothing");
 
     for args in [
         &["table3", "--samples", "x"][..],
         &["table3", "--samples", "0"],
         &["table3", "--checkpoint-dir", "D", "--checkpoint-every", "0"],
+        // The flags of the retired `graph_scale` binary: sizes and rounds are
+        // constants of the entry.
+        &["graph_scale", "--iters", "3"],
+        &["graph_scale", "--sizes", "10"],
     ] {
         let (run, out) = experiments("malformed", args);
         assert_eq!(run.status.code(), Some(2), "{args:?} is a usage error, not a panic");
@@ -109,9 +115,11 @@ fn unknown_experiment_exits_2_and_lists_the_names() {
 /// Ten generalist samples are too few for `transfer`'s zero-shot policy to
 /// beat random placement on its second held-out graph, so this run also
 /// witnesses the gate contract: every artifact is written, then the driver
-/// exits 1.
+/// exits 1. The CSVs are pinned by one FNV-1a-64 over their sorted names and
+/// bytes (taken from the parent commit): a change that moves any table cell
+/// or curve point re-pins it here, visibly.
 #[test]
-fn all_writes_exactly_the_fifteen_artifacts() {
+fn all_writes_exactly_the_seventeen_artifacts() {
     let (run, out) = experiments("all", &["all", "--curves", "--samples", "10"]);
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(1), "{stderr}");
@@ -122,6 +130,8 @@ fn all_writes_exactly_the_fifteen_artifacts() {
         .collect();
     written.sort();
     let expected = [
+        "BENCH_graph_scale.json",
+        "BENCH_matmul.json",
         "BENCH_telemetry_overhead.json",
         "BENCH_transfer.json",
         "ablation_baseline.csv",
@@ -139,5 +149,40 @@ fn all_writes_exactly_the_fifteen_artifacts() {
         "table4.csv",
     ];
     assert_eq!(written, expected);
+
+    let mut csvs = Vec::new();
+    for name in written.iter().filter(|name| name.ends_with(".csv")) {
+        csvs.extend_from_slice(name.as_bytes());
+        csvs.push(b'\n');
+        csvs.extend(std::fs::read(out.join(name)).unwrap());
+    }
+    assert_eq!(eagle_core::fnv1a64(&csvs), 0x1952_c605_321c_c2c4, "a table cell or curve moved");
+
+    let read = |name: &str| -> Value {
+        serde_json::from_str(&std::fs::read_to_string(out.join(name)).unwrap()).unwrap()
+    };
+    let scale = read("BENCH_graph_scale.json");
+    assert_eq!(scale["rows"].as_array().map(Vec::len), Some(3));
+    let committed = [
+        (10_216, 17_929, 207_047_868_928.0, 3.226957689384499),
+        (50_091, 90_893, 1_370_783_420_538.0, 18.75327665392911),
+        (100_069, 185_128, 74_060_234_547_004.0, 808.0247660402766),
+    ];
+    for (i, (ops, edges, flops, makespan)) in committed.into_iter().enumerate() {
+        let row = &scale["rows"][i];
+        assert_eq!(row["ops"].as_u64(), Some(ops), "{row:?}");
+        assert_eq!(row["edges"].as_u64(), Some(edges), "{row:?}");
+        assert_eq!(row["total_flops"].as_f64(), Some(flops), "{row:?}");
+        assert_eq!(row["outcome"].as_str(), Some("valid"), "{row:?}");
+        assert_eq!(row["makespan_sec"].as_f64(), Some(makespan), "{row:?}");
+    }
+    let matmul = read("BENCH_matmul.json");
+    let shapes = matmul["shapes"].as_array().unwrap();
+    assert_eq!(shapes.len(), 28);
+    for shape in shapes {
+        for layout in ["bitwise_identical", "nt_bitwise_identical", "tn_bitwise_identical"] {
+            assert_eq!(shape[layout], Value::Bool(true), "{shape:?}");
+        }
+    }
     std::fs::remove_dir_all(out).ok();
 }

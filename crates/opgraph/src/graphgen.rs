@@ -23,7 +23,7 @@
 //!
 //! Consumers: the differential oracle in `tests/property_sim.rs` (graphs far
 //! beyond the old 40-op cap), the checkpoint fuzzer (valid payloads to mutate),
-//! the `graph_scale` bench (10k/50k/100k-op stress graphs), and — per ROADMAP —
+//! the `graph_scale` experiment (10k/50k/100k-op stress graphs), and — per ROADMAP —
 //! the multi-graph trainer's training distribution.
 
 use crate::gb::Gb;

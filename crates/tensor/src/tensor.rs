@@ -25,7 +25,7 @@ use std::ops::Range;
 /// a product is serial unless that is at least 2, and the calling thread
 /// runs one of the shares itself.
 ///
-/// Both halves are read off `results/BENCH_matmul.json` (`matmul_bench` on a
+/// Both halves are read off `results/BENCH_matmul.json` (`experiments matmul` on a
 /// 2-vCPU host: `serial_sec` is one worker, `dispatch_sec` this rule at two,
 /// `split2_sec` the rows halved over two threads whatever the rule says).
 /// The row half keeps a share from packing a whole weight for a few register
