@@ -317,7 +317,7 @@ fn train_resumable(
                         "resuming {} from {} (sample {}/{})",
                         agent.name(),
                         path.display(),
-                        state.progress.samples,
+                        state.progress.curve.points.len(),
                         trainer.config().total_samples
                     );
                     return trainer.train_from(agent, params, state).unwrap_or_else(|e| {

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use eagle_devsim::{search::topo_chunks, DeviceId, Machine, Placement};
+use eagle_devsim::{search::topo_chunks, Machine, Placement};
 use eagle_nn::{AttentionMode, Grouper, Lstm, Placer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
@@ -30,7 +30,6 @@ pub struct EagleAgent {
     link: Lstm,
     placer: Placer,
     features: Arc<Tensor>,
-    devices: Vec<DeviceId>,
     num_groups: usize,
 }
 
@@ -84,18 +83,17 @@ impl EagleAgent {
             Self::warm_start_grouper(&grouper, &features, params, graph);
         }
         let link = Lstm::new(params, "eagle/link", feat_dim, scale.link_hidden, rng);
-        let devices = super::device_table(machine);
         let placer = Placer::seq2seq(
             params,
             "eagle/placer",
             scale.link_hidden,
             scale.placer_hidden,
             scale.attn_dim,
-            devices.len(),
+            machine.num_devices(),
             AttentionMode::Before,
             rng,
         );
-        Self { grouper, link, placer, features, devices, num_groups: k }
+        Self { grouper, link, placer, features, num_groups: k }
     }
 
     /// Warm-starts the grouper to a balanced topological chunking of the graph.
@@ -219,27 +217,19 @@ impl PlacementAgent for EagleAgent {
             link: self.link.clone(),
             placer: self.placer.clone(),
             features: Arc::new(super::features_tensor(graph)),
-            devices: self.devices.clone(),
             num_groups: self.num_groups,
         })
     }
 
     fn action_choices(&self, _position: usize) -> usize {
-        self.devices.len()
+        self.placer.num_devices()
     }
 
     fn decode_batch(&self, params: &Params, actions: &[Vec<usize>]) -> Vec<Placement> {
         // The grouper forward depends only on the parameters, not on the
         // episode: run it once for the whole minibatch.
         let group_of = self.group_assignment(params);
-        actions
-            .iter()
-            .map(|a| {
-                super::check_actions(self, a).expect("one device per group");
-                let group_devices: Vec<DeviceId> = a.iter().map(|&d| self.devices[d]).collect();
-                Placement::from_groups(&group_of, &group_devices)
-            })
-            .collect()
+        actions.iter().map(|a| super::place_groups(self, a, &group_of, a)).collect()
     }
 }
 

@@ -8,7 +8,7 @@
 //! * the Post baseline — fixed groups plus a "simple neural network" placer,
 //!   trained with PPO + cross-entropy minimization.
 
-use eagle_devsim::{DeviceId, Machine, Placement};
+use eagle_devsim::{Machine, Placement};
 use eagle_nn::{embedding, normalize_adjacency, AttentionMode, Placer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
@@ -50,7 +50,6 @@ pub struct FixedGroupAgent {
     group_of: Vec<usize>,
     emb: Tensor,
     placer: Placer,
-    devices: Vec<DeviceId>,
     num_groups: usize,
 }
 
@@ -74,8 +73,7 @@ impl FixedGroupAgent {
         let name = name.into();
         let emb = embedding::group_features(graph, &group_of, num_groups);
         let d_in = emb.cols();
-        let devices = super::device_table(machine);
-        let nd = devices.len();
+        let nd = machine.num_devices();
         let pname = format!("{name}/placer");
         let (hidden, simple) = (scale.placer_hidden, scale.simple_hidden);
         let seq2seq = |params: &mut Params, mode, rng: &mut _| {
@@ -90,7 +88,7 @@ impl FixedGroupAgent {
             }
             PlacerKind::Simple => Placer::mlp(params, &pname, d_in, simple, nd, rng),
         };
-        Self { name, group_of, emb, placer, devices, num_groups }
+        Self { name, group_of, emb, placer, num_groups }
     }
 
     /// Builds the Post baseline: fixed groups + simple placer. Post groups
@@ -164,18 +162,11 @@ impl PlacementAgent for FixedGroupAgent {
     }
 
     fn action_choices(&self, _position: usize) -> usize {
-        self.devices.len()
+        self.placer.num_devices()
     }
 
     fn decode_batch(&self, _params: &Params, actions: &[Vec<usize>]) -> Vec<Placement> {
-        actions
-            .iter()
-            .map(|a| {
-                super::check_actions(self, a).expect("one device per group");
-                let group_devices: Vec<DeviceId> = a.iter().map(|&d| self.devices[d]).collect();
-                Placement::from_groups(&self.group_of, &group_devices)
-            })
-            .collect()
+        actions.iter().map(|a| super::place_groups(self, a, &self.group_of, a)).collect()
     }
 }
 

@@ -9,7 +9,7 @@
 //! made it even harder to train the agent", paper Sec. II-C) — reproduced here
 //! faithfully.
 
-use eagle_devsim::{DeviceId, Machine, Placement};
+use eagle_devsim::{Machine, Placement};
 use eagle_nn::{embedding, AttentionMode, Categorical, Grouper, Placer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
@@ -27,7 +27,6 @@ pub struct HpAgent {
     placer: Placer,
     features: Tensor,
     graph: OpGraph,
-    devices: Vec<DeviceId>,
     num_groups: usize,
 }
 
@@ -44,18 +43,17 @@ impl HpAgent {
         let feat_dim = features.cols();
         let k = scale.num_groups.min(graph.len());
         let grouper = Grouper::new(params, "hp/grouper", feat_dim, scale.grouper_hidden, k, rng);
-        let devices = super::device_table(machine);
         let placer = Placer::seq2seq(
             params,
             "hp/placer",
             embedding::group_feature_dim(k),
             scale.placer_hidden,
             scale.attn_dim,
-            devices.len(),
+            machine.num_devices(),
             AttentionMode::After,
             rng,
         );
-        Self { grouper, placer, features, graph: graph.clone(), devices, num_groups: k }
+        Self { grouper, placer, features, graph: graph.clone(), num_groups: k }
     }
 
     /// Number of groups.
@@ -149,7 +147,7 @@ impl PlacementAgent for HpAgent {
         if position < self.graph.len() {
             self.num_groups
         } else {
-            self.devices.len()
+            self.placer.num_devices()
         }
     }
 
@@ -158,10 +156,9 @@ impl PlacementAgent for HpAgent {
         actions
             .iter()
             .map(|a| {
-                super::check_actions(self, a).expect("full action vector required");
-                let group_devices: Vec<DeviceId> =
-                    a[n..].iter().map(|&d| self.devices[d]).collect();
-                Placement::from_groups(&a[..n], &group_devices)
+                // A vector too short to split still reaches the check.
+                let (group_of, devices) = a.split_at(n.min(a.len()));
+                super::place_groups(self, a, group_of, devices)
             })
             .collect()
     }

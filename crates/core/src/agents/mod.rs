@@ -8,7 +8,7 @@ pub use eagle::EagleAgent;
 pub use fixed_group::{FixedGroupAgent, PlacerKind};
 pub use hierarchical_planner::HpAgent;
 
-use eagle_devsim::{DeviceId, Machine, Placement};
+use eagle_devsim::{DeviceId, Placement};
 use eagle_rl::StochasticPolicy;
 use eagle_tensor::{Params, Tensor};
 
@@ -68,10 +68,19 @@ pub(crate) fn check_actions(agent: &impl PlacementAgent, actions: &[usize]) -> R
     }
 }
 
-/// The action-index -> device mapping shared by all agents: action `a` selects
-/// machine device `a` (CPU first, then GPUs).
-pub(crate) fn device_table(machine: &Machine) -> Vec<DeviceId> {
-    machine.device_ids().collect()
+/// Decodes one action vector of `agent`: checks it against the action space
+/// ([`check_actions`]), then puts every op on its group's device, where op
+/// `i` is in group `group_of[i]` and group `g` on the device of action
+/// `devices[g]`. Action `d` selects machine device `d` (CPU first, then GPUs).
+pub(crate) fn place_groups(
+    agent: &impl PlacementAgent,
+    actions: &[usize],
+    group_of: &[usize],
+    devices: &[usize],
+) -> Placement {
+    check_actions(agent, actions).unwrap_or_else(|e| panic!("undecodable action vector: {e}"));
+    let group_devices: Vec<DeviceId> = devices.iter().map(|&d| DeviceId(d as u8)).collect();
+    Placement::from_groups(group_of, &group_devices)
 }
 
 /// Converts the per-op feature rows from `eagle_opgraph::features` into a tensor.

@@ -8,8 +8,8 @@
 //!   ([`save_curve`] / [`load_curve`]) — plain JSON files for post-hoc analysis.
 //! * **Checkpoints** ([`save_checkpoint`] / [`load_checkpoint`]) — the full
 //!   [`TrainerState`] a run needs to resume *bit-identically*: the loop's own
-//!   [`Progress`] (counters, trainer RNG, source cursor, CE elite history,
-//!   curve), policy parameters, all three optimizers' Adam moments, and per
+//!   [`Progress`] (minibatch count, trainer RNG, source cursor, CE elite
+//!   history, curve), policy parameters, all three optimizers' Adam moments, and per
 //!   resident graph its environment's [`EnvState`], EMA baseline and best
 //!   placement. Each of these is the struct the run mutates, stored as it
 //!   stands — there is no second, "serialized" definition to keep in step.
@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! {"magic":"eagle-checkpoint","schema_version":N,"checksum":...,"payload_bytes":...}
-//! {"progress":{"samples":120,"minibatches":12,...},"params":...}
+//! {"progress":{"minibatches":12,"since_ce":0,...},"params":...}
 //! ```
 //!
 //! The header carries a schema version (`N` is [`CHECKPOINT_SCHEMA_VERSION`], bumped whenever [`TrainerState`] changes
@@ -35,7 +35,7 @@
 use std::io;
 use std::path::Path;
 
-use eagle_devsim::{CheckpointRng, EnvSnapshot, EnvState, Placement};
+use eagle_devsim::{CheckpointRng, EnvState, Placement};
 use eagle_rl::EmaBaseline;
 use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
@@ -65,7 +65,14 @@ pub const CHECKPOINT_MAGIC: &str = "eagle-checkpoint";
 /// `best`, the start-of-run counter snapshot (always zeros) and a pool
 /// entry's name and sample count (its source's name for the origin, its
 /// environment's `evals`) are gone.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 4;
+///
+/// v5: `Progress` holds nothing its `curve` determines. The sample count,
+/// the invalid count and the trainer-level wall-clock (`samples`,
+/// `num_invalid`, `wall`) are the curve's length, its invalid points and its
+/// last point's `wall_clock`; the retired-environment counters (`retired`)
+/// and the curve's end-of-run `telemetry` snapshot are gone — run totals are
+/// recorder counters.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 5;
 
 /// Conventional checkpoint file name inside a `--checkpoint-dir` directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -163,15 +170,14 @@ pub struct GraphEntryState {
 /// Everything the training loop itself advances, minibatch by minibatch. The
 /// loop runs on this struct and a checkpoint stores it as it stands, so a
 /// field added here is checkpointed and resumed without further code
-/// ([`TrainerState::fresh`] says where it starts).
+/// ([`TrainerState::fresh`] says where it starts). What the curve already
+/// determines is not stored twice: samples drawn are `curve.points.len()`,
+/// invalid samples `curve.num_invalid()`, and the trainer-level simulated
+/// wall-clock the last point's `wall_clock`.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Progress {
-    /// Samples drawn so far.
-    pub samples: usize,
     /// Minibatches completed so far.
     pub minibatches: u64,
-    /// Invalid (OOM) samples seen so far.
-    pub num_invalid: usize,
     /// Samples accumulated since the last cross-entropy update.
     pub since_ce: usize,
     /// Trainer sampling RNG.
@@ -179,11 +185,6 @@ pub struct Progress {
     /// Graph-source cursor (stream RNG + draw count), so a resumed
     /// multi-graph run continues the *same* graph sequence.
     pub source: SourceCursor,
-    /// Trainer-level simulated wall-clock (the curve's x-axis): the sum of
-    /// every measurement's `wall_cost` in episode order, across all graphs.
-    /// For fixed sources this is bit-identical to the single environment's
-    /// own wall-clock (both accumulate the same costs in the same order).
-    pub wall: f64,
     /// Rolling window of sampled action sequences (CE elite pool), oldest first.
     pub history_actions: Vec<Vec<usize>>,
     /// Rewards aligned with `history_actions`.
@@ -191,9 +192,6 @@ pub struct Progress {
     /// The training curve so far (its label doubles as the agent identity check
     /// on resume).
     pub curve: Curve,
-    /// Accumulated counters of environments evicted from the pool, so run
-    /// telemetry describes the whole run even after evictions.
-    pub retired: EnvSnapshot,
 }
 
 /// The complete mutable state of a training run at a minibatch boundary.
@@ -232,17 +230,13 @@ impl TrainerState {
     pub fn fresh(label: &str, params: Params, seed: u64) -> Self {
         Self {
             progress: Progress {
-                samples: 0,
                 minibatches: 0,
-                num_invalid: 0,
                 since_ce: 0,
                 rng: CheckpointRng::seed_from_u64(seed),
                 source: SourceCursor::new(seed),
-                wall: 0.0,
                 history_actions: Vec::new(),
                 history_rewards: Vec::new(),
                 curve: Curve::new(label),
-                retired: EnvSnapshot::default(),
             },
             params,
             opt_reinforce: Adam::new(0.01),
@@ -414,10 +408,8 @@ mod tests {
         let fresh = TrainerState::fresh("format-test", params, 4);
         let mut state = TrainerState {
             progress: Progress {
-                samples: 1,
                 minibatches: 1,
                 since_ce: 1,
-                wall: 0.5,
                 history_actions: vec![vec![0, 1, 2]],
                 history_rewards: vec![-1.0],
                 ..fresh.progress
@@ -441,10 +433,9 @@ mod tests {
         save_checkpoint(&state, &path).unwrap();
         let restored = load_checkpoint(&path).unwrap();
         let (was, now) = (&state.progress, &restored.progress);
-        assert_eq!(now.samples, was.samples);
+        assert_eq!(now.minibatches, was.minibatches);
         assert_eq!(now.rng, was.rng);
         assert_eq!(now.source, was.source);
-        assert_eq!(now.wall.to_bits(), was.wall.to_bits());
         assert_eq!(now.history_actions, was.history_actions);
         assert_eq!(now.history_rewards, was.history_rewards);
         assert_eq!(now.curve.points, was.curve.points);
@@ -489,9 +480,9 @@ mod tests {
     #[test]
     fn schema_version_skew_is_rejected() {
         let text = String::from_utf8(encode_checkpoint(&sample_state()).unwrap()).unwrap();
-        // The predecessor (v3, the flat layout with its mirrored fields) and
+        // The predecessor (v4, with the counts its curve already holds) and
         // a future version are both refused before the payload is looked at.
-        for skew in [3, CHECKPOINT_SCHEMA_VERSION + 1] {
+        for skew in [4, CHECKPOINT_SCHEMA_VERSION + 1] {
             let skewed = text.replacen(
                 &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
                 &format!("\"schema_version\":{skew}"),
@@ -499,7 +490,7 @@ mod tests {
             );
             assert_ne!(text, skewed, "header rewrite must hit");
             match decode_checkpoint(skewed.as_bytes()) {
-                Err(CheckpointError::SchemaVersion { found, expected: 4 }) => {
+                Err(CheckpointError::SchemaVersion { found, expected: 5 }) => {
                     assert_eq!(found, skew)
                 }
                 other => panic!("expected SchemaVersion error, got {other:?}"),

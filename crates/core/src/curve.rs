@@ -1,6 +1,5 @@
 //! Training-curve recording — the data behind the paper's Figs. 2 and 5–7.
 
-use eagle_obs::Telemetry;
 use serde::{Deserialize, Serialize};
 
 /// One evaluated placement during training.
@@ -41,16 +40,12 @@ pub struct Curve {
     /// Zero-shot probes on held-out graphs, in probe order (empty unless the
     /// producing trainer had probes enabled).
     pub probes: Vec<ProbePoint>,
-    /// Run telemetry snapshot, when the producing trainer recorded one.
-    /// Excluded from curve equality in tests: `episodes_per_sec` is host
-    /// time, not simulated time.
-    pub telemetry: Option<Telemetry>,
 }
 
 impl Curve {
     /// Creates an empty curve.
     pub fn new(label: impl Into<String>) -> Self {
-        Self { label: label.into(), points: Vec::new(), probes: Vec::new(), telemetry: None }
+        Self { label: label.into(), points: Vec::new(), probes: Vec::new() }
     }
 
     /// Appends a measurement, maintaining `best_so_far`.
@@ -67,6 +62,11 @@ impl Curve {
     /// Number of invalid samples recorded.
     pub fn num_invalid(&self) -> usize {
         self.points.iter().filter(|p| p.measured.is_none()).count()
+    }
+
+    /// Simulated wall-clock at the last point (seconds; 0 before any).
+    pub fn wall_clock(&self) -> f64 {
+        self.points.last().map_or(0.0, |p| p.wall_clock)
     }
 
     /// Final best value.

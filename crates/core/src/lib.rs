@@ -47,7 +47,6 @@ pub use checkpoint::{
     CHECKPOINT_SCHEMA_VERSION,
 };
 pub use curve::{Curve, CurvePoint, ProbePoint};
-pub use eagle_obs::Telemetry;
 pub use scale::AgentScale;
 pub use source::{GraphOrigin, GraphSource, OriginKind, SourceCursor, SourceError};
 pub use trainer::{

@@ -26,7 +26,7 @@ use eagle_rl::{top_k_indices, CrossEntropyMin, Ppo, Reinforce, TrainSample};
 use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
 
-use eagle_obs::{Recorder, Telemetry};
+use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
 
 use crate::agents::{check_actions, PlacementAgent};
@@ -77,8 +77,6 @@ pub struct TrainResult {
     /// Per-graph outcomes for the graphs still resident in the environment
     /// pool (one entry for single-graph sources).
     pub graphs: Vec<GraphSummary>,
-    /// Run telemetry snapshot (also attached to `curve`).
-    pub telemetry: Telemetry,
 }
 
 /// The REINFORCE, PPO and CE optimizers of a run, in that order.
@@ -121,7 +119,10 @@ impl TrainerBuilder {
     }
 
     /// Attaches a telemetry recorder shared by the trainer and every pooled
-    /// environment (default: disabled).
+    /// environment (default: disabled). It holds the run's totals: the
+    /// environments count evaluations, OOMs and cache traffic (`devsim.*`),
+    /// the trainer minibatches, evictions and checkpoints (`trainer.*`), and
+    /// the gauge `trainer.workers` names the resolved worker count.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.0.recorder = recorder;
         self
@@ -366,10 +367,9 @@ impl Trainer {
         restored_opts: Option<Optimizers>,
     ) -> Result<TrainResult, TrainError> {
         let cfg = &self.cfg;
-        let host_start = std::time::Instant::now();
-        let samples_at_entry = st.samples;
         let rec = self.recorder.clone();
         let workers = eagle_devsim::resolve_workers(cfg.workers);
+        rec.gauge("trainer.workers", workers as f64);
 
         let mut reinforce = Reinforce::new(cfg.optim.clone()).with_recorder(rec.clone());
         let mut ppo =
@@ -398,8 +398,8 @@ impl Trainer {
         // bounded on long runs, but never smaller than one CE interval.
         let window = cfg.history_window.max(cfg.ce_interval).max(cfg.ce_elites);
 
-        while st.samples < cfg.total_samples {
-            let batch_size = cfg.minibatch.min(cfg.total_samples - st.samples);
+        while st.curve.points.len() < cfg.total_samples {
+            let batch_size = cfg.minibatch.min(cfg.total_samples - st.curve.points.len());
             rec.add("trainer.minibatches", 1);
 
             // Draw this minibatch's graph and make it resident. Fixed sources
@@ -407,7 +407,7 @@ impl Trainer {
             // unchanged from the classic trainer.
             let origin = self.source.draw_train(&mut st.source, self.holdout);
             let PoolEntry { env, view, baseline, best, .. } =
-                pool.resident(self, agent, &origin, &mut st.retired)?;
+                pool.resident(self, agent, &origin)?;
             let acting: &A = view.as_ref().unwrap_or(agent);
 
             // Phase A (seeded): draw the minibatch's action sequences in one
@@ -448,7 +448,6 @@ impl Trainer {
             for (((actions, old_log_prob), placement), meas) in
                 actions_batch.into_iter().zip(old_log_probs).zip(&placements).zip(&measurements)
             {
-                st.samples += 1;
                 st.since_ce += 1;
                 let reward = match meas.step_time {
                     Some(t) => {
@@ -457,13 +456,12 @@ impl Trainer {
                         }
                         cfg.reward.apply(t)
                     }
-                    None => {
-                        st.num_invalid += 1;
-                        cfg.reward.apply(cfg.invalid_penalty_time)
-                    }
+                    None => cfg.reward.apply(cfg.invalid_penalty_time),
                 };
-                st.wall += meas.wall_cost;
-                st.curve.push(st.samples as u64, st.wall, meas.step_time);
+                // The trainer-level wall-clock (the curve's x-axis) sums every
+                // measurement's `wall_cost` in episode order, across graphs.
+                let wall = st.curve.wall_clock() + meas.wall_cost;
+                st.curve.push(st.curve.points.len() as u64 + 1, wall, meas.step_time);
                 let advantage = if cfg.use_baseline {
                     baseline.advantage(reward) as f32
                 } else {
@@ -561,34 +559,13 @@ impl Trainer {
             _ => (None, None),
         };
 
-        let run = pool.totals(st.retired);
-        let elapsed = host_start.elapsed().as_secs_f64();
-        let samples_this_process = st.samples - samples_at_entry;
-        let telemetry = Telemetry {
-            episodes_per_sec: if elapsed > 0.0 {
-                samples_this_process as f64 / elapsed
-            } else {
-                0.0
-            },
-            evals: run.evals,
-            invalid_evals: run.invalid_evals,
-            cache_hits: run.cache.hits,
-            cache_misses: run.cache.misses,
-            cache_evictions: run.cache.evictions,
-            cache_hit_rate: run.cache.hit_rate(),
-            sim_wall_clock: run.wall_clock,
-            workers,
-        };
-        st.curve.telemetry = Some(telemetry);
-
         Ok(TrainResult {
             best_placement,
             final_step_time,
+            num_invalid: st.curve.num_invalid(),
+            samples: st.curve.points.len(),
             curve: st.curve,
-            num_invalid: st.num_invalid,
-            samples: st.samples,
             graphs: pool.summaries(self),
-            telemetry,
         })
     }
 
@@ -609,7 +586,7 @@ impl Trainer {
                 (probe_seed(self.cfg.seed, st.minibatches, hi as u64), self.probe_candidates);
             let best = best_of(view, params, graph, &self.machine, &[draw], 1).remove(0);
             st.curve.probes.push(ProbePoint {
-                sample: st.samples as u64,
+                sample: st.curve.points.len() as u64,
                 graph: name.clone(),
                 step_time: best.map(|(t, _)| t),
             });
@@ -739,7 +716,7 @@ mod tests {
         let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).unwrap();
         assert_eq!(state.progress.history_actions.len(), 50, "window clamps to ce_interval");
         assert_eq!(state.progress.history_rewards.len(), 50);
-        assert_eq!(state.progress.samples, 80);
+        assert_eq!(state.progress.curve.points.len(), 80);
         assert_eq!(state.entries.len(), 1, "fixed source pools one environment");
         std::fs::remove_dir_all(&dir).ok();
     }

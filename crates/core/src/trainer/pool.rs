@@ -3,9 +3,10 @@
 //! One entry per resident graph: its environment (placement cache, OOM gate,
 //! noise RNG, wall-clock), reward baseline, best placement and the agent's
 //! per-graph view. The policy lives here and nowhere else: at most
-//! [`POOL_CAPACITY`] graphs are resident, eviction is FIFO into the caller's
-//! retired counters, and a graph drawn again after eviction is rebuilt from its
-//! origin with the same derived seed and a fresh cache.
+//! [`POOL_CAPACITY`] graphs are resident, eviction is FIFO (counted in
+//! `trainer.pool_evictions`; the evicted environment's `devsim.*` counts are
+//! already in the shared recorder), and a graph drawn again after eviction is
+//! rebuilt from its origin with the same derived seed and a fresh cache.
 //!
 //! [`EnvPool::capture`] / [`EnvPool::restore`] are the one capture/restore
 //! pair of the workspace. Every other piece of training state is stored as
@@ -13,7 +14,7 @@
 //! agent view are not decodable from bytes — they are rebuilt from the
 //! origin, and only then can the stored state be checked against them.
 
-use eagle_devsim::{EnvSnapshot, Environment, Placement};
+use eagle_devsim::{Environment, Placement};
 use eagle_rl::EmaBaseline;
 
 use super::{GraphSummary, ResumeError, TrainError, Trainer};
@@ -93,35 +94,26 @@ impl<A: PlacementAgent> EnvPool<A> {
             .collect()
     }
 
-    /// The entry for `origin`, made resident first if it is not; the entry
-    /// that evicts adds its counters to `retired`.
+    /// The entry for `origin`, made resident first if it is not (evicting
+    /// the oldest entry when the pool is full).
     pub fn resident(
         &mut self,
         trainer: &Trainer,
         agent: &A,
         origin: &GraphOrigin,
-        retired: &mut EnvSnapshot,
     ) -> Result<&mut PoolEntry<A>, TrainError> {
         let at = match self.0.iter().position(|e| e.origin == *origin) {
             Some(at) => at,
             None => {
                 self.0.push(PoolEntry::build(trainer, agent, *origin)?);
                 if self.0.len() > POOL_CAPACITY {
-                    retired.add(&self.0.remove(0).env.snapshot());
+                    self.0.remove(0);
                     trainer.recorder.add("trainer.pool_evictions", 1);
                 }
                 self.0.len() - 1
             }
         };
         Ok(&mut self.0[at])
-    }
-
-    /// `retired` plus the counters of every resident environment: the run's.
-    pub fn totals(&self, mut retired: EnvSnapshot) -> EnvSnapshot {
-        for e in &self.0 {
-            retired.add(&e.env.snapshot());
-        }
-        retired
     }
 
     /// The oldest resident entry — the only one of a fixed source.

@@ -158,7 +158,7 @@ impl EnvironmentBuilder {
 
 /// Counter snapshot of one environment: evaluations, OOMs, simulated
 /// wall-clock and cache behavior in a single value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnvSnapshot {
     /// Placement evaluations performed (training protocol only).
     pub evals: u64,
@@ -179,16 +179,6 @@ impl EnvSnapshot {
             wall_clock: self.wall_clock - earlier.wall_clock,
             cache: self.cache.since(&earlier.cache),
         }
-    }
-
-    /// Accumulates another environment's counters into this running total.
-    pub fn add(&mut self, other: &EnvSnapshot) {
-        self.evals += other.evals;
-        self.invalid_evals += other.invalid_evals;
-        self.wall_clock += other.wall_clock;
-        self.cache.hits += other.cache.hits;
-        self.cache.misses += other.cache.misses;
-        self.cache.evictions += other.cache.evictions;
     }
 }
 

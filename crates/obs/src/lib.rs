@@ -25,9 +25,9 @@
 //! object per line — the schema is pinned by `tests/telemetry_schema.rs`), and
 //! [`summary`] renders a human-readable end-of-run table.
 //!
-//! [`Telemetry`] is the end-of-run snapshot the trainer attaches to its
-//! `TrainResult`/`Curve` (it subsumes the `RolloutStats` type earlier
-//! revisions bolted onto the curve).
+//! A run's totals are the recorder's counters and gauges: evaluations, OOMs
+//! and cache traffic (`devsim.*`), evictions and checkpoints (`trainer.*`),
+//! and the resolved worker count (`trainer.workers`).
 
 #![warn(missing_docs)]
 
@@ -36,11 +36,9 @@ mod histogram;
 mod recorder;
 pub mod runtime;
 mod sink;
-mod telemetry;
 
 pub use fsio::write_atomic;
 pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use recorder::{MetricName, Recorder, Span, SpanEvent};
 pub use runtime::{available_workers, resolve_workers, set_available_workers};
 pub use sink::{summary, write_jsonl, SCHEMA_VERSION};
-pub use telemetry::Telemetry;

@@ -28,10 +28,6 @@ impl Default for FluidCommunities {
 }
 
 impl Partitioner for FluidCommunities {
-    fn name(&self) -> &str {
-        "Networkx"
-    }
-
     fn partition(&self, graph: &eagle_opgraph::OpGraph, k: usize) -> Vec<usize> {
         let w = WeightedGraph::from_op_graph(graph);
         partition_weighted(&w, k, self)

@@ -20,9 +20,6 @@ use eagle_opgraph::OpGraph;
 
 /// A grouping algorithm: assigns each op to one of `k` groups.
 pub trait Partitioner {
-    /// Human-readable name for tables ("METIS", "Networkx", ...).
-    fn name(&self) -> &str;
-
     /// Partitions `graph` into at most `k` groups. The returned vector has one
     /// entry per op, each in `0..k`. Implementations must be deterministic for a
     /// fixed seed.

@@ -32,10 +32,6 @@ impl Default for MetisLike {
 }
 
 impl Partitioner for MetisLike {
-    fn name(&self) -> &str {
-        "METIS"
-    }
-
     fn partition(&self, graph: &eagle_opgraph::OpGraph, k: usize) -> Vec<usize> {
         let w = WeightedGraph::from_op_graph(graph);
         partition_weighted(&w, k, self)

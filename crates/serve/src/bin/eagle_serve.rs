@@ -15,7 +15,9 @@
 //! `seed` publishes an untrained (warm-started) policy for one of the paper
 //! benchmarks, so a demo or smoke store works without hours of training.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
+use std::time::Duration;
 
 use eagle_obs::Recorder;
 use eagle_serve::{publish_checkpoint, publish_state, untrained_state, PolicyStore};
@@ -52,6 +54,17 @@ fn parse_flags(args: &[String]) -> Vec<(String, String)> {
 
 fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
     flags.iter().find(|(f, _)| f == name).map(|(_, v)| v.as_str())
+}
+
+/// The value of `--name` as a `T`, or `None` when the flag is absent; a value
+/// that does not parse as a `T` aborts with the usage line.
+fn value<T: std::str::FromStr>(flags: &[(String, String)], name: &str) -> Option<T> {
+    get(flags, name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--{name} cannot be `{v}`");
+            usage()
+        })
+    })
 }
 
 fn require<'a>(flags: &'a [(String, String)], name: &str) -> &'a str {
@@ -98,27 +111,16 @@ fn run(flags: &[(String, String)]) {
     );
     let store_dir = require(flags, "store");
     let addr = get(flags, "addr").unwrap_or("127.0.0.1:7711");
-    let mut router = eagle_serve::RouterConfig::default();
-    if let Some(us) = get(flags, "coalesce-us") {
-        let us: u64 = us.parse().expect("--coalesce-us takes an integer");
-        router.coalesce = std::time::Duration::from_micros(us);
-    }
-    if let Some(w) = get(flags, "sim-workers") {
-        router.sim_workers = w.parse().expect("--sim-workers takes an integer");
-    }
-    if let Some(n) = get(flags, "max-wave") {
-        router.max_wave = n.parse().expect("--max-wave takes an integer");
-        assert!(router.max_wave > 0, "--max-wave must be positive");
-    }
-    if let Some(n) = get(flags, "queue-capacity") {
-        router.queue_capacity = n.parse().expect("--queue-capacity takes an integer");
-        assert!(router.queue_capacity > 0, "--queue-capacity must be positive");
-    }
-    if let Some(n) = get(flags, "family-quota") {
-        router.family_quota = n.parse().expect("--family-quota takes an integer");
-    }
-    let metrics_every: u64 =
-        get(flags, "metrics-every-s").map_or(0, |s| s.parse().expect("--metrics-every-s integer"));
+    let default = eagle_serve::RouterConfig::default();
+    let router = eagle_serve::RouterConfig {
+        coalesce: value(flags, "coalesce-us").map_or(default.coalesce, Duration::from_micros),
+        sim_workers: value(flags, "sim-workers").unwrap_or(default.sim_workers),
+        max_wave: value(flags, "max-wave").map_or(default.max_wave, NonZeroUsize::get),
+        queue_capacity: value(flags, "queue-capacity")
+            .map_or(default.queue_capacity, NonZeroUsize::get),
+        family_quota: value(flags, "family-quota").unwrap_or(default.family_quota),
+    };
+    let metrics_every: u64 = value(flags, "metrics-every-s").unwrap_or(0);
 
     let recorder = Recorder::new();
     let store = Arc::new(PolicyStore::open(store_dir, recorder.clone()));
@@ -135,7 +137,7 @@ fn run(flags: &[(String, String)]) {
     // The daemon runs until killed; optionally print a metrics line on a cadence.
     let mut last_requests = 0u64;
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(metrics_every.max(1)));
+        std::thread::sleep(Duration::from_secs(metrics_every.max(1)));
         if metrics_every == 0 {
             continue;
         }
@@ -182,7 +184,7 @@ fn seed(flags: &[(String, String)]) {
     let store = require(flags, "store");
     let family = require(flags, "family");
     let scale = get(flags, "scale").unwrap_or("quick");
-    let seed: u64 = get(flags, "seed").map_or(1, |s| s.parse().expect("--seed takes an integer"));
+    let seed: u64 = value(flags, "seed").unwrap_or(1);
     let Some(bench) = eagle_devsim::Benchmark::ALL.iter().find(|b| b.name() == family) else {
         eprintln!(
             "eagle-serve seed: --family must be a paper benchmark ({}); \

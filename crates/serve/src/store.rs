@@ -477,7 +477,7 @@ mod tests {
         assert_eq!(json(&on_disk), json(&s.params));
 
         // A later checkpoint of unchanged weights is the same policy.
-        s.progress.samples = 40;
+        s.progress.minibatches = 4;
         assert_eq!(publish_state(&root, "fam", "tiny", &s).unwrap(), v1);
         assert!(Arc::ptr_eq(&first, &store.get("fam").unwrap()));
         assert_eq!(rec.counter_value("serve.policy_reloads"), 0);

@@ -58,7 +58,7 @@ fn main() {
         best,
         result.samples,
         result.num_invalid,
-        result.telemetry.sim_wall_clock / 3600.0
+        result.curve.wall_clock() / 3600.0
     );
     println!("=> EAGLE vs single GPU: {:+.1}%", (best / single.unwrap() - 1.0) * 100.0);
 }

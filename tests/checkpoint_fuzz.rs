@@ -81,10 +81,8 @@ fn corpus() -> &'static Corpus {
         let fresh = TrainerState::fresh(agent.name(), params.clone(), 11);
         let mut state = TrainerState {
             progress: Progress {
-                samples: 1,
                 minibatches: 1,
                 since_ce: 1,
-                wall: 0.25,
                 history_actions: vec![actions],
                 history_rewards: vec![-1.0],
                 ..fresh.progress
@@ -130,7 +128,7 @@ fn wrap_payload(payload: &str) -> Vec<u8> {
 #[test]
 fn corpus_checkpoint_is_valid() {
     let restored = decode_checkpoint(valid_bytes()).expect("unmutated corpus loads");
-    assert_eq!(restored.progress.samples, 1);
+    assert_eq!(restored.progress.curve.points.len(), 1);
     resume(restored).expect("unmutated corpus resumes");
 }
 
@@ -453,32 +451,22 @@ fn payload_key_tree_is_pinned_to_the_schema_version() {
         "progress.curve.probes[].graph",
         "progress.curve.probes[].sample",
         "progress.curve.probes[].step_time",
-        "progress.curve.telemetry",
         "progress.history_actions[]",
         "progress.history_actions[][]",
         "progress.history_rewards[]",
         "progress.minibatches",
-        "progress.num_invalid",
-        "progress.retired.cache.evictions",
-        "progress.retired.cache.hits",
-        "progress.retired.cache.misses",
-        "progress.retired.evals",
-        "progress.retired.invalid_evals",
-        "progress.retired.wall_clock",
         "progress.rng.block[]",
         "progress.rng.counter",
         "progress.rng.index",
         "progress.rng.key[]",
-        "progress.samples",
         "progress.since_ce",
         "progress.source.drawn",
         "progress.source.rng.block[]",
         "progress.source.rng.counter",
         "progress.source.rng.index",
         "progress.source.rng.key[]",
-        "progress.wall",
     ];
     let hint = "the checkpoint payload changed shape: bump the schema version and re-pin";
     assert_eq!(found, pinned, "{hint}");
-    assert_eq!(CHECKPOINT_SCHEMA_VERSION, 4, "{hint}");
+    assert_eq!(CHECKPOINT_SCHEMA_VERSION, 5, "{hint}");
 }

@@ -83,7 +83,7 @@ fn first_life(
     let (mut params, agent) = build_agent(&g, &m);
     trainer.train(&agent, &mut params).expect("first life trains");
     let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).expect("checkpoint readable");
-    assert_eq!(state.progress.samples, kill_after * MINIBATCH);
+    assert_eq!(state.progress.curve.points.len(), kill_after * MINIBATCH);
     state
 }
 
@@ -347,7 +347,7 @@ proptest! {
 
 /// Multi-graph trainer over a tiny GraphGen distribution with a held-out
 /// graph and probes on — the full generalist checkpoint surface (GraphSource
-/// RNG position, per-graph environment pool, retired snapshot, probe points).
+/// RNG position, per-graph environment pool, probe points).
 fn multi_trainer(cfg: TrainerConfig) -> (eagle::opgraph::OpGraph, Machine, Trainer) {
     let m = Machine::paper_machine();
     let source = GraphSource::generated(GraphGenConfig::with_target(48), 99)
@@ -387,7 +387,7 @@ fn multi_killed_and_resumed(
         trainer.train(&agent, &mut params).expect("first life trains");
     }
     let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).expect("checkpoint readable");
-    assert_eq!(state.progress.samples, kill_after * MINIBATCH);
+    assert_eq!(state.progress.curve.points.len(), kill_after * MINIBATCH);
     assert!(!state.entries.is_empty(), "multi-graph checkpoint carries the env pool");
     let (g, m, trainer) = multi_trainer(config(Algo::Ppo, 1, total));
     let (mut params, agent) = build_agent(&g, &m);

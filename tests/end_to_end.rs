@@ -7,18 +7,28 @@ use eagle::core::{
     TrainerConfig,
 };
 use eagle::devsim::{Benchmark, Machine, MeasureConfig};
+use eagle::obs::Recorder;
 use eagle::partition::{metis_like::MetisLike, Partitioner};
 use eagle::tensor::Params;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn inception_trainer(seed: u64, cfg: TrainerConfig) -> (eagle::opgraph::OpGraph, Machine, Trainer) {
+    recorded_inception_trainer(seed, cfg, Recorder::disabled())
+}
+
+fn recorded_inception_trainer(
+    seed: u64,
+    cfg: TrainerConfig,
+    recorder: Recorder,
+) -> (eagle::opgraph::OpGraph, Machine, Trainer) {
     let machine = Machine::paper_machine();
     let graph = Benchmark::InceptionV3.graph_for(&machine);
     let trainer = Trainer::builder(GraphSource::fixed(graph.clone()), machine.clone())
         .config(cfg)
         .measure(MeasureConfig::default())
         .env_seed(seed)
+        .recorder(recorder)
         .build()
         .expect("inception trainer config is valid");
     (graph, machine, trainer)
@@ -108,13 +118,15 @@ fn training_is_deterministic_for_fixed_seeds() {
 
 #[test]
 fn eagle_curve_tracks_environment_bookkeeping() {
-    let (graph, machine, trainer) = inception_trainer(6, TrainerConfig::paper(Algo::Ppo, 40));
+    let recorder = Recorder::new();
+    let (graph, machine, trainer) =
+        recorded_inception_trainer(6, TrainerConfig::paper(Algo::Ppo, 40), recorder.clone());
     let mut params = Params::new();
     let mut rng = ChaCha8Rng::seed_from_u64(6);
     let agent = EagleAgent::new(&mut params, &graph, &machine, AgentScale::tiny(), &mut rng);
     let result = trainer.train(&agent, &mut params).expect("training run succeeds");
     // One eval per training sample, all visible through the run telemetry.
-    assert_eq!(result.telemetry.evals, 40);
-    assert!(result.telemetry.sim_wall_clock > 0.0);
+    assert_eq!(recorder.counter_value("devsim.evals"), 40);
+    assert!(result.curve.wall_clock() > 0.0);
     assert_eq!(result.curve.num_invalid(), result.num_invalid);
 }

@@ -14,6 +14,7 @@
 
 use eagle::core::{AgentScale, Algo, EagleAgent, GraphSource, TrainResult, Trainer, TrainerConfig};
 use eagle::devsim::{Machine, MeasureConfig};
+use eagle::obs::Recorder;
 use eagle::opgraph::{GraphGenConfig, OpGraph, OpKind, OpNode, Phase};
 use eagle::tensor::Params;
 use proptest::prelude::*;
@@ -98,7 +99,7 @@ proptest! {
 
 /// One short generalist run over a GraphGen distribution, probes on or off.
 /// Everything else — seeds, config, agent initialization — is held fixed.
-fn run_generalist(probes: bool) -> (TrainResult, Params) {
+fn run_generalist(probes: bool, recorder: Recorder) -> (TrainResult, Params) {
     let machine = Machine::paper_machine();
     let source = GraphSource::generated(GraphGenConfig::with_target(48), 12)
         .expect("valid generated source");
@@ -110,7 +111,8 @@ fn run_generalist(probes: bool) -> (TrainResult, Params) {
         .config(TrainerConfig::paper(Algo::Ppo, 30))
         .measure(MeasureConfig::default())
         .env_seed(9)
-        .holdout(1);
+        .holdout(1)
+        .recorder(recorder);
     if probes {
         builder = builder.probe_every(2).probe_candidates(2);
     }
@@ -123,8 +125,9 @@ fn run_generalist(probes: bool) -> (TrainResult, Params) {
 /// is bit-identical to the same run without them.
 #[test]
 fn zero_shot_probes_do_not_perturb_training() {
-    let (with, with_params) = run_generalist(true);
-    let (without, without_params) = run_generalist(false);
+    let (with_rec, without_rec) = (Recorder::new(), Recorder::new());
+    let (with, with_params) = run_generalist(true, with_rec.clone());
+    let (without, without_params) = run_generalist(false, without_rec.clone());
 
     assert!(!with.curve.probes.is_empty(), "probes were requested every 2 samples");
     assert!(without.curve.probes.is_empty(), "no probes were requested");
@@ -134,7 +137,8 @@ fn zero_shot_probes_do_not_perturb_training() {
     assert_eq!(with.curve.points, without.curve.points, "probes perturbed the training curve");
     assert_eq!(with.samples, without.samples);
     assert_eq!(with.num_invalid, without.num_invalid);
-    assert_eq!(with.telemetry.cache_hits, without.telemetry.cache_hits);
+    let hits = |r: &Recorder| r.counter_value("devsim.cache.hits");
+    assert_eq!(hits(&with_rec), hits(&without_rec));
 
     // And the trained policy itself matches bit-for-bit.
     assert_eq!(with_params.len(), without_params.len());

@@ -127,6 +127,7 @@ fn jsonl_schema_v1_is_pinned() {
         "trainer.checkpoint_us",
         "trainer.checkpoints",
         "trainer.minibatches",
+        "trainer.workers",
         "devsim.evals",
         "devsim.cache.hits",
         "devsim.cache.misses",
