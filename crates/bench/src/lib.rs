@@ -472,12 +472,15 @@ fn from_scratch(seed: u64, benchmark: Benchmark) -> RunSpec {
     }
 }
 
-/// A sweep: EAGLE(PPO) on GNMT under each labelled tweak, on the sweep's own
-/// seeds (the trainer's default 7, one environment seed per sweep).
-fn sweep(env_seed: u64, values: &[(&'static str, Tweak)]) -> Rows {
+/// A sweep: EAGLE(PPO) on GNMT under each labelled tweak. Its seeds derive
+/// from `--seed`: the trainer's is `seed` itself, the environment's
+/// `seed + env_offset`, one offset per sweep (34..=37, so `--seed 7` runs
+/// the trainer's default 7 on environment seeds 41..=44).
+fn sweep(seed: u64, env_offset: u64, values: &[(&'static str, Tweak)]) -> Rows {
     let (benchmark, agent, algo) = (Benchmark::Gnmt, AgentKind::Eagle, Algo::Ppo);
+    let (trainer_seed, env_seed) = (seed, seed.wrapping_add(env_offset));
     let cell = |&(label, tweak): &(&'static str, Tweak)| {
-        let spec = RunSpec { benchmark, agent, algo, label, trainer_seed: 7, env_seed, tweak };
+        let spec = RunSpec { benchmark, agent, algo, label, trainer_seed, env_seed, tweak };
         Cell { column: label, source: Source::Train(spec) }
     };
     Rows::Cells(vec![(benchmark, values.iter().map(cell).collect())])
@@ -562,7 +565,7 @@ impl Experiment {
                 "ablation_baseline",
                 "Ablation: EMA reward baseline (paper: on), EAGLE(PPO) on GNMT",
                 "baseline",
-                sweep(42, &[("ema", no_tweak), ("none", |c, _| c.use_baseline = false)]),
+                sweep(seed, 35, &[("ema", no_tweak), ("none", |c, _| c.use_baseline = false)]),
                 no_curves,
             ),
             experiment(
@@ -570,7 +573,8 @@ impl Experiment {
                 "Ablation: entropy coefficient (paper: 0.01), EAGLE(PPO) on GNMT",
                 "ent_coef",
                 sweep(
-                    43,
+                    seed,
+                    36,
                     &[
                         ("0", |c, _| c.optim.ent_coef = 0.0),
                         ("0.01", |c, _| c.optim.ent_coef = 0.01),
@@ -585,7 +589,8 @@ impl Experiment {
                 "Ablation: group count (paper: 256), EAGLE(PPO) on GNMT",
                 "num_groups",
                 sweep(
-                    44,
+                    seed,
+                    37,
                     &[
                         ("8", |_, s| s.num_groups = 8),
                         ("16", |_, s| s.num_groups = 16),
@@ -600,7 +605,8 @@ impl Experiment {
                 "Ablation: reward transform (paper: -sqrt(t)), EAGLE(PPO) on GNMT",
                 "transform",
                 sweep(
-                    41,
+                    seed,
+                    34,
                     &[
                         ("-sqrt(t)", |c, _| c.reward = RewardTransform::NegSqrt),
                         ("-t", |c, _| c.reward = RewardTransform::NegLinear),
@@ -978,6 +984,46 @@ fn telemetry_overhead(cli: &Cli) -> (String, bool) {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// `(experiment, trainer_seed, env_seed)` of every trained ablation cell.
+    fn ablation_seeds(seed: u64) -> Vec<(&'static str, u64, u64)> {
+        let all = Experiment::all(seed);
+        let ablations = all.iter().filter(|e| e.name.starts_with("ablation_"));
+        let cells = ablations.flat_map(|e| match &e.rows {
+            Rows::Cells(rows) => {
+                rows.iter().flat_map(|(_, cells)| cells).map(|c| (e.name, c)).collect()
+            }
+            Rows::Whole { .. } => Vec::new(),
+        });
+        cells
+            .filter_map(|(name, cell)| match &cell.source {
+                Source::Train(s) => Some((name, s.trainer_seed, s.env_seed)),
+                Source::Fixed(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ablation_seeds_follow_the_seed_flag() {
+        let at7 = ablation_seeds(7);
+        // `--seed 7` keeps the seeds the committed ablation CSVs were run on.
+        let expected = |name| match name {
+            "ablation_baseline" => 42,
+            "ablation_entropy" => 43,
+            "ablation_groups" => 44,
+            "ablation_reward" => 41,
+            other => panic!("unexpected ablation {other}"),
+        };
+        assert_eq!(at7.len(), 2 + 4 + 4 + 3);
+        for &(name, trainer_seed, env_seed) in &at7 {
+            assert_eq!((trainer_seed, env_seed), (7, expected(name)), "{name}");
+        }
+        let at8 = ablation_seeds(8);
+        assert_eq!(at8.len(), at7.len());
+        for (&(name, t7, e7), &(_, t8, e8)) in at7.iter().zip(&at8) {
+            assert!(t8 != t7 && e8 != e7, "{name} ignores --seed");
+        }
+    }
 
     #[test]
     fn rows_share_a_checkpoint_slug_only_if_they_are_the_same_run() {

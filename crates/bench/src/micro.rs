@@ -87,6 +87,20 @@ fn fill(rows: usize, cols: usize, salt: u64) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
+/// The x86-64 vector extensions this binary was compiled for, so a sweep
+/// measured on the SSE2 baseline (`RUSTFLAGS=""`) reads apart from one on
+/// the repository's AVX2 build. `fma` would mean fused products whose bits
+/// differ from the unfused sums every kernel promises.
+fn target_features() -> Vec<&'static str> {
+    let compiled = [
+        ("sse2", cfg!(target_feature = "sse2")),
+        ("avx", cfg!(target_feature = "avx")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+    ];
+    compiled.into_iter().filter_map(|(name, on)| on.then_some(name)).collect()
+}
+
 fn bitwise_eq(x: &Tensor, y: &Tensor) -> bool {
     x.shape() == y.shape() && x.data().iter().zip(y.data()).all(|(a, b)| a.to_bits() == b.to_bits())
 }
@@ -130,7 +144,8 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rounds = if cli.scale_name == "tiny" { 1 } else { 7 };
     println!(
-        "  streaming below {STREAM_MATMUL_ROWS} rows vs cache-blocked packed-B, dispatch at {dispatch_workers} worker(s) on {host_cores} core(s), threshold {PAR_MATMUL_THRESHOLD} madds per worker"
+        "  streaming below {STREAM_MATMUL_ROWS} rows vs cache-blocked packed-B ({}), dispatch at {dispatch_workers} worker(s) on {host_cores} core(s), threshold {PAR_MATMUL_THRESHOLD} madds per worker",
+        target_features().join("+")
     );
 
     let short = SHORT_WIDTHS.iter().flat_map(|&(k, n)| SHORT_ROWS.map(|m| (m, k, n)));
@@ -232,6 +247,7 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
         ("dispatch_workers", Value::U64(dispatch_workers as u64)),
         ("par_matmul_threshold_madds_per_worker", Value::U64(PAR_MATMUL_THRESHOLD as u64)),
         ("stream_matmul_rows", Value::U64(STREAM_MATMUL_ROWS as u64)),
+        ("target_features", Value::Array(target_features().into_iter().map(Value::from).collect())),
         ("shapes", Value::Array(shapes_out)),
     ]);
     (serde_json::to_string(&doc).expect("serialize"), all_identical)

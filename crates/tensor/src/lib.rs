@@ -51,4 +51,4 @@ mod tensor;
 pub use grads::Grads;
 pub use params::{ParamId, Params};
 pub use tape::{FusedAct, Tape, Var};
-pub use tensor::{softmax_row, Tensor, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};
+pub use tensor::{softmax_row, Tensor, MR, NR, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};

@@ -26,20 +26,23 @@ use std::ops::Range;
 /// runs one of the shares itself.
 ///
 /// Both halves are read off `results/BENCH_matmul.json` (`experiments matmul` on a
-/// 2-vCPU host: `serial_sec` is one worker, `dispatch_sec` this rule at two,
-/// `split2_sec` the rows halved over two threads whatever the rule says).
-/// The row half keeps a share from packing a whole weight for a few register
-/// tiles, and keeps every streamed forward ([`STREAM_MATMUL_ROWS`]) on one
-/// thread (a streamed weight gradient never reaches the rule), though
-/// halving the 10-row LSTM gate products of a paper-width
-/// minibatch reads 1.48x and 1.77x of `serial` there: sharding a streamed
-/// product is open. The work half: a scoped thread costs tens of
+/// 2-vCPU host, AVX2 build: `serial_sec` is one worker, `dispatch_sec` this
+/// rule at two, `split2_sec` the rows halved over two threads whatever the
+/// rule says). The row half keeps a share from packing a whole weight for a
+/// few register tiles, and keeps every streamed forward
+/// ([`STREAM_MATMUL_ROWS`]) on one thread (a streamed weight gradient never
+/// reaches the rule), though halving the 10-row LSTM gate products of a
+/// paper-width minibatch reads 1.49x and 1.61x of `serial` there: sharding a
+/// streamed product is open. The work half: a scoped thread costs tens of
 /// microseconds to start and to wake a core for, which a share of `128^3`
-/// multiply-adds (227 us serial) can repay and a smaller one cannot, so
-/// `128x128 . 128x128` and everything below it is serial (`split2` 0.03x to
-/// 1.04x there). What the rule does split — `256^3` and the op-count-tall
-/// grouper products `2935x81 . 81x32`, `1182x81 . 81x64` — measured 1.40x to
-/// 1.71x of `serial`. Nothing here is tuned to a host.
+/// multiply-adds (196 us serial) can repay and a smaller one cannot, so
+/// `128x128 . 128x128` and everything below it is serial (`split2` 0.02x and
+/// 0.57x at `16^3` and `64^3`; at `128^3` it read 1.13x here but 0.65x to
+/// 1.35x over twelve sweeps, half of them below 1, and no workload issues
+/// that square). What the
+/// rule does split — `256^3` and the op-count-tall grouper products
+/// `2935x81 . 81x32`, `1182x81 . 81x64` — measured 1.42x to 1.74x of
+/// `serial`. Nothing here is tuned to a host.
 pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 
 /// [`Tensor::matmul`] streams a product with fewer rows than this through
@@ -47,16 +50,21 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// copy all of a multi-megabyte weight to feed at most three `MR`-row tiles.
 /// Read off `results/BENCH_matmul.json` (`serial_sec` against `packed_sec`)
 /// as the largest swept row count at which streaming wins at every width a
-/// workload issues short: 10, where it runs `10x1664 . 1664x2048` 2.22x,
-/// `10x512 . 512x2048` 1.68x and `10x156 . 156x192` 1.36x faster (one row:
-/// 5.2x to 8.1x). Built with the bound past 16, the sweep had packing win at
-/// `16x156 . 156x192` (0.94x, 0.98x); at 10 rows it wins only at `81x32`
-/// (0.97x), a width the grouper issues op-count tall. The bits never differ.
+/// workload issues short: 10, where it runs `10x512 . 512x2048` 2.10x,
+/// `10x48 . 48x192` 1.60x, `10x1664 . 1664x2048` 1.44x and `10x156 . 156x192`
+/// 1.39x faster (one row: 4.7x to 6.6x); it loses only at `81x32` (0.67x), a
+/// width the grouper issues op-count tall. Built with the bound past 16,
+/// the AVX2 sweep had streaming win at 16 rows too (1.08x to 1.52x, `81x32`
+/// aside), but the policies issue no product 11 to 16 rows tall (their
+/// short products are 1, 4, 8 or 10 rows), so the bound stays. The bits
+/// never differ.
 ///
 /// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_acc`] stream under the same
 /// bound (the short side of `xᵀ . gy` is the rows of `x`): `tn_acc_sec` at
-/// `10x1664` is 3.8 ms against the packed loop's 9.3 ms, and streamed it still
-/// won or tied at 16 rows (0.98x to 2.0x), so the forward sets the bound.
+/// `10x1664` is 2.8 ms; in alternating sweeps against a build with the
+/// bound at 2 the packed loop took 4.9 to 13 ms there, and streamed it still
+/// won at 16 rows (`16x1664`: 4.6 to 6.5 ms against 6.3 to 9.5 ms packed),
+/// so the forward sets the bound.
 pub const STREAM_MATMUL_ROWS: usize = 11;
 
 /// Worker threads a `(m, k) . (k, n)` product is split across (see
@@ -607,14 +615,19 @@ fn deposit(out: &mut [f32], acc: &[f32], accumulate: bool) {
 }
 
 /// Register-tile height of the blocked microkernel (rows of `A` per pass).
-const MR: usize = 4;
-/// Register-tile width (one packed `B` micro-panel; 8 f32 = 32 bytes, two
-/// SSE2 lanes). The `MR x NR` accumulator tile occupies 8 of the baseline
-/// x86-64 target's 16 xmm registers, leaving room for the packed-`B` vectors
-/// and the broadcast `A` element. `NR = 16` (a full cache line) spilled the
-/// tile to the stack on the SSE2 baseline and lost to a plain `ikj` loop at
-/// mid sizes.
-const NR: usize = 8;
+pub const MR: usize = 4;
+/// Register-tile width (one packed `B` micro-panel; 8 f32 = 32 bytes, one
+/// AVX2 ymm register, two SSE2 xmm ones). The `MR x NR` accumulator tile
+/// takes 4 of the AVX2 build's 16 ymm registers (8 of the SSE2 baseline's
+/// 16 xmm), leaving room for the packed-`B` vectors and the broadcast `A`
+/// element. Neither 8-ymm tile beat it when swept under AVX2 (`experiments
+/// matmul`, against this tile in alternating sweeps): `4x16` lost at the
+/// squares from `128^3` up and at the 10-row paper-width streams, whose
+/// column block it doubles (`10x512 . 512x2048` 0.69x), while winning at the
+/// quick-scale widths, and `8x8` lost at most shapes
+/// (`1182x81 . 81x64` 0.52x). On the SSE2 baseline `NR = 16` spilled the
+/// tile to the stack and lost to a plain `ikj` loop at mid sizes.
+pub const NR: usize = 8;
 /// Cache-block depth over the inner dimension: one packed panel is
 /// `KC x NR` f32 = 16 KiB, comfortably inside L1 alongside the `A` rows.
 const KC: usize = 512;

@@ -2,9 +2,9 @@
 //!
 //! `Tensor::matmul`, `matmul_tn` and `matmul_tn_acc` each run a streaming
 //! loop below `STREAM_MATMUL_ROWS` rows (of `x` in `x . w`, of both operands
-//! in `xᵀ . gy`, whose output must also be at least 32 columns wide) and the
-//! packed one otherwise; `matmul_nt`, `matmul_tn` and `matmul_tn_acc` exist
-//! so a backward pass never materializes a transposed weight or a
+//! in `xᵀ . gy`, whose output must also be at least `MR * NR` columns wide)
+//! and the packed one otherwise; `matmul_nt`, `matmul_tn` and `matmul_tn_acc`
+//! exist so a backward pass never materializes a transposed weight or a
 //! weight-sized temporary. Every one of them is one
 //! ascending-`k` accumulation from `+0.0` per element: the float bits of
 //! `transpose()` + `matmul` (+ `add_assign`), and those of the packed kernel,
@@ -13,7 +13,7 @@
 //! `EAGLE_ORACLE_CASES` sets the case count per property (64 by default,
 //! the PR-gating slice; the nightly job runs 10000).
 
-use eagle_tensor::{Tensor, STREAM_MATMUL_ROWS};
+use eagle_tensor::{Tensor, MR, NR, STREAM_MATMUL_ROWS};
 use proptest::prelude::*;
 
 /// The kernel's k-block depth: `matmul_tn_acc` adds finished register tiles
@@ -40,19 +40,20 @@ const INNER: [usize; 13] = [
     2 * KC + 3,
 ];
 
-/// Outer dimensions: one row, below / at / past the 4x8 register tile and the
-/// 32-column block a streamed `xᵀ . gy` holds in registers, past the 64-row
-/// block, and ragged in each.
-const OUTER: [usize; 11] = [1, 3, 4, 5, 8, 9, 31, 32, 33, 66, 70];
+/// Outer dimensions: one row, below / at / past the `MR x NR` register tile
+/// and the `MR * NR`-column block a streamed `xᵀ . gy` holds in registers,
+/// past the 64-row block, and ragged in each.
+const OUTER: [usize; 11] =
+    [1, MR - 1, MR, MR + 1, NR, NR + 1, MR * NR - 1, MR * NR, MR * NR + 1, 66, 70];
 
 /// Rows of a forward product: the one-row and ten-row products the placer
 /// issues, both sides of the streaming bound, and two packed row blocks.
 const ROWS: [usize; 9] =
     [1, 2, 4, 9, 10, STREAM_MATMUL_ROWS - 1, STREAM_MATMUL_ROWS, STREAM_MATMUL_ROWS + 1, 66];
 
-/// Output widths of a forward product: 300 and 4100 span more than one
-/// streamed column block (`KC * 8 / m` columns) at ten rows and at one.
-const COLS: [usize; 6] = [1, 8, 33, 70, 300, 4100];
+/// Output widths of a forward product: the last two span more than one
+/// streamed column block (`KC / m * NR` columns) at ten rows and at one.
+const COLS: [usize; 6] = [1, NR, 33, 70, KC / 10 * NR + 3, KC * NR + 4];
 
 fn cases() -> u32 {
     std::env::var("EAGLE_ORACLE_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
