@@ -132,9 +132,11 @@ fn split2(a: &Tensor, b: &Tensor) -> Tensor {
 /// transposed `x`, whose inner dimension is never short here):
 /// `STREAM_MATMUL_ROWS` is read off the two. `tn_acc_sec` runs the loop the
 /// rows of `x` pick, so below the bound it times the streamed weight
-/// gradient. `dispatch_sec` runs `PAR_MATMUL_THRESHOLD`'s rule at the
-/// driver's worker count (`--workers`), `split2_sec` the rows halved over two
-/// threads whatever the rule says. Best of 7 rounds, 1 at `--scale tiny`.
+/// gradient. `dispatch_sec`, `nt_dispatch_sec` and `tn_acc_dispatch_sec` run
+/// the forward, `gy . wᵀ` and `slot += xᵀ . gy` under
+/// `PAR_MATMUL_THRESHOLD`'s rule at the experiment's worker count (`--workers`),
+/// `split2_sec` the forward's rows halved over two threads whatever the rule
+/// says. Best of 7 rounds, 1 at `--scale tiny`.
 ///
 /// Its gate: before each shape is timed, every layout's bits equal its
 /// definition on explicitly transposed operands (the forward's the packed
@@ -200,19 +202,30 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
                 &|| keep(split2(&x, &w)),
                 &|| keep(gy.matmul_nt(&w)),
                 &|| keep(gy.matmul(&w.transpose())),
+                &|| {
+                    eagle_obs::set_available_workers(dispatch_workers);
+                    keep(gy.matmul_nt(&w));
+                    eagle_obs::set_available_workers(1);
+                },
                 &|| x.matmul_tn_acc(&gy, &mut slot.borrow_mut()),
                 &|| slot.borrow_mut().add_assign(&x.transpose().matmul(&gy)),
+                &|| {
+                    eagle_obs::set_available_workers(dispatch_workers);
+                    x.matmul_tn_acc(&gy, &mut slot.borrow_mut());
+                    eagle_obs::set_available_workers(1);
+                },
             ],
         );
-        let [serial_sec, packed_sec, dispatch_sec, split2_sec, nt_sec, nt_transposing_sec, tn_acc_sec, tn_transposing_sec] =
+        let [serial_sec, packed_sec, dispatch_sec, split2_sec, nt_sec, nt_transposing_sec, nt_dispatch_sec, tn_acc_sec, tn_transposing_sec, tn_acc_dispatch_sec] =
             secs;
         let split2_sec = (m >= 2).then_some(split2_sec);
 
         let gflops = |sec: f64| 2.0 * madds as f64 / sec / 1e9;
-        let [serial, packed, dispatch, split2, nt, nt_t, tn_acc, tn_t] = secs.map(gflops);
+        let [serial, packed, dispatch, split2, nt, nt_t, nt_d, tn_acc, tn_t, tn_d] =
+            secs.map(gflops);
         let split2 = if m >= 2 { split2 } else { f64::NAN };
         println!(
-            "  {m:>5}x{k:<5}@{k:>5}x{n:<5} serial {serial:>6.2}  packed {packed:>6.2}  dispatch {dispatch:>6.2}  split2 {split2:>6.2}  nt {nt:>6.2} (transposing {nt_t:>6.2})  tn_acc {tn_acc:>6.2} (transposing {tn_t:>6.2}) GF/s"
+            "  {m:>5}x{k:<5}@{k:>5}x{n:<5} serial {serial:>6.2}  packed {packed:>6.2}  dispatch {dispatch:>6.2}  split2 {split2:>6.2}  nt {nt:>6.2} (transposing {nt_t:>6.2}, dispatch {nt_d:>6.2})  tn_acc {tn_acc:>6.2} (transposing {tn_t:>6.2}, dispatch {tn_d:>6.2}) GF/s"
         );
         shapes_out.push(obj(vec![
             ("m", Value::U64(m as u64)),
@@ -226,11 +239,15 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
             ("split2_sec", split2_sec.map_or(Value::Null, Value::from)),
             ("nt_sec", Value::from(nt_sec)),
             ("nt_transposing_sec", Value::from(nt_transposing_sec)),
+            ("nt_dispatch_sec", Value::from(nt_dispatch_sec)),
             ("tn_acc_sec", Value::from(tn_acc_sec)),
             ("tn_transposing_sec", Value::from(tn_transposing_sec)),
+            ("tn_acc_dispatch_sec", Value::from(tn_acc_dispatch_sec)),
             ("gflops_serial", Value::from(gflops(serial_sec))),
             ("serial_vs_packed", Value::from(packed_sec / serial_sec)),
             ("dispatch_vs_serial", Value::from(serial_sec / dispatch_sec)),
+            ("nt_dispatch_vs_serial", Value::from(nt_sec / nt_dispatch_sec)),
+            ("tn_acc_dispatch_vs_serial", Value::from(tn_acc_sec / tn_acc_dispatch_sec)),
             ("split2_vs_serial", split2_sec.map_or(Value::Null, |s| Value::from(serial_sec / s))),
             ("bitwise_identical", Value::Bool(identical[0])),
             ("nt_bitwise_identical", Value::Bool(identical[1])),

@@ -9,40 +9,45 @@
 //! alone ([`STREAM_MATMUL_ROWS`]): a short forward streams `B`
 //! (`matmul_rows`), a short weight gradient `xᵀ . gy` at least one register
 //! tile (`MR * NR` columns) wide streams its output (`stream_tn`), and
-//! everything else goes to `gemm_rows`, which packs `B` and may shard
-//! ([`PAR_MATMUL_THRESHOLD`]). All three give every element the same
-//! ascending-`k` sum, so which one ran never shows in the bits.
+//! everything else goes to `gemm_rows`, which packs `B`. One rule
+//! ([`PAR_MATMUL_THRESHOLD`]) splits any of them across threads, by output
+//! rows when the output is tall and by output columns when it is short. All
+//! three give every element the same ascending-`k` sum, so which one ran, on
+//! how many threads, never shows in the bits.
 
 use std::fmt;
 use std::ops::Range;
 
-/// Work (in multiply-adds, `rows * n * k`) one worker's share of a product
-/// must reach before [`Tensor::matmul`] and its transposed-operand siblings
-/// split the output rows across threads. A share also has to be at least
-/// `MR * NR` rows tall: every worker packs all of `B` for itself, `k * n`
-/// copies that only its own rows repay. So the worker count is
-/// `min(available workers, m / (MR * NR), m * n * k / PAR_MATMUL_THRESHOLD)`,
-/// a product is serial unless that is at least 2, and the calling thread
-/// runs one of the shares itself.
+/// Work (in multiply-adds, `m * n * k`) each worker's share of a product
+/// must carry: [`Tensor::matmul`] and its transposed-operand siblings run
+/// on `min(available workers, m * n * k / PAR_MATMUL_THRESHOLD)` threads, a
+/// product is serial unless that is at least 2, and the calling thread runs
+/// one share itself. The shares are whole output rows when every share gets
+/// at least `MR * NR` of them (a packed share packs all of `B` for itself,
+/// `k * n` copies that only its own rows repay), and `NR`-aligned ranges of
+/// the output columns otherwise, each streaming or packing only its own
+/// columns of `B`. So the 10-row LSTM gate products of a paper-width
+/// minibatch, `x . w` and `gy . wᵀ`, split by columns, and their weight
+/// gradient `xᵀ . gy`, whose output is weight-tall, by rows.
 ///
-/// Both halves are read off `results/BENCH_matmul.json` (`experiments matmul` on a
-/// 2-vCPU host, AVX2 build: `serial_sec` is one worker, `dispatch_sec` this
-/// rule at two, `split2_sec` the rows halved over two threads whatever the
-/// rule says). The row half keeps a share from packing a whole weight for a
-/// few register tiles, and keeps every streamed forward
-/// ([`STREAM_MATMUL_ROWS`]) on one thread (a streamed weight gradient never
-/// reaches the rule), though halving the 10-row LSTM gate products of a
-/// paper-width minibatch reads 1.49x and 1.61x of `serial` there: sharding a
-/// streamed product is open. The work half: a scoped thread costs tens of
-/// microseconds to start and to wake a core for, which a share of `128^3`
-/// multiply-adds (196 us serial) can repay and a smaller one cannot, so
-/// `128x128 . 128x128` and everything below it is serial (`split2` 0.02x and
-/// 0.57x at `16^3` and `64^3`; at `128^3` it read 1.13x here but 0.65x to
-/// 1.35x over twelve sweeps, half of them below 1, and no workload issues
-/// that square). What the
-/// rule does split — `256^3` and the op-count-tall grouper products
-/// `2935x81 . 81x32`, `1182x81 . 81x64` — measured 1.42x to 1.74x of
-/// `serial`. Nothing here is tuned to a host.
+/// Read off `results/BENCH_matmul.json` (`experiments matmul` on a 2-vCPU
+/// host, AVX2 build: `serial_sec`, `nt_sec` and `tn_acc_sec` are one worker,
+/// `dispatch_sec`, `nt_dispatch_sec` and `tn_acc_dispatch_sec` this rule at
+/// two, `split2_sec` the forward's rows halved over two threads whatever the
+/// rule says). A scoped thread costs tens of microseconds to start and to
+/// wake a core for, which a share of `128^3` multiply-adds (167 us serial)
+/// can repay and a smaller one cannot, so `128x128 . 128x128` and everything
+/// below it is serial (`split2` 0.02x, 0.27x and 0.79x at `16^3`, `64^3` and
+/// `128^3`; over twelve earlier sweeps `128^3` read 0.65x to 1.35x, half of
+/// them below 1), and so is the one-row step `1x1664 . 1664x2048`, under
+/// twice the floor. The 10-row gate products split by columns read 1.56x
+/// (`10x512 . 512x2048`) and 1.64x (`10x1664 . 1664x2048`) of `serial`,
+/// their `gy . wᵀ` 1.57x and 1.89x, and their `slot += xᵀ . gy`, split by
+/// rows, 1.61x and 1.87x; row splits of `256^3` and `1024x64 . 64x64` read
+/// 1.55x and 1.56x, and of the op-count-tall grouper products
+/// `2935x81 . 81x32` and `1182x81 . 81x64` 0.93x and 1.04x (1.42x both in
+/// the sweep before: the shared host is noisy). Nothing here is tuned to a
+/// host.
 pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 
 /// [`Tensor::matmul`] streams a product with fewer rows than this through
@@ -50,9 +55,9 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// copy all of a multi-megabyte weight to feed at most three `MR`-row tiles.
 /// Read off `results/BENCH_matmul.json` (`serial_sec` against `packed_sec`)
 /// as the largest swept row count at which streaming wins at every width a
-/// workload issues short: 10, where it runs `10x512 . 512x2048` 2.10x,
-/// `10x48 . 48x192` 1.60x, `10x1664 . 1664x2048` 1.44x and `10x156 . 156x192`
-/// 1.39x faster (one row: 4.7x to 6.6x); it loses only at `81x32` (0.67x), a
+/// workload issues short: 10, where it runs `10x1664 . 1664x2048` 2.53x,
+/// `10x512 . 512x2048` 2.04x, `10x48 . 48x192` 1.57x and `10x156 . 156x192`
+/// 1.30x faster (one row: 5.8x to 11.2x); it loses only at `81x32` (0.69x), a
 /// width the grouper issues op-count tall. Built with the bound past 16,
 /// the AVX2 sweep had streaming win at 16 rows too (1.08x to 1.52x, `81x32`
 /// aside), but the policies issue no product 11 to 16 rows tall (their
@@ -61,20 +66,26 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 ///
 /// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_acc`] stream under the same
 /// bound (the short side of `xᵀ . gy` is the rows of `x`): `tn_acc_sec` at
-/// `10x1664` is 2.8 ms; in alternating sweeps against a build with the
+/// `10x1664` is 4.0 ms; in alternating sweeps against a build with the
 /// bound at 2 the packed loop took 4.9 to 13 ms there, and streamed it still
 /// won at 16 rows (`16x1664`: 4.6 to 6.5 ms against 6.3 to 9.5 ms packed),
 /// so the forward sets the bound.
 pub const STREAM_MATMUL_ROWS: usize = 11;
 
-/// Worker threads a `(m, k) . (k, n)` product is split across (see
+/// Worker threads a product of `work` multiply-adds is split across (see
 /// [`PAR_MATMUL_THRESHOLD`]); the ceiling is the workspace-wide cached host
 /// parallelism (shared with the rollout engine's worker resolution, and
 /// overridable per-run via `eagle_obs::set_available_workers`).
-fn matmul_workers(m: usize, k: usize, n: usize) -> usize {
-    let by_rows = m / (MR * NR);
-    let by_work = m * n * k / PAR_MATMUL_THRESHOLD;
-    eagle_obs::available_workers().min(by_rows).min(by_work).max(1)
+fn matmul_workers(work: usize) -> usize {
+    eagle_obs::available_workers().min(work / PAR_MATMUL_THRESHOLD).max(1)
+}
+
+/// Whether a product whose `(m, n)` output goes to `workers` threads splits
+/// its output rows, every share then at least `MR * NR` rows tall, rather
+/// than `NR`-aligned ranges of its output columns (see
+/// [`PAR_MATMUL_THRESHOLD`]).
+fn splits_rows(m: usize, workers: usize) -> bool {
+    m / workers >= MR * NR
 }
 
 /// A dense matrix of `f32` values in row-major order.
@@ -351,10 +362,10 @@ impl Tensor {
     /// stream `other` row by row (`matmul_rows`), the rest go through the
     /// cache-blocked kernel with packed-B micro-panels (`gemm_rows`).
     ///
-    /// Tall products are sharded across threads with `crossbeam::scope`
-    /// (how many is [`PAR_MATMUL_THRESHOLD`]'s rule), splitting the *output
-    /// rows* so each thread writes a disjoint region (no synchronization on
-    /// the hot path). Every kernel and thread count produces bit-identical
+    /// Large products are split across threads with `crossbeam::scope`
+    /// ([`PAR_MATMUL_THRESHOLD`]'s rule), by output rows or by output
+    /// columns, so each thread writes a disjoint region (no synchronization
+    /// on the hot path). Every kernel and thread count produces bit-identical
     /// results: each output element is one ascending-`k` f32 accumulation.
     ///
     /// # Panics
@@ -367,7 +378,8 @@ impl Tensor {
         );
         let mut out = Self::zeros(self.rows, other.cols);
         if self.rows < STREAM_MATMUL_ROWS {
-            matmul_rows(&self.data, &other.data, &mut out.data, self.cols, other.cols);
+            let (k, n) = (self.cols, other.cols);
+            split(&mut out, k, |share| matmul_rows(&self.data, &other.data, share, k, n));
         } else {
             gemm(Lhs::rows(self), Rhs { data: &other.data, transposed: false }, &mut out, false);
         }
@@ -403,7 +415,8 @@ impl Tensor {
         let mut out = Self::zeros(self.cols, other.cols);
         let a = Lhs::cols(self, other);
         if self.rows < STREAM_MATMUL_ROWS && other.cols >= MR * NR {
-            stream_tn(a, &other.data, &mut out.data, other.cols, false);
+            let n = other.cols;
+            split(&mut out, a.inner, |share| stream_tn(a, &other.data, share, n, false));
         } else {
             gemm(a, Rhs { data: &other.data, transposed: false }, &mut out, false);
         }
@@ -423,7 +436,9 @@ impl Tensor {
     pub fn matmul_tn_acc(&self, other: &Self, into: &mut Self) {
         assert_eq!(into.shape(), (self.cols, other.cols), "matmul_tn_acc output shape mismatch");
         if self.rows < STREAM_MATMUL_ROWS && other.cols >= MR * NR {
-            stream_tn(Lhs::cols(self, other), &other.data, &mut into.data, other.cols, true);
+            let a = Lhs::cols(self, other);
+            let n = other.cols;
+            split(into, a.inner, |share| stream_tn(a, &other.data, share, n, true));
         } else if self.rows <= KC {
             gemm(Lhs::cols(self, other), Rhs { data: &other.data, transposed: false }, into, true);
         } else {
@@ -521,12 +536,13 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
-/// Row-streaming kernel for short products: computes `A @ B` into the zeroed
-/// `out` serially, `a` the `m x k` left matrix and `b` the `k x n` right one.
-fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+/// Row-streaming kernel for short products: computes one share of `A @ B`
+/// into the zeroed `out`, `a` the `m x k` left matrix and `b` the `k x n`
+/// right one.
+fn matmul_rows(a: &[f32], b: &[f32], mut out: Share<'_>, k: usize, n: usize) {
     let whole = k - k % KU;
-    stream_rows::<KU>(a, b, out, 0..whole, k, n);
-    stream_rows::<1>(a, b, out, whole..k, k, n);
+    stream_rows::<KU>(a, b, &mut out, 0..whole, k, n);
+    stream_rows::<1>(a, b, &mut out, whole..k, k, n);
 }
 
 /// `B` rows per pass of `stream_rows`: an output element is loaded and
@@ -534,25 +550,27 @@ fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
 const KU: usize = 8;
 
 /// Adds `a[i][kk] * b[kk][j]` into `out[i][j]` for `kk` in `ks` (whole passes
-/// of `U`), ascending. A block of output columns small enough that all `m`
-/// rows of it stay in L1 (a packed panel's `KC * NR` floats) is swept `U`
-/// rows of `B` at a time, then rows of `A`, so each `B` row segment is read
-/// once, contiguously. Every element gets `gemm_rows`' sum, bit for bit, for
-/// every input: no term is skipped.
+/// of `U`), ascending, over the share's rows and columns. A block of output
+/// columns small enough that all its rows stay in L1 (a packed panel's
+/// `KC * NR` floats) is swept `U` rows of `B` at a time, then rows of `A`, so
+/// each `B` row segment is read once, contiguously. Every element gets
+/// `gemm_rows`' sum, bit for bit, for every input: no term is skipped.
 fn stream_rows<const U: usize>(
     a: &[f32],
     b: &[f32],
-    out: &mut [f32],
+    out: &mut Share<'_>,
     ks: Range<usize>,
     k: usize,
     n: usize,
 ) {
-    let block = (KC / (out.len() / n.max(1)).max(1)).max(1) * NR;
-    for jb in (0..n).step_by(block) {
-        let len = block.min(n - jb);
+    let (width, col0) = (out.width(), out.col0);
+    let block = (KC / out.rows.len().max(1)).max(1) * NR;
+    for jb in (0..width).step_by(block) {
+        let len = block.min(width - jb);
         for kk in ks.clone().step_by(U) {
-            let b_seg: [&[f32]; U] = std::array::from_fn(|u| &b[(kk + u) * n + jb..][..len]);
-            for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            let b_seg: [&[f32]; U] = std::array::from_fn(|u| &b[(kk + u) * n + col0 + jb..][..len]);
+            let a_rows = a[out.row0 * k..].chunks_exact(k);
+            for (a_row, out_row) in a_rows.zip(out.rows.iter_mut()) {
                 let a_ik = &a_row[kk..kk + U];
                 for (j, o) in out_row[jb..][..len].iter_mut().enumerate() {
                     let mut v = *o;
@@ -566,25 +584,29 @@ fn stream_rows<const U: usize>(
     }
 }
 
-/// Streaming kernel for short weight gradients: `out = aᵀ @ b` or, with
-/// `accumulate`, `out += aᵀ @ b`, for `a` a [`Lhs::cols`] operand of fewer
-/// than [`STREAM_MATMUL_ROWS`] rows and `b` the row-major `(k, n)` one, `n` at
-/// least `MR * NR`. The output is walked a row at a time, `MR * NR` columns
-/// (the packed kernel's accumulator tile, laid out as one row) held in
-/// registers; `b`, ten rows at most, stays cached across output rows. A
-/// ragged tail runs one more block over the row's last `MR * NR` columns and
-/// writes back only the lanes no earlier block wrote. Each element is summed
-/// from `+0.0` over ascending `kk` and then stored or added: `gemm_rows`' sum
-/// and write-back, bit for bit.
-fn stream_tn(a: Lhs<'_>, b: &[f32], out: &mut [f32], n: usize, accumulate: bool) {
-    let whole = n - n % (MR * NR);
-    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+/// Streaming kernel for short weight gradients: one share of `out = aᵀ @ b`
+/// or, with `accumulate`, `out += aᵀ @ b`, for `a` a [`Lhs::cols`] operand
+/// of fewer than [`STREAM_MATMUL_ROWS`] rows and `b` the row-major `(k, n)`
+/// one, `n` at least `MR * NR`. The output is walked a row at a time,
+/// `MR * NR` columns (the packed kernel's accumulator tile, laid out as one
+/// row) held in registers; `b`, ten rows at most, stays cached across output
+/// rows. A ragged tail runs one more block, over the row's last `MR * NR`
+/// columns when the share's would run past column `n`, and writes back only
+/// the tail's lanes. Each element is summed from `+0.0` over ascending `kk`
+/// and then stored or added: `gemm_rows`' sum and write-back, bit for bit.
+fn stream_tn(a: Lhs<'_>, b: &[f32], out: Share<'_>, n: usize, accumulate: bool) {
+    let (width, col0) = (out.width(), out.col0);
+    let whole = width - width % (MR * NR);
+    for (i, out_row) in (out.row0..).zip(out.rows) {
         for jb in (0..whole).step_by(MR * NR) {
-            deposit(&mut out_row[jb..jb + MR * NR], &stream_tn_block(a, i, b, n, jb), accumulate);
+            let acc = stream_tn_block(a, i, b, n, col0 + jb);
+            deposit(&mut out_row[jb..jb + MR * NR], &acc, accumulate);
         }
-        if whole < n {
-            let acc = stream_tn_block(a, i, b, n, n - MR * NR);
-            deposit(&mut out_row[whole..], &acc[MR * NR - (n - whole)..], accumulate);
+        if whole < width {
+            let start = (col0 + whole).min(n - MR * NR);
+            let acc = stream_tn_block(a, i, b, n, start);
+            let lanes = col0 + whole - start;
+            deposit(&mut out_row[whole..], &acc[lanes..lanes + width - whole], accumulate);
         }
     }
 }
@@ -677,33 +699,85 @@ struct Rhs<'a> {
     transposed: bool,
 }
 
-/// `out = A @ B` (`out` zeroed by the caller) or, with `accumulate`,
-/// `out += A @ B`; splits the output rows across [`matmul_workers`] threads.
-fn gemm(a: Lhs<'_>, b: Rhs<'_>, out: &mut Tensor, accumulate: bool) {
-    let (m, n, k) = (out.rows, out.cols, a.inner);
-    let workers = matmul_workers(m, k, n);
-    if workers > 1 {
-        let chunk_rows = m.div_ceil(workers);
-        crossbeam::thread::scope(|s| {
-            // The calling thread takes the first share itself: one spawn
-            // fewer, and no core idles waiting on the others.
-            let mut chunks = out.data.chunks_mut(chunk_rows * n).enumerate();
-            let own = chunks.next();
-            for (ci, out_chunk) in chunks {
-                s.spawn(move |_| gemm_rows(a, b, out_chunk, ci * chunk_rows, n, accumulate));
-            }
-            if let Some((_, out_chunk)) = own {
-                gemm_rows(a, b, out_chunk, 0, n, accumulate);
-            }
-        })
-        .expect("matmul worker panicked");
-    } else {
-        gemm_rows(a, b, &mut out.data, 0, n, accumulate);
+/// One worker's part of a product's output: columns
+/// `col0..col0 + width()` of rows `row0..row0 + rows.len()`, each row's
+/// segment a slice of its own.
+struct Share<'a> {
+    row0: usize,
+    col0: usize,
+    rows: Vec<&'a mut [f32]>,
+}
+
+impl Share<'_> {
+    fn width(&self) -> usize {
+        self.rows.first().map_or(0, |r| r.len())
     }
 }
 
-/// Cache-blocked kernel: computes rows `[row0, row0 + out.len()/n)` of `A @ B`
-/// through a GEBP-style loop nest with a "transposed-B" packing step.
+/// Splits the `(m, n)` output of a product with inner dimension `k` across
+/// `min(available workers, m * n * k / PAR_MATMUL_THRESHOLD)` threads and runs
+/// `kernel` on each share: whole output rows when every share gets at least
+/// `MR * NR` of them ([`splits_rows`]), `NR`-aligned column ranges of every
+/// row otherwise (the last share may be ragged). A lone worker gets the whole
+/// output as one share, on the calling thread.
+fn split(out: &mut Tensor, k: usize, kernel: impl Fn(Share<'_>) + Sync) {
+    let (m, n) = out.shape();
+    if m == 0 || n == 0 {
+        return;
+    }
+    let workers = matmul_workers(m * n * k);
+    if workers == 1 {
+        kernel(Share { row0: 0, col0: 0, rows: out.data.chunks_mut(n).collect() });
+    } else if splits_rows(m, workers) {
+        let rows = m.div_ceil(workers);
+        let shares = out.data.chunks_mut(rows * n).enumerate().map(|(s, part)| Share {
+            row0: s * rows,
+            col0: 0,
+            rows: part.chunks_mut(n).collect(),
+        });
+        run_shares(shares, kernel);
+    } else {
+        let width = n.div_ceil(workers).next_multiple_of(NR);
+        let mut shares: Vec<Share<'_>> = (0..n.div_ceil(width))
+            .map(|s| Share { row0: 0, col0: s * width, rows: Vec::with_capacity(m) })
+            .collect();
+        for row in out.data.chunks_mut(n) {
+            for (share, segment) in shares.iter_mut().zip(row.chunks_mut(width)) {
+                share.rows.push(segment);
+            }
+        }
+        run_shares(shares, kernel);
+    }
+}
+
+/// Runs `kernel` on every share, one thread each; the calling thread takes
+/// the first share itself (one spawn fewer, and no core idles waiting on the
+/// others).
+fn run_shares<'a>(shares: impl IntoIterator<Item = Share<'a>>, kernel: impl Fn(Share<'a>) + Sync) {
+    crossbeam::thread::scope(|s| {
+        let kernel = &kernel;
+        let mut shares = shares.into_iter();
+        let own = shares.next();
+        for share in shares {
+            s.spawn(move |_| kernel(share));
+        }
+        if let Some(own) = own {
+            kernel(own);
+        }
+    })
+    .expect("matmul worker panicked");
+}
+
+/// `out = A @ B` (`out` zeroed by the caller) or, with `accumulate`,
+/// `out += A @ B`, through the packed kernel on each share [`split`] cuts.
+fn gemm(a: Lhs<'_>, b: Rhs<'_>, out: &mut Tensor, accumulate: bool) {
+    let n = out.cols;
+    split(out, a.inner, |share| gemm_rows(a, b, share, n, accumulate));
+}
+
+/// Cache-blocked kernel: computes one share of `A @ B` (`n` columns wide)
+/// through a GEBP-style loop nest with a "transposed-B" packing step; a
+/// share of output columns packs only its own panels of `B`.
 ///
 /// For each `(k-block, column-block)` pair, the `KC x NR` slice of `B` is
 /// packed k-major into a contiguous micro-panel (so the microkernel streams it
@@ -724,10 +798,11 @@ fn gemm(a: Lhs<'_>, b: Rhs<'_>, out: &mut Tensor, accumulate: bool) {
 /// accumulator round-tripping exactly through `out`): `matmul_rows`' sum, so
 /// the bits match (NaN payloads aside: LLVM may commute an f32 add). A finite
 /// `±0.0` product adds nothing (the accumulator is never `-0.0`).
-fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], row0: usize, n: usize, accumulate: bool) {
-    let k = a.inner;
-    let rows = out.len() / n.max(1);
-    if rows == 0 || n == 0 || k == 0 {
+fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: Share<'_>, n: usize, accumulate: bool) {
+    let (k, width) = (a.inner, out.width());
+    let Share { row0, col0, rows: mut out } = out;
+    let rows = out.len();
+    if rows == 0 || width == 0 || k == 0 {
         return;
     }
     assert!(!accumulate || k <= KC, "accumulating write-back needs a single k-block");
@@ -736,17 +811,16 @@ fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], row0: usize, n: usize, acc
         let kc = KC.min(k - kb);
         for ib in (0..rows).step_by(MC) {
             let block_end = rows.min(ib + MC);
-            for jb in (0..n).step_by(NR) {
-                let nr = NR.min(n - jb);
-                pack_panel(b, &mut packed, kb, kc, jb, nr, k, n);
+            for jb in (0..width).step_by(NR) {
+                let nr = NR.min(width - jb);
+                pack_panel(b, &mut packed, kb, kc, col0 + jb, nr, k, n);
                 let mut i = ib;
                 while i < block_end {
                     let mr = MR.min(block_end - i);
                     let mut acc = [[0.0f32; NR]; MR];
                     if !accumulate {
-                        for (r, acc_row) in acc.iter_mut().enumerate().take(mr) {
-                            let o = &out[(i + r) * n + jb..(i + r) * n + jb + nr];
-                            acc_row[..nr].copy_from_slice(o);
+                        for (acc_row, o) in acc.iter_mut().zip(&out[i..i + mr]) {
+                            acc_row[..nr].copy_from_slice(&o[jb..jb + nr]);
                         }
                     }
                     // Offsets of A[row0 + i + r][kb] for the tile's rows.
@@ -776,8 +850,8 @@ fn gemm_rows(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], row0: usize, n: usize, acc
                             }
                         }
                     }
-                    for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                        deposit(&mut out[(i + r) * n + jb..][..nr], &acc_row[..nr], accumulate);
+                    for (acc_row, o) in acc.iter().zip(&mut out[i..i + mr]) {
+                        deposit(&mut o[jb..jb + nr], &acc_row[..nr], accumulate);
                     }
                     i += mr;
                 }
@@ -871,12 +945,27 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_serial() {
-        // Shapes the dispatch rule shards — the tall grouper product, twice
-        // the 128^3 boundary, a share count that leaves the last chunk ragged
-        // — and the 128^3 boundary itself, which it does not.
-        let shapes = [(2935, 81, 32, true), (256, 128, 128, true), (67, 512, 128, true)];
-        let shapes = shapes.into_iter().chain([(128, 128, 128, false)]);
-        for (m, k, n, sharded) in shapes {
+        // `(m, k, n, workers at 3)`: every product of a shape carries the same
+        // work, so the rule gives all four one worker count. Split by output
+        // rows: the tall grouper product, twice the 128^3 boundary, a ragged
+        // last chunk of rows. Split by output columns: the 10-row forward (its
+        // 1030 columns cut at 520, or at 344 and 688: the last share ragged
+        // and not `NR`-aligned) and `gy . wᵀ`, and a packed 40-row forward;
+        // their `xᵀ . gy` is weight-tall and splits rows (streamed at ten
+        // rows, packed at 40).
+        // Serial: the 128^3 boundary and the largest short shape the policies
+        // issue under twice the threshold, the one-row warm-up step.
+        let shapes = [
+            (2935, 81, 32, 3),
+            (256, 128, 128, 2),
+            (67, 512, 128, 2),
+            (10, 520, 1030, 2),
+            (10, 1024, 1030, 3),
+            (40, 512, 256, 2),
+            (128, 128, 128, 1),
+            (1, 1664, 2048, 1),
+        ];
+        for (m, k, n, at_three) in shapes {
             let a = fill(m, k, (m + k) as u32);
             let b = fill(k, n, (k + n) as u32);
             let gy = fill(m, n, (m + n) as u32);
@@ -886,9 +975,10 @@ mod tests {
             let held = fill(k, n, 7);
             let mut want_acc = held.clone();
             want_acc.add_assign(&want_tn);
-            for workers in [2, 3] {
+            for workers in [1, 2, 3] {
                 eagle_obs::set_available_workers(workers);
-                assert_eq!(matmul_workers(m, k, n) > 1, sharded, "{m}x{k}@{k}x{n}");
+                let want_workers = at_three.min(workers);
+                assert_eq!(matmul_workers(m * n * k), want_workers, "{m}x{k}@{k}x{n}");
                 let mut acc = held.clone();
                 a.matmul_tn_acc(&gy, &mut acc);
                 let products = [
@@ -908,7 +998,8 @@ mod tests {
     /// `a @ b` through the streaming kernel whatever its row count.
     fn streamed(a: &Tensor, b: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(a.rows, b.cols);
-        matmul_rows(&a.data, &b.data, &mut out.data, a.cols, b.cols);
+        let rows = out.data.chunks_mut(b.cols).collect();
+        matmul_rows(&a.data, &b.data, Share { row0: 0, col0: 0, rows }, a.cols, b.cols);
         out
     }
 
@@ -950,7 +1041,7 @@ mod tests {
             (8, 300, 33), // k-blocking with ragged n tail
             (7, 5, 300),  // multiple k-blocks, tiny tiles
             // Ragged in all three, two row blocks; serial all the same — the
-            // sharded path is `matmul_parallel_matches_serial`'s.
+            // split paths are `matmul_parallel_matches_serial`'s.
             (97, 53, 71),
             (2, 1, 400),
             (1, 513, 4100),

@@ -10,8 +10,14 @@
 //! `transpose()` + `matmul` (+ `add_assign`), and those of the packed kernel,
 //! which [`packed`] reaches at any row count through the public API.
 //!
+//! Each case runs the product under test at a drawn worker count (1 to 3,
+//! through `eagle_obs::set_available_workers`) and its reference at one, so
+//! the products split by output rows or columns meet the oracle on any host.
+//!
 //! `EAGLE_ORACLE_CASES` sets the case count per property (64 by default,
 //! the PR-gating slice; the nightly job runs 10000).
+
+use std::sync::Mutex;
 
 use eagle_tensor::{Tensor, MR, NR, STREAM_MATMUL_ROWS};
 use proptest::prelude::*;
@@ -42,9 +48,10 @@ const INNER: [usize; 13] = [
 
 /// Outer dimensions: one row, below / at / past the `MR x NR` register tile
 /// and the `MR * NR`-column block a streamed `xᵀ . gy` holds in registers,
-/// past the 64-row block, and ragged in each.
-const OUTER: [usize; 11] =
-    [1, MR - 1, MR, MR + 1, NR, NR + 1, MR * NR - 1, MR * NR, MR * NR + 1, 66, 70];
+/// past the 64-row block, ragged in each, and wide enough (not `NR`-aligned)
+/// that a ten-row `gy . wᵀ` and `xᵀ . gy` split across workers.
+const OUTER: [usize; 12] =
+    [1, MR - 1, MR, MR + 1, NR, NR + 1, MR * NR - 1, MR * NR, MR * NR + 1, 66, 70, 1030];
 
 /// Rows of a forward product: the one-row and ten-row products the placer
 /// issues, both sides of the streaming bound, and two packed row blocks.
@@ -57,6 +64,18 @@ const COLS: [usize; 6] = [1, NR, 33, 70, KC / 10 * NR + 3, KC * NR + 4];
 
 fn cases() -> u32 {
     std::env::var("EAGLE_ORACLE_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
+}
+
+/// Runs `f` with the worker override at `workers`, then restores
+/// auto-detection; the lock keeps the properties, which run on concurrent
+/// threads, from moving the override under each other.
+fn at_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _held = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    eagle_obs::set_available_workers(workers);
+    let out = f();
+    eagle_obs::set_available_workers(0);
+    out
 }
 
 fn pick<const N: usize>(values: [usize; N]) -> impl Strategy<Value = usize> {
@@ -103,44 +122,49 @@ proptest! {
     #[test]
     fn matmul_is_the_packed_product(
         m in pick(ROWS), k in pick(INNER), n in pick(COLS), s in 0u64..1000,
-        special in any::<bool>()
+        special in any::<bool>(), workers in 1usize..=3
     ) {
         let (x, w) = (fill(m, k, s, special), fill(k, n, s + 1, special));
-        let got = x.matmul(&w);
+        let got = at_workers(workers, || x.matmul(&w));
         prop_assert_eq!(got.shape(), (m, n));
-        prop_assert_eq!(bits(&got), bits(&packed(&x, &w)));
+        prop_assert_eq!(bits(&got), bits(&at_workers(1, || packed(&x, &w))));
     }
 
     #[test]
     fn matmul_nt_is_transpose_then_matmul(
-        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000
+        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000,
+        workers in 1usize..=3
     ) {
         let (a, b) = (fill(m, k, s, false), fill(n, k, s + 1, false));
-        let want = a.matmul(&b.transpose());
-        prop_assert_eq!(a.matmul_nt(&b).shape(), (m, n));
-        prop_assert_eq!(bits(&a.matmul_nt(&b)), bits(&want));
+        let want = at_workers(1, || a.matmul(&b.transpose()));
+        let got = at_workers(workers, || a.matmul_nt(&b));
+        prop_assert_eq!(got.shape(), (m, n));
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
     fn matmul_tn_is_transpose_then_matmul(
-        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000
+        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000,
+        workers in 1usize..=3
     ) {
         let (a, b) = (fill(k, m, s, false), fill(k, n, s + 1, false));
-        let want = packed(&a.transpose(), &b);
-        prop_assert_eq!(a.matmul_tn(&b).shape(), (m, n));
-        prop_assert_eq!(bits(&a.matmul_tn(&b)), bits(&want));
+        let want = at_workers(1, || packed(&a.transpose(), &b));
+        let got = at_workers(workers, || a.matmul_tn(&b));
+        prop_assert_eq!(got.shape(), (m, n));
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
     fn matmul_tn_acc_is_product_then_add(
-        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000
+        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000,
+        workers in 1usize..=3
     ) {
         let (a, b) = (fill(k, m, s, false), fill(k, n, s + 1, false));
         // A target that already holds values, signed zeros among them.
         let mut into = fill(m, n, s + 2, false);
         let mut want = into.clone();
-        want.add_assign(&packed(&a.transpose(), &b));
-        a.matmul_tn_acc(&b, &mut into);
+        want.add_assign(&at_workers(1, || packed(&a.transpose(), &b)));
+        at_workers(workers, || a.matmul_tn_acc(&b, &mut into));
         prop_assert_eq!(bits(&into), bits(&want));
     }
 }
