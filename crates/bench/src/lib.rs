@@ -209,6 +209,84 @@ impl Cli {
         std::fs::write(&path, contents).expect("write artifact");
         println!("wrote {}", path.display());
     }
+
+    /// Records how each of `experiments`' artifacts was made in
+    /// `MANIFEST.json` of the output directory: the source `commit` (see
+    /// [`source_commit`]), the `command` line, `scale`, `seed` (every trainer
+    /// and environment seed derives from it), `samples` override, `curves`,
+    /// `workers` override and `host_cores`. Entries of artifacts this run did
+    /// not write are kept, so regenerating one entry leaves the others' lines.
+    pub fn write_manifest(&self, experiments: &[Experiment], commit: &str, command: &str) {
+        let path = self.out_dir.join(MANIFEST_FILE);
+        let mut entries: Vec<(String, Value)> = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|text| serde_json::from_str::<Value>(&text).ok())
+            .and_then(|doc| match doc.get("artifacts") {
+                Some(Value::Object(entries)) => Some(entries.clone()),
+                _ => None,
+            })
+            .unwrap_or_default();
+        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for experiment in experiments {
+            for file in experiment.artifacts(self) {
+                let entry = micro::obj(vec![
+                    ("experiment", Value::from(experiment.name)),
+                    ("commit", Value::from(commit)),
+                    ("command", Value::from(command)),
+                    ("scale", Value::from(self.scale_name.as_str())),
+                    ("seed", Value::U64(self.seed)),
+                    (
+                        "samples",
+                        self.samples_override.map_or(Value::Null, |n| Value::U64(n as u64)),
+                    ),
+                    ("curves", Value::Bool(self.curves)),
+                    ("workers", self.workers.map_or(Value::Null, |n| Value::U64(n as u64))),
+                    ("host_cores", Value::U64(host_cores as u64)),
+                ]);
+                entries.retain(|(name, _)| *name != file);
+                entries.push((file, entry));
+            }
+        }
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let lines: Vec<String> = entries
+            .iter()
+            .map(|(file, entry)| {
+                format!(
+                    "    {}: {}",
+                    serde_json::to_string(&Value::from(file.as_str())).expect("serialize"),
+                    serde_json::to_string(entry).expect("serialize")
+                )
+            })
+            .collect();
+        let doc = format!(
+            "{{\n  \"schema_version\": 1,\n  \"artifacts\": {{\n{}\n  }}\n}}\n",
+            lines.join(",\n")
+        );
+        self.write_artifact(MANIFEST_FILE, &doc);
+    }
+}
+
+/// The provenance file the driver keeps next to its artifacts.
+const MANIFEST_FILE: &str = "MANIFEST.json";
+
+/// `git rev-parse HEAD` of the working directory, with `-dirty` appended
+/// when tracked files differ from it, or `unknown` outside a git checkout.
+/// The driver reads it before any entry writes, so the artifacts it is
+/// about to overwrite do not count as edits.
+pub fn source_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else { return "unknown".to_string() };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if changes.is_empty() => head,
+        _ => format!("{head}-dirty"),
+    }
 }
 
 /// Which agent an experiment trains.
@@ -681,15 +759,27 @@ impl Experiment {
     /// whether the table's gate held; the artifact is written either way.
     pub fn run(&self, cli: &Cli) -> bool {
         println!("{} (scale = {})", self.title, cli.scale_name);
-        let (file, contents, held) = match &self.rows {
-            Rows::Whole { file, table } => {
-                let (contents, held) = table(cli);
-                (file.to_string(), contents, held)
-            }
-            Rows::Cells(rows) => (format!("{}.csv", self.name), self.run_cells(rows, cli), true),
+        let (contents, held) = match &self.rows {
+            Rows::Whole { table, .. } => table(cli),
+            Rows::Cells(rows) => (self.run_cells(rows, cli), true),
         };
-        cli.write_artifact(&file, &contents);
+        cli.write_artifact(&self.artifacts(cli)[0], &contents);
         held
+    }
+
+    /// The files [`Experiment::run`] writes under `cli`'s flags: its table,
+    /// then its figure CSVs.
+    fn artifacts(&self, cli: &Cli) -> Vec<String> {
+        match &self.rows {
+            Rows::Whole { file, .. } => vec![file.to_string()],
+            Rows::Cells(rows) => std::iter::once(format!("{}.csv", self.name))
+                .chain(
+                    rows.iter()
+                        .filter_map(|(b, _)| (self.curves)(*b).filter(|_| cli.curves))
+                        .map(String::from),
+                )
+                .collect(),
+        }
     }
 
     fn run_cells(&self, rows: &[(Benchmark, Vec<Cell>)], cli: &Cli) -> String {

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use eagle_devsim::{DeviceId, Machine, Placement};
 use eagle_opgraph::features::node_features;
 use eagle_opgraph::{GraphGen, GraphGenConfig};
-use eagle_tensor::{Tensor, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};
+use eagle_tensor::{tanh, Tensor, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};
 use serde_json::Value;
 
 use crate::Cli;
@@ -65,6 +65,14 @@ const SHORT_ROWS: [usize; 4] = [1, 4, 10, 16];
 /// widths (issued op-count tall only).
 const SHORT_WIDTHS: [(usize, usize); 5] =
     [(512, 2048), (1664, 2048), (48, 192), (156, 192), (81, 32)];
+
+/// `(rows, cols)` of the tanh buffers: the attention's `(B·k, a)`
+/// pre-activation of a quick-scale decode step and a 10-sample minibatch's
+/// LSTM gate block `(10, 4h)`.
+const TANH_SHAPES: [(usize, usize); 2] = [(320, 24), (10, 192)];
+
+/// Values to push through each tanh column per timed round.
+const TANH_VALUES: usize = 1 << 21;
 
 /// Total multiply-adds to spend per timed column, so small shapes get many
 /// repetitions and large ones few, at roughly constant wall-clock per cell.
@@ -138,9 +146,14 @@ fn split2(a: &Tensor, b: &Tensor) -> Tensor {
 /// `split2_sec` the forward's rows halved over two threads whatever the rule
 /// says. Best of 7 rounds, 1 at `--scale tiny`.
 ///
+/// `tanh` times the activation the tape applies to those products, per
+/// value over [`TANH_SHAPES`]: libm's `f32::tanh` (`tanh_libm_ns`) against
+/// the crate's branch-free port `eagle_tensor::tanh` (`tanh_exact_ns`).
+///
 /// Its gate: before each shape is timed, every layout's bits equal its
 /// definition on explicitly transposed operands (the forward's the packed
-/// loop's), on one worker and at the dispatch count.
+/// loop's), on one worker and at the dispatch count; and the two tanh
+/// columns write the same bits into their timed buffers.
 pub fn matmul(cli: &Cli) -> (String, bool) {
     let dispatch_workers = eagle_obs::available_workers();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -257,6 +270,46 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
     // Hand the driver's override (or auto-detection) back to later entries.
     eagle_obs::set_available_workers(cli.workers.unwrap_or(0));
 
+    let mut tanh_out: Vec<Value> = Vec::new();
+    for (rows, cols) in TANH_SHAPES {
+        // Pre-activations in [-4, 4), across every path of the C code but
+        // the tiny and saturated ones.
+        let x = fill(rows, cols, 5 + cols as u64).map(|v| 8.0 * v);
+        let values = rows * cols;
+        let (libm, exact) = (RefCell::new(vec![0.0; values]), RefCell::new(vec![0.0; values]));
+        let apply = |out: &RefCell<Vec<f32>>, f: fn(f32) -> f32| {
+            for (y, &v) in out.borrow_mut().iter_mut().zip(x.data()) {
+                *y = f(v);
+            }
+        };
+        let secs = bench(
+            rounds,
+            TANH_VALUES / values,
+            [&|| apply(&libm, f32::tanh), &|| apply(&exact, tanh)],
+        );
+        let [libm_ns, exact_ns] = secs.map(|sec| sec / values as f64 * 1e9);
+        let identical = libm
+            .borrow()
+            .iter()
+            .zip(exact.borrow().iter())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !identical {
+            eprintln!(
+                "matmul gate FAILED: tanh over {rows}x{cols}: the port's bits differ from libm's"
+            );
+            all_identical = false;
+        }
+        println!("  tanh {rows:>5}x{cols:<5} libm {libm_ns:>6.2}  exact {exact_ns:>6.2} ns/value");
+        tanh_out.push(obj(vec![
+            ("rows", Value::U64(rows as u64)),
+            ("cols", Value::U64(cols as u64)),
+            ("tanh_libm_ns", Value::from(libm_ns)),
+            ("tanh_exact_ns", Value::from(exact_ns)),
+            ("exact_vs_libm", Value::from(libm_ns / exact_ns)),
+            ("bitwise_identical", Value::Bool(identical)),
+        ]));
+    }
+
     let doc = obj(vec![
         ("bench", Value::from("matmul")),
         ("seed", Value::U64(cli.seed)),
@@ -266,6 +319,7 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
         ("stream_matmul_rows", Value::U64(STREAM_MATMUL_ROWS as u64)),
         ("target_features", Value::Array(target_features().into_iter().map(Value::from).collect())),
         ("shapes", Value::Array(shapes_out)),
+        ("tanh", Value::Array(tanh_out)),
     ]);
     (serde_json::to_string(&doc).expect("serialize"), all_identical)
 }

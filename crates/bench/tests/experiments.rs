@@ -134,6 +134,7 @@ fn all_writes_exactly_the_seventeen_artifacts() {
         "BENCH_matmul.json",
         "BENCH_telemetry_overhead.json",
         "BENCH_transfer.json",
+        "MANIFEST.json",
         "ablation_baseline.csv",
         "ablation_entropy.csv",
         "ablation_groups.csv",
@@ -149,6 +150,22 @@ fn all_writes_exactly_the_seventeen_artifacts() {
         "table4.csv",
     ];
     assert_eq!(written, expected);
+
+    // The manifest names every other file, with the command that wrote it.
+    let manifest: Value =
+        serde_json::from_str(&std::fs::read_to_string(out.join("MANIFEST.json")).unwrap()).unwrap();
+    let Value::Object(entries) = &manifest["artifacts"] else { panic!("{manifest:?}") };
+    let named: Vec<&str> = entries.iter().map(|(file, _)| file.as_str()).collect();
+    let artifacts: Vec<&str> = expected.into_iter().filter(|f| *f != "MANIFEST.json").collect();
+    assert_eq!(named, artifacts);
+    for (_, entry) in entries {
+        let command = format!(
+            "experiments all --curves --samples 10 --scale tiny --seed 7 --out {}",
+            out.display()
+        );
+        assert_eq!(entry["command"].as_str(), Some(command.as_str()), "{entry:?}");
+        assert_eq!(entry["seed"].as_u64(), Some(7), "{entry:?}");
+    }
 
     let mut csvs = Vec::new();
     for name in written.iter().filter(|name| name.ends_with(".csv")) {
@@ -183,6 +200,11 @@ fn all_writes_exactly_the_seventeen_artifacts() {
         for layout in ["bitwise_identical", "nt_bitwise_identical", "tn_bitwise_identical"] {
             assert_eq!(shape[layout], Value::Bool(true), "{shape:?}");
         }
+    }
+    let tanh = matmul["tanh"].as_array().unwrap();
+    assert_eq!(tanh.len(), 2);
+    for buffer in tanh {
+        assert_eq!(buffer["bitwise_identical"], Value::Bool(true), "{buffer:?}");
     }
     std::fs::remove_dir_all(out).ok();
 }

@@ -15,6 +15,7 @@
 //! * [`optim`] — Adam; global-norm gradient clipping is [`Grads::clip_global_norm`]
 //!   (the paper uses Adam, lr 0.01, clip 1.0).
 //! * [`init`] — Xavier / uniform initializers driven by an explicit RNG.
+//! * [`tanh()`] — glibc 2.36's `tanhf`, bit for bit, in branch-free Rust.
 //!
 //! ## Example
 //!
@@ -45,10 +46,12 @@ mod grads;
 pub mod init;
 pub mod optim;
 mod params;
+mod tanh;
 mod tape;
 mod tensor;
 
 pub use grads::Grads;
 pub use params::{ParamId, Params};
+pub use tanh::tanh;
 pub use tape::{FusedAct, Tape, Var};
 pub use tensor::{softmax_row, Tensor, MR, NR, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};

@@ -39,6 +39,7 @@ use std::sync::Arc;
 
 use crate::grads::Grads;
 use crate::params::{ParamId, Params};
+use crate::tanh::tanh;
 use crate::tensor::Tensor;
 
 /// Handle to a node (an intermediate value) on a [`Tape`].
@@ -349,9 +350,9 @@ impl Tape {
         self.push(Op::Sigmoid(a), value, g)
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent, [`crate::tanh()`] element-wise.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
+        let value = self.value(a).map(tanh);
         let g = self.ng(a);
         self.push(Op::Tanh(a), value, g)
     }
@@ -570,7 +571,7 @@ impl Tape {
             FusedAct::None => {}
             FusedAct::Tanh => {
                 for v in value.data_mut() {
-                    *v = v.tanh();
+                    *v = tanh(*v);
                 }
             }
             FusedAct::Relu => {
@@ -633,16 +634,29 @@ impl Tape {
         let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
         for r in 0..n {
             let (gates, tc) = saved.row_mut(r).split_at_mut(4 * h);
-            for (j, (gate, &x)) in gates.iter_mut().zip(zv.row(r)).enumerate() {
-                *gate = if j / h == 2 { x.tanh() } else { sigmoid(x) };
+            let (ifg, o) = gates.split_at_mut(3 * h);
+            let (i_f, g) = ifg.split_at_mut(2 * h);
+            let z_row = zv.row(r);
+            for (gate, &x) in i_f.iter_mut().zip(z_row) {
+                *gate = sigmoid(x);
+            }
+            for (gate, &x) in g.iter_mut().zip(&z_row[2 * h..]) {
+                *gate = tanh(x);
+            }
+            for (gate, &x) in o.iter_mut().zip(&z_row[3 * h..]) {
+                *gate = sigmoid(x);
             }
             let (c_row, h_row) = (c.row_mut(r), h_out.row_mut(r));
             for j in 0..h {
-                let fc = gates[h + j] * cp.row(r)[j];
-                let ig = gates[j] * gates[2 * h + j];
+                let fc = i_f[h + j] * cp.row(r)[j];
+                let ig = i_f[j] * g[j];
                 c_row[j] = fc + ig;
-                tc[j] = c_row[j].tanh();
-                h_row[j] = gates[3 * h + j] * tc[j];
+            }
+            for (t, &cv) in tc.iter_mut().zip(&*c_row) {
+                *t = tanh(cv);
+            }
+            for ((hv, &og), &t) in h_row.iter_mut().zip(&*o).zip(&*tc) {
+                *hv = og * t;
             }
         }
         let g = self.ng(z) || self.ng(c_prev);
