@@ -272,8 +272,8 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
 
     let mut tanh_out: Vec<Value> = Vec::new();
     for (rows, cols) in TANH_SHAPES {
-        // Pre-activations in [-4, 4), across every path of the C code but
-        // the tiny and saturated ones.
+        // Pre-activations in [-4, 4): every path of the C code that
+        // |x| < 4 reaches.
         let x = fill(rows, cols, 5 + cols as u64).map(|v| 8.0 * v);
         let values = rows * cols;
         let (libm, exact) = (RefCell::new(vec![0.0; values]), RefCell::new(vec![0.0; values]));

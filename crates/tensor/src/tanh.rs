@@ -24,8 +24,8 @@ const ROUND: f32 = 12_582_912.0;
 /// `s_expm1f.c` it calls, as shipped in glibc 2.36: each path is evaluated
 /// with the C code's `f32` operations in the C code's order, and the one the
 /// C code would take is selected. There is no branch, so a loop over a slice
-/// vectorizes; that makes it about 3x cheaper than the libm call `f32::tanh`
-/// under the workspace's AVX2 build. An exhaustive test holds it to
+/// vectorizes; that makes it about 4x cheaper than the libm call `f32::tanh`
+/// under the workspace's AVX2 build (`results/BENCH_matmul.json`, `tanh`). An exhaustive test holds it to
 /// `f32::tanh` over all 2³² inputs; on a host whose `tanhf` is another one
 /// (glibc ≥ 2.41, musl, macOS) it keeps glibc 2.36's bits where `f32::tanh`
 /// would not.

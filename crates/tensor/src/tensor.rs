@@ -35,19 +35,19 @@ use std::ops::Range;
 /// `dispatch_sec`, `nt_dispatch_sec` and `tn_acc_dispatch_sec` this rule at
 /// two, `split2_sec` the forward's rows halved over two threads whatever the
 /// rule says). A scoped thread costs tens of microseconds to start and to
-/// wake a core for, which a share of `128^3` multiply-adds (167 us serial)
+/// wake a core for, which a share of `128^3` multiply-adds (163 us serial)
 /// can repay and a smaller one cannot, so `128x128 . 128x128` and everything
-/// below it is serial (`split2` 0.02x, 0.27x and 0.79x at `16^3`, `64^3` and
+/// below it is serial (`split2` 0.02x, 0.31x and 0.95x at `16^3`, `64^3` and
 /// `128^3`; over twelve earlier sweeps `128^3` read 0.65x to 1.35x, half of
 /// them below 1), and so is the one-row step `1x1664 . 1664x2048`, under
-/// twice the floor. The 10-row gate products split by columns read 1.56x
-/// (`10x512 . 512x2048`) and 1.64x (`10x1664 . 1664x2048`) of `serial`,
-/// their `gy . wᵀ` 1.57x and 1.89x, and their `slot += xᵀ . gy`, split by
-/// rows, 1.61x and 1.87x; row splits of `256^3` and `1024x64 . 64x64` read
-/// 1.55x and 1.56x, and of the op-count-tall grouper products
-/// `2935x81 . 81x32` and `1182x81 . 81x64` 0.93x and 1.04x (1.42x both in
-/// the sweep before: the shared host is noisy). Nothing here is tuned to a
-/// host.
+/// twice the floor. The 10-row gate products split by columns read 1.90x
+/// (`10x512 . 512x2048`) and 1.78x (`10x1664 . 1664x2048`) of `serial`,
+/// their `gy . wᵀ` 1.75x and 1.67x, and their `slot += xᵀ . gy`, split by
+/// rows, 2.02x and 1.95x; row splits of `256^3` and `1024x64 . 64x64` read
+/// 1.27x and 1.20x, and of the op-count-tall grouper products
+/// `2935x81 . 81x32` and `1182x81 . 81x64` 1.36x and 1.28x (0.93x and 1.04x
+/// in the sweep before: the shared host is noisy). Nothing here is tuned to
+/// a host.
 pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 
 /// [`Tensor::matmul`] streams a product with fewer rows than this through
@@ -55,9 +55,9 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// copy all of a multi-megabyte weight to feed at most three `MR`-row tiles.
 /// Read off `results/BENCH_matmul.json` (`serial_sec` against `packed_sec`)
 /// as the largest swept row count at which streaming wins at every width a
-/// workload issues short: 10, where it runs `10x1664 . 1664x2048` 2.53x,
-/// `10x512 . 512x2048` 2.04x, `10x48 . 48x192` 1.57x and `10x156 . 156x192`
-/// 1.30x faster (one row: 5.8x to 11.2x); it loses only at `81x32` (0.69x), a
+/// workload issues short: 10, where it runs `10x1664 . 1664x2048` 2.06x,
+/// `10x512 . 512x2048` 1.70x, `10x48 . 48x192` 1.60x and `10x156 . 156x192`
+/// 1.34x faster (one row: 5.8x to 10.3x); it loses only at `81x32` (0.68x), a
 /// width the grouper issues op-count tall. Built with the bound past 16,
 /// the AVX2 sweep had streaming win at 16 rows too (1.08x to 1.52x, `81x32`
 /// aside), but the policies issue no product 11 to 16 rows tall (their
@@ -66,7 +66,7 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 ///
 /// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_acc`] stream under the same
 /// bound (the short side of `xᵀ . gy` is the rows of `x`): `tn_acc_sec` at
-/// `10x1664` is 4.0 ms; in alternating sweeps against a build with the
+/// `10x1664` is 3.7 ms; in alternating sweeps against a build with the
 /// bound at 2 the packed loop took 4.9 to 13 ms there, and streamed it still
 /// won at 16 rows (`16x1664`: 4.6 to 6.5 ms against 6.3 to 9.5 ms packed),
 /// so the forward sets the bound.
