@@ -18,7 +18,7 @@
 //! * [`Environment`] — the 15-step measurement protocol with noise and a simulated
 //!   wall-clock (the x-axis of the paper's training-curve figures).
 //! * [`predefined`] — Single-GPU and Human-Expert baseline placements.
-//! * [`search`] — random-search / annealing oracles over the landscape.
+//! * [`search`] — the simulated-annealing oracle over the landscape.
 //! * [`Benchmark`] — calibrated Inception-V3 / GNMT / BERT instances.
 
 #![warn(missing_docs)]

@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn inception_structure() {
         let g = try_inception_v3(&InceptionConfig::default()).expect("default config is valid");
-        assert!(g.is_acyclic());
+        assert_eq!(g.validate(), Ok(()));
         assert!(g.len() > 800, "got {} ops", g.len());
         assert!(g.len() < 4000, "got {} ops", g.len());
         // Batch 1 training fits a single 16 GB GPU comfortably.
@@ -490,7 +490,7 @@ mod tests {
     #[test]
     fn gnmt_structure_and_memory() {
         let g = try_gnmt(&GnmtConfig::default()).expect("default config is valid");
-        assert!(g.is_acyclic());
+        assert_eq!(g.validate(), Ok(()));
         assert!(g.len() > 1500, "got {} ops", g.len());
         assert!(g.len() < 9000, "got {} ops", g.len());
         // Batch 256 must NOT fit one 16 GB GPU (the paper's whole point)...
@@ -502,7 +502,7 @@ mod tests {
     #[test]
     fn bert_structure_and_memory() {
         let g = try_bert_base(&BertConfig::default()).expect("default config is valid");
-        assert!(g.is_acyclic());
+        assert_eq!(g.validate(), Ok(()));
         assert!(g.len() > 2000, "got {} ops", g.len());
         assert!(g.len() < 15000, "got {} ops", g.len());
         assert!(g.total_bytes() > 16 * (1u64 << 30), "bytes = {}", g.total_bytes());
@@ -575,7 +575,7 @@ mod tests {
     fn small_configs_scale_down() {
         let g = try_gnmt(&GnmtConfig { batch: 4, hidden: 8, layers: 2, seq_len: 3, vocab: 50 })
             .expect("valid config");
-        assert!(g.is_acyclic());
+        assert_eq!(g.validate(), Ok(()));
         assert!(g.len() < 300);
         let b = try_bert_base(&BertConfig {
             batch: 2,
@@ -587,7 +587,7 @@ mod tests {
             vocab: 30,
         })
         .expect("valid config");
-        assert!(b.is_acyclic());
+        assert_eq!(b.validate(), Ok(()));
         assert!(b.len() < 400);
     }
 }

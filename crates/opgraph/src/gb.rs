@@ -304,13 +304,13 @@ impl Gb {
 
     pub(crate) fn finish(mut self) -> OpGraph {
         self.mirror_backward();
-        debug_assert!(self.g.is_acyclic());
+        debug_assert_eq!(self.g.validate(), Ok(()));
         self.g
     }
 
     /// Forward-only finish: no backward mirroring (inference-style graphs).
     pub(crate) fn finish_forward(self) -> OpGraph {
-        debug_assert!(self.g.is_acyclic());
+        debug_assert_eq!(self.g.validate(), Ok(()));
         self.g
     }
 

@@ -28,6 +28,23 @@ pub enum GraphError {
         /// The op on both ends.
         op: OpId,
     },
+    /// The successor or predecessor table does not hold one list per node.
+    AdjacencyLength {
+        /// Number of nodes.
+        nodes: usize,
+        /// Number of successor lists.
+        succs: usize,
+        /// Number of predecessor lists.
+        preds: usize,
+    },
+    /// An edge is not listed exactly once in the successor table and exactly
+    /// once in the predecessor table.
+    EdgeMismatch {
+        /// The producer end.
+        from: OpId,
+        /// The consumer end.
+        to: OpId,
+    },
     /// The graph contains a directed cycle.
     Cycle,
     /// The graph has no operations.
@@ -38,6 +55,12 @@ pub enum GraphError {
         op: OpId,
         /// Which annotation was bad (`"flops"`).
         what: &'static str,
+    },
+    /// An op's `param_bytes + act_bytes`, or the graph's sum of them up to
+    /// and including this op, does not fit in a `u64`.
+    MemoryOverflow {
+        /// The op at which the sum overflows.
+        op: OpId,
     },
     /// A generator or builder configuration is unusable (zero-width layer,
     /// zero motif weights, empty ranges, ...). The message names the field.
@@ -51,10 +74,21 @@ impl std::fmt::Display for GraphError {
                 write!(f, "op id {} out of range for a graph of {len} nodes", op.0)
             }
             GraphError::SelfLoop { op } => write!(f, "self-loop on op id {}", op.0),
+            GraphError::AdjacencyLength { nodes, succs, preds } => {
+                write!(f, "{nodes} nodes but {succs} successor lists and {preds} predecessor lists")
+            }
+            GraphError::EdgeMismatch { from, to } => write!(
+                f,
+                "edge {} -> {} is not listed exactly once as a successor and once as a predecessor",
+                from.0, to.0
+            ),
             GraphError::Cycle => write!(f, "graph contains a cycle"),
             GraphError::Empty => write!(f, "graph has no operations"),
             GraphError::BadCost { op, what } => {
                 write!(f, "op id {} has a non-finite or negative {what}", op.0)
+            }
+            GraphError::MemoryOverflow { op } => {
+                write!(f, "param_bytes + act_bytes overflow u64 at op id {}", op.0)
             }
             GraphError::BadConfig(msg) => write!(f, "bad graph configuration: {msg}"),
         }
@@ -362,7 +396,8 @@ impl OpGraph {
     }
 
     /// Kahn topological order, reporting a cycle as [`GraphError::Cycle`]
-    /// instead of panicking.
+    /// instead of panicking. It trusts the adjacency tables, so a graph read
+    /// from outside goes through [`OpGraph::validate`] first.
     pub fn try_topo_order(&self) -> Result<Vec<OpId>, GraphError> {
         let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
         let mut queue: std::collections::VecDeque<OpId> =
@@ -383,13 +418,19 @@ impl OpGraph {
         Ok(order)
     }
 
-    /// Checks every structural and cost invariant downstream consumers (the
-    /// simulator, the feature extractor, the policies) rely on:
+    /// The one check a graph gets before anything places it. Total on any
+    /// value deserialization can produce; on `Ok` the graph is one every
+    /// downstream consumer (the simulator, the feature extractor, the
+    /// grouper, the policies) can index and sum without a panic:
     ///
-    /// * the graph is non-empty and acyclic,
-    /// * adjacency is internally consistent (every successor edge has a
-    ///   matching predecessor entry, endpoints in range, no self-loops),
-    /// * every op's FLOPs are finite and non-negative.
+    /// * the graph is non-empty,
+    /// * `succs` and `preds` hold one list per node, every endpoint is in
+    ///   range, there are no self-loops, and the two tables list the same
+    ///   edges, each exactly once,
+    /// * every op's FLOPs are finite and non-negative,
+    /// * every op's `param_bytes + act_bytes`, and their sum over the graph,
+    ///   fit in a `u64`,
+    /// * the graph is acyclic ([`OpGraph::try_topo_order`]).
     ///
     /// Generated graphs ([`crate::graphgen::GraphGen`]) additionally guarantee
     /// that edges always point from a lower id to a higher one (insertion order
@@ -401,48 +442,50 @@ impl OpGraph {
             return Err(GraphError::Empty);
         }
         let len = self.len();
-        for (i, succs) in self.succs.iter().enumerate() {
-            let from = OpId(i as u32);
-            for &to in succs {
-                if to.index() >= len {
-                    return Err(GraphError::NodeOutOfRange { op: to, len });
-                }
-                if to == from {
-                    return Err(GraphError::SelfLoop { op: from });
-                }
-                if !self.preds[to.index()].contains(&from) {
-                    return Err(GraphError::NodeOutOfRange { op: from, len });
+        if self.succs.len() != len || self.preds.len() != len {
+            return Err(GraphError::AdjacencyLength {
+                nodes: len,
+                succs: self.succs.len(),
+                preds: self.preds.len(),
+            });
+        }
+        // Every listing as `(from, to, in_preds)`. Sorted, the tables agree
+        // exactly when the listings pair up as `(e, false), (e, true)`.
+        let mut listed = Vec::with_capacity(2 * self.num_edges());
+        for (i, (succs, preds)) in self.succs.iter().zip(&self.preds).enumerate() {
+            let here = OpId(i as u32);
+            for (ends, in_preds) in [(succs, false), (preds, true)] {
+                for &there in ends {
+                    if there.index() >= len {
+                        return Err(GraphError::NodeOutOfRange { op: there, len });
+                    }
+                    if there == here {
+                        return Err(GraphError::SelfLoop { op: here });
+                    }
+                    let (from, to) = if in_preds { (there, here) } else { (here, there) };
+                    listed.push((from, to, in_preds));
                 }
             }
         }
-        for id in self.ids() {
-            let n = self.node(id);
+        listed.sort_unstable();
+        for pair in listed.chunks(2) {
+            match *pair {
+                [(f, t, false), (pf, pt, true)] if (f, t) == (pf, pt) => {}
+                _ => return Err(GraphError::EdgeMismatch { from: pair[0].0, to: pair[0].1 }),
+            }
+        }
+        let mut total = 0u64;
+        for (id, n) in self.ids().zip(&self.nodes) {
             if !n.flops.is_finite() || n.flops < 0.0 {
                 return Err(GraphError::BadCost { op: id, what: "flops" });
             }
+            total = n
+                .param_bytes
+                .checked_add(n.act_bytes)
+                .and_then(|bytes| total.checked_add(bytes))
+                .ok_or(GraphError::MemoryOverflow { op: id })?;
         }
-        if !self.is_acyclic() {
-            return Err(GraphError::Cycle);
-        }
-        Ok(())
-    }
-
-    /// True when the graph is a DAG.
-    pub fn is_acyclic(&self) -> bool {
-        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
-        let mut queue: std::collections::VecDeque<usize> =
-            indeg.iter().enumerate().filter(|(_, &d)| d == 0).map(|(i, _)| i).collect();
-        let mut seen = 0;
-        while let Some(i) = queue.pop_front() {
-            seen += 1;
-            for &s in &self.succs[i] {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push_back(s.index());
-                }
-            }
-        }
-        seen == self.len()
+        self.try_topo_order().map(drop)
     }
 
     /// Total FLOPs per training step.
@@ -500,7 +543,7 @@ mod tests {
         assert_eq!(g.succs(OpId(0)), &[OpId(1), OpId(2)]);
         assert_eq!(g.preds(OpId(3)), &[OpId(1), OpId(2)]);
         assert_eq!(g.total_flops(), 15.0);
-        assert!(g.is_acyclic());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
@@ -533,9 +576,9 @@ mod tests {
     #[test]
     fn cycle_detection() {
         let mut g = diamond();
-        assert!(g.is_acyclic());
+        assert_eq!(g.validate(), Ok(()));
         g.add_edge(OpId(3), OpId(0));
-        assert!(!g.is_acyclic());
+        assert_eq!(g.validate(), Err(GraphError::Cycle));
     }
 
     #[test]
@@ -602,6 +645,66 @@ mod tests {
         assert_eq!(bad.validate(), Err(GraphError::BadCost { op: OpId(1), what: "flops" }));
         bad.node_mut(OpId(1)).flops = -1.0;
         assert_eq!(bad.validate(), Err(GraphError::BadCost { op: OpId(1), what: "flops" }));
+    }
+
+    /// The chain `a -> b` as it arrives on the wire, with its adjacency
+    /// tables replaced by `succs` and `preds` (JSON arrays).
+    fn wire_chain(succs: &str, preds: &str) -> OpGraph {
+        let mut g = OpGraph::new("chain");
+        let a = g.add_node(OpNode::new("a", OpKind::Input, Phase::Forward));
+        let b = g.add_node(OpNode::new("b", OpKind::MatMul, Phase::Forward).with_flops(4.0));
+        g.add_edge(a, b);
+        let json = g.to_json();
+        let tables = r#""succs":[[1],[]],"preds":[[],[0]]"#;
+        assert!(json.contains(tables), "{json}");
+        OpGraph::from_json(&json.replace(tables, &format!(r#""succs":{succs},"preds":{preds}"#)))
+            .unwrap()
+    }
+
+    #[test]
+    fn validate_rejects_a_successor_out_of_range() {
+        assert_eq!(
+            wire_chain("[[7],[]]", "[[],[0]]").validate(),
+            Err(GraphError::NodeOutOfRange { op: OpId(7), len: 2 })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_adjacency_shorter_than_nodes() {
+        let short = GraphError::AdjacencyLength { nodes: 2, succs: 1, preds: 2 };
+        assert_eq!(wire_chain("[[1]]", "[[],[0]]").validate(), Err(short));
+        let short = GraphError::AdjacencyLength { nodes: 2, succs: 2, preds: 1 };
+        assert_eq!(wire_chain("[[1],[]]", "[[]]").validate(), Err(short));
+    }
+
+    #[test]
+    fn validate_rejects_edges_listed_on_one_side_only() {
+        let mismatch = Err(GraphError::EdgeMismatch { from: OpId(0), to: OpId(1) });
+        // A predecessor with no matching successor...
+        assert_eq!(wire_chain("[[],[]]", "[[],[0]]").validate(), mismatch);
+        // ...and a successor whose predecessor list omits it.
+        assert_eq!(wire_chain("[[1],[]]", "[[],[]]").validate(), mismatch);
+    }
+
+    #[test]
+    fn validate_rejects_a_duplicate_edge() {
+        let dup = Err(GraphError::EdgeMismatch { from: OpId(0), to: OpId(1) });
+        assert_eq!(wire_chain("[[1,1],[]]", "[[],[0,0]]").validate(), dup);
+        assert_eq!(wire_chain("[[1,1],[]]", "[[],[0]]").validate(), dup);
+    }
+
+    #[test]
+    fn validate_rejects_memory_that_overflows_u64() {
+        let mut g = diamond();
+        g.node_mut(OpId(1)).param_bytes = u64::MAX;
+        assert_eq!(g.validate(), Ok(()));
+        g.node_mut(OpId(2)).param_bytes = u64::MAX;
+        assert_eq!(g.validate(), Err(GraphError::MemoryOverflow { op: OpId(2) }));
+
+        let mut g = diamond();
+        g.node_mut(OpId(0)).param_bytes = u64::MAX;
+        g.node_mut(OpId(0)).act_bytes = 1;
+        assert_eq!(g.validate(), Err(GraphError::MemoryOverflow { op: OpId(0) }));
     }
 
     #[test]

@@ -132,17 +132,6 @@ fn graph_fingerprint(graph: &OpGraph) -> u64 {
     fnv1a64(graph.to_json().as_bytes())
 }
 
-/// Refuses a graph no policy can place: empty, or with a cycle.
-fn check_graph(graph: &OpGraph) -> Result<(), EagleError> {
-    if graph.is_empty() {
-        return Err(EagleError::BadRequest("graph has no nodes".into()));
-    }
-    if !graph.is_acyclic() {
-        return Err(EagleError::BadRequest("graph has a cycle".into()));
-    }
-    Ok(())
-}
-
 /// Re-validates a wire-supplied machine through the builder, yielding the same
 /// typed errors local construction would.
 fn validated_machine(machine: Machine) -> Result<Machine, EagleError> {
@@ -205,10 +194,11 @@ impl Router {
         &self.recorder
     }
 
-    /// Validates and registers `graph`, returning its content-addressed key.
-    /// Registering the same graph twice returns the same key.
+    /// Validates ([`OpGraph::validate`]) and registers `graph`, returning its
+    /// content-addressed key. Registering the same graph twice returns the
+    /// same key.
     pub fn register_graph(&self, graph: OpGraph) -> Result<String, EagleError> {
-        check_graph(&graph)?;
+        graph.validate().map_err(|e| EagleError::BadRequest(e.to_string()))?;
         let key = format!("{:016x}", graph_fingerprint(&graph));
         let mut reg = self.graphs.lock().expect("graph registry lock");
         if !reg.by_key.contains_key(&key) {
@@ -247,7 +237,7 @@ impl Router {
                 return Err(EagleError::BadRequest("one of `graph`/`graph_key` required".into()))
             }
             (Some(g), None) => {
-                check_graph(g)?;
+                g.validate().map_err(|e| EagleError::BadRequest(e.to_string()))?;
                 (Arc::new(g.clone()), graph_fingerprint(g))
             }
             (None, Some(key)) => {
@@ -777,5 +767,24 @@ mod tests {
             router.register_graph(OpGraph::new("empty")),
             Err(EagleError::BadRequest(_))
         ));
+    }
+
+    /// Wire graphs whose adjacency tables do not fit their nodes are refused
+    /// typed, by registration and by inline submission alike.
+    #[test]
+    fn malformed_adjacency_is_a_bad_request() {
+        use eagle_opgraph::{OpKind, OpNode, Phase};
+        let (router, _, _, family) = serve_setup("malformed");
+        let mut chain = OpGraph::new("chain");
+        let a = chain.add_node(OpNode::new("a", OpKind::Input, Phase::Forward));
+        let b = chain.add_node(OpNode::new("b", OpKind::MatMul, Phase::Forward));
+        chain.add_edge(a, b);
+        let json = chain.to_json();
+        for succs in [r#""succs":[[7],[]]"#, r#""succs":[[1]]"#] {
+            let bad = OpGraph::from_json(&json.replace(r#""succs":[[1],[]]"#, succs)).unwrap();
+            assert!(matches!(router.register_graph(bad.clone()), Err(EagleError::BadRequest(_))));
+            let req = PlaceRequest::inline(1, &family, bad);
+            assert!(matches!(router.submit(req), Err(EagleError::BadRequest(_))));
+        }
     }
 }

@@ -7,11 +7,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eagle::api::{ErrorCode, PlaceRequest, API_SCHEMA_VERSION};
+use eagle::api::{
+    encode_request, ErrorCode, PlaceRequest, RegisterGraphRequest, Request, API_SCHEMA_VERSION,
+};
 use eagle::core::{AgentScale, EagleAgent, PlacementAgent};
 use eagle::devsim::{simulate, Benchmark, Machine};
 use eagle::obs::Recorder;
-use eagle::opgraph::OpGraph;
+use eagle::opgraph::{OpGraph, OpKind, OpNode, Phase};
 use eagle::rl::{fork_streams, StochasticPolicy};
 use eagle::serve::{publish_state, untrained_state, Client, PolicyStore, Server, ServerConfig};
 use eagle::tensor::Params;
@@ -192,6 +194,52 @@ fn daemon_replies_with_typed_errors() {
     let resp = client.place(PlaceRequest::by_key(4, "inception_v3", &key)).expect("reply");
     assert!(resp.error.is_none());
     assert_eq!(server.recorder().counter_value("serve.errors"), 5);
+    server.shutdown();
+}
+
+/// A wire graph whose adjacency does not fit its nodes is refused with a typed
+/// `register_graph_result`; the connection stays up and no handler panics.
+#[test]
+fn malformed_wire_graph_gets_a_typed_reply_on_a_live_connection() {
+    let root = std::env::temp_dir().join("eagle-serve-e2e").join("malformed_graph");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let server = start_server(&root);
+
+    let mut chain = OpGraph::new("chain");
+    let a = chain.add_node(OpNode::new("a", OpKind::Input, Phase::Forward));
+    let b = chain.add_node(OpNode::new("b", OpKind::MatMul, Phase::Forward).with_flops(4.0));
+    chain.add_edge(a, b);
+    let good = encode_request(&Request::RegisterGraph(RegisterGraphRequest {
+        schema_version: API_SCHEMA_VERSION,
+        id: 7,
+        graph: chain,
+    }));
+    let tables = r#""succs":[[1],[]]"#;
+    assert!(good.contains(tables), "{good}");
+
+    let raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut writer = raw.try_clone().unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut ask = |line: &str| -> Value {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        serde_json::from_str(reply.trim_end()).expect("a reply line")
+    };
+    for bad in [r#""succs":[[7],[]]"#, r#""succs":[[1]]"#] {
+        let v = ask(&good.replace(tables, bad));
+        assert_eq!(v["type"].as_str(), Some("register_graph_result"));
+        assert_eq!(v["id"].as_u64(), Some(7));
+        assert_eq!(v["error"]["code"].as_str(), Some("BadRequest"), "{bad}");
+        assert!(v["graph_key"].as_str().is_none());
+    }
+    let v = ask(&good);
+    assert!(matches!(v["error"], Value::Null) && v["graph_key"].as_str().is_some(), "{v:?}");
+
+    let rec = server.recorder();
+    assert_eq!(rec.counter_value("serve.handler_panics"), 0);
+    assert_eq!(rec.counter_value("serve.errors"), 2);
     server.shutdown();
 }
 
