@@ -11,13 +11,14 @@
 //! single PPO update trains both halves coherently, instead of the two separately
 //! sampled sub-policies of Hierarchical Planner.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use eagle_devsim::{search::topo_chunks, Machine, Placement};
-use eagle_nn::{AttentionMode, Grouper, Lstm, Placer};
+use eagle_nn::{AttentionMode, Encoded, Grouper, Lstm, Placer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
-use eagle_tensor::{optim::Adam, Grads, Params, Tape, Tensor, Var};
+use eagle_tensor::{optim::Adam, Grads, Params, ParamsStamp, Tape, Tensor, Var};
 use rand::Rng;
 
 use crate::scale::AgentScale;
@@ -31,6 +32,19 @@ pub struct EagleAgent {
     placer: Placer,
     features: Arc<Tensor>,
     num_groups: usize,
+    /// A serving agent's request-independent forward
+    /// ([`EagleAgent::for_params`]); `None` for every other agent.
+    prepared: Option<Prepared>,
+}
+
+/// What the forward computes before the placer's decoder loop, under the
+/// parameters `stamp` names: the hard op-to-group assignment, the `1x1`
+/// balance loss and the placer's encoder pass.
+struct Prepared {
+    stamp: ParamsStamp,
+    group_of: Vec<usize>,
+    aux: Arc<Tensor>,
+    encoded: Encoded,
 }
 
 impl EagleAgent {
@@ -93,7 +107,7 @@ impl EagleAgent {
             AttentionMode::Before,
             rng,
         );
-        Self { grouper, link, placer, features, num_groups: k }
+        Self { grouper, link, placer, features, num_groups: k, prepared: None }
     }
 
     /// Warm-starts the grouper to a balanced topological chunking of the graph.
@@ -159,6 +173,41 @@ impl EagleAgent {
         tape.scale(deficit, 3.0)
     }
 
+    /// The forward before the placer: the grouper's logits, the balance loss
+    /// and the linked group embeddings the placer reads.
+    fn prefix(&self, tape: &mut Tape, params: &Params) -> (Var, Var, Var) {
+        let f = tape.leaf_shared(Arc::clone(&self.features));
+        let logits = self.grouper.logits(tape, params, f);
+        let aux = self.balance_loss(tape, logits);
+        let group_emb = self.grouper.soft_group_embeddings(tape, logits, f);
+        let (linked, _) = self.link.forward(tape, params, group_emb);
+        (logits, aux, linked)
+    }
+
+    /// Computes the request-independent forward under `params` once, for
+    /// every later sampling forward and decode under these very tensors.
+    pub(crate) fn prepare(&mut self, params: &Params) {
+        let mut tape = Tape::new();
+        let (logits, aux, linked) = self.prefix(&mut tape, params);
+        let encoded = self.placer.encode(&mut tape, params, linked).expect("a seq2seq placer");
+        self.prepared = Some(Prepared {
+            stamp: params.stamp(),
+            group_of: Grouper::hard_assign(tape.value(logits)),
+            aux: Arc::new(tape.value(aux).clone()),
+            encoded,
+        });
+    }
+
+    /// The prepared values, if `params` are the tensors they were computed from.
+    fn prepared_for(&self, params: &Params) -> Option<&Prepared> {
+        self.prepared.as_ref().filter(|p| p.stamp.matches(params))
+    }
+
+    /// True for a serving agent prepared with these very tensors.
+    pub fn is_prepared_for(&self, params: &Params) -> bool {
+        self.prepared_for(params).is_some()
+    }
+
     /// The current hard op-to-group assignment (argmax of the grouper).
     pub fn group_assignment(&self, params: &Params) -> Vec<usize> {
         let mut tape = Tape::new();
@@ -176,20 +225,27 @@ impl StochasticPolicy for EagleAgent {
     /// The grouper, the group-balance auxiliary loss and the linking RNN are
     /// episode-independent, so they run *once*; the placer decodes all
     /// episodes in one pass (it sees the same `linked` Var for every episode,
-    /// so its encoder also runs once).
+    /// so its encoder also runs once). A serving agent sampling under the
+    /// parameters it was prepared with runs only the decoder loop, over its
+    /// prepared values as leaves; a replay records the whole forward.
     fn forward_batch(
         &self,
         params: &Params,
         draws: Draws<'_, '_>,
     ) -> (BatchScoreHandle, Vec<Vec<usize>>) {
         let mut tape = Tape::new();
-        let f = tape.leaf_shared(Arc::clone(&self.features));
-        let logits = self.grouper.logits(&mut tape, params, f);
-        let aux = self.balance_loss(&mut tape, logits);
-        let group_emb = self.grouper.soft_group_embeddings(&mut tape, logits, f);
-        let (linked, _) = self.link.forward(&mut tape, params, group_emb);
-        let xs = vec![linked; draws.episodes()];
-        let outs = self.placer.forward_batch(&mut tape, params, &xs, draws);
+        let sampling = matches!(draws, Draws::Sample(_));
+        let (aux, outs) = match self.prepared_for(params).filter(|_| sampling) {
+            Some(p) => {
+                let aux = tape.leaf_shared(Arc::clone(&p.aux));
+                (aux, self.placer.forward_encoded(&mut tape, params, &p.encoded, draws))
+            }
+            None => {
+                let (_, aux, linked) = self.prefix(&mut tape, params);
+                let xs = vec![linked; draws.episodes()];
+                (aux, self.placer.forward_batch(&mut tape, params, &xs, draws))
+            }
+        };
         let (episodes, actions) = outs
             .into_iter()
             .map(|out| {
@@ -218,6 +274,7 @@ impl PlacementAgent for EagleAgent {
             placer: self.placer.clone(),
             features: Arc::new(super::features_tensor(graph)),
             num_groups: self.num_groups,
+            prepared: None,
         })
     }
 
@@ -225,10 +282,14 @@ impl PlacementAgent for EagleAgent {
         self.placer.num_devices()
     }
 
+    /// The grouper forward depends only on the parameters: it runs once per
+    /// minibatch, and not at all on a serving agent given the parameters it
+    /// was prepared with, which reads the prepared assignment.
     fn decode_batch(&self, params: &Params, actions: &[Vec<usize>]) -> Vec<Placement> {
-        // The grouper forward depends only on the parameters, not on the
-        // episode: run it once for the whole minibatch.
-        let group_of = self.group_assignment(params);
+        let group_of = match self.prepared_for(params) {
+            Some(p) => Cow::Borrowed(&p.group_of),
+            None => Cow::Owned(self.group_assignment(params)),
+        };
         actions.iter().map(|a| super::place_groups(self, a, &group_of, a)).collect()
     }
 }

@@ -6,9 +6,12 @@
 //! seeded draws at once — the serving router answers a wave's requests with
 //! it, the trainer's zero-shot probes and the `transfer` bench call it with one
 //! draw — and [`EagleAgent::for_params`] is the one way to put an agent around
-//! stored parameters. Whatever makes a placement feasible by construction
-//! (capacity masks during decode, a greedy repair of an over-full device)
-//! belongs between the decode and the simulation below, and nowhere else.
+//! stored parameters: it computes everything before the placer's decoder
+//! loop once, so under those very tensors `best_of` runs only that loop, with
+//! the full forward's bits (the trainer never builds one). Whatever makes a
+//! placement feasible by construction (capacity masks during decode, a greedy
+//! repair of an over-full device) belongs between the decode and the
+//! simulation below, and nowhere else.
 
 use eagle_devsim::{step_times, Machine, Placement};
 use eagle_opgraph::OpGraph;
@@ -65,7 +68,9 @@ pub fn check_layout(built: &Params, stored: &Params) -> Result<(), LayoutMismatc
 
 impl EagleAgent {
     /// Rebuilds the agent around already-trained `params` for one
-    /// (graph, machine) pair, refusing parameters of another layout.
+    /// (graph, machine) pair, refusing parameters of another layout, and
+    /// prepares its request-independent forward under `params` (module doc).
+    /// Given any other tensors it answers as a fresh agent does.
     pub fn for_params(
         params: &Params,
         graph: &OpGraph,
@@ -76,8 +81,9 @@ impl EagleAgent {
         // The constructor RNG only writes initial values that `params`
         // replace; any seed yields the same layout.
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let agent = Self::new_for_inference(&mut scratch, graph, machine, scale, &mut rng);
+        let mut agent = Self::new_for_inference(&mut scratch, graph, machine, scale, &mut rng);
         check_layout(&scratch, params)?;
+        agent.prepare(params);
         Ok(agent)
     }
 }
@@ -95,7 +101,8 @@ fn fastest(times: &[Option<f64>]) -> Option<(f64, usize)> {
 /// Each draw forks `candidates` RNG streams off its own
 /// `ChaCha8Rng::seed_from_u64(seed)`, so its answer depends only on the draw,
 /// never on its batch-mates; all draws share one `sample_batch` and one
-/// `decode_batch` forward, and every candidate is simulated across `workers`
+/// `decode_batch` (on a serving agent: one decoder forward and a lookup of
+/// the group assignment), and every candidate is simulated across `workers`
 /// threads (0 = one per available core). The answer is the candidate with the
 /// minimum predicted step time, ties to the lowest index, or `None` when
 /// every candidate of the draw exceeds device memory.

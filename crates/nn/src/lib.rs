@@ -31,4 +31,4 @@ pub use categorical::Categorical;
 pub use grouper::Grouper;
 pub use linear::{FeedForward, Linear};
 pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
-pub use placer::{normalize_adjacency, AttentionMode, Placer, PlacerOutput};
+pub use placer::{normalize_adjacency, AttentionMode, Encoded, Placer, PlacerOutput};

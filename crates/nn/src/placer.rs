@@ -8,6 +8,8 @@
 //! given action sequence (to re-evaluate log-probabilities of old samples under
 //! new parameters for PPO's ratio). A batch of one is the per-episode decode.
 
+use std::sync::Arc;
+
 use eagle_rl::Draws;
 use eagle_tensor::{init, FusedAct, ParamId, Params, Tape, Tensor, Var};
 use rand::Rng;
@@ -188,7 +190,11 @@ impl Placer {
             );
         }
         let logits = match &self.body {
-            Body::Seq2Seq(s) => return s.decode(tape, params, xs, draws, self.n_devices),
+            Body::Seq2Seq(s) => {
+                let (uniq, ep_enc) = distinct_inputs(xs);
+                let enc = s.encode(tape, params, &uniq);
+                return s.decode(tape, params, &enc, &ep_enc, draws, self.n_devices);
+            }
             Body::Gcn { l1, l2, adj } => {
                 assert_eq!(adj.rows(), k, "adjacency size must match group count");
                 let x = tape.concat_rows(xs); // (B·k, d)
@@ -206,6 +212,69 @@ impl Placer {
         }; // (B·k, nd)
         flat_heads(tape, logits, draws, bsz, k)
     }
+
+    /// Runs the seq2seq encoder over one input `x` and keeps its values, for
+    /// a caller that decodes the same input under the same parameters many
+    /// times; `None` for the GCN and MLP bodies, which encode nothing.
+    pub fn encode(&self, tape: &mut Tape, params: &Params, x: Var) -> Option<Encoded> {
+        let Body::Seq2Seq(s) = &self.body else { return None };
+        let enc = s.encode(tape, params, &[x]);
+        let vars = [enc.xs_h[0], enc.outs[0], enc.lasts[0], enc.keys];
+        Some(Encoded(vars.map(|v| Arc::new(tape.value(v).clone()))))
+    }
+
+    /// [`Placer::forward_batch`] with every episode reading the input that
+    /// `encoded` was made from: the same decoder loop, with the encoder's
+    /// values put on the tape as leaves. The outputs' values equal that
+    /// forward's bit for bit under the parameters `encoded` was made with;
+    /// gradients reach only the decoder's parameters.
+    pub fn forward_encoded(
+        &self,
+        tape: &mut Tape,
+        params: &Params,
+        encoded: &Encoded,
+        draws: Draws<'_, '_>,
+    ) -> Vec<PlacerOutput> {
+        let Body::Seq2Seq(s) = &self.body else { panic!("only a seq2seq placer encodes") };
+        let [proj, outs, last, keys] =
+            encoded.0.each_ref().map(|t| tape.leaf_shared(Arc::clone(t)));
+        let enc = Encoding { xs_h: vec![proj], outs: vec![outs], lasts: vec![last], keys };
+        let ep_enc = vec![0; draws.episodes()];
+        s.decode(tape, params, &enc, &ep_enc, draws, self.n_devices)
+    }
+}
+
+/// The values of one seq2seq encoder pass (see [`Placer::encode`]), what the
+/// decoder loop reads that no draw changes: the input projection `(k, h)`, the
+/// bi-LSTM outputs `(k, 2h)` and last forward state `(1, h)`, the attention
+/// keys `(k, a)`.
+#[derive(Debug, Clone)]
+pub struct Encoded([Arc<Tensor>; 4]);
+
+/// An encoder pass over `u` distinct inputs on the tape: per input its
+/// projection, bi-LSTM outputs and last forward state, and every input's
+/// attention keys stacked `(u·k, a)`.
+struct Encoding {
+    xs_h: Vec<Var>,
+    outs: Vec<Var>,
+    lasts: Vec<Var>,
+    keys: Var,
+}
+
+/// Episodes passing the same input `Var` share one encoder pass: the distinct
+/// inputs in first-use order, and each episode's slot among them.
+fn distinct_inputs(xs: &[Var]) -> (Vec<Var>, Vec<usize>) {
+    let mut uniq: Vec<Var> = Vec::new();
+    let ep_enc = xs
+        .iter()
+        .map(|&x| {
+            uniq.iter().position(|&v| v == x).unwrap_or_else(|| {
+                uniq.push(x);
+                uniq.len() - 1
+            })
+        })
+        .collect();
+    (uniq, ep_enc)
 }
 
 impl Seq2Seq {
@@ -251,46 +320,39 @@ impl Seq2Seq {
         }
     }
 
-    /// The body of [`Placer::forward_batch`] for arguments it has checked;
-    /// device `n_devices` of the embedding table is the start token.
+    /// The encoder half of a decode: input projection, bi-LSTM encoder and
+    /// attention keys, run once per distinct input and stacked as `(u·k, ·)`
+    /// rows; with one distinct input the stacking and un-stacking record
+    /// nothing (`Tape::concat_rows`).
+    fn encode(&self, tape: &mut Tape, params: &Params, uniq: &[Var]) -> Encoding {
+        let (u, k) = (uniq.len(), tape.value(uniq[0]).rows());
+        let stacked = tape.concat_rows(uniq);
+        let proj = self.input_proj.forward(tape, params, stacked); // (u·k, h)
+        let xs_h: Vec<Var> = (0..u).map(|j| tape.slice_rows(proj, j * k, k)).collect();
+        let enc_res = self.encoder.forward_batch(tape, params, &xs_h);
+        let (outs, lasts): (Vec<Var>, Vec<Var>) = enc_res.iter().map(|(o, s)| (*o, s.h)).unzip();
+        let enc_stacked = tape.concat_rows(&outs);
+        let keys = self.attn_enc.forward(tape, params, enc_stacked); // (u·k, a)
+        Encoding { xs_h, outs, lasts, keys }
+    }
+
+    /// The decoder loop over an encoding: episode `b` reads distinct input
+    /// `ep_enc[b]` and takes its devices from `draws`; device `n_devices` of
+    /// the embedding table is the start token.
     fn decode(
         &self,
         tape: &mut Tape,
         params: &Params,
-        xs: &[Var],
+        enc: &Encoding,
+        ep_enc: &[usize],
         mut draws: Draws<'_, '_>,
         n_devices: usize,
     ) -> Vec<PlacerOutput> {
-        let (bsz, k) = (xs.len(), tape.value(xs[0]).rows());
-
-        // Episodes passing the same input Var share one encoder pass: map each
-        // episode to a distinct-input slot.
-        let mut uniq: Vec<Var> = Vec::new();
-        let mut ep_enc: Vec<usize> = Vec::with_capacity(bsz);
-        for &x in xs {
-            match uniq.iter().position(|&v| v == x) {
-                Some(j) => ep_enc.push(j),
-                None => {
-                    ep_enc.push(uniq.len());
-                    uniq.push(x);
-                }
-            }
-        }
-        let u = uniq.len();
-
-        // Input projection, encoder and attention keys run once per distinct
-        // input, stacked as `(u·k, ·)` rows; with one distinct input the
-        // stacking and un-stacking record nothing (`Tape::concat_rows`).
-        let stacked = tape.concat_rows(&uniq);
-        let proj = self.input_proj.forward(tape, params, stacked); // (u·k, h)
-        let xs_h: Vec<Var> = (0..u).map(|j| tape.slice_rows(proj, j * k, k)).collect();
-        let enc_res = self.encoder.forward_batch(tape, params, &xs_h);
-        let enc_outs: Vec<Var> = enc_res.iter().map(|(o, _)| *o).collect();
-        let enc_stacked = tape.concat_rows(&enc_outs);
-        let enc_proj = self.attn_enc.forward(tape, params, enc_stacked); // (u·k, a)
+        let Encoding { xs_h, outs: enc_outs, lasts, keys: enc_proj } = enc;
+        let (bsz, k, u) = (ep_enc.len(), tape.value(xs_h[0]).rows(), xs_h.len());
 
         // Decoder state: episode b starts from its encoder's last forward state.
-        let h0_rows: Vec<Var> = ep_enc.iter().map(|&e| enc_res[e].1.h).collect();
+        let h0_rows: Vec<Var> = ep_enc.iter().map(|&e| lasts[e]).collect();
         let h0 = tape.concat_rows(&h0_rows);
         let mut state = LstmState { h: h0, c: tape.leaf(Tensor::zeros(bsz, self.hidden)) };
         let dev_table = tape.param(params, self.dev_emb);
@@ -317,7 +379,7 @@ impl Seq2Seq {
             let logits = match self.mode {
                 AttentionMode::Before => {
                     let ctx =
-                        self.context_batch(tape, params, &enc_outs, enc_proj, &ep_enc, state.h);
+                        self.context_batch(tape, params, enc_outs, *enc_proj, ep_enc, state.h);
                     let inp = tape.concat_cols(&[x_i, ctx, prev_emb]);
                     state = self.decoder.step(tape, params, inp, state);
                     self.out.forward(tape, params, state.h)
@@ -326,7 +388,7 @@ impl Seq2Seq {
                     let inp = tape.concat_cols(&[x_i, prev_emb]);
                     state = self.decoder.step(tape, params, inp, state);
                     let ctx =
-                        self.context_batch(tape, params, &enc_outs, enc_proj, &ep_enc, state.h);
+                        self.context_batch(tape, params, enc_outs, *enc_proj, ep_enc, state.h);
                     let combined = tape.concat_cols(&[state.h, ctx]);
                     self.out.forward(tape, params, combined)
                 }

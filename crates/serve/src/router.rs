@@ -4,12 +4,13 @@
 //! Connection threads validate and [`submit`](Router::submit) requests into a
 //! shared queue; a single router thread drains the queue into a **wave**,
 //! groups the wave by (family, graph, machine), and answers each group with
-//! exactly one `sample_batch` and one `decode_batch` forward — the batched-first
-//! policy API's contract makes this bit-identical to serving each request
-//! alone, because every candidate consumes only its own seeded RNG stream. So
-//! at concurrency ≥ 2 the daemon does *less than one* forward per request
-//! (`serve.forwards / serve.requests < 1`), which is the whole point of wave
-//! batching.
+//! one [`best_of`] call. Its serving agent, cached per (family, version,
+//! graph, machine), holds all of the forward that no request changes
+//! ([`EagleAgent::for_params`]), so a group costs one batched decoder forward
+//! — bit-identical to serving each request alone, because every candidate
+//! consumes only its own seeded RNG stream. So at concurrency ≥ 2 the daemon
+//! does *less than one* forward per request (`serve.forwards / serve.requests
+//! < 1`), which is the whole point of wave batching.
 //!
 //! Each request contributes `candidates` episodes to its group's batch; the
 //! sampled placements are simulated (in parallel across the wave) and the best
@@ -425,7 +426,7 @@ impl Router {
     }
 
     /// Answers one wave: group by (family, graph, machine), one
-    /// [`best_of`] call — one batched sample + decode, parallel simulation —
+    /// [`best_of`] call — one batched decoder forward, parallel simulation —
     /// per group.
     fn process_wave(&self, wave: Vec<Pending>, agents: &mut AgentCache) {
         let mut groups: HashMap<(String, u64, u64), Vec<Pending>> = HashMap::new();
@@ -468,8 +469,8 @@ impl Router {
         let draws: Vec<(u64, usize)> =
             group.iter().map(|p| (p.req.seed, p.candidates as usize)).collect();
         let best = best_of(&*agent, &entry.params, graph, machine, &draws, self.cfg.sim_workers);
-        // The two batched forwards (sample, decode) behind the whole group.
-        self.recorder.add("serve.forwards", 2);
+        // The one batched decoder forward behind the whole group.
+        self.recorder.add("serve.forwards", 1);
 
         for (p, best) in group.iter().zip(best) {
             let resp = match best {
@@ -515,7 +516,8 @@ impl Router {
 
 /// FIFO-bounded cache of serving agents, each built around a policy's
 /// parameters for one (graph, machine) pair; cached because construction walks
-/// the whole graph.
+/// the whole graph and prepares everything before the decoder loop
+/// ([`EagleAgent::for_params`]).
 #[derive(Default)]
 struct AgentCache {
     map: HashMap<(String, String, u64, u64), Arc<EagleAgent>>,
@@ -524,22 +526,26 @@ struct AgentCache {
 
 impl AgentCache {
     /// The serving agent for (policy entry, the request's graph and machine),
-    /// built and layout-validated on first use.
+    /// built and layout-validated on first use, and rebuilt in place when the
+    /// store has reloaded the same version into other tensors.
     fn get(&mut self, entry: &PolicyEntry, p: &Pending) -> Result<Arc<EagleAgent>, EagleError> {
         let key = (entry.family.clone(), entry.version.clone(), p.graph_fp, p.machine_fp);
-        if let Some(a) = self.map.get(&key) {
+        let cached = self.map.get(&key);
+        if let Some(a) = cached.filter(|a| a.is_prepared_for(&entry.params)) {
             return Ok(a.clone());
         }
         let agent = EagleAgent::for_params(&entry.params, &p.graph, &p.machine, entry.scale)
             .map_err(|e| EagleError::PolicyMismatch(format!("policy `{}` {e}", entry.family)))?;
         let agent = Arc::new(agent);
-        while self.order.len() >= AGENT_CAPACITY {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
+        if cached.is_none() {
+            while self.order.len() >= AGENT_CAPACITY {
+                if let Some(old) = self.order.pop_front() {
+                    self.map.remove(&old);
+                }
             }
+            self.order.push_back(key.clone());
         }
-        self.map.insert(key.clone(), agent.clone());
-        self.order.push_back(key);
+        self.map.insert(key, agent.clone());
         Ok(agent)
     }
 }
@@ -755,6 +761,48 @@ mod tests {
         assert_eq!(router.recorder().counter_value("serve.requests"), 3);
         router.shutdown();
         handle.join().unwrap();
+    }
+
+    /// A rollback republishes a version the cache has an agent for, loaded
+    /// into new tensors: the cached agent is rebuilt around them in place of
+    /// running every later request through the unprepared forward.
+    #[test]
+    fn a_rolled_back_version_gets_its_agent_rebuilt_in_place() {
+        let root = tmp("rollback");
+        let machine = Machine::small_machine();
+        let graph = Benchmark::InceptionV3.graph_for(&machine);
+        let publish = |seed| {
+            let state = untrained_state(&graph, &machine, AgentScale::tiny(), seed).unwrap();
+            publish_state(&root, "fam", "tiny", &state).unwrap()
+        };
+        let store = PolicyStore::open(&root, Recorder::new());
+        let (tx, _rx) = mpsc::channel();
+        let p = Pending {
+            req: PlaceRequest::inline(1, "fam", graph.clone()),
+            family: "fam".into(),
+            candidates: 1,
+            graph_fp: graph_fingerprint(&graph),
+            graph: Arc::new(graph.clone()),
+            machine_fp: machine_fingerprint(&machine),
+            machine: Arc::new(machine.clone()),
+            reply: tx,
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        let mut agents = AgentCache::default();
+        let v1 = publish(5);
+        let first = store.get("fam").unwrap();
+        assert!(agents.get(&first, &p).unwrap().is_prepared_for(&first.params));
+        publish(6);
+        let second = store.get("fam").unwrap();
+        assert!(agents.get(&second, &p).unwrap().is_prepared_for(&second.params));
+        assert_eq!(publish(5), v1);
+        let rolled_back = store.get("fam").unwrap();
+        assert_eq!(rolled_back.version, v1);
+        let agent = agents.get(&rolled_back, &p).unwrap();
+        assert!(agent.is_prepared_for(&rolled_back.params));
+        assert!(!agent.is_prepared_for(&first.params), "rebuilt, not the old agent");
+        assert_eq!((agents.map.len(), agents.order.len()), (2, 2), "replaced, not added");
     }
 
     #[test]

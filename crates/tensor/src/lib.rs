@@ -51,7 +51,7 @@ mod tape;
 mod tensor;
 
 pub use grads::Grads;
-pub use params::{ParamId, Params};
+pub use params::{ParamId, Params, ParamsStamp};
 pub use tanh::tanh;
 pub use tape::{FusedAct, Tape, Var};
 pub use tensor::{softmax_row, Tensor, MR, NR, PAR_MATMUL_THRESHOLD, STREAM_MATMUL_ROWS};

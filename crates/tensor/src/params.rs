@@ -10,7 +10,7 @@
 //! [`Tape::backward_into`](crate::tape::Tape::backward_into) and consumed by
 //! [`Adam::step_grads`](crate::optim::Adam::step_grads).
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::tensor::Tensor;
 
@@ -80,14 +80,36 @@ impl Params {
     }
 
     /// Mutable value of a parameter (used by optimizers). Copies the value
-    /// first if a tape or a cloned store still shares it.
+    /// first if a tape or a cloned store still shares it, and moves it to a
+    /// new allocation (no copy) if only a [`ParamsStamp`] refers to it.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
         Arc::make_mut(&mut self.entries[id.0].value)
+    }
+
+    /// Stamps the values this store holds now.
+    pub fn stamp(&self) -> ParamsStamp {
+        ParamsStamp(self.entries.iter().map(|e| Arc::downgrade(&e.value)).collect())
     }
 
     /// Iterator over all parameter handles.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> + '_ {
         (0..self.entries.len()).map(ParamId)
+    }
+}
+
+/// Per-tensor identity of a store's values, for a cache of values computed
+/// from them. `Weak` pointers free a superseded value as usual but keep its
+/// address reserved, and [`Params::get_mut`] moves or copies a stamped value,
+/// so a store matches exactly while it holds the stamped values unwritten.
+#[derive(Debug, Clone)]
+pub struct ParamsStamp(Vec<Weak<Tensor>>);
+
+impl ParamsStamp {
+    /// True when `params` holds the very tensors the stamp was taken from,
+    /// in the same order (a clone of the store matches; a reload does not).
+    pub fn matches(&self, params: &Params) -> bool {
+        self.0.len() == params.entries.len()
+            && self.0.iter().zip(&params.entries).all(|(w, e)| w.as_ptr() == Arc::as_ptr(&e.value))
     }
 }
 
@@ -118,5 +140,25 @@ mod tests {
         let at = p.get(w) as *const Tensor;
         p.get_mut(w).data_mut()[1] = 6.0;
         assert!(std::ptr::eq(p.get(w), at), "an unshared value is written in place");
+    }
+
+    #[test]
+    fn a_stamp_matches_until_a_value_is_written_or_replaced() {
+        let mut p = Params::new();
+        let w = p.add("w", Tensor::row_vector(&[1.0, 2.0]));
+        p.add("b", Tensor::zeros(1, 1));
+        let stamp = p.stamp();
+        assert!(stamp.matches(&p) && stamp.matches(&p.clone()));
+        let mut written = p.clone();
+        written.get_mut(w).data_mut()[0] = 1.0; // shared: copied
+        assert!(!stamp.matches(&written), "a copied value is another tensor");
+        drop(written);
+        p.get_mut(w).data_mut()[0] = 1.0; // unshared but stamped: moved
+        assert!(!stamp.matches(&p), "an in-place write detaches the stamp");
+        let mut longer = p.clone();
+        longer.add("extra", Tensor::zeros(1, 1));
+        assert!(!p.stamp().matches(&longer));
+        let fresh: Params = serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
+        assert!(!p.stamp().matches(&fresh), "equal values, other tensors");
     }
 }

@@ -112,7 +112,8 @@ fn daemon_serves_concurrent_clients_with_coalescing() {
     });
 
     // Coalescing: 80 requests from 8 concurrent clients must share waves, so
-    // the daemon runs strictly fewer forwards (2 per wave) than requests.
+    // the daemon runs strictly fewer forwards (one decoder forward per wave)
+    // than requests.
     let rec = server.recorder();
     let requests = rec.counter_value("serve.requests");
     let forwards = rec.counter_value("serve.forwards");
@@ -305,6 +306,16 @@ fn daemon_hot_reloads_policies_without_dropping_requests() {
         assert!(versions.iter().all(|v| *v == v1 || *v == v2), "unexpected version: {versions:?}");
     }
     assert!(server.recorder().counter_value("serve.policy_reloads") >= 1);
+
+    // The reply after the swap is v2's answer, bit for bit: no value the
+    // daemon prepared under v1 outlives v1's parameters.
+    let mut req = PlaceRequest::by_key(7, "inception_v3", &key);
+    req.candidates = 3;
+    let resp = client.place(req).expect("place");
+    assert_eq!(resp.policy_version.as_deref(), Some(v2.as_str()));
+    let (want_placement, want_time) = direct_placement(&root, &graph, &machine, 7, 3);
+    assert_eq!(resp.placement.unwrap(), want_placement, "placement is not v2's");
+    assert_eq!(resp.predicted_step_time.unwrap().to_bits(), want_time.to_bits());
     server.shutdown();
 }
 
