@@ -42,7 +42,7 @@ use eagle_core::{
     PlacementAgent, PlacerKind, TrainResult, Trainer, TrainerConfig, CHECKPOINT_FILE,
 };
 use eagle_devsim::{
-    predefined, search, step_times, Benchmark, DeviceId, Environment, Machine, MeasureConfig,
+    predefined, search, simulate, Benchmark, DeviceId, Environment, Machine, MeasureConfig,
     Placement,
 };
 use eagle_obs::Recorder;
@@ -882,7 +882,7 @@ fn best_of_random(graph: &OpGraph, machine: &Machine, seed: u64) -> Option<f64> 
             Placement::new(devs)
         })
         .collect();
-    step_times(graph, machine, &placements, 1).into_iter().flatten().min_by(f64::total_cmp)
+    placements.iter().filter_map(|p| simulate(graph, machine, p).step_time()).min_by(f64::total_cmp)
 }
 
 /// JSON-friendly rendering: `null` when every candidate OOMed.
@@ -948,7 +948,7 @@ fn transfer(cli: &Cli) -> (String, bool) {
         let name = source.name(origin);
         let agent = EagleAgent::for_params(&gen_params, &graph, &machine, cli.scale).expect(fits);
         let draw = [(7000 + i as u64, CANDIDATES)];
-        let zs = best_of(&agent, &gen_params, &graph, &machine, &draw, 1).remove(0).map(|b| b.0);
+        let zs = best_of(&agent, &gen_params, &graph, &machine, &draw).remove(0).map(|b| b.0);
         let rnd = best_of_random(&graph, &machine, 9000 + i as u64);
         // All-OOM scores +inf, so a feasible side always beats an infeasible one.
         let beats = zs.unwrap_or(f64::INFINITY) < rnd.unwrap_or(f64::INFINITY);
@@ -974,7 +974,7 @@ fn transfer(cli: &Cli) -> (String, bool) {
         let agent = EagleAgent::for_params(&gen_params, &graph, &machine, cli.scale).expect(fits);
         let draw = [(100 + cli.seed, CANDIDATES)];
         let zero_shot =
-            best_of(&agent, &gen_params, &graph, &machine, &draw, 1).remove(0).map(|b| b.0);
+            best_of(&agent, &gen_params, &graph, &machine, &draw).remove(0).map(|b| b.0);
         // Fine-tune: the same agent, parameters warm-started from the
         // generalist (ids align by construction order).
         let mut ft_params = gen_params.clone();

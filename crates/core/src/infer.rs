@@ -3,17 +3,18 @@
 //! What EAGLE ships is a placement decoded from the trained policy: sample
 //! per-group devices, decode them through the grouper, simulate, keep the
 //! fastest candidate that fits. [`best_of`] is that step for any number of
-//! seeded draws at once — the serving router answers a wave's requests with
-//! it, the trainer's zero-shot probes and the `transfer` bench call it with one
-//! draw — and [`EagleAgent::for_params`] is the one way to put an agent around
-//! stored parameters: it computes everything before the placer's decoder
-//! loop once, so under those very tensors `best_of` runs only that loop, with
-//! the full forward's bits (the trainer never builds one). Whatever makes a
-//! placement feasible by construction (capacity masks during decode, a greedy
-//! repair of an over-full device) belongs between the decode and the
-//! simulation below, and nowhere else.
+//! seeded draws at once, on the calling thread — the serving router answers
+//! each run of a wave group's requests with it (one call per thread it spreads
+//! the wave over), the trainer's zero-shot probes and the `transfer` bench
+//! call it with one draw — and [`EagleAgent::for_params`] is the one way to
+//! put an agent around stored parameters: it computes everything before the
+//! placer's decoder loop once, so under those very tensors `best_of` runs only
+//! that loop, with the full forward's bits (the trainer never builds one).
+//! Whatever makes a placement feasible by construction (capacity masks during
+//! decode, a greedy repair of an over-full device) belongs between the decode
+//! and the simulation below, and nowhere else.
 
-use eagle_devsim::{step_times, Machine, Placement};
+use eagle_devsim::{simulate, Machine, Placement};
 use eagle_opgraph::OpGraph;
 use eagle_rl::fork_streams;
 use eagle_tensor::Params;
@@ -102,17 +103,16 @@ fn fastest(times: &[Option<f64>]) -> Option<(f64, usize)> {
 /// `ChaCha8Rng::seed_from_u64(seed)`, so its answer depends only on the draw,
 /// never on its batch-mates; all draws share one `sample_batch` and one
 /// `decode_batch` (on a serving agent: one decoder forward and a lookup of
-/// the group assignment), and every candidate is simulated across `workers`
-/// threads (0 = one per available core). The answer is the candidate with the
-/// minimum predicted step time, ties to the lowest index, or `None` when
-/// every candidate of the draw exceeds device memory.
+/// the group assignment), and every candidate is simulated in turn on the
+/// calling thread. The answer is the candidate with the minimum predicted step
+/// time, ties to the lowest index, or `None` when every candidate of the draw
+/// exceeds device memory.
 pub fn best_of<A: PlacementAgent>(
     agent: &A,
     params: &Params,
     graph: &OpGraph,
     machine: &Machine,
     draws: &[(u64, usize)],
-    workers: usize,
 ) -> Vec<Option<(f64, Placement)>> {
     let mut streams: Vec<ChaCha8Rng> = Vec::new();
     for &(seed, candidates) in draws {
@@ -124,7 +124,8 @@ pub fn best_of<A: PlacementAgent>(
     let actions: Vec<Vec<usize>> =
         agent.sample_batch(params, &mut stream_refs).into_iter().map(|(a, _)| a).collect();
     let placements = agent.decode_batch(params, &actions);
-    let times = step_times(graph, machine, &placements, workers);
+    let times: Vec<Option<f64>> =
+        placements.iter().map(|p| simulate(graph, machine, p).step_time()).collect();
 
     let mut start = 0;
     draws
@@ -140,7 +141,6 @@ pub fn best_of<A: PlacementAgent>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eagle_devsim::simulate;
     use eagle_opgraph::builders::{self, GnmtConfig};
     use eagle_tensor::Tensor;
 
@@ -173,9 +173,9 @@ mod tests {
         let machine = Machine::paper_machine();
         let (agent, params) = policy(&graph, &machine);
         let (a, b) = ((17, 4), (99, 3));
-        let together = best_of(&agent, &params, &graph, &machine, &[a, b], 1);
-        let alone_a = best_of(&agent, &params, &graph, &machine, &[a], 1);
-        let alone_b = best_of(&agent, &params, &graph, &machine, &[b], 2);
+        let together = best_of(&agent, &params, &graph, &machine, &[a, b]);
+        let alone_a = best_of(&agent, &params, &graph, &machine, &[a]);
+        let alone_b = best_of(&agent, &params, &graph, &machine, &[b]);
         assert_eq!(together.len(), 2);
         for (joint, alone) in together.iter().zip([&alone_a[0], &alone_b[0]]) {
             let (jt, jp) = joint.as_ref().expect("the paper machine fits the tiny graph");
@@ -191,10 +191,10 @@ mod tests {
         let graph = tiny_graph();
         let machine = tight_machine(&graph, 0.7);
         let (agent, params) = policy(&graph, &machine);
-        let one = |seed: u64| best_of(&agent, &params, &graph, &machine, &[(seed, 1)], 1).remove(0);
+        let one = |seed: u64| best_of(&agent, &params, &graph, &machine, &[(seed, 1)]).remove(0);
         let oom = (0..256).find(|&s| one(s).is_none()).expect("some single candidate OOMs");
         let fits = (0..256).find(|&s| one(s).is_some()).expect("some single candidate fits");
-        let both = best_of(&agent, &params, &graph, &machine, &[(oom, 1), (fits, 1)], 1);
+        let both = best_of(&agent, &params, &graph, &machine, &[(oom, 1), (fits, 1)]);
         assert_eq!(both[0], None);
         assert_eq!(both[1], one(fits));
     }

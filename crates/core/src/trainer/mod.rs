@@ -584,7 +584,7 @@ impl Trainer {
         for (hi, (name, graph, view)) in probes.iter().enumerate() {
             let draw =
                 (probe_seed(self.cfg.seed, st.minibatches, hi as u64), self.probe_candidates);
-            let best = best_of(view, params, graph, &self.machine, &[draw], 1).remove(0);
+            let best = best_of(view, params, graph, &self.machine, &[draw]).remove(0);
             st.curve.probes.push(ProbePoint {
                 sample: st.curve.points.len() as u64,
                 graph: name.clone(),

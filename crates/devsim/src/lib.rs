@@ -13,8 +13,7 @@
 //! * [`Placement`] — one device per op.
 //! * [`engine`] — the causal discrete-event scheduling core: [`simulate`]'s
 //!   step time, and the recorded [`Schedule`] with its Chrome-trace export.
-//! * [`simulate`] — one training step's makespan (OOM gate + engine);
-//!   [`step_times`] — the same for many placements, across worker threads.
+//! * [`simulate`] — one training step's makespan (OOM gate + engine).
 //! * [`Environment`] — the 15-step measurement protocol with noise and a simulated
 //!   wall-clock (the x-axis of the paper's training-curve figures).
 //! * [`predefined`] — Single-GPU and Human-Expert baseline placements.
@@ -45,4 +44,4 @@ pub use env::{
     EnvironmentBuilder, MeasureConfig, Measurement, DEFAULT_CACHE_CAPACITY,
 };
 pub use placement::{Placement, PlacementError};
-pub use sim::{simulate, simulate_recorded, step_times, SimOutcome, StepStats};
+pub use sim::{simulate, simulate_recorded, SimOutcome, StepStats};

@@ -111,10 +111,10 @@ pub fn simulate_recorded(
 
 /// Runs `sim` over `items`, contiguous chunks striped across up to `workers`
 /// threads (0 = one per available core, 1 = serial), results in item order.
-/// The one fan-out over simulations: [`step_times`] and
-/// [`Environment::evaluate_batch`](crate::Environment::evaluate_batch) both
-/// go through it. `sim` must be pure, so the result is the same for every
-/// worker count.
+/// The one fan-out over simulations; its one caller is
+/// [`Environment::evaluate_batch`](crate::Environment::evaluate_batch), which
+/// spreads a batch's cache misses over it. `sim` must be pure, so the result is
+/// the same for every worker count.
 pub(crate) fn fan_out<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
@@ -133,17 +133,6 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
         handles.into_iter().flat_map(|h| h.join().expect("simulation worker panicked")).collect()
     })
     .expect("simulation scope")
-}
-
-/// Predicted step time of every placement (`None` = OOM), simulated across up
-/// to `workers` threads (0 = one per available core).
-pub fn step_times(
-    graph: &OpGraph,
-    machine: &Machine,
-    placements: &[Placement],
-    workers: usize,
-) -> Vec<Option<f64>> {
-    fan_out(placements, workers, |p| simulate(graph, machine, p).step_time())
 }
 
 #[cfg(test)]

@@ -1,22 +1,26 @@
 //! The request router: coalesces concurrent placement requests into waves and
-//! answers each wave's policy work with batched forwards.
+//! spreads each wave's policy work over the host's cores.
 //!
 //! Connection threads validate and [`submit`](Router::submit) requests into a
-//! shared queue; a single router thread drains the queue into a **wave**,
-//! groups the wave by (family, graph, machine), and answers each group with
-//! one [`best_of`] call. Its serving agent, cached per (family, version,
-//! graph, machine), holds all of the forward that no request changes
-//! ([`EagleAgent::for_params`]), so a group costs one batched decoder forward
-//! — bit-identical to serving each request alone, because every candidate
-//! consumes only its own seeded RNG stream. So at concurrency ≥ 2 the daemon
-//! does *less than one* forward per request (`serve.forwards / serve.requests
-//! < 1`), which is the whole point of wave batching.
+//! shared queue; a single router thread drains the queue into a **wave** and
+//! groups it by (family, graph, machine). For each group it resolves the
+//! policy and the serving agent, cached per (family, version, graph,
+//! machine), which holds all of the forward that no request changes
+//! ([`EagleAgent::for_params`]). It then cuts the wave's requests, in group
+//! order, into at most `sim_workers` contiguous shares, runs the first share
+//! itself and each other one on a scoped thread, and sends every reply after
+//! the whole wave. A share answers each run of a group's requests with one
+//! [`best_of`] call: one batched decoder forward, then every candidate
+//! simulated on that thread. A request's candidates never split across
+//! shares. A reply is bit-identical to serving the request alone, because
+//! every candidate consumes only its own seeded RNG stream.
 //!
-//! Each request contributes `candidates` episodes to its group's batch; the
-//! sampled placements are simulated (in parallel across the wave) and the best
-//! valid one — minimum predicted step time, ties to the lowest candidate index
-//! — is returned with its predicted time and the producing policy version. A
-//! request whose every candidate OOMs gets a typed `infeasible` reply.
+//! `serve.forwards` counts one decoder forward per group per wave, however
+//! many shares compute it, as a product cut by output rows is still one
+//! product. The best valid candidate — minimum predicted step time, ties to
+//! the lowest candidate index — is returned with its predicted time and the
+//! producing policy version. A request whose every candidate OOMs gets a
+//! typed `infeasible` reply.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,7 +55,9 @@ pub struct RouterConfig {
     pub coalesce: Duration,
     /// Maximum requests per wave.
     pub max_wave: usize,
-    /// Worker threads for candidate simulation (0 = auto).
+    /// Threads a wave's requests are spread over, the router's own included
+    /// (0 = one per available core); each request is decoded and simulated
+    /// on one of them.
     pub sim_workers: usize,
     /// Upper bound on requests queued awaiting a wave. Admission beyond this
     /// replies with a typed `Overloaded` error (plus a `retry_after_ms` hint)
@@ -425,54 +431,57 @@ impl Router {
         live
     }
 
-    /// Answers one wave: group by (family, graph, machine), one
-    /// [`best_of`] call — one batched decoder forward, parallel simulation —
-    /// per group.
+    /// Answers one wave: resolves each (family, graph, machine) group's
+    /// policy and serving agent, fails a group that has none, and spreads the
+    /// rest over up to `sim_workers` threads (module doc).
     fn process_wave(&self, wave: Vec<Pending>, agents: &mut AgentCache) {
-        let mut groups: HashMap<(String, u64, u64), Vec<Pending>> = HashMap::new();
+        // Groups in order of first arrival.
+        let mut groups: Vec<Vec<Pending>> = Vec::new();
+        let key = |p: &Pending| (p.family.clone(), p.graph_fp, p.machine_fp);
         for p in wave {
-            groups.entry((p.family.clone(), p.graph_fp, p.machine_fp)).or_default().push(p);
-        }
-        for ((family, _, _), group) in groups {
-            self.process_group(&family, group, agents);
-        }
-    }
-
-    fn process_group(&self, family: &str, group: Vec<Pending>, agents: &mut AgentCache) {
-        // Unknown family falls back to the generalist policy when the store
-        // publishes one — the multi-graph-trained zero-shot path. The original
-        // error is kept if the fallback also misses, so a store with no
-        // generalist reports the family the client actually asked for.
-        let entry = match self.store.get(family) {
-            Ok(e) => e,
-            Err(EagleError::UnknownFamily(_)) if family != GENERALIST_FAMILY => {
-                match self.store.get(GENERALIST_FAMILY) {
-                    Ok(e) => {
-                        self.recorder.add("serve.generalist_fallbacks", 1);
-                        e
-                    }
-                    Err(_) => {
-                        return self.fail_group(group, &EagleError::UnknownFamily(family.into()))
-                    }
-                }
+            match groups.iter_mut().find(|g| key(&g[0]) == key(&p)) {
+                Some(group) => group.push(p),
+                None => groups.push(vec![p]),
             }
-            Err(e) => return self.fail_group(group, &e),
-        };
-        let agent = match agents.get(&entry, &group[0]) {
-            Ok(a) => a,
-            Err(e) => return self.fail_group(group, &e),
-        };
-        let (graph, machine) = (&group[0].graph, &group[0].machine);
+        }
+        let mut work: Vec<(Arc<PolicyEntry>, Arc<EagleAgent>, Pending)> = Vec::new();
+        for group in groups {
+            match self.resolve(&group[0], agents) {
+                Ok((entry, agent)) => {
+                    // One batched decoder forward per group, whether its
+                    // requests run on one thread or several.
+                    self.recorder.add("serve.forwards", 1);
+                    work.extend(group.into_iter().map(|p| (entry.clone(), agent.clone(), p)));
+                }
+                Err(e) => self.fail_group(group, &e),
+            }
+        }
 
-        // One draw per request, seeded by the request alone: the answers
-        // depend only on the request, never on its wave-mates.
-        let draws: Vec<(u64, usize)> =
-            group.iter().map(|p| (p.req.seed, p.candidates as usize)).collect();
-        let best = best_of(&*agent, &entry.params, graph, machine, &draws, self.cfg.sim_workers);
-        // The one batched decoder forward behind the whole group.
-        self.recorder.add("serve.forwards", 1);
+        // One `best_of` per run of a group's requests within a share; a
+        // panicking share fails the whole wave in `run`.
+        let answer = |share: &[(Arc<PolicyEntry>, Arc<EagleAgent>, Pending)]| {
+            let runs = share.chunk_by(|a, b| Arc::ptr_eq(&a.1, &b.1));
+            let answers = runs.flat_map(|run| {
+                let (entry, agent, first) = &run[0];
+                let draws: Vec<(u64, usize)> =
+                    run.iter().map(|(_, _, p)| (p.req.seed, p.candidates as usize)).collect();
+                best_of(&**agent, &entry.params, &first.graph, &first.machine, &draws)
+            });
+            answers.collect::<Vec<_>>()
+        };
+        let share_len = work.len().div_ceil(eagle_obs::resolve_workers(self.cfg.sim_workers));
+        let mut shares = work.chunks(share_len.max(1));
+        let best = std::thread::scope(|s| {
+            let first = shares.next();
+            let rest: Vec<_> = shares.map(|share| s.spawn(move || answer(share))).collect();
+            let mut best = first.map_or_else(Vec::new, answer);
+            for share in rest {
+                best.extend(share.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            best
+        });
 
-        for (p, best) in group.iter().zip(best) {
+        for ((entry, _, p), best) in work.iter().zip(best) {
             let resp = match best {
                 Some((t, placement)) => PlaceResponse {
                     schema_version: API_SCHEMA_VERSION,
@@ -495,6 +504,29 @@ impl Router {
             };
             self.finish(&p.reply, p.enqueued, resp);
         }
+    }
+
+    /// The policy entry and serving agent a group of `p`'s is answered with.
+    /// An unknown family falls back to the generalist policy when the store
+    /// publishes one — the multi-graph-trained zero-shot path. The original
+    /// error is kept if the fallback also misses, so a store with no
+    /// generalist reports the family the client actually asked for.
+    fn resolve(
+        &self,
+        p: &Pending,
+        agents: &mut AgentCache,
+    ) -> Result<(Arc<PolicyEntry>, Arc<EagleAgent>), EagleError> {
+        let entry = match self.store.get(&p.family) {
+            Err(EagleError::UnknownFamily(_)) if p.family != GENERALIST_FAMILY => {
+                let fallback = self.store.get(GENERALIST_FAMILY);
+                let entry = fallback.map_err(|_| EagleError::UnknownFamily(p.family.clone()))?;
+                self.recorder.add("serve.generalist_fallbacks", 1);
+                entry
+            }
+            other => other?,
+        };
+        let agent = agents.get(&entry, p)?;
+        Ok((entry, agent))
     }
 
     fn fail_group(&self, group: Vec<Pending>, err: &EagleError) {
@@ -759,6 +791,137 @@ mod tests {
         let line = |r: PlaceResponse| crate::api::encode_response(&crate::api::Response::Place(r));
         assert_eq!(line(after), line(before), "the router answers on, bit-identically");
         assert_eq!(router.recorder().counter_value("serve.requests"), 3);
+        router.shutdown();
+        handle.join().unwrap();
+    }
+
+    /// A router over two families on the small machine: `fam` serves
+    /// Inception-V3 and `gnmt` GNMT, both untrained at tiny scale.
+    fn two_family_router(name: &str, sim_workers: usize) -> (Arc<Router>, Machine, [OpGraph; 2]) {
+        let root = tmp(name);
+        let machine = Machine::small_machine();
+        let graphs = [Benchmark::InceptionV3, Benchmark::Gnmt].map(|b| b.graph_for(&machine));
+        for (family, graph) in ["fam", "gnmt"].into_iter().zip(&graphs) {
+            let state = untrained_state(graph, &machine, AgentScale::tiny(), 5).unwrap();
+            publish_state(&root, family, "tiny", &state).unwrap();
+        }
+        let store = Arc::new(PolicyStore::open(&root, Recorder::new()));
+        let cfg = RouterConfig { sim_workers, ..RouterConfig::default() };
+        (Router::new(store, cfg, Recorder::new()), machine, graphs)
+    }
+
+    /// Queues `reqs` (admitted by `submit` on a router that never runs)
+    /// followed by `extra` on `router` under one lock, so its running loop
+    /// cuts them as one wave.
+    fn queue_one_wave(
+        router: &Router,
+        reqs: &[PlaceRequest],
+        extra: Vec<Pending>,
+    ) -> Vec<mpsc::Receiver<PlaceResponse>> {
+        let staging = Router::new(router.store.clone(), router.cfg.clone(), Recorder::new());
+        let rxs = reqs.iter().map(|r| staging.submit(r.clone()).expect("admit")).collect();
+        let mut wave = std::mem::take(&mut staging.queue.lock().unwrap().pending);
+        wave.extend(extra);
+        router.queue.lock().unwrap().pending.extend(wave);
+        router.cv.notify_one();
+        rxs
+    }
+
+    fn reply_line(rx: mpsc::Receiver<PlaceResponse>) -> String {
+        let resp = rx.recv_timeout(Duration::from_secs(30)).expect("a reply, not a hang");
+        crate::api::encode_response(&crate::api::Response::Place(resp))
+    }
+
+    /// One wave of both families, assorted seeds and candidate counts, spread
+    /// over 1, 2 and 3 threads: every reply line is byte for byte the line
+    /// the same request gets alone.
+    #[test]
+    fn a_wave_on_any_thread_count_answers_each_request_as_alone() {
+        for workers in [1, 2, 3] {
+            let (router, machine, graphs) =
+                two_family_router(&format!("spread_{workers}"), workers);
+            let handle = {
+                let r = router.clone();
+                std::thread::spawn(move || r.run())
+            };
+            let reqs: Vec<PlaceRequest> = (0..7u64)
+                .map(|i| {
+                    let f = usize::from(i % 3 == 1);
+                    PlaceRequest {
+                        seed: 31 * i + workers as u64,
+                        candidates: [1, 4, 0, 6][i as usize % 4],
+                        machine: Some(machine.clone()),
+                        ..PlaceRequest::inline(i, ["fam", "gnmt"][f], graphs[f].clone())
+                    }
+                })
+                .collect();
+            let waved: Vec<String> =
+                queue_one_wave(&router, &reqs, vec![]).into_iter().map(reply_line).collect();
+            assert_eq!(router.recorder().counter_value("serve.waves"), 1);
+            assert_eq!(router.recorder().counter_value("serve.errors"), 0);
+            for (req, waved) in reqs.iter().zip(waved) {
+                let alone = reply_line(router.submit(req.clone()).expect("admit"));
+                assert_eq!(waved, alone, "request {} at {workers} threads", req.id);
+            }
+            router.shutdown();
+            handle.join().unwrap();
+        }
+    }
+
+    /// A poisoned request (as in
+    /// `a_panicking_wave_is_answered_typed_and_the_router_goes_on`) in the
+    /// second of two shares, behind two GNMT requests: every request of its
+    /// wave is answered, nothing hangs, and the router answers on
+    /// bit-identically.
+    #[test]
+    fn a_poisoned_request_in_a_later_share_fails_its_wave_typed() {
+        let (router, machine, [inception, gnmt]) = two_family_router("spread_panic", 2);
+        let handle = {
+            let r = router.clone();
+            std::thread::spawn(move || r.run())
+        };
+        let on_small = |req: PlaceRequest| PlaceRequest { machine: Some(machine.clone()), ..req };
+        let ordinary = || {
+            let req = on_small(PlaceRequest::inline(1, "fam", inception.clone()));
+            reply_line(router.submit(req).expect("admit"))
+        };
+        let before = ordinary();
+        assert!(!before.contains("\"error\":{"), "{before}");
+
+        let reqs: Vec<PlaceRequest> = (10..12)
+            .map(|id| {
+                on_small(PlaceRequest {
+                    seed: id,
+                    ..PlaceRequest::inline(id, "gnmt", gnmt.clone())
+                })
+            })
+            .collect();
+        let alone: Vec<String> =
+            reqs.iter().map(|r| reply_line(router.submit(r.clone()).expect("admit"))).collect();
+        let (tx, poisoned_rx) = mpsc::channel();
+        let poisoned = Pending {
+            req: PlaceRequest::inline(2, "fam", gnmt.clone()),
+            family: "fam".into(),
+            candidates: 1,
+            graph: Arc::new(gnmt.clone()),
+            graph_fp: graph_fingerprint(&inception),
+            machine_fp: machine_fingerprint(&machine),
+            machine: Arc::new(machine.clone()),
+            reply: tx,
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        let rxs = queue_one_wave(&router, &reqs, vec![poisoned]);
+        let internal = |line: &str| line.contains(r#""code":"Internal""#);
+        assert!(internal(&reply_line(poisoned_rx)));
+        for (rx, alone) in rxs.into_iter().zip(alone) {
+            // Failed typed with the wave, or, where replies go out group by
+            // group, answered before the panic: never dropped or mixed up.
+            let line = reply_line(rx);
+            assert!(internal(&line) || line == alone, "{line}");
+        }
+        assert_eq!(router.recorder().counter_value("serve.router_panics"), 1);
+        assert_eq!(ordinary(), before, "the router answers on, bit-identically");
         router.shutdown();
         handle.join().unwrap();
     }

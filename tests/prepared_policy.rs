@@ -70,8 +70,8 @@ fn assert_same_answers(
     machine: &Machine,
     draws: &[(u64, usize)],
 ) {
-    let got = best_of(prepared, params, graph, machine, draws, 1);
-    let want = best_of(oracle, params, graph, machine, draws, 1);
+    let got = best_of(prepared, params, graph, machine, draws);
+    let want = best_of(oracle, params, graph, machine, draws);
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g.as_ref().map(|b| b.0.to_bits()), w.as_ref().map(|b| b.0.to_bits()));
