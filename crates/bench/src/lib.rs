@@ -42,7 +42,7 @@ use eagle_core::{
     PlacementAgent, PlacerKind, TrainResult, Trainer, TrainerConfig, CHECKPOINT_FILE,
 };
 use eagle_devsim::{
-    predefined, search, simulate, Benchmark, DeviceId, Environment, Machine, MeasureConfig,
+    predefined, search, Benchmark, CostGraph, DeviceId, Environment, Machine, MeasureConfig,
     Placement,
 };
 use eagle_obs::Recorder;
@@ -882,7 +882,8 @@ fn best_of_random(graph: &OpGraph, machine: &Machine, seed: u64) -> Option<f64> 
             Placement::new(devs)
         })
         .collect();
-    placements.iter().filter_map(|p| simulate(graph, machine, p).step_time()).min_by(f64::total_cmp)
+    let cost = CostGraph::new(graph, machine);
+    placements.iter().filter_map(|p| cost.simulate(p).step_time()).min_by(f64::total_cmp)
 }
 
 /// JSON-friendly rendering: `null` when every candidate OOMed.

@@ -14,7 +14,7 @@
 //! decode, a greedy repair of an over-full device) belongs between the decode
 //! and the simulation below, and nowhere else.
 
-use eagle_devsim::{simulate, Machine, Placement};
+use eagle_devsim::{CostGraph, Machine, Placement};
 use eagle_opgraph::OpGraph;
 use eagle_rl::fork_streams;
 use eagle_tensor::Params;
@@ -104,9 +104,9 @@ fn fastest(times: &[Option<f64>]) -> Option<(f64, usize)> {
 /// never on its batch-mates; all draws share one `sample_batch` and one
 /// `decode_batch` (on a serving agent: one decoder forward and a lookup of
 /// the group assignment), and every candidate is simulated in turn on the
-/// calling thread. The answer is the candidate with the minimum predicted step
-/// time, ties to the lowest index, or `None` when every candidate of the draw
-/// exceeds device memory.
+/// calling thread, over one [`CostGraph`] built for the call. The answer is
+/// the candidate with the minimum predicted step time, ties to the lowest
+/// index, or `None` when every candidate of the draw exceeds device memory.
 pub fn best_of<A: PlacementAgent>(
     agent: &A,
     params: &Params,
@@ -124,8 +124,8 @@ pub fn best_of<A: PlacementAgent>(
     let actions: Vec<Vec<usize>> =
         agent.sample_batch(params, &mut stream_refs).into_iter().map(|(a, _)| a).collect();
     let placements = agent.decode_batch(params, &actions);
-    let times: Vec<Option<f64>> =
-        placements.iter().map(|p| simulate(graph, machine, p).step_time()).collect();
+    let cost = CostGraph::new(graph, machine);
+    let times: Vec<Option<f64>> = placements.iter().map(|p| cost.simulate(p).step_time()).collect();
 
     let mut start = 0;
     draws
@@ -141,6 +141,7 @@ pub fn best_of<A: PlacementAgent>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagle_devsim::simulate;
     use eagle_opgraph::builders::{self, GnmtConfig};
     use eagle_tensor::Tensor;
 

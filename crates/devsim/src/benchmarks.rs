@@ -7,10 +7,11 @@
 
 use eagle_opgraph::{builders, OpGraph};
 
+use crate::cost::CostGraph;
 use crate::device::Machine;
 use crate::placement::Placement;
 use crate::predefined;
-use crate::sim::{simulate, SimOutcome};
+use crate::sim::SimOutcome;
 
 /// The three benchmark models of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +83,9 @@ impl Benchmark {
 
 /// Scales the graph's FLOPs so `simulate(graph, machine, reference)` hits `target`
 /// seconds. Launch overheads and transfer costs are scale-independent, so the search
-/// bisects over the FLOP multiplier. Returns the multiplier applied.
+/// bisects over the FLOP multiplier, each probe a [`CostGraph`] of the scaled
+/// FLOPs (the graph itself is scaled once, at the end). Returns the multiplier
+/// applied.
 ///
 /// # Panics
 /// Panics if the reference placement OOMs (calibration references must be valid) or
@@ -93,56 +96,49 @@ pub fn calibrate(
     reference: &Placement,
     target: f64,
 ) -> f64 {
-    let eval = |g: &OpGraph| -> f64 {
-        match simulate(g, machine, reference) {
-            SimOutcome::Valid(s) => s.step_time,
+    let eval = |g: &OpGraph, scale: f64| -> f64 {
+        match CostGraph::scaled(g, machine, scale).simulate(reference) {
+            SimOutcome::Valid(stats) => stats.step_time,
             SimOutcome::Oom { device, required, capacity } => {
                 panic!("calibration reference OOMs on device {device:?}: {required} > {capacity}")
             }
         }
     };
-    let scale_graph = |g: &mut OpGraph, s: f64| {
-        for id in g.ids().collect::<Vec<_>>() {
-            g.node_mut(id).flops *= s;
-        }
-    };
 
-    let floor = {
-        let mut zeroed = graph.clone();
-        scale_graph(&mut zeroed, 0.0);
-        eval(&zeroed)
-    };
+    let floor = eval(graph, 0.0);
     assert!(
         target > floor,
         "target {target}s is below the zero-FLOP floor {floor}s for {}",
         graph.model_name
     );
 
-    let base = eval(graph);
     let (mut lo, mut hi) = (1e-6f64, 1e6f64);
     for _ in 0..60 {
         let mid = (lo * hi).sqrt();
-        let mut probe = graph.clone();
-        scale_graph(&mut probe, mid);
-        if eval(&probe) < target {
+        if eval(graph, mid) < target {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     let s = (lo * hi).sqrt();
-    scale_graph(graph, s);
-    let achieved = eval(graph);
-    debug_assert!(
-        (achieved - target).abs() / target < 0.05,
-        "calibration off: base {base}, achieved {achieved}, target {target}"
-    );
+    if cfg!(debug_assertions) {
+        let (base, achieved) = (eval(graph, 1.0), eval(graph, s));
+        assert!(
+            (achieved - target).abs() / target < 0.05,
+            "calibration off: base {base}, achieved {achieved}, target {target}"
+        );
+    }
+    for id in graph.ids().collect::<Vec<_>>() {
+        graph.node_mut(id).flops *= s;
+    }
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::simulate;
 
     #[test]
     fn calibration_hits_targets() {

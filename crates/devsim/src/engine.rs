@@ -1,8 +1,9 @@
 //! The causal discrete-event scheduling core: the one definition of "the step
-//! time of a placement". [`crate::simulate`] projects the reward from
-//! [`schedule_stats`]; [`schedule`] also records every op's slot, which
-//! [`Schedule::to_chrome_trace`] draws. It is built as a true discrete-event
-//! engine:
+//! time of a placement". [`CostGraph::simulate`](crate::CostGraph::simulate)
+//! projects the reward from the stats-only run ([`schedule_stats`]);
+//! [`schedule`] also records every op's slot and every booked transfer, which
+//! [`Schedule::to_chrome_trace`] draws. The engine reads nothing but a
+//! [`CostGraph`] and the placement. It is a true discrete-event engine:
 //!
 //! * **One time-ordered event queue.** Compute-finish and transfer-arrival
 //!   events are processed in global time order, with a deterministic total
@@ -10,11 +11,14 @@
 //!   then op index, then destination device. The same inputs therefore always
 //!   produce the bit-identical schedule. Physically the queue is split by
 //!   kind: a device runs one op at a time, so at most `num_devices` finish
-//!   events are ever outstanding and they live in a per-device slot array;
-//!   transfer arrivals (unbounded) live in a binary heap of packed
-//!   `(time, producer, destination)` keys. Draining pops finishes at the
-//!   current timestamp in op order, then arrivals in `(producer, dst)` order —
-//!   exactly the logical queue's order at a fraction of the heap traffic.
+//!   events are ever outstanding and they live in a per-device slot array.
+//!   Transfer arrivals (unbounded) wait in one FIFO per directed link behind a
+//!   binary heap of the links' heads, keyed by packed `(time, producer,
+//!   destination)`: a link's bookings are first come first served and every
+//!   transfer takes positive time, so one link's arrivals come due in booking
+//!   order and the heap holds at most one entry per link. Draining pops
+//!   finishes at the current timestamp in op order, then arrivals in
+//!   `(producer, dst)` order — exactly the logical queue's order.
 //! * **Causal link reservations.** A cross-device transfer reserves its
 //!   directed link *when the producing op actually finishes* — at the
 //!   transfer's causal start time — never earlier. Per link, bookings are
@@ -25,34 +29,33 @@
 //! * **Ready-queue dispatch.** Each device runs one op at a time. All events
 //!   at a timestamp are drained before any op is started at that timestamp;
 //!   an idle device then starts the waiting op with the smallest
-//!   `(ready_time, op_index)` key.
+//!   `(ready_time, op_index)` key. An op becomes ready when its last input is
+//!   delivered, at the current timestamp, which never decreases: each
+//!   device's ready queue is an append-only deque of earlier timestamps'
+//!   ops, already in key order, plus a small heap for the current
+//!   timestamp's burst.
 //! * **Per-destination shipment dedup.** An op's output tensor ships at most
 //!   once per destination device; additional consumers on that device reuse
 //!   the one arrival (they fan out locally, as real runtimes do).
 //!
-//! The engine records a full schedule — every op slot and every booked
-//! transfer — plus the counters the telemetry layer exposes (events processed,
-//! peak queue depth, deduplicated shipments).
+//! A recorded schedule holds every op slot and every booked transfer; both
+//! paths report the counters the telemetry layer exposes (events processed,
+//! peak queue depth, deduplicated shipments, transfers booked).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use eagle_opgraph::{OpGraph, OpId};
 
+use crate::cost::CostGraph;
 use crate::device::{DeviceId, Machine};
 use crate::placement::Placement;
 
-/// Packs `(ready_time, op)` into one integer key ordered like the tuple.
-/// Simulated times are finite and non-negative, so the IEEE-754 bit pattern
-/// of `t` is monotone in `t` and a single `u128` compare replaces an f64
-/// `total_cmp` plus integer tie-breaks on the scheduler's hottest path.
-#[inline]
-fn ready_key(t: f64, op: u32) -> u128 {
-    debug_assert!(t.is_finite() && t.is_sign_positive(), "simulated times are >= 0");
-    ((t.to_bits() as u128) << 32) | op as u128
-}
-
-/// Packs an arrival event `(time, producer, dst)` into one ordered key.
+/// Packs an arrival event `(time, producer, dst)` into one integer key
+/// ordered like the tuple. Simulated times are finite and non-negative, so
+/// the IEEE-754 bit pattern of `t` is monotone in `t` and a single `u128`
+/// compare replaces an f64 `total_cmp` plus integer tie-breaks.
 #[inline]
 fn arrival_key(t: f64, producer: u32, dst: u8) -> u128 {
     debug_assert!(t.is_finite() && t.is_sign_positive(), "simulated times are >= 0");
@@ -60,8 +63,8 @@ fn arrival_key(t: f64, producer: u32, dst: u8) -> u128 {
 }
 
 #[inline]
-fn key_time(key: u128, payload_bits: u32) -> f64 {
-    f64::from_bits((key >> payload_bits) as u64)
+fn arrival_time(key: u128) -> f64 {
+    f64::from_bits((key >> 40) as u64)
 }
 
 /// One op's scheduled execution window.
@@ -101,8 +104,12 @@ pub struct Schedule {
     pub step_time: f64,
     /// Per-op execution slots, in dispatch (start) order.
     pub ops: Vec<OpSlot>,
-    /// Booked transfers, in causal booking order (non-decreasing start per link).
+    /// Booked transfers, in causal booking order (non-decreasing start per
+    /// link); empty on a [`schedule_stats`] schedule.
     pub transfers: Vec<TransferSlot>,
+    /// Number of booked cross-device transfers (`transfers.len()` when
+    /// recorded).
+    pub num_transfers: usize,
     /// Per-device busy time (compute only).
     pub device_busy: Vec<f64>,
     /// Total time spent in cross-device transfers (sum over links).
@@ -121,10 +128,11 @@ impl Schedule {
     /// Exports the schedule in Chrome trace-event format (load in
     /// `chrome://tracing` or Perfetto) — which device runs what when, and
     /// where transfers serialize. Op names come from `graph`, the graph this
-    /// schedule was built from; `ops` is empty on a [`schedule_stats`]
-    /// schedule, so only [`schedule`]'s draws ops. Times are emitted in
-    /// microseconds. Devices render as threads `0..num_devices`; each directed
-    /// link with booked transfers renders as its own thread after the devices.
+    /// schedule was built from; `ops` and `transfers` are empty on a
+    /// [`schedule_stats`] schedule, so only [`schedule`]'s draws anything.
+    /// Times are emitted in microseconds. Devices render as threads
+    /// `0..num_devices`; each directed link with booked transfers renders as
+    /// its own thread after the devices.
     pub fn to_chrome_trace(&self, graph: &OpGraph, machine: &Machine) -> String {
         use serde_json::Value;
         let obj = |entries: Vec<(&str, Value)>| {
@@ -194,7 +202,8 @@ impl Schedule {
 }
 
 /// Runs the causal discrete-event engine over `graph` on `machine` under
-/// `placement`, producing the full step schedule, every op slot recorded.
+/// `placement`, producing the full step schedule, every op slot and transfer
+/// recorded.
 ///
 /// Memory feasibility is *not* checked here — gate on [`crate::simulate`]
 /// returning [`SimOutcome::Valid`](crate::SimOutcome::Valid) first.
@@ -203,51 +212,140 @@ impl Schedule {
 /// Panics if the placement fails [`Placement::validate`] (a programming error:
 /// agents only choose among existing devices).
 pub fn schedule(graph: &OpGraph, machine: &Machine, placement: &Placement) -> Schedule {
-    run_engine::<true>(graph, machine, placement)
+    placement.validate(graph, machine).expect("placement matches graph and machine");
+    run_engine::<true>(&CostGraph::new(graph, machine), placement)
 }
 
-/// Like [`schedule`], but skips recording the per-op [`OpSlot`] vector
-/// (`Schedule::ops` comes back empty). Step time, transfers and every counter
-/// are identical — this is the entry for stats-only callers on the hot path
-/// ([`crate::simulate`] runs once per RL episode).
+/// Like [`schedule`], but records neither the per-op [`OpSlot`]s nor the
+/// [`TransferSlot`]s (`Schedule::ops` and `Schedule::transfers` come back
+/// empty; `num_transfers` counts the bookings). Step time and every counter
+/// are identical; this is the path [`crate::simulate`] runs.
 pub fn schedule_stats(graph: &OpGraph, machine: &Machine, placement: &Placement) -> Schedule {
-    run_engine::<false>(graph, machine, placement)
+    placement.validate(graph, machine).expect("placement matches graph and machine");
+    run_engine::<false>(&CostGraph::new(graph, machine), placement)
 }
 
 /// `RECORD` is a const generic so the stats-only path (once per RL episode)
-/// compiles with the op-slot recording deleted rather than branched over.
-fn run_engine<const RECORD: bool>(
-    graph: &OpGraph,
-    machine: &Machine,
-    placement: &Placement,
-) -> Schedule {
-    placement.validate(graph, machine).expect("placement matches graph and machine");
-    Engine::new(graph, machine, placement, RECORD).run::<RECORD>()
+/// compiles with the slot recording deleted rather than branched over. The
+/// placement must already have passed [`CostGraph::validate`].
+pub(crate) fn run_engine<const RECORD: bool>(cost: &CostGraph, placement: &Placement) -> Schedule {
+    Engine::new::<RECORD>(cost, placement).run::<RECORD>()
+}
+
+/// One device's ready-but-not-started ops, popped in `(ready time, op)`
+/// order. Every push happens at the engine's current timestamp, which never
+/// decreases, so the ops of earlier timestamps are already in key order: they
+/// sit in `settled`, and only the current timestamp's burst needs a heap.
+/// O(1) per op while bursts are single ops, O(log burst) at worst.
+#[derive(Default)]
+struct ReadyQueue {
+    settled: VecDeque<(f64, u32)>,
+    burst: BinaryHeap<Reverse<u32>>,
+    burst_time: f64,
+}
+
+impl ReadyQueue {
+    #[inline]
+    fn push(&mut self, t: f64, op: u32) {
+        if t != self.burst_time {
+            debug_assert!(t > self.burst_time, "ready pushes never go back in time");
+            while let Some(Reverse(o)) = self.burst.pop() {
+                self.settled.push_back((self.burst_time, o));
+            }
+            self.burst_time = t;
+        }
+        self.burst.push(Reverse(op));
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, u32)> {
+        match self.settled.pop_front() {
+            Some(entry) => Some(entry),
+            None => self.burst.pop().map(|Reverse(op)| (self.burst_time, op)),
+        }
+    }
+}
+
+/// In-flight transfer arrivals: one FIFO of `(arrival, producer)` per
+/// directed link `src * nd + dst`, and a heap of packed [`arrival_key`]s
+/// holding each non-empty link's head. A link's arrival times never
+/// decrease. They strictly increase unless a transfer is shorter than half
+/// an ulp of its start time; then two arrivals of one link tie and drain in
+/// booking order rather than producer order, which changes nothing: an
+/// arrival only delivers inputs, and the ops it readies at one timestamp
+/// are dispatched by `(ready, op)` after the whole drain.
+struct Arrivals {
+    links: Vec<VecDeque<(f64, u32)>>,
+    heads: BinaryHeap<Reverse<u128>>,
+    len: usize,
+}
+
+impl Arrivals {
+    fn new(links: usize) -> Self {
+        Arrivals {
+            links: (0..links).map(|_| VecDeque::new()).collect(),
+            heads: BinaryHeap::new(),
+            len: 0,
+        }
+    }
+
+    /// Earliest pending arrival time.
+    #[inline]
+    fn next_time(&self) -> Option<f64> {
+        self.heads.peek().map(|&Reverse(k)| arrival_time(k))
+    }
+
+    #[inline]
+    fn push(&mut self, link: usize, t: f64, producer: u32, dst: u8) {
+        self.len += 1;
+        let q = &mut self.links[link];
+        debug_assert!(q.back().is_none_or(|&(last, _)| last <= t), "link arrivals never go back");
+        if q.is_empty() {
+            self.heads.push(Reverse(arrival_key(t, producer, dst)));
+        }
+        q.push_back((t, producer));
+    }
+
+    /// Pops the earliest arrival as `(producer, dst)`; `devices` is the
+    /// placement, which names the producer's (source) device.
+    #[inline]
+    fn pop(&mut self, devices: &[DeviceId], nd: usize) -> (u32, u8) {
+        let mut head = self.heads.peek_mut().expect("an arrival is pending");
+        let Reverse(k) = *head;
+        self.len -= 1;
+        let (producer, dst) = ((k >> 8) as u32, k as u8);
+        let q = &mut self.links[devices[producer as usize].index() * nd + dst as usize];
+        q.pop_front();
+        match q.front() {
+            // The link's next arrival takes its head's place: one sift.
+            Some(&(t, p)) => *head = Reverse(arrival_key(t, p, dst)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        (producer, dst)
+    }
 }
 
 /// Mutable state of one engine run. Only [`Engine::run`] drives it; the
 /// methods are the event handlers.
 struct Engine<'a> {
-    graph: &'a OpGraph,
-    machine: &'a Machine,
-    placement: &'a Placement,
+    cost: &'a CostGraph,
+    devices: &'a [DeviceId],
     nd: usize,
     /// Undelivered input count per op.
     in_remaining: Vec<u32>,
-    /// Latest data-arrival time at each op, over all incoming edges.
-    arrival: Vec<f64>,
     dev_free: Vec<f64>,
     /// Directed link availability, dense (num_devices is tiny).
     link_free: Vec<f64>,
     device_busy: Vec<f64>,
-    /// Per-device queues of ready-but-not-started ops, keyed (ready, op index).
-    ready: Vec<BinaryHeap<Reverse<u128>>>,
-    /// Bitset of devices whose ready queue or idleness changed since the
-    /// last dispatch (word `d >> 6`, bit `d & 63`; `DeviceId` is a `u8`, so
-    /// four words cover every possible device).
+    ready: Vec<ReadyQueue>,
     /// Number of `u64` words of `dirty`/`occupied` actually in use
     /// (`ceil(nd / 64)`); scans slice to this to skip dead words.
     nwords: usize,
+    /// Bitset of devices whose ready queue or idleness changed since the
+    /// last dispatch (word `d >> 6`, bit `d & 63`; `DeviceId` is a `u8`, so
+    /// four words cover every possible device).
     dirty: [u64; 4],
     /// Bitset of devices with an outstanding finish event.
     occupied: [u64; 4],
@@ -256,8 +354,7 @@ struct Engine<'a> {
     /// `occupied` bit is set.
     running: Vec<(f64, u32)>,
     running_count: usize,
-    /// Outstanding transfer-arrival events, keyed (time, producer, dst).
-    arrivals: BinaryHeap<Reverse<u128>>,
+    arrivals: Arrivals,
     /// Destination-device stamp of the producer whose fan-out last shipped
     /// there, for the one-shipment-per-destination dedup (each producer
     /// finishes exactly once, so stamps never need resetting).
@@ -266,6 +363,7 @@ struct Engine<'a> {
     scheduled: u32,
     ops: Vec<OpSlot>,
     transfers: Vec<TransferSlot>,
+    num_transfers: usize,
     comm_time: f64,
     transfers_deduped: u64,
     peak_queue_depth: usize,
@@ -273,49 +371,42 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(
-        graph: &'a OpGraph,
-        machine: &'a Machine,
-        placement: &'a Placement,
-        record_ops: bool,
-    ) -> Self {
+    fn new<const RECORD: bool>(cost: &'a CostGraph, placement: &'a Placement) -> Self {
         // The zero-exec inline fan-out in `dispatch` relies on transfers
         // taking strictly positive time (DMA-style links always pay latency).
-        debug_assert!(machine.transfer_latency > 0.0, "links must have positive latency");
-        let n = graph.len();
-        let nd = machine.num_devices();
-        let in_remaining: Vec<u32> =
-            (0..n).map(|i| graph.preds(OpId(i as u32)).len() as u32).collect();
+        debug_assert!(cost.transfer_latency > 0.0, "links must have positive latency");
+        let n = cost.len();
+        let nd = cost.num_devices();
+        let devices = placement.devices();
         let mut eng = Engine {
-            graph,
-            machine,
-            placement,
+            cost,
+            devices,
             nd,
             nwords: nd.div_ceil(64),
-            in_remaining,
-            arrival: vec![0.0; n],
+            in_remaining: cost.in_degree.clone(),
             dev_free: vec![0.0; nd],
             link_free: vec![0.0; nd * nd],
             device_busy: vec![0.0; nd],
-            ready: (0..nd).map(|_| BinaryHeap::new()).collect(),
+            ready: (0..nd).map(|_| ReadyQueue::default()).collect(),
             dirty: [0; 4],
             occupied: [0; 4],
             running: vec![(0.0, 0); nd],
             running_count: 0,
-            arrivals: BinaryHeap::new(),
+            arrivals: Arrivals::new(nd * nd),
             shipped: vec![u32::MAX; nd],
             scheduled: 0,
-            ops: Vec::with_capacity(if record_ops { n } else { 0 }),
+            ops: Vec::with_capacity(if RECORD { n } else { 0 }),
             transfers: Vec::new(),
+            num_transfers: 0,
             comm_time: 0.0,
             transfers_deduped: 0,
             peak_queue_depth: 0,
             makespan: 0.0,
         };
-        for i in 0..n {
-            if eng.in_remaining[i] == 0 {
-                let d = placement.device(OpId(i as u32)).index();
-                eng.ready[d].push(Reverse(ready_key(0.0, i as u32)));
+        for (i, (&inputs, dev)) in cost.in_degree.iter().zip(devices).enumerate() {
+            if inputs == 0 {
+                let d = dev.index();
+                eng.ready[d].push(0.0, i as u32);
                 eng.dirty[d >> 6] |= 1 << (d & 63);
             }
         }
@@ -352,9 +443,8 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            let arrivals_due = match self.arrivals.peek() {
-                Some(&Reverse(k)) => {
-                    let at = key_time(k, 40);
+            let arrivals_due = match self.arrivals.next_time() {
+                Some(at) => {
                     if at < now {
                         now = at;
                         fin_ties = 0;
@@ -375,56 +465,53 @@ impl<'a> Engine<'a> {
                 // concern `fin_d` alone and no other dispatch can be pending.
                 self.occupied[fin_d >> 6] &= !(1 << (fin_d & 63));
                 self.running_count -= 1;
-                self.fanout(OpId(fin_op), now);
+                self.fanout::<RECORD>(fin_op, now);
                 self.dirty[fin_d >> 6] &= !(1 << (fin_d & 63));
                 self.dispatch_device::<RECORD>(fin_d, now, false);
                 continue;
-            } else {
-                // Contested timestamp. Finishes first, ascending op index …
-                loop {
-                    let mut best: Option<(u32, usize)> = None;
-                    for (w, &word) in self.occupied[..self.nwords].iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let d = (w << 6) | bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let (t, op) = self.running[d];
-                            if t == now && best.is_none_or(|(bop, _)| op < bop) {
-                                best = Some((op, d));
-                            }
+            }
+            // Contested timestamp. Finishes first, ascending op index (a
+            // fan-out starts nothing, so exactly `fin_ties` finish now) …
+            for _ in 0..fin_ties {
+                let mut best: Option<(u32, usize)> = None;
+                for (w, &word) in self.occupied[..self.nwords].iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let d = (w << 6) | bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let (t, op) = self.running[d];
+                        if t == now && best.is_none_or(|(bop, _)| op < bop) {
+                            best = Some((op, d));
                         }
                     }
-                    let Some((op, d)) = best else { break };
-                    self.occupied[d >> 6] &= !(1 << (d & 63));
-                    self.running_count -= 1;
-                    self.dirty[d >> 6] |= 1 << (d & 63);
-                    self.fanout(OpId(op), now);
                 }
-                // … then arrivals, ascending (producer, destination).
-                while let Some(&Reverse(k)) = self.arrivals.peek() {
-                    if key_time(k, 40) != now {
-                        break;
-                    }
-                    self.arrivals.pop();
-                    let producer = OpId(((k >> 8) & u128::from(u32::MAX)) as u32);
-                    self.arrive(producer, DeviceId(k as u8), now);
-                }
+                let (op, d) = best.expect("a finish at the drain timestamp");
+                self.occupied[d >> 6] &= !(1 << (d & 63));
+                self.running_count -= 1;
+                self.dirty[d >> 6] |= 1 << (d & 63);
+                self.fanout::<RECORD>(op, now);
+            }
+            // … then arrivals, ascending (producer, destination).
+            while self.arrivals.next_time() == Some(now) {
+                let (producer, dst) = self.arrivals.pop(self.devices, self.nd);
+                self.arrive(producer, dst, now);
             }
             self.dispatch::<RECORD>(now);
         }
         assert_eq!(
             self.scheduled as usize,
-            self.graph.len(),
+            self.cost.len(),
             "all ops schedule once (graph is a DAG)"
         );
         // Every op contributes exactly one finish event and every booked
         // transfer exactly one arrival event; with the run complete, the
         // drained-event count is fully determined.
-        let events_processed = self.scheduled as u64 + self.transfers.len() as u64;
+        let events_processed = self.scheduled as u64 + self.num_transfers as u64;
         Schedule {
             step_time: self.makespan,
             ops: self.ops,
             transfers: self.transfers,
+            num_transfers: self.num_transfers,
             device_busy: self.device_busy,
             comm_time: self.comm_time,
             transfers_deduped: self.transfers_deduped,
@@ -472,72 +559,58 @@ impl<'a> Engine<'a> {
         mut now: f64,
         pending_dispatch: bool,
     ) {
-        {
-            while self.dev_free[d] <= now {
-                let Some(Reverse(key)) = self.ready[d].pop() else { break };
-                let (rt, op) = (key_time(key, 32), key as u32);
-                let id = OpId(op);
-                let node = self.graph.node(id);
-                let exec = self.machine.exec_time(node.kind, node.flops, DeviceId(d as u8));
-                let start = rt.max(self.dev_free[d]);
-                let finish = start + exec;
-                self.dev_free[d] = finish;
-                self.device_busy[d] += exec;
-                self.makespan = self.makespan.max(finish);
-                self.scheduled += 1;
-                if RECORD {
-                    self.ops.push(OpSlot { op, device: d as u8, start, finish });
+        while self.dev_free[d] <= now {
+            let Some((rt, op)) = self.ready[d].pop() else { break };
+            let exec = self.cost.exec_time(op, d);
+            let start = rt.max(self.dev_free[d]);
+            let finish = start + exec;
+            self.dev_free[d] = finish;
+            self.device_busy[d] += exec;
+            self.makespan = self.makespan.max(finish);
+            self.scheduled += 1;
+            if RECORD {
+                self.ops.push(OpSlot { op, device: d as u8, start, finish });
+            }
+            if exec == 0.0 {
+                self.fanout::<RECORD>(op, finish);
+                // fanout re-marks this device dirty (same-device
+                // deliveries only — cross-device successors go through a
+                // positive-latency transfer); we are already draining its
+                // queue, so clear the flag again.
+                self.dirty[d >> 6] &= !(1 << (d & 63));
+                continue;
+            }
+            let mut next_other = self.arrivals.next_time().unwrap_or(f64::INFINITY);
+            for (w, &word) in self.occupied[..self.nwords].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let d2 = (w << 6) | bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    next_other = next_other.min(self.running[d2].0);
                 }
-                if exec == 0.0 {
-                    self.fanout(id, finish);
-                    // fanout re-marks this device dirty (same-device
-                    // deliveries only — cross-device successors go through a
-                    // positive-latency transfer); we are already draining its
-                    // queue, so clear the flag again.
-                    self.dirty[d >> 6] &= !(1 << (d & 63));
-                } else {
-                    let mut next_other = f64::INFINITY;
-                    for (w, &word) in self.occupied[..self.nwords].iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let d2 = (w << 6) | bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let t = self.running[d2].0;
-                            if t < next_other {
-                                next_other = t;
-                            }
-                        }
-                    }
-                    if let Some(&Reverse(k)) = self.arrivals.peek() {
-                        let at = key_time(k, 40);
-                        if at < next_other {
-                            next_other = at;
-                        }
-                    }
-                    // A still-dirty device has ops that start at the current
-                    // drain timestamp but are not yet visible as finish
-                    // events; their finishes could precede ours, so the
-                    // lookahead is only sound when no dispatch is pending.
-                    if !pending_dispatch && finish < next_other {
-                        // Fast-forward: this finish is provably the sole next
-                        // event. The op is "running" from `start` to `finish`
-                        // with nothing else sampling the queue in between, so
-                        // one peak sample at start covers the whole interval.
-                        self.peak_queue_depth =
-                            self.peak_queue_depth.max(self.running_count + 1 + self.arrivals.len());
-                        now = finish;
-                        self.fanout(id, finish);
-                        // fanout re-marks this device dirty (same-device
-                        // deliveries only); we keep draining it here.
-                        self.dirty[d >> 6] &= !(1 << (d & 63));
-                    } else {
-                        self.running[d] = (finish, op);
-                        self.occupied[d >> 6] |= 1 << (d & 63);
-                        self.running_count += 1;
-                        self.peak_queue_depth =
-                            self.peak_queue_depth.max(self.running_count + self.arrivals.len());
-                    }
-                }
+            }
+            // A still-dirty device has ops that start at the current drain
+            // timestamp but are not yet visible as finish events; their
+            // finishes could precede ours, so the lookahead is only sound
+            // when no dispatch is pending.
+            if !pending_dispatch && finish < next_other {
+                // Fast-forward: this finish is provably the sole next event.
+                // The op is "running" from `start` to `finish` with nothing
+                // else sampling the queue in between, so one peak sample at
+                // start covers the whole interval.
+                self.peak_queue_depth =
+                    self.peak_queue_depth.max(self.running_count + 1 + self.arrivals.len);
+                now = finish;
+                self.fanout::<RECORD>(op, finish);
+                // fanout re-marks this device dirty (same-device deliveries
+                // only); we keep draining it here.
+                self.dirty[d >> 6] &= !(1 << (d & 63));
+            } else {
+                self.running[d] = (finish, op);
+                self.occupied[d >> 6] |= 1 << (d & 63);
+                self.running_count += 1;
+                self.peak_queue_depth =
+                    self.peak_queue_depth.max(self.running_count + self.arrivals.len);
             }
         }
     }
@@ -545,60 +618,64 @@ impl<'a> Engine<'a> {
     /// Processes op `a` finishing at time `t`: delivers same-device consumers
     /// and books one transfer per remote destination device at its causal
     /// start time `max(t, link free)`.
-    fn fanout(&mut self, a: OpId, t: f64) {
-        let node = self.graph.node(a);
-        let dev = self.placement.device(a);
-        for &succ in self.graph.succs(a) {
-            let sdev = self.placement.device(succ);
+    fn fanout<const RECORD: bool>(&mut self, a: u32, t: f64) {
+        let cost = self.cost;
+        let dev = self.devices[a as usize].index();
+        for &succ in cost.succs(a) {
+            let sdev = self.devices[succ as usize].index();
             if sdev == dev {
                 self.deliver(succ, t);
-            } else if self.shipped[sdev.index()] == a.0 {
+            } else if self.shipped[sdev] == a {
                 // Already bound for that device within this fan-out: the
                 // consumer reads the one shipped copy, delivered by the
                 // pending arrival event.
                 self.transfers_deduped += 1;
             } else {
-                self.shipped[sdev.index()] = a.0;
-                let link = &mut self.link_free[dev.index() * self.nd + sdev.index()];
+                self.shipped[sdev] = a;
+                let link_id = dev * self.nd + sdev;
+                let link = &mut self.link_free[link_id];
                 let start = t.max(*link);
-                let dur = self.machine.transfer_time(node.out_bytes);
+                let dur = cost.transfer_time(a);
                 *link = start + dur;
                 self.comm_time += dur;
-                self.transfers.push(TransferSlot {
-                    producer: a.0,
-                    src: dev.0,
-                    dst: sdev.0,
-                    bytes: node.out_bytes,
-                    start,
-                    finish: start + dur,
-                });
-                self.arrivals.push(Reverse(arrival_key(start + dur, a.0, sdev.0)));
+                self.num_transfers += 1;
+                if RECORD {
+                    self.transfers.push(TransferSlot {
+                        producer: a,
+                        src: dev as u8,
+                        dst: sdev as u8,
+                        bytes: cost.out_bytes[a as usize],
+                        start,
+                        finish: start + dur,
+                    });
+                }
+                self.arrivals.push(link_id, start + dur, a, sdev as u8);
                 self.peak_queue_depth =
-                    self.peak_queue_depth.max(self.running_count + self.arrivals.len());
+                    self.peak_queue_depth.max(self.running_count + self.arrivals.len);
             }
         }
     }
 
     /// Processes the arrival of `producer`'s tensor on `dst` at time `t`:
     /// delivers every consumer of `producer` placed there.
-    fn arrive(&mut self, producer: OpId, dst: DeviceId, t: f64) {
-        for &succ in self.graph.succs(producer) {
-            if self.placement.device(succ) == dst {
+    fn arrive(&mut self, producer: u32, dst: u8, t: f64) {
+        for &succ in self.cost.succs(producer) {
+            if self.devices[succ as usize].0 == dst {
                 self.deliver(succ, t);
             }
         }
     }
 
-    /// Delivers one input to `succ` at time `t`; readiness is discovered in
-    /// causal order, so the ready key equals the delivery time of the last
-    /// arriving input.
-    fn deliver(&mut self, succ: OpId, t: f64) {
-        let s = succ.index();
-        self.arrival[s] = self.arrival[s].max(t);
+    /// Delivers one input to `succ` at time `t`, the current timestamp.
+    /// Inputs are delivered in causal order, so an op becomes ready at the
+    /// delivery time of its last input.
+    #[inline]
+    fn deliver(&mut self, succ: u32, t: f64) {
+        let s = succ as usize;
         self.in_remaining[s] -= 1;
         if self.in_remaining[s] == 0 {
-            let d = self.placement.device(succ).index();
-            self.ready[d].push(Reverse(ready_key(self.arrival[s], succ.0)));
+            let d = self.devices[s].index();
+            self.ready[d].push(t, succ);
             self.dirty[d >> 6] |= 1 << (d & 63);
         }
     }

@@ -11,11 +11,17 @@
 //!
 //! * [`Machine`] / [`DeviceSpec`] — the device model.
 //! * [`Placement`] — one device per op.
+//! * [`CostGraph`] — a graph's costs on one machine, flattened once (CSR
+//!   successors, in-degrees, per-op FLOPs, kinds and bytes, per-device
+//!   throughput): the only structure the engine reads. Build one per
+//!   (graph, machine) and simulate many placements over it.
 //! * [`engine`] — the causal discrete-event scheduling core: [`simulate`]'s
 //!   step time, and the recorded [`Schedule`] with its Chrome-trace export.
-//! * [`simulate`] — one training step's makespan (OOM gate + engine).
+//! * [`simulate`] — one training step's makespan (OOM gate + engine), over a
+//!   cost graph built for the call; [`CostGraph::simulate`] over a kept one.
 //! * [`Environment`] — the 15-step measurement protocol with noise and a simulated
-//!   wall-clock (the x-axis of the paper's training-curve figures).
+//!   wall-clock (the x-axis of the paper's training-curve figures); it builds
+//!   its cost graph on its first simulation.
 //! * [`predefined`] — Single-GPU and Human-Expert baseline placements.
 //! * [`search`] — the simulated-annealing oracle over the landscape.
 //! * [`Benchmark`] — calibrated Inception-V3 / GNMT / BERT instances.
@@ -24,6 +30,7 @@
 
 mod benchmarks;
 mod cache;
+mod cost;
 mod device;
 pub mod engine;
 mod env;
@@ -34,6 +41,7 @@ mod sim;
 
 pub use benchmarks::{calibrate, Benchmark};
 pub use cache::{BaseEval, CacheStats, PlacementCache};
+pub use cost::CostGraph;
 pub use device::{
     efficiency, DeviceId, DeviceKind, DeviceSpec, Machine, MachineBuilder, MachineError,
 };

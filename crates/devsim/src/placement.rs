@@ -100,14 +100,23 @@ impl Placement {
     /// Checks the placement covers exactly the graph's ops and uses only devices
     /// that exist on the machine.
     pub fn validate(&self, graph: &OpGraph, machine: &Machine) -> Result<(), PlacementError> {
-        if self.devices.len() != graph.len() {
+        self.validate_shape(graph.len(), machine.num_devices())
+    }
+
+    /// [`Placement::validate`] against an op count and a device count.
+    pub(crate) fn validate_shape(
+        &self,
+        num_ops: usize,
+        num_devices: usize,
+    ) -> Result<(), PlacementError> {
+        if self.devices.len() != num_ops {
             return Err(PlacementError::LengthMismatch {
                 placement: self.devices.len(),
-                graph: graph.len(),
+                graph: num_ops,
             });
         }
         for (i, d) in self.devices.iter().enumerate() {
-            if d.index() >= machine.num_devices() {
+            if d.index() >= num_devices {
                 return Err(PlacementError::UnknownDevice { op: i, device: d.0 });
             }
         }

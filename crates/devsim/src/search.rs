@@ -11,9 +11,9 @@ use rand_chacha::ChaCha8Rng;
 
 use eagle_opgraph::OpGraph;
 
+use crate::cost::CostGraph;
 use crate::device::{DeviceId, Machine};
 use crate::placement::Placement;
-use crate::sim::simulate;
 
 /// Result of a search run.
 #[derive(Debug, Clone)]
@@ -26,15 +26,14 @@ pub struct SearchResult {
     pub evals: usize,
 }
 
-fn eval(graph: &OpGraph, machine: &Machine, group_of: &[usize], gd: &[DeviceId]) -> f64 {
-    simulate(graph, machine, &Placement::from_groups(group_of, gd))
-        .step_time()
-        .unwrap_or(f64::INFINITY)
+fn eval(cost: &CostGraph, group_of: &[usize], gd: &[DeviceId]) -> f64 {
+    cost.simulate(&Placement::from_groups(group_of, gd)).step_time().unwrap_or(f64::INFINITY)
 }
 
 /// Simulated annealing with a geometric temperature schedule proportional to the
 /// current objective. The strongest classical baseline here; used as the
-/// landscape "oracle" in EXPERIMENTS.md.
+/// landscape "oracle" in EXPERIMENTS.md. One [`CostGraph`] serves the whole
+/// search.
 pub fn simulated_annealing(
     graph: &OpGraph,
     machine: &Machine,
@@ -44,9 +43,10 @@ pub fn simulated_annealing(
 ) -> SearchResult {
     let k = group_of.iter().copied().max().map_or(0, |m| m + 1);
     let nd = machine.num_devices() as u8;
+    let cost = CostGraph::new(graph, machine);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut gd: Vec<DeviceId> = (0..k).map(|_| DeviceId(rng.gen_range(0..nd))).collect();
-    let mut cur = eval(graph, machine, group_of, &gd);
+    let mut cur = eval(&cost, group_of, &gd);
     let mut best = cur;
     let mut best_gd = gd.clone();
     for i in 0..iters {
@@ -55,7 +55,7 @@ pub fn simulated_annealing(
         let gi = rng.gen_range(0..k);
         let old = gd[gi];
         gd[gi] = DeviceId(rng.gen_range(0..nd));
-        let t = eval(graph, machine, group_of, &gd);
+        let t = eval(&cost, group_of, &gd);
         let accept = t < cur || (t.is_finite() && rng.gen::<f64>() < ((cur - t) / temp).exp());
         if accept {
             cur = t;
@@ -93,6 +93,7 @@ mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
     use crate::predefined;
+    use crate::sim::simulate;
 
     #[test]
     fn searches_find_valid_placements_on_gnmt() {

@@ -15,6 +15,7 @@
 use eagle_obs::{resolve_workers, Recorder};
 use eagle_opgraph::OpGraph;
 
+use crate::cost::CostGraph;
 use crate::device::{DeviceId, Machine};
 use crate::engine;
 use crate::placement::Placement;
@@ -60,58 +61,80 @@ pub struct StepStats {
     pub num_transfers: usize,
 }
 
-/// Simulates one training step of `graph` on `machine` under `placement`.
+/// Simulates one training step of `graph` on `machine` under `placement`:
+/// [`CostGraph::simulate`] over a cost graph built for this call. A caller
+/// that simulates many placements of one graph builds the [`CostGraph`] once.
 ///
 /// # Panics
 /// Panics if the placement fails [`Placement::validate`] (programming error rather
 /// than an agent decision — agents only choose among existing devices).
 pub fn simulate(graph: &OpGraph, machine: &Machine, placement: &Placement) -> SimOutcome {
-    simulate_recorded(graph, machine, placement, &Recorder::disabled())
+    CostGraph::new(graph, machine).simulate(placement)
 }
 
-/// [`simulate`] with engine telemetry recorded to `recorder`.
-///
-/// Only order-independent metrics are emitted (counters and a histogram), so
-/// recording from parallel rollout workers stays deterministic:
-/// `devsim.engine.events` (events processed), `devsim.engine.transfers_deduped`
-/// (shipments reused by same-device consumers), and `devsim.engine.queue_depth`
-/// (peak event-queue depth per step, histogram).
+/// [`simulate`] with engine telemetry recorded to `recorder`
+/// ([`CostGraph::simulate_recorded`]).
 pub fn simulate_recorded(
     graph: &OpGraph,
     machine: &Machine,
     placement: &Placement,
     recorder: &Recorder,
 ) -> SimOutcome {
-    // Memory feasibility first: resident bytes per device must fit.
-    let mem = placement.memory_per_device(graph, machine);
-    for (i, (&used, spec)) in mem.iter().zip(&machine.devices).enumerate() {
-        if used > spec.mem_bytes {
-            return SimOutcome::Oom {
-                device: DeviceId(i as u8),
-                required: used,
-                capacity: spec.mem_bytes,
-            };
-        }
+    CostGraph::new(graph, machine).simulate_recorded(placement, recorder)
+}
+
+impl CostGraph {
+    /// Simulates one training step under `placement`.
+    ///
+    /// # Panics
+    /// Panics if the placement does not fit the graph and machine this cost
+    /// graph was built from ([`Placement::validate`]).
+    pub fn simulate(&self, placement: &Placement) -> SimOutcome {
+        self.simulate_recorded(placement, &Recorder::disabled())
     }
 
-    // Stats-only scheduling: skips recording the per-op slot vector, which
-    // only the Chrome export draws and the step-time reward path never reads.
-    let sched = engine::schedule_stats(graph, machine, placement);
-    recorder.add("devsim.engine.events", sched.events_processed);
-    recorder.add("devsim.engine.transfers_deduped", sched.transfers_deduped);
-    recorder.observe("devsim.engine.queue_depth", sched.peak_queue_depth as f64);
+    /// [`CostGraph::simulate`] with engine telemetry recorded to `recorder`.
+    ///
+    /// Only order-independent metrics are emitted (counters and a histogram),
+    /// so recording from parallel rollout workers stays deterministic:
+    /// `devsim.engine.events` (events processed),
+    /// `devsim.engine.transfers_deduped` (shipments reused by same-device
+    /// consumers), and `devsim.engine.queue_depth` (peak event-queue depth
+    /// per step, histogram).
+    pub fn simulate_recorded(&self, placement: &Placement, recorder: &Recorder) -> SimOutcome {
+        self.validate(placement).expect("placement matches graph and machine");
+        // Memory feasibility first: resident bytes per device must fit.
+        for (i, &used) in self.memory_per_device(placement).iter().enumerate() {
+            if used > self.capacity[i] {
+                return SimOutcome::Oom {
+                    device: DeviceId(i as u8),
+                    required: used,
+                    capacity: self.capacity[i],
+                };
+            }
+        }
 
-    SimOutcome::Valid(StepStats {
-        step_time: sched.step_time,
-        device_busy: sched.device_busy,
-        comm_time: sched.comm_time,
-        num_transfers: sched.transfers.len(),
-    })
+        // Stats-only scheduling: skips recording the op and transfer slots,
+        // which only the Chrome export draws and the step-time reward path
+        // never reads.
+        let sched = engine::run_engine::<false>(self, placement);
+        recorder.add("devsim.engine.events", sched.events_processed);
+        recorder.add("devsim.engine.transfers_deduped", sched.transfers_deduped);
+        recorder.observe("devsim.engine.queue_depth", sched.peak_queue_depth as f64);
+
+        SimOutcome::Valid(StepStats {
+            step_time: sched.step_time,
+            device_busy: sched.device_busy,
+            comm_time: sched.comm_time,
+            num_transfers: sched.num_transfers,
+        })
+    }
 }
 
 /// Runs `sim` over `items`, contiguous chunks striped across up to `workers`
-/// threads (0 = one per available core, 1 = serial), results in item order.
-/// The one fan-out over simulations; its one caller is
+/// threads (0 = one per available core, 1 = serial), the first chunk on the
+/// calling thread, results in item order. The one fan-out over simulations;
+/// its one caller is
 /// [`Environment::evaluate_batch`](crate::Environment::evaluate_batch), which
 /// spreads a batch's cache misses over it. `sim` must be pure, so the result is
 /// the same for every worker count.
@@ -125,12 +148,17 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
         return items.iter().map(sim).collect();
     }
     let sim = &sim;
+    let mut chunks = items.chunks(items.len().div_ceil(workers));
+    let first = chunks.next().expect("at least two items");
     crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(items.len().div_ceil(workers))
+        let rest: Vec<_> = chunks
             .map(|chunk| s.spawn(move |_| chunk.iter().map(sim).collect::<Vec<R>>()))
             .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("simulation worker panicked")).collect()
+        let mut out: Vec<R> = first.iter().map(sim).collect();
+        for h in rest {
+            out.extend(h.join().expect("simulation worker panicked"));
+        }
+        out
     })
     .expect("simulation scope")
 }

@@ -62,11 +62,12 @@ fn arb_placement(n: usize, nd: u8) -> impl Strategy<Value = Placement> {
     })
 }
 
-/// Builds a random machine: the paper CPU plus 1–4 GPUs, with randomized link
+/// Builds a random machine: the paper CPU plus 1–16 GPUs (up to 272 directed
+/// links, each with its own arrival queue), with randomized link
 /// bandwidth/latency and launch overheads (memory kept at paper scale so the
 /// small random graphs never OOM and the differential check always schedules).
 fn arb_machine() -> impl Strategy<Value = Machine> {
-    (1usize..=4, 1u64..=24, 1u64..=1000, 0u64..=100).prop_map(
+    (1usize..=16, 1u64..=24, 1u64..=1000, 0u64..=100).prop_map(
         |(gpus, gb_per_s, latency_us, launch_us)| {
             let gib = 1u64 << 30;
             let mut b = Machine::builder().cpu(0.6e12, 125 * gib, 10e-6);
@@ -259,19 +260,22 @@ fn reference_schedule(g: &OpGraph, m: &Machine, p: &Placement) -> (f64, Vec<RefT
 
 /// Shared body of the differential oracle. Past the OOM gate, the reward
 /// path, the recorded schedule and the brute-force reference must agree
-/// exactly: recording changes nothing but `ops`, `simulate` is the stats-only
+/// exactly: recording changes nothing but `ops` and `transfers` (the stats
+/// path counts the transfers it books), `simulate` is the stats-only
 /// schedule's projection, and the reference books the same makespan (bitwise)
 /// and the same transfers.
 fn differential_check(g: &OpGraph, m: &Machine, p: &Placement) -> Result<(), TestCaseError> {
     let SimOutcome::Valid(stats) = eagle::devsim::simulate(g, m, p) else { return Ok(()) };
     let recorded = engine::schedule(g, m, p);
     prop_assert_eq!(recorded.ops.len(), g.len());
+    prop_assert_eq!(recorded.num_transfers, recorded.transfers.len());
     let mut unrecorded = recorded.clone();
     unrecorded.ops.clear();
+    unrecorded.transfers.clear();
     prop_assert_eq!(
         &engine::schedule_stats(g, m, p),
         &unrecorded,
-        "recording the op slots changes only `ops`"
+        "recording the op and transfer slots changes only `ops` and `transfers`"
     );
     let projected = StepStats {
         step_time: recorded.step_time,
