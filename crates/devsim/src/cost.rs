@@ -141,18 +141,6 @@ impl CostGraph {
     /// Per-device resident bytes under `placement`:
     /// [`Placement::memory_per_device`].
     pub(crate) fn memory_per_device(&self, placement: &Placement) -> Vec<u64> {
-        let mut mem = vec![0u64; self.num_devices()];
-        // Group placements come in runs of one device: sum a run in a
-        // register, store it once.
-        let (mut dev, mut run) = (0, 0u64);
-        for (d, &bytes) in placement.devices().iter().zip(&self.resident) {
-            if d.index() != dev {
-                mem[dev] += run;
-                (dev, run) = (d.index(), 0);
-            }
-            run += bytes;
-        }
-        mem[dev] += run;
-        mem
+        placement.memory_with(self.resident.iter().copied(), self.num_devices())
     }
 }

@@ -29,11 +29,9 @@
 //! * **Ready-queue dispatch.** Each device runs one op at a time. All events
 //!   at a timestamp are drained before any op is started at that timestamp;
 //!   an idle device then starts the waiting op with the smallest
-//!   `(ready_time, op_index)` key. An op becomes ready when its last input is
-//!   delivered, at the current timestamp, which never decreases: each
-//!   device's ready queue is an append-only deque of earlier timestamps'
-//!   ops, already in key order, plus a small heap for the current
-//!   timestamp's burst.
+//!   `(ready_time, op_index)` key, from a per-device binary heap of packed
+//!   keys. An op becomes ready when its last input is delivered, at the
+//!   current timestamp.
 //! * **Per-destination shipment dedup.** An op's output tensor ships at most
 //!   once per destination device; additional consumers on that device reuse
 //!   the one arrival (they fan out locally, as real runtimes do).
@@ -52,19 +50,27 @@ use crate::cost::CostGraph;
 use crate::device::{DeviceId, Machine};
 use crate::placement::Placement;
 
-/// Packs an arrival event `(time, producer, dst)` into one integer key
-/// ordered like the tuple. Simulated times are finite and non-negative, so
-/// the IEEE-754 bit pattern of `t` is monotone in `t` and a single `u128`
-/// compare replaces an f64 `total_cmp` plus integer tie-breaks.
+/// Packs a ready op `(ready_time, op)` into one integer key ordered like the
+/// tuple. Simulated times are finite and non-negative, so the IEEE-754 bit
+/// pattern of `t` is monotone in `t` and a single `u128` compare replaces an
+/// f64 `total_cmp` plus integer tie-breaks.
+#[inline]
+fn ready_key(t: f64, op: u32) -> u128 {
+    debug_assert!(t.is_finite() && t.is_sign_positive(), "simulated times are >= 0");
+    ((t.to_bits() as u128) << 32) | op as u128
+}
+
+/// Packs an arrival event `(time, producer, dst)` into one key the same way.
 #[inline]
 fn arrival_key(t: f64, producer: u32, dst: u8) -> u128 {
     debug_assert!(t.is_finite() && t.is_sign_positive(), "simulated times are >= 0");
     ((t.to_bits() as u128) << 40) | ((producer as u128) << 8) | dst as u128
 }
 
+/// The time of a key whose low `shift` bits hold the tie-breaks.
 #[inline]
-fn arrival_time(key: u128) -> f64 {
-    f64::from_bits((key >> 40) as u64)
+fn key_time(key: u128, shift: u32) -> f64 {
+    f64::from_bits((key >> shift) as u64)
 }
 
 /// One op's scheduled execution window.
@@ -232,40 +238,6 @@ pub(crate) fn run_engine<const RECORD: bool>(cost: &CostGraph, placement: &Place
     Engine::new::<RECORD>(cost, placement).run::<RECORD>()
 }
 
-/// One device's ready-but-not-started ops, popped in `(ready time, op)`
-/// order. Every push happens at the engine's current timestamp, which never
-/// decreases, so the ops of earlier timestamps are already in key order: they
-/// sit in `settled`, and only the current timestamp's burst needs a heap.
-/// O(1) per op while bursts are single ops, O(log burst) at worst.
-#[derive(Default)]
-struct ReadyQueue {
-    settled: VecDeque<(f64, u32)>,
-    burst: BinaryHeap<Reverse<u32>>,
-    burst_time: f64,
-}
-
-impl ReadyQueue {
-    #[inline]
-    fn push(&mut self, t: f64, op: u32) {
-        if t != self.burst_time {
-            debug_assert!(t > self.burst_time, "ready pushes never go back in time");
-            while let Some(Reverse(o)) = self.burst.pop() {
-                self.settled.push_back((self.burst_time, o));
-            }
-            self.burst_time = t;
-        }
-        self.burst.push(Reverse(op));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(f64, u32)> {
-        match self.settled.pop_front() {
-            Some(entry) => Some(entry),
-            None => self.burst.pop().map(|Reverse(op)| (self.burst_time, op)),
-        }
-    }
-}
-
 /// In-flight transfer arrivals: one FIFO of `(arrival, producer)` per
 /// directed link `src * nd + dst`, and a heap of packed [`arrival_key`]s
 /// holding each non-empty link's head. A link's arrival times never
@@ -292,7 +264,7 @@ impl Arrivals {
     /// Earliest pending arrival time.
     #[inline]
     fn next_time(&self) -> Option<f64> {
-        self.heads.peek().map(|&Reverse(k)| arrival_time(k))
+        self.heads.peek().map(|&Reverse(k)| key_time(k, 40))
     }
 
     #[inline]
@@ -339,7 +311,8 @@ struct Engine<'a> {
     /// Directed link availability, dense (num_devices is tiny).
     link_free: Vec<f64>,
     device_busy: Vec<f64>,
-    ready: Vec<ReadyQueue>,
+    /// Per-device queues of ready-but-not-started ops, keyed (ready, op).
+    ready: Vec<BinaryHeap<Reverse<u128>>>,
     /// Number of `u64` words of `dirty`/`occupied` actually in use
     /// (`ceil(nd / 64)`); scans slice to this to skip dead words.
     nwords: usize,
@@ -387,7 +360,7 @@ impl<'a> Engine<'a> {
             dev_free: vec![0.0; nd],
             link_free: vec![0.0; nd * nd],
             device_busy: vec![0.0; nd],
-            ready: (0..nd).map(|_| ReadyQueue::default()).collect(),
+            ready: (0..nd).map(|_| BinaryHeap::new()).collect(),
             dirty: [0; 4],
             occupied: [0; 4],
             running: vec![(0.0, 0); nd],
@@ -406,7 +379,7 @@ impl<'a> Engine<'a> {
         for (i, (&inputs, dev)) in cost.in_degree.iter().zip(devices).enumerate() {
             if inputs == 0 {
                 let d = dev.index();
-                eng.ready[d].push(0.0, i as u32);
+                eng.ready[d].push(Reverse(ready_key(0.0, i as u32)));
                 eng.dirty[d >> 6] |= 1 << (d & 63);
             }
         }
@@ -560,7 +533,8 @@ impl<'a> Engine<'a> {
         pending_dispatch: bool,
     ) {
         while self.dev_free[d] <= now {
-            let Some((rt, op)) = self.ready[d].pop() else { break };
+            let Some(Reverse(key)) = self.ready[d].pop() else { break };
+            let (rt, op) = (key_time(key, 32), key as u32);
             let exec = self.cost.exec_time(op, d);
             let start = rt.max(self.dev_free[d]);
             let finish = start + exec;
@@ -675,7 +649,7 @@ impl<'a> Engine<'a> {
         self.in_remaining[s] -= 1;
         if self.in_remaining[s] == 0 {
             let d = self.devices[s].index();
-            self.ready[d].push(t, succ);
+            self.ready[d].push(Reverse(ready_key(t, succ)));
             self.dirty[d >> 6] |= 1 << (d & 63);
         }
     }

@@ -89,10 +89,22 @@ impl Placement {
 
     /// Per-device resident memory (params + activations) under this placement.
     pub fn memory_per_device(&self, graph: &OpGraph, machine: &Machine) -> Vec<u64> {
-        let mut mem = vec![0u64; machine.num_devices()];
-        for id in graph.ids() {
+        let resident = graph.ids().map(|id| {
             let n = graph.node(id);
-            mem[self.device(id).index()] += n.param_bytes + n.act_bytes;
+            n.param_bytes + n.act_bytes
+        });
+        self.memory_with(resident, machine.num_devices())
+    }
+
+    /// Sums op `i`'s resident bytes (the `i`-th of `resident`) onto its device.
+    pub(crate) fn memory_with(
+        &self,
+        resident: impl IntoIterator<Item = u64>,
+        num_devices: usize,
+    ) -> Vec<u64> {
+        let mut mem = vec![0u64; num_devices];
+        for (i, bytes) in resident.into_iter().enumerate() {
+            mem[self.devices[i].index()] += bytes;
         }
         mem
     }
