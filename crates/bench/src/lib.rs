@@ -214,8 +214,8 @@ impl Cli {
     /// `MANIFEST.json` of the output directory: the source `commit` (see
     /// [`source_commit`]), the `command` line, `scale`, `seed` (every trainer
     /// and environment seed derives from it), `samples` override, `curves`,
-    /// `workers` override and `host_cores`. Entries of artifacts this run did
-    /// not write are kept, so regenerating one entry leaves the others' lines.
+    /// `workers` override, `host_cores` and `libm`. Entries of artifacts this
+    /// run did not write are kept, so regenerating one leaves the others.
     pub fn write_manifest(&self, experiments: &[Experiment], commit: &str, command: &str) {
         let path = self.out_dir.join(MANIFEST_FILE);
         let mut entries: Vec<(String, Value)> = std::fs::read_to_string(&path)
@@ -227,6 +227,7 @@ impl Cli {
             })
             .unwrap_or_default();
         let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let libm = libm_identity();
         for experiment in experiments {
             for file in experiment.artifacts(self) {
                 let entry = micro::obj(vec![
@@ -242,6 +243,7 @@ impl Cli {
                     ("curves", Value::Bool(self.curves)),
                     ("workers", self.workers.map_or(Value::Null, |n| Value::U64(n as u64))),
                     ("host_cores", Value::U64(host_cores as u64)),
+                    ("libm", libm.clone()),
                 ]);
                 entries.retain(|(name, _)| *name != file);
                 entries.push((file, entry));
@@ -268,6 +270,26 @@ impl Cli {
 
 /// The provenance file the driver keeps next to its artifacts.
 const MANIFEST_FILE: &str = "MANIFEST.json";
+
+/// Which libm computed the artifacts' `exp`, `ln` and sigmoid (a variant can
+/// move the last bit of a trajectory): the glibc version (`null` off glibc)
+/// and the `glibc.cpu.hwcaps` mask of `GLIBC_TUNABLES` (`default` if unset).
+fn libm_identity() -> Value {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    let glibc = {
+        extern "C" {
+            fn gnu_get_libc_version() -> *const std::ffi::c_char;
+        }
+        // SAFETY: glibc returns its static, NUL-terminated version string.
+        let version = unsafe { std::ffi::CStr::from_ptr(gnu_get_libc_version()) };
+        Value::from(version.to_string_lossy().into_owned())
+    };
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    let glibc = Value::Null;
+    let tunables = std::env::var("GLIBC_TUNABLES").unwrap_or_default();
+    let hwcaps = tunables.split(':').find_map(|t| t.strip_prefix("glibc.cpu.hwcaps="));
+    micro::obj(vec![("glibc", glibc), ("hwcaps", Value::from(hwcaps.unwrap_or("default")))])
+}
 
 /// `git rev-parse HEAD` of the working directory, with `-dirty` appended
 /// when tracked files differ from it, or `unknown` outside a git checkout.

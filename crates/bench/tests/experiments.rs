@@ -165,6 +165,7 @@ fn all_writes_exactly_the_seventeen_artifacts() {
         );
         assert_eq!(entry["command"].as_str(), Some(command.as_str()), "{entry:?}");
         assert_eq!(entry["seed"].as_u64(), Some(7), "{entry:?}");
+        assert!(entry["libm"]["hwcaps"].as_str().is_some(), "{entry:?}");
     }
 
     let mut csvs = Vec::new();

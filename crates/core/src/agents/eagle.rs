@@ -17,7 +17,7 @@ use std::sync::Arc;
 use eagle_devsim::{search::topo_chunks, Machine, Placement};
 use eagle_nn::{AttentionMode, Encoded, Grouper, Lstm, Placer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, ReplaySlot, StochasticPolicy};
 use eagle_tensor::{optim::Adam, Grads, Params, ParamsStamp, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -35,6 +35,8 @@ pub struct EagleAgent {
     /// A serving agent's request-independent forward
     /// ([`EagleAgent::for_params`]); `None` for every other agent.
     prepared: Option<Prepared>,
+    /// The last sampling forward, for the score that replays it.
+    slot: ReplaySlot,
 }
 
 /// What the forward computes before the placer's decoder loop, under the
@@ -107,7 +109,8 @@ impl EagleAgent {
             AttentionMode::Before,
             rng,
         );
-        Self { grouper, link, placer, features, num_groups: k, prepared: None }
+        let slot = ReplaySlot::default();
+        Self { grouper, link, placer, features, num_groups: k, prepared: None, slot }
     }
 
     /// Warm-starts the grouper to a balanced topological chunking of the graph.
@@ -222,6 +225,12 @@ impl StochasticPolicy for EagleAgent {
         self.num_groups
     }
 
+    /// None on a serving agent: its sampling tape records only the decoder
+    /// loop, with no gradient path into the grouper, link or encoder.
+    fn replay_slot(&self) -> Option<&ReplaySlot> {
+        self.prepared.is_none().then_some(&self.slot)
+    }
+
     /// The grouper, the group-balance auxiliary loss and the linking RNN are
     /// episode-independent, so they run *once*; the placer decodes all
     /// episodes in one pass (it sees the same `linked` Var for every episode,
@@ -275,6 +284,7 @@ impl PlacementAgent for EagleAgent {
             features: Arc::new(super::features_tensor(graph)),
             num_groups: self.num_groups,
             prepared: None,
+            slot: ReplaySlot::default(),
         })
     }
 

@@ -11,7 +11,7 @@
 use eagle_devsim::{Machine, Placement};
 use eagle_nn::{embedding, normalize_adjacency, AttentionMode, Placer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, ReplaySlot, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor};
 use rand::Rng;
 
@@ -51,6 +51,7 @@ pub struct FixedGroupAgent {
     emb: Tensor,
     placer: Placer,
     num_groups: usize,
+    slot: ReplaySlot,
 }
 
 impl FixedGroupAgent {
@@ -88,7 +89,7 @@ impl FixedGroupAgent {
             }
             PlacerKind::Simple => Placer::mlp(params, &pname, d_in, simple, nd, rng),
         };
-        Self { name, group_of, emb, placer, num_groups }
+        Self { name, group_of, emb, placer, num_groups, slot: ReplaySlot::default() }
     }
 
     /// Builds the Post baseline: fixed groups + simple placer. Post groups
@@ -132,6 +133,10 @@ impl FixedGroupAgent {
 impl StochasticPolicy for FixedGroupAgent {
     fn rng_draws_per_sample(&self) -> usize {
         self.num_groups
+    }
+
+    fn replay_slot(&self) -> Option<&ReplaySlot> {
+        Some(&self.slot)
     }
 
     fn forward_batch(

@@ -12,7 +12,7 @@
 use eagle_devsim::{Machine, Placement};
 use eagle_nn::{embedding, AttentionMode, Categorical, Grouper, Placer};
 use eagle_opgraph::OpGraph;
-use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy};
+use eagle_rl::{BatchScoreHandle, Draws, EpisodeScore, ReplaySlot, StochasticPolicy};
 use eagle_tensor::{Params, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -28,6 +28,7 @@ pub struct HpAgent {
     features: Tensor,
     graph: OpGraph,
     num_groups: usize,
+    slot: ReplaySlot,
 }
 
 impl HpAgent {
@@ -53,7 +54,8 @@ impl HpAgent {
             AttentionMode::After,
             rng,
         );
-        Self { grouper, placer, features, graph: graph.clone(), num_groups: k }
+        let (graph, slot) = (graph.clone(), ReplaySlot::default());
+        Self { grouper, placer, features, graph, num_groups: k, slot }
     }
 
     /// Number of groups.
@@ -70,6 +72,10 @@ impl HpAgent {
 impl StochasticPolicy for HpAgent {
     fn rng_draws_per_sample(&self) -> usize {
         self.action_len()
+    }
+
+    fn replay_slot(&self) -> Option<&ReplaySlot> {
+        Some(&self.slot)
     }
 
     /// The grouper heads (logits, log-probs, entropy) are episode-independent

@@ -16,7 +16,7 @@
 
 use eagle_devsim::{CostGraph, Machine, Placement};
 use eagle_opgraph::OpGraph;
-use eagle_rl::fork_streams;
+use eagle_rl::{fork_streams, Draws};
 use eagle_tensor::Params;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -101,7 +101,7 @@ fn fastest(times: &[Option<f64>]) -> Option<(f64, usize)> {
 ///
 /// Each draw forks `candidates` RNG streams off its own
 /// `ChaCha8Rng::seed_from_u64(seed)`, so its answer depends only on the draw,
-/// never on its batch-mates; all draws share one `sample_batch` and one
+/// never on its batch-mates; all draws share one sampling forward and one
 /// `decode_batch` (on a serving agent: one decoder forward and a lookup of
 /// the group assignment), and every candidate is simulated in turn on the
 /// calling thread, over one [`CostGraph`] built for the call. The answer is
@@ -121,8 +121,9 @@ pub fn best_of<A: PlacementAgent>(
     }
     let mut stream_refs: Vec<&mut dyn RngCore> =
         streams.iter_mut().map(|r| r as &mut dyn RngCore).collect();
-    let actions: Vec<Vec<usize>> =
-        agent.sample_batch(params, &mut stream_refs).into_iter().map(|(a, _)| a).collect();
+    // The forward itself, not `sample_batch`: the tape is dropped here, so
+    // nothing kept pins the parameters for the caller's next write.
+    let (_, actions) = agent.forward_batch(params, Draws::Sample(&mut stream_refs));
     let placements = agent.decode_batch(params, &actions);
     let cost = CostGraph::new(graph, machine);
     let times: Vec<Option<f64>> = placements.iter().map(|p| cost.simulate(p).step_time()).collect();
@@ -143,6 +144,7 @@ mod tests {
     use super::*;
     use eagle_devsim::simulate;
     use eagle_opgraph::builders::{self, GnmtConfig};
+    use eagle_rl::StochasticPolicy;
     use eagle_tensor::Tensor;
 
     fn tiny_graph() -> OpGraph {
@@ -198,6 +200,48 @@ mod tests {
         let both = best_of(&agent, &params, &graph, &machine, &[(oom, 1), (fits, 1)]);
         assert_eq!(both[0], None);
         assert_eq!(both[1], one(fits));
+    }
+
+    /// Writes every parameter and asserts each write lands in place: no
+    /// tape still holds one.
+    fn assert_written_in_place(params: &mut Params) {
+        for id in params.ids().collect::<Vec<_>>() {
+            let at = params.get(id) as *const Tensor;
+            params.get_mut(id).data_mut()[0] += 1.0;
+            assert!(std::ptr::eq(params.get(id), at), "{} was copied", params.name(id));
+        }
+    }
+
+    #[test]
+    fn best_of_keeps_no_forward() {
+        let graph = tiny_graph();
+        let machine = Machine::paper_machine();
+        let (agent, mut params) = policy(&graph, &machine);
+        let slot = agent.replay_slot().expect("a training agent has a replay slot");
+        best_of(&agent, &params, &graph, &machine, &[(5, 3)]);
+        assert!(slot.is_empty());
+        assert_written_in_place(&mut params);
+    }
+
+    #[test]
+    fn a_prepared_agent_keeps_no_forward() {
+        let graph = tiny_graph();
+        let machine = Machine::paper_machine();
+        let (training, params) = policy(&graph, &machine);
+        let agent = EagleAgent::for_params(&params, &graph, &machine, AgentScale::tiny()).unwrap();
+        assert!(agent.replay_slot().is_none());
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let (actions, logp) = agent.sample_batch(&params, &mut [&mut rng]).remove(0);
+        assert!(agent.replay_slot().is_none());
+        // The score is the training agent's full replay, not the sampling
+        // tape: that one records only the decoder loop, with no gradient
+        // path into the grouper, link or encoder.
+        let h = agent.score_batch(&params, std::slice::from_ref(&actions));
+        let full = training.score_batch(&params, &[actions]);
+        assert_eq!(h.tape.len(), full.tape.len());
+        let logp_of = |h: &eagle_rl::BatchScoreHandle| h.tape.value(h.episodes[0].log_prob).item();
+        assert_eq!(logp_of(&h).to_bits(), logp.to_bits());
+        assert_eq!(logp_of(&full).to_bits(), logp.to_bits());
     }
 
     #[test]

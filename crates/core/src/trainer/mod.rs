@@ -417,6 +417,9 @@ impl Trainer {
             // the action stream — and the checkpointed RNG position — is
             // bit-identical to per-episode sampling. `rng_draws_per_sample` is
             // graph-independent, so the accounting is uniform across graphs.
+            // The agent keeps this forward for the update's first scoring
+            // step (`eagle_rl::ReplaySlot`): nothing writes `params` before
+            // Phase D consumes it, or each Adam write would copy a tensor.
             let sample_span = rec.span("trainer.sample_us");
             let mut streams =
                 eagle_rl::fork_streams(&mut st.rng, agent.rng_draws_per_sample(), batch_size);

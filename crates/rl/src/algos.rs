@@ -69,7 +69,8 @@ impl Stepper {
     }
 
     /// Runs `steps` gradient steps over `actions`: one batched scoring pass
-    /// per step (the parameters change between steps).
+    /// per step (the parameters change between steps); the first takes the
+    /// policy's kept sampling forward when it drew `actions` under `params`.
     /// `gain` builds episode `i`'s objective on the shared tape; the loop
     /// negates it, averages over the batch, adds the agent's auxiliary loss and
     /// folds the episodes with `add_n`, so the whole batch backpropagates in

@@ -27,6 +27,7 @@ pub use algos::{
     top_k_indices, CrossEntropyMin, OptimConfig, Ppo, Reinforce, TrainSample, UpdateStats,
 };
 pub use policy::{
-    fork_streams, sample_categorical, BatchScoreHandle, Draws, EpisodeScore, StochasticPolicy,
+    fork_streams, sample_categorical, BatchScoreHandle, Draws, EpisodeScore, ReplaySlot,
+    StochasticPolicy,
 };
 pub use reward::{invalid_reward, reward_from_time, EmaBaseline, RewardTransform};

@@ -12,6 +12,11 @@
 //! gradient). Sampling and scoring record the same forward, node for node, so
 //! they cannot drift apart; a batch of one is the per-episode case.
 //!
+//! So a policy with a [`ReplaySlot`] samples once: `sample_batch` keeps its
+//! handle there, and the next `score_batch` of the drawn actions under the
+//! same tensors (PPO's first epoch, REINFORCE's step) takes it instead of
+//! running a replay forward.
+//!
 //! # Bit-identity contract
 //!
 //! An episode's outcome must not depend on its batch-mates: `sample_batch` over
@@ -34,7 +39,9 @@
 //! per-episode gradients to tolerance (see `tests/batched_policy.rs`), while
 //! the update path is run-to-run deterministic bit for bit.
 
-use eagle_tensor::{Params, Tape, Var};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use eagle_tensor::{Params, ParamsStamp, Tape, Var};
 
 /// The loss-relevant heads of one episode inside a [`BatchScoreHandle`].
 ///
@@ -65,6 +72,43 @@ pub struct BatchScoreHandle {
     pub tape: Tape,
     /// Per-episode heads, in episode order.
     pub episodes: Vec<EpisodeScore>,
+}
+
+/// The last sampling forward of a policy, kept for the score that replays it.
+///
+/// Keyed by [`ParamsStamp`] identity and the drawn actions, so a kept handle
+/// goes only to a score of those very actions under those very tensors and
+/// reusing it is exact. Its tape holds every parameter it read: a write to
+/// one copies it until the entry is taken or replaced.
+#[derive(Default)]
+pub struct ReplaySlot(Mutex<Option<Kept>>);
+
+/// A sampling forward: the tensors it read, the actions it drew, its handle.
+type Kept = (ParamsStamp, Vec<Vec<usize>>, BatchScoreHandle);
+
+impl ReplaySlot {
+    /// Keeps `handle`, the forward that drew `actions` under `params`,
+    /// replacing whatever was kept before.
+    pub fn keep(&self, params: &Params, actions: Vec<Vec<usize>>, handle: BatchScoreHandle) {
+        *self.lock() = Some((params.stamp(), actions, handle));
+    }
+
+    /// Empties the slot, returning the kept handle if it scores exactly
+    /// `actions` under `params`.
+    pub fn take(&self, params: &Params, actions: &[Vec<usize>]) -> Option<BatchScoreHandle> {
+        let (stamp, kept, handle) = self.lock().take()?;
+        (kept == actions && stamp.matches(params)).then_some(handle)
+    }
+
+    /// True when nothing is kept.
+    pub fn is_empty(&self) -> bool {
+        self.lock().is_none()
+    }
+
+    // The value is only ever replaced whole: a poisoned lock holds a sound one.
+    fn lock(&self) -> MutexGuard<'_, Option<Kept>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Where a policy forward's actions come from, one source per episode.
@@ -120,24 +164,37 @@ pub trait StochasticPolicy {
         draws: Draws<'_, '_>,
     ) -> (BatchScoreHandle, Vec<Vec<usize>>);
 
+    /// Where this policy keeps its last sampling forward for the score that
+    /// replays it; `None` (the default) keeps nothing.
+    fn replay_slot(&self) -> Option<&ReplaySlot> {
+        None
+    }
+
     /// Samples one action vector per RNG stream, each with its joint
-    /// log-probability under the sampling parameters (PPO's `pi_old`).
+    /// log-probability under the sampling parameters (PPO's `pi_old`), and
+    /// keeps the forward in the policy's [`ReplaySlot`], if it has one.
     fn sample_batch(
         &self,
         params: &Params,
         rngs: &mut [&mut dyn rand::RngCore],
     ) -> Vec<(Vec<usize>, f32)> {
         let (h, actions) = self.forward_batch(params, Draws::Sample(rngs));
-        actions
-            .into_iter()
-            .zip(&h.episodes)
-            .map(|(a, ep)| (a, h.tape.value(ep.log_prob).item()))
-            .collect()
+        let log_probs = h.episodes.iter().map(|ep| h.tape.value(ep.log_prob).item());
+        let drawn = actions.iter().cloned().zip(log_probs).collect();
+        if let Some(slot) = self.replay_slot() {
+            slot.keep(params, actions, h);
+        }
+        drawn
     }
 
-    /// Re-scores a minibatch of action vectors under `params` on one shared
-    /// tape.
+    /// Scores a minibatch of action vectors under `params` on one shared
+    /// tape: the kept sampling forward when it drew exactly `actions` under
+    /// these very tensors ([`ReplaySlot::take`]), a replay forward otherwise.
+    /// Either way the slot is empty afterwards.
     fn score_batch(&self, params: &Params, actions: &[Vec<usize>]) -> BatchScoreHandle {
+        if let Some(h) = self.replay_slot().and_then(|slot| slot.take(params, actions)) {
+            return h;
+        }
         let replay: Vec<&[usize]> = actions.iter().map(Vec::as_slice).collect();
         self.forward_batch(params, Draws::Replay(&replay)).0
     }
@@ -339,6 +396,76 @@ mod tests {
             }
         }
         assert_eq!(master.next_u32(), serial.next_u32(), "master advanced past all episodes");
+    }
+
+    /// The bandit's replay forward over `actions`.
+    fn replayed(
+        bandit: &test_policy::Bandit,
+        params: &Params,
+        actions: &[Vec<usize>],
+    ) -> BatchScoreHandle {
+        let replay: Vec<&[usize]> = actions.iter().map(Vec::as_slice).collect();
+        bandit.forward_batch(params, Draws::Replay(&replay)).0
+    }
+
+    #[test]
+    fn replay_slot_hits_only_the_kept_tensors_and_actions() {
+        let mut params = Params::new();
+        let bandit = test_policy::Bandit::new(&mut params, 3);
+        let drawn = vec![vec![1], vec![2]];
+        let slot = ReplaySlot::default();
+        let keep =
+            |params: &Params| slot.keep(params, drawn.clone(), replayed(&bandit, params, &drawn));
+        assert!(slot.is_empty());
+
+        keep(&params);
+        assert!(!slot.is_empty());
+        let hit = slot.take(&params, &drawn).expect("same tensors, same actions");
+        assert_eq!(hit.episodes.len(), 2);
+        assert!(slot.is_empty(), "a hit empties the slot");
+        assert!(slot.take(&params, &drawn).is_none(), "nothing is handed out twice");
+
+        // A clone of the store holds the very same tensors.
+        keep(&params);
+        assert!(slot.take(&params.clone(), &drawn).is_some());
+
+        // Other actions miss, and the miss empties the slot too.
+        for other in [vec![vec![1], vec![0]], vec![vec![1]], vec![]] {
+            keep(&params);
+            assert!(slot.take(&params, &other).is_none(), "{other:?}");
+            assert!(slot.is_empty(), "a miss empties the slot");
+        }
+
+        // Equal values in other tensors miss.
+        let mut copy = Params::new();
+        for id in params.ids() {
+            copy.add(params.name(id), params.get(id).clone());
+        }
+        keep(&params);
+        assert!(slot.take(&copy, &drawn).is_none());
+        assert!(slot.is_empty());
+
+        // A write between keep and take misses: the kept tape holds the old
+        // tensor, so the write lands in a copy.
+        keep(&params);
+        params.get_mut(bandit.logits).data_mut()[0] = 1.0;
+        assert!(slot.take(&params, &drawn).is_none());
+        assert!(slot.is_empty());
+    }
+
+    #[test]
+    fn a_new_keep_replaces_the_old_entry() {
+        let mut params = Params::new();
+        let bandit = test_policy::Bandit::new(&mut params, 3);
+        let (first, second) = (vec![vec![0]], vec![vec![2], vec![1], vec![0]]);
+        let slot = ReplaySlot::default();
+        slot.keep(&params, first.clone(), replayed(&bandit, &params, &first));
+        slot.keep(&params, second.clone(), replayed(&bandit, &params, &second));
+        assert!(slot.take(&params, &first).is_none(), "the first entry is gone");
+        slot.keep(&params, first.clone(), replayed(&bandit, &params, &first));
+        slot.keep(&params, second.clone(), replayed(&bandit, &params, &second));
+        let h = slot.take(&params, &second).expect("the second entry is kept");
+        assert_eq!(h.episodes.len(), 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   by a manifest, with graceful hot-reload when the manifest names newer
 //!   ones.
 //! * [`Router`] — coalesces concurrent requests into waves; one batched
-//!   `sample_batch` + `decode_batch` pair per wave group (< 1 forward per
+//!   sampling forward + `decode_batch` pair per wave group (< 1 forward per
 //!   request at concurrency ≥ 2). Admission is bounded: beyond
 //!   `queue_capacity` (or a family's `family_quota` share) requests are shed
 //!   with a typed `overloaded` reply carrying a `retry_after_ms` hint, and a

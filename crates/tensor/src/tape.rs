@@ -830,24 +830,25 @@ impl Tape {
                 self.bump_owned(grads, a, da, 1.0);
             }
             Op::Softmax(a) => {
-                // dX = Y * (dY - rowdot(dY, Y)) per row.
-                let mut da = Tensor::zeros(y.rows(), y.cols());
+                // dX = Y * (dY - rowdot(dY, Y)) per row, in dY's buffer.
+                let mut da = gy;
                 for r in 0..y.rows() {
-                    let dot: f32 = gy.row(r).iter().zip(y.row(r)).map(|(&g, &s)| g * s).sum();
-                    for c in 0..y.cols() {
-                        da.set(r, c, y.get(r, c) * (gy.get(r, c) - dot));
+                    let (g, s) = (da.row_mut(r), y.row(r));
+                    let dot: f32 = g.iter().zip(s).map(|(&g, &s)| g * s).sum();
+                    for (g, &s) in g.iter_mut().zip(s) {
+                        *g = s * (*g - dot);
                     }
                 }
                 self.bump_owned(grads, a, da, 1.0);
             }
             Op::LogSoftmax(a) => {
-                // dX = dY - softmax(X) * rowsum(dY).
-                let mut da = Tensor::zeros(y.rows(), y.cols());
+                // dX = dY - softmax(X) * rowsum(dY), in dY's buffer.
+                let mut da = gy;
                 for r in 0..y.rows() {
-                    let rowsum: f32 = gy.row(r).iter().sum();
-                    for c in 0..y.cols() {
-                        let soft = y.get(r, c).exp();
-                        da.set(r, c, gy.get(r, c) - soft * rowsum);
+                    let (g, s) = (da.row_mut(r), y.row(r));
+                    let rowsum: f32 = g.iter().sum();
+                    for (g, &s) in g.iter_mut().zip(s) {
+                        *g -= s.exp() * rowsum;
                     }
                 }
                 self.bump_owned(grads, a, da, 1.0);

@@ -349,10 +349,19 @@ impl Tensor {
 
     /// Matrix transpose.
     pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        // By square tiles, whose source and destination rows stay in L1.
+        const TILE: usize = 32;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Self::zeros(cols, rows);
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(rows);
+            for c0 in (0..cols).step_by(TILE) {
+                let c1 = (c0 + TILE).min(cols);
+                for r in r0..r1 {
+                    for (c, &v) in (c0..c1).zip(&self.data[r * cols + c0..r * cols + c1]) {
+                        out.data[c * rows + r] = v;
+                    }
+                }
             }
         }
         out

@@ -235,6 +235,61 @@ fn assert_single_backward_matches_per_episode(
     }
 }
 
+/// Asserts that scoring a minibatch right after sampling it — the update's
+/// first step, which takes the sampling forward kept in the agent's replay
+/// slot — gives a fresh replay's heads and update gradients to the bit, and
+/// leaves the slot empty.
+fn assert_kept_forward_is_a_fresh_score(
+    agent: &impl PlacementAgent,
+    params: &Params,
+    bsz: usize,
+    seed: u64,
+) {
+    let slot = agent.replay_slot().expect("a training agent keeps its sampling forward");
+    let (mut streams, _) = forked(agent, seed, bsz);
+    let mut refs: Vec<&mut dyn RngCore> =
+        streams.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+    let drawn = agent.sample_batch(params, &mut refs);
+    assert!(!slot.is_empty(), "sampling keeps its forward");
+    let actions: Vec<Vec<usize>> = drawn.into_iter().map(|(a, _)| a).collect();
+    let mut kept = agent.score_batch(params, &actions);
+    assert!(slot.is_empty(), "scoring takes the kept forward");
+    let mut fresh = agent.score_batch(params, &actions);
+    assert!(slot.is_empty(), "a replay keeps nothing");
+
+    assert_eq!(kept.tape.len(), fresh.tape.len(), "kept and fresh tapes differ in length");
+    for (&k, &f) in kept.episodes.iter().zip(&fresh.episodes) {
+        assert_same_heads(&kept, k, &fresh, f, "kept vs fresh");
+    }
+    // The update's shape: per-episode losses folded by `add_n`, one backward.
+    let update_grads = |h: &mut BatchScoreHandle| {
+        let losses: Vec<_> = h
+            .episodes
+            .clone()
+            .into_iter()
+            .enumerate()
+            .map(|(e, ep)| {
+                let weighted = h.tape.scale(ep.log_prob, 0.4 - 0.3 * e as f32);
+                let ent = h.tape.scale(ep.entropy, -0.01);
+                let loss = h.tape.add(weighted, ent);
+                ep.aux_loss.map_or(loss, |aux| h.tape.add(loss, aux))
+            })
+            .collect();
+        let total = h.tape.add_n(&losses);
+        let mut grads = Grads::for_params(params);
+        h.tape.backward_into(total, &mut grads);
+        grads
+    };
+    let (kg, fg) = (update_grads(&mut kept), update_grads(&mut fresh));
+    for id in params.ids() {
+        let (k, f) = (grad_data(&kg, id), grad_data(&fg, id));
+        assert_eq!(k.len(), f.len(), "gradient of '{}' reached by one side only", params.name(id));
+        for (i, (x, y)) in k.iter().zip(f).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "gradient of '{}' entry {i}", params.name(id));
+        }
+    }
+}
+
 fn eagle_agent(seed: u64) -> (Params, EagleAgent) {
     let g = tiny_graph();
     let m = Machine::paper_machine();
@@ -326,6 +381,23 @@ proptest! {
         for kind in KINDS {
             let (params, agent) = fixed_agent(seed.wrapping_mul(23) + 7, kind);
             assert_single_backward_matches_per_episode(&agent, &params, bsz, seed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    #[test]
+    fn scoring_right_after_sampling_is_a_fresh_score(seed in 0u64..1_000, bidx in 0usize..3) {
+        let bsz = [1usize, 3, 8][bidx];
+        let (params, agent) = eagle_agent(seed.wrapping_mul(37) + 8);
+        assert_kept_forward_is_a_fresh_score(&agent, &params, bsz, seed);
+        let (params, agent) = hp_agent(seed.wrapping_mul(41) + 9);
+        assert_kept_forward_is_a_fresh_score(&agent, &params, bsz, seed);
+        for kind in KINDS {
+            let (params, agent) = fixed_agent(seed.wrapping_mul(43) + 10, kind);
+            assert_kept_forward_is_a_fresh_score(&agent, &params, bsz, seed);
         }
     }
 }
