@@ -833,9 +833,9 @@ impl Tape {
                 // dX = Y * (dY - rowdot(dY, Y)) per row, in dY's buffer.
                 let mut da = gy;
                 for r in 0..y.rows() {
-                    let (g, s) = (da.row_mut(r), y.row(r));
-                    let dot: f32 = g.iter().zip(s).map(|(&g, &s)| g * s).sum();
-                    for (g, &s) in g.iter_mut().zip(s) {
+                    let (dx, yr) = (da.row_mut(r), y.row(r));
+                    let dot: f32 = dx.iter().zip(yr).map(|(&g, &s)| g * s).sum();
+                    for (g, &s) in dx.iter_mut().zip(yr) {
                         *g = s * (*g - dot);
                     }
                 }
@@ -845,9 +845,9 @@ impl Tape {
                 // dX = dY - softmax(X) * rowsum(dY), in dY's buffer.
                 let mut da = gy;
                 for r in 0..y.rows() {
-                    let (g, s) = (da.row_mut(r), y.row(r));
-                    let rowsum: f32 = g.iter().sum();
-                    for (g, &s) in g.iter_mut().zip(s) {
+                    let (dx, yr) = (da.row_mut(r), y.row(r));
+                    let rowsum: f32 = dx.iter().sum();
+                    for (g, &s) in dx.iter_mut().zip(yr) {
                         *g -= s.exp() * rowsum;
                     }
                 }
