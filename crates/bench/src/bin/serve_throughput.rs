@@ -87,28 +87,20 @@ struct Phase {
 fn run_phase(args: &Args, graph_key: &str, concurrency: usize, seq: &AtomicU64) -> Phase {
     let issued = AtomicU64::new(0);
     let start = Instant::now();
-    let results: Vec<(Vec<f64>, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..concurrency)
-            .map(|_| {
-                let issued = &issued;
-                s.spawn(move || {
-                    let mut client = Client::connect(args.addr).expect("connect");
-                    let mut latencies = Vec::new();
-                    let mut errors = 0u64;
-                    while issued.fetch_add(1, Ordering::SeqCst) < args.requests {
-                        let id = seq.fetch_add(1, Ordering::SeqCst);
-                        let mut req = PlaceRequest::by_key(id, &args.family, graph_key);
-                        req.candidates = args.candidates;
-                        let t0 = Instant::now();
-                        let resp = client.place(req).expect("round-trip");
-                        latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                        errors += u64::from(resp.error.is_some());
-                    }
-                    (latencies, errors)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    let results = eagle_obs::fork_join(0..concurrency, |_| {
+        let mut client = Client::connect(args.addr).expect("connect");
+        let mut latencies = Vec::new();
+        let mut errors = 0u64;
+        while issued.fetch_add(1, Ordering::SeqCst) < args.requests {
+            let id = seq.fetch_add(1, Ordering::SeqCst);
+            let mut req = PlaceRequest::by_key(id, &args.family, graph_key);
+            req.candidates = args.candidates;
+            let t0 = Instant::now();
+            let resp = client.place(req).expect("round-trip");
+            latencies.push(t0.elapsed().as_secs_f64() * 1e3);
+            errors += u64::from(resp.error.is_some());
+        }
+        (latencies, errors)
     });
     let elapsed_s = start.elapsed().as_secs_f64();
 

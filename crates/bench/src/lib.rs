@@ -873,12 +873,8 @@ fn oracle(cli: &Cli) -> (String, bool) {
         let graph = b.graph_for(&machine);
         let groups = search::topo_chunks(&graph, cli.scale.num_groups);
         let sa = search::simulated_annealing(&graph, &machine, &groups, iters, cli.seed);
-        let reference = match b {
-            Benchmark::InceptionV3 => Some(predefined::single_gpu(&graph, &machine)),
-            Benchmark::Gnmt => predefined::human_expert(&graph, &machine),
-            Benchmark::BertBase => Some(predefined::bert_layer_split(&graph, &machine)),
-        }
-        .and_then(|p| eagle_devsim::simulate(&graph, &machine, &p).step_time());
+        let reference = b.calibration(&graph, &machine).0;
+        let reference = eagle_devsim::simulate(&graph, &machine, &reference).step_time();
         let (reference, oracle) = (fmt_time(reference), fmt_time(sa.best_time));
         println!("  {:<13} reference {reference:<7} oracle {oracle}", b.name());
         csv.push_str(&format!("{},{reference},{oracle}\n", b.name()));

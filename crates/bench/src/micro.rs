@@ -113,20 +113,17 @@ fn bitwise_eq(x: &Tensor, y: &Tensor) -> bool {
     x.shape() == y.shape() && x.data().iter().zip(y.data()).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
-/// `a . b` with the rows of `a` halved over two scoped threads, each running
-/// the serial product (and reading all of `b`) on its half; a single row is
-/// not split.
+/// `a . b` with the rows of `a` halved over two threads, each running the
+/// serial product (and reading all of `b`) on its half; a single row is not
+/// split.
 fn split2(a: &Tensor, b: &Tensor) -> Tensor {
     if a.rows() < 2 {
         return a.matmul(b);
     }
     let top = a.rows().div_ceil(2);
-    let (lo, hi) = (a.slice_rows(0, top), a.slice_rows(top, a.rows() - top));
-    let (x, y) = std::thread::scope(|s| {
-        let h = s.spawn(|| hi.matmul(b));
-        (lo.matmul(b), h.join().expect("matmul worker panicked"))
-    });
-    Tensor::concat_rows(&[&x, &y])
+    let halves = [a.slice_rows(0, top), a.slice_rows(top, a.rows() - top)];
+    let products = eagle_obs::fork_join(halves, |h| h.matmul(b));
+    Tensor::concat_rows(&[&products[0], &products[1]])
 }
 
 /// The `matmul` table (`BENCH_matmul.json`): the two loops behind

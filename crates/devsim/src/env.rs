@@ -12,7 +12,7 @@
 
 use std::sync::OnceLock;
 
-use eagle_obs::Recorder;
+use eagle_obs::{fork_join, resolve_workers, Recorder};
 use eagle_opgraph::OpGraph;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaCha8State};
@@ -22,7 +22,7 @@ use crate::cache::{field, BaseEval, CacheStats, PlacementCache, Probe};
 use crate::cost::CostGraph;
 use crate::device::Machine;
 use crate::placement::Placement;
-use crate::sim::{fan_out, SimOutcome};
+use crate::sim::SimOutcome;
 
 /// Default bound on the number of memoized placements per environment.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -557,11 +557,16 @@ impl Environment {
         // its host-time cost so the serial phase can report simulator latency
         // in episode order (telemetry stays deterministic).
         let env = &*self;
-        let simulated = fan_out(&misses, workers, |p| {
-            let start = std::time::Instant::now();
-            let base = env.simulate_base(p);
-            (base, start.elapsed().as_secs_f64() * 1e6)
-        });
+        let chunk = misses.len().div_ceil(resolve_workers(workers)).max(1);
+        let simulated = fork_join(misses.chunks(chunk), |chunk| {
+            let timed = chunk.iter().map(|p| {
+                let start = std::time::Instant::now();
+                let base = env.simulate_base(p);
+                (base, start.elapsed().as_secs_f64() * 1e6)
+            });
+            timed.collect::<Vec<_>>()
+        })
+        .concat();
 
         // Phase 3 (serial): commit in episode order — noise draws, wall-clock
         // and cache inserts all happen exactly as they would in a one-by-one

@@ -12,7 +12,7 @@
 //! the per-step time — the quantity the paper measures on real hardware and
 //! feeds to the RL agent as (negated, square-rooted) reward.
 
-use eagle_obs::{resolve_workers, Recorder};
+use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
 
 use crate::cost::CostGraph;
@@ -129,38 +129,6 @@ impl CostGraph {
             num_transfers: sched.num_transfers,
         })
     }
-}
-
-/// Runs `sim` over `items`, contiguous chunks striped across up to `workers`
-/// threads (0 = one per available core, 1 = serial), the first chunk on the
-/// calling thread, results in item order. The one fan-out over simulations;
-/// its one caller is
-/// [`Environment::evaluate_batch`](crate::Environment::evaluate_batch), which
-/// spreads a batch's cache misses over it. `sim` must be pure, so the result is
-/// the same for every worker count.
-pub(crate) fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    sim: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let workers = resolve_workers(workers);
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(sim).collect();
-    }
-    let sim = &sim;
-    let mut chunks = items.chunks(items.len().div_ceil(workers));
-    let first = chunks.next().expect("at least two items");
-    crossbeam::thread::scope(|s| {
-        let rest: Vec<_> = chunks
-            .map(|chunk| s.spawn(move |_| chunk.iter().map(sim).collect::<Vec<R>>()))
-            .collect();
-        let mut out: Vec<R> = first.iter().map(sim).collect();
-        for h in rest {
-            out.extend(h.join().expect("simulation worker panicked"));
-        }
-        out
-    })
-    .expect("simulation scope")
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! Planner. The adjacency part is a `k`-dimensional connectivity indicator, so the
 //! embedding dimension is [`group_feature_dim`]`(k)`.
 
+use eagle_opgraph::features::log_scale;
 use eagle_opgraph::{OpGraph, Phase, ALL_OP_KINDS};
 use eagle_tensor::Tensor;
 
@@ -16,14 +17,6 @@ const EXTRA: usize = 7;
 /// Dimension of a group-embedding row for `k` groups.
 pub fn group_feature_dim(k: usize) -> usize {
     ALL_OP_KINDS.len() + EXTRA + k
-}
-
-/// Log-compresses a summed group magnitude into `[0, 1]`, matching the clamp
-/// in `eagle_opgraph::features`: groups aggregating many `e^30`-byte tensors
-/// (GraphGen memory-pressure sweeps) used to push the unclamped version past
-/// 1.0, and a NaN/negative annotation maps to 0 instead of propagating.
-fn log_scale(x: f64) -> f32 {
-    (((1.0 + x.max(0.0)).ln() / 30.0).min(1.0)) as f32
 }
 
 /// Builds the `(k, group_feature_dim(k))` group-embedding matrix for a hard

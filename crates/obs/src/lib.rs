@@ -40,5 +40,5 @@ mod sink;
 pub use fsio::write_atomic;
 pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use recorder::{MetricName, Recorder, Span, SpanEvent};
-pub use runtime::{available_workers, resolve_workers, set_available_workers};
+pub use runtime::{available_workers, fork_join, resolve_workers, set_available_workers};
 pub use sink::{summary, write_jsonl, SCHEMA_VERSION};

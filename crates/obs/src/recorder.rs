@@ -236,15 +236,10 @@ mod tests {
     #[test]
     fn recording_is_thread_safe() {
         let r = Recorder::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let r = r.clone();
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        r.add("n", 1);
-                        r.observe("v", 1.0);
-                    }
-                });
+        crate::fork_join(0..4, |_| {
+            for _ in 0..100 {
+                r.add("n", 1);
+                r.observe("v", 1.0);
             }
         });
         assert_eq!(r.counter_value("n"), 400);

@@ -35,8 +35,9 @@ pub const FEATURE_DIM: usize = BASE_DIM + ADJ_DIM;
 /// sweeps produce tensors at and past that point, where the unclamped version
 /// used to leak features > 1.0 into the policy; the clamp pins the range, and
 /// `max(0.0)` additionally maps any negative or NaN input to 0 so one corrupt
-/// cost annotation cannot poison a whole feature matrix.
-fn log_scale(x: f64) -> f32 {
+/// cost annotation cannot poison a whole feature matrix. Group embeddings
+/// (`eagle_nn::embedding`) compress their summed magnitudes through it too.
+pub fn log_scale(x: f64) -> f32 {
     (((1.0 + x.max(0.0)).ln() / 30.0).min(1.0)) as f32
 }
 

@@ -30,4 +30,4 @@ pub use policy::{
     fork_streams, sample_categorical, BatchScoreHandle, Draws, EpisodeScore, ReplaySlot,
     StochasticPolicy,
 };
-pub use reward::{invalid_reward, reward_from_time, EmaBaseline, RewardTransform};
+pub use reward::{EmaBaseline, RewardTransform};

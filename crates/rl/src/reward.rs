@@ -5,19 +5,6 @@
 //! advantages against an exponential moving average of rewards:
 //! `A_t = R_t - ExpMovAvg(R_t)`.
 
-/// Reward of a valid placement with per-step time `t` seconds: `-sqrt(t)`
-/// (the paper's Eq. 4 transform).
-///
-/// # Panics
-/// Panics on a non-finite or negative `t`: a NaN reward would silently poison
-/// the EMA baseline and every subsequent advantage, so a corrupted step time
-/// must fail loudly at the boundary instead. The simulator engine only emits
-/// finite non-negative makespans.
-pub fn reward_from_time(t: f64) -> f64 {
-    assert!(t.is_finite() && t >= 0.0, "step time must be finite and >= 0, got {t}");
-    -t.sqrt()
-}
-
 /// Alternative reward transforms, for the ablation of the paper's `-sqrt(t)` choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardTransform {
@@ -30,10 +17,14 @@ pub enum RewardTransform {
 }
 
 impl RewardTransform {
-    /// Applies the transform to a per-step time.
+    /// Applies the transform to a per-step time `t` seconds. An invalid (OOM)
+    /// placement is scored as a valid one with the trainer's penalty time.
     ///
     /// # Panics
-    /// Panics on a non-finite or negative `t` (see [`reward_from_time`]).
+    /// Panics on a non-finite or negative `t`: a NaN reward would silently poison
+    /// the EMA baseline and every subsequent advantage, so a corrupted step time
+    /// must fail loudly at the boundary instead. The simulator engine only emits
+    /// finite non-negative makespans.
     pub fn apply(self, t: f64) -> f64 {
         assert!(t.is_finite() && t >= 0.0, "step time must be finite and >= 0, got {t}");
         match self {
@@ -51,14 +42,6 @@ impl RewardTransform {
             RewardTransform::NegLog => "-log(1+t)",
         }
     }
-}
-
-/// Reward of an invalid (OOM) placement: the reward a hypothetical placement with
-/// `penalty_time` seconds per step would get. The penalty must be worse than any
-/// realistic valid placement so the agent learns to avoid invalid regions, without
-/// being so extreme that it swamps the advantage scale.
-pub fn invalid_reward(penalty_time: f64) -> f64 {
-    reward_from_time(penalty_time)
 }
 
 /// Exponential-moving-average reward baseline.
@@ -116,19 +99,22 @@ impl EmaBaseline {
 mod tests {
     use super::*;
 
+    const NEG_SQRT: RewardTransform = RewardTransform::NegSqrt;
+
     #[test]
     fn reward_monotone_decreasing_in_time() {
-        assert!(reward_from_time(1.0) > reward_from_time(4.0));
-        assert_eq!(reward_from_time(4.0), -2.0);
-        assert!(invalid_reward(100.0) < reward_from_time(25.0));
+        assert!(NEG_SQRT.apply(1.0) > NEG_SQRT.apply(4.0));
+        assert_eq!(NEG_SQRT.apply(4.0), -2.0);
+        // An OOM sample's penalty time scores below any faster valid one.
+        assert!(NEG_SQRT.apply(100.0) < NEG_SQRT.apply(25.0));
     }
 
     #[test]
     fn sqrt_compresses_large_times() {
         // The square root softens the penalty gap at large times relative to small
         // ones: 1s->4s loses 1.0 reward, 100s->103s loses ~0.15.
-        let small_gap = reward_from_time(1.0) - reward_from_time(4.0);
-        let large_gap = reward_from_time(100.0) - reward_from_time(103.0);
+        let small_gap = NEG_SQRT.apply(1.0) - NEG_SQRT.apply(4.0);
+        let large_gap = NEG_SQRT.apply(100.0) - NEG_SQRT.apply(103.0);
         assert!(small_gap > 5.0 * large_gap);
     }
 
@@ -140,7 +126,6 @@ mod tests {
         // At t = 9: -3 (sqrt) vs -9 (linear) vs -2.3 (log).
         assert!(RewardTransform::NegLinear.apply(9.0) < RewardTransform::NegSqrt.apply(9.0));
         assert!(RewardTransform::NegSqrt.apply(9.0) < RewardTransform::NegLog.apply(9.0));
-        assert_eq!(RewardTransform::NegSqrt.apply(4.0), reward_from_time(4.0));
     }
 
     #[test]
@@ -184,7 +169,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and >= 0")]
     fn nan_step_time_panics() {
-        let _ = reward_from_time(f64::NAN);
+        let _ = NEG_SQRT.apply(f64::NAN);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! `serve.graphs_registered`, `serve.policy_loads`, `serve.policy_reloads`,
 //! `serve.policy_reload_errors`, `serve.shed`, `serve.overloaded`,
 //! `serve.deadline_exceeded`, `serve.generalist_fallbacks`,
-//! `serve.handler_panics`, `serve.router_panics`; gauges
-//! `serve.queue_depth` and per-family `serve.queue_depth.<family>`; histograms
+//! `serve.handler_panics`, `serve.router_panics`, `serve.spawn_errors`;
+//! gauges `serve.queue_depth`, per-family `serve.queue_depth.<family>` and
+//! `serve.connection_threads` (handler threads still held); histograms
 //! `serve.wave_size`, `serve.latency_us`, and `serve.queue_depth` (depth at
 //! each wave cut — its max bounds the burst memory; p50/p99 come from
 //! [`eagle_obs::HistogramSnapshot`]).

@@ -7,8 +7,8 @@
 //! policy and the serving agent, cached per (family, version, graph,
 //! machine), which holds all of the forward that no request changes
 //! ([`EagleAgent::for_params`]). It then cuts the wave's requests, in group
-//! order, into at most `sim_workers` contiguous shares, runs the first share
-//! itself and each other one on a scoped thread, and sends every reply after
+//! order, into at most `sim_workers` contiguous shares, runs them through
+//! [`eagle_obs::fork_join`] (the first on the router thread), and sends every reply after
 //! the whole wave. A share answers each run of a group's requests with one
 //! [`best_of`] call: one batched decoder forward, then every candidate
 //! simulated on that thread. A request's candidates never split across
@@ -470,16 +470,8 @@ impl Router {
             answers.collect::<Vec<_>>()
         };
         let share_len = work.len().div_ceil(eagle_obs::resolve_workers(self.cfg.sim_workers));
-        let mut shares = work.chunks(share_len.max(1));
-        let best = std::thread::scope(|s| {
-            let first = shares.next();
-            let rest: Vec<_> = shares.map(|share| s.spawn(move || answer(share))).collect();
-            let mut best = first.map_or_else(Vec::new, answer);
-            for share in rest {
-                best.extend(share.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-            }
-            best
-        });
+        let best =
+            eagle_obs::fork_join(work.chunks(share_len.max(1)), answer).into_iter().flatten();
 
         for ((entry, _, p), best) in work.iter().zip(best) {
             let resp = match best {

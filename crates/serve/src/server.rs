@@ -77,9 +77,16 @@ impl Server {
             let stop = stop.clone();
             let conns = conns.clone();
             std::thread::spawn(move || {
-                let mut conn_threads = Vec::new();
+                let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
                 let mut next_id: u64 = 0;
+                let recorder = router.recorder().clone();
                 while !stop.load(Ordering::SeqCst) {
+                    // A finished handler is joined here, so its stack is
+                    // released now rather than at shutdown.
+                    for t in conn_threads.extract_if(.., |t| t.is_finished()) {
+                        let _ = t.join();
+                    }
+                    recorder.gauge("serve.connection_threads", conn_threads.len() as f64);
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let id = next_id;
@@ -88,8 +95,8 @@ impl Server {
                                 lock_conns(&conns).insert(id, clone);
                             }
                             let router = router.clone();
-                            let conns = conns.clone();
-                            conn_threads.push(std::thread::spawn(move || {
+                            let handler_conns = conns.clone();
+                            let spawned = std::thread::Builder::new().spawn(move || {
                                 // A panicking handler must not take the daemon
                                 // (or the conns map) with it: count it, drop the
                                 // connection, keep serving everyone else.
@@ -100,8 +107,18 @@ impl Server {
                                 if result.is_err() {
                                     router.recorder().add("serve.handler_panics", 1);
                                 }
-                                lock_conns(&conns).remove(&id);
-                            }));
+                                lock_conns(&handler_conns).remove(&id);
+                            });
+                            match spawned {
+                                Ok(t) => conn_threads.push(t),
+                                // The OS refused a thread: close this client
+                                // (the unspawned closure dropped its stream)
+                                // and keep accepting the others.
+                                Err(_) => {
+                                    lock_conns(&conns).remove(&id);
+                                    recorder.add("serve.spawn_errors", 1);
+                                }
+                            }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(2));

@@ -6,7 +6,7 @@
 //!
 //! The design is deliberately small and auditable:
 //!
-//! * [`Tensor`] — dense row-major `f32` matrix with a crossbeam-parallel matmul.
+//! * [`Tensor`] — dense row-major `f32` matrix with a thread-parallel matmul.
 //! * [`Params`] / [`ParamId`] — named parameter store shared by all modules;
 //!   a tape borrows its values instead of copying them.
 //! * [`Tape`] / [`Var`] — define-by-run autodiff: record a forward pass, call

@@ -371,7 +371,7 @@ impl Tensor {
     /// stream `other` row by row (`matmul_rows`), the rest go through the
     /// cache-blocked kernel with packed-B micro-panels (`gemm_rows`).
     ///
-    /// Large products are split across threads with `crossbeam::scope`
+    /// Large products are split across threads with `eagle_obs::fork_join`
     /// ([`PAR_MATMUL_THRESHOLD`]'s rule), by output rows or by output
     /// columns, so each thread writes a disjoint region (no synchronization
     /// on the hot path). Every kernel and thread count produces bit-identical
@@ -744,7 +744,7 @@ fn split(out: &mut Tensor, k: usize, kernel: impl Fn(Share<'_>) + Sync) {
             col0: 0,
             rows: part.chunks_mut(n).collect(),
         });
-        run_shares(shares, kernel);
+        eagle_obs::fork_join(shares, kernel);
     } else {
         let width = n.div_ceil(workers).next_multiple_of(NR);
         let mut shares: Vec<Share<'_>> = (0..n.div_ceil(width))
@@ -755,26 +755,8 @@ fn split(out: &mut Tensor, k: usize, kernel: impl Fn(Share<'_>) + Sync) {
                 share.rows.push(segment);
             }
         }
-        run_shares(shares, kernel);
+        eagle_obs::fork_join(shares, kernel);
     }
-}
-
-/// Runs `kernel` on every share, one thread each; the calling thread takes
-/// the first share itself (one spawn fewer, and no core idles waiting on the
-/// others).
-fn run_shares<'a>(shares: impl IntoIterator<Item = Share<'a>>, kernel: impl Fn(Share<'a>) + Sync) {
-    crossbeam::thread::scope(|s| {
-        let kernel = &kernel;
-        let mut shares = shares.into_iter();
-        let own = shares.next();
-        for share in shares {
-            s.spawn(move |_| kernel(share));
-        }
-        if let Some(own) = own {
-            kernel(own);
-        }
-    })
-    .expect("matmul worker panicked");
 }
 
 /// `out = A @ B` (`out` zeroed by the caller) or, with `accumulate`,

@@ -145,6 +145,31 @@ fn daemon_serves_concurrent_clients_with_coalescing() {
     server.shutdown();
 }
 
+/// Each connection's handler thread is released once its client leaves, not
+/// at shutdown: after 64 connect / request / close cycles the listener holds
+/// no handle (`serve.connection_threads` reads 0) and spawned every handler.
+#[test]
+fn closed_connections_release_their_handler_threads() {
+    let machine = Machine::paper_machine();
+    let graph = Benchmark::InceptionV3.graph_for(&machine);
+    let (root, _) = seeded_store("conn-threads", &graph, &machine);
+    let server = start_server(&root);
+    let key = Client::connect(server.local_addr()).unwrap().register_graph(&graph).unwrap();
+    for id in 0..64 {
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let resp = client.place(PlaceRequest::by_key(id, "inception_v3", &key)).expect("place");
+        assert!(resp.error.is_none(), "{:?}", resp.error);
+    }
+    let rec = server.recorder();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while rec.gauge_value("serve.connection_threads") != Some(0.0) {
+        assert!(Instant::now() < deadline, "{:?}", rec.gauge_value("serve.connection_threads"));
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(rec.counter_value("serve.spawn_errors"), 0);
+    server.shutdown();
+}
+
 #[test]
 fn daemon_replies_with_typed_errors() {
     let machine = Machine::paper_machine();
