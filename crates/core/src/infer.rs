@@ -2,17 +2,22 @@
 //!
 //! What EAGLE ships is a placement decoded from the trained policy: sample
 //! per-group devices, decode them through the grouper, simulate, keep the
-//! fastest candidate that fits. [`best_of`] is that step for any number of
-//! seeded draws at once, on the calling thread — the serving router answers
-//! each run of a wave group's requests with it (one call per thread it spreads
-//! the wave over), the trainer's zero-shot probes and the `transfer` bench
-//! call it with one draw — and [`EagleAgent::for_params`] is the one way to
-//! put an agent around stored parameters: it computes everything before the
-//! placer's decoder loop once, so under those very tensors `best_of` runs only
-//! that loop, with the full forward's bits (the trainer never builds one).
-//! Whatever makes a placement feasible by construction (capacity masks during
-//! decode, a greedy repair of an over-full device) belongs between the decode
-//! and the simulation below, and nowhere else.
+//! fastest candidate that fits. [`candidates`] is the decode → simulate step
+//! for any ranges of any seeded draws' candidates at once, on the calling
+//! thread, and [`best`] the keep-the-fastest reduce; [`best_of`] is the two
+//! over each draw's whole range. The serving router calls [`candidates`] on
+//! each share of a wave it spreads over the host's threads, a lone
+//! request's candidates included, and reduces each request over its shares;
+//! the trainer's zero-shot probes and the `transfer` bench call [`best_of`]
+//! with one draw. [`EagleAgent::for_params`] is the one way to put an agent
+//! around stored parameters: it computes everything before the placer's
+//! decoder loop once, so under those very tensors a sampling forward runs
+//! only that loop, with the full forward's bits (the trainer never builds
+//! one). Whatever makes a placement feasible by construction (capacity masks
+//! during decode, a greedy repair of an over-full device) belongs between the
+//! decode and the simulation in [`candidates`], and nowhere else.
+
+use std::ops::Range;
 
 use eagle_devsim::{CostGraph, Machine, Placement};
 use eagle_opgraph::OpGraph;
@@ -96,28 +101,37 @@ fn fastest(times: &[Option<f64>]) -> Option<(f64, usize)> {
     valid.min_by(|a, b| a.0.total_cmp(&b.0))
 }
 
-/// Best-of-K placements of `graph` on `machine` under the policy
-/// (`agent`, `params`), one answer per `(seed, candidates)` draw.
+/// One simulated candidate: its predicted step time (`None` when it exceeds
+/// device memory) and its placement.
+pub type Candidate = (Option<f64>, Placement);
+
+/// The candidates `range` of each `(seed, range)` draw, simulated over
+/// `cost`, in draw then candidate order.
 ///
-/// Each draw forks `candidates` RNG streams off its own
-/// `ChaCha8Rng::seed_from_u64(seed)`, so its answer depends only on the draw,
-/// never on its batch-mates; all draws share one sampling forward and one
+/// A draw forks its seed's `ChaCha8Rng::seed_from_u64(seed)` into
+/// `range.end` streams and keeps `range`, so candidate `c` reads the same
+/// stream in any range that holds it: its result depends only on
+/// `(seed, c)`, never on the range or on batch-mates, and the runs over
+/// `[0..j)` and `[j..c)` concatenate to the run over `[0..c)` (an empty
+/// range runs nothing). All draws share one sampling forward and one
 /// `decode_batch` (on a serving agent: one decoder forward and a lookup of
-/// the group assignment), and every candidate is simulated in turn on the
-/// calling thread, over one [`CostGraph`] built for the call. The answer is
-/// the candidate with the minimum predicted step time, ties to the lowest
-/// index, or `None` when every candidate of the draw exceeds device memory.
-pub fn best_of<A: PlacementAgent>(
+/// the group assignment); every candidate is then simulated in turn on the
+/// calling thread. `cost` is the [`CostGraph`] of the graph and machine
+/// `agent` places.
+pub fn candidates<A: PlacementAgent>(
     agent: &A,
     params: &Params,
-    graph: &OpGraph,
-    machine: &Machine,
-    draws: &[(u64, usize)],
-) -> Vec<Option<(f64, Placement)>> {
+    cost: &CostGraph,
+    draws: &[(u64, Range<usize>)],
+) -> Vec<Candidate> {
     let mut streams: Vec<ChaCha8Rng> = Vec::new();
-    for &(seed, candidates) in draws {
-        let mut master = ChaCha8Rng::seed_from_u64(seed);
-        streams.extend(fork_streams(&mut master, agent.rng_draws_per_sample(), candidates));
+    for (seed, range) in draws {
+        let mut master = ChaCha8Rng::seed_from_u64(*seed);
+        let forked = fork_streams(&mut master, agent.rng_draws_per_sample(), range.end);
+        streams.extend(forked.into_iter().skip(range.start));
+    }
+    if streams.is_empty() {
+        return Vec::new();
     }
     let mut stream_refs: Vec<&mut dyn RngCore> =
         streams.iter_mut().map(|r| r as &mut dyn RngCore).collect();
@@ -125,16 +139,36 @@ pub fn best_of<A: PlacementAgent>(
     // nothing kept pins the parameters for the caller's next write.
     let (_, actions) = agent.forward_batch(params, Draws::Sample(&mut stream_refs));
     let placements = agent.decode_batch(params, &actions);
-    let cost = CostGraph::new(graph, machine);
-    let times: Vec<Option<f64>> = placements.iter().map(|p| cost.simulate(p).step_time()).collect();
+    placements.into_iter().map(|p| (cost.simulate(&p).step_time(), p)).collect()
+}
 
-    let mut start = 0;
+/// The fastest valid of `candidates` with its predicted step time, ties to
+/// the lowest index, or `None` when every one exceeds device memory.
+pub fn best(candidates: &[Candidate]) -> Option<(f64, Placement)> {
+    let times: Vec<Option<f64>> = candidates.iter().map(|c| c.0).collect();
+    fastest(&times).map(|(t, c)| (t, candidates[c].1.clone()))
+}
+
+/// Best-of-K placements of `graph` on `machine` under the policy
+/// (`agent`, `params`), one answer per `(seed, candidates)` draw: the
+/// [`best`] of [`candidates`] over each draw's whole range `0..candidates`,
+/// all simulated over one [`CostGraph`] built for the call.
+pub fn best_of<A: PlacementAgent>(
+    agent: &A,
+    params: &Params,
+    graph: &OpGraph,
+    machine: &Machine,
+    draws: &[(u64, usize)],
+) -> Vec<Option<(f64, Placement)>> {
+    let whole: Vec<(u64, Range<usize>)> = draws.iter().map(|&(seed, k)| (seed, 0..k)).collect();
+    let all = candidates(agent, params, &CostGraph::new(graph, machine), &whole);
+    let mut rest = &all[..];
     draws
         .iter()
-        .map(|&(_, candidates)| {
-            let first = start;
-            start += candidates;
-            fastest(&times[first..start]).map(|(t, c)| (t, placements[first + c].clone()))
+        .map(|&(_, k)| {
+            let (draw, tail) = rest.split_at(k);
+            rest = tail;
+            best(draw)
         })
         .collect()
 }
@@ -187,6 +221,44 @@ mod tests {
             assert_eq!(jp, ap);
             assert_eq!(simulate(&graph, &machine, jp).step_time(), Some(*jt));
         }
+    }
+
+    /// Asserts the runs over `[0..j)` and `[j..c)` concatenate, bit for bit,
+    /// to the run over `[0..c)` at every cut `j`, and that its [`best`] is
+    /// `best_of`'s answer.
+    fn assert_cuts_concatenate<A: PlacementAgent>(agent: &A, params: &Params, graph: &OpGraph) {
+        let machine = Machine::paper_machine();
+        let cost = CostGraph::new(graph, &machine);
+        let bits = |run: &[Candidate]| -> Vec<(Option<u64>, Placement)> {
+            run.iter().map(|(t, p)| (t.map(f64::to_bits), p.clone())).collect()
+        };
+        for (seed, c) in [(11, 1), (12, 3), (13, 16)] {
+            let whole = candidates(agent, params, &cost, &[(seed, 0..c)]);
+            assert_eq!(whole.len(), c);
+            let want = best_of(agent, params, graph, &machine, &[(seed, c)]).remove(0);
+            assert_eq!(best(&whole), want);
+            for j in 0..=c {
+                let mut cut = candidates(agent, params, &cost, &[(seed, 0..j)]);
+                cut.extend(candidates(agent, params, &cost, &[(seed, j..c)]));
+                assert_eq!(bits(&cut), bits(&whole), "seed {seed}, cut {j} of {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_training_agents_candidates_split_at_any_cut() {
+        let graph = tiny_graph();
+        let (agent, params) = policy(&graph, &Machine::paper_machine());
+        assert_cuts_concatenate(&agent, &params, &graph);
+    }
+
+    #[test]
+    fn a_serving_agents_candidates_split_at_any_cut() {
+        let graph = tiny_graph();
+        let machine = Machine::paper_machine();
+        let (_, params) = policy(&graph, &machine);
+        let agent = EagleAgent::for_params(&params, &graph, &machine, AgentScale::tiny()).unwrap();
+        assert_cuts_concatenate(&agent, &params, &graph);
     }
 
     #[test]

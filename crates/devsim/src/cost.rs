@@ -5,8 +5,8 @@
 //! FLOPs, kind, output bytes and resident bytes, and the machine's per-device
 //! throughput table, launch overheads, capacities and link constants. A
 //! caller that simulates many placements of one graph builds one and reuses
-//! it ([`Environment`](crate::Environment) on its first cache miss,
-//! `eagle_core::infer::best_of` per call,
+//! it ([`Environment`](crate::Environment) on its first cache miss, the
+//! serving router per cached agent, `eagle_core::infer::best_of` per call,
 //! [`simulated_annealing`](crate::search::simulated_annealing) per search,
 //! [`calibrate`](crate::calibrate) per probe); [`simulate`](crate::simulate)
 //! builds one per call.

@@ -9,10 +9,10 @@
 //! ```
 //!
 //! `run` serves placement requests forever (newline-delimited JSON, see
-//! `eagle_serve::api`), spreading each wave's requests over `--sim-workers`
-//! threads (0, the default, = one per core). `publish` installs a training
-//! checkpoint's parameters into the store — republishing over a served family
-//! hot-reloads it without a restart.
+//! `eagle_serve::api`), spreading each wave's candidates over `--sim-workers`
+//! threads (0, the default, = one per core), a lone request's included.
+//! `publish` installs a training checkpoint's parameters into the store —
+//! republishing over a served family hot-reloads it without a restart.
 //! `seed` publishes an untrained (warm-started) policy for one of the paper
 //! benchmarks, so a demo or smoke store works without hours of training.
 
@@ -27,7 +27,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  eagle-serve run --store DIR [--addr A] [--coalesce-us N] [--sim-workers N] \
          [--metrics-every-s N] [--max-wave N] [--queue-capacity N] [--family-quota N]\n  \
-         (--sim-workers: threads a wave's requests are spread over, 0 = one per core)\n  \
+         (--sim-workers: threads a wave's candidates are spread over, 0 = one per core)\n  \
          eagle-serve publish --store DIR --family NAME --scale SCALE \
          --checkpoint FILE\n  eagle-serve seed --store DIR --family BENCHMARK [--scale quick] \
          [--seed 1]"

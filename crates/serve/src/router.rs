@@ -6,14 +6,19 @@
 //! groups it by (family, graph, machine). For each group it resolves the
 //! policy and the serving agent, cached per (family, version, graph,
 //! machine), which holds all of the forward that no request changes
-//! ([`EagleAgent::for_params`]). It then cuts the wave's requests, in group
-//! order, into at most `sim_workers` contiguous shares, runs them through
-//! [`eagle_obs::fork_join`] (the first on the router thread), and sends every reply after
-//! the whole wave. A share answers each run of a group's requests with one
-//! [`best_of`] call: one batched decoder forward, then every candidate
-//! simulated on that thread. A request's candidates never split across
-//! shares. A reply is bit-identical to serving the request alone, because
-//! every candidate consumes only its own seeded RNG stream.
+//! ([`EagleAgent::for_params`]) and the [`CostGraph`] its candidates are
+//! simulated over. It then numbers the wave's candidates in group, request
+//! and candidate order, cuts them into at most `sim_workers` contiguous
+//! shares of equal size (±1), runs the shares through
+//! [`eagle_obs::fork_join`] (the first on the router thread), and sends every
+//! reply after the whole wave. A share makes one [`candidates`] call per
+//! group it meets: one batched decoder forward over its candidates, then each
+//! one simulated on that thread. A lone request's candidates thus split over
+//! every thread, and a wave of two equal requests on two threads runs one
+//! request per share. A reply is the [`best`] of its request's candidates
+//! over every share that holds them, bit-identical to serving the request
+//! alone on one thread, because every candidate consumes only its own
+//! seeded RNG stream.
 //!
 //! `serve.forwards` counts one decoder forward per group per wave, however
 //! many shares compute it, as a product cut by output rows is still one
@@ -23,15 +28,17 @@
 //! typed `infeasible` reply.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use eagle_core::infer::best_of;
+use eagle_core::infer::{best, candidates, Candidate};
 use eagle_core::{fnv1a64, EagleAgent};
-use eagle_devsim::Machine;
+use eagle_devsim::{CostGraph, Machine};
 use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
+use eagle_tensor::Params;
 
 use crate::api::{PlaceRequest, PlaceResponse, API_SCHEMA_VERSION};
 use crate::error::EagleError;
@@ -55,9 +62,9 @@ pub struct RouterConfig {
     pub coalesce: Duration,
     /// Maximum requests per wave.
     pub max_wave: usize,
-    /// Threads a wave's requests are spread over, the router's own included
-    /// (0 = one per available core); each request is decoded and simulated
-    /// on one of them.
+    /// Threads a wave's candidates are spread over, the router's own included
+    /// (0 = one per available core); each share of candidates is decoded and
+    /// simulated on one of them, so a lone request uses them all.
     pub sim_workers: usize,
     /// Upper bound on requests queued awaiting a wave. Admission beyond this
     /// replies with a typed `Overloaded` error (plus a `retry_after_ms` hint)
@@ -432,8 +439,8 @@ impl Router {
     }
 
     /// Answers one wave: resolves each (family, graph, machine) group's
-    /// policy and serving agent, fails a group that has none, and spreads the
-    /// rest over up to `sim_workers` threads (module doc).
+    /// policy and serving agent, fails a group that has none, and cuts the
+    /// rest's candidates over up to `sim_workers` threads (module doc).
     fn process_wave(&self, wave: Vec<Pending>, agents: &mut AgentCache) {
         // Groups in order of first arrival.
         let mut groups: Vec<Vec<Pending>> = Vec::new();
@@ -444,57 +451,78 @@ impl Router {
                 None => groups.push(vec![p]),
             }
         }
-        let mut work: Vec<(Arc<PolicyEntry>, Arc<EagleAgent>, Pending)> = Vec::new();
+        let mut work: Vec<(Arc<PolicyEntry>, Arc<Served>, Vec<Pending>)> = Vec::new();
         for group in groups {
             match self.resolve(&group[0], agents) {
-                Ok((entry, agent)) => {
+                Ok((entry, served)) => {
                     // One batched decoder forward per group, whether its
-                    // requests run on one thread or several.
+                    // candidates run on one thread or several.
                     self.recorder.add("serve.forwards", 1);
-                    work.extend(group.into_iter().map(|p| (entry.clone(), agent.clone(), p)));
+                    work.push((entry, served, group));
                 }
                 Err(e) => self.fail_group(group, &e),
             }
         }
 
-        // One `best_of` per run of a group's requests within a share; a
-        // panicking share fails the whole wave in `run`.
-        let answer = |share: &[(Arc<PolicyEntry>, Arc<EagleAgent>, Pending)]| {
-            let runs = share.chunk_by(|a, b| Arc::ptr_eq(&a.1, &b.1));
-            let answers = runs.flat_map(|run| {
-                let (entry, agent, first) = &run[0];
-                let draws: Vec<(u64, usize)> =
-                    run.iter().map(|(_, _, p)| (p.req.seed, p.candidates as usize)).collect();
-                best_of(&**agent, &entry.params, &first.graph, &first.machine, &draws)
-            });
-            answers.collect::<Vec<_>>()
-        };
-        let share_len = work.len().div_ceil(eagle_obs::resolve_workers(self.cfg.sim_workers));
-        let best =
-            eagle_obs::fork_join(work.chunks(share_len.max(1)), answer).into_iter().flatten();
-
-        for ((entry, _, p), best) in work.iter().zip(best) {
-            let resp = match best {
-                Some((t, placement)) => PlaceResponse {
-                    schema_version: API_SCHEMA_VERSION,
-                    id: p.req.id,
-                    placement: Some(placement.devices().iter().map(|d| d.0).collect()),
-                    predicted_step_time: Some(t),
-                    policy_version: Some(entry.version.clone()),
-                    error: None,
-                },
-                None => {
-                    self.recorder.add("serve.infeasible", 1);
-                    PlaceResponse::failure(
-                        p.req.id,
-                        &EagleError::Infeasible(format!(
-                            "all {} sampled candidates exceed device memory",
-                            p.candidates
-                        )),
-                    )
+        // A share is a span of the wave's candidates, numbered in group,
+        // request and candidate order; it runs one `candidates` call per
+        // group it meets. A panicking share fails the whole wave in `run`.
+        let answer = |span: Range<usize>| {
+            let mut out = Vec::with_capacity(span.len());
+            let mut start = 0;
+            for (entry, served, requests) in &work {
+                let mut draws = Vec::new();
+                for p in requests {
+                    let end = start + p.candidates as usize;
+                    let (lo, hi) = (span.start.clamp(start, end), span.end.clamp(start, end));
+                    if lo < hi {
+                        assert_eq!(
+                            p.graph.len(),
+                            served.ops,
+                            "request {}: the serving agent under its graph key places another graph",
+                            p.req.id
+                        );
+                        draws.push((p.req.seed, lo - start..hi - start));
+                    }
+                    start = end;
                 }
-            };
-            self.finish(&p.reply, p.enqueued, resp);
+                out.extend(candidates(&served.agent, &entry.params, &served.cost, &draws));
+            }
+            out
+        };
+        let total: usize = work.iter().flat_map(|w| &w.2).map(|p| p.candidates as usize).sum();
+        let shares = total.min(eagle_obs::resolve_workers(self.cfg.sim_workers));
+        let spans = (0..shares).map(|i| i * total / shares..(i + 1) * total / shares);
+        let ran: Vec<Candidate> =
+            eagle_obs::fork_join(spans, answer).into_iter().flatten().collect();
+
+        let mut rest = &ran[..];
+        for (entry, _, requests) in &work {
+            for p in requests {
+                let (mine, tail) = rest.split_at(p.candidates as usize);
+                rest = tail;
+                let resp = match best(mine) {
+                    Some((t, placement)) => PlaceResponse {
+                        schema_version: API_SCHEMA_VERSION,
+                        id: p.req.id,
+                        placement: Some(placement.devices().iter().map(|d| d.0).collect()),
+                        predicted_step_time: Some(t),
+                        policy_version: Some(entry.version.clone()),
+                        error: None,
+                    },
+                    None => {
+                        self.recorder.add("serve.infeasible", 1);
+                        PlaceResponse::failure(
+                            p.req.id,
+                            &EagleError::Infeasible(format!(
+                                "all {} sampled candidates exceed device memory",
+                                p.candidates
+                            )),
+                        )
+                    }
+                };
+                self.finish(&p.reply, p.enqueued, resp);
+            }
         }
     }
 
@@ -507,7 +535,7 @@ impl Router {
         &self,
         p: &Pending,
         agents: &mut AgentCache,
-    ) -> Result<(Arc<PolicyEntry>, Arc<EagleAgent>), EagleError> {
+    ) -> Result<(Arc<PolicyEntry>, Arc<Served>), EagleError> {
         let entry = match self.store.get(&p.family) {
             Err(EagleError::UnknownFamily(_)) if p.family != GENERALIST_FAMILY => {
                 let fallback = self.store.get(GENERALIST_FAMILY);
@@ -538,13 +566,27 @@ impl Router {
     }
 }
 
-/// FIFO-bounded cache of serving agents, each built around a policy's
-/// parameters for one (graph, machine) pair; cached because construction walks
+/// A serving agent built around a policy's parameters for one
+/// (graph, machine) pair, with the cost graph its candidates are simulated
+/// over and the op count of the graph both were built from.
+struct Served {
+    agent: EagleAgent,
+    cost: CostGraph,
+    ops: usize,
+}
+
+impl Served {
+    fn is_prepared_for(&self, params: &Params) -> bool {
+        self.agent.is_prepared_for(params)
+    }
+}
+
+/// FIFO-bounded cache of serving agents; cached because construction walks
 /// the whole graph and prepares everything before the decoder loop
 /// ([`EagleAgent::for_params`]).
 #[derive(Default)]
 struct AgentCache {
-    map: HashMap<(String, String, u64, u64), Arc<EagleAgent>>,
+    map: HashMap<(String, String, u64, u64), Arc<Served>>,
     order: VecDeque<(String, String, u64, u64)>,
 }
 
@@ -552,7 +594,7 @@ impl AgentCache {
     /// The serving agent for (policy entry, the request's graph and machine),
     /// built and layout-validated on first use, and rebuilt in place when the
     /// store has reloaded the same version into other tensors.
-    fn get(&mut self, entry: &PolicyEntry, p: &Pending) -> Result<Arc<EagleAgent>, EagleError> {
+    fn get(&mut self, entry: &PolicyEntry, p: &Pending) -> Result<Arc<Served>, EagleError> {
         let key = (entry.family.clone(), entry.version.clone(), p.graph_fp, p.machine_fp);
         let cached = self.map.get(&key);
         if let Some(a) = cached.filter(|a| a.is_prepared_for(&entry.params)) {
@@ -560,7 +602,8 @@ impl AgentCache {
         }
         let agent = EagleAgent::for_params(&entry.params, &p.graph, &p.machine, entry.scale)
             .map_err(|e| EagleError::PolicyMismatch(format!("policy `{}` {e}", entry.family)))?;
-        let agent = Arc::new(agent);
+        let cost = CostGraph::new(&p.graph, &p.machine);
+        let served = Arc::new(Served { agent, cost, ops: p.graph.len() });
         if cached.is_none() {
             while self.order.len() >= AGENT_CAPACITY {
                 if let Some(old) = self.order.pop_front() {
@@ -569,8 +612,8 @@ impl AgentCache {
             }
             self.order.push_back(key.clone());
         }
-        self.map.insert(key, agent.clone());
-        Ok(agent)
+        self.map.insert(key, served.clone());
+        Ok(served)
     }
 }
 
@@ -578,6 +621,7 @@ impl AgentCache {
 mod tests {
     use super::*;
     use crate::store::{publish_state, untrained_state};
+    use eagle_core::infer::best_of;
     use eagle_core::AgentScale;
     use eagle_devsim::Benchmark;
 
@@ -829,6 +873,10 @@ mod tests {
     /// the same request gets alone.
     #[test]
     fn a_wave_on_any_thread_count_answers_each_request_as_alone() {
+        // A request sent alone is cut over every thread too; a 1-thread
+        // router's reply is the unsplit reference.
+        let (reference, _, _) = two_family_router("spread_reference", 1);
+        let reference_loop = running(&reference);
         for workers in [1, 2, 3] {
             let (router, machine, graphs) =
                 two_family_router(&format!("spread_{workers}"), workers);
@@ -854,10 +902,117 @@ mod tests {
             for (req, waved) in reqs.iter().zip(waved) {
                 let alone = reply_line(router.submit(req.clone()).expect("admit"));
                 assert_eq!(waved, alone, "request {} at {workers} threads", req.id);
+                let unsplit = reply_line(reference.submit(req.clone()).expect("admit"));
+                assert_eq!(alone, unsplit, "request {} alone at {workers} threads", req.id);
             }
             router.shutdown();
             handle.join().unwrap();
         }
+        reference.shutdown();
+        reference_loop.join().unwrap();
+    }
+
+    /// Starts `router`'s loop on a thread of its own.
+    fn running(router: &Arc<Router>) -> std::thread::JoinHandle<()> {
+        let r = router.clone();
+        std::thread::spawn(move || r.run())
+    }
+
+    /// A lone request is a wave smaller than the thread count: its candidates
+    /// are cut over up to `sim_workers` shares, and its reply is byte for
+    /// byte a 1-thread router's and `best_of`'s on the serving agent, with one
+    /// decoder forward counted per wave.
+    #[test]
+    fn a_lone_requests_candidates_split_over_every_thread() {
+        let (unsplit, machine, [inception, _]) = two_family_router("lone_1", 1);
+        let unsplit_loop = running(&unsplit);
+        let entry = unsplit.store.get("fam").unwrap();
+        let (tx, _rx) = mpsc::channel();
+        let p = Pending {
+            req: PlaceRequest::inline(1, "fam", inception.clone()),
+            family: "fam".into(),
+            candidates: 1,
+            graph_fp: graph_fingerprint(&inception),
+            graph: Arc::new(inception.clone()),
+            machine_fp: machine_fingerprint(&machine),
+            machine: Arc::new(machine.clone()),
+            reply: tx,
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        let served = AgentCache::default().get(&entry, &p).unwrap();
+        let requests: Vec<PlaceRequest> = [1, 3, 16]
+            .into_iter()
+            .map(|candidates| PlaceRequest {
+                seed: 40 + u64::from(candidates),
+                candidates,
+                machine: Some(machine.clone()),
+                ..PlaceRequest::inline(u64::from(candidates), "fam", inception.clone())
+            })
+            .collect();
+        let want: Vec<String> = requests
+            .iter()
+            .map(|req| {
+                let draw = (req.seed, req.candidates as usize);
+                let best_of = best_of(&served.agent, &entry.params, &inception, &machine, &[draw]);
+                let (t, placement) = best_of[0].clone().expect("the small machine fits");
+                let resp = PlaceResponse {
+                    schema_version: API_SCHEMA_VERSION,
+                    id: req.id,
+                    placement: Some(placement.devices().iter().map(|d| d.0).collect()),
+                    predicted_step_time: Some(t),
+                    policy_version: Some(entry.version.clone()),
+                    error: None,
+                };
+                let line = crate::api::encode_response(&crate::api::Response::Place(resp));
+                assert_eq!(reply_line(unsplit.submit(req.clone()).unwrap()), line);
+                line
+            })
+            .collect();
+        unsplit.shutdown();
+        unsplit_loop.join().unwrap();
+        for workers in 1..=4 {
+            let (router, _, _) = two_family_router(&format!("lone_{workers}"), workers);
+            let handle = running(&router);
+            for (wave, (req, want)) in requests.iter().zip(&want).enumerate() {
+                let got = reply_line(router.submit(req.clone()).expect("admit"));
+                assert_eq!(&got, want, "{} candidates at {workers} threads", req.candidates);
+                let waves = router.recorder().counter_value("serve.waves");
+                assert_eq!(waves, wave as u64 + 1);
+                assert_eq!(router.recorder().counter_value("serve.forwards"), waves);
+            }
+            router.shutdown();
+            handle.join().unwrap();
+        }
+    }
+
+    /// A lone request whose every candidate exceeds device memory, cut over
+    /// two shares, still gets a typed `Infeasible` naming all of them.
+    #[test]
+    fn an_all_oom_lone_request_split_over_shares_is_infeasible() {
+        let (router, machine, [inception, _]) = two_family_router("lone_oom", 2);
+        let handle = running(&router);
+        // As `tight_machine` in `eagle_core::infer`'s tests: every device
+        // shrunk to a share of the graph's whole footprint, here so small that
+        // all devices together hold less than it.
+        let mut tight = machine.clone();
+        let all_on_one = eagle_devsim::Placement::uniform(inception.len(), machine.gpu_ids()[0]);
+        let total: u64 = all_on_one.memory_per_device(&inception, &machine).iter().sum();
+        for d in &mut tight.devices {
+            d.mem_bytes = total / (machine.devices.len() as u64 + 1);
+        }
+        let req = PlaceRequest {
+            candidates: 16,
+            machine: Some(tight),
+            ..PlaceRequest::inline(5, "fam", inception)
+        };
+        let resp = router.submit(req).unwrap().recv_timeout(Duration::from_secs(30)).unwrap();
+        let err = resp.error.expect("no candidate fits");
+        assert_eq!(err.code, crate::api::ErrorCode::Infeasible);
+        assert!(err.message.contains("all 16 sampled candidates"), "{}", err.message);
+        assert_eq!(router.recorder().counter_value("serve.infeasible"), 1);
+        router.shutdown();
+        handle.join().unwrap();
     }
 
     /// A poisoned request (as in
