@@ -54,6 +54,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
 use std::cell::RefCell;
+use std::collections::HashSet;
 
 mod micro;
 
@@ -911,8 +912,7 @@ fn json_time(t: Option<f64>) -> String {
 
 /// The `transfer` table: what training on a *distribution* of graphs buys.
 /// Trains one generalist policy on a GraphGen distribution (with a held-out
-/// split and zero-shot probes), then reports the GDP-style three columns on
-/// the benchmarks:
+/// split), then reports the GDP-style three columns on the benchmarks:
 ///
 /// * **zero-shot** — the generalist's best-of-K placement on a graph it never
 ///   trained on, no gradient steps;
@@ -920,10 +920,10 @@ fn json_time(t: Option<f64>) -> String {
 ///   benchmark-specific training;
 /// * **from-scratch-N** — the same N samples from random initialization.
 ///
-/// Its gate (CI's generalist smoke): on every held-out GraphGen graph the
-/// generalist's zero-shot best-of-K must beat a best-of-K **random**
-/// placement (per-op uniform device; a candidate whose every placement OOMs
-/// scores +inf).
+/// Its gate (CI's perf-smoke job, through `experiments all`): on every
+/// held-out GraphGen graph the generalist's zero-shot best-of-K must beat a
+/// best-of-K **random** placement (per-op uniform device; a candidate whose
+/// every placement OOMs scores +inf).
 fn transfer(cli: &Cli) -> (String, bool) {
     let machine = Machine::paper_machine();
     // Sources are pure functions of (config, seed): `make_source()` always
@@ -942,22 +942,21 @@ fn transfer(cli: &Cli) -> (String, bool) {
     let mut gen_params = Params::new();
     let mut rng = ChaCha8Rng::seed_from_u64(cli.seed);
     let agent = EagleAgent::new(&mut gen_params, &seed_graph, &machine, cli.scale, &mut rng);
-    let trainer = Trainer::builder(make_source(), machine.clone())
-        .config(TrainerConfig::paper(Algo::Ppo, gen_samples))
+    let gen_cfg = TrainerConfig::paper(Algo::Ppo, gen_samples);
+    // One draw per minibatch; the trainer's pool keeps only the latest graphs.
+    let draws = source.train_draws(HOLDOUT, gen_samples.div_ceil(gen_cfg.minibatch));
+    let distinct = draws.iter().collect::<HashSet<_>>().len();
+    Trainer::builder(make_source(), machine.clone())
+        .config(gen_cfg)
         .measure(MeasureConfig::default())
         .env_seed(1000 + cli.seed)
         .recorder(cli.recorder.clone())
         .holdout(HOLDOUT)
-        .probe_every((gen_samples / 10).max(1))
-        .probe_candidates(CANDIDATES)
         .build()
-        .expect("valid generalist trainer config");
-    let gen_result = trainer.train(&agent, &mut gen_params).expect("generalist training failed");
-    println!(
-        "  trained on {} distinct graphs, {} probes recorded",
-        gen_result.graphs.len(),
-        gen_result.curve.probes.len()
-    );
+        .expect("valid generalist trainer config")
+        .train(&agent, &mut gen_params)
+        .expect("generalist training failed");
+    println!("  trained on {distinct} distinct graphs");
     let fits = "the generalist's parameters fit every graph at its own scale";
 
     let mut gate_rows = Vec::new();
@@ -1030,7 +1029,7 @@ fn transfer(cli: &Cli) -> (String, bool) {
          \"gate_zero_shot_beats_random\": {gate_ok}\n}}\n",
         cli.scale_name,
         cli.seed,
-        gen_result.graphs.len(),
+        distinct,
         gate_rows.join(",\n"),
         rows.join(",\n")
     );

@@ -45,9 +45,9 @@ fn training_trajectories_match_the_parent_commit() {
 }
 
 /// The golden artifact is the output of the commit before zero-shot
-/// evaluation moved into `eagle_core::infer`: the generalist's training, its
-/// probes' candidates, both best-of-K columns and the two benchmark trainings
-/// must not move.
+/// evaluation moved into `eagle_core::infer`: the generalist's training, both
+/// best-of-K columns and the two benchmark trainings must not move. Three
+/// minibatches draw three graphs, fewer than the trainer's pool holds.
 #[test]
 fn transfer_artifact_matches_the_parent_commit() {
     let (run, out) = experiments("transfer", &["transfer"]);

@@ -2,10 +2,10 @@
 //!
 //! Training against real hardware costs hours (the paper's setting), so being able
 //! to stop and resume an agent — or to re-evaluate a trained placement later — is
-//! table stakes for a usable system. This module persists three kinds of artifact:
+//! table stakes for a usable system. This module persists two kinds of artifact:
 //!
-//! * **Parameters** ([`save_params`] / [`load_params`]) and **curves**
-//!   ([`save_curve`] / [`load_curve`]) — plain JSON files for post-hoc analysis.
+//! * **Parameters** ([`save_params`] / [`load_params`]) — a plain JSON file,
+//!   the format of the serving store's `params.json`.
 //! * **Checkpoints** ([`save_checkpoint`] / [`load_checkpoint`]) — the full
 //!   [`TrainerState`] a run needs to resume *bit-identically*: the loop's own
 //!   [`Progress`] (minibatch count, trainer RNG, source cursor, CE elite
@@ -72,7 +72,10 @@ pub const CHECKPOINT_MAGIC: &str = "eagle-checkpoint";
 /// last point's `wall_clock`; the retired-environment counters (`retired`)
 /// and the curve's end-of-run `telemetry` snapshot are gone — run totals are
 /// recorder counters.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 5;
+///
+/// v6: the curve has no `probes`; the trainer's in-training zero-shot probes
+/// are gone (zero-shot placement is evaluated after training).
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 6;
 
 /// Conventional checkpoint file name inside a `--checkpoint-dir` directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -361,18 +364,6 @@ pub fn load_params(path: impl AsRef<Path>) -> io::Result<Params> {
     serde_json::from_str(&json).map_err(io::Error::other)
 }
 
-/// Serializes a training curve to JSON at `path` (atomic write).
-pub fn save_curve(curve: &Curve, path: impl AsRef<Path>) -> io::Result<()> {
-    let json = serde_json::to_string(curve).map_err(io::Error::other)?;
-    eagle_obs::write_atomic(path, json.as_bytes())
-}
-
-/// Restores a curve saved by [`save_curve`].
-pub fn load_curve(path: impl AsRef<Path>) -> io::Result<Curve> {
-    let json = std::fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,9 +471,10 @@ mod tests {
     #[test]
     fn schema_version_skew_is_rejected() {
         let text = String::from_utf8(encode_checkpoint(&sample_state()).unwrap()).unwrap();
-        // The predecessor (v4, with the counts its curve already holds) and
-        // a future version are both refused before the payload is looked at.
-        for skew in [4, CHECKPOINT_SCHEMA_VERSION + 1] {
+        // The predecessor (v5, whose curve carried zero-shot probe points)
+        // and a future version are both refused before the payload is looked
+        // at.
+        for skew in [5, CHECKPOINT_SCHEMA_VERSION + 1] {
             let skewed = text.replacen(
                 &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
                 &format!("\"schema_version\":{skew}"),
@@ -490,7 +482,7 @@ mod tests {
             );
             assert_ne!(text, skewed, "header rewrite must hit");
             match decode_checkpoint(skewed.as_bytes()) {
-                Err(CheckpointError::SchemaVersion { found, expected: 5 }) => {
+                Err(CheckpointError::SchemaVersion { found, expected: 6 }) => {
                     assert_eq!(found, skew)
                 }
                 other => panic!("expected SchemaVersion error, got {other:?}"),
@@ -581,20 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn curve_roundtrip() {
-        let mut curve = Curve::new("roundtrip");
-        curve.push(1, 10.0, Some(2.0));
-        curve.push(2, 20.0, None);
-        let path = tmp("curve.json");
-        save_curve(&curve, &path).unwrap();
-        let restored = load_curve(&path).unwrap();
-        assert_eq!(restored.label, "roundtrip");
-        assert_eq!(restored.points, curve.points);
-    }
-
-    #[test]
     fn load_missing_file_errors() {
         assert!(load_params(tmp("nope.json")).is_err());
-        assert!(load_curve(tmp("nope2.json")).is_err());
     }
 }

@@ -16,20 +16,6 @@ pub struct CurvePoint {
     pub best_so_far: Option<f64>,
 }
 
-/// One zero-shot evaluation of the policy on a held-out graph, taken during
-/// training without touching the training stream (see
-/// [`Trainer::builder`](crate::Trainer::builder)'s `probe_every`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProbePoint {
-    /// Training-sample index the probe was taken at.
-    pub sample: u64,
-    /// Held-out graph name.
-    pub graph: String,
-    /// Best (noise-free) step time over the probe's sampled placements;
-    /// `None` when every candidate OOMed.
-    pub step_time: Option<f64>,
-}
-
 /// A labeled training curve.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Curve {
@@ -37,15 +23,12 @@ pub struct Curve {
     pub label: String,
     /// Points in sampling order.
     pub points: Vec<CurvePoint>,
-    /// Zero-shot probes on held-out graphs, in probe order (empty unless the
-    /// producing trainer had probes enabled).
-    pub probes: Vec<ProbePoint>,
 }
 
 impl Curve {
     /// Creates an empty curve.
     pub fn new(label: impl Into<String>) -> Self {
-        Self { label: label.into(), points: Vec::new(), probes: Vec::new() }
+        Self { label: label.into(), points: Vec::new() }
     }
 
     /// Appends a measurement, maintaining `best_so_far`.
@@ -74,23 +57,9 @@ impl Curve {
         self.points.last().and_then(|p| p.best_so_far)
     }
 
-    /// Renders the curve as CSV (`sample,wall_clock,measured,best_so_far`), with
-    /// empty fields for invalid samples.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("sample,wall_clock,measured,best_so_far\n");
-        for p in &self.points {
-            s.push_str(&format!(
-                "{},{:.3},{},{}\n",
-                p.sample,
-                p.wall_clock,
-                p.measured.map(|m| format!("{m:.6}")).unwrap_or_default(),
-                p.best_so_far.map(|b| format!("{b:.6}")).unwrap_or_default(),
-            ));
-        }
-        s
-    }
-
-    /// Writes a set of curves as one CSV with a leading `label` column.
+    /// Writes a set of curves as one CSV
+    /// (`label,sample,wall_clock,measured,best_so_far`), with empty fields for
+    /// invalid samples.
     pub fn multi_csv(curves: &[Curve]) -> String {
         let mut s = String::from("label,sample,wall_clock,measured,best_so_far\n");
         for c in curves {
@@ -140,12 +109,10 @@ mod tests {
         let mut c = Curve::new("EAGLE");
         c.push(1, 1.5, Some(2.0));
         c.push(2, 3.0, None);
-        let csv = c.to_csv();
-        assert!(csv.starts_with("sample,wall_clock"));
-        assert!(csv.contains("1,1.500,2.000000,2.000000"));
-        assert!(csv.contains("2,3.000,,2.000000"));
-        let multi = Curve::multi_csv(&[c]);
-        assert!(multi.contains("EAGLE,1,"));
+        let csv = Curve::multi_csv(&[c]);
+        assert!(csv.starts_with("label,sample,wall_clock"));
+        assert!(csv.contains("EAGLE,1,1.500,2.000000,2.000000"));
+        assert!(csv.contains("EAGLE,2,3.000,,2.000000"));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! over each draw's whole range. The serving router calls [`candidates`] on
 //! each share of a wave it spreads over the host's threads, a lone
 //! request's candidates included, and reduces each request over its shares;
-//! the trainer's zero-shot probes and the `transfer` bench call [`best_of`]
-//! with one draw. [`EagleAgent::for_params`] is the one way to put an agent
+//! the `transfer` bench's zero-shot evaluation calls [`best_of`] with one
+//! draw. [`EagleAgent::for_params`] is the one way to put an agent
 //! around stored parameters: it computes everything before the placer's
 //! decoder loop once, so under those very tensors a sampling forward runs
 //! only that loop, with the full forward's bits (the trainer never builds

@@ -46,7 +46,7 @@ pub use checkpoint::{
     CheckpointError, GraphEntryState, Progress, TrainerState, CHECKPOINT_FILE, CHECKPOINT_MAGIC,
     CHECKPOINT_SCHEMA_VERSION,
 };
-pub use curve::{Curve, CurvePoint, ProbePoint};
+pub use curve::{Curve, CurvePoint};
 pub use scale::AgentScale;
 pub use source::{GraphOrigin, GraphSource, OriginKind, SourceCursor, SourceError};
 pub use trainer::{

@@ -239,8 +239,17 @@ impl GraphSource {
         origin
     }
 
+    /// The first `draws` training origins of a run holding out `holdout`
+    /// graphs, one per minibatch: [`Self::draw_train`] replayed from
+    /// [`Self::initial_cursor`]. The trainer's pool keeps only its most
+    /// recent graphs; this names every graph a run trained on.
+    pub fn train_draws(&self, holdout: usize, draws: usize) -> Vec<GraphOrigin> {
+        let mut cursor = self.initial_cursor();
+        (0..draws).map(|_| self.draw_train(&mut cursor, holdout)).collect()
+    }
+
     /// The held-out origins for a split of `holdout` graphs. Deterministic in
-    /// the source alone — independent of the cursor, so probing never
+    /// the source alone — independent of the cursor, so evaluating them never
     /// perturbs the training stream.
     pub fn holdout_origins(&self, holdout: usize) -> Vec<GraphOrigin> {
         match &self.kind {
@@ -297,8 +306,8 @@ impl GraphSource {
 
 const HOLDOUT_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// SplitMix64 — the standard 64-bit seed mixer. Used to derive holdout,
-/// environment and probe seeds from independent inputs.
+/// SplitMix64 — the standard 64-bit seed mixer. Used to derive holdout and
+/// environment seeds from independent inputs.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -37,13 +37,6 @@ pub enum ConfigError {
     /// The graph source rejected the configuration (empty roster, bad weight,
     /// invalid generator config, impossible holdout split).
     Source(SourceError),
-    /// Zero-shot probes requested (`probe_every`) but the holdout split is
-    /// empty.
-    ProbeWithoutHoldout,
-    /// `probe_every` must be at least 1 when set.
-    ZeroProbeEvery,
-    /// `probe_candidates` must be at least 1.
-    ZeroProbeCandidates,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -73,11 +66,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "checkpoint_every is set but checkpoint_dir is not")
             }
             ConfigError::Source(e) => write!(f, "graph source: {e}"),
-            ConfigError::ProbeWithoutHoldout => {
-                write!(f, "probe_every is set but the holdout split is empty")
-            }
-            ConfigError::ZeroProbeEvery => write!(f, "probe_every must be at least 1 when set"),
-            ConfigError::ZeroProbeCandidates => write!(f, "probe_candidates must be at least 1"),
         }
     }
 }
@@ -153,7 +141,7 @@ pub enum TrainError {
     Env(EnvError),
     /// The agent cannot re-target to new graphs
     /// ([`PlacementAgent::for_graph`](crate::PlacementAgent::for_graph) returned `None`), which multi-graph
-    /// sources and holdout probes require.
+    /// sources require.
     UnsupportedAgent {
         /// The agent's display name.
         agent: String,
@@ -167,8 +155,8 @@ impl std::fmt::Display for TrainError {
             TrainError::Env(e) => write!(f, "environment: {e}"),
             TrainError::UnsupportedAgent { agent } => write!(
                 f,
-                "agent '{agent}' cannot re-target to new graphs; multi-graph training and \
-                 holdout probes need PlacementAgent::for_graph"
+                "agent '{agent}' cannot re-target to new graphs; multi-graph training needs \
+                 PlacementAgent::for_graph"
             ),
         }
     }

@@ -27,13 +27,12 @@ use eagle_tensor::optim::Adam;
 use eagle_tensor::Params;
 
 use eagle_obs::Recorder;
-use eagle_opgraph::OpGraph;
 
 use crate::agents::{check_actions, PlacementAgent};
 use crate::checkpoint::{save_checkpoint, Progress, TrainerState, CHECKPOINT_FILE};
-use crate::curve::{Curve, ProbePoint};
-use crate::infer::{best_of, check_layout};
-use crate::source::{splitmix64, GraphOrigin, GraphSource};
+use crate::curve::Curve;
+use crate::infer::check_layout;
+use crate::source::{GraphOrigin, GraphSource};
 
 mod config;
 mod error;
@@ -68,7 +67,7 @@ pub struct TrainResult {
     /// (1,000 steps), as the paper reports in its tables. `None` for
     /// multi-graph sources.
     pub final_step_time: Option<f64>,
-    /// The training curve (including zero-shot probes, when enabled).
+    /// The training curve.
     pub curve: Curve,
     /// Number of invalid (OOM) samples encountered.
     pub num_invalid: usize,
@@ -136,22 +135,6 @@ impl TrainerBuilder {
         self
     }
 
-    /// Runs a zero-shot probe over every held-out graph each `every`
-    /// minibatches, recording results into [`Curve::probes`]. Probes use
-    /// their own derived RNG and the pure simulator, so enabling them leaves
-    /// the training stream bit-identical (locked by `tests/generalist.rs`).
-    pub fn probe_every(mut self, every: usize) -> Self {
-        self.0.probe_every = Some(every);
-        self
-    }
-
-    /// Placements sampled per held-out graph per probe; the probe reports the
-    /// best (default 4).
-    pub fn probe_candidates(mut self, candidates: usize) -> Self {
-        self.0.probe_candidates = candidates;
-        self
-    }
-
     /// Validates the whole configuration and builds the [`Trainer`].
     pub fn build(self) -> Result<Trainer, ConfigError> {
         let trainer = self.0;
@@ -197,14 +180,6 @@ impl TrainerBuilder {
             _ => {}
         }
         trainer.source.validate_holdout(trainer.holdout)?;
-        match trainer.probe_every {
-            Some(0) => return Err(ConfigError::ZeroProbeEvery),
-            Some(_) if trainer.holdout == 0 => return Err(ConfigError::ProbeWithoutHoldout),
-            _ => {}
-        }
-        if trainer.probe_candidates == 0 {
-            return Err(ConfigError::ZeroProbeCandidates);
-        }
         Ok(trainer)
     }
 }
@@ -221,8 +196,6 @@ pub struct Trainer {
     cache_capacity: Option<usize>,
     recorder: Recorder,
     holdout: usize,
-    probe_every: Option<usize>,
-    probe_candidates: usize,
 }
 
 impl Trainer {
@@ -237,8 +210,6 @@ impl Trainer {
             cache_capacity: None,
             recorder: Recorder::disabled(),
             holdout: 0,
-            probe_every: None,
-            probe_candidates: 4,
         })
     }
 
@@ -255,16 +226,6 @@ impl Trainer {
     /// The machine placements are measured on.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The held-out graphs of the train/holdout split, in holdout order —
-    /// what zero-shot probes and transfer benches evaluate against.
-    pub fn holdout_graphs(&self) -> Vec<(String, OpGraph)> {
-        self.source
-            .holdout_origins(self.holdout)
-            .iter()
-            .map(|o| (self.source.name(o), self.source.build(o)))
-            .collect()
     }
 
     /// Runs the full training loop of `agent`, starting fresh.
@@ -382,18 +343,6 @@ impl Trainer {
             ce.restore_optimizer(c);
         }
 
-        // Held-out graphs and their agent views, built once up front: probes
-        // must not depend on (or perturb) any training state.
-        let mut probes: Vec<(String, OpGraph, A)> = Vec::new();
-        if self.probe_every.is_some() {
-            for (name, graph) in self.holdout_graphs() {
-                let view = agent.for_graph(&graph).ok_or_else(|| TrainError::UnsupportedAgent {
-                    agent: agent.name().to_string(),
-                })?;
-                probes.push((name, graph, view));
-            }
-        }
-
         // CE elite pool: a rolling window so memory (and checkpoint size) stays
         // bounded on long runs, but never smaller than one CE interval.
         let window = cfg.history_window.max(cfg.ce_interval).max(cfg.ce_elites);
@@ -507,20 +456,13 @@ impl Trainer {
             }
             drop(update_span);
 
-            // End of minibatch: trim the history window, probe, then
-            // (optionally) checkpoint — trimming first keeps the on-disk state
-            // identical to the in-memory state a resume will rebuild, and
-            // probing first lets checkpoints carry their probe points.
+            // End of minibatch: trim the history window, then (optionally)
+            // checkpoint — trimming first keeps the on-disk state identical to
+            // the in-memory state a resume will rebuild.
             let excess = st.history_actions.len().saturating_sub(window);
             st.history_actions.drain(..excess);
             st.history_rewards.drain(..excess);
             st.minibatches += 1;
-
-            if let Some(every) = self.probe_every {
-                if st.minibatches.is_multiple_of(every as u64) {
-                    self.run_probes(&probes, params, &mut st);
-                }
-            }
 
             if let (Some(every), Some(dir)) = (cfg.checkpoint_every, &cfg.checkpoint_dir) {
                 if st.minibatches.is_multiple_of(every as u64) {
@@ -571,38 +513,6 @@ impl Trainer {
             graphs: pool.summaries(self),
         })
     }
-
-    /// Zero-shot probe pass over the held-out graphs: the best of
-    /// `probe_candidates` placements per graph ([`best_of`]: a probe-local
-    /// seed, the pure noise-free simulator), recorded into the curve. Touches
-    /// no training state — not the trainer RNG, not the environments — so
-    /// probing on/off leaves training bit-identical.
-    fn run_probes<A: PlacementAgent>(
-        &self,
-        probes: &[(String, OpGraph, A)],
-        params: &Params,
-        st: &mut Progress,
-    ) {
-        let span = self.recorder.span("trainer.probe_us");
-        for (hi, (name, graph, view)) in probes.iter().enumerate() {
-            let draw =
-                (probe_seed(self.cfg.seed, st.minibatches, hi as u64), self.probe_candidates);
-            let best = best_of(view, params, graph, &self.machine, &[draw]).remove(0);
-            st.curve.probes.push(ProbePoint {
-                sample: st.curve.points.len() as u64,
-                graph: name.clone(),
-                step_time: best.map(|(t, _)| t),
-            });
-        }
-        self.recorder.add("trainer.probes", 1);
-        drop(span);
-    }
-}
-
-/// Deterministic probe RNG seed: independent of the trainer RNG stream, unique
-/// per (config seed, minibatch, holdout graph).
-fn probe_seed(seed: u64, minibatch: u64, holdout_index: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(minibatch.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ holdout_index))
 }
 
 #[cfg(test)]
@@ -612,7 +522,7 @@ mod tests {
     use crate::checkpoint::load_checkpoint;
     use crate::scale::AgentScale;
     use crate::source::SourceError;
-    use eagle_opgraph::builders;
+    use eagle_opgraph::{builders, OpGraph};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -810,7 +720,7 @@ mod tests {
             .config(cfg)
             .build()
             .is_ok());
-        // Probe/holdout cross-validation.
+        // A fixed source has nothing to hold out.
         assert!(matches!(
             Trainer::builder(GraphSource::fixed(g.clone()), m.clone())
                 .config(TrainerConfig::paper(Algo::Ppo, 10))
@@ -819,14 +729,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::Source(SourceError::HoldoutUnsupported)
         ));
-        assert_eq!(
-            Trainer::builder(GraphSource::fixed(g.clone()), m.clone())
-                .config(TrainerConfig::paper(Algo::Ppo, 10))
-                .probe_every(5)
-                .build()
-                .unwrap_err(),
-            ConfigError::ProbeWithoutHoldout
-        );
     }
 
     #[test]
@@ -863,8 +765,9 @@ mod tests {
         assert!(result.graphs.iter().all(|s| s.name != "c"));
         assert_eq!(result.graphs.iter().map(|s| s.samples).sum::<u64>(), 60);
         assert!(result.best_placement.is_none(), "multi-graph runs report per-graph bests");
-        assert_eq!(trainer.holdout_graphs().len(), 1);
-        assert_eq!(trainer.holdout_graphs()[0].0, "c");
+        let source = trainer.source();
+        let held: Vec<String> = source.holdout_origins(1).iter().map(|o| source.name(o)).collect();
+        assert_eq!(held, ["c"]);
     }
 
     #[test]
@@ -896,39 +799,6 @@ mod tests {
             Err(TrainError::UnsupportedAgent { agent }) => assert_eq!(agent, "fixed"),
             other => panic!("expected UnsupportedAgent, got {other:?}"),
         }
-    }
-
-    /// Cross-commit witness: the probe points of a tiny generalist run, pinned
-    /// to the output of the commit before probes went through
-    /// [`best_of`](crate::infer::best_of).
-    #[test]
-    fn probe_points_match_the_parent_commit() {
-        let machine = Machine::paper_machine();
-        let cfg = eagle_opgraph::GraphGenConfig::with_target(48);
-        let source = GraphSource::generated(cfg, 21).expect("valid generated source");
-        let seed_graph = source.build(&source.holdout_origins(1)[0]);
-        let mut params = Params::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let agent =
-            EagleAgent::new(&mut params, &seed_graph, &machine, AgentScale::tiny(), &mut rng);
-        let trainer = Trainer::builder(source, machine)
-            .config(TrainerConfig::paper(Algo::Ppo, 30))
-            .env_seed(5)
-            .holdout(1)
-            .probe_every(1)
-            .probe_candidates(3)
-            .build()
-            .expect("valid generalist trainer");
-        let result = trainer.train(&agent, &mut params).expect("training runs");
-        let points: Vec<_> =
-            result.curve.probes.iter().map(|p| (p.sample, p.graph.as_str(), p.step_time)).collect();
-        let graph = "gen-ca3c2ce8243ea197";
-        let pinned = [
-            (10, graph, Some(0.10415935515397849)),
-            (20, graph, Some(0.22621883587655914)),
-            (30, graph, Some(0.11778278452086023)),
-        ];
-        assert_eq!(points, pinned);
     }
 
     #[test]

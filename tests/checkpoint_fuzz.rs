@@ -25,8 +25,8 @@ use std::sync::OnceLock;
 
 use eagle::core::{
     decode_checkpoint, encode_checkpoint, fnv1a64, AgentScale, Algo, CheckpointError, EagleAgent,
-    GraphEntryState, GraphOrigin, GraphSource, PlacementAgent, ProbePoint, Progress, Trainer,
-    TrainerConfig, TrainerState, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
+    GraphEntryState, GraphOrigin, GraphSource, PlacementAgent, Progress, Trainer, TrainerConfig,
+    TrainerState, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
 };
 use eagle::devsim::{Environment, Machine, MeasureConfig};
 use eagle::opgraph::{GraphGen, GraphGenConfig, OpGraph};
@@ -96,12 +96,6 @@ fn corpus() -> &'static Corpus {
             ..fresh
         };
         state.progress.curve.push(1, 0.5, Some(2.0));
-        // A fixed source never probes; the point is here for the key tree.
-        state.progress.curve.probes.push(ProbePoint {
-            sample: 1,
-            graph: "held-out".into(),
-            step_time: Some(2.0),
-        });
         let bytes = encode_checkpoint(&state).expect("corpus checkpoint encodes");
         Corpus { bytes, graph, machine, params, agent }
     })
@@ -447,10 +441,6 @@ fn payload_key_tree_is_pinned_to_the_schema_version() {
         "progress.curve.points[].measured",
         "progress.curve.points[].sample",
         "progress.curve.points[].wall_clock",
-        "progress.curve.probes[]",
-        "progress.curve.probes[].graph",
-        "progress.curve.probes[].sample",
-        "progress.curve.probes[].step_time",
         "progress.history_actions[]",
         "progress.history_actions[][]",
         "progress.history_rewards[]",
@@ -468,5 +458,5 @@ fn payload_key_tree_is_pinned_to_the_schema_version() {
     ];
     let hint = "the checkpoint payload changed shape: bump the schema version and re-pin";
     assert_eq!(found, pinned, "{hint}");
-    assert_eq!(CHECKPOINT_SCHEMA_VERSION, 5, "{hint}");
+    assert_eq!(CHECKPOINT_SCHEMA_VERSION, 6, "{hint}");
 }

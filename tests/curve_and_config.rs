@@ -47,14 +47,15 @@ fn baseline_and_normalization_toggles_run() {
 #[test]
 fn curve_csv_exports_parse_back() {
     let r = quick_run(|_| {});
-    let csv = r.curve.to_csv();
+    let csv = Curve::multi_csv(std::slice::from_ref(&r.curve));
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(lines.len(), 31, "header + one line per sample");
     for line in &lines[1..] {
         let fields: Vec<&str> = line.split(',').collect();
-        assert_eq!(fields.len(), 4);
-        let _: u64 = fields[0].parse().expect("sample index");
-        let _: f64 = fields[1].parse().expect("wall clock");
+        assert_eq!(fields.len(), 5);
+        assert_eq!(fields[0], r.curve.label);
+        let _: u64 = fields[1].parse().expect("sample index");
+        let _: f64 = fields[2].parse().expect("wall clock");
     }
     // JSON roundtrip of the curve.
     let j = serde_json::to_string(&r.curve).unwrap();

@@ -1,18 +1,17 @@
-//! Generalist-trainer contracts: the held-out split and zero-shot probes.
-//!
-//! Two properties make "zero-shot makespan on held-out graphs" a trustworthy
-//! number rather than a leaky one:
+//! Generalist-trainer contracts: the held-out split and the training draws.
 //!
 //! 1. **Split hygiene** — property-tested over [`GraphSource`] configurations:
 //!    the held-out origins never appear in the training stream, and the split
 //!    is a pure function of the source configuration (re-building the same
 //!    source yields the same split, independent of any training progress).
-//! 2. **Probe purity** — enabling probes must not perturb training: curve
-//!    points, counters, and final parameters are bit-identical with probes on
-//!    and off. Probes draw from their own seeded RNG, never the training
-//!    stream's.
+//!    This is what makes `transfer`'s zero-shot makespan on held-out graphs a
+//!    trustworthy number rather than a leaky one.
+//! 2. **Replayable draws** — [`GraphSource::train_draws`] names the graphs a
+//!    run trained on, also those its environment pool has since evicted.
 
-use eagle::core::{AgentScale, Algo, EagleAgent, GraphSource, TrainResult, Trainer, TrainerConfig};
+use std::collections::HashSet;
+
+use eagle::core::{AgentScale, Algo, EagleAgent, GraphSource, Trainer, TrainerConfig};
 use eagle::devsim::{Machine, MeasureConfig};
 use eagle::obs::Recorder;
 use eagle::opgraph::{GraphGenConfig, OpGraph, OpKind, OpNode, Phase};
@@ -52,9 +51,7 @@ proptest! {
         prop_assert_eq!(&held, &rebuilt.holdout_origins(holdout));
 
         // Disjoint: the training stream never leaks a held-out graph.
-        let mut cursor = source.initial_cursor();
-        for _ in 0..draws {
-            let origin = source.draw_train(&mut cursor, holdout);
+        for origin in source.train_draws(holdout, draws) {
             prop_assert!(
                 !held.contains(&origin),
                 "training origin {:?} collides with the holdout", origin
@@ -86,9 +83,7 @@ proptest! {
         let held = source.holdout_origins(holdout);
         prop_assert_eq!(held.len(), holdout);
         prop_assert_eq!(&held, &source.holdout_origins(holdout), "split must be stable");
-        let mut cursor = source.initial_cursor();
-        for _ in 0..draws {
-            let origin = source.draw_train(&mut cursor, holdout);
+        for origin in source.train_draws(holdout, draws) {
             prop_assert!(
                 !held.contains(&origin),
                 "training origin {:?} collides with the holdout", origin
@@ -97,68 +92,43 @@ proptest! {
     }
 }
 
-/// One short generalist run over a GraphGen distribution, probes on or off.
-/// Everything else — seeds, config, agent initialization — is held fixed.
-fn run_generalist(probes: bool, recorder: Recorder) -> (TrainResult, Params) {
+/// A run that draws more graphs than the trainer's environment pool holds:
+/// [`GraphSource::train_draws`] names every graph it trained on, one per
+/// minibatch, while the pool keeps only the latest ones (oldest first) and
+/// counts the rest as evictions.
+#[test]
+fn train_draws_name_every_graph_of_a_run_that_outgrows_the_pool() {
+    const DRAWS: usize = 20;
+    let make_source = || {
+        GraphSource::generated(GraphGenConfig::with_target(48), 12).expect("valid generated source")
+    };
+    let source = make_source();
+    let drawn = source.train_draws(1, DRAWS);
+    let distinct: HashSet<_> = drawn.iter().collect();
+    assert_eq!(distinct.len(), DRAWS, "every generated draw is a new graph");
+
     let machine = Machine::paper_machine();
-    let source = GraphSource::generated(GraphGenConfig::with_target(48), 12)
-        .expect("valid generated source");
     let seed_graph = source.build(&source.holdout_origins(1)[0]);
     let mut params = Params::new();
     let mut rng = ChaCha8Rng::seed_from_u64(6);
     let agent = EagleAgent::new(&mut params, &seed_graph, &machine, AgentScale::tiny(), &mut rng);
-    let mut builder = Trainer::builder(source, machine)
-        .config(TrainerConfig::paper(Algo::Ppo, 30))
+    let mut cfg = TrainerConfig::paper(Algo::Ppo, DRAWS);
+    cfg.minibatch = 1;
+    let recorder = Recorder::new();
+    let result = Trainer::builder(make_source(), machine)
+        .config(cfg)
         .measure(MeasureConfig::default())
         .env_seed(9)
         .holdout(1)
-        .recorder(recorder);
-    if probes {
-        builder = builder.probe_every(2).probe_candidates(2);
-    }
-    let trainer = builder.build().expect("valid generalist trainer config");
-    let result = trainer.train(&agent, &mut params).expect("training run succeeds");
-    (result, params)
-}
+        .recorder(recorder.clone())
+        .build()
+        .expect("valid generalist trainer config")
+        .train(&agent, &mut params)
+        .expect("training run succeeds");
 
-/// Probes are observation-only: the training trajectory with probes enabled
-/// is bit-identical to the same run without them.
-#[test]
-fn zero_shot_probes_do_not_perturb_training() {
-    let (with_rec, without_rec) = (Recorder::new(), Recorder::new());
-    let (with, with_params) = run_generalist(true, with_rec.clone());
-    let (without, without_params) = run_generalist(false, without_rec.clone());
-
-    assert!(!with.curve.probes.is_empty(), "probes were requested every 2 samples");
-    assert!(without.curve.probes.is_empty(), "no probes were requested");
-
-    // Bit-identical curve points — not a ULP budget: the two runs execute the
-    // same float operations in the same order, probes merely interleave reads.
-    assert_eq!(with.curve.points, without.curve.points, "probes perturbed the training curve");
-    assert_eq!(with.samples, without.samples);
-    assert_eq!(with.num_invalid, without.num_invalid);
-    let hits = |r: &Recorder| r.counter_value("devsim.cache.hits");
-    assert_eq!(hits(&with_rec), hits(&without_rec));
-
-    // And the trained policy itself matches bit-for-bit.
-    assert_eq!(with_params.len(), without_params.len());
-    for id in with_params.ids() {
-        assert_eq!(
-            with_params.get(id).data(),
-            without_params.get(id).data(),
-            "param {} diverged when probes were enabled",
-            with_params.name(id)
-        );
-    }
-
-    // The probe stream itself is well-formed: sample indices are multiples of
-    // the probe interval and every probe names the held-out graph.
-    let held_name = {
-        let source = GraphSource::generated(GraphGenConfig::with_target(48), 12).unwrap();
-        source.name(&source.holdout_origins(1)[0])
-    };
-    for p in &with.curve.probes {
-        assert_eq!(p.graph, held_name);
-        assert_eq!(p.sample % 2, 0, "probe at sample {} is off the interval", p.sample);
-    }
+    let resident: Vec<_> = result.graphs.iter().map(|g| g.origin).collect();
+    assert!(resident.len() < DRAWS, "the pool must be outgrown");
+    assert_eq!(resident, drawn[DRAWS - resident.len()..]);
+    let evictions = recorder.counter_value("trainer.pool_evictions") as usize;
+    assert_eq!(evictions, DRAWS - resident.len());
 }

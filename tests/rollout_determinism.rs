@@ -44,9 +44,9 @@ fn run_with(workers: usize, recorder: Recorder, cache_capacity: Option<usize>) -
     trainer.train(&agent, &mut params).expect("training run succeeds")
 }
 
-/// Multi-graph run: a GraphGen distribution with a held-out graph and
-/// zero-shot probes on, so worker-count independence is asserted over the
-/// whole generalist path (per-graph environments, probe RNG, pool bookkeeping).
+/// Multi-graph run: a GraphGen distribution with a held-out graph, so
+/// worker-count independence is asserted over the whole generalist path
+/// (per-graph environments, source draws, pool bookkeeping).
 fn run_multi_with_workers(workers: usize, recorder: Recorder) -> (TrainResult, Params) {
     let machine = Machine::paper_machine();
     let source = GraphSource::generated(GraphGenConfig::with_target(48), 99)
@@ -62,8 +62,6 @@ fn run_multi_with_workers(workers: usize, recorder: Recorder) -> (TrainResult, P
         .measure(MeasureConfig::default())
         .env_seed(7)
         .holdout(1)
-        .probe_every(2)
-        .probe_candidates(2)
         .recorder(recorder)
         .build()
         .expect("valid generalist trainer config");
@@ -158,10 +156,6 @@ fn multi_graph_training_is_worker_count_independent() {
     let (parallel, parallel_params) = run_multi_with_workers(4, parallel_rec.clone());
 
     assert_same_curve(&serial.curve, &parallel.curve, "multi-graph serial vs parallel");
-    // Zero-shot probes are part of the contract: identical graphs, identical
-    // best-of-K step times, at identical sample indices.
-    assert_eq!(serial.curve.probes, parallel.curve.probes, "probe points diverged");
-    assert!(!serial.curve.probes.is_empty(), "probes were requested");
     assert_eq!(serial.samples, parallel.samples);
     assert_eq!(serial.num_invalid, parallel.num_invalid);
     for name in ["devsim.cache.hits", "devsim.evals"] {
