@@ -129,8 +129,8 @@ fn split2(a: &Tensor, b: &Tensor) -> Tensor {
 /// The `matmul` table (`BENCH_matmul.json`): the two loops behind
 /// `Tensor::matmul` (row-streaming below `STREAM_MATMUL_ROWS` rows,
 /// cache-blocked packed-B from there up) and the gradient products `gy . wᵀ`
-/// (`matmul_nt`) and `slot += xᵀ . gy` (`matmul_tn_acc`), over squares and
-/// the shapes the training workloads run.
+/// (`matmul_nt`) and `slot += xᵀ . gy` (`matmul_tn_segments` of one
+/// segment), over squares and the shapes the training workloads run.
 ///
 /// `serial_sec` is the forward on one worker through the loop the shape
 /// picks, `packed_sec` the packed loop at any row count (`matmul_tn` of the
@@ -179,12 +179,12 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
         let mut identical = [true; 3];
         for workers in [1, dispatch_workers] {
             eagle_obs::set_available_workers(workers);
-            let mut acc = held.clone();
-            x.matmul_tn_acc(&gy, &mut acc);
+            let mut acc = Some(held.clone());
+            x.matmul_tn_segments(&gy, m, &mut acc);
             identical[0] &= bitwise_eq(&x.matmul(&w), &xt.matmul_tn(&w));
             identical[1] &= bitwise_eq(&gy.matmul_nt(&w), &gy.matmul(&wt));
-            identical[2] &=
-                bitwise_eq(&x.matmul_tn(&gy), &xt.matmul(&gy)) && bitwise_eq(&acc, &held_plus_tn);
+            identical[2] &= bitwise_eq(&x.matmul_tn(&gy), &xt.matmul(&gy))
+                && bitwise_eq(&acc.unwrap(), &held_plus_tn);
         }
         if !identical.iter().all(|&ok| ok) {
             eprintln!("matmul gate FAILED: {m}x{k}@{k}x{n}: kernels disagree {identical:?}");
@@ -197,7 +197,7 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
         // the weight's gradient slot — against the transpose-then-multiply
         // (and, for the slot, temporary-then-add) they replace.
         eagle_obs::set_available_workers(1);
-        let slot = RefCell::new(held);
+        let slot = RefCell::new(Some(held));
         let secs = bench(
             rounds,
             iters,
@@ -217,11 +217,11 @@ pub fn matmul(cli: &Cli) -> (String, bool) {
                     keep(gy.matmul_nt(&w));
                     eagle_obs::set_available_workers(1);
                 },
-                &|| x.matmul_tn_acc(&gy, &mut slot.borrow_mut()),
-                &|| slot.borrow_mut().add_assign(&x.transpose().matmul(&gy)),
+                &|| x.matmul_tn_segments(&gy, m, &mut slot.borrow_mut()),
+                &|| slot.borrow_mut().as_mut().unwrap().add_assign(&x.transpose().matmul(&gy)),
                 &|| {
                     eagle_obs::set_available_workers(dispatch_workers);
-                    x.matmul_tn_acc(&gy, &mut slot.borrow_mut());
+                    x.matmul_tn_segments(&gy, m, &mut slot.borrow_mut());
                     eagle_obs::set_available_workers(1);
                 },
             ],

@@ -53,23 +53,29 @@ impl LstmCell {
         }
     }
 
-    /// One step: `x (n, in_dim)`, state `(n, hidden)` -> next state. The gate
-    /// pre-activations are four nodes; gates, nonlinearities and the state
-    /// update are the fused [`Tape::lstm_cell`].
+    /// One step: `x (n, in_dim)`, state `(n, hidden)` -> next state, with
+    /// its own input product (the decoder's: its input depends on `h`).
     pub fn step(&self, tape: &mut Tape, params: &Params, x: Var, state: LstmState) -> LstmState {
-        let z = self.pre_activations(tape, params, x, state.h);
+        let w_ih = tape.param(params, self.w_ih);
+        let xw = tape.matmul(x, w_ih);
+        self.gates(tape, params, xw, state)
+    }
+
+    /// The step after its input product `xw (n, 4 * hidden)`: the gate
+    /// pre-activations are three nodes; gates, nonlinearities and the state
+    /// update are the fused [`Tape::lstm_cell`].
+    fn gates(&self, tape: &mut Tape, params: &Params, xw: Var, state: LstmState) -> LstmState {
+        let z = self.pre_activations(tape, params, xw, state.h);
         let (h, c) = tape.lstm_cell(z, state.c);
         LstmState { h, c }
     }
 
-    /// `x @ w_ih + h @ w_hh + b`: `(n, 4 * hidden)`, gate order `[i f g o]`.
-    fn pre_activations(&self, tape: &mut Tape, params: &Params, x: Var, h: Var) -> Var {
-        let w_ih = tape.param(params, self.w_ih);
+    /// `xw + h @ w_hh + b`: `(n, 4 * hidden)`, gate order `[i f g o]`.
+    fn pre_activations(&self, tape: &mut Tape, params: &Params, xw: Var, h: Var) -> Var {
         let w_hh = tape.param(params, self.w_hh);
         let b = tape.param(params, self.b);
-        let xi = tape.matmul(x, w_ih);
         let hh = tape.matmul(h, w_hh);
-        let z0 = tape.add(xi, hh);
+        let z0 = tape.add(xw, hh);
         tape.add_row_broadcast(z0, b)
     }
 
@@ -79,10 +85,19 @@ impl LstmCell {
     /// `rev`. Returns the `(B, hidden)` hidden state after each timestep,
     /// indexed by timestep, and the state after the last step taken.
     ///
+    /// The input products of all steps are one product before the loop
+    /// ([`Tape::matmul_stacked`]), the `B`-row blocks stacked last step first
+    /// — the order the backward reaches them — and each step slices its block
+    /// and adds only `h @ w_hh + b`. The bits are those of one `x @ w_ih` per
+    /// step: values and input gradients are row-independent; the weight
+    /// gradient adds each step's `B`-row partial sum, from `+0.0`, in deposit
+    /// order; and a one-row partial (`B = 1`) equals a single accumulator,
+    /// since a partial is never `-0.0`.
+    ///
     /// Row `b` is bit-identical to running sequence `b` alone: the step math
     /// (matmul, bias broadcast, gates) is row-wise, so stacking sequences as
     /// extra rows leaves each sequence's f32 summation order unchanged; and
-    /// with one sequence the stacking records nothing (see
+    /// with one sequence the stacking of sequences records nothing (see
     /// [`Tape::concat_rows`]).
     fn run(
         &self,
@@ -92,20 +107,24 @@ impl LstmCell {
         rev: bool,
     ) -> (Vec<Var>, LstmState) {
         assert!(!xs.is_empty(), "at least one sequence");
-        let t = tape.value(xs[0]).rows();
+        let (n, t) = (xs.len(), tape.value(xs[0]).rows());
         for &x in xs {
             assert_eq!(tape.value(x).rows(), t, "all sequences share one length");
         }
-        let mut state = self.zero_state(tape, xs.len());
+        let timestep = |step: usize| if rev { t - 1 - step } else { step };
+        // Row `j·n + b` of the stack: sequence `b` at the `j`-th step from last.
+        let order: Vec<usize> =
+            (0..t).rev().flat_map(|step| (0..n).map(move |b| b * t + timestep(step))).collect();
+        let seqs = tape.concat_rows(xs);
+        let stacked = tape.select_rows(seqs, &order);
+        let w_ih = tape.param(params, self.w_ih);
+        let xw = tape.matmul_stacked(stacked, w_ih, n);
+        let mut state = self.zero_state(tape, n);
         let mut outs = vec![state.h; t];
-        let mut rows = Vec::with_capacity(xs.len());
         for step in 0..t {
-            let i = if rev { t - 1 - step } else { step };
-            rows.clear();
-            rows.extend(xs.iter().map(|&x| tape.slice_rows(x, i, 1)));
-            let x = tape.concat_rows(&rows);
-            state = self.step(tape, params, x, state);
-            outs[i] = state.h;
+            let xw_step = tape.slice_rows(xw, (t - 1 - step) * n, n);
+            state = self.gates(tape, params, xw_step, state);
+            outs[timestep(step)] = state.h;
         }
         (outs, state)
     }
@@ -165,7 +184,9 @@ impl BiLstm {
     /// `(t, in_dim)`) — two `LstmCell::run`s, forward then backward —
     /// returning per sequence the `(t, 2*hidden)` outputs (both directions
     /// side by side per step) and the final forward-direction state (used to
-    /// initialize decoders).
+    /// initialize decoders). Each sequence gathers its rows from one
+    /// time-major stack per direction: a hidden-state element still takes
+    /// one output deposit.
     pub fn forward_batch(
         &self,
         tape: &mut Tape,
@@ -174,18 +195,16 @@ impl BiLstm {
     ) -> Vec<(Var, LstmState)> {
         let (fw_outs, fw_last) = self.fw.run(tape, params, xs, false);
         let (bw_outs, _) = self.bw.run(tape, params, xs, true);
-        (0..xs.len())
+        let (n, t) = (xs.len(), fw_outs.len());
+        // Row `i·n + b`: sequence `b` at timestep `i`.
+        let fw = tape.concat_rows(&fw_outs);
+        let bw = tape.concat_rows(&bw_outs);
+        (0..n)
             .map(|b| {
-                let rows: Vec<Var> = fw_outs
-                    .iter()
-                    .zip(&bw_outs)
-                    .map(|(&f, &w)| {
-                        let f = tape.slice_rows(f, b, 1);
-                        let w = tape.slice_rows(w, b, 1);
-                        tape.concat_cols(&[f, w])
-                    })
-                    .collect();
-                let outs = tape.concat_rows(&rows);
+                let rows: Vec<usize> = (0..t).map(|i| i * n + b).collect();
+                let f = tape.select_rows(fw, &rows);
+                let w = tape.select_rows(bw, &rows);
+                let outs = tape.concat_cols(&[f, w]);
                 let last = LstmState {
                     h: tape.slice_rows(fw_last.h, b, 1),
                     c: tape.slice_rows(fw_last.c, b, 1),
@@ -214,7 +233,9 @@ mod tests {
             x: Var,
             state: LstmState,
         ) -> LstmState {
-            let z = self.pre_activations(tape, params, x, state.h);
+            let w_ih = tape.param(params, self.w_ih);
+            let xw = tape.matmul(x, w_ih);
+            let z = self.pre_activations(tape, params, xw, state.h);
             let h = self.hidden;
             let zi = tape.slice_cols(z, 0, h);
             let zf = tape.slice_cols(z, h, h);
@@ -233,35 +254,62 @@ mod tests {
         }
     }
 
-    /// The hand-written one-sequence encoder — two explicit time loops, no
-    /// stacking: what the seq2seq oracle `Placer::forward_serial` encodes
-    /// with, and so the oracle [`BiLstm::forward_batch`] is held against
-    /// through it.
+    /// [`LstmCell::run`] as hand-written steps, each slicing its rows out of
+    /// the `B` sequences and running [`LstmCell::step`] with its own input
+    /// product: the oracle `run`'s one input product is held against.
+    impl LstmCell {
+        fn run_serial(
+            &self,
+            tape: &mut Tape,
+            params: &Params,
+            xs: &[Var],
+            rev: bool,
+        ) -> (Vec<Var>, LstmState) {
+            let t = tape.value(xs[0]).rows();
+            let mut state = self.zero_state(tape, xs.len());
+            let mut outs = vec![state.h; t];
+            for step in 0..t {
+                let i = if rev { t - 1 - step } else { step };
+                let rows: Vec<Var> = xs.iter().map(|&x| tape.slice_rows(x, i, 1)).collect();
+                let x = tape.concat_rows(&rows);
+                state = self.step(tape, params, x, state);
+                outs[i] = state.h;
+            }
+            (outs, state)
+        }
+    }
+
+    /// The hand-written encoder — two per-step time loops, then per
+    /// sequence a row-by-row assembly: what the seq2seq oracle
+    /// `Placer::forward_serial` encodes with (one sequence), and the oracle
+    /// [`BiLstm::forward_batch`] is held against.
     impl BiLstm {
         pub(crate) fn forward(
             &self,
             tape: &mut Tape,
             params: &Params,
-            xs: Var,
-        ) -> (Var, LstmState) {
-            let t = tape.value(xs).rows();
-            let mut fw_state = self.fw.zero_state(tape, 1);
-            let mut fw_outs = Vec::with_capacity(t);
-            for i in 0..t {
-                let x = tape.slice_rows(xs, i, 1);
-                fw_state = self.fw.step(tape, params, x, fw_state);
-                fw_outs.push(fw_state.h);
-            }
-            let mut bw_state = self.bw.zero_state(tape, 1);
-            let mut bw_outs = vec![fw_outs[0]; t];
-            for i in (0..t).rev() {
-                let x = tape.slice_rows(xs, i, 1);
-                bw_state = self.bw.step(tape, params, x, bw_state);
-                bw_outs[i] = bw_state.h;
-            }
-            let rows: Vec<Var> =
-                (0..t).map(|i| tape.concat_cols(&[fw_outs[i], bw_outs[i]])).collect();
-            (tape.concat_rows(&rows), fw_state)
+            xs: &[Var],
+        ) -> Vec<(Var, LstmState)> {
+            let t = tape.value(xs[0]).rows();
+            let (fw_outs, fw_state) = self.fw.run_serial(tape, params, xs, false);
+            let (bw_outs, _) = self.bw.run_serial(tape, params, xs, true);
+            (0..xs.len())
+                .map(|b| {
+                    let rows: Vec<Var> = (0..t)
+                        .map(|i| {
+                            let f = tape.slice_rows(fw_outs[i], b, 1);
+                            let w = tape.slice_rows(bw_outs[i], b, 1);
+                            tape.concat_cols(&[f, w])
+                        })
+                        .collect();
+                    let outs = tape.concat_rows(&rows);
+                    let last = LstmState {
+                        h: tape.slice_rows(fw_state.h, b, 1),
+                        c: tape.slice_rows(fw_state.c, b, 1),
+                    };
+                    (outs, last)
+                })
+                .collect()
         }
     }
 
@@ -341,6 +389,80 @@ mod tests {
         assert!(tape.value(s1.h).data().iter().all(|&v| v.abs() <= 1.0));
     }
 
+    /// Every value a forward `f` returns and every gradient of a loss over
+    /// them: each output weighted by its own constant, plus `sum(h * c)` of
+    /// each last state. The inputs are parameters, so their gradients are
+    /// compared with the weights'.
+    fn values_and_grads(
+        params: &Params,
+        xs: &[ParamId],
+        f: impl FnOnce(&mut Tape, &[Var]) -> Vec<(Var, LstmState)>,
+    ) -> (Vec<Vec<u32>>, Vec<Option<Vec<u32>>>) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut tape = Tape::new();
+        let xv: Vec<Var> = xs.iter().map(|&x| tape.param(params, x)).collect();
+        let outs = f(&mut tape, &xv);
+        let (mut values, mut terms) = (Vec::new(), Vec::new());
+        for (b, (out, last)) in outs.into_iter().enumerate() {
+            for v in [out, last.h, last.c] {
+                values.push(bits(tape.value(v)));
+            }
+            let (rows, cols) = tape.value(out).shape();
+            let w = (0..rows * cols).map(|j| ((j * 7 + b * 3) % 11) as f32 / 4.0 - 1.2).collect();
+            let w = tape.leaf(Tensor::from_vec(rows, cols, w));
+            let weighted = tape.mul_elem(out, w);
+            terms.push(tape.sum_all(weighted));
+            let hc = tape.mul_elem(last.h, last.c);
+            terms.push(tape.sum_all(hc));
+        }
+        let loss = tape.add_n(&terms);
+        let mut grads = Grads::for_params(params);
+        tape.backward_into(loss, &mut grads);
+        (values, params.ids().map(|id| grads.get(id).map(bits)).collect())
+    }
+
+    #[test]
+    fn one_input_product_matches_the_per_step_oracle_bitwise() {
+        // B = 3 distinct sequences and B = 1; t = 3 keeps the stacked input
+        // product's weight gradient streamed at B = 3 (9 rows, 4h = 32
+        // columns), t = 5 packs it (15 rows).
+        for (n, t) in [(1, 3), (1, 5), (3, 3), (3, 5)] {
+            let mut params = Params::new();
+            let mut rng = ChaCha8Rng::seed_from_u64(29);
+            let bi = BiLstm::new(&mut params, "b", 5, 8, &mut rng);
+            let xs: Vec<ParamId> = (0..n)
+                .map(|b| params.add(format!("x{b}"), init::uniform(t, 5, 1.0, &mut rng)))
+                .collect();
+            let batched =
+                values_and_grads(&params, &xs, |tape, xv| bi.forward_batch(tape, &params, xv));
+            let oracle = values_and_grads(&params, &xs, |tape, xv| bi.forward(tape, &params, xv));
+            assert!(batched == oracle, "bi-LSTM, {n} sequences of {t}");
+            for (cell, rev) in [(&bi.fw, false), (&bi.bw, true)] {
+                // One direction's per-step outputs stacked, so both sides
+                // weigh the same `(t·B, h)` matrix.
+                let stacked = |tape: &mut Tape, (outs, last): (Vec<Var>, LstmState)| {
+                    vec![(tape.concat_rows(&outs), last)]
+                };
+                let run = values_and_grads(&params, &xs, |tape, xv| {
+                    let r = cell.run(tape, &params, xv, rev);
+                    stacked(tape, r)
+                });
+                let oracle = values_and_grads(&params, &xs, |tape, xv| {
+                    let r = cell.run_serial(tape, &params, xv, rev);
+                    stacked(tape, r)
+                });
+                assert!(run == oracle, "cell, reversed {rev}, {n} sequences of {t}");
+                if n == 1 && !rev {
+                    let lstm = Lstm { cell: cell.clone() };
+                    let forward = values_and_grads(&params, &xs, |tape, xv| {
+                        vec![lstm.forward(tape, &params, xv[0])]
+                    });
+                    assert!(forward == oracle, "Lstm::forward, one sequence of {t}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn lstm_sequence_output_shape() {
         let mut params = Params::new();
@@ -362,7 +484,7 @@ mod tests {
         let bi = BiLstm::new(&mut params, "b", 3, 4, &mut rng);
         let mut tape = Tape::new();
         let xs = tape.leaf(Tensor::full(5, 3, 0.2));
-        let (outs, _) = bi.forward(&mut tape, &params, xs);
+        let (outs, _) = bi.forward_batch(&mut tape, &params, &[xs])[0];
         assert_eq!(tape.value(outs).shape(), (5, 8));
     }
 

@@ -622,7 +622,7 @@ mod tests {
                 assert_eq!(f.len(), k, "forced actions must cover every group");
             }
             let xs = s.input_proj.forward(tape, params, x); // (k, h)
-            let (enc_outs, enc_last) = s.encoder.forward(tape, params, xs); // (k, 2h)
+            let (enc_outs, enc_last) = s.encoder.forward(tape, params, &[xs])[0]; // (k, 2h)
             let enc_proj = s.attn_enc.forward(tape, params, enc_outs); // (k, a)
 
             let mut state = LstmState { h: enc_last.h, c: tape.leaf(Tensor::zeros(1, s.hidden)) };

@@ -26,12 +26,18 @@
 //! ## Backward
 //!
 //! [`Tape::backward_into`] materializes no operand: weight gradients are
-//! `Tensor::matmul_tn` products added straight into their slot, input
-//! gradients `Tensor::matmul_nt` products, a gradient computed for one
+//! `Tensor::matmul_tn_segments` products landed straight in their slot,
+//! input gradients `Tensor::matmul_nt` products, a gradient computed for one
 //! consumer becomes that consumer's slot, and slicing ops deposit into the
 //! sub-range of their input's slot. The rules that keep every bit where
 //! whole-tensor zero-padded deposits would put it are stated above
 //! `Tape::bump`.
+//!
+//! [`Tape::matmul_stacked`] is one product for every step of a recurrence
+//! with the bits of one product per step: values and input gradients are
+//! row-independent, the weight gradient adds per-step partials, each from
+//! `+0.0`, in deposit order, and a one-row partial equals a single
+//! accumulator, since a partial is never `-0.0`.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -75,7 +81,8 @@ enum Op {
     Leaf,
     /// Parameter injected from a [`Params`] store (gradient target).
     Param(ParamId),
-    MatMul(Var, Var),
+    /// `a @ b`, `b`'s gradient landed by segments of this many rows of `a`.
+    MatMul(Var, Var, usize),
     Add(Var, Var),
     Sub(Var, Var),
     MulElem(Var, Var),
@@ -242,9 +249,23 @@ impl Tape {
 
     /// Matrix product `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let rows = self.value(a).rows();
+        self.matmul_stacked(a, b, rows)
+    }
+
+    /// `a @ b` for `a` the inputs of every step of a recurrence, `seg` rows a
+    /// step, stacked in the order a backward reaches the steps (the reverse
+    /// of the order they run in): bit-equal, values and gradients, to one
+    /// `matmul` per step, `b`'s gradient landed step by step
+    /// ([`Tensor::matmul_tn_segments`]).
+    ///
+    /// # Panics
+    /// Panics if `seg` is zero or the shapes disagree.
+    pub fn matmul_stacked(&mut self, a: Var, b: Var, seg: usize) -> Var {
+        assert!(seg > 0, "blocks of zero rows");
         let value = self.value(a).matmul(self.value(b));
         let g = self.ng(a) || self.ng(b);
-        self.push(Op::MatMul(a, b), value, g)
+        self.push(Op::MatMul(a, b, seg), value, g)
     }
 
     /// Element-wise sum (same shapes).
@@ -723,17 +744,14 @@ impl Tape {
         }
     }
 
-    /// Adds `aᵀ @ b` into `v`'s slot — a weight gradient, landed without a
+    /// Lands `aᵀ @ b` in `v`'s slot by `seg`-row segments
+    /// ([`Tensor::matmul_tn_segments`]) — a weight gradient, without a
     /// transposed operand or a product-sized temporary. A first deposit
-    /// stores the product as is: its accumulators start at `+0.0`, so it
+    /// stores the first segment's sum as is: it starts at `+0.0`, so it
     /// holds no `-0.0` for `0.0 + x` to change.
-    fn bump_tn(&self, grads: &mut [Option<Tensor>], v: Var, a: &Tensor, b: &Tensor) {
-        if !self.ng(v) {
-            return;
-        }
-        match &mut grads[v.0] {
-            Some(g) => a.matmul_tn_acc(b, g),
-            slot => *slot = Some(a.matmul_tn(b)),
+    fn bump_tn(&self, grads: &mut [Option<Tensor>], v: Var, a: &Tensor, b: &Tensor, seg: usize) {
+        if self.ng(v) {
+            a.matmul_tn_segments(b, seg, &mut grads[v.0]);
         }
     }
 
@@ -775,12 +793,12 @@ impl Tape {
             // Handed over into an absent slot, added into a present one:
             // several backward passes may share one set of buffers.
             Op::Param(id) => sink.deposit(id, gy),
-            Op::MatMul(a, b) => {
+            Op::MatMul(a, b, seg) => {
                 if self.ng(a) {
                     let da = gy.matmul_nt(self.value(b));
                     self.bump_owned(grads, a, da, 1.0);
                 }
-                self.bump_tn(grads, b, self.value(a), &gy);
+                self.bump_tn(grads, b, self.value(a), &gy, seg);
             }
             Op::Add(a, b) => {
                 self.bump(grads, a, &gy, 1.0);
@@ -960,7 +978,8 @@ impl Tape {
                     let dx = dz.matmul_nt(self.value(w));
                     self.bump_owned(grads, x, dx, 1.0);
                 }
-                self.bump_tn(grads, w, self.value(x), &dz);
+                let x = self.value(x);
+                self.bump_tn(grads, w, x, &dz, x.rows());
             }
             Op::LogSoftmaxPick(a, span) => {
                 // Composed pair's gradient: scatter gy to the picked column,

@@ -13,7 +13,8 @@
 //! ([`PAR_MATMUL_THRESHOLD`]) splits any of them across threads, by output
 //! rows when the output is tall and by output columns when it is short. All
 //! three give every element the same ascending-`k` sum, so which one ran, on
-//! how many threads, never shows in the bits.
+//! how many threads, never shows in the bits. A weight gradient landed by
+//! segments ([`Tensor::matmul_tn_segments`]) runs them once per segment.
 
 use std::fmt;
 use std::ops::Range;
@@ -64,7 +65,7 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// short products are 1, 4, 8 or 10 rows), so the bound stays. The bits
 /// never differ.
 ///
-/// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_acc`] stream under the same
+/// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_segments`] stream under the same
 /// bound (the short side of `xᵀ . gy` is the rows of `x`): `tn_acc_sec` at
 /// `10x1664` is 3.7 ms; in alternating sweeps against a build with the
 /// bound at 2 the packed loop took 4.9 to 13 ms there, and streamed it still
@@ -414,44 +415,44 @@ impl Tensor {
 
     /// `selfᵀ @ other` without materializing the transpose: `self` is
     /// `(k, m)` and is read column-wise. Bit-equal to
-    /// `self.transpose().matmul(other)`. Fewer than [`STREAM_MATMUL_ROWS`]
-    /// rows (`k`) stream the output (`stream_tn`) unless it is narrower than
-    /// one `MR * NR` block; the rest pack.
+    /// `self.transpose().matmul(other)`: one-row segments into an absent
+    /// slot ([`Tensor::matmul_tn_segments`]).
     ///
     /// # Panics
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_tn(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(self.cols, other.cols);
-        let a = Lhs::cols(self, other);
-        if self.rows < STREAM_MATMUL_ROWS && other.cols >= MR * NR {
-            let n = other.cols;
-            split(&mut out, a.inner, |share| stream_tn(a, &other.data, share, n, false));
-        } else {
-            gemm(a, Rhs { data: &other.data, transposed: false }, &mut out, false);
-        }
-        out
+        let mut out = None;
+        self.matmul_tn_segments(other, 1, &mut out);
+        out.expect("an absent slot is filled")
     }
 
-    /// `into += selfᵀ @ other`, the product summed from `+0.0` first and the
-    /// finished sum then added: bit-equal to
-    /// `into.add_assign(&self.matmul_tn(other))`. When the inner dimension
-    /// fits one k-block the finished register tile (streamed or packed, as in
-    /// [`Tensor::matmul_tn`]) is added straight into `into` and no
-    /// product-sized temporary exists.
+    /// Lands `selfᵀ @ other` in a gradient slot by segments of `seg` rows
+    /// (the last may be shorter): each segment's product is summed from
+    /// `+0.0`, an absent slot becomes the first sum, and the other sums (all
+    /// of them, into a present slot) are added in segment order — bit for
+    /// bit the deposits of one `matmul_tn` per segment, at the cost of each.
+    /// A sum is added straight from the register tile when its segment fits
+    /// one k-block; `seg >= k` is one segment.
+    ///
+    /// Into an absent slot, one-row segments are one plain product over all
+    /// `k` rows: a one-row sum is `0.0 + x`, which differs from `x` only at
+    /// `x = -0.0`, and adding either changes no bit of a running sum that is
+    /// not `-0.0` — which a sum from `+0.0` never is.
     ///
     /// # Panics
-    /// Panics if `self.rows() != other.rows()` or `into` is not
-    /// `(self.cols(), other.cols())`.
-    pub fn matmul_tn_acc(&self, other: &Self, into: &mut Self) {
-        assert_eq!(into.shape(), (self.cols, other.cols), "matmul_tn_acc output shape mismatch");
-        if self.rows < STREAM_MATMUL_ROWS && other.cols >= MR * NR {
-            let a = Lhs::cols(self, other);
-            let n = other.cols;
-            split(into, a.inner, |share| stream_tn(a, &other.data, share, n, true));
-        } else if self.rows <= KC {
-            gemm(Lhs::cols(self, other), Rhs { data: &other.data, transposed: false }, into, true);
-        } else {
-            into.add_assign(&self.matmul_tn(other));
+    /// Panics if `seg == 0`, `self.rows() != other.rows()` or a present
+    /// slot is not `(self.cols(), other.cols())`.
+    pub fn matmul_tn_segments(&self, other: &Self, seg: usize, slot: &mut Option<Self>) {
+        assert!(seg > 0, "segments of zero rows");
+        let a = Lhs::cols(self, other);
+        let (k, m, n) = (self.rows, self.cols, other.cols);
+        let fresh = slot.is_none();
+        let into = slot.get_or_insert_with(|| Self::zeros(m, n));
+        assert_eq!(into.shape(), (m, n), "matmul_tn output shape mismatch");
+        let seg = if seg == 1 && fresh { k.max(1) } else { seg };
+        for s in (0..k).step_by(seg) {
+            let part = Lhs { data: &a.data[s * m..], inner: seg.min(k - s), ..a };
+            tn_into(part, &other.data[s * n..], into, !fresh || s > 0);
         }
     }
 
@@ -542,6 +543,24 @@ pub fn softmax_row(row: &mut [f32]) {
     // `sum >= 1` because the max element maps to exp(0) = 1, so division is safe.
     for x in row.iter_mut() {
         *x /= sum;
+    }
+}
+
+/// `aᵀ @ b` for `a` a [`Lhs::cols`] operand and `b` the row-major `(k, n)`
+/// one, stored into a zeroed `out` or, with `accumulate`, summed from `+0.0`
+/// first and then added (through a temporary past one k-block). Fewer than
+/// [`STREAM_MATMUL_ROWS`] rows (`k`) stream the output (`stream_tn`) unless
+/// it is narrower than one `MR * NR` block; the rest pack.
+fn tn_into(a: Lhs<'_>, b: &[f32], out: &mut Tensor, accumulate: bool) {
+    let (m, n) = out.shape();
+    if a.inner < STREAM_MATMUL_ROWS && n >= MR * NR {
+        split(out, a.inner, |share| stream_tn(a, b, share, n, accumulate));
+    } else if !accumulate || a.inner <= KC {
+        gemm(a, Rhs { data: b, transposed: false }, out, accumulate);
+    } else {
+        let mut part = Tensor::zeros(m, n);
+        tn_into(a, b, &mut part, false);
+        out.add_assign(&part);
     }
 }
 
@@ -970,8 +989,9 @@ mod tests {
                 eagle_obs::set_available_workers(workers);
                 let want_workers = at_three.min(workers);
                 assert_eq!(matmul_workers(m * n * k), want_workers, "{m}x{k}@{k}x{n}");
-                let mut acc = held.clone();
-                a.matmul_tn_acc(&gy, &mut acc);
+                let mut acc = Some(held.clone());
+                a.matmul_tn_segments(&gy, m, &mut acc);
+                let acc = acc.unwrap();
                 let products = [
                     ("nn", a.matmul(&b), &want_nn),
                     ("nt", gy.matmul_nt(&b), &want_nt),
@@ -981,6 +1001,45 @@ mod tests {
                 eagle_obs::set_available_workers(0);
                 for (layout, got, want) in products {
                     assert_bitwise_eq(&got, want, &format!("{layout} {m}x{k}x{n} at {workers}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segmented_weight_gradient_is_the_per_segment_deposits() {
+        // `(k, m, n)`: totals below and above `STREAM_MATMUL_ROWS`, totals
+        // past `KC` (one-row segments into a fresh slot are one product over
+        // several k-blocks), and two that split across workers — by columns
+        // streamed, by rows packed.
+        let shapes =
+            [(6, 5, 40), (10, 520, 1030), (12, 9, 5), (40, 33, 70), (515, 33, 70), (1100, 70, 70)];
+        for (k, m, n) in shapes {
+            let (x, gy) = (fill(k, m, (k + m) as u32), fill(k, n, (k + n) as u32));
+            for seg in [1, 3, 10, 11] {
+                // A fresh slot takes the first segment's product as is and
+                // adds the rest; a filled one adds them all.
+                for held in [None, Some(fill(m, n, 7))] {
+                    let mut want = held.clone();
+                    for s in (0..k).step_by(seg) {
+                        let len = seg.min(k - s);
+                        let part =
+                            streamed(&x.slice_rows(s, len).transpose(), &gy.slice_rows(s, len));
+                        match &mut want {
+                            Some(w) => w.add_assign(&part),
+                            None => want = Some(part),
+                        }
+                    }
+                    let want = want.unwrap();
+                    for workers in [1, 2] {
+                        eagle_obs::set_available_workers(workers);
+                        let mut got = held.clone();
+                        x.matmul_tn_segments(&gy, seg, &mut got);
+                        eagle_obs::set_available_workers(0);
+                        let ctx =
+                            format!("{k}x{m}x{n} by {seg} at {workers}, filled {}", held.is_some());
+                        assert_bitwise_eq(&got.unwrap(), &want, &ctx);
+                    }
                 }
             }
         }

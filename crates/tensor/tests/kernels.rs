@@ -1,14 +1,15 @@
 //! The products against their definition, bit for bit.
 //!
-//! `Tensor::matmul`, `matmul_tn` and `matmul_tn_acc` each run a streaming
-//! loop below `STREAM_MATMUL_ROWS` rows (of `x` in `x . w`, of both operands
-//! in `xᵀ . gy`, whose output must also be at least `MR * NR` columns wide)
-//! and the packed one otherwise; `matmul_nt`, `matmul_tn` and `matmul_tn_acc`
-//! exist so a backward pass never materializes a transposed weight or a
-//! weight-sized temporary. Every one of them is one
-//! ascending-`k` accumulation from `+0.0` per element: the float bits of
-//! `transpose()` + `matmul` (+ `add_assign`), and those of the packed kernel,
-//! which [`packed`] reaches at any row count through the public API.
+//! `Tensor::matmul`, `matmul_tn` and `matmul_tn_segments` each run a
+//! streaming loop below `STREAM_MATMUL_ROWS` rows (of `x` in `x . w`, of
+//! both operands in `xᵀ . gy`, whose output must also be at least `MR * NR`
+//! columns wide) and the packed one otherwise; `matmul_nt`, `matmul_tn` and
+//! `matmul_tn_segments` exist so a backward pass never materializes a
+//! transposed weight or a weight-sized temporary. Every one of them is one
+//! ascending-`k` accumulation from `+0.0` per element (per segment of `k`,
+//! the segments' sums then added in order): the float bits of
+//! `transpose()` and `matmul` (and `add_assign`), and those of the packed
+//! kernel, which [`packed`] reaches at any row count through the public API.
 //!
 //! Each case runs the product under test at a drawn worker count (1 to 3,
 //! through `eagle_obs::set_available_workers`) and its reference at one, so
@@ -22,10 +23,15 @@ use std::sync::Mutex;
 use eagle_tensor::{Tensor, MR, NR, STREAM_MATMUL_ROWS};
 use proptest::prelude::*;
 
-/// The kernel's k-block depth: `matmul_tn_acc` adds finished register tiles
-/// straight into its target up to this inner dimension and goes through a
-/// temporary beyond it.
+/// The kernel's k-block depth: `matmul_tn_segments` adds finished register
+/// tiles straight into its target for segments up to this many rows and
+/// goes through a temporary beyond it.
 const KC: usize = 512;
+
+/// Segment lengths: the one-row segments of a one-sequence recurrence, and
+/// three, ten and eleven sequences stepped in lockstep (ten and eleven on
+/// both sides of the streaming bound).
+const SEGMENTS: [usize; 4] = [1, 3, 10, STREAM_MATMUL_ROWS];
 
 /// Inner dimensions on both sides of every boundary the kernel has: the
 /// ten-row weight gradient of a minibatch, both sides of the streaming bound
@@ -155,16 +161,40 @@ proptest! {
     }
 
     #[test]
-    fn matmul_tn_acc_is_product_then_add(
+    fn one_segment_is_product_then_add(
         m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000,
         workers in 1usize..=3
     ) {
         let (a, b) = (fill(k, m, s, false), fill(k, n, s + 1, false));
         // A target that already holds values, signed zeros among them.
-        let mut into = fill(m, n, s + 2, false);
-        let mut want = into.clone();
+        let mut into = Some(fill(m, n, s + 2, false));
+        let mut want = into.clone().unwrap();
         want.add_assign(&at_workers(1, || packed(&a.transpose(), &b)));
-        at_workers(workers, || a.matmul_tn_acc(&b, &mut into));
-        prop_assert_eq!(bits(&into), bits(&want));
+        at_workers(workers, || a.matmul_tn_segments(&b, k, &mut into));
+        prop_assert_eq!(bits(&into.unwrap()), bits(&want));
+    }
+
+    #[test]
+    fn matmul_tn_segments_is_the_per_segment_deposits(
+        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), seg in pick(SEGMENTS),
+        s in 0u64..1000, fresh in any::<bool>(), workers in 1usize..=3
+    ) {
+        let (a, b) = (fill(k, m, s, false), fill(k, n, s + 1, false));
+        // A fresh slot takes the first segment's product as is and adds the
+        // rest; a filled one, signed zeros among its values, adds them all.
+        let held = (!fresh).then(|| fill(m, n, s + 2, false));
+        let mut want = held.clone();
+        for start in (0..k).step_by(seg) {
+            let len = seg.min(k - start);
+            let (a_seg, b_seg) = (a.slice_rows(start, len), b.slice_rows(start, len));
+            let part = at_workers(1, || packed(&a_seg.transpose(), &b_seg));
+            match &mut want {
+                Some(w) => w.add_assign(&part),
+                None => want = Some(part),
+            }
+        }
+        let mut got = held;
+        at_workers(workers, || a.matmul_tn_segments(&b, seg, &mut got));
+        prop_assert_eq!(bits(&got.unwrap()), bits(&want.unwrap()));
     }
 }
