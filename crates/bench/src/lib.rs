@@ -944,14 +944,13 @@ fn transfer(cli: &Cli) -> (String, bool) {
     let agent = EagleAgent::new(&mut gen_params, &seed_graph, &machine, cli.scale, &mut rng);
     let gen_cfg = TrainerConfig::paper(Algo::Ppo, gen_samples);
     // One draw per minibatch; the trainer's pool keeps only the latest graphs.
-    let draws = source.train_draws(HOLDOUT, gen_samples.div_ceil(gen_cfg.minibatch));
+    let draws = source.train_draws(gen_samples.div_ceil(gen_cfg.minibatch));
     let distinct = draws.iter().collect::<HashSet<_>>().len();
     Trainer::builder(make_source(), machine.clone())
         .config(gen_cfg)
         .measure(MeasureConfig::default())
         .env_seed(1000 + cli.seed)
         .recorder(cli.recorder.clone())
-        .holdout(HOLDOUT)
         .build()
         .expect("valid generalist trainer config")
         .train(&agent, &mut gen_params)

@@ -75,7 +75,10 @@ pub const CHECKPOINT_MAGIC: &str = "eagle-checkpoint";
 ///
 /// v6: the curve has no `probes`; the trainer's in-training zero-shot probes
 /// are gone (zero-shot placement is evaluated after training).
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 6;
+///
+/// v7: the source cursor has no `drawn` count; only the round-robin roster
+/// draw read it, and a source is now a fixed graph or a generator.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 7;
 
 /// Conventional checkpoint file name inside a `--checkpoint-dir` directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -471,10 +474,9 @@ mod tests {
     #[test]
     fn schema_version_skew_is_rejected() {
         let text = String::from_utf8(encode_checkpoint(&sample_state()).unwrap()).unwrap();
-        // The predecessor (v5, whose curve carried zero-shot probe points)
-        // and a future version are both refused before the payload is looked
-        // at.
-        for skew in [5, CHECKPOINT_SCHEMA_VERSION + 1] {
+        // The predecessor (v6, whose source cursor counted its draws) and a
+        // future version are both refused before the payload is looked at.
+        for skew in [6, CHECKPOINT_SCHEMA_VERSION + 1] {
             let skewed = text.replacen(
                 &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
                 &format!("\"schema_version\":{skew}"),
@@ -482,7 +484,7 @@ mod tests {
             );
             assert_ne!(text, skewed, "header rewrite must hit");
             match decode_checkpoint(skewed.as_bytes()) {
-                Err(CheckpointError::SchemaVersion { found, expected: 6 }) => {
+                Err(CheckpointError::SchemaVersion { found, expected: 7 }) => {
                     assert_eq!(found, skew)
                 }
                 other => panic!("expected SchemaVersion error, got {other:?}"),

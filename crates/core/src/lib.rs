@@ -7,8 +7,8 @@
 //! heuristic-grouper variants and the Post baseline) and the training driver
 //! ([`Trainer`]) that reproduces the paper's measurement protocol and training
 //! curves — over a single graph ([`GraphSource::fixed`]) or a whole distribution
-//! of graphs (rosters and [`GraphGen`](eagle_opgraph::GraphGen) samplers, the
-//! GDP/Placeto generalist direction).
+//! of graphs ([`GraphSource::generated`]: a [`GraphGen`](eagle_opgraph::GraphGen)
+//! sampler, the GDP/Placeto generalist direction).
 //!
 //! ```no_run
 //! use eagle_core::{Algo, AgentScale, EagleAgent, GraphSource, Trainer, TrainerConfig};
@@ -48,7 +48,7 @@ pub use checkpoint::{
 };
 pub use curve::{Curve, CurvePoint};
 pub use scale::AgentScale;
-pub use source::{GraphOrigin, GraphSource, OriginKind, SourceCursor, SourceError};
+pub use source::{GraphOrigin, GraphSource, OriginKind, SourceCursor};
 pub use trainer::{
     Algo, ConfigError, GraphSummary, ResumeError, TrainError, TrainResult, Trainer, TrainerBuilder,
     TrainerConfig,

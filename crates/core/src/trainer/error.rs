@@ -2,8 +2,6 @@
 
 use eagle_devsim::{EnvError, EnvStateError};
 
-use crate::source::SourceError;
-
 /// Why a [`TrainerBuilder`](super::TrainerBuilder) refused to construct a
 /// [`Trainer`](super::Trainer).
 #[derive(Debug, Clone, PartialEq)]
@@ -34,9 +32,6 @@ pub enum ConfigError {
     ZeroCheckpointEvery,
     /// `checkpoint_every` is set but `checkpoint_dir` is not.
     CheckpointEveryWithoutDir,
-    /// The graph source rejected the configuration (empty roster, bad weight,
-    /// invalid generator config, impossible holdout split).
-    Source(SourceError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -65,18 +60,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::CheckpointEveryWithoutDir => {
                 write!(f, "checkpoint_every is set but checkpoint_dir is not")
             }
-            ConfigError::Source(e) => write!(f, "graph source: {e}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
-
-impl From<SourceError> for ConfigError {
-    fn from(e: SourceError) -> Self {
-        ConfigError::Source(e)
-    }
-}
 
 /// Why a [`TrainerState`](crate::TrainerState) could not be applied to the
 /// given agent/params.
@@ -97,7 +85,7 @@ pub enum ResumeError {
     /// not one finite pair per parameter, of that parameter's shape.
     Optimizer(String),
     /// A checkpointed graph origin does not belong to this trainer's source
-    /// (e.g. resuming a generated-distribution checkpoint with a roster).
+    /// (e.g. resuming a generated-distribution checkpoint with a fixed source).
     SourceMismatch(String),
     /// A checkpointed environment state does not fit its rebuilt environment.
     Env(EnvStateError),

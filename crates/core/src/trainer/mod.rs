@@ -8,10 +8,12 @@
 //! silently accepting a zero minibatch or an inconsistent CE schedule. The
 //! trainer owns its environments — it draws one graph per minibatch from a
 //! [`GraphSource`](crate::GraphSource) and measures placements in a per-graph
-//! environment pool, so one policy can train over a whole *distribution* of
-//! graphs (the GDP/Placeto generalist direction). Single-graph training is the
-//! `GraphSource::fixed` special case and keeps the exact sampling and
-//! measurement streams of the classic single-benchmark trainer.
+//! environment pool. A generated source (a seeded
+//! [`GraphGen`](eagle_opgraph::GraphGen) distribution) trains one policy over
+//! a whole *distribution* of graphs (the GDP/Placeto generalist direction);
+//! single-graph training is the `GraphSource::fixed` special case and keeps
+//! the exact sampling and measurement streams of the classic single-benchmark
+//! trainer.
 //!
 //! The loop is *resumable*: [`Trainer::train`] starts fresh,
 //! [`Trainer::train_from`] continues from a [`TrainerState`] captured at a
@@ -46,7 +48,7 @@ use pool::{EnvPool, PoolEntry};
 /// still resident in the environment pool when the run finished.
 #[derive(Debug, Clone)]
 pub struct GraphSummary {
-    /// Graph name (roster name, model name, or `gen-<seed>`).
+    /// Graph name (the fixed graph's model name, or `gen-<seed>`).
     pub name: String,
     /// Source origin the graph was drawn from.
     pub origin: GraphOrigin,
@@ -127,14 +129,6 @@ impl TrainerBuilder {
         self
     }
 
-    /// Holds out the last `holdout` graphs of the source for zero-shot
-    /// evaluation (default 0). Held-out graphs are never drawn for training;
-    /// see [`GraphSource::holdout_origins`] for the split rules.
-    pub fn holdout(mut self, holdout: usize) -> Self {
-        self.0.holdout = holdout;
-        self
-    }
-
     /// Validates the whole configuration and builds the [`Trainer`].
     pub fn build(self) -> Result<Trainer, ConfigError> {
         let trainer = self.0;
@@ -179,7 +173,6 @@ impl TrainerBuilder {
             (Some(_), None) => return Err(ConfigError::CheckpointEveryWithoutDir),
             _ => {}
         }
-        trainer.source.validate_holdout(trainer.holdout)?;
         Ok(trainer)
     }
 }
@@ -195,7 +188,6 @@ pub struct Trainer {
     env_seed: u64,
     cache_capacity: Option<usize>,
     recorder: Recorder,
-    holdout: usize,
 }
 
 impl Trainer {
@@ -209,7 +201,6 @@ impl Trainer {
             env_seed: 0,
             cache_capacity: None,
             recorder: Recorder::disabled(),
-            holdout: 0,
         })
     }
 
@@ -354,7 +345,7 @@ impl Trainer {
             // Draw this minibatch's graph and make it resident. Fixed sources
             // consume no source randomness here, so single-graph streams are
             // unchanged from the classic trainer.
-            let origin = self.source.draw_train(&mut st.source, self.holdout);
+            let origin = self.source.draw_train(&mut st.source);
             let PoolEntry { env, view, baseline, best, .. } =
                 pool.resident(self, agent, &origin)?;
             let acting: &A = view.as_ref().unwrap_or(agent);
@@ -521,8 +512,7 @@ mod tests {
     use crate::agents::{EagleAgent, FixedGroupAgent, PlacerKind};
     use crate::checkpoint::load_checkpoint;
     use crate::scale::AgentScale;
-    use crate::source::SourceError;
-    use eagle_opgraph::{builders, OpGraph};
+    use eagle_opgraph::{builders, GraphGenConfig, OpGraph};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -720,63 +710,43 @@ mod tests {
             .config(cfg)
             .build()
             .is_ok());
-        // A fixed source has nothing to hold out.
-        assert!(matches!(
-            Trainer::builder(GraphSource::fixed(g.clone()), m.clone())
-                .config(TrainerConfig::paper(Algo::Ppo, 10))
-                .holdout(1)
-                .build()
-                .unwrap_err(),
-            ConfigError::Source(SourceError::HoldoutUnsupported)
-        ));
+    }
+
+    fn tiny_generated_source() -> GraphSource {
+        GraphSource::generated(GraphGenConfig::with_target(24), 5).expect("valid generated source")
     }
 
     #[test]
     fn multi_graph_training_pools_environments() {
-        let g = tiny_graph();
-        let roster = GraphSource::roster(vec![
-            ("a".into(), g.clone()),
-            ("b".into(), g.clone()),
-            ("c".into(), g.clone()),
-        ])
-        .unwrap();
+        let m = Machine::paper_machine();
+        let source = tiny_generated_source();
+        let seed_graph = source.build(&source.holdout_origins(1)[0]);
         let mut cfg = TrainerConfig::paper(Algo::Ppo, 60);
         cfg.minibatch = 5;
-        let trainer = Trainer::builder(roster, Machine::paper_machine())
+        let trainer = Trainer::builder(source, m.clone())
             .config(cfg)
             .measure(MeasureConfig::exact())
             .env_seed(3)
-            .holdout(1)
             .build()
             .expect("valid multi-graph trainer");
         let mut params = Params::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let agent = EagleAgent::new(
-            &mut params,
-            &g,
-            &Machine::paper_machine(),
-            AgentScale::tiny(),
-            &mut rng,
-        );
+        let agent = EagleAgent::new(&mut params, &seed_graph, &m, AgentScale::tiny(), &mut rng);
         let result = trainer.train(&agent, &mut params).expect("training runs");
         assert_eq!(result.samples, 60);
-        // Held-out graph "c" never trains; "a" and "b" round-robin.
-        assert_eq!(result.graphs.len(), 2);
-        assert!(result.graphs.iter().all(|s| s.name != "c"));
-        assert_eq!(result.graphs.iter().map(|s| s.samples).sum::<u64>(), 60);
+        // One pooled environment per minibatch, none of them held out.
+        assert_eq!(result.graphs.len(), 12);
+        assert!(result.graphs.iter().all(|s| s.samples == 5));
+        let held = trainer.source().holdout_origins(4);
+        assert!(result.graphs.iter().all(|s| !held.contains(&s.origin)));
         assert!(result.best_placement.is_none(), "multi-graph runs report per-graph bests");
-        let source = trainer.source();
-        let held: Vec<String> = source.holdout_origins(1).iter().map(|o| source.name(o)).collect();
-        assert_eq!(held, ["c"]);
     }
 
     #[test]
     fn unsupported_agent_gets_typed_error() {
         let g = tiny_graph();
         let m = Machine::paper_machine();
-        let roster =
-            GraphSource::roster(vec![("a".into(), g.clone()), ("b".into(), g.clone())]).unwrap();
-        let trainer = Trainer::builder(roster, m.clone())
+        let trainer = Trainer::builder(tiny_generated_source(), m.clone())
             .config(TrainerConfig::paper(Algo::Ppo, 10))
             .measure(MeasureConfig::exact())
             .build()

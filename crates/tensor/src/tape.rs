@@ -469,7 +469,12 @@ impl Tape {
     }
 
     /// Gathers rows by index (duplicates allowed); gradients scatter-add back.
+    /// Gathering every row in order (`indices` is `0..rows`) is `a` itself,
+    /// the rule [`Tape::slice_rows`] has for the whole row range.
     pub fn select_rows(&mut self, a: Var, indices: &[usize]) -> Var {
+        if indices.iter().copied().eq(0..self.value(a).rows()) {
+            return a;
+        }
         let value = self.value(a).select_rows(indices);
         let g = self.ng(a);
         let span = self.intern_idxs(indices);

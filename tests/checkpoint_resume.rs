@@ -357,7 +357,6 @@ fn multi_trainer(cfg: TrainerConfig) -> (eagle::opgraph::OpGraph, Machine, Train
         .config(cfg)
         .measure(MeasureConfig::default())
         .env_seed(17)
-        .holdout(1)
         .build()
         .expect("valid multi-graph trainer config");
     (seed_graph, m, trainer)

@@ -1,6 +1,6 @@
 //! Generalist-trainer contracts: the held-out split and the training draws.
 //!
-//! 1. **Split hygiene** — property-tested over [`GraphSource`] configurations:
+//! 1. **Split hygiene** — property-tested over generated [`GraphSource`]s:
 //!    the held-out origins never appear in the training stream, and the split
 //!    is a pure function of the source configuration (re-building the same
 //!    source yields the same split, independent of any training progress).
@@ -14,20 +14,11 @@ use std::collections::HashSet;
 use eagle::core::{AgentScale, Algo, EagleAgent, GraphSource, Trainer, TrainerConfig};
 use eagle::devsim::{Machine, MeasureConfig};
 use eagle::obs::Recorder;
-use eagle::opgraph::{GraphGenConfig, OpGraph, OpKind, OpNode, Phase};
+use eagle::opgraph::GraphGenConfig;
 use eagle::tensor::Params;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// A minimal two-op graph for roster sources; `name` keeps entries distinct.
-fn tiny_graph(name: &str) -> OpGraph {
-    let mut g = OpGraph::new(name);
-    let a = g.add_node(OpNode::new("a", OpKind::MatMul, Phase::Forward));
-    let b = g.add_node(OpNode::new("b", OpKind::Softmax, Phase::Forward));
-    g.add_edge(a, b);
-    g
-}
 
 proptest! {
     /// Generated sources: holdout origins are seed-deterministic and no
@@ -51,39 +42,7 @@ proptest! {
         prop_assert_eq!(&held, &rebuilt.holdout_origins(holdout));
 
         // Disjoint: the training stream never leaks a held-out graph.
-        for origin in source.train_draws(holdout, draws) {
-            prop_assert!(
-                !held.contains(&origin),
-                "training origin {:?} collides with the holdout", origin
-            );
-        }
-    }
-
-    /// Roster sources (uniform and weighted): the holdout is the roster tail,
-    /// and training draws stay strictly inside the head.
-    #[test]
-    fn roster_holdout_is_disjoint_and_deterministic(
-        len in 2usize..8,
-        holdout_frac in 1usize..4,
-        weighted in any::<bool>(),
-        seed in any::<u64>(),
-        draws in 1usize..32,
-    ) {
-        let holdout = holdout_frac.min(len - 1);
-        let source = if weighted {
-            let graphs = (0..len)
-                .map(|i| (format!("g{i}"), tiny_graph(&format!("g{i}")), 1.0 + i as f64))
-                .collect();
-            GraphSource::weighted(graphs, seed).expect("valid weighted roster")
-        } else {
-            let graphs =
-                (0..len).map(|i| (format!("g{i}"), tiny_graph(&format!("g{i}")))).collect();
-            GraphSource::roster(graphs).expect("valid roster")
-        };
-        let held = source.holdout_origins(holdout);
-        prop_assert_eq!(held.len(), holdout);
-        prop_assert_eq!(&held, &source.holdout_origins(holdout), "split must be stable");
-        for origin in source.train_draws(holdout, draws) {
+        for origin in source.train_draws(draws) {
             prop_assert!(
                 !held.contains(&origin),
                 "training origin {:?} collides with the holdout", origin
@@ -103,7 +62,7 @@ fn train_draws_name_every_graph_of_a_run_that_outgrows_the_pool() {
         GraphSource::generated(GraphGenConfig::with_target(48), 12).expect("valid generated source")
     };
     let source = make_source();
-    let drawn = source.train_draws(1, DRAWS);
+    let drawn = source.train_draws(DRAWS);
     let distinct: HashSet<_> = drawn.iter().collect();
     assert_eq!(distinct.len(), DRAWS, "every generated draw is a new graph");
 
@@ -119,7 +78,6 @@ fn train_draws_name_every_graph_of_a_run_that_outgrows_the_pool() {
         .config(cfg)
         .measure(MeasureConfig::default())
         .env_seed(9)
-        .holdout(1)
         .recorder(recorder.clone())
         .build()
         .expect("valid generalist trainer config")

@@ -61,7 +61,6 @@ fn run_multi_with_workers(workers: usize, recorder: Recorder) -> (TrainResult, P
         .config(cfg)
         .measure(MeasureConfig::default())
         .env_seed(7)
-        .holdout(1)
         .recorder(recorder)
         .build()
         .expect("valid generalist trainer config");
