@@ -5,16 +5,18 @@
 //! supports only rank 2: it keeps indexing, broadcasting and the autodiff rules simple
 //! and auditable. A row vector is `(1, n)`; a scalar is `(1, 1)`.
 //!
-//! A product runs one of three kernel loops, picked by its layout and shape
+//! A product runs one of four kernel loops, picked by its layout and shape
 //! alone ([`STREAM_MATMUL_ROWS`]): a short forward streams `B`
-//! (`matmul_rows`), a short weight gradient `xᵀ . gy` at least one register
-//! tile (`MR * NR` columns) wide streams its output (`stream_tn`), and
-//! everything else goes to `gemm_rows`, which packs `B`. One rule
-//! ([`PAR_MATMUL_THRESHOLD`]) splits any of them across threads, by output
-//! rows when the output is tall and by output columns when it is short. All
-//! three give every element the same ascending-`k` sum, so which one ran, on
-//! how many threads, never shows in the bits. A weight gradient landed by
-//! segments ([`Tensor::matmul_tn_segments`]) runs them once per segment.
+//! (`matmul_rows`), a short input gradient `gy . wᵀ` reads `w` in place
+//! against a transposed `gy` (`stream_nt`), a short weight gradient
+//! `xᵀ . gy` at least one register tile (`MR * NR` columns) wide streams its
+//! output (`stream_tn`), and everything else goes to `gemm_rows`, which
+//! packs `B`. One rule ([`PAR_MATMUL_THRESHOLD`]) splits any of them across
+//! threads, by output rows when the output is tall and by output columns
+//! when it is short. All four give every element the same ascending-`k`
+//! sum, so which one ran, on how many threads, never shows in the bits. A
+//! weight gradient landed by segments ([`Tensor::matmul_tn_segments`]) runs
+//! them once per segment.
 
 use std::fmt;
 use std::ops::Range;
@@ -64,6 +66,13 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// aside), but the policies issue no product 11 to 16 rows tall (their
 /// short products are 1, 4, 8 or 10 rows), so the bound stays. The bits
 /// never differ.
+///
+/// [`Tensor::matmul_nt`] streams under the same bound (the rows of `gy` in
+/// `gy . wᵀ`): against the packed loop in one process on one worker,
+/// `10x2048 . (1664x2048)ᵀ` ran 3.65 → 1.81 ms, `8x2048 . (512x2048)ᵀ`
+/// 0.82 → 0.33 ms and `1x2048 . (512x2048)ᵀ` 0.47 → 0.33 ms. It loses where
+/// `w` has a few rows and `k` is long (`10x1024 . (8x1024)ᵀ` 0.6x), since
+/// transposing `gy` into lanes is then most of the work.
 ///
 /// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_segments`] stream under the same
 /// bound (the short side of `xᵀ . gy` is the rows of `x`): `tn_acc_sec` at
@@ -397,7 +406,9 @@ impl Tensor {
     }
 
     /// `self @ otherᵀ` without materializing the transpose: `other` is
-    /// `(n, k)` and is read row-wise while packing. Bit-equal to
+    /// `(n, k)`. Fewer than [`STREAM_MATMUL_ROWS`] rows read it in place,
+    /// in row order (`stream_nt`, against `self` transposed into lanes);
+    /// the rest pack it (`gemm_rows`). Bit-equal to
     /// `self.matmul(&other.transpose())`.
     ///
     /// # Panics
@@ -409,7 +420,23 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Self::zeros(self.rows, other.rows);
-        gemm(Lhs::rows(self), Rhs { data: &other.data, transposed: true }, &mut out, false);
+        let (k, w) = (self.cols, &other.data);
+        match self.rows {
+            1 => split(&mut out, k, |share| stream_nt::<1, NT_COLS>(&self.data, w, share, k)),
+            2..=4 => {
+                let gt = lanes::<4>(self);
+                split(&mut out, k, |share| stream_nt::<4, NT_COLS>(&gt, w, share, k));
+            }
+            5..=8 => {
+                let gt = lanes::<8>(self);
+                split(&mut out, k, |share| stream_nt::<8, NT_COLS>(&gt, w, share, k));
+            }
+            9..STREAM_MATMUL_ROWS => {
+                let gt = lanes::<16>(self);
+                split(&mut out, k, |share| stream_nt::<16, { NT_COLS / 2 }>(&gt, w, share, k));
+            }
+            _ => gemm(Lhs::rows(self), Rhs { data: w, transposed: true }, &mut out, false),
+        }
         out
     }
 
@@ -650,6 +677,82 @@ fn stream_tn_block(a: Lhs<'_>, i: usize, b: &[f32], n: usize, jb: usize) -> [f32
         }
     }
     acc
+}
+
+/// Output columns per pass of `stream_nt` (half as many at 16 lanes): each
+/// load of a transposed `gy` row's lanes feeds `NT_COLS` rows of `W`, and the
+/// `L x NT_COLS` accumulator tile is at most 8 vector registers (8 scalars,
+/// xmm or ymm at 1, 4 and 8 lanes, 8 ymm at 16).
+const NT_COLS: usize = 8;
+
+/// `gy`'s `m` rows transposed into `k` rows of `L` lanes (lane `r` of row
+/// `kk` is `gy[r][kk]`), the lanes past `m` zero.
+fn lanes<const L: usize>(gy: &Tensor) -> Vec<f32> {
+    let (m, k) = gy.shape();
+    let mut gt = vec![0.0; k * L];
+    for (kk, lanes) in gt.chunks_exact_mut(L).enumerate() {
+        for (lane, r) in lanes.iter_mut().zip(0..m) {
+            *lane = gy.data[r * k + kk];
+        }
+    }
+    gt
+}
+
+/// Streaming kernel for short input gradients: one share of `out = gy . wᵀ`
+/// for `gt` the `(m, k)` `gy` as [`lanes`] lays it out (`L >= m`; at one
+/// row, `gy` itself) and `w` the row-major `(n, k)` weight, read in place:
+/// a pass broadcasts each element of `C` consecutive rows of `w` against
+/// the `L` lanes, so `w` is read once, in row order, and no copy of it is
+/// made. A ragged tail runs its columns one at a time. Each element is
+/// summed from `+0.0` over ascending `kk` and stored: `gemm_rows`' sum and
+/// write-back, bit for bit. A short product splits by columns only, so the
+/// share's rows are all of `gy`'s.
+fn stream_nt<const L: usize, const C: usize>(gt: &[f32], w: &[f32], out: Share<'_>, k: usize) {
+    debug_assert_eq!(out.row0, 0, "a short product splits by output columns");
+    let (width, col0) = (out.width(), out.col0);
+    let mut rows = out.rows;
+    let whole = width - width % C;
+    for jb in (0..whole).step_by(C) {
+        store_lanes(&mut rows, jb, &stream_nt_block::<L, C>(gt, w, k, col0 + jb));
+    }
+    for jb in whole..width {
+        store_lanes(&mut rows, jb, &stream_nt_block::<L, 1>(gt, w, k, col0 + jb));
+    }
+}
+
+/// `C x L` accumulators from `+0.0`: accumulator `[c][r]` is output element
+/// `(r, j + c)` of `stream_nt`.
+fn stream_nt_block<const L: usize, const C: usize>(
+    gt: &[f32],
+    w: &[f32],
+    k: usize,
+    j: usize,
+) -> [[f32; L]; C] {
+    let w_rows: [&[f32]; C] = std::array::from_fn(|c| &w[(j + c) * k..][..k]);
+    let mut acc = [[0.0f32; L]; C];
+    for (kk, g) in gt[..k * L].chunks_exact(L).enumerate() {
+        for (acc_c, w_row) in acc.iter_mut().zip(&w_rows) {
+            let wv = w_row[kk];
+            for (a, &gv) in acc_c.iter_mut().zip(g) {
+                *a += gv * wv;
+            }
+        }
+    }
+    acc
+}
+
+/// Stores the lanes of `stream_nt_block`'s accumulators that hold output
+/// rows into columns `jb..jb + C` of the share.
+fn store_lanes<const L: usize, const C: usize>(
+    rows: &mut [&mut [f32]],
+    jb: usize,
+    acc: &[[f32; L]; C],
+) {
+    for (r, row) in rows.iter_mut().enumerate() {
+        for (o, acc_c) in row[jb..jb + C].iter_mut().zip(acc) {
+            *o = acc_c[r];
+        }
+    }
 }
 
 /// Stores finished sums into `out` or, with `accumulate`, adds them to it:
@@ -960,9 +1063,11 @@ mod tests {
         // rows: the tall grouper product, twice the 128^3 boundary, a ragged
         // last chunk of rows. Split by output columns: the 10-row forward (its
         // 1030 columns cut at 520, or at 344 and 688: the last share ragged
-        // and not `NR`-aligned) and `gy . wᵀ`, and a packed 40-row forward;
-        // their `xᵀ . gy` is weight-tall and splits rows (streamed at ten
-        // rows, packed at 40).
+        // and not `NR`-aligned) and `gy . wᵀ`, a one-row and a nine-row
+        // `gy . wᵀ` whose last share ends in a ragged `NT_COLS` tail (2051
+        // columns cut at 1032; 1030 at 520, or at 344 and 688), and a packed
+        // 40-row forward; their `xᵀ . gy` is weight-tall and splits rows
+        // (streamed under 11 rows, packed at 40).
         // Serial: the 128^3 boundary and the largest short shape the policies
         // issue under twice the threshold, the one-row warm-up step.
         let shapes = [
@@ -971,6 +1076,8 @@ mod tests {
             (67, 512, 128, 2),
             (10, 520, 1030, 2),
             (10, 1024, 1030, 3),
+            (1, 2051, 2100, 2),
+            (9, 1030, 700, 3),
             (40, 512, 256, 2),
             (128, 128, 128, 1),
             (1, 1664, 2048, 1),

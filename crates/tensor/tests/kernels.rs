@@ -1,11 +1,12 @@
 //! The products against their definition, bit for bit.
 //!
-//! `Tensor::matmul`, `matmul_tn` and `matmul_tn_segments` each run a
-//! streaming loop below `STREAM_MATMUL_ROWS` rows (of `x` in `x . w`, of
-//! both operands in `xᵀ . gy`, whose output must also be at least `MR * NR`
-//! columns wide) and the packed one otherwise; `matmul_nt`, `matmul_tn` and
-//! `matmul_tn_segments` exist so a backward pass never materializes a
-//! transposed weight or a weight-sized temporary. Every one of them is one
+//! `Tensor::matmul`, `matmul_nt`, `matmul_tn` and `matmul_tn_segments` each
+//! run a streaming loop below `STREAM_MATMUL_ROWS` rows (of `x` in `x . w`,
+//! of `gy` in `gy . wᵀ`, of both operands in `xᵀ . gy`, whose output must
+//! also be at least `MR * NR` columns wide) and the packed one otherwise;
+//! `matmul_nt`, `matmul_tn` and `matmul_tn_segments` exist so a backward
+//! pass never materializes a transposed weight or a weight-sized
+//! temporary. Every one of them is one
 //! ascending-`k` accumulation from `+0.0` per element (per segment of `k`,
 //! the segments' sums then added in order): the float bits of
 //! `transpose()` and `matmul` (and `add_assign`), and those of the packed
@@ -52,17 +53,20 @@ const INNER: [usize; 13] = [
     2 * KC + 3,
 ];
 
-/// Outer dimensions: one row, below / at / past the `MR x NR` register tile
-/// and the `MR * NR`-column block a streamed `xᵀ . gy` holds in registers,
-/// past the 64-row block, ragged in each, and wide enough (not `NR`-aligned)
-/// that a ten-row `gy . wᵀ` and `xᵀ . gy` split across workers.
+/// Outer dimensions: one row, below / at / past the `MR x NR` register tile,
+/// the 4 and 8 columns a streamed `gy . wᵀ` holds per pass and the
+/// `MR * NR`-column block a streamed `xᵀ . gy` holds in registers, past the
+/// 64-row block, ragged in each, and wide enough (not `NR`-aligned) that a
+/// ten-row `gy . wᵀ` and `xᵀ . gy` split across workers.
 const OUTER: [usize; 12] =
     [1, MR - 1, MR, MR + 1, NR, NR + 1, MR * NR - 1, MR * NR, MR * NR + 1, 66, 70, 1030];
 
-/// Rows of a forward product: the one-row and ten-row products the placer
-/// issues, both sides of the streaming bound, and two packed row blocks.
-const ROWS: [usize; 9] =
-    [1, 2, 4, 9, 10, STREAM_MATMUL_ROWS - 1, STREAM_MATMUL_ROWS, STREAM_MATMUL_ROWS + 1, 66];
+/// Rows of `x` in a forward product and of `gy` in `gy . wᵀ`: the one-,
+/// eight- and ten-row products the placer issues, both ends of each lane
+/// band of a streamed `gy . wᵀ` (1; 2 and 4; 5 and 8; 9 and 10), both sides
+/// of the streaming bound, and two packed row blocks.
+const ROWS: [usize; 11] =
+    [1, 2, 4, 5, 8, 9, 10, STREAM_MATMUL_ROWS - 1, STREAM_MATMUL_ROWS, STREAM_MATMUL_ROWS + 1, 66];
 
 /// Output widths of a forward product: the last two span more than one
 /// streamed column block (`KC / m * NR` columns) at ten rows and at one.
@@ -138,11 +142,11 @@ proptest! {
 
     #[test]
     fn matmul_nt_is_transpose_then_matmul(
-        m in pick(OUTER), k in pick(INNER), n in pick(OUTER), s in 0u64..1000,
-        workers in 1usize..=3
+        m in pick(ROWS), k in pick(INNER), n in pick(OUTER), s in 0u64..1000,
+        special in any::<bool>(), workers in 1usize..=3
     ) {
-        let (a, b) = (fill(m, k, s, false), fill(n, k, s + 1, false));
-        let want = at_workers(1, || a.matmul(&b.transpose()));
+        let (a, b) = (fill(m, k, s, special), fill(n, k, s + 1, special));
+        let want = at_workers(1, || packed(&a, &b.transpose()));
         let got = at_workers(workers, || a.matmul_nt(&b));
         prop_assert_eq!(got.shape(), (m, n));
         prop_assert_eq!(bits(&got), bits(&want));
