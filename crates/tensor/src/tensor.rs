@@ -33,24 +33,29 @@ use std::ops::Range;
 /// minibatch, `x . w` and `gy . wᵀ`, split by columns, and their weight
 /// gradient `xᵀ . gy`, whose output is weight-tall, by rows.
 ///
-/// Read off `results/BENCH_matmul.json` (`experiments matmul` on a 2-vCPU
-/// host, AVX2 build: `serial_sec`, `nt_sec` and `tn_acc_sec` are one worker,
-/// `dispatch_sec`, `nt_dispatch_sec` and `tn_acc_dispatch_sec` this rule at
-/// two, `split2_sec` the forward's rows halved over two threads whatever the
+/// Read off `experiments matmul` on a 2-vCPU host, AVX2 build
+/// (`serial_sec`, `nt_sec` and `tn_acc_sec` are one worker, `dispatch_sec`,
+/// `nt_dispatch_sec` and `tn_acc_dispatch_sec` this rule at two,
+/// `split2_sec` the forward's rows halved over two threads whatever the
 /// rule says). A scoped thread costs tens of microseconds to start and to
 /// wake a core for, which a share of `128^3` multiply-adds (163 us serial)
 /// can repay and a smaller one cannot, so `128x128 . 128x128` and everything
 /// below it is serial (`split2` 0.02x, 0.31x and 0.95x at `16^3`, `64^3` and
 /// `128^3`; over twelve earlier sweeps `128^3` read 0.65x to 1.35x, half of
 /// them below 1), and so is the one-row step `1x1664 . 1664x2048`, under
-/// twice the floor. The 10-row gate products split by columns read 1.90x
-/// (`10x512 . 512x2048`) and 1.78x (`10x1664 . 1664x2048`) of `serial`,
-/// their `gy . wᵀ` 1.75x and 1.67x, and their `slot += xᵀ . gy`, split by
-/// rows, 2.02x and 1.95x; row splits of `256^3` and `1024x64 . 64x64` read
-/// 1.27x and 1.20x, and of the op-count-tall grouper products
-/// `2935x81 . 81x32` and `1182x81 . 81x64` 1.36x and 1.28x (0.93x and 1.04x
-/// in the sweep before: the shared host is noisy). Nothing here is tuned to
-/// a host.
+/// twice the floor. In the sweep the rule was set from, the 10-row gate
+/// products split by columns read 1.90x (`10x512 . 512x2048`) and 1.78x
+/// (`10x1664 . 1664x2048`) of `serial`, their packed `gy . wᵀ` 1.75x and
+/// 1.67x, and their `slot += xᵀ . gy`, split by rows, 2.02x and 1.95x; row
+/// splits of `256^3` and `1024x64 . 64x64` read 1.27x and 1.20x, and of the
+/// op-count-tall grouper products `2935x81 . 81x32` and `1182x81 . 81x64`
+/// 1.36x and 1.28x (0.93x and 1.04x in the sweep before). In the committed
+/// `results/BENCH_matmul.json`, regenerated with the streamed `gy . wᵀ`, the
+/// host's second vCPU added little: the split products read 0.77x to 1.60x
+/// of one worker, the 10-row gate products 1.02x and 1.05x, their
+/// `gy . wᵀ` 0.90x and 0.97x and their `slot += xᵀ . gy` 1.00x and 1.41x,
+/// and the parent commit's binary read the same in sweeps alternated with
+/// it. The shared host is noisy; nothing here is tuned to it.
 pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 
 /// [`Tensor::matmul`] streams a product with fewer rows than this through
@@ -58,9 +63,9 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 /// copy all of a multi-megabyte weight to feed at most three `MR`-row tiles.
 /// Read off `results/BENCH_matmul.json` (`serial_sec` against `packed_sec`)
 /// as the largest swept row count at which streaming wins at every width a
-/// workload issues short: 10, where it runs `10x1664 . 1664x2048` 2.06x,
-/// `10x512 . 512x2048` 1.70x, `10x48 . 48x192` 1.60x and `10x156 . 156x192`
-/// 1.34x faster (one row: 5.8x to 10.3x); it loses only at `81x32` (0.68x), a
+/// workload issues short: 10, where it runs `10x1664 . 1664x2048` 1.72x,
+/// `10x512 . 512x2048` 1.84x, `10x48 . 48x192` 1.60x and `10x156 . 156x192`
+/// 1.52x faster (one row: 5.6x to 7.0x); it loses only at `81x32` (0.68x), a
 /// width the grouper issues op-count tall. Built with the bound past 16,
 /// the AVX2 sweep had streaming win at 16 rows too (1.08x to 1.52x, `81x32`
 /// aside), but the policies issue no product 11 to 16 rows tall (their
@@ -76,7 +81,7 @@ pub const PAR_MATMUL_THRESHOLD: usize = 128 * 128 * 128;
 ///
 /// [`Tensor::matmul_tn`] and [`Tensor::matmul_tn_segments`] stream under the same
 /// bound (the short side of `xᵀ . gy` is the rows of `x`): `tn_acc_sec` at
-/// `10x1664` is 3.7 ms; in alternating sweeps against a build with the
+/// `10x1664` is 3.1 ms; in alternating sweeps against a build with the
 /// bound at 2 the packed loop took 4.9 to 13 ms there, and streamed it still
 /// won at 16 rows (`16x1664`: 4.6 to 6.5 ms against 6.3 to 9.5 ms packed),
 /// so the forward sets the bound.
@@ -420,22 +425,14 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Self::zeros(self.rows, other.rows);
-        let (k, w) = (self.cols, &other.data);
         match self.rows {
-            1 => split(&mut out, k, |share| stream_nt::<1, NT_COLS>(&self.data, w, share, k)),
-            2..=4 => {
-                let gt = lanes::<4>(self);
-                split(&mut out, k, |share| stream_nt::<4, NT_COLS>(&gt, w, share, k));
+            1 => stream_nt::<1, NT_COLS>(self, other, &mut out),
+            2..=4 => stream_nt::<4, NT_COLS>(self, other, &mut out),
+            5..=8 => stream_nt::<8, NT_COLS>(self, other, &mut out),
+            9..STREAM_MATMUL_ROWS => stream_nt::<16, { NT_COLS / 2 }>(self, other, &mut out),
+            _ => {
+                gemm(Lhs::rows(self), Rhs { data: &other.data, transposed: true }, &mut out, false)
             }
-            5..=8 => {
-                let gt = lanes::<8>(self);
-                split(&mut out, k, |share| stream_nt::<8, NT_COLS>(&gt, w, share, k));
-            }
-            9..STREAM_MATMUL_ROWS => {
-                let gt = lanes::<16>(self);
-                split(&mut out, k, |share| stream_nt::<16, { NT_COLS / 2 }>(&gt, w, share, k));
-            }
-            _ => gemm(Lhs::rows(self), Rhs { data: w, transposed: true }, &mut out, false),
         }
         out
     }
@@ -680,9 +677,9 @@ fn stream_tn_block(a: Lhs<'_>, i: usize, b: &[f32], n: usize, jb: usize) -> [f32
 }
 
 /// Output columns per pass of `stream_nt` (half as many at 16 lanes): each
-/// load of a transposed `gy` row's lanes feeds `NT_COLS` rows of `W`, and the
-/// `L x NT_COLS` accumulator tile is at most 8 vector registers (8 scalars,
-/// xmm or ymm at 1, 4 and 8 lanes, 8 ymm at 16).
+/// load of a transposed `gy` row's lanes feeds that many rows of `W`, and
+/// the accumulator tile is 8 registers at every lane count (8 scalars at one
+/// lane, 8 xmm at 4, 8 ymm at 8 and at 16).
 const NT_COLS: usize = 8;
 
 /// `gy`'s `m` rows transposed into `k` rows of `L` lanes (lane `r` of row
@@ -698,17 +695,30 @@ fn lanes<const L: usize>(gy: &Tensor) -> Vec<f32> {
     gt
 }
 
+/// `out = gy . wᵀ` (`out` zeroed by the caller) for a `gy` of at most `L`
+/// rows and `w` the row-major `(n, k)` weight: `gy` laid out in lanes once,
+/// then `stream_nt_share` on each share [`split`] cuts.
+fn stream_nt<const L: usize, const C: usize>(gy: &Tensor, w: &Tensor, out: &mut Tensor) {
+    let (gt, k) = (lanes::<L>(gy), gy.cols);
+    split(out, k, |share| stream_nt_share::<L, C>(&gt, &w.data, share, k));
+}
+
 /// Streaming kernel for short input gradients: one share of `out = gy . wᵀ`
-/// for `gt` the `(m, k)` `gy` as [`lanes`] lays it out (`L >= m`; at one
-/// row, `gy` itself) and `w` the row-major `(n, k)` weight, read in place:
+/// for `gt` the `(m, k)` `gy` as [`lanes`] lays it out (`L >= m`) and `w`
+/// the row-major `(n, k)` weight, read in place:
 /// a pass broadcasts each element of `C` consecutive rows of `w` against
 /// the `L` lanes, so `w` is read once, in row order, and no copy of it is
 /// made. A ragged tail runs its columns one at a time. Each element is
 /// summed from `+0.0` over ascending `kk` and stored: `gemm_rows`' sum and
 /// write-back, bit for bit. A short product splits by columns only, so the
 /// share's rows are all of `gy`'s.
-fn stream_nt<const L: usize, const C: usize>(gt: &[f32], w: &[f32], out: Share<'_>, k: usize) {
-    debug_assert_eq!(out.row0, 0, "a short product splits by output columns");
+fn stream_nt_share<const L: usize, const C: usize>(
+    gt: &[f32],
+    w: &[f32],
+    out: Share<'_>,
+    k: usize,
+) {
+    assert_eq!(out.row0, 0, "a short product splits by output columns");
     let (width, col0) = (out.width(), out.col0);
     let mut rows = out.rows;
     let whole = width - width % C;
@@ -721,7 +731,7 @@ fn stream_nt<const L: usize, const C: usize>(gt: &[f32], w: &[f32], out: Share<'
 }
 
 /// `C x L` accumulators from `+0.0`: accumulator `[c][r]` is output element
-/// `(r, j + c)` of `stream_nt`.
+/// `(r, j + c)` of `stream_nt_share`.
 fn stream_nt_block<const L: usize, const C: usize>(
     gt: &[f32],
     w: &[f32],
